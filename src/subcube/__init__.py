@@ -15,10 +15,6 @@ from .adversarial import (
     LBNoStarFunction,
     StrongSample,
     desk_params,
-    gen_no,
-    gen_no_ltf,
-    gen_yes,
-    gen_yes_ltf,
     generate_instance,
     is_i_special,
     ltf_potential,
@@ -83,7 +79,6 @@ from .serialize import (
     structure_sidecar,
 )
 from .tester import (
-    DEFAULT_AMPLIFY,
     TesterParams,
     Verdict,
     amplify,

@@ -36,10 +36,6 @@ __all__ = [
     "LBNoStarFunction",
     "paper_params",
     "desk_params",
-    "gen_yes",
-    "gen_no",
-    "gen_yes_ltf",
-    "gen_no_ltf",
     "generate_instance",
     "validate_instance",
     "is_i_special",
@@ -49,7 +45,24 @@ __all__ = [
     "VARIANTS",
 ]
 
-VARIANTS = ("yes", "no", "yes-ltf", "no-ltf")
+# Per variant: the distribution as (kind, mass) rows in entry order, each
+# kind's mass split evenly over its points (m of them; the all-ones point is
+# one), and the labels the function gives the (ones, a, b, c) points.
+_FAMILY = {
+    "yes": ((("b", Fraction(2, 3)), ("c", Fraction(1, 3))),
+            (1, 0, 1, 0)),
+    "no": ((("a", Fraction(1, 3)), ("b", Fraction(1, 3)),
+            ("c", Fraction(1, 3))),
+           (1, 1, 1, 0)),
+    "yes-ltf": ((("ones", Fraction(1, 4)), ("b", Fraction(1, 2)),
+                 ("c", Fraction(1, 4))),
+                (0, 0, 1, 0)),
+    "no-ltf": ((("ones", Fraction(1, 4)), ("a", Fraction(1, 4)),
+                ("b", Fraction(1, 4)), ("c", Fraction(1, 4))),
+               (0, 1, 1, 0)),
+}
+
+VARIANTS = tuple(_FAMILY)
 
 
 @dataclass(frozen=True)
@@ -161,16 +174,16 @@ def _count_special(zeros: frozenset, a_blocks, b_blocks, s: int) -> bool:
     return hit_b >= need
 
 
-@dataclass(frozen=True)
-class LBNoFunction(FunctionSpec):
-    """The no-variant function: the yes conjunction with a-strings flipped.
+def _potential(n: int, R: frozenset, zeros: frozenset, term: int) -> int:
+    """10 n^2 (#ones outside R) + 5 n term - #ones: the form the u, v and phi
+    potentials share; they differ only in term."""
+    ones_out = (n - len(R)) - len(zeros - R)
+    return 10 * n * n * ones_out + 5 * n * term - (n - len(zeros))
 
-    Value 1 iff no coordinate outside R is 0 and every i whose special index
-    alpha_i is 0 makes the input i-special: at least ceil(3/4 *
-    blocks_per_side) A_i-blocks carry more than s zeros and as many
-    B_i-blocks carry at most s zeros. Evaluation is lazy: only the i with
-    alpha_i zero are checked.
-    """
+
+@dataclass(frozen=True)
+class _HiddenBlocks(FunctionSpec):
+    """The hidden structure the no-variant functions are built on."""
 
     n: int
     R: frozenset
@@ -189,6 +202,30 @@ class LBNoFunction(FunctionSpec):
         if not (len(self.alpha) == len(self.a_blocks) == len(self.b_blocks)):
             raise ValueError("need aligned alpha, a_blocks, b_blocks")
 
+    def potential(self, zeros: frozenset) -> int:
+        """The v-potential: 10 n^2 (#ones outside R) + 5 n (|J(x)| + #{i not
+        in J(x) with x_{alpha_i} = 1}) - #ones, where J(x) collects the i for
+        which x is i-special."""
+        term = 0
+        for i, a in enumerate(self.alpha):
+            if _count_special(zeros, self.a_blocks[i], self.b_blocks[i], self.s):
+                term += 1
+            elif a not in zeros:
+                term += 1
+        return _potential(self.n, self.R, zeros, term)
+
+
+@dataclass(frozen=True)
+class LBNoFunction(_HiddenBlocks):
+    """The no-variant function: the yes conjunction with a-strings flipped.
+
+    Value 1 iff no coordinate outside R is 0 and every i whose special index
+    alpha_i is 0 makes the input i-special: at least ceil(3/4 *
+    blocks_per_side) A_i-blocks carry more than s zeros and as many
+    B_i-blocks carry at most s zeros. Evaluation is lazy: only the i with
+    alpha_i zero are checked.
+    """
+
     def value_at(self, zeros: frozenset) -> int:
         if not zeros <= self.R:
             return 0
@@ -200,46 +237,14 @@ class LBNoFunction(FunctionSpec):
 
 
 @dataclass(frozen=True)
-class LBNoStarFunction(FunctionSpec):
+class LBNoStarFunction(_HiddenBlocks):
     """The no-variant threshold function: 1 iff the v-potential reaches the
     (rounded-up) threshold.
 
-    v(x) = 10 n^2 (#ones outside R) + 5 n (|J(x)| + #{i not in J(x) with
-    x_{alpha_i} = 1}) - #ones, where J(x) collects the i for which x is
-    i-special. v is an integer, so comparing against ceil(theta) is exact.
+    v is an integer, so comparing against ceil(theta) is exact.
     """
 
-    n: int
-    R: frozenset
-    alpha: tuple
-    a_blocks: tuple
-    b_blocks: tuple
-    s: int
     threshold: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "R", frozenset(self.R))
-        object.__setattr__(self, "alpha", tuple(int(a) for a in self.alpha))
-        object.__setattr__(self, "a_blocks", tuple(
-            tuple(frozenset(b) for b in row) for row in self.a_blocks))
-        object.__setattr__(self, "b_blocks", tuple(
-            tuple(frozenset(b) for b in row) for row in self.b_blocks))
-        if not (len(self.alpha) == len(self.a_blocks) == len(self.b_blocks)):
-            raise ValueError("need aligned alpha, a_blocks, b_blocks")
-
-    def potential(self, zeros: frozenset) -> int:
-        n = self.n
-        m = len(self.alpha)
-        zeros_out = len(zeros - self.R)
-        ones_out = (n - len(self.R)) - zeros_out
-        term = 0
-        for i, a in enumerate(self.alpha):
-            if _count_special(zeros, self.a_blocks[i], self.b_blocks[i], self.s):
-                term += 1
-            elif a not in zeros:
-                term += 1
-        ones = n - len(zeros)
-        return 10 * n * n * ones_out + 5 * n * term - ones
 
     def value_at(self, zeros: frozenset) -> int:
         return 1 if self.potential(zeros) >= self.threshold else 0
@@ -367,29 +372,21 @@ def ltf_potential(x: ZeroSet, inst: LBInstance, which: str,
                   gamma_set: Optional[frozenset] = None) -> int:
     """Exact integer potential of x: "u" (yes form), "v" (no form, via the
     specialness rule), or "phi" (simulation form, needs the Gamma set)."""
-    n = inst.n
-    m = inst.params.m
     zeros = x.zeros
-    zeros_out = len(zeros - inst.R)
-    ones_out = (n - len(inst.R)) - zeros_out
-    ones = n - len(zeros)
-    base = 10 * n * n * ones_out - ones
-    if which == "u":
-        hit = sum(1 for a in inst.alpha if a in zeros)
-        return base + 5 * n * (m - hit)
     if which == "v":
-        term = 0
-        for i in range(1, m + 1):
-            if is_i_special(x, inst, i):
-                term += 1
-            elif inst.alpha[i - 1] not in zeros:
-                term += 1
-        return base + 5 * n * term
-    if which == "phi":
+        return _HiddenBlocks(inst.n, inst.R, inst.alpha,
+                             _blocks_of(inst.blocks, inst.a_block_ids),
+                             _blocks_of(inst.blocks, inst.b_block_ids),
+                             inst.params.s).potential(zeros)
+    if which == "u":
+        term = inst.params.m - sum(1 for a in inst.alpha if a in zeros)
+    elif which == "phi":
         if gamma_set is None:
             raise ValueError("phi needs the Gamma set")
-        return base + 5 * n * (m - len(zeros & frozenset(gamma_set)))
-    raise ValueError(f"unknown potential {which!r}")
+        term = inst.params.m - len(zeros & frozenset(gamma_set))
+    else:
+        raise ValueError(f"unknown potential {which!r}")
+    return _potential(inst.n, inst.R, zeros, term)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +421,16 @@ def _draw_structure(params: LBParams, rng: RandomStream):
             tuple(a_sets), tuple(b_sets), tuple(c_sets))
 
 
+def _points_by_kind(a_sets, b_sets, c_sets) -> dict:
+    """The zero sets of each point kind, in index order."""
+    return {"ones": (frozenset(),), "a": a_sets, "b": b_sets, "c": c_sets}
+
+
+def _blocks_of(blocks: tuple, ids: tuple) -> tuple:
+    """Per i, the blocks that the i-th row of block ids selects."""
+    return tuple(tuple(blocks[j] for j in row) for row in ids)
+
+
 def _theta4(params: LBParams, r_size: int) -> int:
     """4x the threshold separating the potential values of the four point
     kinds: theta = 10 n^2 (n - |R|) + 5 n m - n + ell/4."""
@@ -441,30 +448,13 @@ def generate_instance(params: LBParams, variant: str,
             "no variants need h > s so the a-strings are special")
     (r_set, r_prime, blocks, alpha, beta, a_ids, b_ids,
      a_sets, b_sets, c_sets) = _draw_structure(params, rng)
-    n, m = params.n, params.m
-    a_pts = [ZeroSet(n, z) for z in a_sets]
-    b_pts = [ZeroSet(n, z) for z in b_sets]
-    c_pts = [ZeroSet(n, z) for z in c_sets]
-    ones = ZeroSet.all_ones(n)
+    n = params.n
     theta4 = None
-
-    def blocks_of(ids):
-        return tuple(tuple(blocks[j] for j in row) for row in ids)
-
+    if variant.endswith("-ltf"):
+        theta4 = _theta4(params, len(r_set))
     if variant == "yes":
         func = MonotoneConj(n, frozenset(range(1, n + 1)) - r_set | frozenset(alpha))
-        entries = ([(b_pts[i], Fraction(2, 3 * m)) for i in range(m)]
-                   + [(c_pts[i], Fraction(1, 3 * m)) for i in range(m)])
-        kinds = ([("b", i + 1) for i in range(m)]
-                 + [("c", i + 1) for i in range(m)])
-    elif variant == "no":
-        func = LBNoFunction(n, r_set, alpha, blocks_of(a_ids), blocks_of(b_ids),
-                            params.s)
-        entries = [(p, Fraction(1, 3 * m))
-                   for pts in (a_pts, b_pts, c_pts) for p in pts]
-        kinds = [(k, i + 1) for k in ("a", "b", "c") for i in range(m)]
     elif variant == "yes-ltf":
-        theta4 = _theta4(params, len(r_set))
         alpha_set = frozenset(alpha)
         weights = []
         for k in range(1, n + 1):
@@ -475,21 +465,21 @@ def generate_instance(params: LBParams, variant: str,
                 w += 5 * n
             weights.append(w)
         func = LinearThreshold(n, tuple(weights), (theta4 + 3) // 4)
-        entries = ([(ones, Fraction(1, 4))]
-                   + [(b_pts[i], Fraction(1, 2 * m)) for i in range(m)]
-                   + [(c_pts[i], Fraction(1, 4 * m)) for i in range(m)])
-        kinds = ([("ones", 0)]
-                 + [("b", i + 1) for i in range(m)]
-                 + [("c", i + 1) for i in range(m)])
     else:
-        theta4 = _theta4(params, len(r_set))
-        func = LBNoStarFunction(n, r_set, alpha, blocks_of(a_ids),
-                                blocks_of(b_ids), params.s, (theta4 + 3) // 4)
-        entries = ([(ones, Fraction(1, 4))]
-                   + [(p, Fraction(1, 4 * m))
-                      for pts in (a_pts, b_pts, c_pts) for p in pts])
-        kinds = ([("ones", 0)]
-                 + [(k, i + 1) for k in ("a", "b", "c") for i in range(m)])
+        hidden = (n, r_set, alpha, _blocks_of(blocks, a_ids),
+                  _blocks_of(blocks, b_ids), params.s)
+        if variant == "no":
+            func = LBNoFunction(*hidden)
+        else:
+            func = LBNoStarFunction(*hidden, (theta4 + 3) // 4)
+
+    points = _points_by_kind(a_sets, b_sets, c_sets)
+    entries, kinds = [], []
+    for kind, mass in _FAMILY[variant][0]:
+        group = points[kind]
+        for i, zeros in enumerate(group, start=1):
+            entries.append((ZeroSet(n, zeros), mass / len(group)))
+            kinds.append((kind, 0 if kind == "ones" else i))
 
     inst = LBInstance(
         params=params, variant=variant, R=r_set, R_prime=r_prime,
@@ -501,42 +491,6 @@ def generate_instance(params: LBParams, variant: str,
     )
     validate_instance(inst)
     return inst
-
-
-def gen_yes(params: LBParams, rng: RandomStream) -> LBInstance:
-    """A yes instance: a hidden monotone conjunction with its distribution."""
-    return generate_instance(params, "yes", rng)
-
-
-def gen_no(params: LBParams, rng: RandomStream) -> LBInstance:
-    """A no instance: the flipped-a variant, far from monotone conjunctions."""
-    return generate_instance(params, "no", rng)
-
-
-def gen_yes_ltf(params: LBParams, rng: RandomStream) -> LBInstance:
-    """A yes threshold instance."""
-    return generate_instance(params, "yes-ltf", rng)
-
-
-def gen_no_ltf(params: LBParams, rng: RandomStream) -> LBInstance:
-    """A no threshold instance, far from threshold functions."""
-    return generate_instance(params, "no-ltf", rng)
-
-
-_EXPECTED_LABELS = {
-    # (ones, a, b, c)
-    "yes": (1, 0, 1, 0),
-    "no": (1, 1, 1, 0),
-    "yes-ltf": (0, 0, 1, 0),
-    "no-ltf": (0, 1, 1, 0),
-}
-
-_EXPECTED_KINDS = {
-    "yes": ("b", "c"),
-    "no": ("a", "b", "c"),
-    "yes-ltf": ("ones", "b", "c"),
-    "no-ltf": ("ones", "a", "b", "c"),
-}
 
 
 def validate_instance(inst: LBInstance) -> None:
@@ -595,33 +549,21 @@ def validate_instance(inst: LBInstance) -> None:
         if inst.C_sets[i] != a | b:
             fail("C must be the disjoint union of A and B")
 
-    expected_ones, expected_a, expected_b, expected_c = _EXPECTED_LABELS[inst.variant]
-    f = inst.function
-    if f.value_at(frozenset()) != expected_ones:
-        fail("wrong label on the all-ones point")
-    for i in range(m):
-        if f.value_at(inst.A_sets[i]) != expected_a:
-            fail(f"wrong label on a^{i + 1}")
-        if f.value_at(inst.B_sets[i]) != expected_b:
-            fail(f"wrong label on b^{i + 1}")
-        if f.value_at(inst.C_sets[i]) != expected_c:
-            fail(f"wrong label on c^{i + 1}")
+    rows, labels = _FAMILY[inst.variant]
+    points = _points_by_kind(inst.A_sets, inst.B_sets, inst.C_sets)
+    for kind, label in zip(("ones", "a", "b", "c"), labels):
+        for i, zeros in enumerate(points[kind], start=1):
+            if inst.function.value_at(zeros) != label:
+                fail(f"wrong label on {kind} point {i}")
 
     kinds_seen = {}
     for (kind, i), (point, _) in zip(inst.support_kinds,
                                      inst.distribution.entries):
         kinds_seen[kind] = kinds_seen.get(kind, 0) + 1
-        want = {
-            "a": inst.A_sets[i - 1] if kind == "a" else None,
-            "b": inst.B_sets[i - 1] if kind == "b" else None,
-            "c": inst.C_sets[i - 1] if kind == "c" else None,
-            "ones": frozenset(),
-        }[kind]
-        if point.zeros != want:
+        if point.zeros != points[kind][0 if kind == "ones" else i - 1]:
             fail("support point does not match its kind")
-    expected_kinds = _EXPECTED_KINDS[inst.variant]
-    if set(kinds_seen) != set(expected_kinds):
+    if set(kinds_seen) != {kind for kind, _ in rows}:
         fail("distribution support has the wrong kinds")
-    for kind in expected_kinds:
+    for kind in kinds_seen:
         if kinds_seen[kind] != (1 if kind == "ones" else m):
             fail(f"wrong number of {kind} entries")

@@ -249,6 +249,9 @@ def _cmd_experiment(args) -> int:
         algo=args.algo, params=params, yes_variant=yes_variant,
         no_variant=no_variant, epsilon=args.epsilon, trials=args.trials,
         seed=args.seed, budgets=budgets, amplify_k=args.amplify)
+    if args.algo != "dolev-ron":
+        print("note: the sim_* columns run the dolev-ron baseline, "
+              f"not {args.algo}", file=sys.stderr)
     if args.out == "-":
         write_experiment_csv(sys.stdout, rows)
     else:

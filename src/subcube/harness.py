@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import log2
 from typing import Optional
@@ -133,8 +133,17 @@ def _tester_params_for(config: ExperimentConfig) -> Optional[TesterParams]:
 
 
 def _run_one(config: ExperimentConfig, trial: int,
-             shared_params: Optional[TesterParams]) -> TrialResult:
-    rng = RandomStream(config.seed).split("trial", trial)
+             shared_params: Optional[TesterParams],
+             rng: Optional[RandomStream] = None,
+             sim: bool = False) -> TrialResult:
+    """One trial on its own stream, by default split("trial", trial).
+
+    With sim set, the trial runs against the no-black-box responder of the
+    generated instance instead of its real oracles; the responder can only
+    drive the dolev-ron baseline.
+    """
+    if rng is None:
+        rng = RandomStream(config.seed).split("trial", trial)
     started = time.perf_counter()
     inst = None
     if config.generator is not None:
@@ -151,8 +160,13 @@ def _run_one(config: ExperimentConfig, trial: int,
     def attempt(sub: RandomStream) -> Verdict:
         tr = QueryTranscript(log_queries=config.log_queries)
         attempts.append(tr)
-        oracle = BlackBox(func, tr, budget)
-        sampler = Sampler(dist, func, tr, sub.split("samples"), budget)
+        if sim:
+            gamma: set = set()
+            sampler = _SimSampler(inst, sub.split("samples"), tr, budget, gamma)
+            oracle = _SimBlackBox(inst, tr, budget, gamma)
+        else:
+            oracle = BlackBox(func, tr, budget)
+            sampler = Sampler(dist, func, tr, sub.split("samples"), budget)
         tester_rng = sub.split("tester")
         if config.algo == "mconj":
             return test_monotone_conjunction(oracle, sampler, n, config.epsilon,
@@ -344,36 +358,6 @@ class _SimBlackBox:
         return value
 
 
-def _real_attempt(algo, inst, epsilon, budget, q, shared_params):
-    def attempt(sub: RandomStream) -> Verdict:
-        tr = QueryTranscript()
-        oracle = BlackBox(inst.function, tr, budget)
-        sampler = Sampler(inst.distribution, inst.function, tr,
-                          sub.split("samples"), budget)
-        tester_rng = sub.split("tester")
-        if algo == "mconj":
-            return test_monotone_conjunction(oracle, sampler, inst.n, epsilon,
-                                             tester_rng, shared_params)
-        if algo == "conj":
-            return test_general_conjunction(oracle, sampler, inst.n, epsilon,
-                                            tester_rng, shared_params)
-        return baseline_dolev_ron(oracle, sampler, inst.n, epsilon, tester_rng,
-                                  num_samples=q)
-    return attempt
-
-
-def _sim_attempt(inst, epsilon, budget, q):
-    def attempt(sub: RandomStream) -> Verdict:
-        tr = QueryTranscript()
-        gamma: set = set()
-        sampler = _SimSampler(inst, sub.split("samples"), tr, budget, gamma)
-        oracle = _SimBlackBox(inst, tr, budget, gamma)
-        tester_rng = sub.split("tester")
-        return baseline_dolev_ron(oracle, sampler, inst.n, epsilon, tester_rng,
-                                  num_samples=q)
-    return attempt
-
-
 def distinguishing_experiment(algo: str, params: LBParams, yes_variant: str,
                               no_variant: str, epsilon, trials: int, seed: int,
                               budgets: list, amplify_k: int = 1) -> list[dict]:
@@ -382,41 +366,31 @@ def distinguishing_experiment(algo: str, params: LBParams, yes_variant: str,
     For every budget q, every oracle is capped at q calls (budget overruns
     force an accept) and the dolev-ron algorithm is sized to draw exactly q
     samples. The sim columns replay the same protocol against the
-    no-black-box responder, which answers queries from (R, Gamma) alone and
-    always drives the pair-sampling baseline; the primary tester's batch
-    sampling does not interoperate with a responder whose answers depend on
-    draw order.
+    no-black-box responder, which answers queries from (R, Gamma) alone.
+    They always run the dolev-ron baseline, whatever algo is: the primary
+    tester's batch sampling does not interoperate with a responder whose
+    answers depend on draw order.
     """
-    if algo not in ALGOS:
-        raise ValueError(f"unknown algo {algo!r}")
     if any(q < 0 for q in budgets):
         raise ValueError("budgets must be >= 0")
-    eps = Fraction(epsilon)
-    shared = None
-    if algo in ("mconj", "conj"):
-        shared = compute_parameters(params.n, eps)
+    base = ExperimentConfig(algo=algo, epsilon=Fraction(epsilon),
+                            trials=trials, seed=seed, amplify_k=amplify_k,
+                            generator=(params, yes_variant), keep_details=False)
+    shared = _tester_params_for(base)
     rows = []
     for q in budgets:
         rates = {}
         for world in ("real", "sim"):
             for variant in (yes_variant, no_variant):
+                config = replace(
+                    base, generator=(params, variant), max_blackbox=q,
+                    max_samples=q, baseline_samples=q,
+                    algo=algo if world == "real" else "dolev-ron")
                 accepted = 0
                 for i in range(trials):
                     rng = RandomStream(seed).split("exp", q, world, variant, i)
-                    inst = generate_instance(params, variant,
-                                             rng.split("instance"))
-                    budget = QueryBudget(q, q)
-                    if world == "real":
-                        attempt = _real_attempt(algo, inst, eps, budget, q,
-                                                shared)
-                    else:
-                        attempt = _sim_attempt(inst, eps, budget, q)
-                    try:
-                        verdict = amplify(attempt, amplify_k, rng)
-                        ok = verdict.accepted
-                    except BudgetExceeded:
-                        ok = True
-                    accepted += ok
+                    accepted += _run_one(config, i, shared, rng,
+                                         sim=world == "sim").accepted
                 rates[(world, variant)] = accepted / trials if trials else 0.0
         rows.append({
             "budget": q,

@@ -90,18 +90,15 @@ def function_to_obj(func: FunctionSpec) -> dict:
     if isinstance(func, Flipped):
         return {"type": "flipped", "coords": _sorted(func.coords),
                 "inner": function_to_obj(func.inner)}
-    if isinstance(func, LBNoStarFunction):
-        return {"type": "lb-no-ltf", "n": func.n, "R": _sorted(func.R),
-                "alpha": list(func.alpha),
-                "a_blocks": _blocks_out(func.a_blocks),
-                "b_blocks": _blocks_out(func.b_blocks),
-                "s": func.s, "threshold": func.threshold}
-    if isinstance(func, LBNoFunction):
-        return {"type": "lb-no", "n": func.n, "R": _sorted(func.R),
-                "alpha": list(func.alpha),
-                "a_blocks": _blocks_out(func.a_blocks),
-                "b_blocks": _blocks_out(func.b_blocks),
-                "s": func.s}
+    if isinstance(func, (LBNoFunction, LBNoStarFunction)):
+        star = isinstance(func, LBNoStarFunction)
+        obj = {"type": "lb-no-ltf" if star else "lb-no", "n": func.n,
+               "R": _sorted(func.R), "alpha": list(func.alpha),
+               "a_blocks": _blocks_out(func.a_blocks),
+               "b_blocks": _blocks_out(func.b_blocks), "s": func.s}
+        if star:
+            obj["threshold"] = func.threshold
+        return obj
     raise TypeError(f"cannot serialize {type(func).__name__}")
 
 
@@ -126,17 +123,13 @@ def function_from_obj(obj: dict) -> FunctionSpec:
     if tag == "flipped":
         return Flipped(function_from_obj(obj["inner"]),
                        frozenset(obj["coords"]))
-    if tag == "lb-no":
-        return LBNoFunction(int(obj["n"]), frozenset(obj["R"]),
-                            tuple(obj["alpha"]),
-                            _blocks_in(obj["a_blocks"]),
-                            _blocks_in(obj["b_blocks"]), int(obj["s"]))
-    if tag == "lb-no-ltf":
-        return LBNoStarFunction(int(obj["n"]), frozenset(obj["R"]),
-                                tuple(obj["alpha"]),
-                                _blocks_in(obj["a_blocks"]),
-                                _blocks_in(obj["b_blocks"]), int(obj["s"]),
-                                int(obj["threshold"]))
+    if tag in ("lb-no", "lb-no-ltf"):
+        hidden = (int(obj["n"]), frozenset(obj["R"]), tuple(obj["alpha"]),
+                  _blocks_in(obj["a_blocks"]), _blocks_in(obj["b_blocks"]),
+                  int(obj["s"]))
+        if tag == "lb-no":
+            return LBNoFunction(*hidden)
+        return LBNoStarFunction(*hidden, int(obj["threshold"]))
     raise ValueError(f"unknown function type {tag!r}")
 
 

@@ -41,10 +41,7 @@ __all__ = [
     "test_general_conjunction",
     "amplify",
     "baseline_dolev_ron",
-    "DEFAULT_AMPLIFY",
 ]
-
-DEFAULT_AMPLIFY = 11
 
 
 def ceil_log2(n: int) -> int:

@@ -270,7 +270,24 @@ def test_experiment_rows_schema_and_zero_budget():
     assert again == rows
 
 
-def test_experiment_input_validation():
+@pytest.mark.parametrize("algo", ("mconj", "conj"))
+def test_experiment_with_primary_testers(algo):
+    def sweep():
+        return distinguishing_experiment(
+            algo=algo, params=SMALL_LB, yes_variant="yes", no_variant="no",
+            epsilon=Fraction(1), trials=4, seed=15, budgets=[0, 8, 64])
+
+    rows = sweep()
+    assert [row["budget"] for row in rows] == [0, 8, 64]
+    for row in rows:
+        assert row["yes_accept"] == 1.0  # one-sided under every budget
+    assert rows[0] == {"budget": 0, "yes_accept": 1.0, "no_accept": 1.0,
+                       "gap": 0.0, "sim_yes_accept": 1.0,
+                       "sim_no_accept": 1.0, "sim_gap": 0.0}
+    assert sweep() == rows
+
+
+def test_experiment_input_validation(tmp_path, capsys):
     with pytest.raises(ValueError):
         distinguishing_experiment(algo="magic", params=SMALL_LB,
                                   yes_variant="yes", no_variant="no",
@@ -281,6 +298,21 @@ def test_experiment_input_validation():
                                   yes_variant="yes", no_variant="no",
                                   epsilon=Fraction(1), trials=1, seed=0,
                                   budgets=[-1])
+    with pytest.raises(ValueError):
+        distinguishing_experiment(algo="dolev-ron", params=SMALL_LB,
+                                  yes_variant="yes", no_variant="no",
+                                  epsilon=Fraction(1), trials=-3, seed=0,
+                                  budgets=[1])
+    out = tmp_path / "sweep.csv"
+    for dest in ("-", str(out)):
+        rc = cli.main(["experiment", "--algo", "dolev-ron", "--variant-pair",
+                       "yes:no", "--n", "60", "--epsilon", "1", "--trials",
+                       "-3", "--budget", "0,4", "--out", dest])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+    assert not out.exists()
 
 
 # -- command line -------------------------------------------------------------
@@ -378,15 +410,27 @@ def test_cli_experiment_to_stdout_and_file(tmp_path, capsys):
             "--budget", "0,4", "--out", "-"]
     rc = cli.main(argv)
     assert rc == 0
-    lines = capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
     assert lines[0] == ",".join(EXPERIMENT_HEADER)
     assert len(lines) == 3
+    assert captured.err == ""
 
     out = tmp_path / "sweep.csv"
     argv[-1] = str(out)
     rc = cli.main(argv)
     assert rc == 0
     assert out.read_text().splitlines()[0] == ",".join(EXPERIMENT_HEADER)
+
+    argv[argv.index("dolev-ron")] = "mconj"
+    argv[-1] = "-"
+    capsys.readouterr()
+    rc = cli.main(argv)
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == ",".join(EXPERIMENT_HEADER)
+    assert captured.err.splitlines() == [
+        "note: the sim_* columns run the dolev-ron baseline, not mconj"]
 
 
 def test_cli_semantic_errors_exit_2(tmp_path, capsys):

@@ -17,8 +17,7 @@ from subcube import (
     TruthTable,
     function_from_obj,
     function_to_obj,
-    gen_no,
-    gen_no_ltf,
+    generate_instance,
     instance_from_obj,
     instance_to_obj,
     load_instance,
@@ -81,8 +80,9 @@ def test_unserializable_spec_rejected():
 
 def test_hidden_structure_function_round_trip():
     rng = RandomStream(77)
-    for inst in (gen_no(SCALED, rng.split("no")),
-                 gen_no_ltf(LBParams(60, 4, 7, 3, 1, 2), rng.split("ltf"))):
+    for inst in (generate_instance(SCALED, "no", rng.split("no")),
+                 generate_instance(LBParams(60, 4, 7, 3, 1, 2), "no-ltf",
+                                   rng.split("ltf"))):
         back = function_from_obj(
             json.loads(json.dumps(function_to_obj(inst.function))))
         assert back == inst.function
@@ -117,7 +117,7 @@ def test_save_load_file(tmp_path):
 
 
 def test_structure_sidecar_fields():
-    inst = gen_no(SCALED, RandomStream(80))
+    inst = generate_instance(SCALED, "no", RandomStream(80))
     side = structure_sidecar(inst)
     assert side["variant"] == "no"
     assert side["params"]["m"] == 3
@@ -125,6 +125,7 @@ def test_structure_sidecar_fields():
     assert len(side["blocks"]) == SCALED.r_blocks
     assert len(side["alpha"]) == len(side["beta"]) == 3
     assert "theta4" not in side
-    star = gen_no_ltf(LBParams(60, 4, 7, 3, 1, 2), RandomStream(81))
+    star = generate_instance(LBParams(60, 4, 7, 3, 1, 2), "no-ltf",
+                             RandomStream(81))
     assert structure_sidecar(star)["theta4"] == star.theta4
     json.dumps(side)  # sidecars must be JSON-ready as built
