@@ -93,6 +93,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algo not in ALGOS:
             raise ValueError(f"unknown algo {self.algo!r}")
+        if not 0 < Fraction(self.epsilon) <= 1:
+            raise ValueError("epsilon must be in (0, 1]")
         if self.trials < 0:
             raise ValueError("trials must be >= 0")
         if self.amplify_k < 1:
@@ -371,6 +373,8 @@ def distinguishing_experiment(algo: str, params: LBParams, yes_variant: str,
     tester's batch sampling does not interoperate with a responder whose
     answers depend on draw order.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if any(q < 0 for q in budgets):
         raise ValueError("budgets must be >= 0")
     base = ExperimentConfig(algo=algo, epsilon=Fraction(epsilon),
@@ -391,7 +395,7 @@ def distinguishing_experiment(algo: str, params: LBParams, yes_variant: str,
                     rng = RandomStream(seed).split("exp", q, world, variant, i)
                     accepted += _run_one(config, i, shared, rng,
                                          sim=world == "sim").accepted
-                rates[(world, variant)] = accepted / trials if trials else 0.0
+                rates[(world, variant)] = accepted / trials
         rows.append({
             "budget": q,
             "yes_accept": rates[("real", yes_variant)],

@@ -5,11 +5,20 @@ Points of {0,1}^n are represented sparsely by their zero coordinates
 distributions carry exact rational weights and are sampled by exact
 inverse-CDF over a uniform integer draw below the common denominator, so each
 point is drawn with probability exactly its weight.
+
+The batched sampler resolves the inverse CDF through a bucket table: the top
+bits of each uniform draw pick one of at most 2^12 equal buckets, a bucket
+holding no CDF boundary maps to its support index by one gather, and only the
+draws that land in one of the (at most support-size) buckets holding a
+boundary are searched exactly. Denominators beyond 2^62 draw whole 64-bit
+words, bucket the top word, and fall back to exact integers only when the top
+word equals a boundary's top word.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -463,6 +472,26 @@ class FlippedBlackBox:
         return self.inner.query_set(zeros ^ self.coords)
 
 
+_BUCKET_BITS = 12
+
+
+def _bucket_table(bounds: np.ndarray, shift: int, count: int, ties: bool) -> np.ndarray:
+    """Support index of each key bucket [b << shift, (b+1) << shift), or -1.
+
+    The index of a key is the number of sorted bounds <= key. A bucket gets -1
+    when that number is not constant over it or, with ties, when any key in it
+    equals a bound (the bigint path compares top words only, so a top word
+    equal to a bound's top word needs the remaining words). The table has the
+    narrowest signed dtype that holds -1 and len(bounds), which keeps the
+    gather, and every index array drawn through it, small.
+    """
+    lo = np.arange(count, dtype=bounds.dtype) << bounds.dtype.type(shift)
+    hi = lo + bounds.dtype.type((1 << shift) - 1)
+    table = np.searchsorted(bounds, hi, side="right")
+    table[np.searchsorted(bounds, lo, side="left" if ties else "right") != table] = -1
+    return table.astype(np.min_scalar_type(-len(bounds) - 1))
+
+
 class SampleTape:
     """A replayable view of a sampler's batch stream.
 
@@ -507,9 +536,27 @@ class Sampler:
         self._points = [p for p, _ in dist.entries]
         self._zeros = [p.zeros for p in self._points]
         self.labels = np.array([func.value_at(z) for z in self._zeros], dtype=np.int8)
-        self._fast = dist.denominator <= (1 << 62)
-        if self._fast:
-            self._cum = np.array(dist._cum, dtype=np.int64)
+        m = dist.denominator
+        if m <= 1 << 62:
+            # keys are the draws u themselves
+            self._nwords = 0
+            self._bounds = np.array(dist._cum, dtype=np.int64)
+            self._key_shift = max(0, (m - 1).bit_length() - _BUCKET_BITS)
+            self._table = _bucket_table(self._bounds, self._key_shift,
+                                        ((m - 1) >> self._key_shift) + 1, ties=False)
+        else:
+            # keys are the top words of the candidates W = u << shift; the
+            # boundaries cum_i << shift are compared through their top words
+            nbits = m.bit_length()
+            self._nwords = (nbits + 63) // 64
+            self._shift = self._nwords * 64 - nbits
+            top = 64 * (self._nwords - 1)
+            self._bounds = np.array([(c << self._shift) >> top for c in dist._cum],
+                                    dtype=np.uint64)
+            self._key_shift = 64 - _BUCKET_BITS
+            self._table = _bucket_table(self._bounds, self._key_shift,
+                                        1 << _BUCKET_BITS, ties=True)
+        self._split = bool((self._table < 0).any())
         self._tape_count = 0
 
     # -- support accessors --
@@ -530,14 +577,50 @@ class Sampler:
     # -- drawing --
 
     def _draw_indices_raw(self, rng: RandomStream, k: int) -> np.ndarray:
-        """k exact draws from the distribution (support indices); uncounted."""
-        if self._fast:
-            u = rng.integers(self.dist.denominator, size=k)
-            return np.searchsorted(self._cum, u, side="right")
-        out = np.empty(k, dtype=np.int64)
-        for j in range(k):
-            out[j] = self.dist.index_from_uniform(rng.randrange(self.dist.denominator))
+        """k exact draws from the distribution (support indices); uncounted.
+
+        The indices, and the RNG words consumed, are those of the inverse CDF
+        over rng.integers(M, size=k) when M <= 2^62, and over k successive
+        rng.randrange(M) calls otherwise.
+        """
+        if self._nwords:
+            return self._draw_big(rng, k)
+        u = rng.integers(self.dist.denominator, size=k)
+        idx = self._table[u >> self._key_shift if self._key_shift else u]
+        if self._split and idx.min(initial=0) < 0:
+            miss = idx < 0
+            idx[miss] = np.searchsorted(self._bounds, u[miss], side="right")
+        return idx
+
+    def _draw_big(self, rng: RandomStream, k: int) -> np.ndarray:
+        # RandomStream._randrange_big, one rejection round per batch. A
+        # candidate W of `words` words is rejected iff W >= M << shift, which
+        # is index S (the support size) under the scaled boundaries. Accepted
+        # draws keep stream order and each round redraws exactly the number
+        # rejected, so the stream ends where the per-draw loop leaves it.
+        out = np.empty(k, dtype=self._table.dtype)
+        done = 0
+        while done < k:
+            need = k - done
+            raw = rng._words(need * self._nwords).reshape(need, self._nwords)
+            idx = self._table[raw[:, -1] >> self._key_shift]
+            if self._split and idx.min() < 0:
+                miss = idx < 0
+                idx[miss] = self._resolve_big(raw[miss])
+            got = idx[idx < self.support_size]
+            out[done:done + len(got)] = got
+            done += len(got)
         return out
+
+    def _resolve_big(self, raw: np.ndarray) -> np.ndarray:
+        """Exact indices (S for a rejection) of candidates given as rows of
+        words; a top word equal to a boundary's top word needs every word."""
+        top = raw[:, -1]
+        idx = np.searchsorted(self._bounds, top, side="right")
+        for j in np.flatnonzero(np.searchsorted(self._bounds, top, side="left") != idx):
+            w = int.from_bytes(raw[j].tobytes(), "little") >> self._shift
+            idx[j] = bisect_right(self.dist._cum, w)
+        return idx
 
     def _charge(self, idx: np.ndarray) -> None:
         if self.budget is not None:

@@ -16,8 +16,10 @@ import numpy as np
 
 __all__ = ["RandomStream"]
 
-# Above this bound we fall back to bigint rejection sampling; numpy's bounded
-# integers() is exact (Lemire rejection) only for bounds that fit in int64.
+# numpy's bounded integers() is exact (Lemire rejection) only for bounds that
+# fit in int64. Above this bound randrange rejection-samples whole 64-bit
+# words instead; the sampler's batched bigint path replays the same words in
+# one vectorised call per rejection round (see model.Sampler).
 _FAST_BOUND = 1 << 62
 
 
@@ -72,13 +74,19 @@ class RandomStream:
             raise ValueError("bound out of range for the batched path")
         return self._gen.integers(0, bound, size=size)
 
+    def _words(self, count: int) -> np.ndarray:
+        """count full-range uint64 words. numpy draws these unbuffered, so
+        one call for count words equals count calls for one word each."""
+        return self._gen.integers(0, 1 << 64, size=count, dtype=np.uint64)
+
     def _randrange_big(self, bound: int) -> int:
+        # a candidate is `words` words read little-endian, shifted down to
+        # the bit length of bound; it is rejected when it reaches bound
         nbits = bound.bit_length()
         words = (nbits + 63) // 64
         shift = words * 64 - nbits
         while True:
-            raw = self._gen.integers(0, 1 << 64, size=words, dtype=np.uint64)
-            value = int.from_bytes(raw.tobytes(), "little") >> shift
+            value = int.from_bytes(self._words(words).tobytes(), "little") >> shift
             if value < bound:
                 return value
 

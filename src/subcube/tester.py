@@ -174,20 +174,19 @@ class _GroupUnions:
     """Caches the zero-set union keyed by the set of support points present.
 
     Stage 2 rebuilds B for every group; groups repeat the same few support
-    subsets, so the union is memoized on a bitmask over support indices.
+    subsets, so the union is memoized on a presence mask over support indices.
     """
 
     def __init__(self, sampler):
         self.sampler = sampler
-        self.cache: dict[int, tuple] = {}
+        self.cache: dict[bytes, tuple] = {}
 
     def union(self, support_ids: np.ndarray):
-        key = 0
-        for si in np.unique(support_ids):
-            key |= 1 << int(si)
+        present = np.bincount(support_ids, minlength=self.sampler.support_size) > 0
+        key = present.tobytes()
         hit = self.cache.get(key)
         if hit is None:
-            b_set = _union_zeros(self.sampler, np.unique(support_ids))
+            b_set = _union_zeros(self.sampler, np.flatnonzero(present))
             hit = (b_set, sorted(b_set))
             self.cache[key] = hit
         return hit
@@ -214,20 +213,23 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
     tape = sampler.open_tape()
     labels = sampler.labels
     reps: dict[int, Optional[int]] = {}
-    seen = np.zeros(sampler.support_size, dtype=bool)
+    # done[si]: si is 1-labelled or its representative is already computed
+    done = labels != 0
+    pending = sampler.support_size - int(np.count_nonzero(done))
     zero_count = 0
     for _ in range(p.d_star + 1):
         idx = tape.next_indices(p.group_size)
-        zidx = idx[labels[idx] == 0]
-        if not len(zidx):
+        zero_count += len(idx) - int(np.count_nonzero(labels[idx]))
+        if not pending:
             continue
-        zero_count += len(zidx)
-        uniq, first = np.unique(zidx, return_index=True)
+        fresh = idx[~done[idx]]
+        if not len(fresh):
+            continue
+        uniq, first = np.unique(fresh, return_index=True)
+        pending -= len(uniq)
         for k in np.argsort(first):
             si = int(uniq[k])
-            if seen[si]:
-                continue
-            seen[si] = True
+            done[si] = True
             rep = binary_search_representative(oracle, sampler.point(si))
             reps[si] = rep
             if rep is None:

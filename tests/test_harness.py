@@ -298,21 +298,44 @@ def test_experiment_input_validation(tmp_path, capsys):
                                   yes_variant="yes", no_variant="no",
                                   epsilon=Fraction(1), trials=1, seed=0,
                                   budgets=[-1])
-    with pytest.raises(ValueError):
-        distinguishing_experiment(algo="dolev-ron", params=SMALL_LB,
-                                  yes_variant="yes", no_variant="no",
-                                  epsilon=Fraction(1), trials=-3, seed=0,
-                                  budgets=[1])
+    for trials in (-3, 0):
+        # an empty batch has no acceptance rate to report
+        with pytest.raises(ValueError):
+            distinguishing_experiment(algo="dolev-ron", params=SMALL_LB,
+                                      yes_variant="yes", no_variant="no",
+                                      epsilon=Fraction(1), trials=trials, seed=0,
+                                      budgets=[1])
     out = tmp_path / "sweep.csv"
-    for dest in ("-", str(out)):
-        rc = cli.main(["experiment", "--algo", "dolev-ron", "--variant-pair",
-                       "yes:no", "--n", "60", "--epsilon", "1", "--trials",
-                       "-3", "--budget", "0,4", "--out", dest])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: ")
-        assert captured.out == ""
+    for trials in ("-3", "0"):
+        for dest in ("-", str(out)):
+            rc = cli.main(["experiment", "--algo", "dolev-ron", "--variant-pair",
+                           "yes:no", "--n", "60", "--epsilon", "1", "--trials",
+                           trials, "--budget", "0,4", "--out", dest])
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ")
+            assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["test", "experiment"])
+@pytest.mark.parametrize("epsilon", ["0", "-1", "3/2"])
+def test_cli_rejects_epsilon_outside_unit_interval(tmp_path, capsys, command, epsilon):
+    if command == "test":
+        path = gen_file(tmp_path)
+        capsys.readouterr()
+        argv = ["test", "--instance", str(path), "--seed", "3"]
+    else:
+        argv = ["experiment", "--variant-pair", "yes:no", "--n", "60",
+                "--trials", "1", "--budget", "0,4", "--out", "-"]
+    rc = cli.main(argv + ["--algo", "dolev-ron", f"--epsilon={epsilon}"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    with pytest.raises(ValueError):
+        ExperimentConfig(algo="dolev-ron", epsilon=Fraction(epsilon), trials=1,
+                         seed=0, generator=(SMALL_LB, "yes"))
 
 
 # -- command line -------------------------------------------------------------

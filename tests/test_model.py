@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from subcube import (
     BlackBox,
@@ -283,15 +285,138 @@ def test_distinct_tapes_are_independent():
     assert t1 != t2
 
 
+def per_draw_reference(d, rng, k):
+    """The literal exact sampler: one inverse-CDF lookup per bigint draw."""
+    return [d.index_from_uniform(rng.randrange(d.denominator)) for _ in range(k)]
+
+
+def assert_same_stream(d, k, seed):
+    """Sampler batches equal the literal inverse CDF on a twin stream, and
+    both streams end in the same state."""
+    sm = Sampler(d, MonotoneConj(d.n, frozenset()), QueryTranscript(),
+                 RandomStream(0))
+    a, b = RandomStream(seed), RandomStream(seed)
+    got = sm._draw_indices_raw(a, k)
+    if d.denominator <= 1 << 62:
+        cum = np.array(d._cum, dtype=np.int64)
+        ref = np.searchsorted(cum, b.integers(d.denominator, size=k), side="right")
+    else:
+        ref = per_draw_reference(d, b, k)
+    assert [int(i) for i in got] == [int(i) for i in ref]
+    assert a.state() == b.state()
+    assert a.randrange(1 << 70) == b.randrange(1 << 70)
+
+
 def test_sampler_bigint_denominator_path():
-    # weights with a denominator beyond the batched int64 path
+    # weights with a denominator beyond the batched int64 path; about half
+    # of the 65-bit candidates are rejected, so batches take several rounds
     big = (1 << 64) + 13
     d = FiniteDistribution(3, ((zs(3), Fraction(1, big)),
                                (zs(3, 1), Fraction(big - 1, big))))
     sm = Sampler(d, MonotoneConj(3, frozenset({1})), QueryTranscript(),
                  RandomStream(64))
-    idx = sm._draw_indices_raw(RandomStream(65), 50)
-    assert all(0 <= int(i) < 2 for i in idx)
+    a, b = RandomStream(65), RandomStream(65)
+    idx = sm._draw_indices_raw(a, 50)
+    assert [int(i) for i in idx] == per_draw_reference(d, b, 50)
+    assert a.randrange(big) == b.randrange(big)
+
+
+def dist_from_cuts(denominator, cuts):
+    """The distribution whose CDF numerators over denominator are cuts + [M]."""
+    bounds = [0] + sorted(cuts) + [denominator]
+    n = max(1, (len(bounds) - 2).bit_length())
+    entries = []
+    for k in range(len(bounds) - 1):
+        point = ZeroSet(n, frozenset(j + 1 for j in range(n) if (k >> j) & 1))
+        entries.append((point, Fraction(bounds[k + 1] - bounds[k], denominator)))
+    return FiniteDistribution(n, tuple(entries))
+
+
+DENOMINATORS = [2, 3, 4096, 4097, (1 << 40) + 15, 1 << 62, (1 << 62) + 1,
+                (1 << 64) + 13, (1 << 105) + 51, 3 ** 67]
+
+
+@st.composite
+def rational_dists(draw):
+    """Random rational distributions whose common denominator is exactly M.
+
+    One weight is 1/M, which pins the denominator; with skew, every boundary
+    sits in a run of consecutive numerators, so they share one bucket.
+    """
+    m = draw(st.sampled_from(DENOMINATORS) | st.integers(2, 1 << 110))
+    size = draw(st.integers(1, min(m, 40)))
+    if size == 1:
+        return dist_from_cuts(m, [])
+    if draw(st.booleans()):
+        c = draw(st.integers(1, m - size + 1))
+        cuts = set(range(c, c + size - 1))
+    else:
+        c = draw(st.integers(0, m - 1))
+        cuts = {c, c + 1} - {0, m}
+        cuts |= set(draw(st.lists(st.integers(1, m - 1), max_size=size)))
+    return dist_from_cuts(m, cuts)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rational_dists(), st.integers(0, 400), st.integers(0, 1 << 32))
+def test_batched_draws_equal_the_literal_inverse_cdf(d, k, seed):
+    assert_same_stream(d, k, seed)
+
+
+def test_batched_boundary_buckets_resolve_exactly():
+    # M = 3 * 2^12 + 1 has 14 bits, so buckets span 4 numerators: a run of
+    # 40 unit weights puts boundaries in 10 buckets, and about 160 of the
+    # draws land on a boundary exactly
+    assert_same_stream(dist_from_cuts(3 * 4096 + 1, range(1, 41)), 50_000, 5)
+
+
+class _FixedWords:
+    """Stands in for numpy's generator: full-range uint64 draws are read
+    from a fixed list."""
+
+    def __init__(self, words):
+        self.words = list(words)
+        self.used = 0
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, dtype) == (0, 1 << 64, np.uint64)
+        out = np.array(self.words[self.used:self.used + size], dtype=np.uint64)
+        assert len(out) == size, "ran out of words"
+        self.used += size
+        return out
+
+
+def fixed_stream(words):
+    rng = RandomStream(0)
+    rng._gen = _FixedWords(words)
+    return rng
+
+
+@pytest.mark.parametrize("m", [(1 << 105) + 51, 3 ** 67, (1 << 64) + 13])
+def test_bigint_top_word_ties_resolve_exactly(m):
+    # clustered boundaries share a top word; the candidates sit at and one
+    # unit either side of every boundary (the rejection bound included) in
+    # the words below the top word, so every candidate's top word ties
+    cuts = [1, 2, 3, m // 3, m // 3 + 1, m // 2]
+    d = dist_from_cuts(m, cuts)
+    nbits = m.bit_length()
+    words = (nbits + 63) // 64
+    low_bits = 64 * (words - 1)
+    mask = (1 << 64) - 1
+    values = []
+    for c in reversed(d._cum):  # rejections first, so every word is read
+        bound = c << (words * 64 - nbits)
+        top, low = bound >> low_bits, bound & ((1 << low_bits) - 1)
+        values += [(top << low_bits) | x for x in (low - 1, low, low + 1)
+                   if 0 <= x < 1 << low_bits]
+    candidates = [(v >> (64 * j)) & mask for v in values for j in range(words)]
+    accepted = sum(v >> (words * 64 - nbits) < m for v in values)
+    sm = Sampler(d, MonotoneConj(d.n, frozenset()), QueryTranscript(),
+                 RandomStream(0))
+    a, b = fixed_stream(candidates), fixed_stream(candidates)
+    got = sm._draw_indices_raw(a, accepted)
+    assert [int(i) for i in got] == per_draw_reference(d, b, accepted)
+    assert a._gen.used == b._gen.used == len(candidates)
 
 
 def test_flipped_sampler_flips_points_and_labels():
