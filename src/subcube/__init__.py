@@ -51,8 +51,6 @@ from .model import (
     DimensionMismatch,
     FiniteDistribution,
     Flipped,
-    FlippedBlackBox,
-    FlippedSampler,
     FunctionSpec,
     GeneralConj,
     InfeasibleParameters,
@@ -69,6 +67,7 @@ from .model import (
 )
 from .rng import RandomStream
 from .serialize import (
+    InstanceFormatError,
     ProblemInstance,
     function_from_obj,
     function_to_obj,

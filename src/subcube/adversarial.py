@@ -201,17 +201,24 @@ class _HiddenBlocks(FunctionSpec):
             tuple(frozenset(b) for b in row) for row in self.b_blocks))
         if not (len(self.alpha) == len(self.a_blocks) == len(self.b_blocks)):
             raise ValueError("need aligned alpha, a_blocks, b_blocks")
+        sides = {a: (self.a_blocks[i], self.b_blocks[i])
+                 for i, a in enumerate(self.alpha)}
+        if len(sides) != len(self.alpha):
+            raise ValueError("alpha indices must be distinct")
+        object.__setattr__(self, "_sides", sides)
+        object.__setattr__(self, "_alphas", frozenset(sides))
+
+    def _unmet(self, zeros: frozenset) -> list:
+        """The alpha_i that are zero in x for i with x not i-special; only the
+        alphas inside zeros are looked at."""
+        return [a for a in zeros & self._alphas
+                if not _count_special(zeros, *self._sides[a], self.s)]
 
     def potential(self, zeros: frozenset) -> int:
         """The v-potential: 10 n^2 (#ones outside R) + 5 n (|J(x)| + #{i not
         in J(x) with x_{alpha_i} = 1}) - #ones, where J(x) collects the i for
-        which x is i-special."""
-        term = 0
-        for i, a in enumerate(self.alpha):
-            if _count_special(zeros, self.a_blocks[i], self.b_blocks[i], self.s):
-                term += 1
-            elif a not in zeros:
-                term += 1
+        which x is i-special; the middle count is m minus the unmet i."""
+        term = len(self.alpha) - len(self._unmet(zeros))
         return _potential(self.n, self.R, zeros, term)
 
 
@@ -227,13 +234,7 @@ class LBNoFunction(_HiddenBlocks):
     """
 
     def value_at(self, zeros: frozenset) -> int:
-        if not zeros <= self.R:
-            return 0
-        for i, a in enumerate(self.alpha):
-            if a in zeros and not _count_special(
-                    zeros, self.a_blocks[i], self.b_blocks[i], self.s):
-                return 0
-        return 1
+        return 1 if zeros <= self.R and not self._unmet(zeros) else 0
 
 
 @dataclass(frozen=True)
@@ -332,11 +333,7 @@ def simulate_p(z: ZeroSet, R: frozenset, gamma_set: frozenset) -> int:
     a 0 answer is always truthful.
     """
     zeros = z.zeros
-    if not zeros <= frozenset(R):
-        return 0
-    if zeros & frozenset(gamma_set):
-        return 0
-    return 1
+    return 1 if zeros <= frozenset(R) and zeros.isdisjoint(gamma_set) else 0
 
 
 def strong_sample(inst: LBInstance, rng: RandomStream,

@@ -16,6 +16,7 @@ from math import lcm
 from typing import Optional
 
 from .model import (
+    DimensionMismatch,
     FiniteDistribution,
     FunctionSpec,
     GeneralConj,
@@ -68,6 +69,8 @@ class LabeledSample:
 
     @classmethod
     def from_function(cls, f: FunctionSpec, dist: FiniteDistribution):
+        if f.n != dist.n:
+            raise DimensionMismatch("function and distribution disagree on n")
         entries = tuple((p, f.value_at(p.zeros), w) for p, w in dist.entries)
         return cls(dist.n, entries)
 

@@ -20,6 +20,7 @@ from .adversarial import LBInstance, LBParams, generate_instance, simulate_p, st
 from .model import (
     BlackBox,
     BudgetExceeded,
+    FunctionSpec,
     QueryBudget,
     QueryTranscript,
     Sampler,
@@ -165,7 +166,7 @@ def _run_one(config: ExperimentConfig, trial: int,
         if sim:
             gamma: set = set()
             sampler = _SimSampler(inst, sub.split("samples"), tr, budget, gamma)
-            oracle = _SimBlackBox(inst, tr, budget, gamma)
+            oracle = BlackBox(_Responder(inst.n, inst.R, gamma), tr, budget)
         else:
             oracle = BlackBox(func, tr, budget)
             sampler = Sampler(dist, func, tr, sub.split("samples"), budget)
@@ -322,7 +323,7 @@ class _SimSampler:
         if ss.gamma is not None:
             self.gamma.add(ss.gamma)
         point = ZeroSet(self.n, ss.d_set)
-        label = simulate_p(point, self.inst.R, frozenset(self.gamma))
+        label = simulate_p(point, self.inst.R, self.gamma)
         self._points.append(point)
         self._labels.append(label)
         return len(self._points) - 1
@@ -337,27 +338,17 @@ class _SimSampler:
         return self._labels[idx]
 
 
-class _SimBlackBox:
-    """Query view of the no-black-box responder: answers p(z, R, Gamma)."""
+@dataclass(frozen=True, eq=False)
+class _Responder(FunctionSpec):
+    """The no-black-box responder as a function: p(z, R, Gamma), where Gamma
+    is the set the sim sampler grows as draws reveal C-sets."""
 
-    def __init__(self, inst: LBInstance, transcript: QueryTranscript,
-                 budget: Optional[QueryBudget], gamma: set):
-        self.inst = inst
-        self.n = inst.n
-        self.transcript = transcript
-        self.budget = budget
-        self.gamma = gamma
+    n: int
+    R: frozenset
+    gamma: set
 
-    def query(self, x: ZeroSet) -> int:
-        return self.query_set(x.zeros)
-
-    def query_set(self, zeros: frozenset) -> int:
-        if self.budget is not None:
-            self.budget.take_blackbox(1)
-        value = simulate_p(ZeroSet(self.n, zeros), self.inst.R,
-                           frozenset(self.gamma))
-        self.transcript.blackbox_count += 1
-        return value
+    def value_at(self, zeros: frozenset) -> int:
+        return simulate_p(ZeroSet(self.n, zeros), self.R, self.gamma)
 
 
 def distinguishing_experiment(algo: str, params: LBParams, yes_variant: str,

@@ -13,10 +13,15 @@ draws that land in one of the (at most support-size) buckets holding a
 boundary are searched exactly. Denominators beyond 2^62 draw whole 64-bit
 words, bucket the top word, and fall back to exact integers only when the top
 word equals a boundary's top word.
+
+BlackBox.flipped(C) and Sampler.flipped(C) are views that flip the queries
+asked or the points handed out, and log in the instance's own coordinates.
 """
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -46,8 +51,6 @@ __all__ = [
     "BlackBox",
     "Sampler",
     "SampleTape",
-    "FlippedBlackBox",
-    "FlippedSampler",
     "evaluate",
     "flip_transform",
 ]
@@ -438,6 +441,7 @@ class BlackBox:
         self.n = func.n
         self.transcript = transcript
         self.budget = budget
+        self._flip = frozenset()
 
     def query(self, x: ZeroSet) -> int:
         if x.n != self.n:
@@ -448,6 +452,8 @@ class BlackBox:
         """Same as query, for callers that already hold a validated zero set."""
         if self.budget is not None:
             self.budget.take_blackbox(1)
+        if self._flip:
+            zeros = zeros ^ self._flip
         value = self.func.value_at(zeros)
         t = self.transcript
         t.blackbox_count += 1
@@ -455,21 +461,13 @@ class BlackBox:
             t.blackbox_log.append((zeros, value))
         return value
 
-
-class FlippedBlackBox:
-    """Query wrapper applying a coordinate flip; one inner query per query."""
-
-    def __init__(self, inner: BlackBox, coords: frozenset):
-        self.inner = inner
-        self.coords = frozenset(coords)
-        self.n = inner.n
-        self.transcript = inner.transcript
-
-    def query(self, x: ZeroSet) -> int:
-        return self.inner.query_set(x.zeros ^ self.coords)
-
-    def query_set(self, zeros: frozenset) -> int:
-        return self.inner.query_set(zeros ^ self.coords)
+    def flipped(self, coords: Iterable[int]) -> "BlackBox":
+        """A view flipping coords in every query before f sees it. It shares
+        this box's transcript and budget: each query is one query of f,
+        logged as the point f was asked."""
+        view = copy.copy(self)
+        view._flip = self._flip ^ frozenset(coords)
+        return view
 
 
 _BUCKET_BITS = 12
@@ -534,8 +532,8 @@ class Sampler:
         self.rng = rng
         self.budget = budget
         self._points = [p for p, _ in dist.entries]
-        self._zeros = [p.zeros for p in self._points]
-        self.labels = np.array([func.value_at(z) for z in self._zeros], dtype=np.int8)
+        self.labels = np.array([func.value_at(p.zeros) for p in self._points],
+                               dtype=np.int8)
         m = dist.denominator
         if m <= 1 << 62:
             # keys are the draws u themselves
@@ -557,7 +555,7 @@ class Sampler:
             self._table = _bucket_table(self._bounds, self._key_shift,
                                         1 << _BUCKET_BITS, ties=True)
         self._split = bool((self._table < 0).any())
-        self._tape_count = 0
+        self._tapes = itertools.count(1)
 
     # -- support accessors --
 
@@ -569,7 +567,7 @@ class Sampler:
         return self._points[idx]
 
     def zeros_of(self, idx: int) -> frozenset:
-        return self._zeros[idx]
+        return self._points[idx].zeros
 
     def label(self, idx: int) -> int:
         return int(self.labels[idx])
@@ -628,8 +626,9 @@ class Sampler:
         t = self.transcript
         t.sample_count += len(idx)
         if t.log_queries:
+            entries = self.dist.entries
             for i in idx:
-                t.sample_log.append((self._zeros[int(i)], int(self.labels[int(i)])))
+                t.sample_log.append((entries[i][0].zeros, int(self.labels[i])))
 
     def draw_index(self) -> int:
         idx = self._draw_indices_raw(self.rng, 1)
@@ -642,47 +641,12 @@ class Sampler:
         return self._points[i], int(self.labels[i])
 
     def open_tape(self) -> SampleTape:
-        self._tape_count += 1
-        return SampleTape(self, self.rng.split("tape", self._tape_count))
+        return SampleTape(self, self.rng.split("tape", next(self._tapes)))
 
-
-class FlippedSampler:
-    """Sampler wrapper applying a coordinate flip to every drawn point.
-
-    Each flipped draw consumes exactly one underlying draw; labels carry over
-    because g(x flip C) = f(x). Support indices are shared with the inner
-    sampler, so tapes interoperate.
-    """
-
-    def __init__(self, inner: Sampler, coords: frozenset):
-        self.inner = inner
-        self.coords = frozenset(coords)
-        self.n = inner.n
-        self.transcript = inner.transcript
-        self.rng = inner.rng
-        self._points = [p.flip(self.coords) for p in inner._points]
-        self._zeros = [p.zeros for p in self._points]
-        self.labels = inner.labels
-
-    @property
-    def support_size(self) -> int:
-        return self.inner.support_size
-
-    def point(self, idx: int) -> ZeroSet:
-        return self._points[idx]
-
-    def zeros_of(self, idx: int) -> frozenset:
-        return self._zeros[idx]
-
-    def label(self, idx: int) -> int:
-        return int(self.labels[idx])
-
-    def draw_index(self) -> int:
-        return self.inner.draw_index()
-
-    def draw(self) -> tuple[ZeroSet, int]:
-        i = self.inner.draw_index()
-        return self._points[i], int(self.labels[i])
-
-    def open_tape(self) -> SampleTape:
-        return self.inner.open_tape()
+    def flipped(self, coords: Iterable[int]) -> "Sampler":
+        """A view handing out x with coords flipped, under x's label. It shares
+        this sampler's transcript, budget, RNG, labels, bucket table and tape
+        numbering, and logs each draw as the distribution's own point."""
+        view = copy.copy(self)
+        view._points = [p.flip(coords) for p in self._points]
+        return view

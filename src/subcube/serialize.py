@@ -2,7 +2,9 @@
 
 The on-disk shape is { "n": int, "function": tagged spec, "distribution":
 [{"zeros": [...], "weight": "num/den"}] } with 1-based indices. Weights are
-num/den strings so round-trips are bit-exact.
+num/den strings so round-trips are bit-exact. Decoding checks the schema,
+that every n agrees, and that every coordinate is an int in 1..n; a file that
+fails raises InstanceFormatError naming the offending key.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .model import (
 )
 
 __all__ = [
+    "InstanceFormatError",
     "ProblemInstance",
     "fraction_to_str",
     "parse_fraction",
@@ -36,6 +39,10 @@ __all__ = [
     "load_instance",
     "structure_sidecar",
 ]
+
+
+class InstanceFormatError(ValueError):
+    """An instance file (or function object) that does not fit the schema."""
 
 
 @dataclass(frozen=True)
@@ -53,7 +60,10 @@ def fraction_to_str(w) -> str:
 
 
 def parse_fraction(text) -> Fraction:
-    return Fraction(str(text))
+    try:
+        return Fraction(str(text))
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
 
 
 def _sorted(xs) -> list:
@@ -62,11 +72,6 @@ def _sorted(xs) -> list:
 
 def _blocks_out(rows) -> list:
     return [[_sorted(blk) for blk in row] for row in rows]
-
-
-def _blocks_in(rows) -> tuple:
-    return tuple(tuple(frozenset(int(j) for j in blk) for blk in row)
-                 for row in rows)
 
 
 def function_to_obj(func: FunctionSpec) -> dict:
@@ -102,35 +107,72 @@ def function_to_obj(func: FunctionSpec) -> dict:
     raise TypeError(f"cannot serialize {type(func).__name__}")
 
 
+def _get(obj, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise InstanceFormatError(f"{where}: expected a JSON object")
+    if key not in obj:
+        raise InstanceFormatError(f"{where}: missing key {key!r}")
+    return obj[key]
+
+
+def _ints(value, where: str, n=None, depth: int = 1) -> list:
+    """value, checked to be a list (nested depth deep) of ints that are not
+    bools, each in 1..n when n is given."""
+    if not isinstance(value, list):
+        raise InstanceFormatError(f"{where}: expected a list")
+    for v in value:
+        if depth > 1:
+            _ints(v, where, n, depth - 1)
+        elif (not isinstance(v, int) or isinstance(v, bool)
+              or n is not None and not 1 <= v <= n):
+            span = "" if n is None else f" in 1..{n}"
+            raise InstanceFormatError(f"{where}: {v!r} is not an integer{span}")
+    return value
+
+
+_TAGS = ("monotone-conjunction", "conjunction", "decision-list", "ltf",
+         "truth-table", "flipped", "lb-no", "lb-no-ltf")
+
+
 def function_from_obj(obj: dict) -> FunctionSpec:
     """Decode a tagged dict back into a function spec."""
-    tag = obj.get("type")
-    if tag == "monotone-conjunction":
-        return MonotoneConj(int(obj["n"]), frozenset(obj["required"]))
-    if tag == "conjunction":
-        return GeneralConj(int(obj["n"]), frozenset(obj["required_one"]),
-                           frozenset(obj["required_zero"]))
-    if tag == "decision-list":
-        return DecisionList(int(obj["n"]),
-                            tuple((int(l), int(b)) for l, b in obj["rules"]),
-                            int(obj["default"]))
-    if tag == "ltf":
-        return LinearThreshold(int(obj["n"]),
-                               tuple(int(w) for w in obj["weights"]),
-                               int(obj["threshold"]))
-    if tag == "truth-table":
-        return TruthTable(int(obj["n"]), int(obj["bits"], 16))
+    return _function(obj, "function")
+
+
+def _function(obj, where: str) -> FunctionSpec:
+    def ints(key, n=None, depth=1):
+        return _ints(_get(obj, key, where), f"{where}.{key}", n, depth)
+
+    def num(key):
+        return _ints([_get(obj, key, where)], f"{where}.{key}")[0]
+
+    tag = _get(obj, "type", where)
+    if tag not in _TAGS:
+        raise InstanceFormatError(f"{where}.type: unknown function type {tag!r}")
     if tag == "flipped":
-        return Flipped(function_from_obj(obj["inner"]),
-                       frozenset(obj["coords"]))
-    if tag in ("lb-no", "lb-no-ltf"):
-        hidden = (int(obj["n"]), frozenset(obj["R"]), tuple(obj["alpha"]),
-                  _blocks_in(obj["a_blocks"]), _blocks_in(obj["b_blocks"]),
-                  int(obj["s"]))
-        if tag == "lb-no":
-            return LBNoFunction(*hidden)
-        return LBNoStarFunction(*hidden, int(obj["threshold"]))
-    raise ValueError(f"unknown function type {tag!r}")
+        inner = _function(_get(obj, "inner", where), f"{where}.inner")
+        return Flipped(inner, ints("coords", inner.n))
+    n = num("n")
+    if tag == "monotone-conjunction":
+        return MonotoneConj(n, ints("required", n))
+    if tag == "conjunction":
+        return GeneralConj(n, ints("required_one", n), ints("required_zero", n))
+    if tag == "decision-list":
+        rules = ints("rules", depth=2)
+        _ints([abs(lit) for lit, *_ in rules], f"{where}.rules", n)
+        return DecisionList(n, tuple(map(tuple, rules)), num("default"))
+    if tag == "ltf":
+        return LinearThreshold(n, tuple(ints("weights")), num("threshold"))
+    if tag == "truth-table":
+        bits = _get(obj, "bits", where)
+        if not isinstance(bits, str):
+            raise InstanceFormatError(f"{where}.bits: expected a hex string")
+        return TruthTable(n, int(bits, 16))
+    hidden = (n, ints("R", n), ints("alpha", n), ints("a_blocks", n, 3),
+              ints("b_blocks", n, 3), num("s"))
+    if tag == "lb-no":
+        return LBNoFunction(*hidden)
+    return LBNoStarFunction(*hidden, num("threshold"))
 
 
 def instance_to_obj(n: int, func: FunctionSpec,
@@ -146,14 +188,21 @@ def instance_to_obj(n: int, func: FunctionSpec,
 
 
 def instance_from_obj(obj: dict) -> ProblemInstance:
-    n = int(obj["n"])
-    func = function_from_obj(obj["function"])
-    entries = tuple(
-        (ZeroSet(n, frozenset(int(i) for i in row["zeros"])),
-         parse_fraction(row["weight"]))
-        for row in obj["distribution"]
-    )
-    return ProblemInstance(n, func, FiniteDistribution(n, entries))
+    """Decode an instance file's JSON value; see the module docstring."""
+    n = _ints([_get(obj, "n", "instance")], "n")[0]
+    func = function_from_obj(_get(obj, "function", "instance"))
+    if func.n != n:
+        raise InstanceFormatError(f"function.n is {func.n}, the file's n is {n}")
+    rows = _get(obj, "distribution", "instance")
+    if not isinstance(rows, list):
+        raise InstanceFormatError("distribution: expected a list of entries")
+    entries = []
+    for k, row in enumerate(rows):
+        where = f"distribution[{k}]"
+        zeros = _ints(_get(row, "zeros", where), f"{where}.zeros", n)
+        entries.append((ZeroSet(n, frozenset(zeros)),
+                        parse_fraction(_get(row, "weight", where))))
+    return ProblemInstance(n, func, FiniteDistribution(n, tuple(entries)))
 
 
 def save_instance(path, n: int, func: FunctionSpec,

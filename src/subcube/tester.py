@@ -5,7 +5,8 @@ computes a representative zero coordinate for every 0-sample by binary
 search, a stage that probes singletons and random subsets of the union of
 1-sample zero sets, and an iterated stage that pits each fresh group's
 representative against its 1-strings. All parameters derive from (n, epsilon)
-by fixed ceiling rules; base-2 logs throughout.
+by fixed ceiling rules; base-2 logs throughout. The general-conjunction
+tester runs the monotone one on flipped views of the same two oracles.
 
 Stage 0 conceptually stores the whole sample sequence. To keep memory at
 one group, the sampler tape is drawn once (counted) and then rewound and
@@ -22,13 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (
-    DimensionMismatch,
-    FlippedBlackBox,
-    FlippedSampler,
-    QueryTranscript,
-    ZeroSet,
-)
+from .model import DimensionMismatch, QueryTranscript, ZeroSet
 from .rng import RandomStream
 
 __all__ = [
@@ -296,7 +291,8 @@ def test_general_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStream
     Draws ceil(3/eps) samples looking for a 1-string x*; with none it accepts.
     Otherwise it flips the coordinates in ZERO(x*), which turns any general
     conjunction consistent with x* into a monotone one, and runs the monotone
-    tester through flip wrappers that forward one query per query.
+    tester on flipped views of the same black box and sampler: every query and
+    draw is one call of the underlying oracle, logged in its own coordinates.
     """
     eps = Fraction(epsilon)
     if not 0 < eps <= 1:
@@ -310,9 +306,8 @@ def test_general_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStream
             break
     if xstar is None:
         return Verdict(True, "conj-no-positive", oracle.transcript, params, 0)
-    flipped_oracle = FlippedBlackBox(oracle, xstar.zeros)
-    flipped_sampler = FlippedSampler(sampler, xstar.zeros)
-    return test_monotone_conjunction(flipped_oracle, flipped_sampler, n, epsilon,
+    return test_monotone_conjunction(oracle.flipped(xstar.zeros),
+                                     sampler.flipped(xstar.zeros), n, epsilon,
                                      rng, params)
 
 

@@ -2,8 +2,10 @@
 
 import dataclasses
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subcube import (
     BudgetExceeded,
@@ -310,6 +312,44 @@ def test_yes_ltf_weights_realize_potential():
     for p in pts:
         want = 1 if ltf_potential(p, inst, "u") >= thr else 0
         assert inst.function.value_at(p.zeros) == want
+
+
+# m = 6 triples on n = 80, so one point can hold many alphas at once
+CROWDED = LBParams(n=80, h=3, r_blocks=8, m=6, s=1, blocks_per_side=2)
+
+
+@lru_cache(maxsize=None)
+def crowded(variant, seed):
+    return generate_instance(CROWDED, variant, RandomStream(seed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(variant=st.sampled_from(["no", "no-ltf"]), seed=st.integers(0, 3),
+       kinds=st.lists(st.sampled_from("abc-"), min_size=6, max_size=6),
+       alphas=st.frozensets(st.integers(0, 5)),
+       extra=st.frozensets(st.integers(1, 80), max_size=12))
+def test_hidden_block_functions_match_the_per_i_loop(variant, seed, kinds,
+                                                     alphas, extra):
+    inst = crowded(variant, seed)
+    n, m = inst.n, inst.params.m
+    sets = {"a": inst.A_sets, "b": inst.B_sets, "c": inst.C_sets}
+    zeros = set(extra) | {inst.alpha[i] for i in alphas}
+    for i, kind in enumerate(kinds):
+        if kind != "-":
+            zeros |= sets[kind][i]
+    zeros = frozenset(zeros)
+    x = ZeroSet(n, zeros)
+    special = [is_i_special(x, inst, i) for i in range(1, m + 1)]
+    term = sum(1 for i in range(m) if special[i] or inst.alpha[i] not in zeros)
+    ones_out = (n - len(inst.R)) - len(zeros - inst.R)
+    v = 10 * n * n * ones_out + 5 * n * term - (n - len(zeros))
+    assert ltf_potential(x, inst, "v") == v
+    if variant == "no":
+        want = zeros <= inst.R and all(
+            special[i] for i in range(m) if inst.alpha[i] in zeros)
+    else:
+        want = v >= inst.function.threshold
+    assert inst.function.value_at(zeros) == int(want)
 
 
 def test_phi_potential_matches_u_under_revealed_gammas():

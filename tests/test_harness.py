@@ -390,6 +390,33 @@ def test_cli_test_logs_queries(tmp_path, capsys):
     assert "sample zeros=" in err
 
 
+@pytest.mark.parametrize("variant", ["yes", "no"])
+def test_cli_conj_logs_in_the_instance_frame(tmp_path, capsys, variant):
+    # the conj tester queries and draws through flipped views; the log must
+    # still read in the instance's own coordinates
+    path = tmp_path / f"{variant}.json"
+    assert cli.main(["gen-instance", "--variant", variant, "--n", "16",
+                     "--scaled", "h=2,r_blocks=4,m=2,s=1,bps=1", "--seed", "6",
+                     "--out", str(path)]) == 0
+    inst = load_instance(path)
+    f = inst.function
+    support = {p.zeros for p in inst.distribution.support()}
+    capsys.readouterr()
+    rc = cli.main(["test", "--instance", str(path), "--algo", "conj",
+                   "--epsilon", "1", "--seed", "2", "--log-queries"])
+    assert rc == 0
+    seen = {"query": 0, "sample": 0}
+    for line in capsys.readouterr().err.splitlines():
+        kind, rest = line.split(" zeros=")
+        zeros, value = rest.split(" -> ")
+        zeros = frozenset(json.loads(zeros))
+        assert f.value_at(zeros) == int(value), line
+        if kind == "sample":
+            assert zeros in support, line
+        seen[kind] += 1
+    assert seen["query"] > 1 and seen["sample"] > 1
+
+
 def test_cli_distance_value_and_witness(tmp_path, capsys):
     path = gen_file(tmp_path)
     capsys.readouterr()

@@ -13,8 +13,6 @@ from subcube import (
     DimensionMismatch,
     FiniteDistribution,
     Flipped,
-    FlippedBlackBox,
-    FlippedSampler,
     GeneralConj,
     LinearThreshold,
     MonotoneConj,
@@ -225,12 +223,25 @@ def test_blackbox_budget_enforced():
 
 def test_flipped_blackbox_forwards_one_query():
     f = MonotoneConj(4, frozenset({1, 2}))
-    tr = QueryTranscript()
-    inner = BlackBox(f, tr)
-    fb = FlippedBlackBox(inner, frozenset({2}))
+    tr = QueryTranscript(log_queries=True)
+    budget = QueryBudget(max_blackbox=4)
+    inner = BlackBox(f, tr, budget)
+    fb = inner.flipped(frozenset({2}))
     assert fb.query(zs(4, 2)) == f.value_at(frozenset())
     assert fb.query_set(frozenset()) == f.value_at(frozenset({2}))
     assert tr.blackbox_count == 2
+    # the log holds the points f was asked, in its own coordinates
+    assert tr.blackbox_log == [(frozenset(), 1), (frozenset({2}), 0)]
+    # flipping twice by the same set undoes the flip
+    assert fb.flipped({2}).query_set(frozenset({1})) == 0
+    assert tr.blackbox_log[-1] == (frozenset({1}), 0)
+    # the box the view came from stays unflipped (f gets the very set it is
+    # given, no XOR copy) and shares the budget
+    z = frozenset({2})
+    assert inner.query_set(z) == 0
+    assert tr.blackbox_log[-1][0] is z
+    with pytest.raises(BudgetExceeded):
+        fb.query_set(frozenset())
 
 
 def test_sampler_draw_and_labels():
@@ -420,14 +431,37 @@ def test_bigint_top_word_ties_resolve_exactly(m):
 
 
 def test_flipped_sampler_flips_points_and_labels():
-    f = GeneralConj(4, frozenset({1}), frozenset({2}))
+    calls = []
+
+    class Counted(GeneralConj):
+        def value_at(self, zeros):
+            calls.append(zeros)
+            return super().value_at(zeros)
+
+    f = Counted(4, frozenset({1}), frozenset({2}))
     d = FiniteDistribution(4, ((zs(4, 2), Fraction(1, 2)),
                                (zs(4, 1, 2), Fraction(1, 2))))
-    tr = QueryTranscript()
+    tr = QueryTranscript(log_queries=True)
     base = Sampler(d, f, tr, RandomStream(66))
-    fs = FlippedSampler(base, frozenset({2}))
+    assert len(calls) == 2
+    fs = base.flipped(frozenset({2}))
+    # the view reuses the labels: f is not evaluated on the support again
+    assert len(calls) == 2 and fs.labels is base.labels
     for _ in range(10):
         point, label = fs.draw()
         assert label == f.value_at(point.zeros ^ frozenset({2}))
     assert tr.sample_count == 10
     assert fs.zeros_of(0) == base.zeros_of(0) ^ frozenset({2})
+    # the log holds the distribution's own points with their true labels
+    support = {p.zeros for p in d.support()}
+    assert len(tr.sample_log) == 10
+    for zeros, label in tr.sample_log:
+        assert zeros in support and label == f.value_at(zeros)
+    # tape draws are charged and logged the same way
+    fs.open_tape().next_indices(5)
+    assert tr.sample_count == 15
+    assert all(z in support for z, _ in tr.sample_log[10:])
+    # the view and its sampler share one tape numbering
+    a = base.flipped({2}).open_tape().next_indices(64)
+    b = base.open_tape().next_indices(64)
+    assert not np.array_equal(a, b)

@@ -1,15 +1,21 @@
-"""Instance file round-trips: every function tag, exact weights, sidecars."""
+"""Instance file round-trips: every function tag, exact weights, sidecars;
+malformed files end in InstanceFormatError, which the CLI reports as exit 2."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
+import subcube.cli as cli
 from subcube import (
     DecisionList,
+    DimensionMismatch,
     FiniteDistribution,
     Flipped,
     GeneralConj,
+    InstanceFormatError,
+    LabeledSample,
     LBParams,
     LinearThreshold,
     MonotoneConj,
@@ -129,3 +135,101 @@ def test_structure_sidecar_fields():
                              RandomStream(81))
     assert structure_sidecar(star)["theta4"] == star.theta4
     json.dumps(side)  # sidecars must be JSON-ready as built
+
+
+def mconj_obj():
+    f = MonotoneConj(4, frozenset({2}))
+    d = FiniteDistribution(4, ((zs(4, 1), Fraction(1, 2)),
+                               (zs(4, 2, 3), Fraction(1, 2))))
+    return instance_to_obj(4, f, d)
+
+
+def lb_no_obj():
+    inst = generate_instance(SCALED, "no", RandomStream(82))
+    return instance_to_obj(inst.n, inst.function, inst.distribution)
+
+
+def edit(base, change):
+    def make():
+        obj = base()
+        change(obj)
+        return obj
+    return make
+
+
+def set_alpha_twice(obj):
+    alpha = obj["function"]["alpha"]
+    alpha[1] = alpha[0]
+
+
+# (case, file contents, a fragment the error message must hold)
+BAD_FILES = [
+    ("not-json", lambda: "{", "Expecting"),
+    ("list-shaped", lambda: mconj_obj()["distribution"], "expected a JSON object"),
+    ("old-entries-shape",
+     edit(mconj_obj, lambda o: o.update(distribution={
+         "n": 4, "entries": o["distribution"]})), "distribution"),
+    ("missing-n", edit(mconj_obj, lambda o: o.pop("n")), "'n'"),
+    ("missing-function", edit(mconj_obj, lambda o: o.pop("function")),
+     "'function'"),
+    ("missing-weight",
+     edit(mconj_obj, lambda o: o["distribution"][0].pop("weight")), "'weight'"),
+    ("missing-zeros",
+     edit(mconj_obj, lambda o: o["distribution"][1].pop("zeros")), "'zeros'"),
+    ("string-coordinate",
+     edit(mconj_obj, lambda o: o["function"].update(required=["2"])), "required"),
+    ("float-coordinate",
+     edit(mconj_obj, lambda o: o["function"].update(required=[1.5])), "required"),
+    ("bool-coordinate",
+     edit(mconj_obj, lambda o: o["function"].update(required=[True])), "required"),
+    ("coordinate-above-n",
+     edit(mconj_obj, lambda o: o["function"].update(required=[5])), "1..4"),
+    ("zero-coordinate",
+     edit(mconj_obj, lambda o: o["distribution"][0].update(zeros=[0])), "zeros"),
+    ("string-n", edit(mconj_obj, lambda o: o.update(n="4")), "n"),
+    ("function-n-disagrees",
+     edit(mconj_obj, lambda o: o["function"].update(n=8)), "function.n"),
+    ("unknown-type",
+     edit(mconj_obj, lambda o: o["function"].update(type="mystery")), "mystery"),
+    ("zero-denominator",
+     edit(mconj_obj, lambda o: o["distribution"][0].update(weight="1/0")),
+     "denominator"),
+    ("lb-no-block-coordinate",
+     edit(lb_no_obj, lambda o: o["function"]["a_blocks"][0][0].append("7")),
+     "a_blocks"),
+    ("lb-no-duplicate-alpha", edit(lb_no_obj, set_alpha_twice), "distinct"),
+]
+
+
+@pytest.mark.parametrize("case,contents,fragment", BAD_FILES,
+                         ids=[case for case, _, _ in BAD_FILES])
+def test_cli_rejects_malformed_instance_files(tmp_path, capsys, case, contents,
+                                              fragment):
+    obj = contents()
+    path = tmp_path / "bad.json"
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+    for argv in (["distance", "--class", "mconj"],
+                 ["test", "--algo", "mconj", "--epsilon", "1"]):
+        rc = cli.main(argv + ["--instance", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2, (argv, captured)
+        assert captured.err.startswith("error: ") and fragment in captured.err
+        assert captured.out == ""
+
+
+# cases that fit the schema but not the constructors' checks, or are no JSON
+NOT_SCHEMA = {"not-json", "zero-denominator", "lb-no-duplicate-alpha"}
+
+
+@pytest.mark.parametrize("case,contents,fragment",
+                         [c for c in BAD_FILES if c[0] not in NOT_SCHEMA],
+                         ids=[c[0] for c in BAD_FILES if c[0] not in NOT_SCHEMA])
+def test_schema_errors_raise_instance_format_error(case, contents, fragment):
+    with pytest.raises(InstanceFormatError, match=re.escape(fragment)):
+        instance_from_obj(contents())
+
+
+def test_labeled_sample_checks_dimensions():
+    d = FiniteDistribution(4, ((zs(4, 1), Fraction(1)),))
+    with pytest.raises(DimensionMismatch):
+        LabeledSample.from_function(MonotoneConj(8, frozenset({2})), d)
