@@ -14,14 +14,16 @@ boundary are searched exactly. Denominators beyond 2^62 draw whole 64-bit
 words, bucket the top word, and fall back to exact integers only when the top
 word equals a boundary's top word.
 
-BlackBox.flipped(C) and Sampler.flipped(C) are views that flip the queries
-asked or the points handed out, and log in the instance's own coordinates.
+A Sampler draws from two streams: draw() and draw_index() one sample at a
+time, draw_indices(k) batches of support indices that continue from call to
+call. BlackBox.flipped(C) and Sampler.flipped(C) are views that flip the
+queries asked or the points handed out, share both streams, and log in the
+instance's own coordinates.
 """
 
 from __future__ import annotations
 
 import copy
-import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -50,7 +52,6 @@ __all__ = [
     "InfeasibleParameters",
     "BlackBox",
     "Sampler",
-    "SampleTape",
     "evaluate",
     "flip_transform",
 ]
@@ -72,6 +73,15 @@ class BudgetExceeded(RuntimeError):
     """An oracle call would exceed the per-oracle query budget."""
 
 
+def _coords(n: int, coords: Iterable, what: str, signed: bool = False) -> frozenset:
+    """coords as a frozenset; ValueError unless each is a plain int (not a
+    bool) in 1..n, or when signed, an int whose absolute value is."""
+    for i in coords:
+        if type(i) is not int or not 1 <= (abs(i) if signed else i) <= n:
+            raise ValueError(f"{what} {i!r} is not an integer in 1..{n}")
+    return coords if isinstance(coords, frozenset) else frozenset(coords)
+
+
 # ---------------------------------------------------------------------------
 # points
 
@@ -89,11 +99,7 @@ class ZeroSet:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        zs = self.zeros if isinstance(self.zeros, frozenset) else frozenset(self.zeros)
-        object.__setattr__(self, "zeros", zs)
-        for i in zs:
-            if not isinstance(i, int) or not 1 <= i <= self.n:
-                raise ValueError(f"zero coordinate {i!r} out of range 1..{self.n}")
+        object.__setattr__(self, "zeros", _coords(self.n, self.zeros, "zero coordinate"))
 
     @classmethod
     def all_ones(cls, n: int) -> "ZeroSet":
@@ -134,11 +140,8 @@ class MonotoneConj(FunctionSpec):
     required: frozenset
 
     def __post_init__(self):
-        req = frozenset(self.required)
-        object.__setattr__(self, "required", req)
-        for i in req:
-            if not 1 <= i <= self.n:
-                raise ValueError(f"required coordinate {i} out of range")
+        object.__setattr__(self, "required",
+                           _coords(self.n, self.required, "required coordinate"))
 
     def value_at(self, zeros: frozenset) -> int:
         return 1 if self.required.isdisjoint(zeros) else 0
@@ -157,12 +160,9 @@ class GeneralConj(FunctionSpec):
     required_zero: frozenset
 
     def __post_init__(self):
-        one, zero = frozenset(self.required_one), frozenset(self.required_zero)
-        object.__setattr__(self, "required_one", one)
-        object.__setattr__(self, "required_zero", zero)
-        for i in one | zero:
-            if not 1 <= i <= self.n:
-                raise ValueError(f"literal coordinate {i} out of range")
+        for name in ("required_one", "required_zero"):
+            object.__setattr__(self, name, _coords(self.n, getattr(self, name),
+                                                   "literal coordinate"))
 
     def value_at(self, zeros: frozenset) -> int:
         if not self.required_one.isdisjoint(zeros):
@@ -183,15 +183,13 @@ class DecisionList(FunctionSpec):
     default: int
 
     def __post_init__(self):
-        rules = tuple((int(l), int(b)) for l, b in self.rules)
+        rules = tuple((l, int(b)) for l, b in self.rules)
         object.__setattr__(self, "rules", rules)
         if self.default not in (0, 1):
             raise ValueError("default bit must be 0 or 1")
-        for lit, bit in rules:
-            if lit == 0 or not 1 <= abs(lit) <= self.n:
-                raise ValueError(f"literal {lit} out of range")
-            if bit not in (0, 1):
-                raise ValueError("rule bit must be 0 or 1")
+        _coords(self.n, [l for l, _ in rules], "literal", signed=True)
+        if any(bit not in (0, 1) for _, bit in rules):
+            raise ValueError("rule bit must be 0 or 1")
 
     def value_at(self, zeros: frozenset) -> int:
         for lit, bit in self.rules:
@@ -272,11 +270,8 @@ class Flipped(FunctionSpec):
     coords: frozenset
 
     def __post_init__(self):
-        cs = frozenset(self.coords)
-        object.__setattr__(self, "coords", cs)
-        for i in cs:
-            if not 1 <= i <= self.inner.n:
-                raise ValueError(f"flip coordinate {i} out of range")
+        object.__setattr__(self, "coords",
+                           _coords(self.inner.n, self.coords, "flip coordinate"))
 
     @property
     def n(self) -> int:
@@ -490,33 +485,6 @@ def _bucket_table(bounds: np.ndarray, shift: int, count: int, ties: bool) -> np.
     return table.astype(np.min_scalar_type(-len(bounds) - 1))
 
 
-class SampleTape:
-    """A replayable view of a sampler's batch stream.
-
-    The draws are made (counted, budgeted, logged) exactly once, on the first
-    pass; rewind() restores the recorded RNG state so later passes re-yield
-    the identical support indices without touching the oracle counts. This
-    lets a tester that conceptually stores its whole sample sequence run in
-    O(batch) memory.
-    """
-
-    def __init__(self, sampler: "Sampler", rng: RandomStream):
-        self._sampler = sampler
-        self._rng = rng
-        self._start_state = rng.state()
-        self._first_pass = True
-
-    def next_indices(self, k: int) -> np.ndarray:
-        idx = self._sampler._draw_indices_raw(self._rng, k)
-        if self._first_pass:
-            self._sampler._charge(idx)
-        return idx
-
-    def rewind(self) -> None:
-        self._rng.set_state(self._start_state)
-        self._first_pass = False
-
-
 class Sampler:
     """Counted sampling-oracle access to (dist, func): (point, label) pairs."""
 
@@ -555,7 +523,9 @@ class Sampler:
             self._table = _bucket_table(self._bounds, self._key_shift,
                                         1 << _BUCKET_BITS, ties=True)
         self._split = bool((self._table < 0).any())
-        self._tapes = itertools.count(1)
+        # the stream of draw_indices; its label keeps every drawn word the
+        # same as in earlier versions, which named it the first "tape"
+        self._batch = rng.split("tape", 1)
 
     # -- support accessors --
 
@@ -627,8 +597,8 @@ class Sampler:
         t.sample_count += len(idx)
         if t.log_queries:
             entries = self.dist.entries
-            for i in idx:
-                t.sample_log.append((entries[i][0].zeros, int(self.labels[i])))
+            t.sample_log.extend((entries[i][0].zeros, label) for i, label
+                                in zip(idx.tolist(), self.labels[idx].tolist()))
 
     def draw_index(self) -> int:
         idx = self._draw_indices_raw(self.rng, 1)
@@ -640,13 +610,17 @@ class Sampler:
         i = self.draw_index()
         return self._points[i], int(self.labels[i])
 
-    def open_tape(self) -> SampleTape:
-        return SampleTape(self, self.rng.split("tape", next(self._tapes)))
+    def draw_indices(self, k: int) -> np.ndarray:
+        """k counted draws, as support indices, from the batch stream. The
+        stream is separate from draw()'s and continues from call to call."""
+        idx = self._draw_indices_raw(self._batch, k)
+        self._charge(idx)
+        return idx
 
     def flipped(self, coords: Iterable[int]) -> "Sampler":
         """A view handing out x with coords flipped, under x's label. It shares
-        this sampler's transcript, budget, RNG, labels, bucket table and tape
-        numbering, and logs each draw as the distribution's own point."""
+        this sampler's transcript, budget, RNG streams, labels and bucket
+        table, and logs each draw as the distribution's own point."""
         view = copy.copy(self)
         view._points = [p.flip(coords) for p in self._points]
         return view

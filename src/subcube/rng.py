@@ -50,14 +50,6 @@ class RandomStream:
         """
         return RandomStream(self.seed, self.path + tuple(_key_of(l) for l in labels))
 
-    # -- state snapshots (used by the sampler's replayable tape) --
-
-    def state(self):
-        return self._gen.bit_generator.state
-
-    def set_state(self, state) -> None:
-        self._gen.bit_generator.state = state
-
     # -- exact uniform integers --
 
     def randrange(self, bound: int) -> int:

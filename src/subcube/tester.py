@@ -8,10 +8,11 @@ representative against its 1-strings. All parameters derive from (n, epsilon)
 by fixed ceiling rules; base-2 logs throughout. The general-conjunction
 tester runs the monotone one on flipped views of the same two oracles.
 
-Stage 0 conceptually stores the whole sample sequence. To keep memory at
-one group, the sampler tape is drawn once (counted) and then rewound and
-replayed for Stages 1 and 2; replay re-materializes identical draws without
-touching the oracle counts.
+Stage 0 draws every group once. Stages 1 and 2 read only a few facts of
+each group, so Stage 0 records those as it draws: the zero-set union B of
+the group's first 1-samples (memoized, since groups repeat the same few
+support subsets) and its first 0-sample. Memory stays at one group plus
+these facts, and no sample is drawn twice.
 """
 
 from __future__ import annotations
@@ -158,33 +159,18 @@ def binary_search_representative(oracle, x: ZeroSet) -> Optional[int]:
     return z[0]
 
 
-def _union_zeros(sampler, support_ids) -> frozenset:
-    out = set()
-    for si in support_ids:
-        out |= sampler.zeros_of(int(si))
-    return frozenset(out)
-
-
-class _GroupUnions:
-    """Caches the zero-set union keyed by the set of support points present.
-
-    Stage 2 rebuilds B for every group; groups repeat the same few support
-    subsets, so the union is memoized on a presence mask over support indices.
-    """
-
-    def __init__(self, sampler):
-        self.sampler = sampler
-        self.cache: dict[bytes, tuple] = {}
-
-    def union(self, support_ids: np.ndarray):
-        present = np.bincount(support_ids, minlength=self.sampler.support_size) > 0
-        key = present.tobytes()
-        hit = self.cache.get(key)
-        if hit is None:
-            b_set = _union_zeros(self.sampler, np.flatnonzero(present))
-            hit = (b_set, sorted(b_set))
-            self.cache[key] = hit
-        return hit
+def _union(cache: dict, sampler, ids: np.ndarray) -> tuple:
+    """B, the union of the zero sets of the support points ids, as (set,
+    sorted list). Groups repeat the same few subsets of the support, so B is
+    memoized on the mask of the points present."""
+    present = np.bincount(ids, minlength=sampler.support_size) > 0
+    key = present.tobytes()
+    hit = cache.get(key)
+    if hit is None:
+        b_set = set().union(*(sampler.zeros_of(int(si))
+                              for si in np.flatnonzero(present)))
+        hit = cache[key] = (b_set, sorted(b_set))
+    return hit
 
 
 def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStream,
@@ -205,16 +191,29 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
     if oracle.query(ZeroSet.all_ones(n)) == 0:
         return Verdict(False, "stage0-allones", tr, p, 0)
 
-    tape = sampler.open_tape()
     labels = sampler.labels
-    reps: dict[int, Optional[int]] = {}
+    reps: dict[int, int] = {}
     # done[si]: si is 1-labelled or its representative is already computed
     done = labels != 0
     pending = sampler.support_size - int(np.count_nonzero(done))
     zero_count = 0
-    for _ in range(p.d_star + 1):
-        idx = tape.next_indices(p.group_size)
-        zero_count += len(idx) - int(np.count_nonzero(labels[idx]))
+    # facts[g] = (B, first 0-sample) of group g, all Stages 1-2 read of it:
+    # B is over its first t (Stage 2: t-1) 1-samples, None when it has fewer.
+    # Recording stops after the first group whose facts end the run.
+    facts: list[tuple] = []
+    unions: dict[bytes, tuple] = {}
+    recording = True
+    for g in range(p.d_star + 1):
+        idx = sampler.draw_indices(p.group_size)
+        lab = labels[idx]
+        ones = int(np.count_nonzero(lab))
+        zero_count += len(idx) - ones
+        if recording:
+            need = p.t if g == 0 else p.t - 1
+            b = _union(unions, sampler, idx[lab == 1][:need]) if ones >= need else None
+            first0 = int(idx[np.argmin(lab)]) if ones < len(idx) else None
+            facts.append((b, first0))
+            recording = b is not None and (g == 0 or first0 is not None)
         if not pending:
             continue
         fresh = idx[~done[idx]]
@@ -226,20 +225,16 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
             si = int(uniq[k])
             done[si] = True
             rep = binary_search_representative(oracle, sampler.point(si))
-            reps[si] = rep
             if rep is None:
                 return Verdict(False, "stage0-nil-representative", tr, p, zero_count)
+            reps[si] = rep
 
     step_rng = rng.split("steps")
-    unions = _GroupUnions(sampler)
-    tape.rewind()
 
-    # Stage 1: first group feeds the singleton and subset probes.
-    idx = tape.next_indices(p.group_size)
-    one_ids = idx[labels[idx] == 1]
-    if len(one_ids) < p.t:
+    # Stage 1: the first group feeds the singleton and subset probes.
+    if facts[0][0] is None:
         return Verdict(True, "stage1-few-ones", tr, p, zero_count)
-    b_set, b_arr = unions.union(one_ids[:p.t])
+    _, b_arr = facts[0][0]
     if b_arr:
         positions = step_rng.integers(len(b_arr), size=p.s)
         for j in range(p.s):
@@ -256,20 +251,15 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
             if oracle.query_set(z) == 0:
                 return Verdict(False, "step-1.2", tr, p, zero_count)
 
-    # Stage 2: one fresh group per iteration.
-    for _ in range(p.d_star):
-        idx = tape.next_indices(p.group_size)
-        lab = labels[idx]
-        one_ids = idx[lab == 1]
-        if len(one_ids) < p.t - 1:
+    # Stage 2: one fresh group per iteration. Every 0-sample has its
+    # representative, because Stage 0 returns on the first nil one.
+    for b, first0 in facts[1:]:
+        if b is None:
             return Verdict(True, "stage2-few-ones", tr, p, zero_count)
-        zero_ids = idx[lab == 0]
-        if not len(zero_ids):
+        if first0 is None:
             return Verdict(True, "stage2-no-zero", tr, p, zero_count)
-        b_set, b_arr = unions.union(one_ids[:p.t - 1])
-        alpha = reps[int(zero_ids[0])]
-        if alpha is None:
-            return Verdict(False, "stage2-nil", tr, p, zero_count)
+        b_set, b_arr = b
+        alpha = reps[first0]
         if alpha in b_set:
             return Verdict(False, "step-2.1", tr, p, zero_count)
         k_sub = min(p.r - 1, len(b_arr))

@@ -168,3 +168,73 @@ def rand_points(rng, n, k, max_zeros=None):
 def rand_dist(rng, n, k, max_zeros=None):
     pts = rand_points(rng, n, k, max_zeros)
     return FiniteDistribution(n, tuple(zip(pts, rand_fractions(rng, k))))
+
+
+def reference_mconj_tester(oracle, sampler, p, rng):
+    """The monotone tester as the paper states it, kept as the oracle for
+    the one-pass code: every group is stored as drawn, the representative
+    search runs over the 0-samples in order of first appearance, and Stages
+    1-2 rescan the stored groups. Returns (accepted, reason, number of
+    Stage-0 0-samples)."""
+    def representative(zeros):
+        z = sorted(zeros)
+        while len(z) >= 2:
+            half = (len(z) + 1) // 2
+            v0 = oracle.query_set(frozenset(z[:half]))
+            v1 = oracle.query_set(frozenset(z[half:]))
+            if v0 == 0:
+                z = z[:half]
+            elif v1 == 0:
+                z = z[half:]
+            else:
+                return None
+        return z[0] if z else None
+
+    labels = [sampler.label(i) for i in range(sampler.support_size)]
+
+    def split(group):
+        ones = [i for i in group if labels[i] == 1]
+        return ones, [i for i in group if labels[i] == 0]
+
+    def union(ones):
+        return sorted(set().union(*(sampler.zeros_of(i) for i in ones)))
+
+    if oracle.query_set(frozenset()) == 0:
+        return False, "stage0-allones", 0
+    groups, reps, zero_count = [], {}, 0
+    for _ in range(p.d_star + 1):
+        groups.append([int(i) for i in sampler.draw_indices(p.group_size)])
+        zeros = split(groups[-1])[1]
+        zero_count += len(zeros)
+        for i in zeros:
+            if i not in reps:
+                reps[i] = representative(sampler.zeros_of(i))
+                if reps[i] is None:
+                    return False, "stage0-nil-representative", zero_count
+    steps = rng.split("steps")
+    ones = split(groups[0])[0]
+    if len(ones) < p.t:
+        return True, "stage1-few-ones", zero_count
+    b = union(ones[:p.t])
+    if b:
+        for j in steps.integers(len(b), size=p.s):
+            if oracle.query_set(frozenset({b[j]})) == 0:
+                return False, "step-1.1", zero_count
+        for _ in range(p.s):
+            pos = steps.subset_positions(len(b), min(p.r, len(b)))
+            if oracle.query_set(frozenset(b[q] for q in pos)) == 0:
+                return False, "step-1.2", zero_count
+    for group in groups[1:]:
+        ones, zeros = split(group)
+        if len(ones) < p.t - 1:
+            return True, "stage2-few-ones", zero_count
+        if not zeros:
+            return True, "stage2-no-zero", zero_count
+        b = union(ones[:p.t - 1])
+        alpha = reps[zeros[0]]
+        if alpha in b:
+            return False, "step-2.1", zero_count
+        pos = steps.subset_positions(len(b), min(p.r - 1, len(b)))
+        if oracle.query_set(frozenset(b[q] for q in pos) | {alpha}) == 1:
+            return False, "step-2.2", zero_count
+    return True, "end-of-stage-2", zero_count

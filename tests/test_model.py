@@ -116,6 +116,28 @@ def test_flipped_spec():
         Flipped(inner, frozenset({5}))
 
 
+BAD_COORDS = [1.5, 2.0, "2", True, np.int64(2), 0, 5, -5, None]
+
+
+@pytest.mark.parametrize("bad", BAD_COORDS, ids=repr)
+@pytest.mark.parametrize("build", [
+    lambda c: ZeroSet(4, frozenset({3, c})),
+    lambda c: MonotoneConj(4, frozenset({c})),
+    lambda c: GeneralConj(4, frozenset({c}), frozenset()),
+    lambda c: GeneralConj(4, frozenset(), frozenset({3, c})),
+    lambda c: Flipped(MonotoneConj(4, frozenset({1})), frozenset({c})),
+    lambda c: DecisionList(4, ((2, 1), (c, 0)), 1),
+], ids=["ZeroSet", "MonotoneConj", "GeneralConj.one", "GeneralConj.zero",
+        "Flipped", "DecisionList"])
+def test_constructors_reject_non_int_coordinates(build, bad):
+    with pytest.raises(ValueError, match=r"not an integer in 1\.\.4"):
+        build(bad)
+    for good in (1, 4):
+        build(good)
+    # a decision-list literal is signed
+    assert DecisionList(4, ((-4, 1),), 0).rules == ((-4, 1),)
+
+
 def test_evaluate_checks_dimensions():
     f = MonotoneConj(4, frozenset({1}))
     assert evaluate(f, zs(4, 2)) == 1
@@ -272,28 +294,20 @@ def test_sampler_budget_enforced():
     assert tr.sample_count == 3
 
 
-def test_tape_charges_once_and_replays():
+def test_draw_indices_charges_and_continues_one_stream():
     f = MonotoneConj(6, frozenset({1}))
     d = rand_dist(RandomStream(60), 6, 5)
     tr = QueryTranscript()
     sm = Sampler(d, f, tr, RandomStream(61))
-    tape = sm.open_tape()
-    first = [list(tape.next_indices(7)) for _ in range(3)]
+    parts = [sm.draw_indices(7) for _ in range(3)]
     assert tr.sample_count == 21
-    tape.rewind()
-    assert [list(tape.next_indices(7)) for _ in range(3)] == first
-    assert tr.sample_count == 21  # replay is free
-    tape.rewind()
-    assert list(tape.next_indices(5)) == first[0][:5]
-
-
-def test_distinct_tapes_are_independent():
-    f = MonotoneConj(6, frozenset())
-    d = rand_dist(RandomStream(62), 6, 6)
-    sm = Sampler(d, f, QueryTranscript(), RandomStream(63))
-    t1 = list(sm.open_tape().next_indices(32))
-    t2 = list(sm.open_tape().next_indices(32))
-    assert t1 != t2
+    twin_tr = QueryTranscript()
+    twin = Sampler(d, f, twin_tr, RandomStream(61))
+    assert np.array_equal(np.concatenate(parts), twin.draw_indices(21))
+    assert twin_tr.sample_count == 21
+    # the batch stream is not draw()'s: single draws are unmoved by it
+    fresh = Sampler(d, f, QueryTranscript(), RandomStream(61))
+    assert [sm.draw_index() for _ in range(8)] == [fresh.draw_index() for _ in range(8)]
 
 
 def per_draw_reference(d, rng, k):
@@ -314,7 +328,7 @@ def assert_same_stream(d, k, seed):
     else:
         ref = per_draw_reference(d, b, k)
     assert [int(i) for i in got] == [int(i) for i in ref]
-    assert a.state() == b.state()
+    assert a._gen.bit_generator.state == b._gen.bit_generator.state
     assert a.randrange(1 << 70) == b.randrange(1 << 70)
 
 
@@ -457,11 +471,13 @@ def test_flipped_sampler_flips_points_and_labels():
     assert len(tr.sample_log) == 10
     for zeros, label in tr.sample_log:
         assert zeros in support and label == f.value_at(zeros)
-    # tape draws are charged and logged the same way
-    fs.open_tape().next_indices(5)
+    # batch draws are charged and logged the same way
+    first = fs.draw_indices(5)
     assert tr.sample_count == 15
     assert all(z in support for z, _ in tr.sample_log[10:])
-    # the view and its sampler share one tape numbering
-    a = base.flipped({2}).open_tape().next_indices(64)
-    b = base.open_tape().next_indices(64)
+    # the view and its sampler continue one batch stream, not repeat it
+    a = base.flipped({2}).draw_indices(64)
+    b = base.draw_indices(64)
     assert not np.array_equal(a, b)
+    twin = Sampler(d, f, QueryTranscript(), RandomStream(66))
+    assert np.array_equal(np.concatenate([first, a, b]), twin.draw_indices(133))

@@ -37,14 +37,6 @@ def test_nested_split_path_matters():
            r.split("b", "a").randrange(10 ** 12)
 
 
-def test_state_round_trip():
-    r = RandomStream(9).split("tape")
-    saved = r.state()
-    first = [r.randrange(100) for _ in range(5)]
-    r.set_state(saved)
-    assert [r.randrange(100) for _ in range(5)] == first
-
-
 def test_randrange_rejects_bad_bound():
     with pytest.raises(ValueError):
         RandomStream(0).randrange(0)

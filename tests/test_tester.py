@@ -24,12 +24,20 @@ from subcube import (
     ceil_log2,
     compute_parameters,
 )
+import subcube.tester as tester_module
 from subcube.tester import (
     binary_search_representative,
     test_general_conjunction as run_conj_tester,
     test_monotone_conjunction as run_mconj_tester,
 )
-from helpers import rand_dist, rand_fractions, zs
+from helpers import (
+    ones_index,
+    rand_dist,
+    rand_points,
+    reference_mconj_tester,
+    table_of,
+    zs,
+)
 
 
 @dataclass(frozen=True)
@@ -199,15 +207,25 @@ def test_representative_nil_on_union_function():
 # -- monotone tester verdict paths --------------------------------------------
 
 
+def in_class_mconj(trial):
+    sub = RandomStream(202).split(trial)
+    n = 16
+    req = frozenset(sub.sample(list(range(1, n + 1)), sub.randrange(4)))
+    return MonotoneConj(n, req), rand_dist(sub.split("dist"), n, 8, max_zeros=5)
+
+
+def in_class_conj(trial):
+    sub = RandomStream(203).split(trial)
+    n = 16
+    idx = sub.sample(list(range(1, n + 1)), 4)
+    f = GeneralConj(n, frozenset(idx[:2]), frozenset(idx[2:]))
+    return f, rand_dist(sub.split("dist"), n, 8, max_zeros=6)
+
+
 def test_accepts_in_class_instances():
-    rng = RandomStream(202)
     for trial in range(25):
-        sub = rng.split(trial)
-        n = 16
-        req = frozenset(sub.sample(list(range(1, n + 1)),
-                                   sub.randrange(4)))
-        f = MonotoneConj(n, req)
-        dist = rand_dist(sub.split("dist"), n, 8, max_zeros=5)
+        f, dist = in_class_mconj(trial)
+        n = dist.n
         bb, sm, trng, tr = make_instance(f, dist, 300 + trial)
         v = run_mconj_tester(bb, sm, n, 1, trng)
         assert v.accepted, v.reason
@@ -340,13 +358,9 @@ def test_dimension_mismatch_rejected():
 
 
 def test_conj_accepts_in_class_instances():
-    rng = RandomStream(203)
     for trial in range(25):
-        sub = rng.split(trial)
-        n = 16
-        idx = sub.sample(list(range(1, n + 1)), 4)
-        f = GeneralConj(n, frozenset(idx[:2]), frozenset(idx[2:]))
-        dist = rand_dist(sub.split("dist"), n, 8, max_zeros=6)
+        f, dist = in_class_conj(trial)
+        n = dist.n
         bb, sm, trng, tr = make_instance(f, dist, 400 + trial)
         v = run_conj_tester(bb, sm, n, 1, trng)
         assert v.accepted, v.reason
@@ -494,3 +508,156 @@ def test_baseline_deterministic_given_seed():
         runs.append((v.accepted, v.reason, tr.blackbox_count,
                      tr.sample_count))
     assert runs[0] == runs[1]
+
+
+
+# -- the one-pass tester against the literal reference -------------------------
+
+
+def conj_flip(func, dist):
+    """ZERO(x) of the first 1-labelled support point: the flip a conj run
+    makes when that point is its x*. Empty when there is none."""
+    return next((p.zeros for p in dist.support() if func.value_at(p.zeros)), frozenset())
+
+
+def crafted_instances():
+    """Every instance the tests above build, as (func, dist, seed, params,
+    flip); the conj instances run through views flipped by conj_flip."""
+    marked = MarkedLiteral(8, 7, frozenset({3, 7}))
+    far = Flipped(PairTrap(16, frozenset({1, 2})), frozenset({1}))
+    rows = [
+        (GeneralConj(8, frozenset({1}), frozenset({1})), uniform_dist(8, [(1,), (2,)]),
+         303, None),
+        (PairUnion(4), uniform_dist(4, [(1,), (2,), (1, 2)]), 304, None),
+        (MonotoneConj(8, frozenset({1})), uniform_dist(8, [(1,)]), 305, None),
+        (OneHole(16, 7), uniform_dist(16, [(2, 3, 5, 7, 8, 9, 11, 13, 14, 16)]),
+         306, None),
+        (PairTrap(16, frozenset({1, 2})), uniform_dist(16, [(1, 5), (2, 6)]), 307, None),
+        (OneHole(16, 15), uniform_dist(16, [(2, 3), (4, 5, 6)]), 308, None),
+        (marked, FiniteDistribution(8, ((zs(8, 3, 7), Fraction(1, 2)),
+                                        (zs(8, 7), Fraction(1, 2)))),
+         309, small_params(8)),
+        (marked, FiniteDistribution(8, ((zs(8, 3), Fraction(498, 1000)),
+                                        (zs(8, 3, 7), Fraction(2, 1000)),
+                                        (zs(8, 7), Fraction(500, 1000)))),
+         310, small_params(8, d_star=8, group_size=24)),
+        (MonotoneConj(64, frozenset({3, 17})),
+         uniform_dist(64, [(), (5,), (3,), (9, 11), (3, 17, 20)]), 311, None),
+    ]
+    rows = [(f, d, seed, params, frozenset()) for f, d, seed, params in rows]
+    rows += [(*in_class_mconj(k), 300 + k, None, frozenset()) for k in range(25)]
+    conj = [(far, uniform_dist(16, [(1, 5), (2, 6)]).flipped({1}), 402)]
+    conj += [(*in_class_conj(k), 400 + k) for k in range(25)]
+    return rows + [(f, d, seed, None, conj_flip(f, d)) for f, d, seed in conj]
+
+
+def random_instance(seed):
+    """An instance with n <= 12 for eps = 1: a monotone conjunction, a
+    conjunction (run through views flipped by conj_flip) or a truth table
+    that is a monotone conjunction with a few points mislabelled. The
+    1-labelled support points carry a mass spread over 1/12..11/12."""
+    rng = RandomStream(seed).split("instance")
+    n = 4 + rng.randrange(9)
+    coords = list(range(1, n + 1))
+    req = frozenset(rng.sample(coords, rng.randrange(4)))
+    pts = rand_points(rng, n, 2 + rng.randrange(7), max_zeros=2 + rng.randrange(n - 1))
+    light = []
+    kind = ("mconj", "conj", "table")[seed % 3]
+    if kind == "mconj":
+        f = MonotoneConj(n, req)
+    elif kind == "conj":
+        f = GeneralConj(n, req, frozenset(rng.sample(coords, rng.randrange(3))) - req)
+    else:
+        # mislabel a few points with 1 to 3 zeros, and a few support points,
+        # which get a small weight so that Stage 1 can miss them
+        bits = table_of(MonotoneConj(n, req), n)
+        for _ in range(rng.randrange(3)):
+            bits ^= 1 << ones_index(n, rng.sample(coords, 1 + rng.randrange(3)))
+        light = rng.sample(pts, rng.randrange(3))
+        for p in light:
+            bits ^= 1 << ones_index(n, p.zeros)
+        f = TruthTable(n, bits)
+    raw = [Fraction(1 + rng.randrange(9), 16 if p in light else 1) for p in pts]
+    labels = [f.value_at(p.zeros) for p in pts]
+    share = Fraction(1 + rng.randrange(11), 12)
+    if len(set(labels)) == 1:
+        share = Fraction(labels[0])
+    mass = [1 - share, share]
+    total = [sum(w for w, v in zip(raw, labels) if v == b) for b in (0, 1)]
+    dist = FiniteDistribution(n, tuple((p, w * mass[v] / total[v])
+                                       for p, w, v in zip(pts, raw, labels)))
+    return f, dist, seed, None, conj_flip(f, dist) if kind == "conj" else frozenset()
+
+
+# 0..39 end at seven of the ten reasons; 89, 101 and 263 are the first
+# seeds to end at step-2.2, step-1.2 and step-2.1
+RANDOM_SEEDS = [*range(40), 89, 101, 263]
+REASONS = {"stage0-allones", "stage0-nil-representative", "stage1-few-ones",
+           "step-1.1", "step-1.2", "stage2-few-ones", "stage2-no-zero",
+           "step-2.1", "step-2.2", "end-of-stage-2"}
+
+
+def twin_runs(func, dist, seed, params, flip):
+    """The tester and reference_mconj_tester on twin oracles, logging on:
+    (accepted, reason, Stage-0 0-samples, counts, logs) of each."""
+    p = params or compute_parameters(dist.n, 1)
+    out = []
+    for reference in (False, True):
+        tr = QueryTranscript(log_queries=True)
+        rng = RandomStream(seed)
+        bb = BlackBox(func, tr).flipped(flip)
+        sm = Sampler(dist, func, tr, rng.split("samples")).flipped(flip)
+        if reference:
+            got = reference_mconj_tester(bb, sm, p, rng.split("tester"))
+        else:
+            v = run_mconj_tester(bb, sm, dist.n, 1, rng.split("tester"), params=params)
+            got = (v.accepted, v.reason, v.stage0_zero_samples)
+        out.append(got + (tr.blackbox_count, tr.sample_count, tr.blackbox_log,
+                          tr.sample_log))
+    return out
+
+
+def test_one_pass_matches_reference_on_crafted_instances():
+    reasons = set()
+    for case in crafted_instances():
+        got, want = twin_runs(*case)
+        assert got == want, (case[2], got[:5], want[:5])
+        reasons.add(got[1])
+    assert REASONS - reasons == {"stage2-few-ones"}
+
+
+def test_one_pass_matches_reference_on_random_instances():
+    reasons = set()
+    for seed in RANDOM_SEEDS:
+        case = random_instance(seed)
+        assert case[1].n <= 12
+        got, want = twin_runs(*case)
+        assert got == want, (seed, got[:5], want[:5])
+        reasons.add(got[1])
+    assert reasons == REASONS
+
+
+def test_stage1_few_ones_builds_no_union(monkeypatch):
+    # about 0.3 ones mass: group 0 falls short of t, later groups reach t-1,
+    # and none of them is looked at
+    calls = []
+    union = tester_module._union
+
+    def counted(*args):
+        calls.append(args)
+        return union(*args)
+
+    monkeypatch.setattr(tester_module, "_union", counted)
+    n = 8
+    f = MonotoneConj(n, frozenset({1}))
+    dist = FiniteDistribution(n, ((zs(n), Fraction(3, 10)), (zs(n, 1), Fraction(7, 10))))
+    tr = QueryTranscript(log_queries=True)
+    rng = RandomStream(313)
+    v = run_mconj_tester(BlackBox(f, tr), Sampler(dist, f, tr, rng.split("samples")),
+                         n, 1, rng.split("tester"))
+    assert v.reason == "stage1-few-ones"
+    assert calls == []
+    p = v.params
+    labels = [label for _, label in tr.sample_log]
+    groups = [labels[k:k + p.group_size] for k in range(0, len(labels), p.group_size)]
+    assert max(sum(g) for g in groups[1:]) >= p.t - 1
