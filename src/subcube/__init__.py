@@ -40,7 +40,6 @@ from .harness import (
     distinguishing_experiment,
     query_budget_report,
     run_trials,
-    summarize,
     write_experiment_csv,
     write_trials_csv,
 )
@@ -56,14 +55,11 @@ from .model import (
     InfeasibleParameters,
     LinearThreshold,
     MonotoneConj,
-    QueryBudget,
     QueryTranscript,
     Sampler,
     SizeCapError,
     TruthTable,
     ZeroSet,
-    evaluate,
-    flip_transform,
 )
 from .rng import RandomStream
 from .serialize import (

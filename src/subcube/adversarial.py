@@ -22,7 +22,6 @@ from .model import (
     InfeasibleParameters,
     LinearThreshold,
     MonotoneConj,
-    QueryBudget,
     QueryTranscript,
     ZeroSet,
 )
@@ -337,32 +336,25 @@ def simulate_p(z: ZeroSet, R: frozenset, gamma_set: frozenset) -> int:
 
 
 def strong_sample(inst: LBInstance, rng: RandomStream,
-                  transcript: QueryTranscript,
-                  budget: Optional[QueryBudget] = None,
-                  resample_ones: bool = False) -> StrongSample:
-    """One counted draw from the strong sampling oracle of an instance.
+                  transcript: QueryTranscript) -> StrongSample:
+    """One draw from the strong sampling oracle of an instance, charged to
+    transcript, which raises BudgetExceeded before drawing when it is at
+    its limit.
 
     A c-string comes back as (C_k, alpha_k); anything else as (ZERO(x), nil),
-    the all-ones point in particular as (empty set, nil). With resample_ones
-    the draw repeats until a non-all-ones point lands, charging every repeat.
+    the all-ones point in particular as (empty set, nil).
     """
+    transcript.take_samples(1)
     dist = inst.distribution
-    while True:
-        if budget is not None:
-            budget.take_samples(1)
-        u = rng.randrange(dist.denominator)
-        idx = dist.index_from_uniform(u)
-        transcript.sample_count += 1
-        kind, i = inst.support_kinds[idx]
-        if resample_ones and kind == "ones":
-            continue
-        if kind == "c":
-            result = StrongSample(inst.C_sets[i - 1], inst.alpha[i - 1])
-        else:
-            result = StrongSample(dist.entries[idx][0].zeros, None)
-        if transcript.log_queries:
-            transcript.sample_log.append((result.d_set, result.gamma))
-        return result
+    idx = dist.index_from_uniform(rng.randrange(dist.denominator))
+    kind, i = inst.support_kinds[idx]
+    if kind == "c":
+        result = StrongSample(inst.C_sets[i - 1], inst.alpha[i - 1])
+    else:
+        result = StrongSample(dist.entries[idx][0].zeros, None)
+    if transcript.log_queries:
+        transcript.sample_log.append((result.d_set, result.gamma))
+    return result
 
 
 def ltf_potential(x: ZeroSet, inst: LBInstance, which: str,
@@ -399,7 +391,7 @@ def _draw_structure(params: LBParams, rng: RandomStream):
     beta = tuple(specials[m:])
     r_set = frozenset(r_sorted)
     r_prime = r_set - frozenset(specials)
-    pool = rng.shuffled(sorted(r_prime))
+    pool = rng.sample(sorted(r_prime), len(r_prime))
     blocks = tuple(frozenset(pool[k * h:(k + 1) * h]) for k in range(rb))
     a_ids, b_ids = [], []
     for _ in range(m):

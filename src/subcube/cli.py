@@ -7,7 +7,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .adversarial import LBParams, generate_instance, paper_params
+from .adversarial import LBParams, desk_params, generate_instance, paper_params
 from .distances import (
     exact_distance_conj,
     exact_distance_dlist,
@@ -38,7 +38,7 @@ from .violation import (
     regularity_diagnostics,
 )
 
-__all__ = ["main", "desk_fallback_params"]
+__all__ = ["main"]
 
 
 def _fraction(text: str) -> Fraction:
@@ -69,9 +69,8 @@ def _parse_scaled(text: str) -> dict:
     return fields
 
 
-def desk_fallback_params(n: int) -> LBParams:
+def _desk_fallback_params(n: int) -> LBParams:
     """Paper-mode parameters when feasible, the desk recipe otherwise."""
-    from .adversarial import desk_params
     try:
         return paper_params(n)
     except InfeasibleParameters:
@@ -139,11 +138,11 @@ def _cmd_test(args) -> int:
     results = run_trials(config)
     write_trials_csv(sys.stdout, results)
     if args.log_queries:
-        for tr in results[0].attempt_transcripts:
-            for zeros, value in tr.blackbox_log:
-                print(f"query zeros={sorted(zeros)} -> {value}", file=sys.stderr)
-            for zeros, label in tr.sample_log:
-                print(f"sample zeros={sorted(zeros)} -> {label}", file=sys.stderr)
+        tr = results[0].transcript
+        for zeros, value in tr.blackbox_log:
+            print(f"query zeros={sorted(zeros)} -> {value}", file=sys.stderr)
+        for zeros, label in tr.sample_log:
+            print(f"sample zeros={sorted(zeros)} -> {label}", file=sys.stderr)
     return 0
 
 
@@ -244,7 +243,7 @@ def _cmd_experiment(args) -> int:
     if not budgets:
         raise SystemExit("empty budget list")
     yes_variant, no_variant = args.variant_pair.split(":")
-    params = desk_fallback_params(args.n)
+    params = _desk_fallback_params(args.n)
     rows = distinguishing_experiment(
         algo=args.algo, params=params, yes_variant=yes_variant,
         no_variant=no_variant, epsilon=args.epsilon, trials=args.trials,

@@ -1,9 +1,11 @@
 """Seeded trial runner, query accounting, and budget-sweep experiments.
 
 Each trial owns an RNG substream derived from (seed, trial id), so results
-are reproducible regardless of worker scheduling. Query budgets are enforced
-inside the oracles; a budget overrun surfaces as a forced accept, which keeps
-every tester one-sided under any budget.
+are reproducible regardless of worker scheduling. Each trial also owns one
+QueryTranscript, shared by all its oracles and amplification attempts: its
+counts are the trial's query counts, and its limit is the trial's budget.
+A budget overrun surfaces as a forced accept, which keeps every tester
+one-sided under any budget.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import csv
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import log2
 from typing import Optional
@@ -21,7 +23,6 @@ from .model import (
     BlackBox,
     BudgetExceeded,
     FunctionSpec,
-    QueryBudget,
     QueryTranscript,
     Sampler,
     ZeroSet,
@@ -45,7 +46,6 @@ __all__ = [
     "ExperimentConfig",
     "TrialResult",
     "run_trials",
-    "summarize",
     "write_trials_csv",
     "query_budget_report",
     "distinguishing_experiment",
@@ -73,9 +73,9 @@ class ExperimentConfig:
 
     Exactly one of instance (a fixed (function, distribution) pair) or
     generator (an (LBParams, variant) pair drawn fresh per trial) must be
-    set. max_blackbox/max_samples impose a hard per-trial budget shared
-    across amplification attempts; baseline_samples overrides the sample
-    count of the dolev-ron algorithm.
+    set. budget caps the black-box queries and, separately, the samples of
+    each trial, across all its amplification attempts; when set it is also
+    the exact sample count of the dolev-ron algorithm.
     """
 
     algo: str
@@ -85,11 +85,8 @@ class ExperimentConfig:
     amplify_k: int = 1
     instance: Optional[tuple] = None  # (n, FunctionSpec, FiniteDistribution)
     generator: Optional[tuple] = None  # (LBParams, variant)
-    max_blackbox: Optional[int] = None
-    max_samples: Optional[int] = None
-    baseline_samples: Optional[int] = None
+    budget: Optional[int] = None
     log_queries: bool = False
-    keep_details: bool = True
 
     def __post_init__(self):
         if self.algo not in ALGOS:
@@ -100,6 +97,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 0")
         if self.amplify_k < 1:
             raise ValueError("amplify must be >= 1")
+        if self.budget is not None and self.budget < 0:
+            raise ValueError("budget must be >= 0")
         if (self.instance is None) == (self.generator is None):
             raise ValueError("set exactly one of instance and generator")
 
@@ -112,7 +111,9 @@ class ExperimentConfig:
 
 @dataclass
 class TrialResult:
-    """One CSV row plus (optionally) the retained verdict and transcripts."""
+    """One CSV row plus the deciding verdict (None on a budget overrun), the
+    trial's transcript, the number of attempts that ran, and the generated
+    instance (None for a fixed one)."""
 
     trial: int
     accepted: bool
@@ -120,8 +121,9 @@ class TrialResult:
     blackbox_queries: int
     sample_queries: int
     wall_ms: int
-    verdict: Optional[Verdict] = None
-    attempt_transcripts: list = field(default_factory=list)
+    verdict: Optional[Verdict]
+    transcript: QueryTranscript
+    attempts: int
     instance: Optional[LBInstance] = None
 
     @property
@@ -155,21 +157,19 @@ def _run_one(config: ExperimentConfig, trial: int,
         n, func, dist = inst.n, inst.function, inst.distribution
     else:
         n, func, dist = config.instance
-    budget = None
-    if config.max_blackbox is not None or config.max_samples is not None:
-        budget = QueryBudget(config.max_blackbox, config.max_samples)
-    attempts: list[QueryTranscript] = []
+    tr = QueryTranscript(log_queries=config.log_queries, limit=config.budget)
+    attempts = 0
 
     def attempt(sub: RandomStream) -> Verdict:
-        tr = QueryTranscript(log_queries=config.log_queries)
-        attempts.append(tr)
+        nonlocal attempts
+        attempts += 1
         if sim:
             gamma: set = set()
-            sampler = _SimSampler(inst, sub.split("samples"), tr, budget, gamma)
-            oracle = BlackBox(_Responder(inst.n, inst.R, gamma), tr, budget)
+            sampler = _SimSampler(inst, sub.split("samples"), tr, gamma)
+            oracle = BlackBox(_Responder(inst.n, inst.R, gamma), tr)
         else:
-            oracle = BlackBox(func, tr, budget)
-            sampler = Sampler(dist, func, tr, sub.split("samples"), budget)
+            oracle = BlackBox(func, tr)
+            sampler = Sampler(dist, func, tr, sub.split("samples"))
         tester_rng = sub.split("tester")
         if config.algo == "mconj":
             return test_monotone_conjunction(oracle, sampler, n, config.epsilon,
@@ -178,7 +178,7 @@ def _run_one(config: ExperimentConfig, trial: int,
             return test_general_conjunction(oracle, sampler, n, config.epsilon,
                                             tester_rng, shared_params)
         return baseline_dolev_ron(oracle, sampler, n, config.epsilon, tester_rng,
-                                  num_samples=config.baseline_samples)
+                                  num_samples=config.budget)
 
     try:
         verdict = amplify(attempt, config.amplify_k, rng)
@@ -186,16 +186,12 @@ def _run_one(config: ExperimentConfig, trial: int,
     except BudgetExceeded:
         verdict = None
         accepted, reason = True, "budget-exhausted"
-    blackbox = sum(tr.blackbox_count for tr in attempts)
-    samples = sum(tr.sample_count for tr in attempts)
     wall_ms = int((time.perf_counter() - started) * 1000)
     return TrialResult(
         trial=trial, accepted=accepted, reason=reason,
-        blackbox_queries=blackbox, sample_queries=samples, wall_ms=wall_ms,
-        verdict=verdict if config.keep_details else None,
-        attempt_transcripts=attempts if config.keep_details else [],
-        instance=inst if config.keep_details else None,
-    )
+        blackbox_queries=tr.blackbox_count, sample_queries=tr.sample_count,
+        wall_ms=wall_ms, verdict=verdict, transcript=tr, attempts=attempts,
+        instance=inst)
 
 
 def run_trials(config: ExperimentConfig) -> list[TrialResult]:
@@ -208,27 +204,6 @@ def run_trials(config: ExperimentConfig) -> list[TrialResult]:
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda i: _run_one(config, i, shared), ids))
-
-
-def summarize(results: list[TrialResult]) -> dict:
-    """Acceptance rate and query-count aggregates for a batch."""
-    total = len(results)
-    accepted = sum(1 for r in results if r.accepted)
-    reasons: dict[str, int] = {}
-    for r in results:
-        reasons[r.reason] = reasons.get(r.reason, 0) + 1
-    bb = [r.blackbox_queries for r in results] or [0]
-    ss = [r.sample_queries for r in results] or [0]
-    return {
-        "trials": total,
-        "accepted": accepted,
-        "accept_rate": accepted / total if total else None,
-        "reasons": reasons,
-        "mean_blackbox": sum(bb) / len(bb),
-        "max_blackbox": max(bb),
-        "mean_samples": sum(ss) / len(ss),
-        "max_samples": max(ss),
-    }
 
 
 def write_trials_csv(fh, results: list[TrialResult]) -> None:
@@ -249,9 +224,9 @@ def query_budget_report(results: list[TrialResult], params: TesterParams,
     """Check every trial's query counts against the closed-form budget.
 
     Applies to the three-stage monotone tester. Requires unamplified,
-    unbudgeted trials with retained details. Asserts that the
-    sample count of every trial that got past Stage 0 equals the fixed
-    Stage-0 draw count, and that black-box queries stay at or below
+    unbudgeted trials. Asserts that the sample count of every trial that
+    got past Stage 0 equals the fixed Stage-0 draw count, and that
+    black-box queries stay at or below
     1 + Z*2*ceil(log2 n) + 2s + d_star*(2*ceil(log2 n) + 2), with Z the
     trial's Stage-0 zero-sample count. Reports the ratio of the mean total
     query count to (n^(1/3)/eps^5) * log2(n/eps)^7.
@@ -264,9 +239,7 @@ def query_budget_report(results: list[TrialResult], params: TesterParams,
     for r in results:
         if r.reason == "budget-exhausted":
             raise ValueError("query accounting needs unbudgeted trials")
-        if r.verdict is None or not r.attempt_transcripts:
-            raise ValueError("logging absent: rerun with keep_details=True")
-        if len(r.attempt_transcripts) != 1:
+        if r.attempts != 1:
             raise ValueError("query accounting needs unamplified trials")
         if r.reason not in _EARLY_REASONS:
             if r.sample_queries != params.stage0_samples:
@@ -307,19 +280,17 @@ class _SimSampler:
     """
 
     def __init__(self, inst: LBInstance, rng: RandomStream,
-                 transcript: QueryTranscript, budget: Optional[QueryBudget],
-                 gamma: set):
+                 transcript: QueryTranscript, gamma: set):
         self.inst = inst
         self.n = inst.n
         self.rng = rng
         self.transcript = transcript
-        self.budget = budget
         self.gamma = gamma
         self._points: list[ZeroSet] = []
         self._labels: list[int] = []
 
     def draw_index(self) -> int:
-        ss = strong_sample(self.inst, self.rng, self.transcript, self.budget)
+        ss = strong_sample(self.inst, self.rng, self.transcript)
         if ss.gamma is not None:
             self.gamma.add(ss.gamma)
         point = ZeroSet(self.n, ss.d_set)
@@ -370,7 +341,7 @@ def distinguishing_experiment(algo: str, params: LBParams, yes_variant: str,
         raise ValueError("budgets must be >= 0")
     base = ExperimentConfig(algo=algo, epsilon=Fraction(epsilon),
                             trials=trials, seed=seed, amplify_k=amplify_k,
-                            generator=(params, yes_variant), keep_details=False)
+                            generator=(params, yes_variant))
     shared = _tester_params_for(base)
     rows = []
     for q in budgets:
@@ -378,8 +349,7 @@ def distinguishing_experiment(algo: str, params: LBParams, yes_variant: str,
         for world in ("real", "sim"):
             for variant in (yes_variant, no_variant):
                 config = replace(
-                    base, generator=(params, variant), max_blackbox=q,
-                    max_samples=q, baseline_samples=q,
+                    base, generator=(params, variant), budget=q,
                     algo=algo if world == "real" else "dolev-ron")
                 accepted = 0
                 for i in range(trials):

@@ -19,6 +19,12 @@ time, draw_indices(k) batches of support indices that continue from call to
 call. BlackBox.flipped(C) and Sampler.flipped(C) are views that flip the
 queries asked or the points handed out, share both streams, and log in the
 instance's own coordinates.
+
+One QueryTranscript is the ledger of a trial: every oracle of the trial,
+every flipped view and every amplification attempt charges it. It counts
+(and optionally logs) the black-box queries and the samples, and with a
+limit set it refuses, by raising BudgetExceeded before counting, any call
+that would take either count past the limit.
 """
 
 from __future__ import annotations
@@ -45,15 +51,12 @@ __all__ = [
     "Flipped",
     "FiniteDistribution",
     "QueryTranscript",
-    "QueryBudget",
     "BudgetExceeded",
     "DimensionMismatch",
     "SizeCapError",
     "InfeasibleParameters",
     "BlackBox",
     "Sampler",
-    "evaluate",
-    "flip_transform",
 ]
 
 
@@ -70,7 +73,7 @@ class InfeasibleParameters(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """An oracle call would exceed the per-oracle query budget."""
+    """An oracle call would take a transcript's count past its limit."""
 
 
 def _coords(n: int, coords: Iterable, what: str, signed: bool = False) -> frozenset:
@@ -281,13 +284,6 @@ class Flipped(FunctionSpec):
         return self.inner.value_at(zeros ^ self.coords)
 
 
-def evaluate(func: FunctionSpec, x: ZeroSet) -> int:
-    """Evaluate a function specification on a point."""
-    if func.n != x.n:
-        raise DimensionMismatch(f"function has n={func.n}, point has n={x.n}")
-    return func.value_at(x.zeros)
-
-
 # ---------------------------------------------------------------------------
 # distributions
 
@@ -343,9 +339,6 @@ class FiniteDistribution:
     def support(self) -> list[ZeroSet]:
         return [p for p, _ in self.entries]
 
-    def weights(self) -> list[Fraction]:
-        return [w for _, w in self.entries]
-
     def weight_of(self, point: ZeroSet) -> Fraction:
         for p, w in self.entries:
             if p.zeros == point.zeros:
@@ -363,79 +356,51 @@ class FiniteDistribution:
                 lo = mid + 1
         return lo
 
-    def draw_point(self, rng: RandomStream) -> ZeroSet:
-        u = rng.randrange(self._denominator)
-        return self.entries[self.index_from_uniform(u)][0]
-
     def flipped(self, coords: Iterable[int]) -> "FiniteDistribution":
+        """This distribution pushed through the flip of coords. With
+        Flipped(f, coords) it keeps every distance to a flip-closed class."""
         cs = frozenset(coords)
         return FiniteDistribution(self.n, tuple((p.flip(cs), w) for p, w in self.entries))
 
 
-def flip_transform(func: FunctionSpec, coords: Iterable[int], dist: FiniteDistribution):
-    """The coordinate-flip change of variables applied to a labeled instance.
-
-    Returns (g, D') where g(x) = func(x with coords flipped) and D' is dist
-    pushed through the same flip; distances to any flip-closed class are
-    preserved exactly.
-    """
-    cs = frozenset(coords)
-    if dist.n != func.n:
-        raise DimensionMismatch("function and distribution disagree on n")
-    return Flipped(func, cs), dist.flipped(cs)
-
-
 # ---------------------------------------------------------------------------
-# transcripts, budgets, oracles
+# transcripts and oracles
 
 
 @dataclass
 class QueryTranscript:
-    """Counts (and optionally logs) black-box queries and sample draws."""
+    """The ledger of one trial: counts (and optionally logs) black-box
+    queries and sample draws, and caps each count at limit when one is set.
+
+    take_blackbox and take_samples raise BudgetExceeded before counting, so
+    a refused call is never counted.
+    """
 
     blackbox_count: int = 0
     sample_count: int = 0
     log_queries: bool = False
+    limit: Optional[int] = None
     blackbox_log: list = field(default_factory=list)
     sample_log: list = field(default_factory=list)
 
-    def add(self, other: "QueryTranscript") -> None:
-        self.blackbox_count += other.blackbox_count
-        self.sample_count += other.sample_count
-        if self.log_queries:
-            self.blackbox_log.extend(other.blackbox_log)
-            self.sample_log.extend(other.sample_log)
-
-
-@dataclass
-class QueryBudget:
-    """Hard per-oracle call budgets, shared across everything in one trial."""
-
-    max_blackbox: Optional[int] = None
-    max_samples: Optional[int] = None
-    used_blackbox: int = 0
-    used_samples: int = 0
-
-    def take_blackbox(self, k: int = 1) -> None:
-        if self.max_blackbox is not None and self.used_blackbox + k > self.max_blackbox:
+    def take_blackbox(self) -> None:
+        if self.limit is not None and self.blackbox_count >= self.limit:
             raise BudgetExceeded("black-box query budget exhausted")
-        self.used_blackbox += k
+        self.blackbox_count += 1
 
-    def take_samples(self, k: int = 1) -> None:
-        if self.max_samples is not None and self.used_samples + k > self.max_samples:
+    def take_samples(self, k: int) -> None:
+        if self.limit is not None and self.sample_count + k > self.limit:
             raise BudgetExceeded("sampling budget exhausted")
-        self.used_samples += k
+        self.sample_count += k
 
 
 class BlackBox:
     """Counted membership-query access to a function."""
 
-    def __init__(self, func: FunctionSpec, transcript: QueryTranscript,
-                 budget: Optional[QueryBudget] = None):
+    def __init__(self, func: FunctionSpec, transcript: QueryTranscript):
         self.func = func
         self.n = func.n
         self.transcript = transcript
-        self.budget = budget
         self._flip = frozenset()
 
     def query(self, x: ZeroSet) -> int:
@@ -445,21 +410,19 @@ class BlackBox:
 
     def query_set(self, zeros: frozenset) -> int:
         """Same as query, for callers that already hold a validated zero set."""
-        if self.budget is not None:
-            self.budget.take_blackbox(1)
+        t = self.transcript
+        t.take_blackbox()
         if self._flip:
             zeros = zeros ^ self._flip
         value = self.func.value_at(zeros)
-        t = self.transcript
-        t.blackbox_count += 1
         if t.log_queries:
             t.blackbox_log.append((zeros, value))
         return value
 
     def flipped(self, coords: Iterable[int]) -> "BlackBox":
         """A view flipping coords in every query before f sees it. It shares
-        this box's transcript and budget: each query is one query of f,
-        logged as the point f was asked."""
+        this box's transcript: each query is one query of f, logged as the
+        point f was asked."""
         view = copy.copy(self)
         view._flip = self._flip ^ frozenset(coords)
         return view
@@ -489,8 +452,7 @@ class Sampler:
     """Counted sampling-oracle access to (dist, func): (point, label) pairs."""
 
     def __init__(self, dist: FiniteDistribution, func: FunctionSpec,
-                 transcript: QueryTranscript, rng: RandomStream,
-                 budget: Optional[QueryBudget] = None):
+                 transcript: QueryTranscript, rng: RandomStream):
         if dist.n != func.n:
             raise DimensionMismatch("function and distribution disagree on n")
         self.dist = dist
@@ -498,7 +460,6 @@ class Sampler:
         self.n = dist.n
         self.transcript = transcript
         self.rng = rng
-        self.budget = budget
         self._points = [p for p, _ in dist.entries]
         self.labels = np.array([func.value_at(p.zeros) for p in self._points],
                                dtype=np.int8)
@@ -591,10 +552,8 @@ class Sampler:
         return idx
 
     def _charge(self, idx: np.ndarray) -> None:
-        if self.budget is not None:
-            self.budget.take_samples(len(idx))
         t = self.transcript
-        t.sample_count += len(idx)
+        t.take_samples(len(idx))
         if t.log_queries:
             entries = self.dist.entries
             t.sample_log.extend((entries[i][0].zeros, label) for i, label
@@ -619,8 +578,8 @@ class Sampler:
 
     def flipped(self, coords: Iterable[int]) -> "Sampler":
         """A view handing out x with coords flipped, under x's label. It shares
-        this sampler's transcript, budget, RNG streams, labels and bucket
-        table, and logs each draw as the distribution's own point."""
+        this sampler's transcript, RNG streams, labels and bucket table, and
+        logs each draw as the distribution's own point."""
         view = copy.copy(self)
         view._points = [p.flip(coords) for p in self._points]
         return view

@@ -100,7 +100,3 @@ class RandomStream:
             raise ValueError("sample larger than population")
         perm = self._gen.permutation(len(items))
         return [items[int(i)] for i in perm[:k]]
-
-    def shuffled(self, items: list) -> list:
-        perm = self._gen.permutation(len(items))
-        return [items[int(i)] for i in perm]

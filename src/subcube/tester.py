@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import DimensionMismatch, QueryTranscript, ZeroSet
+from .model import DimensionMismatch, ZeroSet
 from .rng import RandomStream
 
 __all__ = [
@@ -126,7 +126,6 @@ class Verdict:
 
     accepted: bool
     reason: str
-    transcript: QueryTranscript
     params: Optional[TesterParams] = None
     stage0_zero_samples: int = 0
 
@@ -185,11 +184,9 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
     if oracle.n != n or sampler.n != n:
         raise DimensionMismatch("oracle/sampler dimension differs from n")
     p = params if params is not None else compute_parameters(n, epsilon)
-    tr = oracle.transcript
-
     # Stage 0: the all-ones probe, then every sample group up front.
     if oracle.query(ZeroSet.all_ones(n)) == 0:
-        return Verdict(False, "stage0-allones", tr, p, 0)
+        return Verdict(False, "stage0-allones", p, 0)
 
     labels = sampler.labels
     reps: dict[int, int] = {}
@@ -226,21 +223,21 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
             done[si] = True
             rep = binary_search_representative(oracle, sampler.point(si))
             if rep is None:
-                return Verdict(False, "stage0-nil-representative", tr, p, zero_count)
+                return Verdict(False, "stage0-nil-representative", p, zero_count)
             reps[si] = rep
 
     step_rng = rng.split("steps")
 
     # Stage 1: the first group feeds the singleton and subset probes.
     if facts[0][0] is None:
-        return Verdict(True, "stage1-few-ones", tr, p, zero_count)
+        return Verdict(True, "stage1-few-ones", p, zero_count)
     _, b_arr = facts[0][0]
     if b_arr:
         positions = step_rng.integers(len(b_arr), size=p.s)
         for j in range(p.s):
             i = b_arr[int(positions[j])]
             if oracle.query_set(frozenset((i,))) == 0:
-                return Verdict(False, "step-1.1", tr, p, zero_count)
+                return Verdict(False, "step-1.1", p, zero_count)
         k_sub = min(p.r, len(b_arr))
         for _ in range(p.s):
             if k_sub == len(b_arr):
@@ -249,19 +246,19 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
                 pos = step_rng.subset_positions(len(b_arr), k_sub)
                 z = frozenset(b_arr[q] for q in pos)
             if oracle.query_set(z) == 0:
-                return Verdict(False, "step-1.2", tr, p, zero_count)
+                return Verdict(False, "step-1.2", p, zero_count)
 
     # Stage 2: one fresh group per iteration. Every 0-sample has its
     # representative, because Stage 0 returns on the first nil one.
     for b, first0 in facts[1:]:
         if b is None:
-            return Verdict(True, "stage2-few-ones", tr, p, zero_count)
+            return Verdict(True, "stage2-few-ones", p, zero_count)
         if first0 is None:
-            return Verdict(True, "stage2-no-zero", tr, p, zero_count)
+            return Verdict(True, "stage2-no-zero", p, zero_count)
         b_set, b_arr = b
         alpha = reps[first0]
         if alpha in b_set:
-            return Verdict(False, "step-2.1", tr, p, zero_count)
+            return Verdict(False, "step-2.1", p, zero_count)
         k_sub = min(p.r - 1, len(b_arr))
         if k_sub == len(b_arr):
             pset = frozenset(b_arr) | {alpha}
@@ -269,9 +266,9 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
             pos = step_rng.subset_positions(len(b_arr), k_sub)
             pset = frozenset(b_arr[q] for q in pos) | {alpha}
         if oracle.query_set(pset) == 1:
-            return Verdict(False, "step-2.2", tr, p, zero_count)
+            return Verdict(False, "step-2.2", p, zero_count)
 
-    return Verdict(True, "end-of-stage-2", tr, p, zero_count)
+    return Verdict(True, "end-of-stage-2", p, zero_count)
 
 
 def test_general_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStream,
@@ -295,30 +292,27 @@ def test_general_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStream
             xstar = x
             break
     if xstar is None:
-        return Verdict(True, "conj-no-positive", oracle.transcript, params, 0)
+        return Verdict(True, "conj-no-positive", params)
     return test_monotone_conjunction(oracle.flipped(xstar.zeros),
                                      sampler.flipped(xstar.zeros), n, epsilon,
                                      rng, params)
 
 
 def amplify(run_trial, k: int, rng: RandomStream) -> Verdict:
-    """Run k independent one-sided trials; reject as soon as any rejects.
+    """Run up to k independent one-sided attempts; stop at the first reject.
 
-    run_trial(sub_rng) must build fresh oracles with a fresh transcript per
-    call. The returned transcript sums the counts of the trials that ran.
+    run_trial(sub_rng) must build fresh oracles on sub_rng's streams; the
+    attempts of one trial share one QueryTranscript, so its counts and logs
+    cover every attempt that ran. Returns the verdict of the attempt that
+    decided the trial: the first to reject, or else the last.
     """
     if k < 1:
         raise ValueError("amplification count must be at least 1")
-    total = QueryTranscript()
-    last = None
     for i in range(1, k + 1):
         verdict = run_trial(rng.split("amp", i))
-        total.add(verdict.transcript)
-        last = verdict
         if not verdict.accepted:
             break
-    return Verdict(last.accepted, last.reason, total, last.params,
-                   last.stage0_zero_samples)
+    return verdict
 
 
 def baseline_dolev_ron(oracle, sampler, n: int, epsilon, rng: RandomStream = None,
@@ -330,15 +324,14 @@ def baseline_dolev_ron(oracle, sampler, n: int, epsilon, rng: RandomStream = Non
     1-sample is 0 at some computed representative. One-sided. rng is accepted
     for a uniform tester call shape; all randomness comes from the sampler.
     """
-    tr = oracle.transcript
     if num_samples is not None:
         total = num_samples
     else:
         total = math.ceil(c * math.sqrt(n) * math.log2(n))
     if total <= 0:
-        return Verdict(True, "baseline-clean", tr)
+        return Verdict(True, "baseline-clean")
     if oracle.query(ZeroSet.all_ones(n)) == 0:
-        return Verdict(False, "baseline-allones", tr)
+        return Verdict(False, "baseline-allones")
     ones_union = set()
     zero_order = []
     zero_seen = set()
@@ -353,8 +346,8 @@ def baseline_dolev_ron(oracle, sampler, n: int, epsilon, rng: RandomStream = Non
     for i in zero_order:
         rep = binary_search_representative(oracle, sampler.point(i))
         if rep is None:
-            return Verdict(False, "baseline-nil-representative", tr)
+            return Verdict(False, "baseline-nil-representative")
         representatives.add(rep)
     if representatives & ones_union:
-        return Verdict(False, "baseline-edge", tr)
-    return Verdict(True, "baseline-clean", tr)
+        return Verdict(False, "baseline-edge")
+    return Verdict(True, "baseline-clean")

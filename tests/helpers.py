@@ -10,6 +10,7 @@ test beyond the basic data types.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import comb
 
 from subcube import (
     FiniteDistribution,
@@ -151,8 +152,16 @@ def rand_fractions(rng, k):
 
 
 def rand_points(rng, n, k, max_zeros=None):
-    """k distinct random points, zero-set sizes up to max_zeros."""
+    """k distinct random points, zero-set sizes up to max_zeros.
+
+    ValueError when fewer than k points of {0,1}^n have at most max_zeros
+    zeros.
+    """
     cap = n if max_zeros is None else max_zeros
+    available = sum(comb(n, i) for i in range(min(cap, n) + 1))
+    if k > available:
+        raise ValueError(f"only {available} points of n={n} have at most "
+                         f"{cap} zeros, asked for {k}")
     seen = set()
     out = []
     while len(out) < k:

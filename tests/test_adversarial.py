@@ -13,7 +13,6 @@ from subcube import (
     LBParams,
     LinearThreshold,
     MonotoneConj,
-    QueryBudget,
     QueryTranscript,
     RandomStream,
     ZeroSet,
@@ -231,25 +230,14 @@ def test_strong_sample_reveals_c_structure():
     assert tr.sample_count == 60
 
 
-def test_strong_sample_can_skip_all_ones():
-    inst = gen("no-ltf", seed=24)
-    tr = QueryTranscript()
-    rng = RandomStream(25)
-    for k in range(40):
-        s = strong_sample(inst, rng.split(k), tr, resample_ones=True)
-        assert s.d_set  # never the empty zero set
-    assert tr.sample_count > 40  # skipped draws are still charged
-
-
 def test_strong_sample_budget():
     inst = gen("no", seed=26)
-    tr = QueryTranscript()
-    budget = QueryBudget(max_samples=5)
+    tr = QueryTranscript(limit=5)
     rng = RandomStream(27)
     for k in range(5):
-        strong_sample(inst, rng.split(k), tr, budget=budget)
+        strong_sample(inst, rng.split(k), tr)
     with pytest.raises(BudgetExceeded):
-        strong_sample(inst, rng.split("over"), tr, budget=budget)
+        strong_sample(inst, rng.split("over"), tr)
     assert tr.sample_count == 5
 
 

@@ -22,11 +22,10 @@ from subcube import (
     load_instance,
     query_budget_report,
     run_trials,
-    summarize,
     write_experiment_csv,
     write_trials_csv,
 )
-from subcube.harness import CSV_HEADER, EXPERIMENT_HEADER
+from subcube.harness import ALGOS, CSV_HEADER, EXPERIMENT_HEADER
 from helpers import rand_dist, zs
 
 SMALL_LB = LBParams(n=60, h=4, r_blocks=7, m=3, s=1, blocks_per_side=2)
@@ -73,6 +72,9 @@ def test_config_validation():
         ExperimentConfig(algo="mconj", epsilon=Fraction(1), trials=1, seed=0,
                          amplify_k=0, instance=inst)
     with pytest.raises(ValueError):
+        ExperimentConfig(algo="dolev-ron", epsilon=Fraction(1), trials=1,
+                         seed=0, budget=-1, instance=inst)
+    with pytest.raises(ValueError):
         ExperimentConfig(algo="mconj", epsilon=Fraction(1), trials=1, seed=0)
     with pytest.raises(ValueError):
         ExperimentConfig(algo="mconj", epsilon=Fraction(1), trials=1, seed=0,
@@ -96,14 +98,13 @@ def test_trials_on_fixed_instance():
         assert r.accepted
         assert r.outcome == "accept"
         assert r.verdict is not None
-        assert len(r.attempt_transcripts) == 1
+        assert r.attempts == 1
+        assert (r.transcript.blackbox_count, r.transcript.sample_count) == (
+            r.blackbox_queries, r.sample_queries)
         assert r.wall_ms >= 0
         assert r.instance is None  # fixed instances are not echoed back
-    s = summarize(results)
-    assert s["trials"] == 4 and s["accepted"] == 4
-    assert s["accept_rate"] == 1.0
-    assert set(s["reasons"]) <= {"end-of-stage-2", "stage2-no-zero",
-                                 "stage1-few-ones"}
+        assert r.reason in {"end-of-stage-2", "stage2-no-zero",
+                            "stage1-few-ones"}
 
 
 def test_trials_deterministic_and_thread_invariant(monkeypatch):
@@ -118,15 +119,6 @@ def test_trials_deterministic_and_thread_invariant(monkeypatch):
     assert again == threaded
 
 
-def test_trials_drop_details_when_asked():
-    cfg = ExperimentConfig(algo="mconj", epsilon=Fraction(1), trials=1,
-                           seed=3, instance=inclass_instance(),
-                           keep_details=False)
-    r = run_trials(cfg)[0]
-    assert r.verdict is None
-    assert r.attempt_transcripts == []
-
-
 def test_trials_regenerate_instances_per_trial():
     cfg = ExperimentConfig(algo="mconj", epsilon=Fraction(1), trials=2,
                            seed=4, generator=(SMALL_LB, "no"))
@@ -139,7 +131,7 @@ def test_trials_regenerate_instances_per_trial():
 def test_budget_forces_accept():
     cfg = ExperimentConfig(algo="mconj", epsilon=Fraction(1), trials=2,
                            seed=5, instance=inclass_instance(),
-                           max_samples=100)
+                           budget=100)
     for r in run_trials(cfg):
         assert r.accepted
         assert r.reason == "budget-exhausted"
@@ -148,7 +140,7 @@ def test_budget_forces_accept():
 
     zero_bb = ExperimentConfig(algo="mconj", epsilon=Fraction(1), trials=1,
                                seed=6, instance=inclass_instance(),
-                               max_blackbox=0)
+                               budget=0)
     r = run_trials(zero_bb)[0]
     assert r.reason == "budget-exhausted"
     assert r.blackbox_queries == 0  # refused before counting
@@ -160,18 +152,33 @@ def test_amplified_far_instance_stops_on_reject():
     for r in run_trials(cfg):
         assert not r.accepted
         assert r.reason == "stage0-nil-representative"
-        assert len(r.attempt_transcripts) == 1  # first attempt already rejects
-        assert r.sample_queries == sum(t.sample_count
-                                       for t in r.attempt_transcripts)
+        assert r.attempts == 1  # first attempt already rejects
+        assert r.sample_queries == r.transcript.sample_count
 
 
 def test_baseline_samples_override():
     cfg = ExperimentConfig(algo="dolev-ron", epsilon=Fraction(1), trials=2,
                            seed=8, instance=inclass_instance(),
-                           baseline_samples=64)
+                           budget=64)
     for r in run_trials(cfg):
         assert r.accepted
         assert r.sample_queries == 64
+
+
+def test_amplified_attempts_share_one_budget():
+    # each dolev-ron attempt draws exactly `budget` samples, so the first
+    # attempt spends the whole sample budget and the second runs out at its
+    # first draw
+    q = 64
+    cfg = ExperimentConfig(algo="dolev-ron", epsilon=Fraction(1), trials=2,
+                           seed=8, amplify_k=3, instance=inclass_instance(),
+                           budget=q)
+    for r in run_trials(cfg):
+        assert r.accepted
+        assert r.reason == "budget-exhausted"
+        assert r.sample_queries == q
+        assert r.attempts == 2
+        assert r.blackbox_queries <= q
 
 
 # -- CSV ----------------------------------------------------------------------
@@ -235,15 +242,9 @@ def test_query_budget_report_rejects_unusable_batches():
     with pytest.raises(ValueError, match="unamplified"):
         query_budget_report(run_trials(amped), params, 16)
 
-    bare = ExperimentConfig(algo="mconj", epsilon=Fraction(1), trials=1,
-                            seed=12, instance=inclass_instance(),
-                            keep_details=False)
-    with pytest.raises(ValueError, match="logging absent"):
-        query_budget_report(run_trials(bare), params, 16)
-
     capped = ExperimentConfig(algo="mconj", epsilon=Fraction(1), trials=1,
                               seed=13, instance=inclass_instance(),
-                              max_samples=50)
+                              budget=50)
     with pytest.raises(ValueError, match="unbudgeted"):
         query_budget_report(run_trials(capped), params, 16)
 
@@ -388,6 +389,26 @@ def test_cli_test_logs_queries(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "query zeros=" in err
     assert "sample zeros=" in err
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_cli_amplified_log_lists_every_attempt(tmp_path, capsys, algo):
+    path = gen_file(tmp_path, variant="yes")
+    capsys.readouterr()
+    rc = cli.main(["test", "--instance", str(path), "--algo", algo,
+                   "--epsilon", "1", "--seed", "3", "--amplify", "2",
+                   "--log-queries"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    row = dict(zip(CSV_HEADER, captured.out.splitlines()[1].split(",")))
+    kinds = [line.split(" ", 1)[0] for line in captured.err.splitlines()]
+    # the yes instance is in class, so both attempts run and accept
+    assert row["verdict"] == "accept"
+    assert kinds.count("query") == int(row["blackbox_queries"])
+    assert kinds.count("sample") == int(row["sample_queries"])
+    assert len(kinds) == kinds.count("query") + kinds.count("sample")
+    # every attempt's queries come first, then every attempt's samples
+    assert kinds == sorted(kinds)
 
 
 @pytest.mark.parametrize("variant", ["yes", "no"])

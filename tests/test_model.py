@@ -16,17 +16,14 @@ from subcube import (
     GeneralConj,
     LinearThreshold,
     MonotoneConj,
-    QueryBudget,
     QueryTranscript,
     RandomStream,
     Sampler,
     SizeCapError,
     TruthTable,
     ZeroSet,
-    evaluate,
-    flip_transform,
 )
-from helpers import rand_dist, table_of, zs
+from helpers import rand_dist, rand_points, table_of, zs
 
 
 def test_zeroset_validation_and_flip():
@@ -140,9 +137,12 @@ def test_constructors_reject_non_int_coordinates(build, bad):
 
 def test_evaluate_checks_dimensions():
     f = MonotoneConj(4, frozenset({1}))
-    assert evaluate(f, zs(4, 2)) == 1
+    assert BlackBox(f, QueryTranscript()).query(zs(4, 2)) == 1
     with pytest.raises(DimensionMismatch):
-        evaluate(f, zs(5, 2))
+        BlackBox(f, QueryTranscript()).query(zs(5, 2))
+    d5 = FiniteDistribution(5, ((zs(5, 2), Fraction(1)),))
+    with pytest.raises(DimensionMismatch):
+        Sampler(d5, f, QueryTranscript(), RandomStream(0))
 
 
 def test_distribution_validation():
@@ -158,6 +158,15 @@ def test_distribution_validation():
         FiniteDistribution(2, ())
     with pytest.raises(DimensionMismatch):
         FiniteDistribution(2, ((zs(3), Fraction(1)),))
+
+
+def test_rand_points_refuses_more_points_than_exist():
+    # n = 4 has 1 + 4 = 5 points with at most one zero
+    pts = rand_points(RandomStream(58), 4, 5, max_zeros=1)
+    assert {p.zeros for p in pts} == {frozenset()} | {
+        frozenset({i}) for i in range(1, 5)}
+    with pytest.raises(ValueError):
+        rand_points(RandomStream(58), 4, 6, max_zeros=1)
 
 
 def test_distribution_inverse_cdf_is_exact():
@@ -182,43 +191,43 @@ def test_distribution_weight_of_and_flip():
 
 
 def test_draw_point_matches_index_map():
-    rng = RandomStream(55)
     d = rand_dist(RandomStream(56), 6, 5)
+    f = MonotoneConj(6, frozenset({1}))
+    sm = Sampler(d, f, QueryTranscript(), RandomStream(55))
     replay = RandomStream(55)
     for _ in range(40):
-        u = replay.randrange(d.denominator)
-        assert d.draw_point(rng) == d.entries[d.index_from_uniform(u)][0]
+        u = int(replay.integers(d.denominator, 1)[0])
+        assert sm.draw()[0] == d.entries[d.index_from_uniform(u)][0]
 
 
 def test_flip_transform_preserves_labels():
     f = GeneralConj(5, frozenset({1}), frozenset({3, 4}))
     d = rand_dist(RandomStream(57), 5, 6)
-    g, d2 = flip_transform(f, {3, 4}, d)
+    g, d2 = Flipped(f, frozenset({3, 4})), d.flipped({3, 4})
     for p, w in d.entries:
         q = p.flip({3, 4})
         assert g.value_at(q.zeros) == f.value_at(p.zeros)
         assert d2.weight_of(q) == w
 
 
-def test_transcript_add():
-    a = QueryTranscript(blackbox_count=3, sample_count=7)
-    b = QueryTranscript(blackbox_count=2, sample_count=1)
-    a.add(b)
-    assert (a.blackbox_count, a.sample_count) == (5, 8)
-
-
 def test_budget_raises_before_counting():
-    b = QueryBudget(max_blackbox=2, max_samples=10)
-    b.take_blackbox()
-    b.take_blackbox()
+    t = QueryTranscript(limit=2)
+    t.take_blackbox()
+    t.take_blackbox()
     with pytest.raises(BudgetExceeded):
-        b.take_blackbox()
-    assert b.used_blackbox == 2
-    b.take_samples(10)
+        t.take_blackbox()
+    assert t.blackbox_count == 2
+    # the limit caps each count on its own
+    t.take_samples(2)
     with pytest.raises(BudgetExceeded):
-        b.take_samples(1)
-    assert b.used_samples == 10
-    QueryBudget().take_blackbox(10 ** 9)  # unlimited by default
+        t.take_samples(1)
+    assert t.sample_count == 2
+    with pytest.raises(BudgetExceeded):
+        QueryTranscript(limit=5).take_samples(6)  # a batch is refused whole
+    unlimited = QueryTranscript()  # no limit by default
+    unlimited.take_samples(10 ** 9)
+    unlimited.take_blackbox()
+    assert (unlimited.blackbox_count, unlimited.sample_count) == (1, 10 ** 9)
 
 
 def test_blackbox_counts_and_logs():
@@ -235,8 +244,8 @@ def test_blackbox_counts_and_logs():
 
 def test_blackbox_budget_enforced():
     f = MonotoneConj(4, frozenset({2}))
-    tr = QueryTranscript()
-    bb = BlackBox(f, tr, budget=QueryBudget(max_blackbox=1))
+    tr = QueryTranscript(limit=1)
+    bb = BlackBox(f, tr)
     bb.query(zs(4))
     with pytest.raises(BudgetExceeded):
         bb.query(zs(4))
@@ -245,9 +254,8 @@ def test_blackbox_budget_enforced():
 
 def test_flipped_blackbox_forwards_one_query():
     f = MonotoneConj(4, frozenset({1, 2}))
-    tr = QueryTranscript(log_queries=True)
-    budget = QueryBudget(max_blackbox=4)
-    inner = BlackBox(f, tr, budget)
+    tr = QueryTranscript(log_queries=True, limit=4)
+    inner = BlackBox(f, tr)
     fb = inner.flipped(frozenset({2}))
     assert fb.query(zs(4, 2)) == f.value_at(frozenset())
     assert fb.query_set(frozenset()) == f.value_at(frozenset({2}))
@@ -258,7 +266,7 @@ def test_flipped_blackbox_forwards_one_query():
     assert fb.flipped({2}).query_set(frozenset({1})) == 0
     assert tr.blackbox_log[-1] == (frozenset({1}), 0)
     # the box the view came from stays unflipped (f gets the very set it is
-    # given, no XOR copy) and shares the budget
+    # given, no XOR copy) and shares the transcript's limit
     z = frozenset({2})
     assert inner.query_set(z) == 0
     assert tr.blackbox_log[-1][0] is z
@@ -285,8 +293,8 @@ def test_sampler_draw_and_labels():
 def test_sampler_budget_enforced():
     f = MonotoneConj(4, frozenset())
     d = FiniteDistribution(4, ((zs(4), Fraction(1)),))
-    tr = QueryTranscript()
-    sm = Sampler(d, f, tr, RandomStream(9), budget=QueryBudget(max_samples=3))
+    tr = QueryTranscript(limit=3)
+    sm = Sampler(d, f, tr, RandomStream(9))
     for _ in range(3):
         sm.draw()
     with pytest.raises(BudgetExceeded):

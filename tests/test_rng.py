@@ -98,7 +98,7 @@ def test_sample_and_shuffled():
     got = r.sample(items, 12)
     assert len(set(got)) == 12
     assert set(got) <= set(items)
-    sh = r.shuffled(items)
+    sh = r.sample(items, len(items))
     assert sorted(sh) == items
     assert sh != items
     with pytest.raises(ValueError):

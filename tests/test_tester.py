@@ -405,15 +405,13 @@ def test_amplify_stops_at_first_reject():
 
     def run_trial(sub):
         calls.append(sub.path)
-        tr = QueryTranscript(blackbox_count=2, sample_count=5)
-        verdict = Verdict(len(calls) < 3, "scripted", tr, None, 0)
-        return verdict
+        return Verdict(len(calls) < 3, f"scripted-{len(calls)}", None, len(calls))
 
     v = amplify(run_trial, 11, RandomStream(500))
     assert not v.accepted
     assert len(calls) == 3  # rejected on the third attempt
-    assert v.transcript.blackbox_count == 6
-    assert v.transcript.sample_count == 15
+    # the verdict is the deciding attempt's own
+    assert (v.reason, v.stage0_zero_samples) == ("scripted-3", 3)
     assert len({p for p in calls}) == 3  # distinct sub-streams
 
 
@@ -422,11 +420,12 @@ def test_amplify_runs_all_attempts_on_accept():
 
     def run_trial(sub):
         count[0] += 1
-        return Verdict(True, "scripted", QueryTranscript(), None, 0)
+        return Verdict(True, f"scripted-{count[0]}")
 
     v = amplify(run_trial, 7, RandomStream(501))
     assert v.accepted
     assert count[0] == 7
+    assert v.reason == "scripted-7"
     with pytest.raises(ValueError):
         amplify(run_trial, 0, RandomStream(502))
 
