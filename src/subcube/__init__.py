@@ -11,9 +11,6 @@ seeded experiment harness with a CLI.
 from .adversarial import (
     LBInstance,
     LBParams,
-    LBNoFunction,
-    LBNoStarFunction,
-    StrongSample,
     desk_params,
     generate_instance,
     is_i_special,
@@ -36,7 +33,6 @@ from .distances import (
 )
 from .harness import (
     ExperimentConfig,
-    TrialResult,
     distinguishing_experiment,
     query_budget_report,
     run_trials,
@@ -64,7 +60,6 @@ from .model import (
 from .rng import RandomStream
 from .serialize import (
     InstanceFormatError,
-    ProblemInstance,
     function_from_obj,
     function_to_obj,
     instance_from_obj,
@@ -78,11 +73,8 @@ from .tester import (
     Verdict,
     amplify,
     baseline_dolev_ron,
-    binary_search_representative,
     ceil_log2,
     compute_parameters,
-    test_general_conjunction,
-    test_monotone_conjunction,
 )
 from .violation import (
     PruneReport,

@@ -27,8 +27,8 @@ from .rng import RandomStream
 from .serialize import (
     fraction_to_str,
     function_to_obj,
-    instance_to_obj,
     load_instance,
+    save_instance,
     structure_sidecar,
 )
 from .tester import compute_parameters
@@ -184,6 +184,8 @@ def _dump_graph(G, out) -> None:
 
 
 def _cmd_violation(args) -> int:
+    if not 0 < args.epsilon <= 1:
+        raise ValueError("epsilon must be in (0, 1]")
     inst = load_instance(args.instance)
     G = build_violation_bigraph(inst.function, inst.distribution)
     out = sys.stdout
@@ -225,10 +227,7 @@ def _cmd_gen_instance(args) -> int:
         params = paper_params(args.n)
     rng = RandomStream(args.seed)
     inst = generate_instance(params, args.variant, rng)
-    obj = instance_to_obj(inst.n, inst.function, inst.distribution)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+    save_instance(args.out, inst.n, inst.function, inst.distribution)
     sidecar_path = args.out + ".sidecar.json"
     with open(sidecar_path, "w", encoding="utf-8") as fh:
         json.dump(structure_sidecar(inst), fh, indent=1)
@@ -241,7 +240,7 @@ def _cmd_gen_instance(args) -> int:
 def _cmd_experiment(args) -> int:
     budgets = [int(part) for part in str(args.budget).split(",") if part != ""]
     if not budgets:
-        raise SystemExit("empty budget list")
+        raise ValueError("empty budget list")
     yes_variant, no_variant = args.variant_pair.split(":")
     params = _desk_fallback_params(args.n)
     rows = distinguishing_experiment(

@@ -177,7 +177,7 @@ def _run_one(config: ExperimentConfig, trial: int,
         if config.algo == "conj":
             return test_general_conjunction(oracle, sampler, n, config.epsilon,
                                             tester_rng, shared_params)
-        return baseline_dolev_ron(oracle, sampler, n, config.epsilon, tester_rng,
+        return baseline_dolev_ron(oracle, sampler, n, config.epsilon,
                                   num_samples=config.budget)
 
     try:
@@ -276,37 +276,22 @@ class _SimSampler:
     Draws go through the strong oracle; a revealed C-set adds its special
     index to Gamma. Labels are the response bit at draw time, so they can
     disagree with the hidden function exactly the way the responder's answers
-    do. Supports the sampler interface the pair-sampling baseline needs.
+    do. draw() is all the pair-sampling baseline asks of a sampler.
     """
 
     def __init__(self, inst: LBInstance, rng: RandomStream,
                  transcript: QueryTranscript, gamma: set):
         self.inst = inst
-        self.n = inst.n
         self.rng = rng
         self.transcript = transcript
         self.gamma = gamma
-        self._points: list[ZeroSet] = []
-        self._labels: list[int] = []
 
-    def draw_index(self) -> int:
+    def draw(self) -> tuple[ZeroSet, int]:
         ss = strong_sample(self.inst, self.rng, self.transcript)
         if ss.gamma is not None:
             self.gamma.add(ss.gamma)
-        point = ZeroSet(self.n, ss.d_set)
-        label = simulate_p(point, self.inst.R, self.gamma)
-        self._points.append(point)
-        self._labels.append(label)
-        return len(self._points) - 1
-
-    def point(self, idx: int) -> ZeroSet:
-        return self._points[idx]
-
-    def zeros_of(self, idx: int) -> frozenset:
-        return self._points[idx].zeros
-
-    def label(self, idx: int) -> int:
-        return self._labels[idx]
+        point = ZeroSet(self.inst.n, ss.d_set)
+        return point, simulate_p(point, self.inst.R, self.gamma)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,10 +14,10 @@ boundary are searched exactly. Denominators beyond 2^62 draw whole 64-bit
 words, bucket the top word, and fall back to exact integers only when the top
 word equals a boundary's top word.
 
-A Sampler draws from two streams: draw() and draw_index() one sample at a
-time, draw_indices(k) batches of support indices that continue from call to
-call. BlackBox.flipped(C) and Sampler.flipped(C) are views that flip the
-queries asked or the points handed out, share both streams, and log in the
+A Sampler draws from two streams: draw() one (point, label) pair at a time,
+draw_indices(k) batches of support indices that continue from call to call.
+BlackBox.flipped(C) and Sampler.flipped(C) are views that flip the queries
+asked or the points handed out, share both streams, and log in the
 instance's own coordinates.
 
 One QueryTranscript is the ledger of a trial: every oracle of the trial,
@@ -497,12 +497,6 @@ class Sampler:
     def point(self, idx: int) -> ZeroSet:
         return self._points[idx]
 
-    def zeros_of(self, idx: int) -> frozenset:
-        return self._points[idx].zeros
-
-    def label(self, idx: int) -> int:
-        return int(self.labels[idx])
-
     # -- drawing --
 
     def _draw_indices_raw(self, rng: RandomStream, k: int) -> np.ndarray:
@@ -559,14 +553,11 @@ class Sampler:
             t.sample_log.extend((entries[i][0].zeros, label) for i, label
                                 in zip(idx.tolist(), self.labels[idx].tolist()))
 
-    def draw_index(self) -> int:
-        idx = self._draw_indices_raw(self.rng, 1)
-        self._charge(idx)
-        return int(idx[0])
-
     def draw(self) -> tuple[ZeroSet, int]:
         """One counted draw: (point, func(point))."""
-        i = self.draw_index()
+        idx = self._draw_indices_raw(self.rng, 1)
+        self._charge(idx)
+        i = int(idx[0])
         return self._points[i], int(self.labels[i])
 
     def draw_indices(self, k: int) -> np.ndarray:

@@ -4,7 +4,8 @@ The on-disk shape is { "n": int, "function": tagged spec, "distribution":
 [{"zeros": [...], "weight": "num/den"}] } with 1-based indices. Weights are
 num/den strings so round-trips are bit-exact. Decoding checks the schema,
 that every n agrees, and that every coordinate is an int in 1..n; a file that
-fails raises InstanceFormatError naming the offending key.
+fails raises InstanceFormatError naming the offending key, or saying that it
+nests too deeply to decode.
 """
 
 from __future__ import annotations
@@ -214,7 +215,10 @@ def save_instance(path, n: int, func: FunctionSpec,
 
 def load_instance(path) -> ProblemInstance:
     with open(path, encoding="utf-8") as fh:
-        return instance_from_obj(json.load(fh))
+        try:
+            return instance_from_obj(json.load(fh))
+        except RecursionError:
+            raise InstanceFormatError("instance: nested too deeply") from None
 
 
 def structure_sidecar(inst: LBInstance) -> dict:

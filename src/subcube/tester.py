@@ -166,7 +166,7 @@ def _union(cache: dict, sampler, ids: np.ndarray) -> tuple:
     key = present.tobytes()
     hit = cache.get(key)
     if hit is None:
-        b_set = set().union(*(sampler.zeros_of(int(si))
+        b_set = set().union(*(sampler.point(int(si)).zeros
                               for si in np.flatnonzero(present)))
         hit = cache[key] = (b_set, sorted(b_set))
     return hit
@@ -315,36 +315,37 @@ def amplify(run_trial, k: int, rng: RandomStream) -> Verdict:
     return verdict
 
 
-def baseline_dolev_ron(oracle, sampler, n: int, epsilon, rng: RandomStream = None,
-                       c: float = 2.0, num_samples: Optional[int] = None) -> Verdict:
+def baseline_dolev_ron(oracle, sampler, n: int, epsilon,
+                       num_samples: Optional[int] = None) -> Verdict:
     """Pair-sampling baseline tester for monotone conjunctions.
 
-    Draws ceil(c*sqrt(n)*log2(n)) samples (or exactly num_samples when given),
-    computes the representative of every 0-sample, and rejects when some
-    1-sample is 0 at some computed representative. One-sided. rng is accepted
-    for a uniform tester call shape; all randomness comes from the sampler.
+    Draws ceil(2*sqrt(n)*log2(n)/epsilon) samples (or exactly num_samples
+    when given) through sampler.draw(), computes the representative of each
+    distinct 0-sample once, in order of first appearance, and rejects when
+    some 1-sample is 0 at some computed representative. One-sided.
     """
     if num_samples is not None:
         total = num_samples
     else:
-        total = math.ceil(c * math.sqrt(n) * math.log2(n))
+        eps = Fraction(epsilon)
+        if not 0 < eps <= 1:
+            raise ValueError("epsilon must be in (0, 1]")
+        total = math.ceil(2 * math.sqrt(n) * math.log2(n) / float(eps))
     if total <= 0:
         return Verdict(True, "baseline-clean")
     if oracle.query(ZeroSet.all_ones(n)) == 0:
         return Verdict(False, "baseline-allones")
     ones_union = set()
-    zero_order = []
-    zero_seen = set()
+    zero_points: dict[frozenset, ZeroSet] = {}
     for _ in range(total):
-        i = sampler.draw_index()
-        if sampler.label(i) == 1:
-            ones_union |= sampler.zeros_of(i)
-        elif i not in zero_seen:
-            zero_seen.add(i)
-            zero_order.append(i)
+        x, label = sampler.draw()
+        if label == 1:
+            ones_union |= x.zeros
+        else:
+            zero_points.setdefault(x.zeros, x)
     representatives = set()
-    for i in zero_order:
-        rep = binary_search_representative(oracle, sampler.point(i))
+    for x in zero_points.values():
+        rep = binary_search_representative(oracle, x)
         if rep is None:
             return Verdict(False, "baseline-nil-representative")
         representatives.add(rep)

@@ -199,14 +199,14 @@ def reference_mconj_tester(oracle, sampler, p, rng):
                 return None
         return z[0] if z else None
 
-    labels = [sampler.label(i) for i in range(sampler.support_size)]
+    labels = sampler.labels.tolist()
 
     def split(group):
         ones = [i for i in group if labels[i] == 1]
         return ones, [i for i in group if labels[i] == 0]
 
     def union(ones):
-        return sorted(set().union(*(sampler.zeros_of(i) for i in ones)))
+        return sorted(set().union(*(sampler.point(i).zeros for i in ones)))
 
     if oracle.query_set(frozenset()) == 0:
         return False, "stage0-allones", 0
@@ -217,7 +217,7 @@ def reference_mconj_tester(oracle, sampler, p, rng):
         zero_count += len(zeros)
         for i in zeros:
             if i not in reps:
-                reps[i] = representative(sampler.zeros_of(i))
+                reps[i] = representative(sampler.point(i).zeros)
                 if reps[i] is None:
                     return False, "stage0-nil-representative", zero_count
     steps = rng.split("steps")

@@ -449,8 +449,7 @@ def test_criterion_09_rejection_power():
 
         def baseline_once(attempt_rng):
             bb, sm, _ = make_oracles(f, dist, attempt_rng.split("io"))
-            return baseline_dolev_ron(bb, sm, n, Fraction(1),
-                                      attempt_rng.split("go"))
+            return baseline_dolev_ron(bb, sm, n, Fraction(1))
 
         if not amplify(tester_once, 11, sub.split("amp")).accepted:
             tester_rejects += 1

@@ -14,3 +14,10 @@ def test_every_exported_name_resolves(name):
     exported = module.__all__
     assert len(set(exported)) == len(exported), "duplicate names in __all__"
     assert [attr for attr in exported if not hasattr(module, attr)] == []
+
+
+def test_package_root_exposes_no_test_functions():
+    """A star import of the package must not hand pytest a test to collect."""
+    subcube = importlib.import_module("subcube")
+    assert [name for name in dir(subcube) if name.startswith("test_")
+            and callable(getattr(subcube, name))] == []

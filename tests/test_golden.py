@@ -103,28 +103,28 @@ EXPERIMENT_CSV = {
         '0,1.000000,1.000000,0.000000,1.000000,1.000000,0.000000\n'
         '4,1.000000,1.000000,0.000000,1.000000,1.000000,0.000000\n'
         '16,1.000000,1.000000,0.000000,1.000000,1.000000,0.000000\n'
-        '64,1.000000,1.000000,0.000000,1.000000,1.000000,0.000000\n'
+        '64,1.000000,1.000000,0.000000,1.000000,0.333333,0.666667\n'
     ),
     ('mconj', 'yes-ltf', 'no-ltf'): (
         'budget,yes_accept,no_accept,gap,sim_yes_accept,sim_no_accept,sim_gap\n'
         '0,1.000000,1.000000,0.000000,1.000000,1.000000,0.000000\n'
         '4,0.000000,0.000000,0.000000,1.000000,1.000000,0.000000\n'
         '16,0.000000,0.000000,0.000000,1.000000,1.000000,0.000000\n'
-        '64,0.000000,0.000000,0.000000,1.000000,1.000000,0.000000\n'
+        '64,0.000000,0.000000,0.000000,1.000000,0.333333,0.666667\n'
     ),
     ('dolev-ron', 'yes', 'no'): (
         'budget,yes_accept,no_accept,gap,sim_yes_accept,sim_no_accept,sim_gap\n'
         '0,1.000000,1.000000,0.000000,1.000000,1.000000,0.000000\n'
         '4,1.000000,0.833333,0.166667,1.000000,1.000000,0.000000\n'
         '16,1.000000,0.833333,0.166667,1.000000,1.000000,0.000000\n'
-        '64,1.000000,0.000000,1.000000,1.000000,1.000000,0.000000\n'
+        '64,1.000000,0.000000,1.000000,1.000000,0.333333,0.666667\n'
     ),
     ('dolev-ron', 'yes-ltf', 'no-ltf'): (
         'budget,yes_accept,no_accept,gap,sim_yes_accept,sim_no_accept,sim_gap\n'
         '0,1.000000,1.000000,0.000000,1.000000,1.000000,0.000000\n'
         '4,0.000000,0.000000,0.000000,1.000000,1.000000,0.000000\n'
         '16,0.000000,0.000000,0.000000,1.000000,1.000000,0.000000\n'
-        '64,0.000000,0.000000,0.000000,1.000000,1.000000,0.000000\n'
+        '64,0.000000,0.000000,0.000000,1.000000,0.333333,0.666667\n'
     ),
 }
 

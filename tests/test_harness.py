@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import subcube.cli as cli
+import subcube.tester as tester_module
 from subcube import (
     ExperimentConfig,
     FiniteDistribution,
@@ -25,7 +26,7 @@ from subcube import (
     write_experiment_csv,
     write_trials_csv,
 )
-from subcube.harness import ALGOS, CSV_HEADER, EXPERIMENT_HEADER
+from subcube.harness import ALGOS, CSV_HEADER, EXPERIMENT_HEADER, _run_one
 from helpers import rand_dist, zs
 
 SMALL_LB = LBParams(n=60, h=4, r_blocks=7, m=3, s=1, blocks_per_side=2)
@@ -288,6 +289,26 @@ def test_experiment_with_primary_testers(algo):
     assert sweep() == rows
 
 
+def test_sim_baseline_searches_each_zero_sample_once(monkeypatch):
+    """Against the no-black-box responder the baseline searches a repeated
+    0-sample once, as it does against the real oracles."""
+    searched = []
+    search = tester_module.binary_search_representative
+
+    def recording(oracle, x):
+        searched.append(x.zeros)
+        return search(oracle, x)
+
+    monkeypatch.setattr(tester_module, "binary_search_representative", recording)
+    config = ExperimentConfig(algo="dolev-ron", epsilon=Fraction(1), trials=1,
+                              seed=32, generator=(SMALL_LB, "no"))
+    result = _run_one(config, 0, None, sim=True)
+    assert result.sample_queries == 92  # ceil(2 * sqrt(60) * log2(60))
+    assert len(result.instance.distribution.entries) == 9
+    assert len(searched) >= 2
+    assert len(set(searched)) == len(searched)
+
+
 def test_experiment_input_validation(tmp_path, capsys):
     with pytest.raises(ValueError):
         distinguishing_experiment(algo="magic", params=SMALL_LB,
@@ -316,20 +337,32 @@ def test_experiment_input_validation(tmp_path, capsys):
             captured = capsys.readouterr()
             assert captured.err.startswith("error: ")
             assert captured.out == ""
+    for budget in (",", ""):
+        for dest in ("-", str(out)):
+            rc = cli.main(["experiment", "--algo", "dolev-ron", "--variant-pair",
+                           "yes:no", "--n", "60", "--epsilon", "1", "--trials",
+                           "1", "--budget", budget, "--out", dest])
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert captured.err == "error: empty budget list\n"
+            assert captured.out == ""
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["test", "experiment"])
+@pytest.mark.parametrize("command", ["test", "experiment", "violation"])
 @pytest.mark.parametrize("epsilon", ["0", "-1", "3/2"])
 def test_cli_rejects_epsilon_outside_unit_interval(tmp_path, capsys, command, epsilon):
-    if command == "test":
+    if command == "experiment":
+        argv = ["experiment", "--variant-pair", "yes:no", "--n", "60",
+                "--trials", "1", "--budget", "0,4", "--out", "-",
+                "--algo", "dolev-ron"]
+    else:
         path = gen_file(tmp_path)
         capsys.readouterr()
-        argv = ["test", "--instance", str(path), "--seed", "3"]
-    else:
-        argv = ["experiment", "--variant-pair", "yes:no", "--n", "60",
-                "--trials", "1", "--budget", "0,4", "--out", "-"]
-    rc = cli.main(argv + ["--algo", "dolev-ron", f"--epsilon={epsilon}"])
+        argv = [command, "--instance", str(path)]
+        if command == "test":
+            argv += ["--seed", "3", "--algo", "dolev-ron"]
+    rc = cli.main(argv + [f"--epsilon={epsilon}"])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")

@@ -286,8 +286,8 @@ def test_sampler_draw_and_labels():
     assert tr.sample_count == 20
     assert len(tr.sample_log) == 20
     assert sm.support_size == 2
-    assert sm.zeros_of(0) == frozenset({1})
-    assert sm.label(0) == 0
+    assert sm.point(0).zeros == frozenset({1})
+    assert sm.labels[0] == 0
 
 
 def test_sampler_budget_enforced():
@@ -315,7 +315,7 @@ def test_draw_indices_charges_and_continues_one_stream():
     assert twin_tr.sample_count == 21
     # the batch stream is not draw()'s: single draws are unmoved by it
     fresh = Sampler(d, f, QueryTranscript(), RandomStream(61))
-    assert [sm.draw_index() for _ in range(8)] == [fresh.draw_index() for _ in range(8)]
+    assert [sm.draw() for _ in range(8)] == [fresh.draw() for _ in range(8)]
 
 
 def per_draw_reference(d, rng, k):
@@ -473,7 +473,7 @@ def test_flipped_sampler_flips_points_and_labels():
         point, label = fs.draw()
         assert label == f.value_at(point.zeros ^ frozenset({2}))
     assert tr.sample_count == 10
-    assert fs.zeros_of(0) == base.zeros_of(0) ^ frozenset({2})
+    assert fs.point(0).zeros == base.point(0).zeros ^ frozenset({2})
     # the log holds the distribution's own points with their true labels
     support = {p.zeros for p in d.support()}
     assert len(tr.sample_log) == 10

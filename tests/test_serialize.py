@@ -162,6 +162,20 @@ def set_alpha_twice(obj):
     alpha[1] = alpha[0]
 
 
+def with_function_text(text):
+    """mconj_obj() as file text, with text in place of its function."""
+    def make():
+        obj = mconj_obj()
+        obj["function"] = None
+        return json.dumps(obj).replace("null", text)
+    return make
+
+
+def flipped_chain(depth):
+    head = '{"type": "flipped", "coords": [2], "inner": '
+    return head * depth + json.dumps(mconj_obj()["function"]) + "}" * depth
+
+
 # (case, file contents, a fragment the error message must hold)
 BAD_FILES = [
     ("not-json", lambda: "{", "Expecting"),
@@ -198,6 +212,10 @@ BAD_FILES = [
      edit(lb_no_obj, lambda o: o["function"]["a_blocks"][0][0].append("7")),
      "a_blocks"),
     ("lb-no-duplicate-alpha", edit(lb_no_obj, set_alpha_twice), "distinct"),
+    ("deep-list", with_function_text("[" * 100_000 + "]" * 100_000),
+     "nested too deeply"),
+    ("deep-flipped-chain", with_function_text(flipped_chain(2000)),
+     "nested too deeply"),
 ]
 
 
@@ -217,8 +235,10 @@ def test_cli_rejects_malformed_instance_files(tmp_path, capsys, case, contents,
         assert captured.out == ""
 
 
-# cases that fit the schema but not the constructors' checks, or are no JSON
-NOT_SCHEMA = {"not-json", "zero-denominator", "lb-no-duplicate-alpha"}
+# cases that fit the schema but not the constructors' checks, or exist only as
+# file text (json.dumps itself overflows on the flipped chain)
+NOT_SCHEMA = {"not-json", "zero-denominator", "lb-no-duplicate-alpha",
+              "deep-list", "deep-flipped-chain"}
 
 
 @pytest.mark.parametrize("case,contents,fragment",

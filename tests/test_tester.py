@@ -447,14 +447,15 @@ def test_baseline_accepts_in_class():
 
 
 def test_baseline_sample_count_formula():
-    n = 16  # ceil(2 * sqrt(16) * log2(16)) = 32
+    n = 16  # ceil(2 * sqrt(16) * log2(16) / epsilon)
     f = MonotoneConj(n, frozenset())
     dist = uniform_dist(n, [(), (2,)])
-    bb, sm, trng, tr = make_instance(f, dist, 601)
-    v = baseline_dolev_ron(bb, sm, n, 1)
-    assert v.accepted
-    assert v.reason == "baseline-clean"
-    assert tr.sample_count == 32
+    for epsilon, count in ((1, 32), (Fraction(1, 2), 64)):
+        bb, sm, trng, tr = make_instance(f, dist, 601)
+        v = baseline_dolev_ron(bb, sm, n, epsilon)
+        assert v.accepted
+        assert v.reason == "baseline-clean"
+        assert tr.sample_count == count
 
 
 def test_baseline_zero_samples_accepts_without_queries():
