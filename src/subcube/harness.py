@@ -63,7 +63,11 @@ def worker_count() -> int:
     """Worker pool size; the SUBCUBE_THREADS environment variable caps it."""
     env = os.environ.get("SUBCUBE_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(
+                f"SUBCUBE_THREADS must be an integer, got {env!r}") from None
     return min(8, os.cpu_count() or 1)
 
 
@@ -225,11 +229,13 @@ def query_budget_report(results: list[TrialResult], params: TesterParams,
 
     Applies to the three-stage monotone tester. Requires unamplified,
     unbudgeted trials. Asserts that the sample count of every trial that
-    got past Stage 0 equals the fixed Stage-0 draw count, and that
+    got past Stage 0 equals the fixed Stage-0 sample count, and that
     black-box queries stay at or below
-    1 + Z*2*ceil(log2 n) + 2s + d_star*(2*ceil(log2 n) + 2), with Z the
-    trial's Stage-0 zero-sample count. Reports the ratio of the mean total
-    query count to (n^(1/3)/eps^5) * log2(n/eps)^7.
+    1 + S*2*ceil(log2 n) + 2s + d_star*(2*ceil(log2 n) + 2), with S the
+    trial's number of representative searches (each distinct 0-labelled
+    point is searched once, with at most 2*ceil(log2 n) queries). Reports
+    the ratio of the mean total query count to
+    (n^(1/3)/eps^5) * log2(n/eps)^7.
     """
     if not results:
         raise ValueError("no results to report on")
@@ -245,9 +251,9 @@ def query_budget_report(results: list[TrialResult], params: TesterParams,
             if r.sample_queries != params.stage0_samples:
                 raise AssertionError(
                     f"trial {r.trial}: sample_count {r.sample_queries} != "
-                    f"stage0 draw count {params.stage0_samples}")
-        z = r.verdict.stage0_zero_samples
-        bound = 1 + z * 2 * lg + 2 * params.s + params.d_star * (2 * lg + 2)
+                    f"stage0 sample count {params.stage0_samples}")
+        bound = (1 + r.verdict.searches * 2 * lg + 2 * params.s
+                 + params.d_star * (2 * lg + 2))
         if r.blackbox_queries > bound:
             raise AssertionError(
                 f"trial {r.trial}: blackbox_count {r.blackbox_queries} "

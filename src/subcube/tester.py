@@ -8,11 +8,15 @@ representative against its 1-strings. All parameters derive from (n, epsilon)
 by fixed ceiling rules; base-2 logs throughout. The general-conjunction
 tester runs the monotone one on flipped views of the same two oracles.
 
-Stage 0 draws every group once. Stages 1 and 2 read only a few facts of
-each group, so Stage 0 records those as it draws: the zero-set union B of
-the group's first 1-samples (memoized, since groups repeat the same few
-support subsets) and its first 0-sample. Memory stays at one group plus
-these facts, and no sample is drawn twice.
+Stages 1 and 2 read only a few facts of each group, so Stage 0 records
+those as it draws: the zero-set union B of the group's first 1-samples
+(memoized, since groups repeat the same few support subsets) and its first
+0-sample. Memory stays at one group plus these facts, and no sample is
+drawn twice. Once recording has stopped and every 0-labelled support point
+has its representative, no later group can change the verdict, a query or
+a count, so Stage 0 charges the remaining groups, one group at a time,
+without drawing them. With query logging on it draws every group, because
+the sample log lists every sample.
 """
 
 from __future__ import annotations
@@ -86,8 +90,8 @@ def compute_parameters(n: int, epsilon) -> TesterParams:
     """All tester parameters from (n, epsilon), everything rounded up.
 
     d = ceil(log2^2(n/eps)/eps), d_star = ceil(d^2/eps), r = ceil(n^(1/3)),
-    t = d*r, s = t*ceil(log2 n), group_size = ceil(3t/eps), and Stage 0 draws
-    group_size*(d_star+1) samples. log2(n/eps) is evaluated exactly when
+    t = d*r, s = t*ceil(log2 n), group_size = ceil(3t/eps), and Stage 0 is
+    charged group_size*(d_star+1) samples. log2(n/eps) is evaluated exactly when
     n/eps is a power of two, in floating point otherwise.
     """
     eps = Fraction(epsilon)
@@ -127,7 +131,11 @@ class Verdict:
     accepted: bool
     reason: str
     params: Optional[TesterParams] = None
+    # 0-samples Stage 0 drew; the groups it charges without drawing add none
     stage0_zero_samples: int = 0
+    # representative searches Stage 0 ran, one per distinct 0-labelled
+    # point, the one that returned nil included
+    searches: int = 0
 
     @property
     def outcome(self) -> str:
@@ -186,14 +194,20 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
     p = params if params is not None else compute_parameters(n, epsilon)
     # Stage 0: the all-ones probe, then every sample group up front.
     if oracle.query(ZeroSet.all_ones(n)) == 0:
-        return Verdict(False, "stage0-allones", p, 0)
+        return Verdict(False, "stage0-allones", p)
 
     labels = sampler.labels
-    reps: dict[int, int] = {}
+    transcript = sampler.transcript
+    # reps[si]: the representative of 0-labelled point si, one per search
+    reps: dict[int, Optional[int]] = {}
     # done[si]: si is 1-labelled or its representative is already computed
     done = labels != 0
     pending = sampler.support_size - int(np.count_nonzero(done))
     zero_count = 0
+
+    def verdict(accepted: bool, reason: str) -> Verdict:
+        return Verdict(accepted, reason, p, zero_count, len(reps))
+
     # facts[g] = (B, first 0-sample) of group g, all Stages 1-2 read of it:
     # B is over its first t (Stage 2: t-1) 1-samples, None when it has fewer.
     # Recording stops after the first group whose facts end the run.
@@ -201,6 +215,13 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
     unions: dict[bytes, tuple] = {}
     recording = True
     for g in range(p.d_star + 1):
+        if not (recording or pending or transcript.log_queries):
+            # Later groups could change only the 0-sample count: charge
+            # them group by group, so a budget runs out where drawing
+            # would have exhausted it.
+            for _ in range(g, p.d_star + 1):
+                transcript.take_samples(p.group_size)
+            break
         idx = sampler.draw_indices(p.group_size)
         lab = labels[idx]
         ones = int(np.count_nonzero(lab))
@@ -221,23 +242,22 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
         for k in np.argsort(first):
             si = int(uniq[k])
             done[si] = True
-            rep = binary_search_representative(oracle, sampler.point(si))
+            rep = reps[si] = binary_search_representative(oracle, sampler.point(si))
             if rep is None:
-                return Verdict(False, "stage0-nil-representative", p, zero_count)
-            reps[si] = rep
+                return verdict(False, "stage0-nil-representative")
 
     step_rng = rng.split("steps")
 
     # Stage 1: the first group feeds the singleton and subset probes.
     if facts[0][0] is None:
-        return Verdict(True, "stage1-few-ones", p, zero_count)
+        return verdict(True, "stage1-few-ones")
     _, b_arr = facts[0][0]
     if b_arr:
         positions = step_rng.integers(len(b_arr), size=p.s)
         for j in range(p.s):
             i = b_arr[int(positions[j])]
             if oracle.query_set(frozenset((i,))) == 0:
-                return Verdict(False, "step-1.1", p, zero_count)
+                return verdict(False, "step-1.1")
         k_sub = min(p.r, len(b_arr))
         for _ in range(p.s):
             if k_sub == len(b_arr):
@@ -246,19 +266,19 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
                 pos = step_rng.subset_positions(len(b_arr), k_sub)
                 z = frozenset(b_arr[q] for q in pos)
             if oracle.query_set(z) == 0:
-                return Verdict(False, "step-1.2", p, zero_count)
+                return verdict(False, "step-1.2")
 
     # Stage 2: one fresh group per iteration. Every 0-sample has its
     # representative, because Stage 0 returns on the first nil one.
     for b, first0 in facts[1:]:
         if b is None:
-            return Verdict(True, "stage2-few-ones", p, zero_count)
+            return verdict(True, "stage2-few-ones")
         if first0 is None:
-            return Verdict(True, "stage2-no-zero", p, zero_count)
+            return verdict(True, "stage2-no-zero")
         b_set, b_arr = b
         alpha = reps[first0]
         if alpha in b_set:
-            return Verdict(False, "step-2.1", p, zero_count)
+            return verdict(False, "step-2.1")
         k_sub = min(p.r - 1, len(b_arr))
         if k_sub == len(b_arr):
             pset = frozenset(b_arr) | {alpha}
@@ -266,9 +286,9 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
             pos = step_rng.subset_positions(len(b_arr), k_sub)
             pset = frozenset(b_arr[q] for q in pos) | {alpha}
         if oracle.query_set(pset) == 1:
-            return Verdict(False, "step-2.2", p, zero_count)
+            return verdict(False, "step-2.2")
 
-    return Verdict(True, "end-of-stage-2", p, zero_count)
+    return verdict(True, "end-of-stage-2")
 
 
 def test_general_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStream,

@@ -184,7 +184,7 @@ def reference_mconj_tester(oracle, sampler, p, rng):
     the one-pass code: every group is stored as drawn, the representative
     search runs over the 0-samples in order of first appearance, and Stages
     1-2 rescan the stored groups. Returns (accepted, reason, number of
-    Stage-0 0-samples)."""
+    Stage-0 0-samples, number of representative searches)."""
     def representative(zeros):
         z = sorted(zeros)
         while len(z) >= 2:
@@ -208,9 +208,13 @@ def reference_mconj_tester(oracle, sampler, p, rng):
     def union(ones):
         return sorted(set().union(*(sampler.point(i).zeros for i in ones)))
 
-    if oracle.query_set(frozenset()) == 0:
-        return False, "stage0-allones", 0
     groups, reps, zero_count = [], {}, 0
+
+    def result(accepted, reason):
+        return accepted, reason, zero_count, len(reps)
+
+    if oracle.query_set(frozenset()) == 0:
+        return result(False, "stage0-allones")
     for _ in range(p.d_star + 1):
         groups.append([int(i) for i in sampler.draw_indices(p.group_size)])
         zeros = split(groups[-1])[1]
@@ -219,31 +223,31 @@ def reference_mconj_tester(oracle, sampler, p, rng):
             if i not in reps:
                 reps[i] = representative(sampler.point(i).zeros)
                 if reps[i] is None:
-                    return False, "stage0-nil-representative", zero_count
+                    return result(False, "stage0-nil-representative")
     steps = rng.split("steps")
     ones = split(groups[0])[0]
     if len(ones) < p.t:
-        return True, "stage1-few-ones", zero_count
+        return result(True, "stage1-few-ones")
     b = union(ones[:p.t])
     if b:
         for j in steps.integers(len(b), size=p.s):
             if oracle.query_set(frozenset({b[j]})) == 0:
-                return False, "step-1.1", zero_count
+                return result(False, "step-1.1")
         for _ in range(p.s):
             pos = steps.subset_positions(len(b), min(p.r, len(b)))
             if oracle.query_set(frozenset(b[q] for q in pos)) == 0:
-                return False, "step-1.2", zero_count
+                return result(False, "step-1.2")
     for group in groups[1:]:
         ones, zeros = split(group)
         if len(ones) < p.t - 1:
-            return True, "stage2-few-ones", zero_count
+            return result(True, "stage2-few-ones")
         if not zeros:
-            return True, "stage2-no-zero", zero_count
+            return result(True, "stage2-no-zero")
         b = union(ones[:p.t - 1])
         alpha = reps[zeros[0]]
         if alpha in b:
-            return False, "step-2.1", zero_count
+            return result(False, "step-2.1")
         pos = steps.subset_positions(len(b), min(p.r - 1, len(b)))
         if oracle.query_set(frozenset(b[q] for q in pos) | {alpha}) == 1:
-            return False, "step-2.2", zero_count
-    return True, "end-of-stage-2", zero_count
+            return result(False, "step-2.2")
+    return result(True, "end-of-stage-2")

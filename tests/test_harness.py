@@ -413,6 +413,18 @@ def test_cli_test_emits_csv_row(tmp_path, capsys):
     assert row[1] in ("accept", "reject")
 
 
+def test_cli_names_a_bad_thread_count(tmp_path, capsys, monkeypatch):
+    path = gen_file(tmp_path)
+    capsys.readouterr()
+    monkeypatch.setenv("SUBCUBE_THREADS", "abc")
+    rc = cli.main(["test", "--instance", str(path), "--algo", "mconj",
+                   "--epsilon", "1", "--seed", "3"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: SUBCUBE_THREADS must be an integer, got 'abc'\n"
+    assert captured.out == ""
+
+
 def test_cli_test_logs_queries(tmp_path, capsys):
     path = gen_file(tmp_path)
     capsys.readouterr()

@@ -7,6 +7,7 @@ import pytest
 
 from subcube import (
     BlackBox,
+    BudgetExceeded,
     FiniteDistribution,
     Flipped,
     FunctionSpec,
@@ -598,12 +599,14 @@ REASONS = {"stage0-allones", "stage0-nil-representative", "stage1-few-ones",
 
 
 def twin_runs(func, dist, seed, params, flip):
-    """The tester and reference_mconj_tester on twin oracles, logging on:
-    (accepted, reason, Stage-0 0-samples, counts, logs) of each."""
+    """The tester and reference_mconj_tester on twin oracles, logging on,
+    then the tester once more with logging off, where Stage 0 may stop
+    drawing: (accepted, reason, Stage-0 0-samples, searches, counts, logs)
+    of each."""
     p = params or compute_parameters(dist.n, 1)
     out = []
-    for reference in (False, True):
-        tr = QueryTranscript(log_queries=True)
+    for reference, log in ((False, True), (True, True), (False, False)):
+        tr = QueryTranscript(log_queries=log)
         rng = RandomStream(seed)
         bb = BlackBox(func, tr).flipped(flip)
         sm = Sampler(dist, func, tr, rng.split("samples")).flipped(flip)
@@ -611,30 +614,53 @@ def twin_runs(func, dist, seed, params, flip):
             got = reference_mconj_tester(bb, sm, p, rng.split("tester"))
         else:
             v = run_mconj_tester(bb, sm, dist.n, 1, rng.split("tester"), params=params)
-            got = (v.accepted, v.reason, v.stage0_zero_samples)
+            got = (v.accepted, v.reason, v.stage0_zero_samples, v.searches)
         out.append(got + (tr.blackbox_count, tr.sample_count, tr.blackbox_log,
                           tr.sample_log))
     return out
 
 
+def check_twins(label, got, want, quiet):
+    """got equals want log for log; quiet (logging off) has the same verdict,
+    searches and counts, and at most the reference's 0-samples. Returns
+    whether quiet drew fewer 0-samples, which only skipped groups explain."""
+    assert got == want, (label, got[:6], want[:6])
+    assert quiet[:2] + quiet[3:6] == want[:2] + want[3:6], (label, quiet[:6], want[:6])
+    assert quiet[2] <= want[2], (label, quiet[2], want[2])
+    return quiet[2] < want[2]
+
+
 def test_one_pass_matches_reference_on_crafted_instances():
     reasons = set()
+    skipped = 0
     for case in crafted_instances():
-        got, want = twin_runs(*case)
-        assert got == want, (case[2], got[:5], want[:5])
+        got, want, quiet = twin_runs(*case)
+        skipped += check_twins(case[2], got, want, quiet)
         reasons.add(got[1])
     assert REASONS - reasons == {"stage2-few-ones"}
+    assert skipped
 
 
 def test_one_pass_matches_reference_on_random_instances():
     reasons = set()
+    skipped = 0
     for seed in RANDOM_SEEDS:
         case = random_instance(seed)
         assert case[1].n <= 12
-        got, want = twin_runs(*case)
-        assert got == want, (seed, got[:5], want[:5])
+        got, want, quiet = twin_runs(*case)
+        skipped += check_twins(seed, got, want, quiet)
         reasons.add(got[1])
     assert reasons == REASONS
+    assert skipped
+
+
+def ones_mass_instance(ones):
+    """n = 8, f = x1, and two support points: all-ones with mass `ones`, and
+    the point zero at 1 alone."""
+    n = 8
+    f = MonotoneConj(n, frozenset({1}))
+    dist = FiniteDistribution(n, ((zs(n), ones), (zs(n, 1), 1 - ones)))
+    return n, f, dist
 
 
 def test_stage1_few_ones_builds_no_union(monkeypatch):
@@ -648,9 +674,7 @@ def test_stage1_few_ones_builds_no_union(monkeypatch):
         return union(*args)
 
     monkeypatch.setattr(tester_module, "_union", counted)
-    n = 8
-    f = MonotoneConj(n, frozenset({1}))
-    dist = FiniteDistribution(n, ((zs(n), Fraction(3, 10)), (zs(n, 1), Fraction(7, 10))))
+    n, f, dist = ones_mass_instance(Fraction(3, 10))
     tr = QueryTranscript(log_queries=True)
     rng = RandomStream(313)
     v = run_mconj_tester(BlackBox(f, tr), Sampler(dist, f, tr, rng.split("samples")),
@@ -661,3 +685,45 @@ def test_stage1_few_ones_builds_no_union(monkeypatch):
     labels = [label for _, label in tr.sample_log]
     groups = [labels[k:k + p.group_size] for k in range(0, len(labels), p.group_size)]
     assert max(sum(g) for g in groups[1:]) >= p.t - 1
+
+
+def test_stage0_skips_draws_once_nothing_can_change(monkeypatch):
+    # with logging off, a run that ends at stage1-few-ones draws group 0,
+    # which searches the one 0-point, and charges the other groups undrawn
+    calls = []
+    draw = Sampler.draw_indices
+
+    def counted(self, k):
+        calls.append(k)
+        return draw(self, k)
+
+    monkeypatch.setattr(Sampler, "draw_indices", counted)
+    n, f, dist = ones_mass_instance(Fraction(3, 10))
+    tr = QueryTranscript()
+    rng = RandomStream(313)
+    v = run_mconj_tester(BlackBox(f, tr), Sampler(dist, f, tr, rng.split("samples")),
+                         n, 1, rng.split("tester"))
+    p = v.params
+    assert v.reason == "stage1-few-ones"
+    assert len(calls) == 1 < p.d_star + 1
+    assert v.searches == 1
+    assert tr.sample_count == p.stage0_samples
+    assert v.stage0_zero_samples <= p.group_size
+
+
+@pytest.mark.parametrize("ones", [Fraction(3, 10), Fraction(9, 10)])
+def test_budget_runs_out_at_the_same_count_with_or_without_draws(ones):
+    # unbudgeted and with logging off, mass 3/10 ends at stage2-few-ones and
+    # draws only groups 0 and 1; mass 9/10 runs to end-of-stage-2 and draws
+    # every group
+    n, f, dist = ones_mass_instance(ones)
+    p = compute_parameters(n, 1)
+    for limit, stop in ((p.group_size * 5 + 7, p.group_size * 5),
+                        (p.stage0_samples - 1, p.stage0_samples - p.group_size)):
+        for log in (False, True):
+            tr = QueryTranscript(log_queries=log, limit=limit)
+            rng = RandomStream(314)
+            with pytest.raises(BudgetExceeded):
+                run_mconj_tester(BlackBox(f, tr), Sampler(dist, f, tr, rng.split("samples")),
+                                 n, 1, rng.split("tester"))
+            assert tr.sample_count == stop, (ones, limit, log)
