@@ -26,6 +26,7 @@ from .model import (
     ZeroSet,
 )
 from .rng import RandomStream
+from .tester import _ceil_cuberoot
 
 __all__ = [
     "LBParams",
@@ -134,17 +135,6 @@ def paper_params(n: int) -> LBParams:
     return params
 
 
-def _ceil_int_23(n: int) -> int:
-    """Smallest k with k^3 >= n^2, i.e. ceil(n^(2/3)), exactly."""
-    target = n * n
-    k = round(target ** (1.0 / 3.0))
-    while k ** 3 < target:
-        k += 1
-    while k > 1 and (k - 1) ** 3 >= target:
-        k -= 1
-    return k
-
-
 def desk_params(n: int) -> LBParams:
     """Small fixed-shape parameters feasible at workstation scale.
 
@@ -152,7 +142,7 @@ def desk_params(n: int) -> LBParams:
     with h = 4, s = 1, blocks_per_side = 2 so the specialness rule is
     non-trivial while instances stay cheap to draw and evaluate.
     """
-    m = _ceil_int_23(n)
+    m = _ceil_cuberoot(n * n)  # ceil(n^(2/3)), exactly
     h, s, bps = 4, 1, 2
     r_blocks = min((n // 2) // h, (n - 2 * m) // h)
     return LBParams(n=n, h=h, r_blocks=r_blocks, m=m, s=s,

@@ -304,7 +304,6 @@ class FiniteDistribution:
     def __post_init__(self):
         norm = []
         seen = set()
-        total = Fraction(0)
         for point, weight in self.entries:
             if not isinstance(point, ZeroSet):
                 raise TypeError("support points must be ZeroSet")
@@ -317,18 +316,18 @@ class FiniteDistribution:
                 raise ValueError("support points must be distinct")
             seen.add(point.zeros)
             norm.append((point, w))
-            total += w
-        if total != 1:
-            raise ValueError(f"weights must sum to exactly 1, got {total}")
         if not norm:
             raise ValueError("distribution must have non-empty support")
-        object.__setattr__(self, "entries", tuple(norm))
         denom = math.lcm(*(w.denominator for _, w in norm))
         cum = []
         acc = 0
         for _, w in norm:
             acc += w.numerator * (denom // w.denominator)
             cum.append(acc)
+        if acc != denom:
+            raise ValueError(
+                f"weights must sum to exactly 1, got {Fraction(acc, denom)}")
+        object.__setattr__(self, "entries", tuple(norm))
         object.__setattr__(self, "_denominator", denom)
         object.__setattr__(self, "_cum", tuple(cum))
 
@@ -347,14 +346,7 @@ class FiniteDistribution:
 
     def index_from_uniform(self, u: int) -> int:
         """Map a uniform draw u in [0, M) to a support index (inverse CDF)."""
-        lo, hi = 0, len(self._cum) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if u < self._cum[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        return bisect_right(self._cum, u)
 
     def flipped(self, coords: Iterable[int]) -> "FiniteDistribution":
         """This distribution pushed through the flip of coords. With

@@ -5,11 +5,13 @@ some 0-string's zero set is covered by zero sets of 1-strings. The weighted
 bipartite form pairs 1-strings in the support against representative indices
 of 0-strings; its minimum-weight vertex cover lower-bounds the distance to
 the class, and a heavy-vertex pruning pass extracts the regular subgraph the
-distance argument runs on.
+distance argument runs on. The cover comes from an exact integer max-flow
+over the common denominator of the weights, as its minimal source-side cut.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -177,137 +179,105 @@ def min_weight_vertex_cover(G: ViolationGraph):
     """Exact minimum-weight vertex cover of a bipartite graph.
 
     Weighted Koenig duality: the cover weight equals the maximum flow in the
-    source -> left -> right -> sink network with vertex weights as capacities,
-    computed in exact rationals. Returns (cover, weight) where cover holds
-    ("L", position) and ("R", position) tags.
+    source -> left -> right -> sink network with vertex weights as capacities
+    and unbounded left -> right edges. The flow runs in integers: every weight
+    is scaled to the lcm of all weight denominators, so it stays exact. The
+    cover is the minimal source-side cut: the left vertices the source cannot
+    reach in the final residual graph and the right vertices it can. That set
+    is the same for every maximum flow, so on a tie the left vertex is taken.
+    Returns (cover, weight) where cover holds ("L", position) and
+    ("R", position) tags.
     """
     nl, nr = len(G.left), len(G.right)
     if nl + nr > _COVER_CAP:
         raise SizeCapError(f"vertex cover computation capped at {_COVER_CAP} vertices")
     if not G.edges:
         return frozenset(), Fraction(0)
-    source, sink = 0, 1
-    left_node = lambda i: 2 + i
-    right_node = lambda j: 2 + nl + j
-    total_nodes = 2 + nl + nr
-    capacity: list[dict[int, Fraction]] = [dict() for _ in range(total_nodes)]
-    infinite = sum((w for _, w in G.left), Fraction(1))
-
-    def add_edge(u, v, cap):
-        capacity[u][v] = capacity[u].get(v, Fraction(0)) + cap
-        capacity[v].setdefault(u, Fraction(0))
-
-    for i, (_, w) in enumerate(G.left):
-        add_edge(source, left_node(i), w)
-    for j, (_, w) in enumerate(G.right):
-        add_edge(right_node(j), sink, w)
+    weights = [w for _, w in G.left + G.right]
+    denom = math.lcm(*(w.denominator for w in weights))
+    # residual capacity of source -> left i (node i) and right j -> sink
+    # (node nl + j); flow[j] maps left i to the flow on edge i -> j
+    cap = [w.numerator * (denom // w.denominator) for w in weights]
+    adj = [[] for _ in range(nl)]
     for li, ri in G.edges:
-        add_edge(left_node(li), right_node(ri), infinite)
+        adj[li].append(nl + ri)
+    flow = [{} for _ in range(nr)]
 
-    flow_value = Fraction(0)
-    while True:
-        parent = [-1] * total_nodes
-        parent[source] = source
-        queue = [source]
-        while queue and parent[sink] == -1:
-            u = queue.pop(0)
-            for v, cap in capacity[u].items():
-                if cap > 0 and parent[v] == -1:
+    def search():
+        """BFS over the residual graph: (parent, right node that still
+        reaches the sink, or None once the flow is maximum)."""
+        queue = [i for i in range(nl) if cap[i]]
+        parent = [-1 if u < nl and cap[u] else None for u in range(nl + nr)]
+        for u in queue:
+            nexts = (adj[u] if u < nl
+                     else [i for i, f in flow[u - nl].items() if f])
+            for v in nexts:
+                if parent[v] is None:
                     parent[v] = u
+                    if v >= nl and cap[v]:
+                        return parent, v
                     queue.append(v)
-        if parent[sink] == -1:
+        return parent, None
+
+    total = 0
+    while True:
+        parent, end = search()
+        if end is None:
             break
-        bottleneck = None
-        v = sink
-        while v != source:
-            u = parent[v]
-            cap = capacity[u][v]
-            bottleneck = cap if bottleneck is None else min(bottleneck, cap)
-            v = u
-        v = sink
-        while v != source:
-            u = parent[v]
-            capacity[u][v] -= bottleneck
-            capacity[v][u] += bottleneck
-            v = u
-        flow_value += bottleneck
+        path = [end]
+        while parent[path[-1]] != -1:
+            path.append(parent[path[-1]])
+        # the path runs back from end to a left node fed by the source; of
+        # its steps u -> v only the right -> left ones are bounded
+        steps = list(zip(path, path[1:]))
+        bottleneck = min(cap[end], cap[path[-1]],
+                         *(flow[u - nl][v] for v, u in steps if u >= nl))
+        cap[end] -= bottleneck
+        cap[path[-1]] -= bottleneck
+        for v, u in steps:
+            if u < nl:
+                flow[v - nl][u] = flow[v - nl].get(u, 0) + bottleneck
+            else:
+                flow[u - nl][v] -= bottleneck
+        total += bottleneck
 
-    reachable = [False] * total_nodes
-    reachable[source] = True
-    queue = [source]
-    while queue:
-        u = queue.pop(0)
-        for v, cap in capacity[u].items():
-            if cap > 0 and not reachable[v]:
-                reachable[v] = True
-                queue.append(v)
-    cover = set()
-    for i in range(nl):
-        if not reachable[left_node(i)]:
-            cover.add(("L", i))
-    for j in range(nr):
-        if reachable[right_node(j)]:
-            cover.add(("R", j))
-    return frozenset(cover), flow_value
+    cover = {("L", i) for i in range(nl) if parent[i] is None}
+    cover |= {("R", j) for j in range(nr) if parent[nl + j] is not None}
+    return frozenset(cover), Fraction(total, denom)
 
 
-class _MutableGraph:
-    """Working copy for pruning: adjacency over original vertex positions."""
+def _degrees(G: ViolationGraph):
+    """Degree of every left vertex and incoming weight of every right one."""
+    deg = [0] * len(G.left)
+    inw = [Fraction(0)] * len(G.right)
+    for li, ri in G.edges:
+        deg[li] += 1
+        inw[ri] += G.left[li][1]
+    return deg, inw
 
-    def __init__(self, G: ViolationGraph):
-        self.G = G
-        self.left_alive = set(range(len(G.left)))
-        self.right_alive = set(range(len(G.right)))
-        self.adj_left = {i: set() for i in self.left_alive}
-        self.adj_right = {j: set() for j in self.right_alive}
-        for li, ri in G.edges:
-            self.adj_left[li].add(ri)
-            self.adj_right[ri].add(li)
 
-    def weight(self) -> Fraction:
-        return sum((self.G.left[i][1] * len(self.adj_left[i])
-                    for i in self.left_alive), Fraction(0))
+def _heavy(G: ViolationGraph, d: int):
+    """Positions of the left and of the right vertices heavy against wt(G)."""
+    deg, inw = _degrees(G)
+    dw = d * G.graph_weight()
+    return ([i for i, k in enumerate(deg) if k >= dw],
+            [j for j, (_, w) in enumerate(G.right) if inw[j] >= dw * w])
 
-    def in_weight(self, j: int) -> Fraction:
-        return sum((self.G.left[i][1] for i in self.adj_right[j]), Fraction(0))
 
-    def remove_left(self, i: int):
-        for j in self.adj_left[i]:
-            self.adj_right[j].discard(i)
-        del self.adj_left[i]
-        self.left_alive.discard(i)
-
-    def remove_right(self, j: int):
-        for i in self.adj_right[j]:
-            self.adj_left[i].discard(j)
-        del self.adj_right[j]
-        self.right_alive.discard(j)
-
-    def drop_isolated(self):
-        for i in [i for i in self.left_alive if not self.adj_left[i]]:
-            self.remove_left(i)
-        for j in [j for j in self.right_alive if not self.adj_right[j]]:
-            self.remove_right(j)
-
-    def heavy_left(self, d: int, wt: Fraction):
-        return [i for i in self.left_alive if len(self.adj_left[i]) >= d * wt]
-
-    def heavy_right(self, d: int, wt: Fraction):
-        return [j for j in self.right_alive
-                if self.in_weight(j) >= d * wt * self.G.right[j][1]]
-
-    def snapshot(self) -> ViolationGraph:
-        left_ids = sorted(self.left_alive)
-        right_ids = sorted(self.right_alive)
-        lmap = {i: k for k, i in enumerate(left_ids)}
-        rmap = {j: k for k, j in enumerate(right_ids)}
-        edges = tuple(sorted(
-            (lmap[i], rmap[j]) for i in left_ids for j in self.adj_left[i]))
-        return ViolationGraph(
-            tuple(self.G.left[i] for i in left_ids),
-            tuple(self.G.right[j] for j in right_ids),
-            edges,
-        )
+def _without(G: ViolationGraph, left_out=(), right_out=()) -> ViolationGraph:
+    """G without the given vertex positions and without every vertex left
+    isolated, re-indexed in order, with sorted edges."""
+    edges = [(li, ri) for li, ri in G.edges
+             if li not in left_out and ri not in right_out]
+    left_ids = sorted({li for li, _ in edges})
+    right_ids = sorted({ri for _, ri in edges})
+    lmap = {i: k for k, i in enumerate(left_ids)}
+    rmap = {j: k for k, j in enumerate(right_ids)}
+    return ViolationGraph(
+        tuple(G.left[i] for i in left_ids),
+        tuple(G.right[j] for j in right_ids),
+        tuple(sorted((lmap[li], rmap[ri]) for li, ri in edges)),
+    )
 
 
 def prune_to_regular(G: ViolationGraph, epsilon, d: int) -> PruneReport:
@@ -323,43 +293,29 @@ def prune_to_regular(G: ViolationGraph, epsilon, d: int) -> PruneReport:
     eps = Fraction(epsilon)
     if d < 1:
         raise ValueError("d must be at least 1")
-    work = _MutableGraph(G)
+    work = _without(G)
     removed = []
-    work.drop_isolated()
     rounds = 0
-    exit_reason = None
     while True:
         rounds += 1
-        wt = work.weight()
-        for i in work.heavy_left(d, wt):
-            removed.append(("left",) + G.left[i])
-            work.remove_left(i)
-        work.drop_isolated()
-        _, cover_w = min_weight_vertex_cover(work.snapshot())
-        if cover_w <= eps / 4:
+        heavy_left, _ = _heavy(work, d)
+        removed += [("left",) + work.left[i] for i in heavy_left]
+        work = _without(work, left_out=set(heavy_left))
+        if min_weight_vertex_cover(work)[1] <= eps / 4:
             exit_reason = "cheap-cover-found"
             break
-        wt = work.weight()
-        for j in work.heavy_right(d, wt):
-            removed.append(("right",) + G.right[j])
-            work.remove_right(j)
-        work.drop_isolated()
-        _, cover_w = min_weight_vertex_cover(work.snapshot())
-        wt = work.weight()
-        if cover_w <= eps / 4:
+        _, heavy_right = _heavy(work, d)
+        removed += [("right",) + work.right[j] for j in heavy_right]
+        work = _without(work, right_out=set(heavy_right))
+        if min_weight_vertex_cover(work)[1] <= eps / 4:
             exit_reason = "cheap-cover-found"
             break
-        if not work.heavy_left(d, wt) and not work.heavy_right(d, wt):
+        if not any(_heavy(work, d)):
             exit_reason = "no-heavy-left"
             break
-    star = work.snapshot()
-    W = star.graph_weight()
-    deg = [0] * len(star.left)
-    for li, _ in star.edges:
-        deg[li] += 1
-    l_prime = tuple(star.left[i] for i in range(len(star.left))
-                    if deg[i] >= W / 2)
-    return PruneReport(star, tuple(removed), W, l_prime, rounds, exit_reason)
+    W = work.graph_weight()
+    l_prime = tuple(v for v, k in zip(work.left, _degrees(work)[0]) if k >= W / 2)
+    return PruneReport(work, tuple(removed), W, l_prime, rounds, exit_reason)
 
 
 def regularity_diagnostics(report: PruneReport, epsilon, d: int) -> dict:

@@ -158,7 +158,11 @@ def rand_points(rng, n, k, max_zeros=None):
     zeros.
     """
     cap = n if max_zeros is None else max_zeros
-    available = sum(comb(n, i) for i in range(min(cap, n) + 1))
+    available = 0
+    for i in range(min(cap, n) + 1):
+        available += comb(n, i)
+        if available >= k:
+            break
     if k > available:
         raise ValueError(f"only {available} points of n={n} have at most "
                          f"{cap} zeros, asked for {k}")

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subcube import (
     BlackBox,
@@ -176,6 +177,47 @@ def test_cover_matching_sums_per_edge_minima():
     g = ViolationGraph.from_vertices(left, right)
     _, w = min_weight_vertex_cover(g)
     assert w == Fraction(3)  # min(3,2) + min(1,4)
+
+
+def test_cover_takes_the_left_vertex_on_a_tie():
+    g = ViolationGraph.from_vertices(((zs(8, 1), Fraction(1)),),
+                                     ((1, Fraction(1)),))
+    assert min_weight_vertex_cover(g) == (frozenset({("L", 0)}), Fraction(1))
+
+
+def test_cover_sends_flow_back_along_a_right_to_left_edge():
+    # a shortest first path can fill right 1 from left 0, and the second
+    # unit then reaches right 2 only by pushing that flow back to left 1
+    left = ((zs(8, 1, 2), Fraction(1)), (zs(8, 1), Fraction(1)))
+    right = ((1, Fraction(1)), (2, Fraction(1)))
+    g = ViolationGraph.from_vertices(left, right)
+    assert min_weight_vertex_cover(g) == (
+        frozenset({("L", 0), ("L", 1)}), Fraction(2))
+
+
+_HUGE_WEIGHT = st.builds(Fraction, st.integers(1, 1 << 70),
+                         st.integers((1 << 64) + 1, 1 << 72))
+
+
+@settings(max_examples=150, deadline=None)
+@given(zero_sets=st.lists(st.frozensets(st.integers(1, 5)), max_size=5,
+                          unique=True),
+       rights=st.lists(st.integers(1, 5), max_size=5, unique=True),
+       data=st.data())
+def test_cover_weight_matches_brute_force_with_huge_denominators(
+        zero_sets, rights, data):
+    weights = data.draw(st.lists(_HUGE_WEIGHT, min_size=len(zero_sets) + len(rights),
+                                 max_size=len(zero_sets) + len(rights)))
+    g = ViolationGraph.from_vertices(
+        tuple((zs(5, *z), w) for z, w in zip(zero_sets, weights)),
+        tuple(zip(sorted(rights), weights[len(zero_sets):])))
+    cover, w = min_weight_vertex_cover(g)
+    assert w == brute_min_cover(g)
+    for li, ri in g.edges:
+        assert ("L", li) in cover or ("R", ri) in cover
+    spent = sum((g.left[i][1] for t, i in cover if t == "L"), Fraction(0))
+    spent += sum((g.right[i][1] for t, i in cover if t == "R"), Fraction(0))
+    assert spent == w
 
 
 def rand_graph(rng, n=6):
