@@ -1,10 +1,13 @@
 """Exact distances from a labeled sample to small function classes.
 
 Distances are computed over the support of a finite distribution, in exact
-rationals, by brute force over a structured search space: closure patterns
-for conjunctions, greedy consistency plus label flips for decision lists,
-and rational linear programming for threshold functions. Every routine is
-exponential in the support size and guarded by a hard cap.
+rationals. Conjunctions minimize over closure patterns. Decision lists and
+threshold functions search label-flip sets lightest first, core-guided:
+each failed consistency check (greedy elimination; an integer fraction-free
+simplex over merged coordinate columns) names a set of points the class
+cannot fit under those labels, and every later flip set that gives them the
+same labels is skipped unchecked. Every routine is exponential in the
+support size and capped.
 """
 
 from __future__ import annotations
@@ -207,175 +210,179 @@ def conj_consistent(sample: LabeledSample) -> bool:
     return _distance_conj(sample)[0] == 0
 
 
-def _relevant_indices(sample: LabeledSample):
-    idx = set()
-    for point, _, _ in sample.entries:
-        idx |= point.zeros
-    return sorted(idx)
+def _columns(sample: LabeledSample):
+    """The distinct zero patterns of the coordinates that are zero somewhere
+    in the sample, as position bitmasks. Coordinates with one pattern give
+    the same literals and the same program column; any other coordinate is
+    1 on every point, so it splits nothing and folds into the threshold."""
+    return sorted(set(_masks(sample).values()))
+
+
+def _ones(sample: LabeledSample) -> int:
+    return sum(label << pos for pos, (_, label, _) in enumerate(sample.entries))
+
+
+def _dlist_core(columns, m: int, ones: int) -> int:
+    """Greedy elimination on the m points labeled 1 exactly on `ones`.
+
+    A literal whose satisfying points all share a label can head the list;
+    strip those points and repeat. The first rule of a consistent list that
+    fires on a remaining point is such a literal, so the pass empties the
+    sample iff a list fits it (then 0 is returned), and the points it is
+    stuck on fit no list on their own: they are returned as a core.
+    """
+    alive = full = (1 << m) - 1
+    literals = [lit for col in columns for lit in (col, full & ~col)]
+    while alive & ones and alive & ~ones:
+        for lit in literals:
+            hit = alive & lit
+            if hit and (hit & ones == 0 or hit & ones == hit):
+                alive &= ~hit
+                break
+        else:
+            return alive
+    return 0
+
+
+def _ltf_core(columns, m: int, ones: int) -> int:
+    """Margin program on the m points labeled 1 exactly on `ones`.
+
+    Separability is scale-invariant, so it holds iff max delta subject to
+    w.x >= theta + delta on 1-points, w.x <= theta - delta on 0-points and
+    delta <= 1 is positive; then 0 is returned. Weights and threshold are
+    split into nonnegative parts, with one weight pair per column. The
+    simplex takes the first improving column and the least-ratio row, ties
+    to the lowest basic variable (Bland's rule), and pivots fraction-free:
+    every entry is its rational value times det, the last pivot taken (1
+    at the start), and each update divides exactly by the previous det. At
+    optimum 0 the points with a positive dual (the objective entry of their
+    slack column) carry a Farkas certificate: a weighting under which the
+    1-points and 0-points have equal mass and equal mean, so they are
+    returned as a core.
+    """
+    num_vars = 2 * len(columns) + 3  # w+, w-, theta+, theta-, delta
+    total = num_vars + m + 1
+    tableau = []
+    for r in range(m + 1):
+        row = [0] * (total + 1)
+        if r < m:
+            sign = -1 if (ones >> r) & 1 else 1
+            x = [sign * (((col >> r) & 1) ^ 1) for col in columns]
+            row[:num_vars] = x + [-v for v in x] + [-sign, sign, 1]
+        else:
+            row[num_vars - 1] = row[total] = 1  # delta <= 1
+        row[num_vars + r] = 1
+        tableau.append(row)
+    objective = [0] * (total + 1)
+    objective[num_vars - 1] = -1
+    basis = list(range(num_vars, total))
+    det = 1
+    while True:
+        col = next((j for j in range(total) if objective[j] < 0), None)
+        if col is None:
+            break
+        pr = min((r for r, row in enumerate(tableau) if row[col] > 0),
+                 key=lambda r: (Fraction(tableau[r][total], tableau[r][col]),
+                                basis[r]))
+        pivot = tableau[pr]
+        p = pivot[col]
+        for row in tableau + [objective]:
+            if row is not pivot:
+                f = row[col]
+                row[:] = [(p * v - f * q) // det for v, q in zip(row, pivot)]
+        det = p
+        basis[pr] = col
+    if objective[total] > 0:
+        return 0
+    return sum(1 << r for r in range(m) if objective[num_vars + r] > 0)
+
+
+def _ltf_columns(sample: LabeledSample):
+    columns = _columns(sample)
+    if len(columns) > _CONSISTENCY_CAP:
+        raise SizeCapError(f"threshold program capped at {_CONSISTENCY_CAP} "
+                           "distinct coordinate columns")
+    return columns
 
 
 def dlist_consistent(sample: LabeledSample) -> bool:
-    """Whether some decision list fits every labeled point.
-
-    Greedy elimination: a literal whose satisfying points all share a label
-    can head the list; strip those points and repeat. A consistent list
-    exists iff the greedy pass empties the sample, since the head literal of
-    any consistent list is always available to the greedy pass.
-    """
+    """Whether some decision list fits every labeled point (greedy
+    elimination, see _dlist_core)."""
     if len(sample.entries) > _CONSISTENCY_CAP:
         raise SizeCapError(f"consistency check capped at {_CONSISTENCY_CAP} points")
-    alive = list(sample.entries)
-    indices = _relevant_indices(sample)
-    while alive:
-        labels = {label for _, label, _ in alive}
-        if len(labels) == 1:
-            return True
-        progressed = False
-        for j in indices:
-            for want_zero in (True, False):
-                hit = [label for point, label, _ in alive
-                       if (j in point.zeros) == want_zero]
-                if hit and len(set(hit)) == 1:
-                    alive = [(p, l, w) for p, l, w in alive
-                             if (j in p.zeros) != want_zero]
-                    progressed = True
-                    break
-            if progressed:
-                break
-        if not progressed:
-            return False
-    return True
+    return not _dlist_core(_columns(sample), len(sample.entries), _ones(sample))
+
+
+def ltf_consistent(sample: LabeledSample) -> bool:
+    """Whether some linear threshold function fits every labeled point
+    (exact margin program, see _ltf_core)."""
+    if len(sample.entries) > _CONSISTENCY_CAP:
+        raise SizeCapError(f"consistency check capped at {_CONSISTENCY_CAP} points")
+    return not _ltf_core(_ltf_columns(sample), len(sample.entries),
+                         _ones(sample))
+
+
+def _min_flip_weight(sample: LabeledSample, columns, core,
+                     return_witness: bool = False):
+    """The first flip set in (flipped weight, popcount, mask) order whose
+    relabeled sample fits the class, with the flipped points as witness.
+
+    core(columns, m, ones) is 0 when the labels `ones` fit, and otherwise a
+    set C of positions whose labels alone no class member fits. A member
+    fitting a sample fits every sub-sample, so every later flip set F with
+    F & C equal to the checked set's is skipped unchecked. Skipping every F
+    that misses C would be unsound: C fails under the labels the checked set
+    gave it, and such an F gives C its original labels.
+    """
+    m = len(sample.entries)
+    weights = [w for _, _, w in sample.entries]
+    denom = lcm(*(w.denominator for w in weights))
+    nums = [w.numerator * (denom // w.denominator) for w in weights]
+    sums = [0] * (1 << m)
+    for mask in range(1, 1 << m):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + nums[low.bit_length() - 1]
+    ones = _ones(sample)
+    cores = {}  # core C -> every F & C under which C was found
+    for flips in sorted(range(1 << m),
+                        key=lambda f: (sums[f], f.bit_count(), f)):
+        if any(flips & c in seen for c, seen in cores.items()):
+            continue
+        found = core(columns, m, ones ^ flips)
+        if found:
+            cores.setdefault(found, set()).add(flips & found)
+            continue
+        flipped = Fraction(sums[flips], denom)
+        if return_witness:
+            return flipped, tuple(sample.entries[i][0] for i in range(m)
+                                  if (flips >> i) & 1)
+        return flipped
+    raise AssertionError("flipping to a constant labeling always fits")
 
 
 def exact_distance_dlist(f: FunctionSpec, dist: FiniteDistribution,
                          return_witness: bool = False):
     """Distance from f to decision lists, measured under dist.
 
-    Searches label-flip subsets in order of increasing flipped weight and
-    returns the first whose relabeled sample is list-consistent. With
-    return_witness, also returns the flipped points.
+    The lightest relabeling the greedy check accepts; with return_witness,
+    also returns the flipped points.
     """
     sample = LabeledSample.from_function(f, dist)
-    m = len(sample.entries)
-    if m > _DLIST_CAP:
+    if len(sample.entries) > _DLIST_CAP:
         raise SizeCapError(f"support capped at {_DLIST_CAP} points")
-    return _min_flip_weight(sample, dlist_consistent, return_witness)
-
-
-def _min_flip_weight(sample: LabeledSample, consistent,
-                     return_witness: bool = False):
-    m = len(sample.entries)
-    weights = [w for _, _, w in sample.entries]
-    subsets = []
-    for mask in range(1 << m):
-        flipped = sum((weights[i] for i in range(m) if (mask >> i) & 1),
-                      Fraction(0))
-        subsets.append((flipped, bin(mask).count("1"), mask))
-    subsets.sort()
-    for flipped, _, mask in subsets:
-        entries = tuple(
-            (p, label ^ ((mask >> i) & 1), w)
-            for i, (p, label, w) in enumerate(sample.entries))
-        if consistent(LabeledSample(sample.n, entries)):
-            if return_witness:
-                points = tuple(sample.entries[i][0] for i in range(m)
-                               if (mask >> i) & 1)
-                return flipped, points
-            return flipped
-    raise AssertionError("flipping every label always yields consistency")
-
-
-def _simplex_max_delta(rows, num_vars) -> Fraction:
-    """Maximize delta subject to rows of (coeffs, bound) meaning
-    coeffs . vars <= bound, vars >= 0, with delta the last variable.
-    All bounds are nonnegative so the all-slack basis is feasible."""
-    m = len(rows)
-    total = num_vars + m
-    tableau = []
-    for r, (coeffs, bound) in enumerate(rows):
-        row = [Fraction(c) for c in coeffs] + [Fraction(0)] * m + [Fraction(bound)]
-        row[num_vars + r] = Fraction(1)
-        tableau.append(row)
-    objective = [Fraction(0)] * (total + 1)
-    objective[num_vars - 1] = Fraction(-1)
-    basis = [num_vars + r for r in range(m)]
-    while True:
-        pivot_col = None
-        for j in range(total):
-            if objective[j] < 0:
-                pivot_col = j
-                break
-        if pivot_col is None:
-            break
-        pivot_row = None
-        best = None
-        for r in range(m):
-            a = tableau[r][pivot_col]
-            if a > 0:
-                ratio = tableau[r][total] / a
-                if best is None or ratio < best or (
-                        ratio == best and basis[r] < basis[pivot_row]):
-                    best = ratio
-                    pivot_row = r
-        if pivot_row is None:
-            raise AssertionError("objective is bounded by construction")
-        piv = tableau[pivot_row][pivot_col]
-        tableau[pivot_row] = [v / piv for v in tableau[pivot_row]]
-        for r in range(m):
-            if r != pivot_row and tableau[r][pivot_col] != 0:
-                factor = tableau[r][pivot_col]
-                tableau[r] = [v - factor * p
-                              for v, p in zip(tableau[r], tableau[pivot_row])]
-        if objective[pivot_col] != 0:
-            factor = objective[pivot_col]
-            objective = [v - factor * p
-                         for v, p in zip(objective, tableau[pivot_row])]
-        basis[pivot_row] = pivot_col
-    # rhs slot holds -z* for the minimization of -delta, i.e. max delta
-    return objective[total]
-
-
-def ltf_consistent(sample: LabeledSample) -> bool:
-    """Whether some linear threshold function fits every labeled point.
-
-    Separability is scale-invariant, so it holds iff the margin program
-    max delta s.t. w.x >= theta + delta on 1-points, w.x <= theta - 0 and
-    slack delta on 0-points, delta <= 1, has a positive optimum. Weights and
-    threshold are split into nonnegative parts and only indices that are
-    zero somewhere in the sample matter: any other coordinate is 1 on every
-    point and folds into the threshold.
-    """
-    if len(sample.entries) > _CONSISTENCY_CAP:
-        raise SizeCapError(f"consistency check capped at {_CONSISTENCY_CAP} points")
-    if sample.n > _CONSISTENCY_CAP:
-        raise SizeCapError(f"dimension capped at {_CONSISTENCY_CAP}")
-    indices = _relevant_indices(sample)
-    k = len(indices)
-    # variables: w+ (k), w- (k), theta+, theta-, delta
-    num_vars = 2 * k + 3
-    rows = []
-    for point, label, _ in sample.entries:
-        x = [0 if j in point.zeros else 1 for j in indices]
-        wx = x + [-v for v in x]
-        if label == 1:
-            # w.x >= theta + delta
-            coeffs = [-v for v in wx] + [1, -1, 1]
-        else:
-            # w.x <= theta - delta
-            coeffs = wx + [-1, 1, 1]
-        rows.append((coeffs, Fraction(0)))
-    delta_cap = [0] * (num_vars - 1) + [1]
-    rows.append((delta_cap, Fraction(1)))
-    return _simplex_max_delta(rows, num_vars) > 0
+    return _min_flip_weight(sample, _columns(sample), _dlist_core,
+                            return_witness)
 
 
 def exact_distance_ltf(f: FunctionSpec, dist: FiniteDistribution,
                        return_witness: bool = False):
     """Distance from f to linear threshold functions, measured under dist.
 
-    With return_witness, also returns the flipped points.
+    The lightest relabeling the margin program separates; with
+    return_witness, also returns the flipped points.
     """
     sample = LabeledSample.from_function(f, dist)
     if len(sample.entries) > _LTF_CAP:
         raise SizeCapError(f"support capped at {_LTF_CAP} points")
-    return _min_flip_weight(sample, ltf_consistent, return_witness)
+    return _min_flip_weight(sample, _ltf_columns(sample), _ltf_core,
+                            return_witness)

@@ -15,6 +15,7 @@ from math import comb
 from subcube import (
     FiniteDistribution,
     GeneralConj,
+    LabeledSample,
     LinearThreshold,
     MonotoneConj,
     ZeroSet,
@@ -255,3 +256,129 @@ def reference_mconj_tester(oracle, sampler, p, rng):
         if oracle.query_set(frozenset(b[q] for q in pos) | {alpha}) == 1:
             return result(False, "step-2.2")
     return result(True, "end-of-stage-2")
+
+
+def _reference_relevant_indices(sample):
+    idx = set()
+    for point, _, _ in sample.entries:
+        idx |= point.zeros
+    return sorted(idx)
+
+
+def _reference_dlist_fits(sample):
+    """Greedy elimination over literal indices, one full pass per check."""
+    alive = list(sample.entries)
+    indices = _reference_relevant_indices(sample)
+    while alive:
+        labels = {label for _, label, _ in alive}
+        if len(labels) == 1:
+            return True
+        progressed = False
+        for j in indices:
+            for want_zero in (True, False):
+                hit = [label for point, label, _ in alive
+                       if (j in point.zeros) == want_zero]
+                if hit and len(set(hit)) == 1:
+                    alive = [(p, l, w) for p, l, w in alive
+                             if (j in p.zeros) != want_zero]
+                    progressed = True
+                    break
+            if progressed:
+                break
+        if not progressed:
+            return False
+    return True
+
+
+def _reference_simplex_max_delta(rows, num_vars):
+    """Maximize delta subject to rows of (coeffs, bound) meaning
+    coeffs . vars <= bound, vars >= 0, with delta the last variable, by a
+    Fraction tableau with Bland's rule from the all-slack basis."""
+    m = len(rows)
+    total = num_vars + m
+    tableau = []
+    for r, (coeffs, bound) in enumerate(rows):
+        row = [Fraction(c) for c in coeffs] + [Fraction(0)] * m + [Fraction(bound)]
+        row[num_vars + r] = Fraction(1)
+        tableau.append(row)
+    objective = [Fraction(0)] * (total + 1)
+    objective[num_vars - 1] = Fraction(-1)
+    basis = [num_vars + r for r in range(m)]
+    while True:
+        pivot_col = None
+        for j in range(total):
+            if objective[j] < 0:
+                pivot_col = j
+                break
+        if pivot_col is None:
+            break
+        pivot_row = None
+        best = None
+        for r in range(m):
+            a = tableau[r][pivot_col]
+            if a > 0:
+                ratio = tableau[r][total] / a
+                if best is None or ratio < best or (
+                        ratio == best and basis[r] < basis[pivot_row]):
+                    best = ratio
+                    pivot_row = r
+        if pivot_row is None:
+            raise AssertionError("objective is bounded by construction")
+        piv = tableau[pivot_row][pivot_col]
+        tableau[pivot_row] = [v / piv for v in tableau[pivot_row]]
+        for r in range(m):
+            if r != pivot_row and tableau[r][pivot_col] != 0:
+                factor = tableau[r][pivot_col]
+                tableau[r] = [v - factor * p
+                              for v, p in zip(tableau[r], tableau[pivot_row])]
+        if objective[pivot_col] != 0:
+            factor = objective[pivot_col]
+            objective = [v - factor * p
+                         for v, p in zip(objective, tableau[pivot_row])]
+        basis[pivot_row] = pivot_col
+    return objective[total]
+
+
+def _reference_ltf_fits(sample):
+    """Margin program over every coordinate that is zero somewhere: w+, w-
+    per coordinate, theta+, theta-, delta; separable iff max delta > 0."""
+    indices = _reference_relevant_indices(sample)
+    k = len(indices)
+    num_vars = 2 * k + 3
+    rows = []
+    for point, label, _ in sample.entries:
+        x = [0 if j in point.zeros else 1 for j in indices]
+        wx = x + [-v for v in x]
+        if label == 1:
+            coeffs = [-v for v in wx] + [1, -1, 1]
+        else:
+            coeffs = wx + [-1, 1, 1]
+        rows.append((coeffs, Fraction(0)))
+    delta_cap = [0] * (num_vars - 1) + [1]
+    rows.append((delta_cap, Fraction(1)))
+    return _reference_simplex_max_delta(rows, num_vars) > 0
+
+
+def reference_flip_search(sample, kind):
+    """The flip search as first written, kept as the oracle for the
+    core-guided one: every flip set in (flipped weight, popcount, mask)
+    order, one relabeled LabeledSample and one full check per set, until a
+    decision list (kind "dlist") or threshold function (kind "ltf") fits.
+    Returns (distance, flipped points)."""
+    fits = {"dlist": _reference_dlist_fits, "ltf": _reference_ltf_fits}[kind]
+    m = len(sample.entries)
+    weights = [w for _, _, w in sample.entries]
+    subsets = []
+    for mask in range(1 << m):
+        flipped = sum((weights[i] for i in range(m) if (mask >> i) & 1),
+                      Fraction(0))
+        subsets.append((flipped, bin(mask).count("1"), mask))
+    subsets.sort()
+    for flipped, _, mask in subsets:
+        entries = tuple(
+            (p, label ^ ((mask >> i) & 1), w)
+            for i, (p, label, w) in enumerate(sample.entries))
+        if fits(LabeledSample(sample.n, entries)):
+            return flipped, tuple(sample.entries[i][0] for i in range(m)
+                                  if (mask >> i) & 1)
+    raise AssertionError("flipping to a constant labeling always fits")

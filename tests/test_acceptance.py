@@ -333,7 +333,7 @@ def test_criterion_08_ltf_farness():
     yes-ltf draws carry the b=1, a=c=ones=0 label pattern."""
     params = LBParams(n=60, h=4, r_blocks=7, m=3, s=1, blocks_per_side=2)
     rng = RandomStream(808)
-    for i in range(scaled(5, 200)):
+    for i in range(scaled(50, 200)):
         inst = generate_instance(params, "no-ltf", rng.split("no", i))
         f = inst.function
         for j in range(params.m):

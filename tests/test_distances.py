@@ -3,13 +3,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import subcube.cli as cli
+import subcube.distances as distances
 from subcube import (
     DecisionList,
     FiniteDistribution,
     Flipped,
     GeneralConj,
     LabeledSample,
+    LBParams,
     LinearThreshold,
     MonotoneConj,
     RandomStream,
@@ -21,9 +25,12 @@ from subcube import (
     exact_distance_dlist,
     exact_distance_ltf,
     exact_distance_mconj,
+    generate_instance,
     ltf_consistent,
     mconj_consistent,
+    save_instance,
 )
+from subcube.adversarial import LBNoFunction
 from helpers import (
     brute_distance,
     brute_flip_distance,
@@ -32,6 +39,7 @@ from helpers import (
     ltf_tables,
     mconj_tables,
     rand_dist,
+    reference_flip_search,
     table_error,
     table_of,
     zs,
@@ -329,3 +337,144 @@ def test_support_caps():
         exact_distance_dlist(f, mid)
     with pytest.raises(SizeCapError):
         exact_distance_ltf(f, mid)
+
+
+# -- core-guided flip search --------------------------------------------------
+
+
+NO60 = LBParams(n=60, h=4, r_blocks=6, m=3, s=1, blocks_per_side=1)
+NOLTF60 = LBParams(n=60, h=4, r_blocks=7, m=3, s=1, blocks_per_side=2)
+SEARCHES = (("dlist", exact_distance_dlist), ("ltf", exact_distance_ltf))
+
+
+def assert_matches_reference(f, dist):
+    sample = labeled(f, dist)
+    for kind, search in SEARCHES:
+        assert search(f, dist, return_witness=True) == \
+            reference_flip_search(sample, kind), kind
+
+
+@st.composite
+def rational_instances(draw):
+    """A random truth table and distribution, n <= 6, support <= 10; huge
+    numerators make the weight denominators exceed 2^64."""
+    n = draw(st.integers(1, 6))
+    inputs = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                           max_size=min(10, 1 << n), unique=True))
+    top = draw(st.sampled_from((9, 1 << 70)))
+    nums = draw(st.lists(st.integers(1, top), min_size=len(inputs),
+                         max_size=len(inputs)))
+    points = [zs(n, *(i for i in range(1, n + 1) if not (k >> (i - 1)) & 1))
+              for k in inputs]
+    dist = FiniteDistribution(n, tuple(
+        (p, Fraction(v, sum(nums))) for p, v in zip(points, nums)))
+    return TruthTable(n, draw(st.integers(0, (1 << (1 << n)) - 1))), dist
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_instances())
+def test_flip_searches_match_reference_on_random_rationals(instance):
+    assert_matches_reference(*instance)
+
+
+@pytest.mark.parametrize("variant,params", (("no", NO60),
+                                            ("no-ltf", NOLTF60)))
+def test_flip_searches_match_reference_on_hard_instances(variant, params):
+    inst = generate_instance(params, variant, RandomStream(1010).split(variant))
+    assert_matches_reference(inst.function, inst.distribution)
+
+
+def test_flip_sets_missing_a_core_are_still_checked():
+    # the lightest fit flips {x2 = x3 = 0}; a search that skips every flip
+    # set missing some core (cores found under other flips) returns 3/14
+    f = TruthTable(3, 0b111001)
+    dist = FiniteDistribution(3, tuple((zs(3, *z), Fraction(w, 14)) for z, w in (
+        ((1, 2, 3), 1), ((1,), 3), ((), 1), ((1, 2), 2), ((2, 3), 2),
+        ((2,), 2), ((3,), 3))))
+    assert exact_distance_ltf(f, dist, return_witness=True) == \
+        (Fraction(1, 7), (zs(3, 2, 3),))
+    assert brute_distance(sample_entries(f, dist), 3, ltf_tables(3)) == \
+        Fraction(1, 7)
+    assert_matches_reference(f, dist)
+
+
+def record_cores(monkeypatch, name):
+    """Wrap distances.<name> so every call logs (labels, returned core)."""
+    log = []
+    check = getattr(distances, name)
+
+    def logged(columns, m, ones):
+        log.append((ones, check(columns, m, ones)))
+        return log[-1][1]
+
+    monkeypatch.setattr(distances, name, logged)
+    return log
+
+
+@pytest.mark.parametrize("kind,search,fits", (
+    ("dlist", exact_distance_dlist, dlist_consistent),
+    ("ltf", exact_distance_ltf, ltf_consistent)))
+def test_every_recorded_core_is_inconsistent_on_its_own(
+        monkeypatch, kind, search, fits):
+    rng = RandomStream(1011)
+    cases = [(f"t{t}", TruthTable(4, rng.split(t).randrange(1 << 16)),
+              rand_dist(rng.split(t, "dist"), 4, 9)) for t in range(12)]
+    inst = generate_instance(NOLTF60, "no-ltf", rng.split("no-ltf"))
+    cases.append(("no-ltf", inst.function, inst.distribution))
+    checked = 0
+    for name, f, dist in cases:
+        sample = labeled(f, dist)
+        log = record_cores(monkeypatch, f"_{kind}_core")
+        search(f, dist)
+        monkeypatch.undo()
+        assert log and log[-1][1] == 0, name  # the search ends on a fit
+        for ones, core in log[:-1]:
+            sub = tuple((p, (ones >> i) & 1, w)
+                        for i, (p, _, w) in enumerate(sample.entries)
+                        if (core >> i) & 1)
+            assert not fits(LabeledSample(sample.n, sub)), name
+            if kind == "dlist":
+                assert not dlist_realizable(
+                    sample.n, [(p.zeros, lab) for p, lab, _ in sub]), name
+            checked += 1
+    assert checked > 10
+
+
+def test_ltf_search_on_a_hard_instance_runs_few_programs(monkeypatch):
+    inst = generate_instance(NOLTF60, "no-ltf", RandomStream(1012))
+    log = record_cores(monkeypatch, "_ltf_core")
+    assert exact_distance_ltf(inst.function, inst.distribution) >= \
+        Fraction(1, 4)
+    assert len(log) < 10
+
+
+def test_wide_inputs_are_capped_by_distinct_columns(tmp_path, capsys):
+    # XOR of x1 and x2 on the square {x1, x2} x {1}^98, written with
+    # serializable specs: on that square the hidden-block function is 1 at
+    # zero sets {} and {1, 2} only, and flipping x1 turns that into XOR
+    face = ((), (1,), (2,), (1, 2))
+    dist = FiniteDistribution(100, tuple(
+        (zs(100, *z), Fraction(1, 4)) for z in face))
+    xnor = LBNoFunction(100, frozenset(range(1, 5)), (1, 2),
+                        ((frozenset({2}),), (frozenset({1}),)),
+                        ((frozenset({3}),), (frozenset({4}),)), 0)
+    xor = Flipped(xnor, frozenset({1}))
+    small = FiniteDistribution(2, tuple(
+        (zs(2, *z), Fraction(1, 4)) for z in face))
+    assert [xor.value_at(frozenset(z)) for z in face] == [0, 1, 1, 0]
+    for _, search in SEARCHES:
+        assert search(xor, dist) == search(TruthTable(2, 0b0110), small) \
+            == Fraction(1, 4)
+    path = tmp_path / "xor100.json"
+    save_instance(path, 100, xor, dist)
+    capsys.readouterr()
+    for klass in ("dlist", "ltf"):
+        assert cli.main(["distance", "--instance", str(path),
+                         "--class", klass]) == 0
+        assert capsys.readouterr().out.strip() == "1/4"
+    # eight points on which coordinates 1..70 have 70 distinct zero patterns
+    wide = LabeledSample(100, tuple(
+        (zs(100, *(j for j in range(1, 71) if (j >> r) & 1)), r % 2,
+         Fraction(1, 8)) for r in range(8)))
+    with pytest.raises(SizeCapError, match="columns"):
+        ltf_consistent(wide)
