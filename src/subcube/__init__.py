@@ -13,8 +13,6 @@ from .adversarial import (
     LBParams,
     desk_params,
     generate_instance,
-    is_i_special,
-    ltf_potential,
     paper_params,
     simulate_p,
     strong_sample,
@@ -22,14 +20,12 @@ from .adversarial import (
 )
 from .distances import (
     LabeledSample,
-    conj_consistent,
     dlist_consistent,
     exact_distance_conj,
     exact_distance_dlist,
     exact_distance_ltf,
     exact_distance_mconj,
     ltf_consistent,
-    mconj_consistent,
 )
 from .harness import (
     ExperimentConfig,

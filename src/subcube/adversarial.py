@@ -7,6 +7,11 @@ ZERO(c^i). The yes variants are genuine monotone conjunctions (or threshold
 functions); the no variants flip the labels of the a-strings via a
 block-counting specialness rule, which makes them far from the class while
 looking identical to samplers that never see inside a C-set.
+
+The lower bound's simulated world has two parts here: strong_sample, the
+oracle that reveals C_k and its special index alpha_k with every draw of
+c^k, and simulate_p, the response bit computed from (R, Gamma) alone. The
+harness joins them into one world.
 """
 
 from __future__ import annotations
@@ -31,17 +36,14 @@ from .tester import _ceil_cuberoot
 __all__ = [
     "LBParams",
     "LBInstance",
-    "StrongSample",
     "LBNoFunction",
     "LBNoStarFunction",
     "paper_params",
     "desk_params",
     "generate_instance",
     "validate_instance",
-    "is_i_special",
     "strong_sample",
     "simulate_p",
-    "ltf_potential",
     "VARIANTS",
 ]
 
@@ -163,13 +165,6 @@ def _count_special(zeros: frozenset, a_blocks, b_blocks, s: int) -> bool:
     return hit_b >= need
 
 
-def _potential(n: int, R: frozenset, zeros: frozenset, term: int) -> int:
-    """10 n^2 (#ones outside R) + 5 n term - #ones: the form the u, v and phi
-    potentials share; they differ only in term."""
-    ones_out = (n - len(R)) - len(zeros - R)
-    return 10 * n * n * ones_out + 5 * n * term - (n - len(zeros))
-
-
 @dataclass(frozen=True)
 class _HiddenBlocks(FunctionSpec):
     """The hidden structure the no-variant functions are built on."""
@@ -207,8 +202,10 @@ class _HiddenBlocks(FunctionSpec):
         """The v-potential: 10 n^2 (#ones outside R) + 5 n (|J(x)| + #{i not
         in J(x) with x_{alpha_i} = 1}) - #ones, where J(x) collects the i for
         which x is i-special; the middle count is m minus the unmet i."""
+        n = self.n
+        ones_out = (n - len(self.R)) - len(zeros - self.R)
         term = len(self.alpha) - len(self._unmet(zeros))
-        return _potential(self.n, self.R, zeros, term)
+        return 10 * n * n * ones_out + 5 * n * term - (n - len(zeros))
 
 
 @dataclass(frozen=True)
@@ -238,23 +235,6 @@ class LBNoStarFunction(_HiddenBlocks):
 
     def value_at(self, zeros: frozenset) -> int:
         return 1 if self.potential(zeros) >= self.threshold else 0
-
-
-@dataclass(frozen=True)
-class StrongSample:
-    """One draw from the strong sampling oracle.
-
-    For a c-string the oracle reveals the whole C-set along with its special
-    index gamma; every other draw is reported as its zero set with gamma nil.
-    """
-
-    d_set: frozenset
-    gamma: Optional[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "d_set", frozenset(self.d_set))
-        if self.gamma is not None and self.gamma not in self.d_set:
-            raise ValueError("gamma must lie in the revealed set")
 
 
 @dataclass(frozen=True)
@@ -301,71 +281,36 @@ class LBInstance:
         return ZeroSet(self.n, self.C_sets[i - 1])
 
 
-def is_i_special(x: ZeroSet, inst: LBInstance, i: int) -> bool:
-    """Whether x is i-special for triple i (1-based) of the instance.
+def simulate_p(zeros: frozenset, R: frozenset, gamma_set) -> int:
+    """The no-black-box response bit for the query with zero set zeros,
+    against (R, Gamma).
 
-    True when at least ceil(3/4 * blocks_per_side) of the A_i blocks have
-    more than s zero coordinates in x and as many B_i blocks have at most s.
+    0 iff the query has a zero outside R or a zero in Gamma; 1 otherwise. On
+    a no instance with Gamma holding the special indices of all revealed
+    C-sets, a 0 answer is always truthful.
     """
-    if not 1 <= i <= inst.params.m:
-        raise ValueError(f"i must be in 1..{inst.params.m}")
-    a_blocks = tuple(inst.blocks[j] for j in inst.a_block_ids[i - 1])
-    b_blocks = tuple(inst.blocks[j] for j in inst.b_block_ids[i - 1])
-    return _count_special(x.zeros, a_blocks, b_blocks, inst.params.s)
-
-
-def simulate_p(z: ZeroSet, R: frozenset, gamma_set: frozenset) -> int:
-    """The no-black-box response bit for query z against (R, Gamma).
-
-    0 iff z has a zero outside R or a zero in Gamma; 1 otherwise. On a no
-    instance with Gamma holding the special indices of all revealed C-sets,
-    a 0 answer is always truthful.
-    """
-    zeros = z.zeros
-    return 1 if zeros <= frozenset(R) and zeros.isdisjoint(gamma_set) else 0
+    return 1 if zeros <= R and zeros.isdisjoint(gamma_set) else 0
 
 
 def strong_sample(inst: LBInstance, rng: RandomStream,
-                  transcript: QueryTranscript) -> StrongSample:
+                  transcript: QueryTranscript) -> tuple[ZeroSet, Optional[int]]:
     """One draw from the strong sampling oracle of an instance, charged to
     transcript, which raises BudgetExceeded before drawing when it is at
     its limit.
 
-    A c-string comes back as (C_k, alpha_k); anything else as (ZERO(x), nil),
-    the all-ones point in particular as (empty set, nil).
+    Returns (point, gamma): the distribution's own support point, and for a
+    c-string, whose zero set is C_k, its special index alpha_k; gamma is
+    None for every other point.
     """
     transcript.take_samples(1)
     dist = inst.distribution
     idx = dist.index_from_uniform(rng.randrange(dist.denominator))
     kind, i = inst.support_kinds[idx]
-    if kind == "c":
-        result = StrongSample(inst.C_sets[i - 1], inst.alpha[i - 1])
-    else:
-        result = StrongSample(dist.entries[idx][0].zeros, None)
+    point = dist.entries[idx][0]
+    gamma = inst.alpha[i - 1] if kind == "c" else None
     if transcript.log_queries:
-        transcript.sample_log.append((result.d_set, result.gamma))
-    return result
-
-
-def ltf_potential(x: ZeroSet, inst: LBInstance, which: str,
-                  gamma_set: Optional[frozenset] = None) -> int:
-    """Exact integer potential of x: "u" (yes form), "v" (no form, via the
-    specialness rule), or "phi" (simulation form, needs the Gamma set)."""
-    zeros = x.zeros
-    if which == "v":
-        return _HiddenBlocks(inst.n, inst.R, inst.alpha,
-                             _blocks_of(inst.blocks, inst.a_block_ids),
-                             _blocks_of(inst.blocks, inst.b_block_ids),
-                             inst.params.s).potential(zeros)
-    if which == "u":
-        term = inst.params.m - sum(1 for a in inst.alpha if a in zeros)
-    elif which == "phi":
-        if gamma_set is None:
-            raise ValueError("phi needs the Gamma set")
-        term = inst.params.m - len(zeros & frozenset(gamma_set))
-    else:
-        raise ValueError(f"unknown potential {which!r}")
-    return _potential(inst.n, inst.R, zeros, term)
+        transcript.sample_log.append((point.zeros, gamma))
+    return point, gamma
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +427,7 @@ def validate_instance(inst: LBInstance) -> None:
 
     if inst.variant not in VARIANTS:
         fail("unknown variant")
-    if not inst.R <= frozenset(range(1, n + 1)):
+    if inst.R and not 1 <= min(inst.R) <= max(inst.R) <= n:
         fail("R not inside [n]")
     if len(inst.R) != h * rb + 2 * m:
         fail("R has the wrong size")

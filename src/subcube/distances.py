@@ -34,8 +34,6 @@ __all__ = [
     "exact_distance_conj",
     "exact_distance_dlist",
     "exact_distance_ltf",
-    "mconj_consistent",
-    "conj_consistent",
     "dlist_consistent",
     "ltf_consistent",
 ]
@@ -198,16 +196,6 @@ def exact_distance_conj(f: FunctionSpec, dist: FiniteDistribution,
         # only the constant 0 realizes this mask; encode it as x_1 and not x_1
         return err, GeneralConj(f.n, frozenset((1,)), frozenset((1,)))
     return err, GeneralConj(f.n, req_one, req_zero)
-
-
-def mconj_consistent(sample: LabeledSample) -> bool:
-    """Whether some monotone conjunction fits every labeled point."""
-    return _distance_mconj(sample)[0] == 0
-
-
-def conj_consistent(sample: LabeledSample) -> bool:
-    """Whether some conjunction fits every labeled point."""
-    return _distance_conj(sample)[0] == 0
 
 
 def _columns(sample: LabeledSample):

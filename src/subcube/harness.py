@@ -5,7 +5,9 @@ are reproducible regardless of worker scheduling. Each trial also owns one
 QueryTranscript, shared by all its oracles and amplification attempts: its
 counts are the trial's query counts, and its limit is the trial's budget.
 A budget overrun surfaces as a forced accept, which keeps every tester
-one-sided under any budget.
+one-sided under any budget. Distinguishing experiments also run each trial
+in the simulated world of its instance, one object that is both the
+trial's sampler and the function behind its black box.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .tester import (
     amplify,
     baseline_dolev_ron,
     ceil_log2,
-    compute_parameters,
     test_general_conjunction,
     test_monotone_conjunction,
 )
@@ -135,21 +136,14 @@ class TrialResult:
         return "accept" if self.accepted else "reject"
 
 
-def _tester_params_for(config: ExperimentConfig) -> Optional[TesterParams]:
-    if config.algo in ("mconj", "conj"):
-        return compute_parameters(config.n, config.epsilon)
-    return None
-
-
 def _run_one(config: ExperimentConfig, trial: int,
-             shared_params: Optional[TesterParams],
              rng: Optional[RandomStream] = None,
              sim: bool = False) -> TrialResult:
     """One trial on its own stream, by default split("trial", trial).
 
-    With sim set, the trial runs against the no-black-box responder of the
-    generated instance instead of its real oracles; the responder can only
-    drive the dolev-ron baseline.
+    With sim set, the trial runs in the simulated world of the generated
+    instance (_SimWorld) instead of against its real oracles; that world can
+    only drive the dolev-ron baseline.
     """
     if rng is None:
         rng = RandomStream(config.seed).split("trial", trial)
@@ -168,19 +162,18 @@ def _run_one(config: ExperimentConfig, trial: int,
         nonlocal attempts
         attempts += 1
         if sim:
-            gamma: set = set()
-            sampler = _SimSampler(inst, sub.split("samples"), tr, gamma)
-            oracle = BlackBox(_Responder(inst.n, inst.R, gamma), tr)
+            sampler = _SimWorld(inst, sub.split("samples"), tr)
+            oracle = BlackBox(sampler, tr)
         else:
             oracle = BlackBox(func, tr)
             sampler = Sampler(dist, func, tr, sub.split("samples"))
         tester_rng = sub.split("tester")
         if config.algo == "mconj":
             return test_monotone_conjunction(oracle, sampler, n, config.epsilon,
-                                             tester_rng, shared_params)
+                                             tester_rng)
         if config.algo == "conj":
             return test_general_conjunction(oracle, sampler, n, config.epsilon,
-                                            tester_rng, shared_params)
+                                            tester_rng)
         return baseline_dolev_ron(oracle, sampler, n, config.epsilon,
                                   num_samples=config.budget)
 
@@ -200,14 +193,13 @@ def _run_one(config: ExperimentConfig, trial: int,
 
 def run_trials(config: ExperimentConfig) -> list[TrialResult]:
     """Run the batch; results are ordered by trial id."""
-    shared = _tester_params_for(config)
     ids = range(config.trials)
     workers = worker_count()
     if workers <= 1 or config.trials <= 1:
-        return [_run_one(config, i, shared) for i in ids]
+        return [_run_one(config, i) for i in ids]
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda i: _run_one(config, i, shared), ids))
+        return list(pool.map(lambda i: _run_one(config, i), ids))
 
 
 def write_trials_csv(fh, results: list[TrialResult]) -> None:
@@ -276,41 +268,34 @@ def query_budget_report(results: list[TrialResult], params: TesterParams,
 # distinguishing experiments
 
 
-class _SimSampler:
-    """Sampling view of the no-black-box responder.
+class _SimWorld(FunctionSpec):
+    """The simulated world of a generated instance: the strong sampling
+    oracle and the no-black-box responder, sharing Gamma.
 
-    Draws go through the strong oracle; a revealed C-set adds its special
-    index to Gamma. Labels are the response bit at draw time, so they can
-    disagree with the hidden function exactly the way the responder's answers
-    do. draw() is all the pair-sampling baseline asks of a sampler.
+    value_at is the responder, p(z, R, Gamma). draw() takes one strong
+    sample, adds the special index of a revealed C-set to Gamma, and labels
+    the point with the response bit at draw time, so labels can disagree
+    with the hidden function exactly the way answers do. The same object
+    backs the trial's BlackBox and is its sampler: draw() is all the
+    pair-sampling baseline asks of one.
     """
 
     def __init__(self, inst: LBInstance, rng: RandomStream,
-                 transcript: QueryTranscript, gamma: set):
+                 transcript: QueryTranscript):
+        self.n = inst.n
         self.inst = inst
         self.rng = rng
         self.transcript = transcript
-        self.gamma = gamma
-
-    def draw(self) -> tuple[ZeroSet, int]:
-        ss = strong_sample(self.inst, self.rng, self.transcript)
-        if ss.gamma is not None:
-            self.gamma.add(ss.gamma)
-        point = ZeroSet(self.inst.n, ss.d_set)
-        return point, simulate_p(point, self.inst.R, self.gamma)
-
-
-@dataclass(frozen=True, eq=False)
-class _Responder(FunctionSpec):
-    """The no-black-box responder as a function: p(z, R, Gamma), where Gamma
-    is the set the sim sampler grows as draws reveal C-sets."""
-
-    n: int
-    R: frozenset
-    gamma: set
+        self.gamma: set = set()
 
     def value_at(self, zeros: frozenset) -> int:
-        return simulate_p(ZeroSet(self.n, zeros), self.R, self.gamma)
+        return simulate_p(zeros, self.inst.R, self.gamma)
+
+    def draw(self) -> tuple[ZeroSet, int]:
+        point, gamma = strong_sample(self.inst, self.rng, self.transcript)
+        if gamma is not None:
+            self.gamma.add(gamma)
+        return point, self.value_at(point.zeros)
 
 
 def distinguishing_experiment(algo: str, params: LBParams, yes_variant: str,
@@ -320,8 +305,8 @@ def distinguishing_experiment(algo: str, params: LBParams, yes_variant: str,
 
     For every budget q, every oracle is capped at q calls (budget overruns
     force an accept) and the dolev-ron algorithm is sized to draw exactly q
-    samples. The sim columns replay the same protocol against the
-    no-black-box responder, which answers queries from (R, Gamma) alone.
+    samples. The sim columns replay the same protocol in the simulated
+    world, whose responder answers queries from (R, Gamma) alone.
     They always run the dolev-ron baseline, whatever algo is: the primary
     tester's batch sampling does not interoperate with a responder whose
     answers depend on draw order.
@@ -333,7 +318,6 @@ def distinguishing_experiment(algo: str, params: LBParams, yes_variant: str,
     base = ExperimentConfig(algo=algo, epsilon=Fraction(epsilon),
                             trials=trials, seed=seed, amplify_k=amplify_k,
                             generator=(params, yes_variant))
-    shared = _tester_params_for(base)
     rows = []
     for q in budgets:
         rates = {}
@@ -345,7 +329,7 @@ def distinguishing_experiment(algo: str, params: LBParams, yes_variant: str,
                 accepted = 0
                 for i in range(trials):
                     rng = RandomStream(seed).split("exp", q, world, variant, i)
-                    accepted += _run_one(config, i, shared, rng,
+                    accepted += _run_one(config, i, rng,
                                          sim=world == "sim").accepted
                 rates[(world, variant)] = accepted / trials
         rows.append({

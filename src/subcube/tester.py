@@ -258,13 +258,9 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
             i = b_arr[int(positions[j])]
             if oracle.query_set(frozenset((i,))) == 0:
                 return verdict(False, "step-1.1")
-        k_sub = min(p.r, len(b_arr))
         for _ in range(p.s):
-            if k_sub == len(b_arr):
-                z = frozenset(b_arr)
-            else:
-                pos = step_rng.subset_positions(len(b_arr), k_sub)
-                z = frozenset(b_arr[q] for q in pos)
+            pos = step_rng.subset_positions(len(b_arr), p.r)
+            z = frozenset(b_arr[q] for q in pos)
             if oracle.query_set(z) == 0:
                 return verdict(False, "step-1.2")
 
@@ -279,12 +275,8 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
         alpha = reps[first0]
         if alpha in b_set:
             return verdict(False, "step-2.1")
-        k_sub = min(p.r - 1, len(b_arr))
-        if k_sub == len(b_arr):
-            pset = frozenset(b_arr) | {alpha}
-        else:
-            pos = step_rng.subset_positions(len(b_arr), k_sub)
-            pset = frozenset(b_arr[q] for q in pos) | {alpha}
+        pos = step_rng.subset_positions(len(b_arr), p.r - 1)
+        pset = frozenset(b_arr[q] for q in pos) | {alpha}
         if oracle.query_set(pset) == 1:
             return verdict(False, "step-2.2")
 

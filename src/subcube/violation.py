@@ -82,10 +82,7 @@ class ViolationGraph:
 
     def graph_weight(self) -> Fraction:
         """Total edge weight, each edge weighted by its left endpoint."""
-        deg = [0] * len(self.left)
-        for li, _ in self.edges:
-            deg[li] += 1
-        return sum((w * deg[i] for i, (_, w) in enumerate(self.left)), Fraction(0))
+        return sum((self.left[li][1] for li, _ in self.edges), Fraction(0))
 
 
 @dataclass(frozen=True)

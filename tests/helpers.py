@@ -2,15 +2,17 @@
 
 Everything here is deliberately naive: distances enumerate whole function
 classes as truth tables, covers enumerate vertex subsets, decision-list
-consistency backtracks over literals. The package's closed-form answers are
-checked against these, so nothing below may import from the modules under
-test beyond the basic data types.
+consistency backtracks over literals, conjunction consistency builds the
+most specific conjunction, and the hidden-instance rules count zeros block
+by block from an instance's public fields. The package's closed-form
+answers are checked against these, so nothing below may import from the
+modules under test beyond the basic data types.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb
+from math import ceil, comb
 
 from subcube import (
     FiniteDistribution,
@@ -108,6 +110,30 @@ def dlist_realizable(n, items):
             if dlist_realizable(n, rest):
                 return True
     return False
+
+
+def _most_specific_fits(sample, literals):
+    """Whether the conjunction of every literal that all 1-points satisfy
+    is 0 on every 0-point. It is the most specific conjunction over
+    `literals` that is 1 on the 1-points, so some conjunction over them
+    fits the sample iff this one does."""
+    ones = [p.zeros for p, label, _ in sample.entries if label == 1]
+    kept = [lit for lit in literals if all(fires(lit, z) for z in ones)]
+    return all(not all(fires(lit, p.zeros) for lit in kept)
+               for p, label, _ in sample.entries if label == 0)
+
+
+def mconj_consistent(sample):
+    """Whether some monotone conjunction fits every labeled point."""
+    return _most_specific_fits(sample, range(1, sample.n + 1))
+
+
+def conj_consistent(sample):
+    """Whether some conjunction fits every labeled point. Both literals of
+    a coordinate together make the constant 0, which fits when no point is
+    labeled 1."""
+    return _most_specific_fits(
+        sample, [lit for i in range(1, sample.n + 1) for lit in (i, -i)])
 
 
 def brute_flip_distance(entries, consistent):
@@ -382,3 +408,37 @@ def reference_flip_search(sample, kind):
             return flipped, tuple(sample.entries[i][0] for i in range(m)
                                   if (mask >> i) & 1)
     raise AssertionError("flipping to a constant labeling always fits")
+
+
+def is_i_special(x, inst, i):
+    """Whether x is i-special for triple i (1-based) of a hidden-block
+    instance: at least ceil(3/4 * blocks_per_side) of the blocks on A_i's
+    side have more than s zero coordinates in x, and at least as many on
+    B_i's side have at most s."""
+    s = inst.params.s
+    need = ceil(Fraction(3 * inst.params.blocks_per_side, 4))
+    heavy_a = [j for j in inst.a_block_ids[i - 1]
+               if len(inst.blocks[j] & x.zeros) > s]
+    light_b = [j for j in inst.b_block_ids[i - 1]
+               if len(inst.blocks[j] & x.zeros) <= s]
+    return len(heavy_a) >= need and len(light_b) >= need
+
+
+def ltf_potential(x, inst, which, gamma_set=frozenset()):
+    """Exact integer potential of x on a hidden-block instance:
+    10 n^2 (#ones outside R) + 5 n term - #ones, where term counts the i in
+    1..m that are "credited": for "u" (the yes form) when x_{alpha_i} = 1,
+    for "v" (the no form) also when x is i-special, and for "phi" (the
+    simulation form) when alpha_i is not a zero of x inside gamma_set."""
+    n, zeros = inst.n, x.zeros
+    ones_outside_r = sum(1 for k in range(1, n + 1)
+                         if k not in inst.R and k not in zeros)
+    term = 0
+    for i, a in enumerate(inst.alpha, start=1):
+        if which == "u":
+            term += a not in zeros
+        elif which == "v":
+            term += a not in zeros or is_i_special(x, inst, i)
+        else:
+            term += not (a in zeros and a in gamma_set)
+    return 10 * n * n * ones_outside_r + 5 * n * term - (n - len(zeros))

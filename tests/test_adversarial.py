@@ -1,6 +1,7 @@
 """Hidden-block instance generators and their oracles."""
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subcube import (
+    BlackBox,
     BudgetExceeded,
     InfeasibleParameters,
     LBParams,
@@ -18,13 +20,13 @@ from subcube import (
     ZeroSet,
     desk_params,
     generate_instance,
-    is_i_special,
-    ltf_potential,
     paper_params,
     simulate_p,
     strong_sample,
     validate_instance,
 )
+from subcube.harness import _SimWorld
+from helpers import is_i_special, ltf_potential
 
 SMALL = LBParams(n=60, h=4, r_blocks=7, m=3, s=1, blocks_per_side=2)
 
@@ -154,6 +156,19 @@ def test_desk_scale_instance():
     assert len(inst.distribution.entries) == 3 * 256
 
 
+def test_validation_is_sized_by_the_structure_not_by_n():
+    # |R| = 12 at n = 2,000,000: checking R against [n] must not build [n]
+    params = LBParams(n=2_000_000, h=2, r_blocks=4, m=2, s=1, blocks_per_side=1)
+    tracemalloc.start()
+    try:
+        inst = generate_instance(params, "no", RandomStream(36))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(inst.R) == 12
+    assert peak < 10 * 2**20
+
+
 def test_validation_catches_corruption():
     inst = gen("no", seed=18)
     bad_alpha = (inst.alpha[0],) + inst.alpha[:-1]  # duplicate index
@@ -168,6 +183,9 @@ def test_validation_catches_corruption():
     with pytest.raises(ValueError):
         validate_instance(dataclasses.replace(
             inst, function=MonotoneConj(inst.n, frozenset())))
+    for stray in (0, inst.n + 1):
+        with pytest.raises(ValueError, match="R not inside"):
+            validate_instance(dataclasses.replace(inst, R=inst.R | {stray}))
 
 
 # -- specialness --------------------------------------------------------------
@@ -189,8 +207,6 @@ def test_no_function_demands_specialness_per_alpha():
     assert f.value_at(frozenset({alpha_1})) == 0
     outside = max(frozenset(range(1, inst.n + 1)) - inst.R)
     assert f.value_at(frozenset({outside})) == 0
-    with pytest.raises(ValueError):
-        is_i_special(inst.point_a(1), inst, 0)
 
 
 # -- the simulated responder --------------------------------------------------
@@ -198,15 +214,39 @@ def test_no_function_demands_specialness_per_alpha():
 
 def test_simulate_p_rules():
     inst = gen("no", seed=21)
-    inside = ZeroSet(inst.n, frozenset({min(inst.R_prime)}))
+    inside = frozenset({min(inst.R_prime)})
     assert simulate_p(inside, inst.R, frozenset()) == 1
-    outside_coord = max(frozenset(range(1, inst.n + 1)) - inst.R)
-    outside = ZeroSet(inst.n, frozenset({outside_coord}))
+    outside = frozenset({max(frozenset(range(1, inst.n + 1)) - inst.R)})
     assert simulate_p(outside, inst.R, frozenset()) == 0
     gamma = frozenset({inst.alpha[0]})
-    hit = ZeroSet(inst.n, frozenset({inst.alpha[0], min(inst.R_prime)}))
+    hit = frozenset({inst.alpha[0], min(inst.R_prime)})
     assert simulate_p(hit, inst.R, gamma) == 0
     assert simulate_p(hit, inst.R, frozenset()) == 1
+
+
+def test_sim_world_answers_from_revealed_gammas():
+    """Once a draw reveals c^k, the simulated world labels a^k 0 and
+    answers the query A_k with 0, where the no function gives a^k 1."""
+    inst = gen("no", seed=24)
+    world = _SimWorld(inst, RandomStream(25), QueryTranscript())
+    a_points = {inst.point_a(i).zeros: i for i in range(1, inst.params.m + 1)}
+    assert all(world.value_at(a) == 1 for a in a_points)  # nothing revealed
+    revealed, a_draws = set(), 0
+    for _ in range(60):
+        point, label = world.draw()
+        k = a_points.get(point.zeros)
+        if k is not None and k in revealed:
+            assert label == 0
+            a_draws += 1
+        if point.zeros in inst.C_sets:
+            revealed.add(inst.C_sets.index(point.zeros) + 1)
+    assert a_draws and revealed
+    assert world.gamma == {inst.alpha[k - 1] for k in revealed}
+    for k in revealed:
+        a_k = inst.point_a(k)
+        assert world.value_at(a_k.zeros) == 0
+        assert BlackBox(world, world.transcript).query(a_k) == 0
+        assert inst.function.value_at(a_k.zeros) == 1
 
 
 # -- strong sampling ----------------------------------------------------------
@@ -218,13 +258,13 @@ def test_strong_sample_reveals_c_structure():
     rng = RandomStream(23)
     seen_c = seen_other = False
     for k in range(60):
-        s = strong_sample(inst, rng.split(k), tr)
-        if s.gamma is not None:
-            i = inst.alpha.index(s.gamma) + 1
-            assert s.d_set == inst.C_sets[i - 1]
+        point, gamma = strong_sample(inst, rng.split(k), tr)
+        if gamma is not None:
+            i = inst.alpha.index(gamma) + 1
+            assert point.zeros == inst.C_sets[i - 1]
             seen_c = True
         else:
-            assert s.d_set in set(inst.A_sets) | set(inst.B_sets)
+            assert point.zeros in set(inst.A_sets) | set(inst.B_sets)
             seen_other = True
     assert seen_c and seen_other
     assert tr.sample_count == 60
@@ -261,12 +301,18 @@ def test_potential_identities(variant, which):
     t4 = inst.theta4
     ell = inst.params.ell
     n = inst.n
+    if which == "v":  # the no-ltf function's own potential
+        def potential(x):
+            return inst.function.potential(x.zeros)
+    else:
+        def potential(x):
+            return ltf_potential(x, inst, "u")
     ones = ZeroSet.all_ones(n)
-    assert 4 * ltf_potential(ones, inst, which) == t4 - ell
+    assert 4 * potential(ones) == t4 - ell
     for i in range(1, inst.params.m + 1):
-        ua = 4 * ltf_potential(inst.point_a(i), inst, which)
-        ub = 4 * ltf_potential(inst.point_b(i), inst, which)
-        uc = 4 * ltf_potential(inst.point_c(i), inst, which)
+        ua = 4 * potential(inst.point_a(i))
+        ub = 4 * potential(inst.point_b(i))
+        uc = 4 * potential(inst.point_c(i))
         assert ub == t4 + ell
         assert uc == t4 - 20 * n + 3 * ell
         if which == "u":
@@ -328,10 +374,8 @@ def test_hidden_block_functions_match_the_per_i_loop(variant, seed, kinds,
     zeros = frozenset(zeros)
     x = ZeroSet(n, zeros)
     special = [is_i_special(x, inst, i) for i in range(1, m + 1)]
-    term = sum(1 for i in range(m) if special[i] or inst.alpha[i] not in zeros)
-    ones_out = (n - len(inst.R)) - len(zeros - inst.R)
-    v = 10 * n * n * ones_out + 5 * n * term - (n - len(zeros))
-    assert ltf_potential(x, inst, "v") == v
+    v = ltf_potential(x, inst, "v")
+    assert inst.function.potential(zeros) == v
     if variant == "no":
         want = zeros <= inst.R and all(
             special[i] for i in range(m) if inst.alpha[i] in zeros)
@@ -344,12 +388,10 @@ def test_phi_potential_matches_u_under_revealed_gammas():
     inst = gen("yes-ltf", seed=34)
     c1 = inst.point_c(1)
     gamma = frozenset({inst.alpha[0]})
+    u = sum(w for k, w in enumerate(inst.function.weights, start=1)
+            if k not in c1.zeros)
     assert ltf_potential(c1, inst, "phi", gamma) == \
-        ltf_potential(c1, inst, "u")
-    with pytest.raises(ValueError):
-        ltf_potential(c1, inst, "phi")
-    with pytest.raises(ValueError):
-        ltf_potential(c1, inst, "w")
+        ltf_potential(c1, inst, "u") == u
 
 
 def test_ltf_instances_are_none_for_plain_variants():

@@ -19,7 +19,6 @@ from subcube import (
     RandomStream,
     SizeCapError,
     TruthTable,
-    conj_consistent,
     dlist_consistent,
     exact_distance_conj,
     exact_distance_dlist,
@@ -27,16 +26,17 @@ from subcube import (
     exact_distance_mconj,
     generate_instance,
     ltf_consistent,
-    mconj_consistent,
     save_instance,
 )
 from subcube.adversarial import LBNoFunction
 from helpers import (
     brute_distance,
     brute_flip_distance,
+    conj_consistent,
     conj_tables,
     dlist_realizable,
     ltf_tables,
+    mconj_consistent,
     mconj_tables,
     rand_dist,
     reference_flip_search,
@@ -320,6 +320,9 @@ def test_class_hierarchy_on_random_instances():
         d_d = exact_distance_dlist(f, dist)
         assert d_l <= d_c <= d_m  # conjunctions are threshold functions
         assert d_d <= d_c         # and also one-rule-per-literal lists
+        sample = labeled(f, dist)
+        assert (d_m == 0) == mconj_consistent(sample)
+        assert (d_c == 0) == conj_consistent(sample)
 
 
 # -- size caps ----------------------------------------------------------------

@@ -302,7 +302,7 @@ def test_sim_baseline_searches_each_zero_sample_once(monkeypatch):
     monkeypatch.setattr(tester_module, "binary_search_representative", recording)
     config = ExperimentConfig(algo="dolev-ron", epsilon=Fraction(1), trials=1,
                               seed=32, generator=(SMALL_LB, "no"))
-    result = _run_one(config, 0, None, sim=True)
+    result = _run_one(config, 0, sim=True)
     assert result.sample_queries == 92  # ceil(2 * sqrt(60) * log2(60))
     assert len(result.instance.distribution.entries) == 9
     assert len(searched) >= 2
