@@ -401,8 +401,9 @@ def generate_instance(params: LBParams, variant: str,
     entries, kinds = [], []
     for kind, mass in _FAMILY[variant][0]:
         group = points[kind]
+        weight = mass / len(group)
         for i, zeros in enumerate(group, start=1):
-            entries.append((ZeroSet(n, zeros), mass / len(group)))
+            entries.append((ZeroSet(n, zeros), weight))
             kinds.append((kind, 0 if kind == "ones" else i))
 
     inst = LBInstance(

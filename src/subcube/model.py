@@ -559,6 +559,13 @@ class Sampler:
         self._charge(idx)
         return idx
 
+    def _draw_groups(self, count: int, size: int) -> np.ndarray:
+        """count groups of size draws from the batch stream, as a (count,
+        size) array of support indices, uncharged: the caller charges each
+        group with _charge before reading it. The words, and the indices,
+        are those of count draw_indices(size) calls."""
+        return self._draw_indices_raw(self._batch, count * size).reshape(count, size)
+
     def flipped(self, coords: Iterable[int]) -> "Sampler":
         """A view handing out x with coords flipped, under x's label. It shares
         this sampler's transcript, RNG streams, labels and bucket table, and

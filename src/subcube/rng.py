@@ -6,6 +6,17 @@ is derived from (root seed, path of labels): labels are hashed to 64-bit keys
 and appended to the SeedSequence spawn key, so a (seed, path) pair names the
 same stream on every platform, in every process, regardless of how much the
 parent has already been used.
+
+Word layout. randrange(b) for b <= 2^62 is one numpy bounded draw: Lemire
+rejection over 32-bit words for b <= 2^32, over 64-bit words above. numpy
+keeps no buffer of its own between bounded draws; only PCG64's spare 32-bit
+half-word carries over, and it lives in the generator's state. So
+integers(b, size=a+c) reads the same words as integers(b, size=a) followed
+by integers(b, size=c), and one draw against an array of bounds reads the
+words of the scalar draws in row-major order. Floyd's method draws
+t_j < j + 1 for j = pop-k, ..., pop-1, and only its collision rule reads
+earlier draws. subset_rows therefore draws every t of many rows in one call
+and reads the words of subset_positions called row by row.
 """
 
 from __future__ import annotations
@@ -86,13 +97,40 @@ class RandomStream:
 
     def subset_positions(self, pop_size: int, k: int) -> list[int]:
         """Uniformly random k-subset of range(pop_size) (Floyd's method), sorted."""
-        if k >= pop_size:
-            return list(range(pop_size))
-        chosen: set[int] = set()
-        for j in range(pop_size - k, pop_size):
-            t = self.randrange(j + 1)
-            chosen.add(j if t in chosen else t)
-        return sorted(chosen)
+        return self.subset_rows([pop_size], k)[0]
+
+    def subset_rows(self, pops, k: int) -> list[list[int]]:
+        """For each pop in pops, a uniformly random k-subset of range(pop)
+        by Floyd's method, sorted; all of range(pop), drawing nothing, when
+        k >= pop. The words are those of subset_positions(pop, k) for each
+        pop in turn. Every pop must be at most 2^62."""
+        out = [list(range(pop)) if k >= pop else [] for pop in pops]
+        rows = [i for i, pop in enumerate(pops) if 0 < k < pop]
+        if not rows:
+            return out
+        # highs[row, c] = j + 1 for the c-th Floyd step j = pop - k + c
+        sizes = [pops[i] for i in rows]
+        if max(sizes) > _FAST_BOUND:
+            raise ValueError("population out of range for the batched path")
+        highs = np.array(sizes, dtype=np.int64)[:, None] + np.arange(1 - k, 1)
+        chosen = self._gen.integers(0, highs)
+        # a draw already chosen in its row is replaced by that step's j
+        if len(rows) >= k:
+            # many short rows: column by column
+            for c in range(1, k):
+                hit = (chosen[:, :c] == chosen[:, c, None]).any(axis=1)
+                chosen[hit, c] = highs[hit, c] - 1
+            chosen.sort(axis=1)
+            for i, row in zip(rows, chosen.tolist()):
+                out[i] = row
+        else:
+            # few long rows: one row at a time
+            for i, draws in zip(rows, chosen.tolist()):
+                seen: set[int] = set()
+                for j, t in enumerate(draws, start=pops[i] - k):
+                    seen.add(j if t in seen else t)
+                out[i] = sorted(seen)
+        return out
 
     def sample(self, items: list, k: int) -> list:
         """Uniformly random k-subset of items, in random order."""

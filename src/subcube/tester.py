@@ -11,12 +11,17 @@ tester runs the monotone one on flipped views of the same two oracles.
 Stages 1 and 2 read only a few facts of each group, so Stage 0 records
 those as it draws: the zero-set union B of the group's first 1-samples
 (memoized, since groups repeat the same few support subsets) and its first
-0-sample. Memory stays at one group plus these facts, and no sample is
-drawn twice. Once recording has stopped and every 0-labelled support point
-has its representative, no later group can change the verdict, a query or
-a count, so Stage 0 charges the remaining groups, one group at a time,
-without drawing them. With query logging on it draws every group, because
-the sample log lists every sample.
+0-sample. It draws the groups a block at a time, with one draw for the
+block, and computes every group's facts in numpy; it then walks the groups
+in order, charging (and logging) each before reading its facts or running
+its representative searches. Memory stays at one block plus the recorded
+facts, and no sample is drawn twice. Once recording has stopped and every
+0-labelled support point has its representative, no later group can change
+the verdict, a query or a count, so Stage 0 charges the remaining groups,
+one group at a time, without reading them or drawing further blocks. With
+query logging on it reads every group, because the sample log lists every
+sample. Stages 1 and 2 draw their random subsets in blocks of rows with
+RandomStream.subset_rows, on the same words as one subset at a time.
 """
 
 from __future__ import annotations
@@ -131,7 +136,8 @@ class Verdict:
     accepted: bool
     reason: str
     params: Optional[TesterParams] = None
-    # 0-samples Stage 0 drew; the groups it charges without drawing add none
+    # 0-samples of the groups Stage 0 read; the groups it charges without
+    # reading add none
     stage0_zero_samples: int = 0
     # representative searches Stage 0 ran, one per distinct 0-labelled
     # point, the one that returned nil included
@@ -166,11 +172,19 @@ def binary_search_representative(oracle, x: ZeroSet) -> Optional[int]:
     return z[0]
 
 
-def _union(cache: dict, sampler, ids: np.ndarray) -> tuple:
-    """B, the union of the zero sets of the support points ids, as (set,
-    sorted list). Groups repeat the same few subsets of the support, so B is
-    memoized on the mask of the points present."""
-    present = np.bincount(ids, minlength=sampler.support_size) > 0
+# Stage 0 draws its groups in blocks that double from one group up to about
+# this many samples (plus one support-sized presence row per group), so a
+# run that ends after a few groups draws few more, and memory stays at one
+# block.
+_BLOCK_SAMPLES = 1 << 16
+# Stages 1 and 2 draw their random subsets this many rows at a time.
+_SUBSET_ROWS = 512
+
+
+def _union(cache: dict, sampler, present: np.ndarray) -> tuple:
+    """B, the union of the zero sets of the support points marked in
+    present, as (set, sorted list). Groups repeat the same few subsets of
+    the support, so B is memoized on the mask."""
     key = present.tobytes()
     hit = cache.get(key)
     if hit is None:
@@ -198,6 +212,7 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
 
     labels = sampler.labels
     transcript = sampler.transcript
+    size, groups = p.group_size, p.d_star + 1
     # reps[si]: the representative of 0-labelled point si, one per search
     reps: dict[int, Optional[int]] = {}
     # done[si]: si is 1-labelled or its representative is already computed
@@ -214,37 +229,66 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
     facts: list[tuple] = []
     unions: dict[bytes, tuple] = {}
     recording = True
-    for g in range(p.d_star + 1):
-        if not (recording or pending or transcript.log_queries):
-            # Later groups could change only the 0-sample count: charge
-            # them group by group, so a budget runs out where drawing
-            # would have exhausted it.
-            for _ in range(g, p.d_star + 1):
-                transcript.take_samples(p.group_size)
-            break
-        idx = sampler.draw_indices(p.group_size)
+    g = 0
+    block = 1
+    max_block = max(1, _BLOCK_SAMPLES // (size + sampler.support_size))
+    while g < groups and (recording or pending or transcript.log_queries):
+        # Each block's facts are computed up front, but a group is charged
+        # (and logged) before any of them is read, so a budget, a nil
+        # representative or the cut-off below lands at the same group as
+        # when groups are drawn one at a time.
+        idx = sampler._draw_groups(min(block, groups - g), size)
+        block = min(2 * block, max_block)
+        count = len(idx)
         lab = labels[idx]
-        ones = int(np.count_nonzero(lab))
-        zero_count += len(idx) - ones
+        ones = np.count_nonzero(lab, axis=1).tolist()
+        first0 = idx[np.arange(count), lab.argmin(axis=1)].tolist()
         if recording:
-            need = p.t if g == 0 else p.t - 1
-            b = _union(unions, sampler, idx[lab == 1][:need]) if ones >= need else None
-            first0 = int(idx[np.argmin(lab)]) if ones < len(idx) else None
-            facts.append((b, first0))
-            recording = b is not None and (g == 0 or first0 is not None)
-        if not pending:
-            continue
-        fresh = idx[~done[idx]]
-        if not len(fresh):
-            continue
-        uniq, first = np.unique(fresh, return_index=True)
-        pending -= len(uniq)
-        for k in np.argsort(first):
-            si = int(uniq[k])
-            done[si] = True
-            rep = reps[si] = binary_search_representative(oracle, sampler.point(si))
-            if rep is None:
-                return verdict(False, "stage0-nil-representative")
+            # present[row]: the support points among the row's first t
+            # (Stage 2: t-1) 1-samples
+            need = np.full((count, 1), p.t - 1)
+            if g == 0:
+                need[0] = p.t
+            take = np.cumsum(lab, axis=1, dtype=np.min_scalar_type(size)) <= need
+            take &= lab != 0
+            present = np.zeros((count, sampler.support_size + 1), dtype=bool)
+            present[np.arange(count)[:, None],
+                    np.where(take, idx, sampler.support_size)] = True
+        # (row, point) of each first appearance of a point not yet searched,
+        # last one first
+        searches = []
+        if pending:
+            flat = idx.ravel()
+            fresh = np.flatnonzero(~done[flat])
+            points, first = np.unique(flat[fresh], return_index=True)
+            order = np.argsort(first)[::-1]
+            searches = list(zip((fresh[first[order]] // size).tolist(),
+                                points[order].tolist()))
+        for row in range(count):
+            if not (recording or pending or transcript.log_queries):
+                break
+            sampler._charge(idx[row])
+            zero_count += size - ones[row]
+            if recording:
+                b = (_union(unions, sampler, present[row, :-1])
+                     if ones[row] >= need[row, 0] else None)
+                f0 = first0[row] if ones[row] < size else None
+                facts.append((b, f0))
+                recording = b is not None and (g == 0 or f0 is not None)
+            while searches and searches[-1][0] == row:
+                si = searches.pop()[1]
+                done[si] = True
+                pending -= 1
+                rep = reps[si] = binary_search_representative(oracle, sampler.point(si))
+                if rep is None:
+                    return verdict(False, "stage0-nil-representative")
+            g += 1
+    # Once recording has stopped and every 0-point has its representative,
+    # later groups could change only the 0-sample count: charge them group
+    # by group, undrawn, so a budget runs out where drawing would have
+    # exhausted it.
+    for _ in range(g, groups):
+        transcript.take_samples(size)
 
     step_rng = rng.split("steps")
 
@@ -253,32 +297,35 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
         return verdict(True, "stage1-few-ones")
     _, b_arr = facts[0][0]
     if b_arr:
-        positions = step_rng.integers(len(b_arr), size=p.s)
-        for j in range(p.s):
-            i = b_arr[int(positions[j])]
-            if oracle.query_set(frozenset((i,))) == 0:
+        for q in step_rng.integers(len(b_arr), size=p.s).tolist():
+            if oracle.query_set(frozenset((b_arr[q],))) == 0:
                 return verdict(False, "step-1.1")
-        for _ in range(p.s):
-            pos = step_rng.subset_positions(len(b_arr), p.r)
-            z = frozenset(b_arr[q] for q in pos)
-            if oracle.query_set(z) == 0:
-                return verdict(False, "step-1.2")
+        for start in range(0, p.s, _SUBSET_ROWS):
+            rows = min(_SUBSET_ROWS, p.s - start)
+            for pos in step_rng.subset_rows([len(b_arr)] * rows, p.r):
+                if oracle.query_set(frozenset([b_arr[q] for q in pos])) == 0:
+                    return verdict(False, "step-1.2")
 
     # Stage 2: one fresh group per iteration. Every 0-sample has its
-    # representative, because Stage 0 returns on the first nil one.
-    for b, first0 in facts[1:]:
-        if b is None:
-            return verdict(True, "stage2-few-ones")
-        if first0 is None:
-            return verdict(True, "stage2-no-zero")
-        b_set, b_arr = b
-        alpha = reps[first0]
-        if alpha in b_set:
-            return verdict(False, "step-2.1")
-        pos = step_rng.subset_positions(len(b_arr), p.r - 1)
-        pset = frozenset(b_arr[q] for q in pos) | {alpha}
-        if oracle.query_set(pset) == 1:
-            return verdict(False, "step-2.2")
+    # representative, because Stage 0 returns on the first nil one. Only
+    # the last recorded group can lack B or a 0-sample, so the subsets are
+    # drawn ahead a block at a time; the rows after a terminating group are
+    # never read.
+    for start in range(1, len(facts), _SUBSET_ROWS):
+        chunk = facts[start:start + _SUBSET_ROWS]
+        subsets = step_rng.subset_rows(
+            [0 if b is None else len(b[1]) for b, _ in chunk], p.r - 1)
+        for (b, first0), pos in zip(chunk, subsets):
+            if b is None:
+                return verdict(True, "stage2-few-ones")
+            if first0 is None:
+                return verdict(True, "stage2-no-zero")
+            b_set, b_arr = b
+            alpha = reps[first0]
+            if alpha in b_set:
+                return verdict(False, "step-2.1")
+            if oracle.query_set(frozenset([alpha, *(b_arr[q] for q in pos)])) == 1:
+                return verdict(False, "step-2.2")
 
     return verdict(True, "end-of-stage-2")
 

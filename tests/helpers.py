@@ -210,6 +210,19 @@ def rand_dist(rng, n, k, max_zeros=None):
     return FiniteDistribution(n, tuple(zip(pts, rand_fractions(rng, k))))
 
 
+def literal_subset_positions(rng, pop, k):
+    """Floyd's method one position at a time: for j = pop-k, ..., pop-1,
+    t = rng.randrange(j + 1), and j is taken instead when t already is.
+    Sorted; all of range(pop), drawing nothing, when k >= pop."""
+    if k >= pop:
+        return list(range(pop))
+    chosen = set()
+    for j in range(pop - k, pop):
+        t = rng.randrange(j + 1)
+        chosen.add(j if t in chosen else t)
+    return sorted(chosen)
+
+
 def reference_mconj_tester(oracle, sampler, p, rng):
     """The monotone tester as the paper states it, kept as the oracle for
     the one-pass code: every group is stored as drawn, the representative
@@ -265,7 +278,7 @@ def reference_mconj_tester(oracle, sampler, p, rng):
             if oracle.query_set(frozenset({b[j]})) == 0:
                 return result(False, "step-1.1")
         for _ in range(p.s):
-            pos = steps.subset_positions(len(b), min(p.r, len(b)))
+            pos = literal_subset_positions(steps, len(b), p.r)
             if oracle.query_set(frozenset(b[q] for q in pos)) == 0:
                 return result(False, "step-1.2")
     for group in groups[1:]:
@@ -278,7 +291,7 @@ def reference_mconj_tester(oracle, sampler, p, rng):
         alpha = reps[zeros[0]]
         if alpha in b:
             return result(False, "step-2.1")
-        pos = steps.subset_positions(len(b), min(p.r - 1, len(b)))
+        pos = literal_subset_positions(steps, len(b), p.r - 1)
         if oracle.query_set(frozenset(b[q] for q in pos) | {alpha}) == 1:
             return result(False, "step-2.2")
     return result(True, "end-of-stage-2")

@@ -14,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["tester-sweep", "budget-sweep"])
+@pytest.mark.parametrize("workload", ["tester-sweep", "budget-sweep", "exact-oracles"])
 def test_traced_smoke_run_passes(workload):
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
            "--seed", "7", "--seconds", "1", "--trace", "1", "--smoke"]

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subcube import RandomStream
+from helpers import literal_subset_positions
 
 
 def test_same_seed_same_path_same_draws():
@@ -90,6 +92,30 @@ def test_subset_positions_covers_uniformly():
             hits[p] += 1
     # every position lands in a 3-of-10 subset with probability 3/10
     assert all(450 < h < 750 for h in hits)
+
+
+# population sizes on both sides of numpy's 32-bit/64-bit bounded branches,
+# up to the largest the batched path takes
+POPS = (st.integers(0, 40) | st.integers((1 << 32) - 3, (1 << 32) + 3)
+        | st.integers(1 << 33, 1 << 62))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 1 << 32), pops=st.lists(POPS, max_size=24),
+       k=st.integers(0, 12))
+def test_subset_rows_reads_the_words_of_literal_floyd(seed, pops, k):
+    # one batched call per row list, with fewer rows than k and more, equals
+    # the per-position randrange loop row by row, and leaves the stream at
+    # the same word
+    a, b = RandomStream(seed), RandomStream(seed)
+    assert a.subset_rows(pops, k) == [literal_subset_positions(b, pop, k) for pop in pops]
+    assert a.randrange(1 << 40) == b.randrange(1 << 40)
+    assert a.randrange(1000) == b.randrange(1000)
+
+
+def test_subset_rows_rejects_populations_past_the_batched_bound():
+    with pytest.raises(ValueError):
+        RandomStream(0).subset_rows([5, (1 << 62) + 1], 3)
 
 
 def test_sample_and_shuffled():

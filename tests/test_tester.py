@@ -691,13 +691,13 @@ def test_stage0_skips_draws_once_nothing_can_change(monkeypatch):
     # with logging off, a run that ends at stage1-few-ones draws group 0,
     # which searches the one 0-point, and charges the other groups undrawn
     calls = []
-    draw = Sampler.draw_indices
+    draw = Sampler._draw_groups
 
-    def counted(self, k):
-        calls.append(k)
-        return draw(self, k)
+    def counted(self, count, size):
+        calls.append(count * size)
+        return draw(self, count, size)
 
-    monkeypatch.setattr(Sampler, "draw_indices", counted)
+    monkeypatch.setattr(Sampler, "_draw_groups", counted)
     n, f, dist = ones_mass_instance(Fraction(3, 10))
     tr = QueryTranscript()
     rng = RandomStream(313)
@@ -705,7 +705,7 @@ def test_stage0_skips_draws_once_nothing_can_change(monkeypatch):
                          n, 1, rng.split("tester"))
     p = v.params
     assert v.reason == "stage1-few-ones"
-    assert len(calls) == 1 < p.d_star + 1
+    assert len(calls) == 1 and calls[0] < p.stage0_samples
     assert v.searches == 1
     assert tr.sample_count == p.stage0_samples
     assert v.stage0_zero_samples <= p.group_size
@@ -727,3 +727,96 @@ def test_budget_runs_out_at_the_same_count_with_or_without_draws(ones):
                 run_mconj_tester(BlackBox(f, tr), Sampler(dist, f, tr, rng.split("samples")),
                                  n, 1, rng.split("tester"))
             assert tr.sample_count == stop, (ones, limit, log)
+
+
+def block_runs(monkeypatch, func, dist, seed, limit=None):
+    """The tester with logging on, reference_mconj_tester, and the tester
+    with logging off, on twin oracles capped at limit. Per run: (outcome,
+    black-box count, sample count, black-box log, sample log), where the
+    outcome is (accepted, reason, Stage-0 0-samples, searches), or
+    ("budget",) when the limit ran out; and per tester run, the (first
+    group, group count) of every block of groups it drew."""
+    draw = Sampler._draw_groups
+    blocks = []
+
+    def recorded(self, count, size):
+        blocks[-1].append((sum(c for _, c in blocks[-1]), count))
+        return draw(self, count, size)
+
+    monkeypatch.setattr(Sampler, "_draw_groups", recorded)
+    p = compute_parameters(dist.n, 1)
+    runs = []
+    for reference, log in ((False, True), (True, True), (False, False)):
+        tr = QueryTranscript(log_queries=log, limit=limit)
+        rng = RandomStream(seed)
+        bb = BlackBox(func, tr)
+        sm = Sampler(dist, func, tr, rng.split("samples"))
+        blocks.append([])
+        try:
+            if reference:
+                got = reference_mconj_tester(bb, sm, p, rng.split("tester"))
+            else:
+                v = run_mconj_tester(bb, sm, dist.n, 1, rng.split("tester"))
+                got = (v.accepted, v.reason, v.stage0_zero_samples, v.searches)
+        except BudgetExceeded:
+            got = ("budget",)
+        runs.append((got, tr.blackbox_count, tr.sample_count, tr.blackbox_log,
+                     tr.sample_log))
+    return runs, [blocks[0], blocks[2]]
+
+
+def _ends_recording(p, labels):
+    """The first group that ends the run by its labels: group 0 with fewer
+    than t 1-samples, a later one with fewer than t-1 or no 0-sample."""
+    size = p.group_size
+    for g in range(p.d_star + 1):
+        group = labels[g * size:(g + 1) * size]
+        if sum(group) < p.t - (g > 0) or (g and all(group)):
+            return g
+    return None
+
+
+def _block_cases():
+    n = 8
+    p = compute_parameters(n, 1)
+    # mass 9/10 reads every group; the budget refuses group 5
+    budget = (*ones_mass_instance(Fraction(9, 10))[1:], 314, p.group_size * 5 + 7,
+              lambda runs: runs[0][2] // p.group_size)
+    # the one 0-point has a nil representative and first shows up in group 17
+    trap = FiniteDistribution(n, ((zs(n), Fraction(431, 432)),
+                                  (zs(n, 1, 2), Fraction(1, 432))))
+    nil = (PairTrap(n, frozenset({1, 2})), trap, 504, None,
+           lambda runs: runs[0][2] // p.group_size - 1)
+    # group 12 is the first without a 0-sample; one weight's denominator
+    # takes the sampler past 2^62
+    big = Fraction(1, (1 << 64) + 13)
+    z = Fraction(1, 29)
+    dist = FiniteDistribution(n, ((zs(n), 1 - z - Fraction(3, 10) - big), (zs(n, 1), z),
+                                  (zs(n, 2), Fraction(3, 10)), (zs(n, 3), big)))
+    assert dist.denominator > 1 << 62
+    ends = (MonotoneConj(n, frozenset({1})), dist, 602, None,
+            lambda runs: _ends_recording(p, [label for _, label in runs[1][4]]))
+    return {"budget": budget, "nil": nil, "recording-ends": ends}
+
+
+@pytest.mark.parametrize("case", ["budget", "nil", "recording-ends"])
+def test_stage0_blocks_match_reference_inside_a_block(monkeypatch, case):
+    # the group g that decides the run is a later row of a block of groups,
+    # in both tester runs; the logged run matches the reference log for
+    # log, and the quiet one has the same outcome and counts. Only where
+    # recording ends does the quiet run stop reading groups early: after g,
+    # since the one 0-point was searched in group 0
+    func, dist, seed, limit, deciding = _block_cases()[case]
+    runs, blocks = block_runs(monkeypatch, func, dist, seed, limit)
+    got, want, quiet = runs
+    g = deciding(runs)
+    for drawn in blocks:
+        assert any(first < g < first + count for first, count in drawn), (g, drawn)
+    assert got == want
+    assert quiet[1:3] == want[1:3]
+    outcome = {"budget": ("budget",)}.get(case, want[0])
+    if case == "recording-ends":
+        read = want[4][:(g + 1) * compute_parameters(dist.n, 1).group_size]
+        outcome = (True, "stage2-no-zero", sum(1 for _, label in read if label == 0), 1)
+    assert want[0][:2] == outcome[:2]
+    assert quiet[0] == outcome
