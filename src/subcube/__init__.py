@@ -20,12 +20,10 @@ from .adversarial import (
 )
 from .distances import (
     LabeledSample,
-    dlist_consistent,
     exact_distance_conj,
     exact_distance_dlist,
     exact_distance_ltf,
     exact_distance_mconj,
-    ltf_consistent,
 )
 from .harness import (
     ExperimentConfig,

@@ -6,7 +6,9 @@ blocks plus 2m special indices, from which m aligned triples of points
 ZERO(c^i). The yes variants are genuine monotone conjunctions (or threshold
 functions); the no variants flip the labels of the a-strings via a
 block-counting specialness rule, which makes them far from the class while
-looking identical to samplers that never see inside a C-set.
+looking identical to samplers that never see inside a C-set. An instance
+keeps only its draw, function and distribution; the points, and all else,
+are derived from the draw.
 
 The lower bound's simulated world has two parts here: strong_sample, the
 oracle that reveals C_k and its special index alpha_k with every draw of
@@ -17,6 +19,7 @@ harness joins them into one world.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import ceil, log2
 from typing import Optional
@@ -122,10 +125,15 @@ def paper_params(n: int) -> LBParams:
     """
     if n < 2:
         raise InfeasibleParameters("n must be at least 2")
+    try:
+        x = float(n)
+    except OverflowError:
+        raise InfeasibleParameters(
+            f"paper recipe overflows a float at n = {n}") from None
     lg2 = log2(n) ** 2
-    h = int(n ** (2.0 / 3.0) / (2.0 * lg2))
-    r_blocks = ceil(n ** (1.0 / 3.0) * lg2)
-    m = ceil(n ** (2.0 / 3.0))
+    h = int(x ** (2.0 / 3.0) / (2.0 * lg2))
+    r_blocks = ceil(x ** (1.0 / 3.0) * lg2)
+    m = ceil(x ** (2.0 / 3.0))
     s = ceil(lg2)
     bps = ceil(lg2)
     r_blocks = max(r_blocks, 2 * bps)
@@ -241,34 +249,52 @@ class LBNoStarFunction(_HiddenBlocks):
 class LBInstance:
     """A drawn hidden structure with its function and distribution.
 
-    blocks partitions R_prime = R minus the special indices; per i, the
-    block-id tuples select the A- and B-side blocks, and A_sets/B_sets/C_sets
-    hold the materialized zero sets of a^i, b^i, c^i. support_kinds labels
-    each distribution entry with its (kind, i) origin, kind in
-    {"a", "b", "c", "ones"}. theta4 is 4x the exact threshold for the
-    threshold-function variants, None otherwise.
+    The draw is R, its blocks, which partition R_prime = R minus the special
+    indices, the specials alpha and beta, and per i the block ids of the A
+    and B sides. Everything else is derived from the draw: the zero sets
+    A_sets[i-1] = {alpha_i} with its A-blocks, B_sets likewise with beta_i,
+    and C_sets their unions; support_kinds, the (kind, i) origin of each
+    distribution entry, kind in {"a", "b", "c", "ones"}; and theta4, 4x the
+    exact threshold for the threshold-function variants, None otherwise.
     """
 
     params: LBParams
     variant: str
     R: frozenset
-    R_prime: frozenset
     blocks: tuple
     alpha: tuple
     beta: tuple
     a_block_ids: tuple
     b_block_ids: tuple
-    A_sets: tuple
-    B_sets: tuple
-    C_sets: tuple
     function: FunctionSpec
     distribution: FiniteDistribution
-    support_kinds: tuple
-    theta4: Optional[int] = None
 
     @property
     def n(self) -> int:
         return self.params.n
+
+    @property
+    def R_prime(self) -> frozenset:
+        return self.R - frozenset(self.alpha) - frozenset(self.beta)
+
+    @cached_property
+    def _points(self) -> dict:
+        return _points_by_kind(self.blocks, self.alpha, self.beta,
+                               self.a_block_ids, self.b_block_ids)
+
+    A_sets = property(lambda self: self._points["a"])
+    B_sets = property(lambda self: self._points["b"])
+    C_sets = property(lambda self: self._points["c"])
+
+    @cached_property
+    def support_kinds(self) -> tuple:
+        return tuple((kind, i) for kind, _ in _FAMILY[self.variant][0]
+                     for i in ((0,) if kind == "ones"
+                               else range(1, self.params.m + 1)))
+
+    @property
+    def theta4(self) -> Optional[int]:
+        return _theta4(self.params, len(self.R)) if self.variant.endswith("-ltf") else None
 
     def point_a(self, i: int) -> ZeroSet:
         """The a-string of triple i (1-based)."""
@@ -318,36 +344,33 @@ def strong_sample(inst: LBInstance, rng: RandomStream,
 
 
 def _draw_structure(params: LBParams, rng: RandomStream):
+    """The draw (R, blocks, alpha, beta, a_block_ids, b_block_ids)."""
     n, h, rb, m = params.n, params.h, params.r_blocks, params.m
     size = h * rb + 2 * m
     r_sorted = [p + 1 for p in rng.subset_positions(n, size)]
     specials = rng.sample(r_sorted, 2 * m)
-    alpha = tuple(specials[:m])
-    beta = tuple(specials[m:])
     r_set = frozenset(r_sorted)
-    r_prime = r_set - frozenset(specials)
-    pool = rng.sample(sorted(r_prime), len(r_prime))
+    pool = rng.sample(sorted(r_set - frozenset(specials)), size - 2 * m)
     blocks = tuple(frozenset(pool[k * h:(k + 1) * h]) for k in range(rb))
     a_ids, b_ids = [], []
     for _ in range(m):
         chosen = rng.sample(list(range(rb)), params.blocks_per_C)
         a_ids.append(tuple(chosen[:params.blocks_per_side]))
         b_ids.append(tuple(chosen[params.blocks_per_side:]))
-    a_sets, b_sets, c_sets = [], [], []
-    for i in range(m):
-        a = frozenset((alpha[i],)).union(*(blocks[j] for j in a_ids[i]))
-        b = frozenset((beta[i],)).union(*(blocks[j] for j in b_ids[i]))
-        a_sets.append(a)
-        b_sets.append(b)
-        c_sets.append(a | b)
-    return (r_set, r_prime, blocks, alpha, beta,
-            tuple(a_ids), tuple(b_ids),
-            tuple(a_sets), tuple(b_sets), tuple(c_sets))
+    return (r_set, blocks, tuple(specials[:m]), tuple(specials[m:]),
+            tuple(a_ids), tuple(b_ids))
 
 
-def _points_by_kind(a_sets, b_sets, c_sets) -> dict:
-    """The zero sets of each point kind, in index order."""
-    return {"ones": (frozenset(),), "a": a_sets, "b": b_sets, "c": c_sets}
+def _points_by_kind(blocks, alpha, beta, a_ids, b_ids) -> dict:
+    """The zero sets of each point kind, in index order: a^i is alpha_i with
+    the blocks of row i of a_ids, b^i is beta_i with those of b_ids, c^i is
+    their union, and the all-ones point has none."""
+    a_sets = tuple(frozenset((x,)).union(*(blocks[j] for j in row))
+                   for x, row in zip(alpha, a_ids))
+    b_sets = tuple(frozenset((x,)).union(*(blocks[j] for j in row))
+                   for x, row in zip(beta, b_ids))
+    return {"ones": (frozenset(),), "a": a_sets, "b": b_sets,
+            "c": tuple(a | b for a, b in zip(a_sets, b_sets))}
 
 
 def _blocks_of(blocks: tuple, ids: tuple) -> tuple:
@@ -370,12 +393,10 @@ def generate_instance(params: LBParams, variant: str,
     if variant in ("no", "no-ltf") and params.h <= params.s:
         raise InfeasibleParameters(
             "no variants need h > s so the a-strings are special")
-    (r_set, r_prime, blocks, alpha, beta, a_ids, b_ids,
-     a_sets, b_sets, c_sets) = _draw_structure(params, rng)
+    draw = _draw_structure(params, rng)
+    r_set, blocks, alpha, _, a_ids, b_ids = draw
     n = params.n
-    theta4 = None
-    if variant.endswith("-ltf"):
-        theta4 = _theta4(params, len(r_set))
+    threshold = (_theta4(params, len(r_set)) + 3) // 4
     if variant == "yes":
         func = MonotoneConj(n, frozenset(range(1, n + 1)) - r_set | frozenset(alpha))
     elif variant == "yes-ltf":
@@ -388,40 +409,31 @@ def generate_instance(params: LBParams, variant: str,
             if k in alpha_set:
                 w += 5 * n
             weights.append(w)
-        func = LinearThreshold(n, tuple(weights), (theta4 + 3) // 4)
+        func = LinearThreshold(n, tuple(weights), threshold)
     else:
         hidden = (n, r_set, alpha, _blocks_of(blocks, a_ids),
                   _blocks_of(blocks, b_ids), params.s)
         if variant == "no":
             func = LBNoFunction(*hidden)
         else:
-            func = LBNoStarFunction(*hidden, (theta4 + 3) // 4)
-
-    points = _points_by_kind(a_sets, b_sets, c_sets)
-    entries, kinds = [], []
+            func = LBNoStarFunction(*hidden, threshold)
+    points = _points_by_kind(*draw[1:])
+    entries = []
     for kind, mass in _FAMILY[variant][0]:
-        group = points[kind]
-        weight = mass / len(group)
-        for i, zeros in enumerate(group, start=1):
-            entries.append((ZeroSet(n, zeros), weight))
-            kinds.append((kind, 0 if kind == "ones" else i))
-
-    inst = LBInstance(
-        params=params, variant=variant, R=r_set, R_prime=r_prime,
-        blocks=blocks, alpha=alpha, beta=beta,
-        a_block_ids=a_ids, b_block_ids=b_ids,
-        A_sets=tuple(a_sets), B_sets=tuple(b_sets), C_sets=tuple(c_sets),
-        function=func, distribution=FiniteDistribution(n, tuple(entries)),
-        support_kinds=tuple(kinds), theta4=theta4,
-    )
+        weight = mass / len(points[kind])
+        entries += ((ZeroSet(n, zeros), weight) for zeros in points[kind])
+    inst = LBInstance(params, variant, *draw, function=func,
+                      distribution=FiniteDistribution(n, tuple(entries)))
     validate_instance(inst)
     return inst
 
 
 def validate_instance(inst: LBInstance) -> None:
-    """Check every structural invariant; raise ValueError on any failure."""
+    """Check the draw, the labels and the distribution; raise ValueError on
+    any failure. The derived zero sets then hold by construction: A_i and
+    B_i are disjoint sets of size ell/2 with union C_i."""
     p = inst.params
-    n, h, rb, m = p.n, p.h, p.r_blocks, p.m
+    n, h, rb, m, bps = p.n, p.h, p.r_blocks, p.m, p.blocks_per_side
 
     def fail(msg):
         raise ValueError(f"invalid {inst.variant} instance: {msg}")
@@ -432,15 +444,11 @@ def validate_instance(inst: LBInstance) -> None:
         fail("R not inside [n]")
     if len(inst.R) != h * rb + 2 * m:
         fail("R has the wrong size")
-    specials = list(inst.alpha) + list(inst.beta)
-    if len(inst.alpha) != m or len(inst.beta) != m:
-        fail("need m alphas and m betas")
-    if len(set(specials)) != 2 * m:
-        fail("special indices must be pairwise distinct")
-    if not frozenset(specials) <= inst.R:
+    specials = frozenset(inst.alpha + inst.beta)
+    if len(inst.alpha) != m or len(inst.beta) != m or len(specials) != 2 * m:
+        fail("need m alphas and m betas, all distinct")
+    if not specials <= inst.R:
         fail("special indices must lie in R")
-    if inst.R_prime != inst.R - frozenset(specials):
-        fail("R_prime must be R minus the specials")
     if len(inst.blocks) != rb:
         fail("wrong number of blocks")
     seen = set()
@@ -452,43 +460,19 @@ def validate_instance(inst: LBInstance) -> None:
         seen |= blk
     if seen != inst.R_prime:
         fail("blocks must partition R_prime")
-    if frozenset(specials) & seen:
-        fail("special indices must avoid the blocks")
-    ell = p.ell
-    for i in range(m):
-        ids = inst.a_block_ids[i] + inst.b_block_ids[i]
-        if len(ids) != p.blocks_per_C or len(set(ids)) != len(ids):
-            fail("each triple needs blocks_per_C distinct blocks")
-        if len(inst.a_block_ids[i]) != p.blocks_per_side:
-            fail("A side has the wrong number of blocks")
-        a = frozenset((inst.alpha[i],)).union(
-            *(inst.blocks[j] for j in inst.a_block_ids[i]))
-        b = frozenset((inst.beta[i],)).union(
-            *(inst.blocks[j] for j in inst.b_block_ids[i]))
-        if a != inst.A_sets[i] or b != inst.B_sets[i]:
-            fail("materialized A/B sets disagree with the block ids")
-        if len(a) != ell // 2 or len(b) != ell // 2:
-            fail("A and B sets must have size ell/2")
-        if a & b:
-            fail("A and B sets must be disjoint")
-        if inst.C_sets[i] != a | b:
-            fail("C must be the disjoint union of A and B")
+    if len(inst.a_block_ids) != m or len(inst.b_block_ids) != m:
+        fail("need m rows of block ids per side")
+    for a_ids, b_ids in zip(inst.a_block_ids, inst.b_block_ids):
+        ids = a_ids + b_ids
+        if (len(a_ids) != bps or len(b_ids) != bps or len(set(ids)) != 2 * bps
+                or not all(0 <= j < rb for j in ids)):
+            fail("each triple needs blocks_per_side distinct block ids per side")
 
-    rows, labels = _FAMILY[inst.variant]
-    points = _points_by_kind(inst.A_sets, inst.B_sets, inst.C_sets)
-    for kind, label in zip(("ones", "a", "b", "c"), labels):
+    points = inst._points
+    for kind, label in zip(("ones", "a", "b", "c"), _FAMILY[inst.variant][1]):
         for i, zeros in enumerate(points[kind], start=1):
             if inst.function.value_at(zeros) != label:
                 fail(f"wrong label on {kind} point {i}")
-
-    kinds_seen = {}
-    for (kind, i), (point, _) in zip(inst.support_kinds,
-                                     inst.distribution.entries):
-        kinds_seen[kind] = kinds_seen.get(kind, 0) + 1
-        if point.zeros != points[kind][0 if kind == "ones" else i - 1]:
-            fail("support point does not match its kind")
-    if set(kinds_seen) != {kind for kind, _ in rows}:
-        fail("distribution support has the wrong kinds")
-    for kind in kinds_seen:
-        if kinds_seen[kind] != (1 if kind == "ones" else m):
-            fail(f"wrong number of {kind} entries")
+    want = [zeros for kind, _ in _FAMILY[inst.variant][0] for zeros in points[kind]]
+    if [point.zeros for point, _ in inst.distribution.entries] != want:
+        fail("distribution does not match the drawn points")

@@ -61,7 +61,10 @@ def _parse_scaled(text: str) -> dict:
         if "=" not in part:
             raise argparse.ArgumentTypeError(f"bad scaled field {part!r}")
         key, value = part.split("=", 1)
-        fields[key.strip()] = int(value)
+        key = key.strip()
+        if key in fields:
+            raise argparse.ArgumentTypeError(f"scaled field {key!r} repeated")
+        fields[key] = int(value)
     required = {"h", "r_blocks", "m", "s", "bps"}
     if set(fields) != required:
         raise argparse.ArgumentTypeError(

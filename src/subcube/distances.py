@@ -34,14 +34,12 @@ __all__ = [
     "exact_distance_conj",
     "exact_distance_dlist",
     "exact_distance_ltf",
-    "dlist_consistent",
-    "ltf_consistent",
 ]
 
 _SUPPORT_CAP = 20
 _DLIST_CAP = 16
 _LTF_CAP = 16
-_CONSISTENCY_CAP = 64
+_COLUMN_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -285,31 +283,6 @@ def _ltf_core(columns, m: int, ones: int) -> int:
     return sum(1 << r for r in range(m) if objective[num_vars + r] > 0)
 
 
-def _ltf_columns(sample: LabeledSample):
-    columns = _columns(sample)
-    if len(columns) > _CONSISTENCY_CAP:
-        raise SizeCapError(f"threshold program capped at {_CONSISTENCY_CAP} "
-                           "distinct coordinate columns")
-    return columns
-
-
-def dlist_consistent(sample: LabeledSample) -> bool:
-    """Whether some decision list fits every labeled point (greedy
-    elimination, see _dlist_core)."""
-    if len(sample.entries) > _CONSISTENCY_CAP:
-        raise SizeCapError(f"consistency check capped at {_CONSISTENCY_CAP} points")
-    return not _dlist_core(_columns(sample), len(sample.entries), _ones(sample))
-
-
-def ltf_consistent(sample: LabeledSample) -> bool:
-    """Whether some linear threshold function fits every labeled point
-    (exact margin program, see _ltf_core)."""
-    if len(sample.entries) > _CONSISTENCY_CAP:
-        raise SizeCapError(f"consistency check capped at {_CONSISTENCY_CAP} points")
-    return not _ltf_core(_ltf_columns(sample), len(sample.entries),
-                         _ones(sample))
-
-
 def _min_flip_weight(sample: LabeledSample, columns, core,
                      return_witness: bool = False):
     """The first flip set in (flipped weight, popcount, mask) order whose
@@ -372,5 +345,8 @@ def exact_distance_ltf(f: FunctionSpec, dist: FiniteDistribution,
     sample = LabeledSample.from_function(f, dist)
     if len(sample.entries) > _LTF_CAP:
         raise SizeCapError(f"support capped at {_LTF_CAP} points")
-    return _min_flip_weight(sample, _ltf_columns(sample), _ltf_core,
-                            return_witness)
+    columns = _columns(sample)
+    if len(columns) > _COLUMN_CAP:
+        raise SizeCapError(f"threshold program capped at {_COLUMN_CAP} "
+                           "distinct coordinate columns")
+    return _min_flip_weight(sample, columns, _ltf_core, return_witness)

@@ -537,9 +537,8 @@ class Sampler:
             idx[j] = bisect_right(self.dist._cum, w)
         return idx
 
-    def _charge(self, idx: np.ndarray) -> None:
+    def _log(self, idx: np.ndarray) -> None:
         t = self.transcript
-        t.take_samples(len(idx))
         if t.log_queries:
             entries = self.dist.entries
             t.sample_log.extend((entries[i][0].zeros, label) for i, label
@@ -547,23 +546,26 @@ class Sampler:
 
     def draw(self) -> tuple[ZeroSet, int]:
         """One counted draw: (point, func(point))."""
+        self.transcript.take_samples(1)
         idx = self._draw_indices_raw(self.rng, 1)
-        self._charge(idx)
+        self._log(idx)
         i = int(idx[0])
         return self._points[i], int(self.labels[i])
 
     def draw_indices(self, k: int) -> np.ndarray:
         """k counted draws, as support indices, from the batch stream. The
-        stream is separate from draw()'s and continues from call to call."""
+        stream is separate from draw()'s and continues from call to call.
+        The samples are charged before they are drawn."""
+        self.transcript.take_samples(k)
         idx = self._draw_indices_raw(self._batch, k)
-        self._charge(idx)
+        self._log(idx)
         return idx
 
     def _draw_groups(self, count: int, size: int) -> np.ndarray:
         """count groups of size draws from the batch stream, as a (count,
-        size) array of support indices, uncharged: the caller charges each
-        group with _charge before reading it. The words, and the indices,
-        are those of count draw_indices(size) calls."""
+        size) array of support indices, uncharged: the caller charges (and
+        logs) each group before reading it. The words, and the indices, are
+        those of count draw_indices(size) calls."""
         return self._draw_indices_raw(self._batch, count * size).reshape(count, size)
 
     def flipped(self, coords: Iterable[int]) -> "Sampler":

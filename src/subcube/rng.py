@@ -111,7 +111,8 @@ class RandomStream:
         # highs[row, c] = j + 1 for the c-th Floyd step j = pop - k + c
         sizes = [pops[i] for i in rows]
         if max(sizes) > _FAST_BOUND:
-            raise ValueError("population out of range for the batched path")
+            raise ValueError(f"population {max(sizes)} is past 2^62, the bound "
+                             "of the batched path")
         highs = np.array(sizes, dtype=np.int64)[:, None] + np.arange(1 - k, 1)
         chosen = self._gen.integers(0, highs)
         # a draw already chosen in its row is replaced by that step's j

@@ -15,7 +15,8 @@ those as it draws: the zero-set union B of the group's first 1-samples
 block, and computes every group's facts in numpy; it then walks the groups
 in order, charging (and logging) each before reading its facts or running
 its representative searches. Memory stays at one block plus the recorded
-facts, and no sample is drawn twice. Once recording has stopped and every
+facts, and no sample is drawn twice. Under a sample budget a block holds
+only groups the budget admits, so a refused group is never drawn. Once recording has stopped and every
 0-labelled support point has its representative, no later group can change
 the verdict, a query or a count, so Stage 0 charges the remaining groups,
 one group at a time, without reading them or drawing further blocks. With
@@ -68,12 +69,14 @@ def _exact_log2(q: Fraction) -> Optional[int]:
 
 
 def _ceil_cuberoot(n: int) -> int:
-    r = round(n ** (1.0 / 3.0))
-    while r ** 3 < n:
-        r += 1
-    while r > 1 and (r - 1) ** 3 >= n:
-        r -= 1
-    return r
+    """Smallest r with r^3 >= n, for n >= 0. Newton's integer step from
+    above falls to floor(n^(1/3)) and stops there."""
+    if n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // 3)
+    while (step := (2 * r + n // (r * r)) // 3) < r:
+        r = step
+    return r if r ** 3 >= n else r + 1
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,11 @@ def compute_parameters(n: int, epsilon) -> TesterParams:
     if exact is not None:
         d = _ceil_fraction(Fraction(exact * exact) / eps)
     else:
-        lg = math.log2(float(ratio))
+        try:
+            lg = math.log2(float(ratio))
+        except OverflowError:
+            raise ValueError(f"log2(n/epsilon) overflows a float at n = {n}, "
+                             f"epsilon = {eps}") from None
         d = _ceil_fraction(Fraction(lg * lg) / eps)
     d_star = _ceil_fraction(Fraction(d * d) / eps)
     r = _ceil_cuberoot(n)
@@ -237,9 +244,13 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
         # (and logged) before any of them is read, so a budget, a nil
         # representative or the cut-off below lands at the same group as
         # when groups are drawn one at a time.
-        idx = sampler._draw_groups(min(block, groups - g), size)
+        count = min(block, groups - g)
+        if transcript.limit is not None:  # no block holds a refused group
+            count = min(count, (transcript.limit - transcript.sample_count) // size)
+            if not count:
+                transcript.take_samples(size)  # refused: raises
+        idx = sampler._draw_groups(count, size)
         block = min(2 * block, max_block)
-        count = len(idx)
         lab = labels[idx]
         ones = np.count_nonzero(lab, axis=1).tolist()
         first0 = idx[np.arange(count), lab.argmin(axis=1)].tolist()
@@ -267,7 +278,8 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
         for row in range(count):
             if not (recording or pending or transcript.log_queries):
                 break
-            sampler._charge(idx[row])
+            transcript.take_samples(size)
+            sampler._log(idx[row])
             zero_count += size - ones[row]
             if recording:
                 b = (_union(unions, sampler, present[row, :-1])
@@ -389,7 +401,11 @@ def baseline_dolev_ron(oracle, sampler, n: int, epsilon,
         eps = Fraction(epsilon)
         if not 0 < eps <= 1:
             raise ValueError("epsilon must be in (0, 1]")
-        total = math.ceil(2 * math.sqrt(n) * math.log2(n) / float(eps))
+        try:
+            total = math.ceil(2 * math.sqrt(n) * math.log2(n) / float(eps))
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(f"the sample count overflows a float at n = {n}, "
+                             f"epsilon = {eps}") from None
     if total <= 0:
         return Verdict(True, "baseline-clean")
     if oracle.query(ZeroSet.all_ones(n)) == 0:

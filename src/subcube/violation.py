@@ -3,16 +3,18 @@
 A function outside the class always has a violation: either f(1^n) = 0, or
 some 0-string's zero set is covered by zero sets of 1-strings. The weighted
 bipartite form pairs 1-strings in the support against representative indices
-of 0-strings; its minimum-weight vertex cover lower-bounds the distance to
-the class, and a heavy-vertex pruning pass extracts the regular subgraph the
-distance argument runs on. The cover comes from an exact integer max-flow
+of 0-strings, joining each 1-string to the indices in its zero set, so its
+vertices fix its edges. Its minimum-weight vertex cover lower-bounds the
+distance to the class, and a heavy-vertex pruning pass extracts the regular
+subgraph the distance argument runs on. The cover comes from an exact integer max-flow
 over the common denominator of the weights, as its minimal source-side cut.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -47,38 +49,31 @@ class ViolationGraph:
     """Weighted bipartite graph of 1-strings against representative indices.
 
     left holds (point, weight) with positive distribution weight and label 1;
-    right holds (index, weight) where the weight sums the distribution mass
-    of 0-strings sharing that representative. An edge joins a left point to
-    every right index in its zero set. empty_strings lists the 0-support
-    points whose representative search returned nil, with their weights; they
-    are not part of the graph.
+    right holds (index, weight) with distinct indices, where the weight sums
+    the distribution mass of 0-strings sharing that representative. The
+    edges follow from the vertices: a left point is joined to every right
+    index in its zero set. empty_strings lists the 0-support points whose
+    representative search returned nil, with their weights; they are not
+    part of the graph.
     """
 
     left: tuple
     right: tuple
-    edges: tuple
-    empty_strings: tuple = ()
+    empty_strings: tuple = field(default=(), kw_only=True)
 
     def __post_init__(self):
-        for li, ri in self.edges:
-            point = self.left[li][0]
-            j = self.right[ri][0]
-            if j not in point.zeros:
-                raise ValueError("edge endpoints must satisfy the zero rule")
+        if len({j for j, _ in self.right}) != len(self.right):
+            raise ValueError("right indices must be distinct")
         for _, w in self.left + self.right:
             if w <= 0:
                 raise ValueError("vertex weights must be positive")
 
-    @classmethod
-    def from_vertices(cls, left, right, empty_strings=()):
-        """Build with the edge set implied by the zero rule."""
-        edges = tuple(
-            (li, ri)
-            for li, (point, _) in enumerate(left)
-            for ri, (j, _) in enumerate(right)
-            if j in point.zeros
-        )
-        return cls(tuple(left), tuple(right), edges, tuple(empty_strings))
+    @cached_property
+    def edges(self) -> tuple:
+        """The (left position, right position) pairs of the zero rule, sorted."""
+        pos = {j: k for k, (j, _) in enumerate(self.right)}
+        return tuple((li, ri) for li, (point, _) in enumerate(self.left)
+                     for ri in sorted(pos[j] for j in point.zeros if j in pos))
 
     def graph_weight(self) -> Fraction:
         """Total edge weight, each edge weighted by its left endpoint."""
@@ -168,8 +163,8 @@ def build_violation_bigraph(f: FunctionSpec, dist: FiniteDistribution,
                 empties.append((point, w))
             else:
                 right_weights[rep] = right_weights.get(rep, Fraction(0)) + w
-    right = sorted(right_weights.items())
-    return ViolationGraph.from_vertices(left, right, empties)
+    return ViolationGraph(tuple(left), tuple(sorted(right_weights.items())),
+                          empty_strings=tuple(empties))
 
 
 def min_weight_vertex_cover(G: ViolationGraph):
@@ -263,17 +258,12 @@ def _heavy(G: ViolationGraph, d: int):
 
 def _without(G: ViolationGraph, left_out=(), right_out=()) -> ViolationGraph:
     """G without the given vertex positions and without every vertex left
-    isolated, re-indexed in order, with sorted edges."""
+    isolated, in order."""
     edges = [(li, ri) for li, ri in G.edges
              if li not in left_out and ri not in right_out]
-    left_ids = sorted({li for li, _ in edges})
-    right_ids = sorted({ri for _, ri in edges})
-    lmap = {i: k for k, i in enumerate(left_ids)}
-    rmap = {j: k for k, j in enumerate(right_ids)}
     return ViolationGraph(
-        tuple(G.left[i] for i in left_ids),
-        tuple(G.right[j] for j in right_ids),
-        tuple(sorted((lmap[li], rmap[ri]) for li, ri in edges)),
+        tuple(G.left[i] for i in sorted({li for li, _ in edges})),
+        tuple(G.right[j] for j in sorted({ri for _, ri in edges})),
     )
 
 

@@ -153,14 +153,21 @@ def brute_flip_distance(entries, consistent):
     return best
 
 
+def reference_edges(left, right):
+    """The zero rule over every (left, right) pair of positions: a left
+    point is joined to a right index in its zero set."""
+    return tuple((li, ri) for li, (point, _) in enumerate(left)
+                 for ri, (j, _) in enumerate(right) if j in point.zeros)
+
+
 def brute_min_cover(graph):
     """Minimum-weight vertex cover by subset enumeration."""
     nl, nr = len(graph.left), len(graph.right)
+    edges = reference_edges(graph.left, graph.right)
     best = None
     for lm in range(1 << nl):
         for rm in range(1 << nr):
-            if not all((lm >> li) & 1 or (rm >> ri) & 1
-                       for li, ri in graph.edges):
+            if not all((lm >> li) & 1 or (rm >> ri) & 1 for li, ri in edges):
                 continue
             wt = sum((w for i, (_, w) in enumerate(graph.left)
                       if (lm >> i) & 1), Fraction(0))

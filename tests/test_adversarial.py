@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from subcube import (
     BlackBox,
     BudgetExceeded,
+    FiniteDistribution,
     InfeasibleParameters,
     LBParams,
     LinearThreshold,
@@ -177,10 +178,16 @@ def test_validation_catches_corruption():
     shifted = (inst.blocks[0] | {max(inst.R) + 1},) + inst.blocks[1:]
     with pytest.raises(ValueError):
         validate_instance(dataclasses.replace(inst, blocks=shifted))
-    wrong_a = (inst.B_sets[0],) + inst.A_sets[1:]
-    with pytest.raises(ValueError):
-        validate_instance(dataclasses.replace(inst, A_sets=wrong_a))
-    with pytest.raises(ValueError):
+    row = inst.a_block_ids[0]
+    for bad in ((row[0], row[0]), (row[0], inst.params.r_blocks)):
+        ids = (bad,) + inst.a_block_ids[1:]
+        with pytest.raises(ValueError, match="distinct block ids"):
+            validate_instance(dataclasses.replace(inst, a_block_ids=ids))
+    entries = inst.distribution.entries
+    swapped = FiniteDistribution(inst.n, entries[1:] + entries[:1])
+    with pytest.raises(ValueError, match="distribution does not match"):
+        validate_instance(dataclasses.replace(inst, distribution=swapped))
+    with pytest.raises(ValueError, match="wrong label"):
         validate_instance(dataclasses.replace(
             inst, function=MonotoneConj(inst.n, frozenset())))
     for stray in (0, inst.n + 1):

@@ -19,17 +19,17 @@ from subcube import (
     RandomStream,
     SizeCapError,
     TruthTable,
-    dlist_consistent,
     exact_distance_conj,
     exact_distance_dlist,
     exact_distance_ltf,
     exact_distance_mconj,
     generate_instance,
-    ltf_consistent,
     save_instance,
 )
 from subcube.adversarial import LBNoFunction
 from helpers import (
+    _reference_dlist_fits,
+    _reference_ltf_fits,
     brute_distance,
     brute_flip_distance,
     conj_consistent,
@@ -219,7 +219,7 @@ def test_dlist_members_have_zero_distance():
         f = DecisionList(n, rules, sub.randrange(2))
         dist = rand_dist(sub.split("dist"), n, 6)
         assert exact_distance_dlist(f, dist) == 0
-        assert dlist_consistent(labeled(f, dist))
+        assert _reference_dlist_fits(labeled(f, dist))
 
 
 def test_dlist_witness_flips_to_consistency():
@@ -236,7 +236,7 @@ def test_dlist_witness_flips_to_consistency():
     flip_set = {p.zeros for p in flipped_points}
     entries = tuple((p, lab ^ (p.zeros in flip_set), w)
                     for p, lab, w in sample_entries(f, dist))
-    assert dlist_consistent(LabeledSample(2, entries))
+    assert _reference_dlist_fits(LabeledSample(2, entries))
 
 
 # -- linear threshold functions -----------------------------------------------
@@ -263,7 +263,7 @@ def test_ltf_members_have_zero_distance():
     f = LinearThreshold(4, (2, -1, 3, 0), 2)
     dist = rand_dist(RandomStream(809), 4, 8)
     assert exact_distance_ltf(f, dist) == 0
-    assert ltf_consistent(labeled(f, dist))
+    assert _reference_ltf_fits(labeled(f, dist))
 
 
 def test_ltf_witness_flips_to_consistency():
@@ -279,7 +279,7 @@ def test_ltf_witness_flips_to_consistency():
     flip_set = {p.zeros for p in flipped_points}
     entries = tuple((p, lab ^ (p.zeros in flip_set), w)
                     for p, lab, w in sample_entries(f, dist))
-    assert ltf_consistent(LabeledSample(2, entries))
+    assert _reference_ltf_fits(LabeledSample(2, entries))
 
 
 # -- consistency helpers ------------------------------------------------------
@@ -296,14 +296,14 @@ def test_consistency_separates_classes():
         (zs(2, *z), lab, Fraction(1, 4))
         for z, lab in (((1, 2), 0), ((1,), 1), ((2,), 1), ((), 0))))
     assert not conj_consistent(parity)
-    assert not dlist_consistent(parity)
-    assert not ltf_consistent(parity)
+    assert not _reference_dlist_fits(parity)
+    assert not _reference_ltf_fits(parity)
 
     # "if x1 then 1 elif x2 then 0 else 1" labels
     dl = LabeledSample(2, tuple(
         (zs(2, *z), lab, Fraction(1, 4))
         for z, lab in (((1, 2), 1), ((1,), 0), ((2,), 1), ((), 1))))
-    assert dlist_consistent(dl)
+    assert _reference_dlist_fits(dl)
     assert not conj_consistent(dl)
 
 
@@ -415,8 +415,10 @@ def record_cores(monkeypatch, name):
 
 
 @pytest.mark.parametrize("kind,search,fits", (
-    ("dlist", exact_distance_dlist, dlist_consistent),
-    ("ltf", exact_distance_ltf, ltf_consistent)))
+    ("dlist", exact_distance_dlist, _reference_dlist_fits),
+    ("ltf", exact_distance_ltf, _reference_ltf_fits)),
+    ids=["dlist-exact_distance_dlist-dlist_reference",
+         "ltf-exact_distance_ltf-ltf_reference"])
 def test_every_recorded_core_is_inconsistent_on_its_own(
         monkeypatch, kind, search, fits):
     rng = RandomStream(1011)
@@ -476,8 +478,8 @@ def test_wide_inputs_are_capped_by_distinct_columns(tmp_path, capsys):
                          "--class", klass]) == 0
         assert capsys.readouterr().out.strip() == "1/4"
     # eight points on which coordinates 1..70 have 70 distinct zero patterns
-    wide = LabeledSample(100, tuple(
-        (zs(100, *(j for j in range(1, 71) if (j >> r) & 1)), r % 2,
-         Fraction(1, 8)) for r in range(8)))
+    wide = FiniteDistribution(100, tuple(
+        (zs(100, *(j for j in range(1, 71) if (j >> r) & 1)), Fraction(1, 8))
+        for r in range(8)))
     with pytest.raises(SizeCapError, match="columns"):
-        ltf_consistent(wide)
+        exact_distance_ltf(xor, wide)

@@ -1,11 +1,15 @@
 """Trial harness, budget accounting, experiments, and the CLI."""
 
+import contextlib
 import io
 import json
+import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import subcube.cli as cli
 import subcube.tester as tester_module
@@ -18,11 +22,13 @@ from subcube import (
     MonotoneConj,
     RandomStream,
     compute_parameters,
+    desk_params,
     distinguishing_experiment,
     exact_distance_mconj,
     load_instance,
     query_budget_report,
     run_trials,
+    save_instance,
     write_experiment_csv,
     write_trials_csv,
 )
@@ -145,6 +151,19 @@ def test_budget_forces_accept():
     r = run_trials(zero_bb)[0]
     assert r.reason == "budget-exhausted"
     assert r.blackbox_queries == 0  # refused before counting
+
+
+@pytest.mark.parametrize("algo", ["mconj", "conj"])
+def test_budget_refuses_a_stage0_group_before_drawing_it(algo):
+    # one Stage-0 group here is 3,023,304,000 samples, far more memory than
+    # a draw of it could take; the budget refuses it undrawn
+    eps = Fraction(1, 1000)
+    assert compute_parameters(60, eps).group_size == 3_023_304_000
+    cfg = ExperimentConfig(algo=algo, epsilon=eps, trials=2, seed=0,
+                           generator=(desk_params(60), "yes"), budget=16)
+    for r in run_trials(cfg):
+        assert (r.accepted, r.reason) == (True, "budget-exhausted")
+        assert r.sample_queries <= 16
 
 
 def test_amplified_far_instance_stops_on_reject():
@@ -559,3 +578,82 @@ def test_cli_semantic_errors_exit_2(tmp_path, capsys):
                    "--algo", "mconj", "--epsilon", "1"])
     assert rc == 2
     assert "error: " in capsys.readouterr().err
+
+
+_HUGE_N = str(10 ** 400)
+_TINY_EPS = f"1/{10 ** 400}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--algo", "mconj", "--variant-pair", "yes:no", "--n", _HUGE_N,
+     "--epsilon", "1/2", "--trials", "1", "--budget", "4", "--out", "-"],
+    ["gen-instance", "--variant", "no", "--n", _HUGE_N, "--out", "{tmp}/g.json"],
+    ["test", "--instance", "{huge}", "--algo", "mconj", "--epsilon", "1/2"],
+    ["test", "--instance", "{small}", "--algo", "mconj", "--epsilon", _TINY_EPS],
+    ["test", "--instance", "{small}", "--algo", "dolev-ron", "--epsilon", _TINY_EPS],
+    ["violation", "--instance", "{huge}", "--epsilon", "1/2", "--emit", "prune-report"],
+    ["violation", "--instance", "{small}", "--epsilon", _TINY_EPS,
+     "--emit", "prune-report"],
+], ids=["experiment-n", "gen-instance-n", "test-n", "test-epsilon",
+        "dolev-ron-epsilon", "prune-report-n", "prune-report-epsilon"])
+def test_cli_rules_past_float_range_exit_2(tmp_path, capsys, argv):
+    # n = 10^400 (+1 in a file) and epsilon = 10^-400 take n, n/epsilon or
+    # epsilon itself past what a float holds
+    for name, n in (("huge", 10 ** 400 + 1), ("small", 8)):
+        points = (zs(n, 1), zs(n, 2))
+        save_instance(tmp_path / f"{name}.json", n, MonotoneConj(n, frozenset({1})),
+                      FiniteDistribution(n, tuple((p, Fraction(1, 2)) for p in points)))
+    files = {"tmp": tmp_path, "huge": tmp_path / "huge.json",
+             "small": tmp_path / "small.json"}
+    rc = cli.main([arg.format(**files) for arg in argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert any(value in captured.err
+               for value in (_HUGE_N, str(10 ** 400 + 1), _TINY_EPS))
+    assert captured.out == ""
+
+
+_SCALED_KEYS = ("h", "r_blocks", "m", "s", "bps")
+# feasible values in a random order; hypothesis favours mutation 0, no change
+_SCALED_FIELDS = st.builds(
+    lambda values, order: [(key, str(values[key])) for key in order],
+    st.fixed_dictionaries({"h": st.integers(1, 4), "r_blocks": st.integers(4, 8),
+                           "m": st.integers(1, 3), "s": st.integers(0, 2),
+                           "bps": st.integers(1, 2)}),
+    st.permutations(_SCALED_KEYS))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 64), variant=st.sampled_from(["yes", "no", "yes-ltf", "no-ltf"]),
+       fields=_SCALED_FIELDS, mutation=st.integers(0, 7),
+       key=st.sampled_from(_SCALED_KEYS + ("k",)),
+       text=st.sampled_from(["", "x", " 3", "1_0", "+2", "2.5", "0", "-1"]))
+def test_cli_scaled_fuzz_writes_its_params_or_exits_2(n, variant, fields, mutation,
+                                                      key, text):
+    # each string either writes a sidecar with exactly its values or exits 2
+    if mutation == 1:
+        fields = fields[1:]
+    elif mutation == 2:
+        fields = fields + [(key, "2")]  # a repeated or an unknown key
+    elif mutation >= 3:
+        fields[0] = (fields[0][0], text)
+    text = ",".join(f"{key}={value}" for key, value in fields)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "inst.json")
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                rc = cli.main(["gen-instance", "--variant", variant, "--n", str(n),
+                               f"--scaled={text}", "--out", out])
+            except SystemExit as exc:  # argparse rejects the option itself
+                rc = exc.code
+        assert "Traceback" not in err.getvalue()
+        if rc != 0:
+            assert rc == 2 and "error:" in err.getvalue()
+            return
+        assert sorted(key for key, _ in fields) == sorted(_SCALED_KEYS)
+        want = {key: int(value) for key, value in fields}
+        want["blocks_per_side"] = want.pop("bps")
+        with open(out + ".sidecar.json", encoding="utf-8") as fh:
+            assert json.load(fh)["params"] == {"n": n, **want}

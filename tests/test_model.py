@@ -316,6 +316,16 @@ def test_draw_indices_charges_and_continues_one_stream():
     # the batch stream is not draw()'s: single draws are unmoved by it
     fresh = Sampler(d, f, QueryTranscript(), RandomStream(61))
     assert [sm.draw() for _ in range(8)] == [fresh.draw() for _ in range(8)]
+    # a refused call draws nothing, so each stream goes on where it stood
+    capped_tr = QueryTranscript(limit=0)
+    capped = Sampler(d, f, capped_tr, RandomStream(61))
+    for refused in (lambda: capped.draw_indices(3), capped.draw):
+        with pytest.raises(BudgetExceeded):
+            refused()
+    capped_tr.limit = None
+    assert np.array_equal(capped.draw_indices(21), np.concatenate(parts))
+    again = Sampler(d, f, QueryTranscript(), RandomStream(61))
+    assert [capped.draw() for _ in range(8)] == [again.draw() for _ in range(8)]
 
 
 def per_draw_reference(d, rng, k):

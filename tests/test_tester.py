@@ -802,16 +802,20 @@ def _block_cases():
 @pytest.mark.parametrize("case", ["budget", "nil", "recording-ends"])
 def test_stage0_blocks_match_reference_inside_a_block(monkeypatch, case):
     # the group g that decides the run is a later row of a block of groups,
-    # in both tester runs; the logged run matches the reference log for
-    # log, and the quiet one has the same outcome and counts. Only where
-    # recording ends does the quiet run stop reading groups early: after g,
-    # since the one 0-point was searched in group 0
+    # in both tester runs, except that no block holds a group the budget
+    # refuses; the logged run matches the reference log for log, and the
+    # quiet one has the same outcome and counts. Only where recording ends
+    # does the quiet run stop reading groups early: after g, since the one
+    # 0-point was searched in group 0
     func, dist, seed, limit, deciding = _block_cases()[case]
     runs, blocks = block_runs(monkeypatch, func, dist, seed, limit)
     got, want, quiet = runs
     g = deciding(runs)
     for drawn in blocks:
-        assert any(first < g < first + count for first, count in drawn), (g, drawn)
+        if case == "budget":
+            assert all(first + count <= g for first, count in drawn), (g, drawn)
+        else:
+            assert any(first < g < first + count for first, count in drawn), (g, drawn)
     assert got == want
     assert quiet[1:3] == want[1:3]
     outcome = {"budget": ("budget",)}.get(case, want[0])

@@ -24,7 +24,14 @@ from subcube import (
     prune_to_regular,
     regularity_diagnostics,
 )
-from helpers import brute_min_cover, mconj_tables, rand_fractions, zs
+from subcube.violation import _without
+from helpers import (
+    brute_min_cover,
+    mconj_tables,
+    rand_fractions,
+    reference_edges,
+    zs,
+)
 
 
 def tt_from(n, pred):
@@ -83,25 +90,52 @@ def test_hypergraph_size_cap():
 # -- graph construction -------------------------------------------------------
 
 
-def test_graph_from_vertices_and_weight():
+def test_graph_edges_follow_the_zero_rule_and_weight():
     left = ((zs(4, 1, 3), Fraction(1, 3)), (zs(4, 2, 4), Fraction(1, 3)))
     right = ((1, Fraction(1, 3)),)
-    g = ViolationGraph.from_vertices(left, right)
+    g = ViolationGraph(left, right)
     assert g.edges == ((0, 0),)
     assert g.graph_weight() == Fraction(1, 3)
 
 
-def test_graph_rejects_edge_breaking_zero_rule():
-    left = ((zs(4, 2, 4), Fraction(1, 2)),)
-    right = ((1, Fraction(1, 2)),)
-    with pytest.raises(ValueError):
-        ViolationGraph(left, right, ((0, 0),))
+def test_graph_rejects_repeated_right_index():
+    left = ((zs(4, 1, 2), Fraction(1, 2)),)
+    with pytest.raises(ValueError, match="distinct"):
+        ViolationGraph(left, ((1, Fraction(1, 4)), (1, Fraction(1, 4))))
+    # empty_strings is keyword-only, so a stale positional edge list fails
+    with pytest.raises(TypeError):
+        ViolationGraph(left, ((1, Fraction(1, 2)),), ((0, 0),))
+
+
+_SMALL_WEIGHT = st.integers(1, 9).map(lambda k: Fraction(1, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(zero_sets=st.lists(st.frozensets(st.integers(1, 6)), max_size=6, unique=True),
+       rights=st.lists(st.integers(1, 6), max_size=6, unique=True),
+       weight=_SMALL_WEIGHT, data=st.data())
+def test_edges_and_without_follow_the_literal_zero_rule(zero_sets, rights, weight,
+                                                       data):
+    g = ViolationGraph(tuple((zs(6, *z), weight) for z in zero_sets),
+                       tuple((j, weight) for j in rights))
+    edges = reference_edges(g.left, g.right)
+    assert g.edges == edges
+    left_out = data.draw(st.sets(st.integers(0, max(len(g.left) - 1, 0))))
+    right_out = data.draw(st.sets(st.integers(0, max(len(g.right) - 1, 0))))
+    kept = [(li, ri) for li, ri in edges if li not in left_out and ri not in right_out]
+    left_ids = sorted({li for li, _ in kept})
+    right_ids = sorted({ri for _, ri in kept})
+    sub = _without(g, left_out, right_out)
+    assert sub.left == tuple(g.left[i] for i in left_ids)
+    assert sub.right == tuple(g.right[j] for j in right_ids)
+    assert sub.edges == tuple(sorted((left_ids.index(li), right_ids.index(ri))
+                                     for li, ri in kept))
 
 
 def test_graph_rejects_nonpositive_weight():
     left = ((zs(4, 1), Fraction(0)),)
     with pytest.raises(ValueError):
-        ViolationGraph(left, (), ())
+        ViolationGraph(left, ())
 
 
 def test_build_bigraph_matches_worked_example():
@@ -152,20 +186,20 @@ def test_build_bigraph_groups_representatives_and_counts_queries():
 
 
 def test_cover_empty_graph():
-    g = ViolationGraph((), (), ())
+    g = ViolationGraph((), ())
     assert min_weight_vertex_cover(g) == (frozenset(), Fraction(0))
 
 
 def test_cover_star_picks_cheaper_side():
     center = (zs(8, 1, 2, 3), Fraction(5))
     rights = tuple((j, Fraction(1)) for j in (1, 2, 3))
-    g = ViolationGraph.from_vertices((center,), rights)
+    g = ViolationGraph((center,), rights)
     cover, w = min_weight_vertex_cover(g)
     assert w == Fraction(3)
     assert cover == frozenset({("R", 0), ("R", 1), ("R", 2)})
 
     cheap_center = (zs(8, 1, 2, 3), Fraction(2))
-    g2 = ViolationGraph.from_vertices((cheap_center,), rights)
+    g2 = ViolationGraph((cheap_center,), rights)
     cover2, w2 = min_weight_vertex_cover(g2)
     assert w2 == Fraction(2)
     assert cover2 == frozenset({("L", 0)})
@@ -174,14 +208,13 @@ def test_cover_star_picks_cheaper_side():
 def test_cover_matching_sums_per_edge_minima():
     left = ((zs(8, 1), Fraction(3)), (zs(8, 2), Fraction(1)))
     right = ((1, Fraction(2)), (2, Fraction(4)))
-    g = ViolationGraph.from_vertices(left, right)
+    g = ViolationGraph(left, right)
     _, w = min_weight_vertex_cover(g)
     assert w == Fraction(3)  # min(3,2) + min(1,4)
 
 
 def test_cover_takes_the_left_vertex_on_a_tie():
-    g = ViolationGraph.from_vertices(((zs(8, 1), Fraction(1)),),
-                                     ((1, Fraction(1)),))
+    g = ViolationGraph(((zs(8, 1), Fraction(1)),), ((1, Fraction(1)),))
     assert min_weight_vertex_cover(g) == (frozenset({("L", 0)}), Fraction(1))
 
 
@@ -190,7 +223,7 @@ def test_cover_sends_flow_back_along_a_right_to_left_edge():
     # unit then reaches right 2 only by pushing that flow back to left 1
     left = ((zs(8, 1, 2), Fraction(1)), (zs(8, 1), Fraction(1)))
     right = ((1, Fraction(1)), (2, Fraction(1)))
-    g = ViolationGraph.from_vertices(left, right)
+    g = ViolationGraph(left, right)
     assert min_weight_vertex_cover(g) == (
         frozenset({("L", 0), ("L", 1)}), Fraction(2))
 
@@ -208,7 +241,7 @@ def test_cover_weight_matches_brute_force_with_huge_denominators(
         zero_sets, rights, data):
     weights = data.draw(st.lists(_HUGE_WEIGHT, min_size=len(zero_sets) + len(rights),
                                  max_size=len(zero_sets) + len(rights)))
-    g = ViolationGraph.from_vertices(
+    g = ViolationGraph(
         tuple((zs(5, *z), w) for z, w in zip(zero_sets, weights)),
         tuple(zip(sorted(rights), weights[len(zero_sets):])))
     cover, w = min_weight_vertex_cover(g)
@@ -235,7 +268,7 @@ def rand_graph(rng, n=6):
         left.append(zrs)
     lw = rand_fractions(rng.split("lw"), nl)
     rw = rand_fractions(rng.split("rw"), nr)
-    return ViolationGraph.from_vertices(
+    return ViolationGraph(
         tuple((zs(n, *sorted(p)), w) for p, w in zip(left, lw)),
         tuple(zip(rights, rw)))
 
@@ -259,11 +292,11 @@ def test_cover_matches_brute_force_on_random_graphs():
 def k44_graph(weight=Fraction(1, 16)):
     left = tuple((zs(8, 1, 2, 3, 4, k), weight) for k in (5, 6, 7, 8))
     right = tuple((j, weight) for j in (1, 2, 3, 4))
-    return ViolationGraph.from_vertices(left, right)
+    return ViolationGraph(left, right)
 
 
 def test_prune_cheap_cover_exit():
-    g = ViolationGraph.from_vertices(
+    g = ViolationGraph(
         ((zs(8, 3, 7), Fraction(1, 2)),), ((7, Fraction(1, 2)),))
     report = prune_to_regular(g, Fraction(1), 2)
     assert report.exit_reason == "cheap-cover-found"
@@ -346,7 +379,7 @@ def test_diagnostics_on_regular_graph():
 
 
 def test_diagnostics_require_no_heavy_exit():
-    g = ViolationGraph.from_vertices(
+    g = ViolationGraph(
         ((zs(8, 3, 7), Fraction(1, 2)),), ((7, Fraction(1, 2)),))
     report = prune_to_regular(g, Fraction(1), 2)
     with pytest.raises(ValueError):
