@@ -424,6 +424,9 @@ def generate_instance(params: LBParams, variant: str,
         entries += ((ZeroSet(n, zeros), weight) for zeros in points[kind])
     inst = LBInstance(params, variant, *draw, function=func,
                       distribution=FiniteDistribution(n, tuple(entries)))
+    # Seed the _points cache with the points just derived from the same draw,
+    # so that validation does not derive them again.
+    inst.__dict__["_points"] = points
     validate_instance(inst)
     return inst
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -19,6 +20,7 @@ from .harness import (
     ExperimentConfig,
     distinguishing_experiment,
     run_trials,
+    sweep_configs,
     write_experiment_csv,
     write_trials_csv,
 )
@@ -245,19 +247,22 @@ def _cmd_experiment(args) -> int:
     if not budgets:
         raise ValueError("empty budget list")
     yes_variant, no_variant = args.variant_pair.split(":")
-    params = _desk_fallback_params(args.n)
-    rows = distinguishing_experiment(
-        algo=args.algo, params=params, yes_variant=yes_variant,
-        no_variant=no_variant, epsilon=args.epsilon, trials=args.trials,
-        seed=args.seed, budgets=budgets, amplify_k=args.amplify)
-    if args.algo != "dolev-ron":
-        print("note: the sim_* columns run the dolev-ron baseline, "
-              f"not {args.algo}", file=sys.stderr)
-    if args.out == "-":
-        write_experiment_csv(sys.stdout, rows)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_experiment_csv(fh, rows)
+    sweep = dict(algo=args.algo, params=_desk_fallback_params(args.n),
+                 yes_variant=yes_variant, no_variant=no_variant,
+                 epsilon=args.epsilon, trials=args.trials, seed=args.seed,
+                 budgets=budgets, amplify_k=args.amplify)
+    # Check every argument, then open the output, and only then run the
+    # sweep: a bad argument leaves no file, and a bad path fails at once.
+    sweep_configs(**sweep)
+    to_stdout = args.out == "-"
+    with (contextlib.nullcontext(sys.stdout) if to_stdout
+          else open(args.out, "w", encoding="utf-8", newline="")) as fh:
+        rows = distinguishing_experiment(**sweep)
+        if args.algo != "dolev-ron":
+            print("note: the sim_* columns run the dolev-ron baseline, "
+                  f"not {args.algo}", file=sys.stderr)
+        write_experiment_csv(fh, rows)
+    if not to_stdout:
         print(f"wrote {args.out}")
     return 0
 

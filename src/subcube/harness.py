@@ -50,6 +50,7 @@ __all__ = [
     "write_trials_csv",
     "query_budget_report",
     "distinguishing_experiment",
+    "sweep_configs",
     "write_experiment_csv",
 ]
 
@@ -138,20 +139,23 @@ class TrialResult:
 
 def _run_one(config: ExperimentConfig, trial: int,
              rng: Optional[RandomStream] = None,
+             inst: Optional[LBInstance] = None,
              sim: bool = False) -> TrialResult:
     """One trial on its own stream, by default split("trial", trial).
 
-    With sim set, the trial runs in the simulated world of the generated
-    instance (_SimWorld) instead of against its real oracles; that world can
-    only drive the dolev-ron baseline.
+    The trial runs on inst when it is given. Otherwise a generator config
+    draws its instance from rng.split("instance"), and an instance config
+    runs on its fixed instance. With sim set, the trial runs in the
+    simulated world of the generated instance (_SimWorld) instead of against
+    its real oracles; that world can only drive the dolev-ron baseline.
     """
     if rng is None:
         rng = RandomStream(config.seed).split("trial", trial)
     started = time.perf_counter()
-    inst = None
-    if config.generator is not None:
+    if inst is None and config.generator is not None:
         params, variant = config.generator
         inst = generate_instance(params, variant, rng.split("instance"))
+    if inst is not None:
         n, func, dist = inst.n, inst.function, inst.distribution
     else:
         n, func, dist = config.instance
@@ -298,6 +302,32 @@ class _SimWorld(FunctionSpec):
         return point, self.value_at(point.zeros)
 
 
+_WORLDS = ("real", "sim")
+
+
+def sweep_configs(algo: str, params: LBParams, yes_variant: str,
+                  no_variant: str, epsilon, trials: int, seed: int,
+                  budgets: list, amplify_k: int = 1) -> dict:
+    """The config of every (budget, world, variant) cell of a budget sweep.
+
+    Checks every argument of distinguishing_experiment, and raises
+    ValueError on a bad one, before anything is drawn. The sim world always
+    runs the dolev-ron baseline.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if any(q < 0 for q in budgets):
+        raise ValueError("budgets must be >= 0")
+    base = ExperimentConfig(algo=algo, epsilon=Fraction(epsilon),
+                            trials=trials, seed=seed, amplify_k=amplify_k,
+                            generator=(params, yes_variant))
+    return {(q, world, variant): replace(
+                base, generator=(params, variant), budget=q,
+                algo=algo if world == "real" else "dolev-ron")
+            for q in budgets for world in _WORLDS
+            for variant in (yes_variant, no_variant)}
+
+
 def distinguishing_experiment(algo: str, params: LBParams, yes_variant: str,
                               no_variant: str, epsilon, trials: int, seed: int,
                               budgets: list, amplify_k: int = 1) -> list[dict]:
@@ -310,28 +340,33 @@ def distinguishing_experiment(algo: str, params: LBParams, yes_variant: str,
     They always run the dolev-ron baseline, whatever algo is: the primary
     tester's batch sampling does not interoperate with a responder whose
     answers depend on draw order.
+
+    Trial i of a variant draws one validated instance from
+    split("exp", "instance", variant, i), and every budget in both worlds
+    runs on it, each run on its own stream split("exp", q, world, variant,
+    i). Only one instance is held at a time. The instance stream is
+    independent of the run streams, so each rate is an unbiased estimate
+    with the same law as if every run drew its own instance; the rows are
+    paired across budgets and worlds (common random numbers), which makes
+    the gap curve smoother in q.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if any(q < 0 for q in budgets):
-        raise ValueError("budgets must be >= 0")
-    base = ExperimentConfig(algo=algo, epsilon=Fraction(epsilon),
-                            trials=trials, seed=seed, amplify_k=amplify_k,
-                            generator=(params, yes_variant))
+    configs = sweep_configs(algo, params, yes_variant, no_variant, epsilon,
+                            trials, seed, budgets, amplify_k)
+    stream = RandomStream(seed)
+    accepted = dict.fromkeys(configs, 0)
+    for i in range(trials):
+        for variant in dict.fromkeys((yes_variant, no_variant)):
+            inst = generate_instance(
+                params, variant, stream.split("exp", "instance", variant, i))
+            for (q, world, v), config in configs.items():
+                if v == variant:
+                    run = stream.split("exp", q, world, variant, i)
+                    accepted[q, world, v] += _run_one(
+                        config, i, run, inst, sim=world == "sim").accepted
     rows = []
     for q in budgets:
-        rates = {}
-        for world in ("real", "sim"):
-            for variant in (yes_variant, no_variant):
-                config = replace(
-                    base, generator=(params, variant), budget=q,
-                    algo=algo if world == "real" else "dolev-ron")
-                accepted = 0
-                for i in range(trials):
-                    rng = RandomStream(seed).split("exp", q, world, variant, i)
-                    accepted += _run_one(config, i, rng,
-                                         sim=world == "sim").accepted
-                rates[(world, variant)] = accepted / trials
+        rates = {(world, variant): accepted[q, world, variant] / trials
+                 for world in _WORLDS for variant in (yes_variant, no_variant)}
         rows.append({
             "budget": q,
             "yes_accept": rates[("real", yes_variant)],

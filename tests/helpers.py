@@ -15,11 +15,13 @@ from itertools import combinations, product
 from math import ceil, comb
 
 from subcube import (
+    ExperimentConfig,
     FiniteDistribution,
     GeneralConj,
     LabeledSample,
     LinearThreshold,
     MonotoneConj,
+    RandomStream,
     ZeroSet,
 )
 
@@ -302,6 +304,43 @@ def reference_mconj_tester(oracle, sampler, p, rng):
         if oracle.query_set(frozenset(b[q] for q in pos) | {alpha}) == 1:
             return result(False, "step-2.2")
     return result(True, "end-of-stage-2")
+
+
+def reference_distinguishing_experiment(run_one, algo, params, yes_variant,
+                                        no_variant, epsilon, trials, seed,
+                                        budgets):
+    """The budget sweep as first written, kept as the oracle for the
+    shared-instance design: every (budget, world, variant, trial) run draws
+    its own instance, from its run stream split("exp", q, world, variant,
+    i) split once more by "instance". run_one is the harness's one-trial
+    runner, passed in so that this module imports nothing under test.
+    Returns the rows distinguishing_experiment returns."""
+    rows = []
+    for q in budgets:
+        rates = {}
+        for world in ("real", "sim"):
+            for variant in (yes_variant, no_variant):
+                config = ExperimentConfig(
+                    algo=algo if world == "real" else "dolev-ron",
+                    epsilon=Fraction(epsilon), trials=trials, seed=seed,
+                    generator=(params, variant), budget=q)
+                accepted = 0
+                for i in range(trials):
+                    rng = RandomStream(seed).split("exp", q, world, variant, i)
+                    accepted += run_one(config, i, rng,
+                                        sim=world == "sim").accepted
+                rates[(world, variant)] = accepted / trials
+        rows.append({
+            "budget": q,
+            "yes_accept": rates[("real", yes_variant)],
+            "no_accept": rates[("real", no_variant)],
+            "gap": rates[("real", yes_variant)] - rates[("real", no_variant)],
+            "sim_yes_accept": rates[("sim", yes_variant)],
+            "sim_no_accept": rates[("sim", no_variant)],
+            "sim_gap": (rates[("sim", yes_variant)]
+                        - rates[("sim", no_variant)]),
+        })
+    return rows
 
 
 def _reference_relevant_indices(sample):

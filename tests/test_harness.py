@@ -1,10 +1,13 @@
 """Trial harness, budget accounting, experiments, and the CLI."""
 
 import contextlib
+import gc
 import io
 import json
+import math
 import os
 import tempfile
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import subcube.cli as cli
+import subcube.harness as harness
 import subcube.tester as tester_module
 from subcube import (
     ExperimentConfig,
@@ -33,7 +37,7 @@ from subcube import (
     write_trials_csv,
 )
 from subcube.harness import ALGOS, CSV_HEADER, EXPERIMENT_HEADER, _run_one
-from helpers import rand_dist, zs
+from helpers import rand_dist, reference_distinguishing_experiment, zs
 
 SMALL_LB = LBParams(n=60, h=4, r_blocks=7, m=3, s=1, blocks_per_side=2)
 
@@ -308,6 +312,110 @@ def test_experiment_with_primary_testers(algo):
     assert sweep() == rows
 
 
+def test_experiment_draws_one_instance_per_variant_and_trial(monkeypatch):
+    """2 * trials instances, each drawn on its own stream and held alone;
+    every budget in both worlds of trial i runs on trial i's instance, each
+    run on the same stream as when every run drew its own instance."""
+    seed, budgets = 17, [0, 4, 16]
+    root = RandomStream(seed)
+    streams = {root.split("exp", "instance", v, i).path: (v, i)
+               for v in ("yes", "no") for i in range(3)}
+    drawn, runs = {}, []
+    generate, run_one = harness.generate_instance, harness._run_one
+
+    def counting(params, variant, rng):
+        gc.collect()
+        assert sum(ref() is not None for ref in drawn.values()) <= 1
+        cell = streams[rng.path]
+        assert cell[0] == variant and cell not in drawn
+        inst = generate(params, variant, rng)
+        drawn[cell] = weakref.ref(inst)
+        return inst
+
+    def recording(config, trial, rng=None, inst=None, sim=False):
+        world = "sim" if sim else "real"
+        variant = config.generator[1]
+        assert rng.path == root.split("exp", config.budget, world, variant,
+                                      trial).path
+        assert drawn[variant, trial]() is inst
+        runs.append((variant, trial, config.budget, world))
+        return run_one(config, trial, rng, inst, sim=sim)
+
+    monkeypatch.setattr(harness, "generate_instance", counting)
+    monkeypatch.setattr(harness, "_run_one", recording)
+    distinguishing_experiment(
+        algo="dolev-ron", params=SMALL_LB, yes_variant="yes", no_variant="no",
+        epsilon=Fraction(1), trials=3, seed=seed, budgets=budgets)
+    assert sorted(drawn) == sorted(streams.values())
+    assert sorted(runs) == sorted((v, i, q, w) for v, i in streams.values()
+                                  for q in budgets for w in ("real", "sim"))
+
+
+RATES = ("yes_accept", "no_accept", "sim_yes_accept", "sim_no_accept")
+
+
+@pytest.mark.parametrize("pair", [("yes", "no"), ("yes-ltf", "no-ltf")])
+def test_shared_instances_match_the_per_run_design_in_law(pair):
+    """Each rate has the law of the per-run design, and trials stay
+    independent.
+
+    Rows: both designs run T = 150 trials, on independent seeds. For a rate
+    column with values p1 and p2, the pooled p = (p1 + p2) / 2 gives the
+    two-proportion standard error sigma = sqrt(2 p (1 - p) / T); for a gap
+    column, the difference of two independent rates, sigma = sqrt(2 (py (1 -
+    py) + pn (1 - pn)) / T) with py and pn the pooled yes and no rates of
+    the same world. Every column of every row must agree within 4 sigma (a
+    column that both designs answer without randomness must agree exactly).
+
+    Independence: K = 30 calls of T = 10 trials at q = 16. If the trials of
+    a call are independent, a rate column's accept counts x_k are binomial,
+    and D = sum_k (x_k - T p)^2 / (T p (1 - p)), with p the pooled rate, is
+    about chi-square with K - 1 degrees of freedom: D must stay within
+    K - 1 + 4 sqrt(2 (K - 1)). Trials that share an instance draw their
+    counts from a mixture of binomials, which inflates D.
+    """
+    yes, no = pair
+    trials, budgets = 150, [4, 16, 64]
+    shared = distinguishing_experiment(
+        algo="dolev-ron", params=SMALL_LB, yes_variant=yes, no_variant=no,
+        epsilon=Fraction(1), trials=trials, seed=18, budgets=budgets)
+    per_run = reference_distinguishing_experiment(
+        _run_one, "dolev-ron", SMALL_LB, yes, no, Fraction(1), trials, 19,
+        budgets)
+    assert [r["budget"] for r in shared] == [r["budget"] for r in per_run]
+    for a, b in zip(shared, per_run):
+        for prefix in ("", "sim_"):
+            py = (a[prefix + "yes_accept"] + b[prefix + "yes_accept"]) / 2
+            pn = (a[prefix + "no_accept"] + b[prefix + "no_accept"]) / 2
+            sigmas = {
+                prefix + "yes_accept": math.sqrt(2 * py * (1 - py) / trials),
+                prefix + "no_accept": math.sqrt(2 * pn * (1 - pn) / trials),
+                prefix + "gap": math.sqrt(
+                    2 * (py * (1 - py) + pn * (1 - pn)) / trials),
+            }
+            for key, sigma in sigmas.items():
+                assert abs(a[key] - b[key]) <= 4 * sigma + 1e-12, (
+                    f"{key} at q={a['budget']}: {a[key]} vs {b[key]}, "
+                    f"4 sigma = {4 * sigma:.4f}")
+
+    calls, trials = 30, 10
+    counts = {key: [] for key in RATES}
+    for k in range(calls):
+        row, = distinguishing_experiment(
+            algo="dolev-ron", params=SMALL_LB, yes_variant=yes, no_variant=no,
+            epsilon=Fraction(1), trials=trials, seed=100 + k, budgets=[16])
+        for key in RATES:
+            counts[key].append(round(row[key] * trials))
+    bound = calls - 1 + 4 * math.sqrt(2 * (calls - 1))
+    for key, xs in counts.items():
+        p = sum(xs) / (calls * trials)
+        if 0 < p < 1:
+            dispersion = sum((x - trials * p) ** 2 for x in xs) / (
+                trials * p * (1 - p))
+            assert dispersion <= bound, (
+                f"{key} counts {xs}: D = {dispersion:.1f} > {bound:.1f}")
+
+
 def test_sim_baseline_searches_each_zero_sample_once(monkeypatch):
     """Against the no-black-box responder the baseline searches a repeated
     0-sample once, as it does against the real oracles."""
@@ -366,6 +474,22 @@ def test_experiment_input_validation(tmp_path, capsys):
             assert captured.err == "error: empty budget list\n"
             assert captured.out == ""
     assert not out.exists()
+
+
+def test_cli_experiment_opens_its_output_before_the_sweep(tmp_path, capsys,
+                                                         monkeypatch):
+    def sweep(**kwargs):
+        raise AssertionError("the sweep started before the output was opened")
+
+    monkeypatch.setattr(cli, "distinguishing_experiment", sweep)
+    for dest in (tmp_path / "missing" / "x.csv", tmp_path):
+        rc = cli.main(["experiment", "--algo", "dolev-ron", "--variant-pair",
+                       "yes:no", "--n", "4096", "--epsilon", "1", "--trials",
+                       "20", "--budget", "0,16,64", "--out", str(dest)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["test", "experiment", "violation"])
