@@ -18,7 +18,11 @@ A Sampler draws from two streams: draw() one (point, label) pair at a time,
 draw_indices(k) batches of support indices that continue from call to call.
 BlackBox.flipped(C) and Sampler.flipped(C) are views that flip the queries
 asked or the points handed out, share both streams, and log in the
-instance's own coordinates.
+instance's own coordinates. BlackBox.query_until asks a batch of small zero
+sets in order and stops at the first whose answer ends the run. A
+conjunction, flipped or not, is again a conjunction, so the box answers it
+for the whole batch from a table of each coordinate's literal; any other
+function is asked set by set.
 
 One QueryTranscript is the ledger of a trial: every oracle of the trial,
 every flipped view and every amplification attempt charges it. It counts
@@ -30,6 +34,7 @@ that would take either count past the limit.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -375,15 +380,38 @@ class QueryTranscript:
     blackbox_log: list = field(default_factory=list)
     sample_log: list = field(default_factory=list)
 
-    def take_blackbox(self) -> None:
-        if self.limit is not None and self.blackbox_count >= self.limit:
+    def take_blackbox(self, k: int = 1) -> None:
+        if self.limit is not None and self.blackbox_count + k > self.limit:
             raise BudgetExceeded("black-box query budget exhausted")
-        self.blackbox_count += 1
+        self.blackbox_count += k
 
     def take_samples(self, k: int) -> None:
         if self.limit is not None and self.sample_count + k > self.limit:
             raise BudgetExceeded("sampling budget exhausted")
         self.sample_count += k
+
+
+# the coordinate that pads the rows of BlackBox.query_until
+_PAD = frozenset({0})
+
+
+def _literals(func: FunctionSpec) -> Optional[tuple]:
+    """(P, N) when func is the conjunction of z_i = 1 for i in P and z_i = 0
+    for i in N, None for any other function. A flipped conjunction is again
+    one: flipping i moves it from P to N or back."""
+    if type(func) is MonotoneConj:
+        return func.required, frozenset()
+    if type(func) is GeneralConj:
+        return func.required_one, func.required_zero
+    if type(func) is Flipped:
+        inner = _literals(func.inner)
+        return None if inner is None else _flip_literals(inner, func.coords)
+    return None
+
+
+def _flip_literals(literals: tuple, coords: frozenset) -> tuple:
+    ones, zeros = literals
+    return (ones - coords) | (zeros & coords), (zeros - coords) | (ones & coords)
 
 
 class BlackBox:
@@ -394,6 +422,20 @@ class BlackBox:
         self.n = func.n
         self.transcript = transcript
         self._flip = frozenset()
+
+    @functools.cached_property
+    def _codes(self) -> Optional[tuple]:
+        """(table, |N|) when the function this box asks, flip included, is
+        the conjunction (P, N) of _literals: table[i] has bit 1 when i is in
+        P and bit 2 when i is in N. None for any other function."""
+        literals = _literals(self.func)
+        if literals is None:
+            return None
+        ones, zeros = _flip_literals(literals, self._flip)
+        table = np.zeros(self.n + 1, dtype=np.int8)
+        table[np.fromiter(ones, np.intp, len(ones))] = 1
+        table[np.fromiter(zeros, np.intp, len(zeros))] |= 2
+        return table, len(zeros)
 
     def query(self, x: ZeroSet) -> int:
         if x.n != self.n:
@@ -417,10 +459,44 @@ class BlackBox:
         point f was asked."""
         view = copy.copy(self)
         view._flip = self._flip ^ frozenset(coords)
+        view.__dict__.pop("_codes", None)  # built for this view when first used
         return view
+
+    def query_until(self, rows: np.ndarray, stop: int) -> Optional[int]:
+        """Ask the zero sets in rows in order until one is answered stop:
+        its index, or None when none is.
+
+        Each row lists the distinct coordinates of one set, padded with 0s.
+        Each set asked is one query, charged and logged as query_set would,
+        and a budget runs out at the same query as when they are asked one
+        at a time. A conjunction is answered for the whole batch through
+        the code table; any other function is asked set by set."""
+        if self._codes is None:
+            for k, row in enumerate(rows.tolist()):
+                if self.query_set(frozenset(row) - _PAD) == stop:
+                    return k
+            return None
+        table, required = self._codes
+        codes = table[rows]
+        values = (~(codes & 1).any(axis=1)
+                  & (np.count_nonzero(codes & 2, axis=1) == required)).astype(np.int8)
+        hits = np.flatnonzero(values == stop)
+        asked = int(hits[0]) + 1 if hits.size else len(rows)
+        t = self.transcript
+        room = asked if t.limit is None else min(asked, t.limit - t.blackbox_count)
+        t.take_blackbox(room)
+        if t.log_queries:
+            t.blackbox_log.extend(((frozenset(row) - _PAD) ^ self._flip, value)
+                                  for row, value in zip(rows[:room].tolist(),
+                                                        values[:room].tolist()))
+        if room < asked:
+            t.take_blackbox()  # refused: raises
+        return int(hits[0]) if hits.size else None
 
 
 _BUCKET_BITS = 12
+# the most samples Sampler._draw_groups draws (and labels) at a time
+_DRAW_SAMPLES = 1 << 16
 
 
 def _bucket_table(bounds: np.ndarray, shift: int, count: int, ties: bool) -> np.ndarray:
@@ -561,12 +637,21 @@ class Sampler:
         self._log(idx)
         return idx
 
-    def _draw_groups(self, count: int, size: int) -> np.ndarray:
-        """count groups of size draws from the batch stream, as a (count,
-        size) array of support indices, uncharged: the caller charges (and
-        logs) each group before reading it. The words, and the indices, are
-        those of count draw_indices(size) calls."""
-        return self._draw_indices_raw(self._batch, count * size).reshape(count, size)
+    def _draw_groups(self, count: int, size: int) -> tuple:
+        """count groups of size draws from the batch stream, uncharged: the
+        caller charges (and logs) each group before reading it. Returns the
+        support indices and their labels, each as a (count, size) array.
+        The words, and the indices, are those of count draw_indices(size)
+        calls. They are drawn at most _DRAW_SAMPLES at a time, which bounds
+        the buffers that drawing and labelling take."""
+        total = count * size
+        idx = np.empty(total, dtype=self._table.dtype)
+        lab = np.empty(total, dtype=self.labels.dtype)
+        for start in range(0, total, _DRAW_SAMPLES):
+            part = slice(start, min(start + _DRAW_SAMPLES, total))
+            idx[part] = self._draw_indices_raw(self._batch, part.stop - start)
+            np.take(self.labels, idx[part], out=lab[part])
+        return idx.reshape(count, size), lab.reshape(count, size)
 
     def flipped(self, coords: Iterable[int]) -> "Sampler":
         """A view handing out x with coords flipped, under x's label. It shares

@@ -8,21 +8,30 @@ representative against its 1-strings. All parameters derive from (n, epsilon)
 by fixed ceiling rules; base-2 logs throughout. The general-conjunction
 tester runs the monotone one on flipped views of the same two oracles.
 
-Stages 1 and 2 read only a few facts of each group, so Stage 0 records
-those as it draws: the zero-set union B of the group's first 1-samples
-(memoized, since groups repeat the same few support subsets) and its first
-0-sample. It draws the groups a block at a time, with one draw for the
-block, and computes every group's facts in numpy; it then walks the groups
-in order, charging (and logging) each before reading its facts or running
-its representative searches. Memory stays at one block plus the recorded
-facts, and no sample is drawn twice. Under a sample budget a block holds
-only groups the budget admits, so a refused group is never drawn. Once recording has stopped and every
-0-labelled support point has its representative, no later group can change
-the verdict, a query or a count, so Stage 0 charges the remaining groups,
-one group at a time, without reading them or drawing further blocks. With
-query logging on it reads every group, because the sample log lists every
-sample. Stages 1 and 2 draw their random subsets in blocks of rows with
-RandomStream.subset_rows, on the same words as one subset at a time.
+Stages 1 and 2 read only three facts of each group, so Stage 0 keeps
+those and nothing else: its 1-count, its first 0-sample, and B, the union
+of the zero sets of its first t (Stage 2: t-1) 1-samples. B is read off a
+prefix of the group that doubles from 64 samples until it holds the t-th
+1-sample or shows every 1-labelled support point, and is kept as a bit
+mask over the support (one uint64 word per 64 points), on which it is
+memoized. Stage 0 draws the groups a block at a time and computes every
+group's facts in numpy. It charges (and logs) the groups in runs, each
+ending at a group where a representative search runs, so a budget, a nil
+representative or the stop below lands at the same group as one draw per
+group would. Memory stays at one block plus the facts, and no sample
+is drawn twice. Under a sample budget a block holds only groups the budget
+admits, so a refused group is never drawn. Once recording has stopped and
+every 0-labelled support point has its representative, no later group can
+change the verdict, a query or a count, so Stage 0 charges the remaining
+groups in one step, without drawing them. With query logging on it reads
+every group, because the sample log lists every sample.
+
+Stages 1 and 2 draw their random subsets in blocks of rows with
+RandomStream.subset_rows, on the same words as one subset at a time, and
+ask the probes of a block in one BlackBox.query_until call, which stops at
+the first probe that ends the run. Stage 2 first finds the group that ends
+the run by its facts (too few 1-samples, no 0-sample, or step 2.1) and
+asks the probes of the groups before it.
 """
 
 from __future__ import annotations
@@ -180,25 +189,96 @@ def binary_search_representative(oracle, x: ZeroSet) -> Optional[int]:
 
 
 # Stage 0 draws its groups in blocks that double from one group up to about
-# this many samples (plus one support-sized presence row per group), so a
+# this many samples (plus one support-sized row of flags per group), so a
 # run that ends after a few groups draws few more, and memory stays at one
-# block.
-_BLOCK_SAMPLES = 1 << 16
+# block of indices and labels, a few bytes per sample.
+_BLOCK_SAMPLES = 1 << 18
+# B is read from a prefix of each group that starts this many samples long
+# and doubles for the groups it does not yet settle.
+_PREFIX = 64
 # Stages 1 and 2 draw their random subsets this many rows at a time.
 _SUBSET_ROWS = 512
 
 
-def _union(cache: dict, sampler, present: np.ndarray) -> tuple:
-    """B, the union of the zero sets of the support points marked in
-    present, as (set, sorted list). Groups repeat the same few subsets of
-    the support, so B is memoized on the mask."""
-    key = present.tobytes()
-    hit = cache.get(key)
+def _pack(present: np.ndarray) -> np.ndarray:
+    """Rows of flags over the support, 64 per word, as bit masks: one
+    uint64 word per 64 support points, point 64w + i at bit i of word w."""
+    return np.packbits(present, axis=1, bitorder="little").view("<u8")
+
+
+def _support_mask(flags: np.ndarray) -> np.ndarray:
+    """The mask, as _pack makes them, of the support points flagged."""
+    padded = np.zeros((1, 64 * -(-len(flags) // 64)), dtype=bool)
+    padded[0, :len(flags)] = flags
+    return _pack(padded)[0]
+
+
+def _block_facts(idx: np.ndarray, lab: np.ndarray, need: np.ndarray,
+                 ones_mask: np.ndarray) -> tuple:
+    """The facts Stages 1-2 read of each group of a block, given its
+    support indices idx, their labels lab and need[row], the number of
+    1-samples B is taken over: (ones, first0, masks). ones[row] is the
+    group's 1-count and first0[row] its first 0-sample, -1 when it has
+    none. masks[row] marks B's support points, those among the first
+    need[row] 1-samples, as _pack does; it is 0 for a group with fewer.
+
+    B is read from a prefix of each group that doubles until it settles
+    the group: the prefix holds the need-th 1-sample, and B is read up to
+    it, or the prefix already shows every point of ones_mask (the
+    1-labelled support points), all that B can hold. Each doubling reads
+    only the samples the prefix gained."""
+    count, size = idx.shape
+    ones = lab.sum(axis=1, dtype=np.min_scalar_type(size))
+    first0 = np.where(ones < size, idx[np.arange(count), lab.view(bool).argmin(axis=1)], -1)
+    masks = np.zeros((count, len(ones_mask)), dtype="<u8")
+    # left[row]: the 1-samples B takes past the prefix read so far
+    left = need.astype(np.int32)
+    rows = np.flatnonzero(ones >= need)
+    lo, hi = 0, _PREFIX
+    width = 64 * len(ones_mask)
+    while rows.size:
+        hi = min(hi, size)
+        cum = np.cumsum(lab[rows, lo:hi], axis=1, dtype=np.int32)
+        rest = left[rows]
+        # one row of width flags per group, and a last flag that takes
+        # the samples past the cut
+        present = np.zeros(rows.size * width + 1, dtype=bool)
+        present[np.where(cum <= rest[:, None],
+                         idx[rows, lo:hi] + np.arange(0, rows.size * width, width,
+                                                      dtype=np.int32)[:, None],
+                         -1)] = True
+        found = masks[rows] | _pack(present[:-1].reshape(rows.size, width)) & ones_mask
+        masks[rows] = found
+        left[rows] = rest = rest - cum[:, -1]
+        rows = rows[(rest > 0) & (found != ones_mask).any(axis=1)]
+        lo, hi = hi, 2 * hi
+    return ones, first0, masks
+
+
+def _union(unions: dict, sampler, key: bytes) -> int:
+    """The id of B, the union of the zero sets of the support points marked
+    in key, the bytes of a mask of _block_facts. Groups repeat the same few
+    subsets of the support, so B is memoized on the mask: unions maps it to
+    (id, set, sorted int array), ids counting from 0 in insertion order."""
+    hit = unions.get(key)
     if hit is None:
-        b_set = set().union(*(sampler.point(int(si)).zeros
-                              for si in np.flatnonzero(present)))
-        hit = cache[key] = (b_set, sorted(b_set))
-    return hit
+        points = np.flatnonzero(np.unpackbits(np.frombuffer(key, np.uint8),
+                                              bitorder="little"))
+        b_set = set().union(*(sampler.point(int(si)).zeros for si in points))
+        hit = unions[key] = (len(unions), b_set, np.array(sorted(b_set), dtype=np.intp))
+    return hit[0]
+
+
+def _charge_groups(transcript, k: int, size: int) -> None:
+    """Charge k groups of size samples as k take_samples(size) calls would:
+    under a limit, the groups that fit are charged, and the first that does
+    not raises BudgetExceeded."""
+    fit = k
+    if transcript.limit is not None:
+        fit = min(k, (transcript.limit - transcript.sample_count) // size)
+    transcript.take_samples(fit * size)
+    if fit < k:
+        transcript.take_samples(size)
 
 
 def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStream,
@@ -217,23 +297,32 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
     if oracle.query(ZeroSet.all_ones(n)) == 0:
         return Verdict(False, "stage0-allones", p)
 
-    labels = sampler.labels
     transcript = sampler.transcript
     size, groups = p.group_size, p.d_star + 1
     # reps[si]: the representative of 0-labelled point si, one per search
     reps: dict[int, Optional[int]] = {}
     # done[si]: si is 1-labelled or its representative is already computed
-    done = labels != 0
+    done = sampler.labels != 0
     pending = sampler.support_size - int(np.count_nonzero(done))
+    ones_mask = _support_mask(done)
     zero_count = 0
 
     def verdict(accepted: bool, reason: str) -> Verdict:
         return Verdict(accepted, reason, p, zero_count, len(reps))
 
-    # facts[g] = (B, first 0-sample) of group g, all Stages 1-2 read of it:
-    # B is over its first t (Stage 2: t-1) 1-samples, None when it has fewer.
-    # Recording stops after the first group whose facts end the run.
-    facts: list[tuple] = []
+    def charge(idx: np.ndarray, ones: np.ndarray, a: int, b: int) -> None:
+        # groups a..b-1 of a block, read, in one step
+        nonlocal zero_count
+        _charge_groups(transcript, b - a, size)
+        sampler._log(idx[a:b].ravel())
+        zero_count += (b - a) * size - int(ones[a:b].sum())
+
+    # The facts of each recorded group, all Stages 1-2 read of it: the id
+    # in unions of B, over its first t (Stage 2: t-1) 1-samples, or -1 when
+    # it has fewer; and its first 0-sample, or -1. Recording stops after
+    # the first group whose facts end the run.
+    b_ids: list[np.ndarray] = []
+    first0s: list[np.ndarray] = []
     unions: dict[bytes, tuple] = {}
     recording = True
     g = 0
@@ -241,7 +330,7 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
     max_block = max(1, _BLOCK_SAMPLES // (size + sampler.support_size))
     while g < groups and (recording or pending or transcript.log_queries):
         # Each block's facts are computed up front, but a group is charged
-        # (and logged) before any of them is read, so a budget, a nil
+        # (and logged) before any search runs on it, so a budget, a nil
         # representative or the cut-off below lands at the same group as
         # when groups are drawn one at a time.
         count = min(block, groups - g)
@@ -249,97 +338,108 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
             count = min(count, (transcript.limit - transcript.sample_count) // size)
             if not count:
                 transcript.take_samples(size)  # refused: raises
-        idx = sampler._draw_groups(count, size)
+        idx, lab = sampler._draw_groups(count, size)
         block = min(2 * block, max_block)
-        lab = labels[idx]
-        ones = np.count_nonzero(lab, axis=1).tolist()
-        first0 = idx[np.arange(count), lab.argmin(axis=1)].tolist()
+        # last: the last row the run must read, count when it reads them all
+        last = count if transcript.log_queries else -1
         if recording:
-            # present[row]: the support points among the row's first t
-            # (Stage 2: t-1) 1-samples
-            need = np.full((count, 1), p.t - 1)
+            need = np.full(count, p.t - 1)
             if g == 0:
                 need[0] = p.t
-            take = np.cumsum(lab, axis=1, dtype=np.min_scalar_type(size)) <= need
-            take &= lab != 0
-            present = np.zeros((count, sampler.support_size + 1), dtype=bool)
-            present[np.arange(count)[:, None],
-                    np.where(take, idx, sampler.support_size)] = True
-        # (row, point) of each first appearance of a point not yet searched,
-        # last one first
+            ones, first0, masks = _block_facts(idx, lab, need, ones_mask)
+            ends = (ones < need) | (first0 < 0)
+            if g == 0:
+                ends[0] = ones[0] < p.t
+            stop = int(ends.argmax()) if ends.any() else count
+            rec = min(stop + 1, count)
+            ids = np.full(rec, -1)
+            keep = np.flatnonzero(ones[:rec] >= need[:rec])
+            keys, inverse = np.unique(masks[keep].view(f"V{8 * masks.shape[1]}").ravel(),
+                                      return_inverse=True)
+            ids[keep] = np.array([_union(unions, sampler, key) for key in keys.tolist()],
+                                 dtype=int)[inverse]
+            b_ids.append(ids)
+            first0s.append(first0[:rec])
+            recording = stop == count
+            last = max(last, stop)
+        else:
+            ones = lab.sum(axis=1, dtype=np.min_scalar_type(size))
+        # (row, point) of each first appearance of a point not yet searched
         searches = []
         if pending:
             flat = idx.ravel()
             fresh = np.flatnonzero(~done[flat])
             points, first = np.unique(flat[fresh], return_index=True)
-            order = np.argsort(first)[::-1]
+            order = np.argsort(first)
             searches = list(zip((fresh[first[order]] // size).tolist(),
                                 points[order].tolist()))
-        for row in range(count):
-            if not (recording or pending or transcript.log_queries):
-                break
-            transcript.take_samples(size)
-            sampler._log(idx[row])
-            zero_count += size - ones[row]
-            if recording:
-                b = (_union(unions, sampler, present[row, :-1])
-                     if ones[row] >= need[row, 0] else None)
-                f0 = first0[row] if ones[row] < size else None
-                facts.append((b, f0))
-                recording = b is not None and (g == 0 or f0 is not None)
-            while searches and searches[-1][0] == row:
-                si = searches.pop()[1]
-                done[si] = True
-                pending -= 1
-                rep = reps[si] = binary_search_representative(oracle, sampler.point(si))
-                if rep is None:
-                    return verdict(False, "stage0-nil-representative")
-            g += 1
+            last = max(last, searches[-1][0] if len(searches) == pending else count)
+        start = 0
+        for row, si in searches:
+            if row >= start:
+                charge(idx, ones, start, row + 1)
+                start = row + 1
+            done[si] = True
+            pending -= 1
+            rep = reps[si] = binary_search_representative(oracle, sampler.point(si))
+            if rep is None:
+                return verdict(False, "stage0-nil-representative")
+        read = min(last + 1, count)
+        charge(idx, ones, start, read)
+        g += read
     # Once recording has stopped and every 0-point has its representative,
-    # later groups could change only the 0-sample count: charge them group
-    # by group, undrawn, so a budget runs out where drawing would have
-    # exhausted it.
-    for _ in range(g, groups):
-        transcript.take_samples(size)
+    # later groups could change only the 0-sample count: charge them
+    # undrawn, so a budget runs out where drawing would have exhausted it.
+    _charge_groups(transcript, groups - g, size)
 
     step_rng = rng.split("steps")
+    b_ids, first0s = np.concatenate(b_ids), np.concatenate(first0s)
+    entries = [(b_set, b_arr) for _, b_set, b_arr in unions.values()]
 
     # Stage 1: the first group feeds the singleton and subset probes.
-    if facts[0][0] is None:
+    if b_ids[0] < 0:
         return verdict(True, "stage1-few-ones")
-    _, b_arr = facts[0][0]
-    if b_arr:
-        for q in step_rng.integers(len(b_arr), size=p.s).tolist():
-            if oracle.query_set(frozenset((b_arr[q],))) == 0:
-                return verdict(False, "step-1.1")
+    b_arr = entries[b_ids[0]][1]
+    if len(b_arr):
+        probes = b_arr[step_rng.integers(len(b_arr), size=p.s)]
+        if oracle.query_until(probes[:, None], 0) is not None:
+            return verdict(False, "step-1.1")
         for start in range(0, p.s, _SUBSET_ROWS):
             rows = min(_SUBSET_ROWS, p.s - start)
-            for pos in step_rng.subset_rows([len(b_arr)] * rows, p.r):
-                if oracle.query_set(frozenset([b_arr[q] for q in pos])) == 0:
-                    return verdict(False, "step-1.2")
+            pos = step_rng.subset_rows([len(b_arr)] * rows, p.r)
+            if oracle.query_until(b_arr[np.array(pos, dtype=np.intp)], 0) is not None:
+                return verdict(False, "step-1.2")
 
     # Stage 2: one fresh group per iteration. Every 0-sample has its
     # representative, because Stage 0 returns on the first nil one. Only
-    # the last recorded group can lack B or a 0-sample, so the subsets are
-    # drawn ahead a block at a time; the rows after a terminating group are
-    # never read.
-    for start in range(1, len(facts), _SUBSET_ROWS):
-        chunk = facts[start:start + _SUBSET_ROWS]
-        subsets = step_rng.subset_rows(
-            [0 if b is None else len(b[1]) for b, _ in chunk], p.r - 1)
-        for (b, first0), pos in zip(chunk, subsets):
-            if b is None:
-                return verdict(True, "stage2-few-ones")
-            if first0 is None:
-                return verdict(True, "stage2-no-zero")
-            b_set, b_arr = b
-            alpha = reps[first0]
-            if alpha in b_set:
-                return verdict(False, "step-2.1")
-            if oracle.query_set(frozenset([alpha, *(b_arr[q] for q in pos)])) == 1:
-                return verdict(False, "step-2.2")
-
-    return verdict(True, "end-of-stage-2")
+    # the last recorded group can lack B or a 0-sample; the first group
+    # that ends the run that way or by step 2.1 is found first, and the
+    # probes of the groups before it are asked in blocks of rows.
+    ids, first0s = b_ids[1:], first0s[1:]
+    end, reason = len(ids), "end-of-stage-2"
+    if end and ids[-1] < 0:
+        end, reason = end - 1, "stage2-few-ones"
+    elif end and first0s[-1] < 0:
+        end, reason = end - 1, "stage2-no-zero"
+    rep_of = np.zeros(sampler.support_size, dtype=np.intp)
+    rep_of[list(reps)] = list(reps.values())
+    alpha = rep_of[first0s[:end]]
+    inside = [a in entries[i][0] for a, i in zip(alpha.tolist(), ids[:end].tolist())]
+    if any(inside):
+        end, reason = inside.index(True), "step-2.1"
+    # every B's coordinates end to end, then a 0 that pads short rows
+    sizes = np.array([len(b_arr) for _, b_arr in entries], dtype=np.intp)
+    coords = np.concatenate([b_arr for _, b_arr in entries] + [np.zeros(1, np.intp)])
+    offsets = np.cumsum(sizes) - sizes
+    pad = [-1] * (p.r - 1)
+    for start in range(0, end, _SUBSET_ROWS):
+        rows = slice(start, min(end, start + _SUBSET_ROWS))
+        subsets = step_rng.subset_rows(sizes[ids[rows]].tolist(), p.r - 1)
+        pos = np.array([s + pad[len(s):] for s in subsets], dtype=np.intp)
+        probes = coords[np.where(pos < 0, -1, offsets[ids[rows], None] + pos)]
+        if oracle.query_until(np.column_stack((alpha[rows], probes)), 1) is not None:
+            return verdict(False, "step-2.2")
+    return verdict(reason != "step-2.1", reason)
 
 
 def test_general_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStream,

@@ -781,3 +781,87 @@ def test_cli_scaled_fuzz_writes_its_params_or_exits_2(n, variant, fields, mutati
         want["blocks_per_side"] = want.pop("bps")
         with open(out + ".sidecar.json", encoding="utf-8") as fh:
             assert json.load(fh)["params"] == {"n": n, **want}
+
+
+def _violation_function(kind, n, coords, bits):
+    """A function object of the instance file format over 1..n."""
+    picked = [c for c in coords if c <= n]
+    if kind == "mconj":
+        return {"type": "monotone-conjunction", "n": n, "required": picked[:2]}
+    if kind == "conj":
+        return {"type": "conjunction", "n": n, "required_one": picked[:1],
+                "required_zero": picked[1:3]}
+    if kind == "dlist":
+        return {"type": "decision-list", "n": n,
+                "rules": [[-c if c % 2 else c, c % 2] for c in picked], "default": 1}
+    if kind == "table":
+        return {"type": "truth-table", "n": n, "bits": hex(bits % (1 << (1 << min(n, 4))))}
+    return {"type": "flipped", "coords": picked[:2],
+            "inner": _violation_function("conj", n, coords, bits)}
+
+
+# malformed values for an instance file, and --epsilon values, good ones
+# first (hypothesis favours them), then out-of-range and malformed ones
+_BAD_WEIGHTS = ["0", "-1/2", "1/0", "x", "1e-400", "nan", 0.5, None, [1]]
+_BAD_N = [0, -1, "3", 3.0, True, None]
+_EPSILONS = ["1", "1/2", "1/3", "0", "-1/2", "3/2", "1/0", "x", "1e-400", ""]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 6), kind=st.sampled_from(["mconj", "conj", "dlist", "table",
+                                                  "flipped"]),
+       coords=st.lists(st.integers(1, 6), max_size=4, unique=True),
+       bits=st.integers(0, 1 << 16),
+       points=st.lists(st.lists(st.integers(1, 6), max_size=4, unique=True),
+                       min_size=1, max_size=5),
+       mutation=st.integers(0, 6), bad=st.integers(0, 20),
+       epsilon=st.sampled_from(_EPSILONS),
+       emit=st.sampled_from(["graph", "prune-report"]))
+def test_cli_violation_fuzz_exits_0_or_2(n, kind, coords, bits, points, mutation, bad,
+                                         epsilon, emit):
+    # random and malformed instance files and --epsilon values end in exit 0,
+    # or in exit 2 with "error:" on stderr, never in a traceback
+    obj = {"n": n, "function": _violation_function(kind, n, coords, bits),
+           "distribution": [{"zeros": [c for c in zeros if c <= n],
+                             "weight": f"1/{len(points)}"} for zeros in points]}
+    rows = obj["distribution"]
+    if mutation == 1:  # a weight that is not a positive rational
+        rows[0]["weight"] = _BAD_WEIGHTS[bad % len(_BAD_WEIGHTS)]
+    elif mutation == 2:  # a repeated point
+        rows.append(dict(rows[0]))
+    elif mutation == 3:  # a coordinate outside 1..n
+        rows[-1]["zeros"] = rows[-1]["zeros"] + [(n + 1, 0, -1)[bad % 3]]
+    elif mutation == 4:  # an n that is not a positive integer
+        obj["n"] = _BAD_N[bad % len(_BAD_N)]
+    elif mutation == 5:  # a zero weight beside weights that sum to 1
+        rows.append({"zeros": [n] if [n] not in points else [], "weight": "0"})
+    elif mutation == 6:  # a missing key
+        del rows[0]["weight" if bad % 2 else "zeros"]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                rc = cli.main(["violation", "--instance", path, f"--epsilon={epsilon}",
+                               "--emit", emit])
+            except SystemExit as exc:  # argparse rejects the option itself
+                rc = exc.code
+    assert "Traceback" not in err.getvalue()
+    assert rc == 0 or (rc == 2 and "error:" in err.getvalue()), (rc, err.getvalue())
+
+
+@pytest.mark.parametrize("emit", ["graph", "prune-report"])
+def test_cli_violation_n1_exits_2_on_prune_report_only(tmp_path, capsys, emit):
+    # at n = 1 the graph is defined, but the prune report needs d, which
+    # compute_parameters refuses below n = 2
+    path = tmp_path / "n1.json"
+    save_instance(path, 1, MonotoneConj(1, frozenset({1})),
+                  FiniteDistribution(1, ((zs(1, 1), Fraction(1, 2)), (zs(1), Fraction(1, 2)))))
+    rc = cli.main(["violation", "--instance", str(path), "--epsilon", "1", "--emit", emit])
+    captured = capsys.readouterr()
+    if emit == "graph":
+        assert rc == 0 and "right 0: index=1 " in captured.out
+    else:
+        assert rc == 2 and captured.err.startswith("error: ") and "n must be" in captured.err

@@ -14,6 +14,7 @@ from subcube import (
     FiniteDistribution,
     Flipped,
     GeneralConj,
+    LBParams,
     LinearThreshold,
     MonotoneConj,
     QueryTranscript,
@@ -22,7 +23,9 @@ from subcube import (
     SizeCapError,
     TruthTable,
     ZeroSet,
+    generate_instance,
 )
+import subcube.model as model_module
 from helpers import rand_dist, rand_points, table_of, zs
 
 
@@ -328,6 +331,24 @@ def test_draw_indices_charges_and_continues_one_stream():
     assert [capped.draw() for _ in range(8)] == [again.draw() for _ in range(8)]
 
 
+@pytest.mark.parametrize("big", [False, True])
+def test_draw_groups_in_chunks_match_draw_indices(monkeypatch, big):
+    # a block drawn a few samples at a time holds the indices, and labels,
+    # of one draw_indices call per group, and leaves the stream where they do
+    monkeypatch.setattr(model_module, "_DRAW_SAMPLES", 7)
+    den = (1 << 64) + 13 if big else 97
+    d = FiniteDistribution(3, ((zs(3), Fraction(1, den)), (zs(3, 1), Fraction(30, den)),
+                               (zs(3, 2), Fraction(den - 31, den))))
+    f = MonotoneConj(3, frozenset({1}))
+    sm = Sampler(d, f, QueryTranscript(), RandomStream(66))
+    twin = Sampler(d, f, QueryTranscript(), RandomStream(66))
+    idx, lab = sm._draw_groups(5, 6)
+    want = np.array([twin.draw_indices(6) for _ in range(5)])
+    assert np.array_equal(idx, want)
+    assert np.array_equal(lab, sm.labels[want])
+    assert np.array_equal(sm._draw_groups(1, 3)[0][0], twin.draw_indices(3))
+
+
 def per_draw_reference(d, rng, k):
     """The literal exact sampler: one inverse-CDF lookup per bigint draw."""
     return [d.index_from_uniform(rng.randrange(d.denominator)) for _ in range(k)]
@@ -499,3 +520,94 @@ def test_flipped_sampler_flips_points_and_labels():
     assert not np.array_equal(a, b)
     twin = Sampler(d, f, QueryTranscript(), RandomStream(66))
     assert np.array_equal(np.concatenate([first, a, b]), twin.draw_indices(133))
+
+
+# -- batched probes ------------------------------------------------------------
+
+
+def _probe_function(kind, n, rng):
+    """A function of one kind the batched probes answer: conjunctions in
+    every form (table), and two that go through the query_set loop."""
+    coords = list(range(1, n + 1))
+    if kind == "mconj":
+        return MonotoneConj(n, frozenset(rng.sample(coords, rng.randrange(4))))
+    if kind in ("conj", "flipped"):
+        ones = rng.sample(coords, rng.randrange(3))
+        zeros = rng.sample([c for c in coords if c not in ones], rng.randrange(3))
+        f = GeneralConj(n, frozenset(ones), frozenset(zeros))
+        return f if kind == "conj" else Flipped(f, frozenset(rng.sample(coords, rng.randrange(n))))
+    if kind == "const0":  # overlapping literals
+        i = rng.randrange(n) + 1
+        return GeneralConj(n, frozenset({i, *rng.sample(coords, 1)}), frozenset({i}))
+    if kind == "flipped2":
+        inner = Flipped(MonotoneConj(n, frozenset(rng.sample(coords, 2))),
+                        frozenset(rng.sample(coords, 2)))
+        return Flipped(inner, frozenset(rng.sample(coords, rng.randrange(n))))
+    if kind == "dlist":
+        return DecisionList(n, tuple(((1, -1)[rng.randrange(2)] * (rng.randrange(n) + 1),
+                                      rng.randrange(2)) for _ in range(3)),
+                            rng.randrange(2))
+    return generate_instance(LBParams(n=60, h=4, r_blocks=7, m=3, s=1, blocks_per_side=2),
+                             "no", rng).function
+
+
+def _probe_box(func, tr, views):
+    """A box on func: plain, a flipped view, or a view of a view."""
+    box = BlackBox(func, tr)
+    for coords in views:
+        box = box.flipped(coords)
+    return box
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["mconj", "conj", "const0", "flipped", "flipped2", "dlist",
+                             "lb-no"]),
+       seed=st.integers(0, 2 ** 32), nviews=st.integers(0, 2), rows=st.integers(0, 12),
+       stop=st.integers(0, 1), cap=st.one_of(st.none(), st.integers(0, 14)))
+def test_query_until_matches_a_query_set_loop(kind, seed, nviews, rows, stop, cap):
+    # the index, the count, the log and, under a limit that may land inside
+    # the batch, the point where BudgetExceeded is raised all match asking
+    # the rows one query_set at a time
+    rng = RandomStream(seed)
+    n = 60 if kind == "lb-no" else 4 + rng.randrange(6)
+    func = _probe_function(kind, n, rng.split("function"))
+    coords = list(range(1, n + 1))
+    views = [frozenset(rng.sample(coords, rng.randrange(n + 1))) for _ in range(nviews)]
+    width = 1 + rng.randrange(4)
+    sets = [rng.sample(coords, rng.randrange(width + 1)) for _ in range(rows)]
+    batch = np.array([s + [0] * (width - len(s)) for s in sets], dtype=np.intp)
+    batch = batch.reshape(rows, width)
+    before = rng.randrange(3)  # queries already asked
+
+    def run(ask):
+        tr = QueryTranscript(log_queries=True, limit=None if cap is None else before + cap)
+        box = _probe_box(func, tr, views)
+        for _ in range(before):
+            box.query_set(frozenset())
+        try:
+            got = ask(box)
+        except BudgetExceeded:
+            got = "budget"
+        return got, tr.blackbox_count, tr.blackbox_log
+
+    def loop(box):
+        for k, s in enumerate(sets):
+            if box.query_set(frozenset(s)) == stop:
+                return k
+        return None
+
+    want = run(loop)
+    assert run(lambda box: box.query_until(batch, stop)) == want
+    if cap is None:
+        assert want[1] == before + (len(sets) if want[0] is None else want[0] + 1)
+
+
+def test_query_until_logs_ints_in_the_functions_coordinates():
+    # a flipped view of a conjunction logs each point as f was asked it,
+    # with an int value, as query_set does
+    f = GeneralConj(5, frozenset({1}), frozenset({2}))
+    tr = QueryTranscript(log_queries=True)
+    box = BlackBox(f, tr).flipped({2, 3})
+    assert box.query_until(np.array([[1, 0], [4, 5], [3, 0]]), 1) == 1
+    assert tr.blackbox_log == [(frozenset({1, 2, 3}), 0), (frozenset({2, 3, 4, 5}), 1)]
+    assert all(type(value) is int for _, value in tr.blackbox_log)

@@ -3,7 +3,9 @@
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subcube import (
     BlackBox,
@@ -32,6 +34,7 @@ from subcube.tester import (
     test_monotone_conjunction as run_mconj_tester,
 )
 from helpers import (
+    literal_block_facts,
     ones_index,
     rand_dist,
     rand_points,
@@ -824,3 +827,82 @@ def test_stage0_blocks_match_reference_inside_a_block(monkeypatch, case):
         outcome = (True, "stage2-no-zero", sum(1 for _, label in read if label == 0), 1)
     assert want[0][:2] == outcome[:2]
     assert quiet[0] == outcome
+
+
+# -- Stage 0's block facts and its one-step charges ----------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(support=st.integers(1, 200), count=st.integers(1, 6), size=st.integers(1, 700),
+       ones_share=st.floats(0, 1), skew=st.integers(0, 8), full_rows=st.integers(0, 6),
+       stage=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_block_facts_match_the_literal_rule(support, count, size, ones_share, skew,
+                                            full_rows, stage, seed):
+    # random label rows over supports of 1-200 points (more than one mask word
+    # above 64), some points light enough that the prefix must double; the
+    # first full_rows rows hold no 0-sample when some point is 1-labelled
+    gen = np.random.default_rng(seed)
+    labels = (gen.random(support) < ones_share).astype(np.int8)
+    weights = gen.random(support) ** skew
+    idx = gen.choice(support, size=(count, size), p=weights / weights.sum())
+    idx = idx.astype(np.min_scalar_type(-support - 1))
+    if labels.any():
+        idx[:full_rows] = gen.choice(np.flatnonzero(labels), size=idx[:full_rows].shape)
+    lab = np.take(labels, idx)
+    ones = lab.sum(axis=1)
+    if stage:
+        # as Stage 0 asks: t-1 1-samples, and t in the first group (g = 0)
+        need = np.full(count, 1 + gen.integers(0, ones.max() + 2))
+        need[0] += 1
+    else:
+        # anything from 1 to past the row's 1-count
+        need = 1 + gen.integers(0, ones + 3)
+    got = tester_module._block_facts(idx, lab, need,
+                                     tester_module._support_mask(labels != 0))
+    masks = got[2]
+    assert masks.shape == (count, -(-support // 64))
+    for row, (ones_count, first0, points) in enumerate(literal_block_facts(idx, lab, need)):
+        marked = np.flatnonzero(np.unpackbits(masks[row].view(np.uint8), bitorder="little"))
+        assert (got[0][row], got[1][row]) == (ones_count, first0)
+        assert set(marked.tolist()) == (points or set()), (row, need[row])
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.integers(0, 60), k=st.integers(0, 40), size=st.integers(1, 9),
+       room=st.one_of(st.none(), st.integers(0, 400)))
+def test_charging_groups_in_one_step_matches_the_per_group_loop(start, k, size, room):
+    # the same count, and BudgetExceeded at the same group, when the limit
+    # falls inside the groups charged
+    def charged(charge):
+        tr = QueryTranscript(limit=None if room is None else start + room)
+        tr.take_samples(start)
+        try:
+            charge(tr)
+        except BudgetExceeded:
+            return "budget", tr.sample_count
+        return "charged", tr.sample_count
+
+    loop = charged(lambda tr: [tr.take_samples(size) for _ in range(k)])
+    assert charged(lambda tr: tester_module._charge_groups(tr, k, size)) == loop
+
+
+def test_the_undrawn_tail_runs_out_of_budget_where_the_reference_does():
+    # logging off, a run that stops recording in group 1 charges the other
+    # groups undrawn; a limit inside that tail stops it at the reference's
+    # count, group by group
+    n, f, dist = ones_mass_instance(Fraction(3, 10))
+    p = compute_parameters(n, 1)
+    for limit in (p.group_size * 40 + 5, p.stage0_samples - 1):
+        counts = []
+        for reference in (False, True):
+            tr = QueryTranscript(limit=limit)
+            rng = RandomStream(314)
+            bb, sm = BlackBox(f, tr), Sampler(dist, f, tr, rng.split("samples"))
+            with pytest.raises(BudgetExceeded):
+                if reference:
+                    reference_mconj_tester(bb, sm, p, rng.split("tester"))
+                else:
+                    run_mconj_tester(bb, sm, n, 1, rng.split("tester"))
+            counts.append((tr.sample_count, tr.blackbox_count))
+        assert counts[0] == counts[1]
+        assert counts[0][0] == limit - limit % p.group_size
