@@ -15,7 +15,8 @@ words, bucket the top word, and fall back to exact integers only when the top
 word equals a boundary's top word.
 
 A Sampler draws from two streams: draw() one (point, label) pair at a time,
-draw_indices(k) batches of support indices that continue from call to call.
+and the tester's blocks of groups from a batch stream that continues from
+call to call.
 BlackBox.flipped(C) and Sampler.flipped(C) are views that flip the queries
 asked or the points handed out, share both streams, and log in the
 instance's own coordinates. BlackBox.query_until asks a batch of small zero
@@ -552,8 +553,8 @@ class Sampler:
             self._table = _bucket_table(self._bounds, self._key_shift,
                                         1 << _BUCKET_BITS, ties=True)
         self._split = bool((self._table < 0).any())
-        # the stream of draw_indices; its label keeps every drawn word the
-        # same as in earlier versions, which named it the first "tape"
+        # the batch stream of _draw_groups; its label keeps every drawn word
+        # the same as in earlier versions, which named it the first "tape"
         self._batch = rng.split("tape", 1)
 
     # -- support accessors --
@@ -628,22 +629,13 @@ class Sampler:
         i = int(idx[0])
         return self._points[i], int(self.labels[i])
 
-    def draw_indices(self, k: int) -> np.ndarray:
-        """k counted draws, as support indices, from the batch stream. The
-        stream is separate from draw()'s and continues from call to call.
-        The samples are charged before they are drawn."""
-        self.transcript.take_samples(k)
-        idx = self._draw_indices_raw(self._batch, k)
-        self._log(idx)
-        return idx
-
     def _draw_groups(self, count: int, size: int) -> tuple:
         """count groups of size draws from the batch stream, uncharged: the
         caller charges (and logs) each group before reading it. Returns the
         support indices and their labels, each as a (count, size) array.
-        The words, and the indices, are those of count draw_indices(size)
-        calls. They are drawn at most _DRAW_SAMPLES at a time, which bounds
-        the buffers that drawing and labelling take."""
+        The words, and the indices, are those of count successive draws of
+        size from the batch stream. They are drawn at most _DRAW_SAMPLES at
+        a time, which bounds the buffers that drawing and labelling take."""
         total = count * size
         idx = np.empty(total, dtype=self._table.dtype)
         lab = np.empty(total, dtype=self.labels.dtype)

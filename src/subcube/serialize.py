@@ -160,7 +160,9 @@ def _function(obj, where: str) -> FunctionSpec:
         return GeneralConj(n, ints("required_one", n), ints("required_zero", n))
     if tag == "decision-list":
         rules = ints("rules", depth=2)
-        _ints([abs(lit) for lit, *_ in rules], f"{where}.rules", n)
+        if any(len(rule) != 2 for rule in rules):
+            raise InstanceFormatError(f"{where}.rules: a rule is not a [literal, bit]")
+        _ints([abs(lit) for lit, _ in rules], f"{where}.rules", n)
         return DecisionList(n, tuple(map(tuple, rules)), num("default"))
     if tag == "ltf":
         return LinearThreshold(n, tuple(ints("weights")), num("threshold"))

@@ -6,8 +6,10 @@ bipartite form pairs 1-strings in the support against representative indices
 of 0-strings, joining each 1-string to the indices in its zero set, so its
 vertices fix its edges. Its minimum-weight vertex cover lower-bounds the
 distance to the class, and a heavy-vertex pruning pass extracts the regular
-subgraph the distance argument runs on. The cover comes from an exact integer max-flow
-over the common denominator of the weights, as its minimal source-side cut.
+subgraph the distance argument runs on. The cover and the heaviness tests run
+in integers, over a common denominator of the weights. The cover is the
+minimal source-side cut of a max-flow found by edge-local pushes and then
+shortest augmenting paths; that cut is the same for every maximum flow.
 """
 
 from __future__ import annotations
@@ -173,12 +175,14 @@ def min_weight_vertex_cover(G: ViolationGraph):
     Weighted Koenig duality: the cover weight equals the maximum flow in the
     source -> left -> right -> sink network with vertex weights as capacities
     and unbounded left -> right edges. The flow runs in integers: every weight
-    is scaled to the lcm of all weight denominators, so it stays exact. The
-    cover is the minimal source-side cut: the left vertices the source cannot
-    reach in the final residual graph and the right vertices it can. That set
-    is the same for every maximum flow, so on a tie the left vertex is taken.
-    Returns (cover, weight) where cover holds ("L", position) and
-    ("R", position) tags.
+    is scaled to the lcm of all weight denominators, so it stays exact. Each
+    edge, in G.edges order, first carries what both its endpoints have left;
+    BFS augmenting paths, shortest first, then reroute that flow until none is
+    left. The cover is the minimal source-side cut: the left vertices the
+    source cannot reach in the final residual graph and the right vertices it
+    can. That set is the same for every maximum flow, so the seed does not
+    change it, and on a tie the left vertex is taken. Returns (cover, weight)
+    where cover holds ("L", position) and ("R", position) tags.
     """
     nl, nr = len(G.left), len(G.right)
     if nl + nr > _COVER_CAP:
@@ -191,9 +195,16 @@ def min_weight_vertex_cover(G: ViolationGraph):
     # (node nl + j); flow[j] maps left i to the flow on edge i -> j
     cap = [w.numerator * (denom // w.denominator) for w in weights]
     adj = [[] for _ in range(nl)]
+    flow = [{} for _ in range(nr)]
+    total = 0
     for li, ri in G.edges:
         adj[li].append(nl + ri)
-    flow = [{} for _ in range(nr)]
+        push = min(cap[li], cap[nl + ri])
+        if push:
+            cap[li] -= push
+            cap[nl + ri] -= push
+            flow[ri][li] = push
+            total += push
 
     def search():
         """BFS over the residual graph: (parent, right node that still
@@ -211,7 +222,6 @@ def min_weight_vertex_cover(G: ViolationGraph):
                     queue.append(v)
         return parent, None
 
-    total = 0
     while True:
         parent, end = search()
         if end is None:
@@ -239,21 +249,26 @@ def min_weight_vertex_cover(G: ViolationGraph):
 
 
 def _degrees(G: ViolationGraph):
-    """Degree of every left vertex and incoming weight of every right one."""
+    """Degree of every left vertex, incoming weight of every right one in
+    units of 1/denom, and denom, the lcm of the left weights' denominators."""
+    denom = math.lcm(*(w.denominator for _, w in G.left))
+    scaled = [w.numerator * (denom // w.denominator) for _, w in G.left]
     deg = [0] * len(G.left)
-    inw = [Fraction(0)] * len(G.right)
+    inw = [0] * len(G.right)
     for li, ri in G.edges:
         deg[li] += 1
-        inw[ri] += G.left[li][1]
-    return deg, inw
+        inw[ri] += scaled[li]
+    return deg, inw, denom
 
 
 def _heavy(G: ViolationGraph, d: int):
-    """Positions of the left and of the right vertices heavy against wt(G)."""
-    deg, inw = _degrees(G)
-    dw = d * G.graph_weight()
-    return ([i for i, k in enumerate(deg) if k >= dw],
-            [j for j, (_, w) in enumerate(G.right) if inw[j] >= dw * w])
+    """Positions of the left and of the right vertices heavy against wt(G),
+    compared in integers: wt(G) is sum(inw) / denom."""
+    deg, inw, denom = _degrees(G)
+    dw = d * sum(inw)
+    return ([i for i, k in enumerate(deg) if k * denom >= dw],
+            [j for j, (_, w) in enumerate(G.right)
+             if inw[j] * w.denominator >= dw * w.numerator])
 
 
 def _without(G: ViolationGraph, left_out=(), right_out=()) -> ViolationGraph:

@@ -12,6 +12,7 @@ modules under test beyond the basic data types.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+import math
 from math import ceil, comb
 
 from subcube import (
@@ -22,6 +23,7 @@ from subcube import (
     LinearThreshold,
     MonotoneConj,
     RandomStream,
+    SizeCapError,
     ZeroSet,
 )
 
@@ -180,6 +182,85 @@ def brute_min_cover(graph):
     return best
 
 
+def literal_heavy(graph, d):
+    """Positions of the left and of the right vertices heavy against the
+    graph weight W, by the rule in Fractions: degree at least d*W, and
+    incoming weight at least d*W times the vertex's own weight."""
+    edges = reference_edges(graph.left, graph.right)
+    weight = sum((graph.left[li][1] for li, _ in edges), Fraction(0))
+    deg = [0] * len(graph.left)
+    inw = [Fraction(0)] * len(graph.right)
+    for li, ri in edges:
+        deg[li] += 1
+        inw[ri] += graph.left[li][1]
+    return ([i for i in range(len(graph.left)) if deg[i] >= d * weight],
+            [j for j, (_, wj) in enumerate(graph.right) if inw[j] >= d * weight * wj])
+
+
+def reference_min_cover(G):
+    """Minimum-weight vertex cover by an integer max-flow that starts from
+    the zero flow and runs one BFS per augmenting path, kept as the
+    reference for the package's seeded flow. Returns (cover, weight) with
+    ("L", position) and ("R", position) tags; the cover is the minimal
+    source-side cut."""
+    nl, nr = len(G.left), len(G.right)
+    if nl + nr > 10_000:
+        raise SizeCapError("vertex cover computation capped at 10000 vertices")
+    if not G.edges:
+        return frozenset(), Fraction(0)
+    weights = [w for _, w in G.left + G.right]
+    denom = math.lcm(*(w.denominator for w in weights))
+    # residual capacity of source -> left i (node i) and right j -> sink
+    # (node nl + j); flow[j] maps left i to the flow on edge i -> j
+    cap = [w.numerator * (denom // w.denominator) for w in weights]
+    adj = [[] for _ in range(nl)]
+    for li, ri in G.edges:
+        adj[li].append(nl + ri)
+    flow = [{} for _ in range(nr)]
+
+    def search():
+        """BFS over the residual graph: (parent, right node that still
+        reaches the sink, or None once the flow is maximum)."""
+        queue = [i for i in range(nl) if cap[i]]
+        parent = [-1 if u < nl and cap[u] else None for u in range(nl + nr)]
+        for u in queue:
+            nexts = (adj[u] if u < nl
+                     else [i for i, f in flow[u - nl].items() if f])
+            for v in nexts:
+                if parent[v] is None:
+                    parent[v] = u
+                    if v >= nl and cap[v]:
+                        return parent, v
+                    queue.append(v)
+        return parent, None
+
+    total = 0
+    while True:
+        parent, end = search()
+        if end is None:
+            break
+        path = [end]
+        while parent[path[-1]] != -1:
+            path.append(parent[path[-1]])
+        # the path runs back from end to a left node fed by the source; of
+        # its steps u -> v only the right -> left ones are bounded
+        steps = list(zip(path, path[1:]))
+        bottleneck = min(cap[end], cap[path[-1]],
+                         *(flow[u - nl][v] for v, u in steps if u >= nl))
+        cap[end] -= bottleneck
+        cap[path[-1]] -= bottleneck
+        for v, u in steps:
+            if u < nl:
+                flow[v - nl][u] = flow[v - nl].get(u, 0) + bottleneck
+            else:
+                flow[u - nl][v] -= bottleneck
+        total += bottleneck
+
+    cover = {("L", i) for i in range(nl) if parent[i] is None}
+    cover |= {("R", j) for j in range(nr) if parent[nl + j] is not None}
+    return frozenset(cover), Fraction(total, denom)
+
+
 def rand_fractions(rng, k):
     """k positive exact weights summing to 1."""
     nums = [rng.randrange(9) + 1 for _ in range(k)]
@@ -247,6 +328,17 @@ def literal_block_facts(idx, lab, need):
     return out
 
 
+def draw_indices(sampler, k):
+    """k counted draws, as support indices, from the sampler's batch stream,
+    the stream the tester's groups come from. It is separate from draw()'s
+    and continues from call to call. The samples are charged before they
+    are drawn, and logged as the sampler logs them."""
+    sampler.transcript.take_samples(k)
+    idx = sampler._draw_indices_raw(sampler._batch, k)
+    sampler._log(idx)
+    return idx
+
+
 def reference_mconj_tester(oracle, sampler, p, rng):
     """The monotone tester as the paper states it, kept as the oracle for
     the one-pass code: every group is stored as drawn, the representative
@@ -284,7 +376,7 @@ def reference_mconj_tester(oracle, sampler, p, rng):
     if oracle.query_set(frozenset()) == 0:
         return result(False, "stage0-allones")
     for _ in range(p.d_star + 1):
-        groups.append([int(i) for i in sampler.draw_indices(p.group_size)])
+        groups.append([int(i) for i in draw_indices(sampler, p.group_size)])
         zeros = split(groups[-1])[1]
         zero_count += len(zeros)
         for i in zeros:

@@ -26,7 +26,7 @@ from subcube import (
     generate_instance,
 )
 import subcube.model as model_module
-from helpers import rand_dist, rand_points, table_of, zs
+from helpers import draw_indices, rand_dist, rand_points, table_of, zs
 
 
 def test_zeroset_validation_and_flip():
@@ -310,11 +310,11 @@ def test_draw_indices_charges_and_continues_one_stream():
     d = rand_dist(RandomStream(60), 6, 5)
     tr = QueryTranscript()
     sm = Sampler(d, f, tr, RandomStream(61))
-    parts = [sm.draw_indices(7) for _ in range(3)]
+    parts = [draw_indices(sm, 7) for _ in range(3)]
     assert tr.sample_count == 21
     twin_tr = QueryTranscript()
     twin = Sampler(d, f, twin_tr, RandomStream(61))
-    assert np.array_equal(np.concatenate(parts), twin.draw_indices(21))
+    assert np.array_equal(np.concatenate(parts), draw_indices(twin, 21))
     assert twin_tr.sample_count == 21
     # the batch stream is not draw()'s: single draws are unmoved by it
     fresh = Sampler(d, f, QueryTranscript(), RandomStream(61))
@@ -322,11 +322,11 @@ def test_draw_indices_charges_and_continues_one_stream():
     # a refused call draws nothing, so each stream goes on where it stood
     capped_tr = QueryTranscript(limit=0)
     capped = Sampler(d, f, capped_tr, RandomStream(61))
-    for refused in (lambda: capped.draw_indices(3), capped.draw):
+    for refused in (lambda: draw_indices(capped, 3), capped.draw):
         with pytest.raises(BudgetExceeded):
             refused()
     capped_tr.limit = None
-    assert np.array_equal(capped.draw_indices(21), np.concatenate(parts))
+    assert np.array_equal(draw_indices(capped, 21), np.concatenate(parts))
     again = Sampler(d, f, QueryTranscript(), RandomStream(61))
     assert [capped.draw() for _ in range(8)] == [again.draw() for _ in range(8)]
 
@@ -343,10 +343,10 @@ def test_draw_groups_in_chunks_match_draw_indices(monkeypatch, big):
     sm = Sampler(d, f, QueryTranscript(), RandomStream(66))
     twin = Sampler(d, f, QueryTranscript(), RandomStream(66))
     idx, lab = sm._draw_groups(5, 6)
-    want = np.array([twin.draw_indices(6) for _ in range(5)])
+    want = np.array([draw_indices(twin, 6) for _ in range(5)])
     assert np.array_equal(idx, want)
     assert np.array_equal(lab, sm.labels[want])
-    assert np.array_equal(sm._draw_groups(1, 3)[0][0], twin.draw_indices(3))
+    assert np.array_equal(sm._draw_groups(1, 3)[0][0], draw_indices(twin, 3))
 
 
 def per_draw_reference(d, rng, k):
@@ -511,15 +511,15 @@ def test_flipped_sampler_flips_points_and_labels():
     for zeros, label in tr.sample_log:
         assert zeros in support and label == f.value_at(zeros)
     # batch draws are charged and logged the same way
-    first = fs.draw_indices(5)
+    first = draw_indices(fs, 5)
     assert tr.sample_count == 15
     assert all(z in support for z, _ in tr.sample_log[10:])
     # the view and its sampler continue one batch stream, not repeat it
-    a = base.flipped({2}).draw_indices(64)
-    b = base.draw_indices(64)
+    a = draw_indices(base.flipped({2}), 64)
+    b = draw_indices(base, 64)
     assert not np.array_equal(a, b)
     twin = Sampler(d, f, QueryTranscript(), RandomStream(66))
-    assert np.array_equal(np.concatenate([first, a, b]), twin.draw_indices(133))
+    assert np.array_equal(np.concatenate([first, a, b]), draw_indices(twin, 133))
 
 
 # -- batched probes ------------------------------------------------------------

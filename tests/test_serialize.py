@@ -162,6 +162,12 @@ def set_alpha_twice(obj):
     alpha[1] = alpha[0]
 
 
+def with_rules(rules):
+    """mconj_obj() with a decision list of the given rules as its function."""
+    return edit(mconj_obj, lambda o: o.update(function={
+        "type": "decision-list", "n": 4, "rules": rules, "default": 0}))
+
+
 def with_function_text(text):
     """mconj_obj() as file text, with text in place of its function."""
     def make():
@@ -212,6 +218,9 @@ BAD_FILES = [
      edit(lb_no_obj, lambda o: o["function"]["a_blocks"][0][0].append("7")),
      "a_blocks"),
     ("lb-no-duplicate-alpha", edit(lb_no_obj, set_alpha_twice), "distinct"),
+    ("dlist-rule-one-element", with_rules([[1]]), "function.rules"),
+    ("dlist-rule-empty", with_rules([[]]), "function.rules"),
+    ("dlist-rule-three-elements", with_rules([[1, 0, 1]]), "function.rules"),
     ("deep-list", with_function_text("[" * 100_000 + "]" * 100_000),
      "nested too deeply"),
     ("deep-flipped-chain", with_function_text(flipped_chain(2000)),

@@ -19,17 +19,21 @@ from subcube import (
     ViolationGraph,
     ZeroSet,
     build_violation_bigraph,
+    desk_params,
+    generate_instance,
     hypergraph_has_violation,
     min_weight_vertex_cover,
     prune_to_regular,
     regularity_diagnostics,
 )
-from subcube.violation import _without
+from subcube.violation import _heavy, _without
 from helpers import (
     brute_min_cover,
+    literal_heavy,
     mconj_tables,
     rand_fractions,
     reference_edges,
+    reference_min_cover,
     zs,
 )
 
@@ -253,6 +257,44 @@ def test_cover_weight_matches_brute_force_with_huge_denominators(
     assert spent == w
 
 
+_MIXED_WEIGHT = st.one_of(_SMALL_WEIGHT, _HUGE_WEIGHT)
+
+
+@st.composite
+def shaped_graphs(draw):
+    """Graphs of up to 30 + 30 vertices in three shapes: dense (random
+    neighbourhoods), star (left 0 joined to every right vertex, each other
+    left vertex to one) and chain (left i joined to right i and i + 1). Each
+    left point also has a zero of its own outside the right indices, so the
+    points are distinct."""
+    nl, nr = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    shape = draw(st.sampled_from(["dense", "star", "chain"]))
+    if shape == "dense":
+        nbrs = [draw(st.sets(st.integers(0, nr - 1))) for _ in range(nl)]
+    elif shape == "star":
+        nbrs = [set(range(nr))] + [{(i - 1) % nr} for i in range(1, nl)]
+    else:
+        nbrs = [{i, i + 1} & set(range(nr)) for i in range(nl)]
+    ws = draw(st.lists(_MIXED_WEIGHT, min_size=nl + nr, max_size=nl + nr))
+    left = tuple((zs(nr + nl, *(j + 1 for j in nb), nr + 1 + i), w)
+                 for i, (nb, w) in enumerate(zip(nbrs, ws)))
+    return ViolationGraph(left, tuple((j + 1, w) for j, w in enumerate(ws[nl:])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=shaped_graphs())
+def test_cover_set_matches_the_unseeded_reference(g):
+    # the cover is the minimal source-side cut, the same for every maximum
+    # flow, so seeding the flow changes neither the set nor its weight
+    assert min_weight_vertex_cover(g) == reference_min_cover(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=shaped_graphs(), d=st.sampled_from([1, 2, 3, 5, 9]))
+def test_heavy_in_integers_matches_the_fraction_rule(g, d):
+    assert _heavy(g, d) == literal_heavy(g, d)
+
+
 def rand_graph(rng, n=6):
     nl = 1 + rng.randrange(4)
     nr = 1 + rng.randrange(4)
@@ -403,3 +445,14 @@ def test_far_instance_pipeline_reaches_diagnostics():
     diag = regularity_diagnostics(report, Fraction(1, 2), 9)
     assert diag["W"] == Fraction(1, 3)
     assert diag["min_cover"] == Fraction(1, 3)
+
+
+def test_desk_scale_pipeline_covers_match_the_reference():
+    # one no-ltf instance at the experiment's scale, n = 4096: 512 left
+    # vertices, about 230 right ones
+    inst = generate_instance(desk_params(4096), "no-ltf", RandomStream(1))
+    g = build_violation_bigraph(inst.function, inst.distribution)
+    assert min_weight_vertex_cover(g) == reference_min_cover(g)
+    report = prune_to_regular(g, Fraction(1, 2), 9)
+    assert report.G_star.edges
+    assert min_weight_vertex_cover(report.G_star) == reference_min_cover(report.G_star)
