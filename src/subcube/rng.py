@@ -97,23 +97,24 @@ class RandomStream:
 
     def subset_positions(self, pop_size: int, k: int) -> list[int]:
         """Uniformly random k-subset of range(pop_size) (Floyd's method), sorted."""
-        return self.subset_rows([pop_size], k)[0]
+        return self.subset_rows([pop_size], k)[0, :pop_size].tolist()
 
-    def subset_rows(self, pops, k: int) -> list[list[int]]:
-        """For each pop in pops, a uniformly random k-subset of range(pop)
-        by Floyd's method, sorted; all of range(pop), drawing nothing, when
+    def subset_rows(self, pops, k: int) -> np.ndarray:
+        """A (len(pops), k) int64 array: for each pop in pops, a row that
+        holds a uniformly random k-subset of range(pop) by Floyd's method,
+        sorted; all of range(pop), padded with -1 and drawing nothing, when
         k >= pop. The words are those of subset_positions(pop, k) for each
         pop in turn. Every pop must be at most 2^62."""
-        out = [list(range(pop)) if k >= pop else [] for pop in pops]
-        rows = [i for i, pop in enumerate(pops) if 0 < k < pop]
-        if not rows:
+        if k and (top := max(pops, default=0)) > _FAST_BOUND:
+            raise ValueError(f"population {top} is past 2^62, the bound "
+                             "of the batched path")
+        pops = np.asarray(pops, dtype=np.int64).reshape(-1)
+        out = np.where(np.arange(k) < pops[:, None], np.arange(k), -1)
+        rows = np.flatnonzero(pops > k)
+        if not (k and rows.size):
             return out
         # highs[row, c] = j + 1 for the c-th Floyd step j = pop - k + c
-        sizes = [pops[i] for i in rows]
-        if max(sizes) > _FAST_BOUND:
-            raise ValueError(f"population {max(sizes)} is past 2^62, the bound "
-                             "of the batched path")
-        highs = np.array(sizes, dtype=np.int64)[:, None] + np.arange(1 - k, 1)
+        highs = pops[rows, None] + np.arange(1 - k, 1)
         chosen = self._gen.integers(0, highs)
         # a draw already chosen in its row is replaced by that step's j
         if len(rows) >= k:
@@ -122,13 +123,12 @@ class RandomStream:
                 hit = (chosen[:, :c] == chosen[:, c, None]).any(axis=1)
                 chosen[hit, c] = highs[hit, c] - 1
             chosen.sort(axis=1)
-            for i, row in zip(rows, chosen.tolist()):
-                out[i] = row
+            out[rows] = chosen
         else:
             # few long rows: one row at a time
-            for i, draws in zip(rows, chosen.tolist()):
+            for i, draws in zip(rows.tolist(), chosen.tolist()):
                 seen: set[int] = set()
-                for j, t in enumerate(draws, start=pops[i] - k):
+                for j, t in enumerate(draws, start=int(pops[i]) - k):
                     seen.add(j if t in seen else t)
                 out[i] = sorted(seen)
         return out

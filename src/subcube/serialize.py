@@ -165,12 +165,17 @@ def _function(obj, where: str) -> FunctionSpec:
         _ints([abs(lit) for lit, _ in rules], f"{where}.rules", n)
         return DecisionList(n, tuple(map(tuple, rules)), num("default"))
     if tag == "ltf":
-        return LinearThreshold(n, tuple(ints("weights")), num("threshold"))
+        weights = ints("weights")
+        if len(weights) != n:
+            raise InstanceFormatError(f"{where}.weights: need one weight per coordinate")
+        return LinearThreshold(n, tuple(weights), num("threshold"))
     if tag == "truth-table":
         bits = _get(obj, "bits", where)
-        if not isinstance(bits, str):
-            raise InstanceFormatError(f"{where}.bits: expected a hex string")
-        return TruthTable(n, int(bits, 16))
+        try:
+            value = int(bits, 16)
+        except (TypeError, ValueError):
+            raise InstanceFormatError(f"{where}.bits: {bits!r} is not a hex string") from None
+        return TruthTable(n, value)
     hidden = (n, ints("R", n), ints("alpha", n), ints("a_blocks", n, 3),
               ints("b_blocks", n, 3), num("s"))
     if tag == "lb-no":
@@ -203,8 +208,12 @@ def instance_from_obj(obj: dict) -> ProblemInstance:
     for k, row in enumerate(rows):
         where = f"distribution[{k}]"
         zeros = _ints(_get(row, "zeros", where), f"{where}.zeros", n)
-        entries.append((ZeroSet(n, frozenset(zeros)),
-                        parse_fraction(_get(row, "weight", where))))
+        text = _get(row, "weight", where)
+        try:
+            weight = parse_fraction(text)
+        except ValueError as exc:
+            raise InstanceFormatError(f"{where}.weight: {exc}") from None
+        entries.append((ZeroSet(n, frozenset(zeros)), weight))
     return ProblemInstance(n, func, FiniteDistribution(n, tuple(entries)))
 
 

@@ -10,23 +10,25 @@ tester runs the monotone one on flipped views of the same two oracles.
 
 Stages 1 and 2 read only three facts of each group, so Stage 0 keeps
 those and nothing else: its 1-count, its first 0-sample, and B, the union
-of the zero sets of its first t (Stage 2: t-1) 1-samples. B is read off a
-prefix of the group that doubles from 64 samples until it holds the t-th
-1-sample or shows every 1-labelled support point, and is kept as a bit
-mask over the support (one uint64 word per 64 points), on which it is
-memoized. Stage 0 draws the groups a block at a time and computes every
-group's facts in numpy. It charges (and logs) the groups in runs, each
-ending at a group where a representative search runs, so a budget, a nil
-representative or the stop below lands at the same group as one draw per
-group would. Memory stays at one block plus the facts, and no sample
-is drawn twice. Under a sample budget a block holds only groups the budget
-admits, so a refused group is never drawn. Once recording has stopped and
-every 0-labelled support point has its representative, no later group can
-change the verdict, a query or a count, so Stage 0 charges the remaining
-groups in one step, without drawing them. With query logging on it reads
-every group, because the sample log lists every sample.
+of the zero sets of its first t (Stage 2: t-1) 1-samples. Their support
+points are read off a prefix of the group that doubles from 64 samples
+until it holds the t-th 1-sample or shows every 1-labelled support point,
+as a row of flags over the support; B, a row of flags over the
+coordinates, is memoized on it. Stage 0 draws the groups a block at a time
+and computes every group's facts in numpy. It charges (and logs) the
+groups in runs, each ending at a group where a representative search
+runs, so a budget, a nil representative or the stop below lands at the
+same group as one draw per group would. Memory stays at one block plus
+the facts, and no sample is drawn twice. Under a sample budget a block
+holds only groups the budget admits, so a refused group is never drawn.
+Once recording has stopped and every 0-labelled support point has its
+representative, no later group can change the verdict, a query or a
+count, so Stage 0 charges the remaining groups in one step, without
+drawing them. With query logging on it reads every group, because the
+sample log lists every sample.
 
-Stages 1 and 2 draw their random subsets in blocks of rows with
+Stages 1 and 2 build every probe by one gather from the stacked B rows.
+They draw their random subsets in blocks of rows with
 RandomStream.subset_rows, on the same words as one subset at a time, and
 ask the probes of a block in one BlackBox.query_until call, which stops at
 the first probe that ends the run. Stage 2 first finds the group that ends
@@ -200,27 +202,14 @@ _PREFIX = 64
 _SUBSET_ROWS = 512
 
 
-def _pack(present: np.ndarray) -> np.ndarray:
-    """Rows of flags over the support, 64 per word, as bit masks: one
-    uint64 word per 64 support points, point 64w + i at bit i of word w."""
-    return np.packbits(present, axis=1, bitorder="little").view("<u8")
-
-
-def _support_mask(flags: np.ndarray) -> np.ndarray:
-    """The mask, as _pack makes them, of the support points flagged."""
-    padded = np.zeros((1, 64 * -(-len(flags) // 64)), dtype=bool)
-    padded[0, :len(flags)] = flags
-    return _pack(padded)[0]
-
-
 def _block_facts(idx: np.ndarray, lab: np.ndarray, need: np.ndarray,
                  ones_mask: np.ndarray) -> tuple:
     """The facts Stages 1-2 read of each group of a block, given its
     support indices idx, their labels lab and need[row], the number of
     1-samples B is taken over: (ones, first0, masks). ones[row] is the
     group's 1-count and first0[row] its first 0-sample, -1 when it has
-    none. masks[row] marks B's support points, those among the first
-    need[row] 1-samples, as _pack does; it is 0 for a group with fewer.
+    none. masks[row] flags, over the support, the points of the first
+    need[row] 1-samples; it flags none for a group with fewer.
 
     B is read from a prefix of each group that doubles until it settles
     the group: the prefix holds the need-th 1-sample, and B is read up to
@@ -230,12 +219,12 @@ def _block_facts(idx: np.ndarray, lab: np.ndarray, need: np.ndarray,
     count, size = idx.shape
     ones = lab.sum(axis=1, dtype=np.min_scalar_type(size))
     first0 = np.where(ones < size, idx[np.arange(count), lab.view(bool).argmin(axis=1)], -1)
-    masks = np.zeros((count, len(ones_mask)), dtype="<u8")
+    width = len(ones_mask)
+    masks = np.zeros((count, width), dtype=bool)
     # left[row]: the 1-samples B takes past the prefix read so far
     left = need.astype(np.int32)
     rows = np.flatnonzero(ones >= need)
     lo, hi = 0, _PREFIX
-    width = 64 * len(ones_mask)
     while rows.size:
         hi = min(hi, size)
         cum = np.cumsum(lab[rows, lo:hi], axis=1, dtype=np.int32)
@@ -247,7 +236,7 @@ def _block_facts(idx: np.ndarray, lab: np.ndarray, need: np.ndarray,
                          idx[rows, lo:hi] + np.arange(0, rows.size * width, width,
                                                       dtype=np.int32)[:, None],
                          -1)] = True
-        found = masks[rows] | _pack(present[:-1].reshape(rows.size, width)) & ones_mask
+        found = masks[rows] | present[:-1].reshape(rows.size, width) & ones_mask
         masks[rows] = found
         left[rows] = rest = rest - cum[:, -1]
         rows = rows[(rest > 0) & (found != ones_mask).any(axis=1)]
@@ -255,17 +244,13 @@ def _block_facts(idx: np.ndarray, lab: np.ndarray, need: np.ndarray,
     return ones, first0, masks
 
 
-def _union(unions: dict, sampler, key: bytes) -> int:
-    """The id of B, the union of the zero sets of the support points marked
-    in key, the bytes of a mask of _block_facts. Groups repeat the same few
-    subsets of the support, so B is memoized on the mask: unions maps it to
-    (id, set, sorted int array), ids counting from 0 in insertion order."""
+def _union(unions: dict, zero_rows: np.ndarray, key: bytes) -> int:
+    """The id of B, the OR of the zero_rows of the support points flagged in
+    key, a row of masks of _block_facts as bytes. Groups repeat the same few
+    subsets of the support, so unions memoizes (id, B) on key, ids from 0."""
     hit = unions.get(key)
     if hit is None:
-        points = np.flatnonzero(np.unpackbits(np.frombuffer(key, np.uint8),
-                                              bitorder="little"))
-        b_set = set().union(*(sampler.point(int(si)).zeros for si in points))
-        hit = unions[key] = (len(unions), b_set, np.array(sorted(b_set), dtype=np.intp))
+        hit = unions[key] = (len(unions), zero_rows[np.frombuffer(key, bool)].any(axis=0))
     return hit[0]
 
 
@@ -304,7 +289,10 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
     # done[si]: si is 1-labelled or its representative is already computed
     done = sampler.labels != 0
     pending = sampler.support_size - int(np.count_nonzero(done))
-    ones_mask = _support_mask(done)
+    # zero_rows[si, j]: coordinate j is 0 at support point si (j >= 1)
+    zero_rows = np.zeros((sampler.support_size, n + 1), dtype=bool)
+    for si in range(sampler.support_size):
+        zero_rows[si, list(sampler.point(si).zeros)] = True
     zero_count = 0
 
     def verdict(accepted: bool, reason: str) -> Verdict:
@@ -346,7 +334,7 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
             need = np.full(count, p.t - 1)
             if g == 0:
                 need[0] = p.t
-            ones, first0, masks = _block_facts(idx, lab, need, ones_mask)
+            ones, first0, masks = _block_facts(idx, lab, need, sampler.labels != 0)
             ends = (ones < need) | (first0 < 0)
             if g == 0:
                 ends[0] = ones[0] < p.t
@@ -354,9 +342,9 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
             rec = min(stop + 1, count)
             ids = np.full(rec, -1)
             keep = np.flatnonzero(ones[:rec] >= need[:rec])
-            keys, inverse = np.unique(masks[keep].view(f"V{8 * masks.shape[1]}").ravel(),
+            keys, inverse = np.unique(masks[keep].view(f"V{masks.shape[1]}").ravel(),
                                       return_inverse=True)
-            ids[keep] = np.array([_union(unions, sampler, key) for key in keys.tolist()],
+            ids[keep] = np.array([_union(unions, zero_rows, key) for key in keys.tolist()],
                                  dtype=int)[inverse]
             b_ids.append(ids)
             first0s.append(first0[:rec])
@@ -394,20 +382,29 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
 
     step_rng = rng.split("steps")
     b_ids, first0s = np.concatenate(b_ids), np.concatenate(first0s)
-    entries = [(b_set, b_arr) for _, b_set, b_arr in unions.values()]
 
     # Stage 1: the first group feeds the singleton and subset probes.
     if b_ids[0] < 0:
         return verdict(True, "stage1-few-ones")
-    b_arr = entries[b_ids[0]][1]
-    if len(b_arr):
-        probes = b_arr[step_rng.integers(len(b_arr), size=p.s)]
-        if oracle.query_until(probes[:, None], 0) is not None:
+    # bits[id]: B's row; coords: every B's coordinates, then a 0 for pads
+    bits = np.stack([row for _, row in unions.values()])
+    sizes = bits.sum(axis=1)
+    coords = np.append(np.nonzero(bits)[1], 0)
+    offsets = np.cumsum(sizes) - sizes
+
+    def probes(ids: np.ndarray, k: int) -> np.ndarray:
+        # a random k-subset (all, when it is smaller) of each B, 0-padded
+        pos = step_rng.subset_rows(sizes[ids], k)
+        return coords[np.where(pos < 0, -1, offsets[ids, None] + pos)]
+
+    b0 = b_ids[0]
+    if sizes[b0]:
+        singles = coords[offsets[b0] + step_rng.integers(sizes[b0], size=p.s)]
+        if oracle.query_until(singles[:, None], 0) is not None:
             return verdict(False, "step-1.1")
         for start in range(0, p.s, _SUBSET_ROWS):
-            rows = min(_SUBSET_ROWS, p.s - start)
-            pos = step_rng.subset_rows([len(b_arr)] * rows, p.r)
-            if oracle.query_until(b_arr[np.array(pos, dtype=np.intp)], 0) is not None:
+            rows = np.full(min(_SUBSET_ROWS, p.s - start), b0)
+            if oracle.query_until(probes(rows, p.r), 0) is not None:
                 return verdict(False, "step-1.2")
 
     # Stage 2: one fresh group per iteration. Every 0-sample has its
@@ -424,20 +421,13 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
     rep_of = np.zeros(sampler.support_size, dtype=np.intp)
     rep_of[list(reps)] = list(reps.values())
     alpha = rep_of[first0s[:end]]
-    inside = [a in entries[i][0] for a, i in zip(alpha.tolist(), ids[:end].tolist())]
-    if any(inside):
-        end, reason = inside.index(True), "step-2.1"
-    # every B's coordinates end to end, then a 0 that pads short rows
-    sizes = np.array([len(b_arr) for _, b_arr in entries], dtype=np.intp)
-    coords = np.concatenate([b_arr for _, b_arr in entries] + [np.zeros(1, np.intp)])
-    offsets = np.cumsum(sizes) - sizes
-    pad = [-1] * (p.r - 1)
+    inside = bits[ids[:end], alpha]
+    if inside.any():
+        end, reason = int(inside.argmax()), "step-2.1"
     for start in range(0, end, _SUBSET_ROWS):
         rows = slice(start, min(end, start + _SUBSET_ROWS))
-        subsets = step_rng.subset_rows(sizes[ids[rows]].tolist(), p.r - 1)
-        pos = np.array([s + pad[len(s):] for s in subsets], dtype=np.intp)
-        probes = coords[np.where(pos < 0, -1, offsets[ids[rows], None] + pos)]
-        if oracle.query_until(np.column_stack((alpha[rows], probes)), 1) is not None:
+        if oracle.query_until(np.column_stack((alpha[rows], probes(ids[rows], p.r - 1))),
+                              1) is not None:
             return verdict(False, "step-2.2")
     return verdict(reason != "step-2.1", reason)
 

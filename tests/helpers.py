@@ -300,6 +300,25 @@ def rand_dist(rng, n, k, max_zeros=None):
     return FiniteDistribution(n, tuple(zip(pts, rand_fractions(rng, k))))
 
 
+def light_ones_dist(rng, func, ones, zeros):
+    """A distribution over `ones` 1-points and `zeros` 0-points of func,
+    each zero at 1 to 6 random coordinates, drawn by rejection. The 1-points
+    share 3/4 of the mass evenly, so each is light, and a group's first
+    1-samples hold a different set of them nearly every time; the 0-points
+    share the last 1/4."""
+    coords = list(range(1, func.n + 1))
+    points, seen = ([], []), set()
+    while len(points[0]) < zeros or len(points[1]) < ones:
+        z = frozenset(rng.sample(coords, 1 + rng.randrange(6)))
+        label = func.value_at(z)
+        if z not in seen and len(points[label]) < (zeros, ones)[label]:
+            seen.add(z)
+            points[label].append(ZeroSet(func.n, z))
+    return FiniteDistribution(func.n, (
+        *((p, Fraction(3, 4 * ones)) for p in points[1]),
+        *((p, Fraction(1, 4 * zeros)) for p in points[0])))
+
+
 def literal_subset_positions(rng, pop, k):
     """Floyd's method one position at a time: for j = pop-k, ..., pop-1,
     t = rng.randrange(j + 1), and j is taken instead when t already is.

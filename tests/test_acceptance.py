@@ -55,6 +55,7 @@ from subcube.tester import (
 from helpers import (
     _reference_dlist_fits,
     _reference_ltf_fits,
+    light_ones_dist,
     mconj_tables,
     rand_dist,
     rand_fractions,
@@ -110,7 +111,8 @@ SWEEP_CELLS = (
 
 
 def test_criterion_01_one_sided_acceptance():
-    """In-class runs under random 16-point distributions: zero rejections."""
+    """In-class runs under random 16-point distributions, and one on an
+    800-point support: zero rejections."""
     rng = RandomStream(101)
     rejects = []
     for n, eps, base in SWEEP_CELLS:
@@ -131,6 +133,14 @@ def test_criterion_01_one_sided_acceptance():
             if not v.accepted:
                 rejects.append(("conj", n, eps, trial, v.reason))
     assert rejects == []
+    # a large support: 800 points at n = 512, 600 of them light 1-points,
+    # so nearly every group's B is new, run to the end of Stage 2
+    f = MonotoneConj(512, frozenset({1, 2}))
+    dist = light_ones_dist(rng.split("large"), f, 600, 200)
+    results = run_trials(ExperimentConfig(algo="mconj", epsilon=Fraction(1), trials=1,
+                                          seed=105, instance=(512, f, dist)))
+    assert [(r.accepted, r.reason) for r in results] == [(True, "end-of-stage-2")]
+    query_budget_report(results, compute_parameters(512, 1), 512)
 
 
 # -- criterion 2: exact sample count, black-box query bound --------------

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subcube import RandomStream
 from helpers import literal_subset_positions
@@ -102,13 +102,21 @@ POPS = (st.integers(0, 40) | st.integers((1 << 32) - 3, (1 << 32) + 3)
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 1 << 32), pops=st.lists(POPS, max_size=24),
-       k=st.integers(0, 12))
-def test_subset_rows_reads_the_words_of_literal_floyd(seed, pops, k):
+       k=st.integers(0, 12), as_array=st.booleans())
+@example(seed=1, pops=[3, 0, 5, 9], k=5, as_array=False)  # pop <= k
+@example(seed=2, pops=[7, 0, 40], k=0, as_array=False)  # shape (rows, 0)
+@example(seed=3, pops=[], k=4, as_array=False)
+@example(seed=3, pops=[], k=4, as_array=True)
+@example(seed=4, pops=[10, 4, 40, 1 << 40], k=4, as_array=True)
+def test_subset_rows_reads_the_words_of_literal_floyd(seed, pops, k, as_array):
     # one batched call per row list, with fewer rows than k and more, equals
-    # the per-position randrange loop row by row, and leaves the stream at
-    # the same word
+    # the per-position randrange loop row by row, padded with -1, and leaves
+    # the stream at the same word
     a, b = RandomStream(seed), RandomStream(seed)
-    assert a.subset_rows(pops, k) == [literal_subset_positions(b, pop, k) for pop in pops]
+    got = a.subset_rows(np.array(pops, dtype=np.int64) if as_array else pops, k)
+    want = [literal_subset_positions(b, pop, k) for pop in pops]
+    assert got.dtype == np.int64 and got.shape == (len(pops), k)
+    assert got.tolist() == [row + [-1] * (k - len(row)) for row in want]
     assert a.randrange(1 << 40) == b.randrange(1 << 40)
     assert a.randrange(1000) == b.randrange(1000)
 

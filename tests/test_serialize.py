@@ -162,10 +162,14 @@ def set_alpha_twice(obj):
     alpha[1] = alpha[0]
 
 
+def with_function(function):
+    """mconj_obj() with the given function object."""
+    return edit(mconj_obj, lambda o: o.update(function=function))
+
+
 def with_rules(rules):
     """mconj_obj() with a decision list of the given rules as its function."""
-    return edit(mconj_obj, lambda o: o.update(function={
-        "type": "decision-list", "n": 4, "rules": rules, "default": 0}))
+    return with_function({"type": "decision-list", "n": 4, "rules": rules, "default": 0})
 
 
 def with_function_text(text):
@@ -213,7 +217,15 @@ BAD_FILES = [
      edit(mconj_obj, lambda o: o["function"].update(type="mystery")), "mystery"),
     ("zero-denominator",
      edit(mconj_obj, lambda o: o["distribution"][0].update(weight="1/0")),
-     "denominator"),
+     "distribution[0].weight: '1/0' has a zero denominator"),
+    ("weight-not-rational",
+     edit(mconj_obj, lambda o: o["distribution"][1].update(weight="abc")),
+     "distribution[1].weight"),
+    ("truth-table-bits-not-hex",
+     with_function({"type": "truth-table", "n": 4, "bits": "zz"}), "function.bits"),
+    ("ltf-weight-count",
+     with_function({"type": "ltf", "n": 4, "weights": [1, 2], "threshold": 1}),
+     "function.weights"),
     ("lb-no-block-coordinate",
      edit(lb_no_obj, lambda o: o["function"]["a_blocks"][0][0].append("7")),
      "a_blocks"),
@@ -246,7 +258,7 @@ def test_cli_rejects_malformed_instance_files(tmp_path, capsys, case, contents,
 
 # cases that fit the schema but not the constructors' checks, or exist only as
 # file text (json.dumps itself overflows on the flipped chain)
-NOT_SCHEMA = {"not-json", "zero-denominator", "lb-no-duplicate-alpha",
+NOT_SCHEMA = {"not-json", "lb-no-duplicate-alpha",
               "deep-list", "deep-flipped-chain"}
 
 

@@ -34,6 +34,7 @@ from subcube.tester import (
     test_monotone_conjunction as run_mconj_tester,
 )
 from helpers import (
+    light_ones_dist,
     literal_block_facts,
     ones_index,
     rand_dist,
@@ -78,6 +79,19 @@ class MarkedLiteral(FunctionSpec):
         if zeros == self.marked:
             return 1
         return 0 if self.lit in zeros else 1
+
+
+@dataclass(frozen=True)
+class ShortLiteral(FunctionSpec):
+    """The single positive literal at `lit`, except 1 on every point with
+    more than `most` zeros."""
+
+    n: int
+    lit: int
+    most: int
+
+    def value_at(self, zeros):
+        return 0 if self.lit in zeros and len(zeros) <= self.most else 1
 
 
 def make_instance(func, dist, seed):
@@ -657,6 +671,44 @@ def test_one_pass_matches_reference_on_random_instances():
     assert skipped
 
 
+def large_support_instances():
+    """Twin cases on 160-point supports at n = 64, 120 of them light
+    1-points, so that B changes from group to group, with small parameters:
+    (func, dist, seed, params, flip). The conj case runs through views
+    flipped by conj_flip. ShortLiteral(64, 7, 3) is 1 on the light points
+    that are 0 at 7, which put 7 in B: with s = 0 a group that holds one
+    ends at step 2.1, and with r = 4 the probe of 7 and three points of B
+    has four zeros and ends the run at step 2.2."""
+    conj = GeneralConj(64, frozenset({5}), frozenset({9}))
+    rows = []
+    for func, seed, over in ((MonotoneConj(64, frozenset({3, 17})), 320, {"s": 4}),
+                             (conj, 321, {"s": 4}),
+                             (ShortLiteral(64, 7, 3), 322, {}),
+                             (ShortLiteral(64, 7, 3), 324, {"r": 4})):
+        dist = light_ones_dist(RandomStream(seed), func, 120, 40)
+        flip = conj_flip(func, dist) if func is conj else frozenset()
+        params = small_params(64, d_star=8, t=12, group_size=96, **over)
+        rows.append((func, dist, seed, params, flip))
+    return rows
+
+
+def test_one_pass_matches_reference_past_64_points():
+    # no two logged groups have the same first t-1 1-samples, so B changes
+    # from group to group
+    reasons = set()
+    for case in large_support_instances():
+        assert 100 <= len(case[1].entries) <= 200
+        got, want, quiet = twin_runs(*case)
+        check_twins(case[2], got, want, quiet)
+        reasons.add(got[1])
+        size, t = case[3].group_size, case[3].t
+        log = got[7]
+        firsts = [frozenset([z for z, label in log[k:k + size] if label][:t - 1])
+                  for k in range(0, len(log), size)]
+        assert len(set(firsts)) == len(firsts)
+    assert {"step-2.1", "step-2.2", "end-of-stage-2"} <= reasons
+
+
 def ones_mass_instance(ones):
     """n = 8, f = x1, and two support points: all-ones with mass `ones`, and
     the point zero at 1 alone."""
@@ -838,9 +890,9 @@ def test_stage0_blocks_match_reference_inside_a_block(monkeypatch, case):
        stage=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_block_facts_match_the_literal_rule(support, count, size, ones_share, skew,
                                             full_rows, stage, seed):
-    # random label rows over supports of 1-200 points (more than one mask word
-    # above 64), some points light enough that the prefix must double; the
-    # first full_rows rows hold no 0-sample when some point is 1-labelled
+    # random label rows over supports of 1-200 points, some points light
+    # enough that the prefix must double; the first full_rows rows hold no
+    # 0-sample when some point is 1-labelled
     gen = np.random.default_rng(seed)
     labels = (gen.random(support) < ones_share).astype(np.int8)
     weights = gen.random(support) ** skew
@@ -857,12 +909,11 @@ def test_block_facts_match_the_literal_rule(support, count, size, ones_share, sk
     else:
         # anything from 1 to past the row's 1-count
         need = 1 + gen.integers(0, ones + 3)
-    got = tester_module._block_facts(idx, lab, need,
-                                     tester_module._support_mask(labels != 0))
+    got = tester_module._block_facts(idx, lab, need, labels != 0)
     masks = got[2]
-    assert masks.shape == (count, -(-support // 64))
+    assert masks.shape == (count, support) and masks.dtype == bool
     for row, (ones_count, first0, points) in enumerate(literal_block_facts(idx, lab, need)):
-        marked = np.flatnonzero(np.unpackbits(masks[row].view(np.uint8), bitorder="little"))
+        marked = np.flatnonzero(masks[row])
         assert (got[0][row], got[1][row]) == (ones_count, first0)
         assert set(marked.tolist()) == (points or set()), (row, need[row])
 
