@@ -345,20 +345,17 @@ def strong_sample(inst: LBInstance, rng: RandomStream,
 
 def _draw_structure(params: LBParams, rng: RandomStream):
     """The draw (R, blocks, alpha, beta, a_block_ids, b_block_ids)."""
-    n, h, rb, m = params.n, params.h, params.r_blocks, params.m
+    n, h, rb, m, bps = params.n, params.h, params.r_blocks, params.m, params.blocks_per_side
     size = h * rb + 2 * m
-    r_sorted = [p + 1 for p in rng.subset_positions(n, size)]
+    r_sorted = (rng.subset_rows([n], size)[0] + 1).tolist()
     specials = rng.sample(r_sorted, 2 * m)
     r_set = frozenset(r_sorted)
     pool = rng.sample(sorted(r_set - frozenset(specials)), size - 2 * m)
     blocks = tuple(frozenset(pool[k * h:(k + 1) * h]) for k in range(rb))
-    a_ids, b_ids = [], []
-    for _ in range(m):
-        chosen = rng.sample(list(range(rb)), params.blocks_per_C)
-        a_ids.append(tuple(chosen[:params.blocks_per_side]))
-        b_ids.append(tuple(chosen[params.blocks_per_side:]))
+    chosen = rng.permutation_rows(m, rb)[:, :2 * bps].tolist()
     return (r_set, blocks, tuple(specials[:m]), tuple(specials[m:]),
-            tuple(a_ids), tuple(b_ids))
+            tuple(tuple(row[:bps]) for row in chosen),
+            tuple(tuple(row[bps:]) for row in chosen))
 
 
 def _points_by_kind(blocks, alpha, beta, a_ids, b_ids) -> dict:
@@ -421,7 +418,7 @@ def generate_instance(params: LBParams, variant: str,
     entries = []
     for kind, mass in _FAMILY[variant][0]:
         weight = mass / len(points[kind])
-        entries += ((ZeroSet(n, zeros), weight) for zeros in points[kind])
+        entries += ((ZeroSet._checked(n, zeros), weight) for zeros in points[kind])
     inst = LBInstance(params, variant, *draw, function=func,
                       distribution=FiniteDistribution(n, tuple(entries)))
     # Seed the _points cache with the points just derived from the same draw,

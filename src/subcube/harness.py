@@ -20,14 +20,14 @@ from fractions import Fraction
 from math import log2
 from typing import Optional
 
-from .adversarial import LBInstance, LBParams, generate_instance, simulate_p, strong_sample
+from .adversarial import LBInstance, LBParams, generate_instance, simulate_p
 from .model import (
     BlackBox,
     BudgetExceeded,
     FunctionSpec,
     QueryTranscript,
     Sampler,
-    ZeroSet,
+    _charged_chunks,
 )
 from .rng import RandomStream
 from .tester import (
@@ -140,7 +140,7 @@ class TrialResult:
 def _run_one(config: ExperimentConfig, trial: int,
              rng: Optional[RandomStream] = None,
              inst: Optional[LBInstance] = None,
-             sim: bool = False) -> TrialResult:
+             sim: bool = False, sampler: Optional[Sampler] = None) -> TrialResult:
     """One trial on its own stream, by default split("trial", trial).
 
     The trial runs on inst when it is given. Otherwise a generator config
@@ -148,6 +148,8 @@ def _run_one(config: ExperimentConfig, trial: int,
     runs on its fixed instance. With sim set, the trial runs in the
     simulated world of the generated instance (_SimWorld) instead of against
     its real oracles; that world can only drive the dolev-ron baseline.
+    sampler, the instance's Sampler, is built here when not given; each
+    attempt draws through a copy of it on the attempt's own streams.
     """
     if rng is None:
         rng = RandomStream(config.seed).split("trial", trial)
@@ -160,26 +162,24 @@ def _run_one(config: ExperimentConfig, trial: int,
     else:
         n, func, dist = config.instance
     tr = QueryTranscript(log_queries=config.log_queries, limit=config.budget)
+    sampler = sampler or Sampler(dist, func, tr, rng)
     attempts = 0
 
     def attempt(sub: RandomStream) -> Verdict:
         nonlocal attempts
         attempts += 1
         if sim:
-            sampler = _SimWorld(inst, sub.split("samples"), tr)
-            oracle = BlackBox(sampler, tr)
+            view = _SimWorld(inst, sub.split("samples"), tr, sampler)
+            oracle = BlackBox(view, tr)
         else:
             oracle = BlackBox(func, tr)
-            sampler = Sampler(dist, func, tr, sub.split("samples"))
-        tester_rng = sub.split("tester")
-        if config.algo == "mconj":
-            return test_monotone_conjunction(oracle, sampler, n, config.epsilon,
-                                             tester_rng)
-        if config.algo == "conj":
-            return test_general_conjunction(oracle, sampler, n, config.epsilon,
-                                            tester_rng)
-        return baseline_dolev_ron(oracle, sampler, n, config.epsilon,
-                                  num_samples=config.budget)
+            view = sampler.rebind(tr, sub.split("samples"))
+        if config.algo == "dolev-ron":
+            return baseline_dolev_ron(oracle, view, n, config.epsilon,
+                                      num_samples=config.budget)
+        tester = (test_monotone_conjunction if config.algo == "mconj"
+                  else test_general_conjunction)
+        return tester(oracle, view, n, config.epsilon, sub.split("tester"))
 
     try:
         verdict = amplify(attempt, config.amplify_k, rng)
@@ -276,30 +276,39 @@ class _SimWorld(FunctionSpec):
     """The simulated world of a generated instance: the strong sampling
     oracle and the no-black-box responder, sharing Gamma.
 
-    value_at is the responder, p(z, R, Gamma). draw() takes one strong
-    sample, adds the special index of a revealed C-set to Gamma, and labels
-    the point with the response bit at draw time, so labels can disagree
-    with the hidden function exactly the way answers do. The same object
-    backs the trial's BlackBox and is its sampler: draw() is all the
-    pair-sampling baseline asks of one.
+    value_at is the responder, p(z, R, Gamma). draws(k) takes k strong
+    samples, on the words, counts and log of k strong_sample calls, through
+    the instance's Sampler. Each draw in turn adds the special index of a
+    revealed C-set to Gamma and is labelled with the response bit at draw
+    time, so labels can disagree with the hidden function exactly the way
+    answers do. The same object backs the trial's BlackBox and is its
+    sampler: draws(k) is all the pair-sampling baseline asks of one.
     """
 
     def __init__(self, inst: LBInstance, rng: RandomStream,
-                 transcript: QueryTranscript):
+                 transcript: QueryTranscript, sampler: Sampler):
         self.n = inst.n
         self.inst = inst
         self.rng = rng
         self.transcript = transcript
         self.gamma: set = set()
+        self._sampler = sampler  # the instance's, for its bucket table
 
     def value_at(self, zeros: frozenset) -> int:
         return simulate_p(zeros, self.inst.R, self.gamma)
 
-    def draw(self) -> tuple[ZeroSet, int]:
-        point, gamma = strong_sample(self.inst, self.rng, self.transcript)
-        if gamma is not None:
-            self.gamma.add(gamma)
-        return point, self.value_at(point.zeros)
+    def draws(self, k: int):
+        inst, t = self.inst, self.transcript
+        for size in _charged_chunks(t, k):
+            for idx in self._sampler._draw_indices_raw(self.rng, size).tolist():
+                kind, i = inst.support_kinds[idx]
+                point = inst.distribution.entries[idx][0]
+                gamma = inst.alpha[i - 1] if kind == "c" else None
+                if gamma is not None:
+                    self.gamma.add(gamma)
+                if t.log_queries:
+                    t.sample_log.append((point.zeros, gamma))
+                yield point, self.value_at(point.zeros)
 
 
 _WORLDS = ("real", "sim")
@@ -341,14 +350,14 @@ def distinguishing_experiment(algo: str, params: LBParams, yes_variant: str,
     tester's batch sampling does not interoperate with a responder whose
     answers depend on draw order.
 
-    Trial i of a variant draws one validated instance from
-    split("exp", "instance", variant, i), and every budget in both worlds
-    runs on it, each run on its own stream split("exp", q, world, variant,
-    i). Only one instance is held at a time. The instance stream is
-    independent of the run streams, so each rate is an unbiased estimate
-    with the same law as if every run drew its own instance; the rows are
-    paired across budgets and worlds (common random numbers), which makes
-    the gap curve smoother in q.
+    Trial i of a variant draws one validated instance from split("exp",
+    "instance", variant, i), and every budget in both worlds runs on it,
+    each run on its own stream split("exp", q, world, variant, i). Only one
+    instance is held at a time, with the one Sampler that labels its support
+    once for all its runs. The instance stream is independent of the run
+    streams, so each rate is an unbiased estimate with the same law as if
+    every run drew its own instance; the rows are paired across budgets and
+    worlds (common random numbers), which makes the gap curve smoother in q.
     """
     configs = sweep_configs(algo, params, yes_variant, no_variant, epsilon,
                             trials, seed, budgets, amplify_k)
@@ -358,11 +367,12 @@ def distinguishing_experiment(algo: str, params: LBParams, yes_variant: str,
         for variant in dict.fromkeys((yes_variant, no_variant)):
             inst = generate_instance(
                 params, variant, stream.split("exp", "instance", variant, i))
+            sampler = Sampler(inst.distribution, inst.function, QueryTranscript(), stream)
             for (q, world, v), config in configs.items():
                 if v == variant:
                     run = stream.split("exp", q, world, variant, i)
                     accepted[q, world, v] += _run_one(
-                        config, i, run, inst, sim=world == "sim").accepted
+                        config, i, run, inst, world == "sim", sampler).accepted
     rows = []
     for q in budgets:
         rates = {(world, variant): accepted[q, world, variant] / trials

@@ -14,9 +14,9 @@ boundary are searched exactly. Denominators beyond 2^62 draw whole 64-bit
 words, bucket the top word, and fall back to exact integers only when the top
 word equals a boundary's top word.
 
-A Sampler draws from two streams: draw() one (point, label) pair at a time,
-and the tester's blocks of groups from a batch stream that continues from
-call to call.
+A Sampler draws from two streams: draw() and draws(k) hand out (point, label)
+pairs in order, and the tester's blocks of groups come from a batch stream
+that continues from call to call. rebind() copies it onto a run's streams.
 BlackBox.flipped(C) and Sampler.flipped(C) are views that flip the queries
 asked or the points handed out, share both streams, and log in the
 instance's own coordinates. BlackBox.query_until asks a batch of small zero
@@ -40,6 +40,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Optional
 
 import numpy as np
@@ -85,6 +86,8 @@ class BudgetExceeded(RuntimeError):
 def _coords(n: int, coords: Iterable, what: str, signed: bool = False) -> frozenset:
     """coords as a frozenset; ValueError unless each is a plain int (not a
     bool) in 1..n, or when signed, an int whose absolute value is."""
+    # a tuple, so that a one-shot iterator is both checked and returned
+    coords = coords if isinstance(coords, frozenset) else tuple(coords)
     for i in coords:
         if type(i) is not int or not 1 <= (abs(i) if signed else i) <= n:
             raise ValueError(f"{what} {i!r} is not an integer in 1..{n}")
@@ -109,6 +112,13 @@ class ZeroSet:
         if self.n < 1:
             raise ValueError("n must be at least 1")
         object.__setattr__(self, "zeros", _coords(self.n, self.zeros, "zero coordinate"))
+
+    @classmethod
+    def _checked(cls, n: int, zeros: frozenset) -> "ZeroSet":
+        """The point of zeros, ints in 1..n that the caller has checked."""
+        point = object.__new__(cls)
+        point.__dict__.update(n=n, zeros=zeros)
+        return point
 
     @classmethod
     def all_ones(cls, n: int) -> "ZeroSet":
@@ -315,8 +325,8 @@ class FiniteDistribution:
                 raise TypeError("support points must be ZeroSet")
             if point.n != self.n:
                 raise DimensionMismatch("support point has wrong n")
-            w = Fraction(weight)
-            if w <= 0:
+            w = weight if type(weight) is Fraction else Fraction(weight)
+            if w.numerator <= 0:
                 raise ValueError("weights must be positive")
             if point.zeros in seen:
                 raise ValueError("support points must be distinct")
@@ -324,18 +334,14 @@ class FiniteDistribution:
             norm.append((point, w))
         if not norm:
             raise ValueError("distribution must have non-empty support")
-        denom = math.lcm(*(w.denominator for _, w in norm))
-        cum = []
-        acc = 0
-        for _, w in norm:
-            acc += w.numerator * (denom // w.denominator)
-            cum.append(acc)
-        if acc != denom:
+        denom = math.lcm(*{w.denominator for _, w in norm})
+        cum = tuple(accumulate(w.numerator * (denom // w.denominator) for _, w in norm))
+        if cum[-1] != denom:
             raise ValueError(
-                f"weights must sum to exactly 1, got {Fraction(acc, denom)}")
+                f"weights must sum to exactly 1, got {Fraction(cum[-1], denom)}")
         object.__setattr__(self, "entries", tuple(norm))
         object.__setattr__(self, "_denominator", denom)
-        object.__setattr__(self, "_cum", tuple(cum))
+        object.__setattr__(self, "_cum", cum)
 
     @property
     def denominator(self) -> int:
@@ -496,8 +502,21 @@ class BlackBox:
 
 
 _BUCKET_BITS = 12
-# the most samples Sampler._draw_groups draws (and labels) at a time
+# the most samples Sampler._draw_groups and draws() draw (and label) at a time
 _DRAW_SAMPLES = 1 << 16
+
+
+def _charged_chunks(transcript: QueryTranscript, k: int):
+    """The sizes of k draws' chunks (at most _DRAW_SAMPLES), each charged before
+    it is yielded; under a limit, as with take_samples(1) per draw, the draws
+    that fit are yielded and then BudgetExceeded is raised."""
+    fit = k if transcript.limit is None else min(k, transcript.limit - transcript.sample_count)
+    for start in range(0, fit, _DRAW_SAMPLES):
+        size = min(_DRAW_SAMPLES, fit - start)
+        transcript.take_samples(size)
+        yield size
+    if fit < k:
+        transcript.take_samples(1)  # refused: raises
 
 
 def _bucket_table(bounds: np.ndarray, shift: int, count: int, ties: bool) -> np.ndarray:
@@ -621,13 +640,18 @@ class Sampler:
             t.sample_log.extend((entries[i][0].zeros, label) for i, label
                                 in zip(idx.tolist(), self.labels[idx].tolist()))
 
+    def draws(self, k: int):
+        """k counted draws, yielded in order a chunk at a time: the words,
+        pairs, counts, log and budget refusal of k draw() calls."""
+        for size in _charged_chunks(self.transcript, k):
+            idx = self._draw_indices_raw(self.rng, size)
+            self._log(idx)
+            yield from zip(map(self._points.__getitem__, idx.tolist()),
+                           self.labels[idx].tolist())
+
     def draw(self) -> tuple[ZeroSet, int]:
         """One counted draw: (point, func(point))."""
-        self.transcript.take_samples(1)
-        idx = self._draw_indices_raw(self.rng, 1)
-        self._log(idx)
-        i = int(idx[0])
-        return self._points[i], int(self.labels[i])
+        return next(self.draws(1))
 
     def _draw_groups(self, count: int, size: int) -> tuple:
         """count groups of size draws from the batch stream, uncharged: the
@@ -644,6 +668,13 @@ class Sampler:
             idx[part] = self._draw_indices_raw(self._batch, part.stop - start)
             np.take(self.labels, idx[part], out=lab[part])
         return idx.reshape(count, size), lab.reshape(count, size)
+
+    def rebind(self, transcript: QueryTranscript, rng: RandomStream) -> "Sampler":
+        """The sampler Sampler(dist, func, transcript, rng) would build, as a
+        copy that shares this one's labels and bucket table."""
+        view = copy.copy(self)
+        view.transcript, view.rng, view._batch = transcript, rng, rng.split("tape", 1)
+        return view
 
     def flipped(self, coords: Iterable[int]) -> "Sampler":
         """A view handing out x with coords flipped, under x's label. It shares

@@ -16,7 +16,7 @@ by integers(b, size=c), and one draw against an array of bounds reads the
 words of the scalar draws in row-major order. Floyd's method draws
 t_j < j + 1 for j = pop-k, ..., pop-1, and only its collision rule reads
 earlier draws. subset_rows therefore draws every t of many rows in one call
-and reads the words of subset_positions called row by row.
+and reads the words of the per-position loop run row by row.
 """
 
 from __future__ import annotations
@@ -95,16 +95,12 @@ class RandomStream:
 
     # -- derived draws --
 
-    def subset_positions(self, pop_size: int, k: int) -> list[int]:
-        """Uniformly random k-subset of range(pop_size) (Floyd's method), sorted."""
-        return self.subset_rows([pop_size], k)[0, :pop_size].tolist()
-
     def subset_rows(self, pops, k: int) -> np.ndarray:
         """A (len(pops), k) int64 array: for each pop in pops, a row that
         holds a uniformly random k-subset of range(pop) by Floyd's method,
         sorted; all of range(pop), padded with -1 and drawing nothing, when
-        k >= pop. The words are those of subset_positions(pop, k) for each
-        pop in turn. Every pop must be at most 2^62."""
+        k >= pop. The words are those of Floyd's method one position at a
+        time, for each pop in turn. Every pop must be at most 2^62."""
         if k and (top := max(pops, default=0)) > _FAST_BOUND:
             raise ValueError(f"population {top} is past 2^62, the bound "
                              "of the batched path")
@@ -132,6 +128,12 @@ class RandomStream:
                     seen.add(j if t in seen else t)
                 out[i] = sorted(seen)
         return out
+
+    def permutation_rows(self, rows: int, pop: int) -> np.ndarray:
+        """rows uniform permutations of range(pop) as a (rows, pop) array, on
+        the words of rows permutation(pop) calls, which permuted() reads."""
+        base = np.arange(pop, dtype=np.min_scalar_type(pop))
+        return self._gen.permuted(np.broadcast_to(base, (rows, pop)), axis=1)
 
     def sample(self, items: list, k: int) -> list:
         """Uniformly random k-subset of items, in random order."""

@@ -481,9 +481,10 @@ def baseline_dolev_ron(oracle, sampler, n: int, epsilon,
     """Pair-sampling baseline tester for monotone conjunctions.
 
     Draws ceil(2*sqrt(n)*log2(n)/epsilon) samples (or exactly num_samples
-    when given) through sampler.draw(), computes the representative of each
-    distinct 0-sample once, in order of first appearance, and rejects when
-    some 1-sample is 0 at some computed representative. One-sided.
+    when given) in one sampler.draws() batch, computes the representative
+    of each distinct 0-sample once, in order of first appearance, and
+    rejects when some 1-sample is 0 at some computed representative.
+    One-sided.
     """
     if num_samples is not None:
         total = num_samples
@@ -502,8 +503,7 @@ def baseline_dolev_ron(oracle, sampler, n: int, epsilon,
         return Verdict(False, "baseline-allones")
     ones_union = set()
     zero_points: dict[frozenset, ZeroSet] = {}
-    for _ in range(total):
-        x, label = sampler.draw()
+    for x, label in sampler.draws(total):
         if label == 1:
             ones_union |= x.zeros
         else:

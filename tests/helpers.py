@@ -16,6 +16,7 @@ import math
 from math import ceil, comb
 
 from subcube import (
+    BudgetExceeded,
     ExperimentConfig,
     FiniteDistribution,
     GeneralConj,
@@ -319,6 +320,12 @@ def light_ones_dist(rng, func, ones, zeros):
         *((p, Fraction(1, 4 * zeros)) for p in points[0])))
 
 
+def subset_positions(rng, pop_size, k):
+    """Uniformly random k-subset of range(pop_size) (Floyd's method), sorted:
+    the one row of rng.subset_rows([pop_size], k), without its padding."""
+    return rng.subset_rows([pop_size], k)[0, :pop_size].tolist()
+
+
 def literal_subset_positions(rng, pop, k):
     """Floyd's method one position at a time: for j = pop-k, ..., pop-1,
     t = rng.randrange(j + 1), and j is taken instead when t already is.
@@ -345,6 +352,41 @@ def literal_block_facts(idx, lab, need):
         out.append((len(ones), zeros[0] if zeros else -1,
                     set(ones[:k]) if len(ones) >= k else None))
     return out
+
+
+def literal_draw(sampler):
+    """One counted draw from the sampler's draw() stream, one sample at a
+    time: charge it, draw one index, log it, and return (point, label)."""
+    sampler.transcript.take_samples(1)
+    idx = sampler._draw_indices_raw(sampler.rng, 1)
+    sampler._log(idx)
+    i = int(idx[0])
+    return sampler.point(i), int(sampler.labels[i])
+
+
+def literal_coords(n, coords, what, signed=False):
+    """The coordinate check one coordinate at a time: ValueError at the
+    first that is not a plain int in 1..n (when signed, whose absolute
+    value is not), else the coordinates as a frozenset."""
+    out = set()
+    for i in coords:
+        if type(i) is not int or not 1 <= (abs(i) if signed else i) <= n:
+            raise ValueError(f"{what} {i!r} is not an integer in 1..{n}")
+        out.add(i)
+    return frozenset(out)
+
+
+def collect(draws, snapshot=lambda: None):
+    """Iterate draws until they end or a budget refuses one: the draws
+    taken, each paired with snapshot() taken right after it, and whether a
+    draw was refused."""
+    taken = []
+    try:
+        for pair in draws:
+            taken.append((pair, snapshot()))
+    except BudgetExceeded:
+        return taken, True
+    return taken, False
 
 
 def draw_indices(sampler, k):

@@ -18,6 +18,7 @@ from subcube import (
     MonotoneConj,
     QueryTranscript,
     RandomStream,
+    Sampler,
     ZeroSet,
     desk_params,
     generate_instance,
@@ -235,12 +236,13 @@ def test_sim_world_answers_from_revealed_gammas():
     """Once a draw reveals c^k, the simulated world labels a^k 0 and
     answers the query A_k with 0, where the no function gives a^k 1."""
     inst = gen("no", seed=24)
-    world = _SimWorld(inst, RandomStream(25), QueryTranscript())
+    sampler = Sampler(inst.distribution, inst.function, QueryTranscript(),
+                      RandomStream(0))
+    world = _SimWorld(inst, RandomStream(25), QueryTranscript(), sampler)
     a_points = {inst.point_a(i).zeros: i for i in range(1, inst.params.m + 1)}
     assert all(world.value_at(a) == 1 for a in a_points)  # nothing revealed
     revealed, a_draws = set(), 0
-    for _ in range(60):
-        point, label = world.draw()
+    for point, label in world.draws(60):
         k = a_points.get(point.zeros)
         if k is not None and k in revealed:
             assert label == 0

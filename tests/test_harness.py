@@ -1,6 +1,8 @@
 """Trial harness, budget accounting, experiments, and the CLI."""
 
 import contextlib
+import dataclasses
+import functools
 import gc
 import io
 import json
@@ -12,10 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import subcube.cli as cli
 import subcube.harness as harness
+import subcube.model as model_module
 import subcube.tester as tester_module
 from subcube import (
     ExperimentConfig,
@@ -24,20 +27,25 @@ from subcube import (
     LBInstance,
     LBParams,
     MonotoneConj,
+    QueryTranscript,
     RandomStream,
+    Sampler,
     compute_parameters,
     desk_params,
     distinguishing_experiment,
     exact_distance_mconj,
+    generate_instance,
     load_instance,
     query_budget_report,
     run_trials,
     save_instance,
+    simulate_p,
+    strong_sample,
     write_experiment_csv,
     write_trials_csv,
 )
-from subcube.harness import ALGOS, CSV_HEADER, EXPERIMENT_HEADER, _run_one
-from helpers import rand_dist, reference_distinguishing_experiment, zs
+from subcube.harness import ALGOS, CSV_HEADER, EXPERIMENT_HEADER, _SimWorld, _run_one
+from helpers import collect, rand_dist, reference_distinguishing_experiment, zs
 
 SMALL_LB = LBParams(n=60, h=4, r_blocks=7, m=3, s=1, blocks_per_side=2)
 
@@ -315,12 +323,13 @@ def test_experiment_with_primary_testers(algo):
 def test_experiment_draws_one_instance_per_variant_and_trial(monkeypatch):
     """2 * trials instances, each drawn on its own stream and held alone;
     every budget in both worlds of trial i runs on trial i's instance, each
-    run on the same stream as when every run drew its own instance."""
+    run on the same stream as when every run drew its own instance, and all
+    the real-world runs of trial i share one Sampler of that instance."""
     seed, budgets = 17, [0, 4, 16]
     root = RandomStream(seed)
     streams = {root.split("exp", "instance", v, i).path: (v, i)
                for v in ("yes", "no") for i in range(3)}
-    drawn, runs = {}, []
+    drawn, runs, samplers = {}, [], {}
     generate, run_one = harness.generate_instance, harness._run_one
 
     def counting(params, variant, rng):
@@ -332,14 +341,18 @@ def test_experiment_draws_one_instance_per_variant_and_trial(monkeypatch):
         drawn[cell] = weakref.ref(inst)
         return inst
 
-    def recording(config, trial, rng=None, inst=None, sim=False):
+    def recording(config, trial, rng=None, inst=None, sim=False, sampler=None):
         world = "sim" if sim else "real"
         variant = config.generator[1]
         assert rng.path == root.split("exp", config.budget, world, variant,
                                       trial).path
         assert drawn[variant, trial]() is inst
         runs.append((variant, trial, config.budget, world))
-        return run_one(config, trial, rng, inst, sim=sim)
+        if not sim:
+            assert sampler.dist is inst.distribution
+            assert sampler.func is inst.function
+            assert samplers.setdefault((variant, trial), sampler) is sampler
+        return run_one(config, trial, rng, inst, sim=sim, sampler=sampler)
 
     monkeypatch.setattr(harness, "generate_instance", counting)
     monkeypatch.setattr(harness, "_run_one", recording)
@@ -349,6 +362,7 @@ def test_experiment_draws_one_instance_per_variant_and_trial(monkeypatch):
     assert sorted(drawn) == sorted(streams.values())
     assert sorted(runs) == sorted((v, i, q, w) for v, i in streams.values()
                                   for q in budgets for w in ("real", "sim"))
+    assert sorted(samplers) == sorted(streams.values())
 
 
 RATES = ("yes_accept", "no_accept", "sim_yes_accept", "sim_no_accept")
@@ -434,6 +448,102 @@ def test_sim_baseline_searches_each_zero_sample_once(monkeypatch):
     assert len(result.instance.distribution.entries) == 9
     assert len(searched) >= 2
     assert len(set(searched)) == len(searched)
+
+
+@functools.lru_cache(maxsize=None)
+def sim_instance(big):
+    """A SMALL_LB no instance; with big, the same instance reweighted over a
+    denominator past 2^64, which sends its draws down the bigint path."""
+    inst = generate_instance(SMALL_LB, "no", RandomStream(40))
+    if not big:
+        return inst
+    den = (1 << 64) + 13
+    points = [p for p, _ in inst.distribution.entries]
+    nums = [den // (2 * len(points))] * (len(points) - 1)
+    return dataclasses.replace(inst, distribution=FiniteDistribution(inst.n, tuple(
+        zip(points, (Fraction(w, den) for w in nums + [den - sum(nums)])))))
+
+
+# a limit of 0, a limit inside the batch, a transcript already at its
+# limit, and a limit past the batch
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 1 << 32), k=st.integers(0, 40),
+       limit=st.none() | st.integers(0, 45), spent=st.integers(0, 45),
+       big=st.booleans(), chunk=st.sampled_from([None, 1, 3, 7]), log=st.booleans())
+@example(seed=1, k=30, limit=0, spent=0, big=False, chunk=None, log=True)
+@example(seed=2, k=30, limit=20, spent=5, big=False, chunk=4, log=True)
+@example(seed=3, k=30, limit=12, spent=12, big=True, chunk=None, log=True)
+@example(seed=4, k=40, limit=25, spent=0, big=True, chunk=7, log=True)
+def test_sim_world_draws_match_strong_sample_calls(seed, k, limit, spent, big,
+                                                   chunk, log):
+    # one batch of k strong samples hands out the points of k strong_sample
+    # calls, with Gamma after each draw and each label the responder's bit
+    # at draw time; it charges and logs the draws that fit, refuses the
+    # next, and leaves the stream at their word
+    inst = sim_instance(big)
+    spent = spent if limit is None else min(spent, limit)
+
+    def run(draws):
+        tr = QueryTranscript(log_queries=log, limit=limit, sample_count=spent)
+        rng, gamma = RandomStream(seed), set()
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk:
+                mp.setattr(model_module, "_DRAW_SAMPLES", chunk)
+            taken, refused = collect(draws(rng, tr, gamma), lambda: frozenset(gamma))
+        return (taken, refused, tr.sample_count, tr.sample_log,
+                rng.randrange(1000), rng.randrange(1 << 70))
+
+    def batch(rng, tr, gamma):
+        world = _SimWorld(inst, rng, tr, Sampler(inst.distribution, inst.function,
+                                                 QueryTranscript(), RandomStream(0)))
+        world.gamma = gamma
+        return world.draws(k)
+
+    def per_draw(rng, tr, gamma):
+        for _ in range(k):
+            point, alpha = strong_sample(inst, rng, tr)
+            if alpha is not None:
+                gamma.add(alpha)
+            yield point, simulate_p(point.zeros, inst.R, gamma)
+
+    got = run(batch)
+    assert got == run(per_draw)
+    fit = k if limit is None else min(k, limit - spent)
+    assert len(got[0]) == fit and got[1] == (fit < k) and got[2] == spent + fit
+
+
+@pytest.mark.parametrize("algo, variant, sim", [
+    ("mconj", "no", False), ("conj", "no", False), ("dolev-ron", "no", False),
+    ("dolev-ron", "no", True), ("dolev-ron", "yes", False), ("dolev-ron", "yes", True)])
+def test_shared_sampler_runs_as_a_fresh_sampler(monkeypatch, algo, variant, sim):
+    """Runs that draw through one instance Sampler equal runs that build a
+    fresh Sampler per attempt, and a run made after another on the same
+    Sampler still does: no transcript or stream state leaks between them.
+    On the no instance every run rejects in its first attempt; on the yes
+    instance the baseline accepts, so both attempts run."""
+    inst = generate_instance(SMALL_LB, variant, RandomStream(41))
+    config = ExperimentConfig(algo=algo, epsilon=Fraction(1), trials=1, seed=0,
+                              amplify_k=2, generator=(SMALL_LB, variant),
+                              log_queries=True)
+    streams = [RandomStream(42).split("run", j) for j in range(2)]
+
+    def key(r):
+        return (r.accepted, r.reason, r.blackbox_queries, r.sample_queries,
+                r.verdict, r.attempts, r.transcript.blackbox_log,
+                r.transcript.sample_log)
+
+    shared = Sampler(inst.distribution, inst.function, QueryTranscript(),
+                     RandomStream(43))
+    runs = [key(_run_one(config, 0, rng, inst, sim, shared)) for rng in streams]
+    # the reference builds a new Sampler for every attempt
+    monkeypatch.setattr(Sampler, "rebind", lambda self, tr, rng: Sampler(
+        self.dist, self.func, tr, rng))
+    monkeypatch.setattr(harness, "_SimWorld", lambda inst, rng, tr, sampler: _SimWorld(
+        inst, rng, tr, Sampler(inst.distribution, inst.function, tr, rng)))
+    fresh = [key(_run_one(config, 0, rng, inst, sim)) for rng in streams]
+    assert runs == fresh
+    assert [r[5] for r in runs] == [2 if variant == "yes" else 1] * 2
+    assert shared.transcript.sample_count == 0
 
 
 def test_experiment_input_validation(tmp_path, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from subcube import (
     BlackBox,
@@ -26,7 +26,8 @@ from subcube import (
     generate_instance,
 )
 import subcube.model as model_module
-from helpers import draw_indices, rand_dist, rand_points, table_of, zs
+from helpers import (collect, draw_indices, literal_coords, literal_draw, rand_dist,
+                     rand_points, table_of, zs)
 
 
 def test_zeroset_validation_and_flip():
@@ -347,6 +348,98 @@ def test_draw_groups_in_chunks_match_draw_indices(monkeypatch, big):
     assert np.array_equal(idx, want)
     assert np.array_equal(lab, sm.labels[want])
     assert np.array_equal(sm._draw_groups(1, 3)[0][0], draw_indices(twin, 3))
+
+
+def spread_dist(den):
+    """Four points of {0,1}^4 with weights over den; past 2^12 the bucket
+    table has unresolved buckets, and past 2^62 draws take the bigint path."""
+    nums = (1, 30, den // 3)
+    return FiniteDistribution(4, tuple(
+        (zs(4, *z), Fraction(w, den))
+        for z, w in zip(((), (1,), (2,), (1, 2)), nums + (den - sum(nums),))))
+
+
+# a limit of 0, a limit inside the batch, a transcript already at its
+# limit, and a limit past the batch
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 1 << 32), k=st.integers(0, 40),
+       limit=st.none() | st.integers(0, 45), spent=st.integers(0, 45),
+       den=st.sampled_from([97, (1 << 40) + 15, (1 << 64) + 13, 3 ** 67]),
+       chunk=st.sampled_from([None, 1, 3, 7]), log=st.booleans())
+@example(seed=1, k=12, limit=0, spent=0, den=97, chunk=None, log=True)
+@example(seed=2, k=12, limit=20, spent=15, den=97, chunk=3, log=True)
+@example(seed=3, k=12, limit=9, spent=9, den=(1 << 64) + 13, chunk=None, log=True)
+@example(seed=4, k=30, limit=10, spent=0, den=(1 << 64) + 13, chunk=7, log=True)
+def test_sampler_draws_match_draw_calls(seed, k, limit, spent, den, chunk, log):
+    # one batch of k draws hands out the points and labels of k draw()
+    # calls, and of k literal one-sample draws; it charges and logs the
+    # draws that fit, refuses the next, and leaves the stream at their word
+    d, f = spread_dist(den), MonotoneConj(4, frozenset({1}))
+    spent = spent if limit is None else min(spent, limit)
+
+    def run(draws):
+        tr = QueryTranscript(log_queries=log, limit=limit, sample_count=spent)
+        sm = Sampler(d, f, tr, RandomStream(seed))
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk:
+                mp.setattr(model_module, "_DRAW_SAMPLES", chunk)
+            taken, refused = collect(draws(sm))
+        return (taken, refused, tr.sample_count, tr.sample_log,
+                sm.rng.randrange(1000), sm.rng.randrange(1 << 70))
+
+    batch = run(lambda sm: sm.draws(k))
+    assert batch == run(lambda sm: (sm.draw() for _ in range(k)))
+    assert batch == run(lambda sm: (literal_draw(sm) for _ in range(k)))
+    fit = k if limit is None else min(k, limit - spent)
+    assert len(batch[0]) == fit and batch[1] == (fit < k)
+    assert batch[2] == spent + fit
+
+
+def test_rebound_sampler_is_a_fresh_sampler():
+    # a copy on new streams shares the labels and table, draws as a sampler
+    # built on those streams does, and leaves the original's streams alone
+    d, f = spread_dist((1 << 40) + 15), MonotoneConj(4, frozenset({1}))
+    base = Sampler(d, f, QueryTranscript(), RandomStream(5))
+    tr, fresh_tr = QueryTranscript(log_queries=True), QueryTranscript(log_queries=True)
+    view = base.rebind(tr, RandomStream(6))
+    fresh = Sampler(d, f, fresh_tr, RandomStream(6))
+    assert view.labels is base.labels and view._table is base._table
+    assert list(view.draws(20)) == list(fresh.draws(20))
+    assert np.array_equal(draw_indices(view, 9), draw_indices(fresh, 9))
+    assert (tr.sample_count, tr.sample_log) == (fresh_tr.sample_count, fresh_tr.sample_log)
+    assert base.transcript.sample_count == 0
+    untouched = Sampler(d, f, QueryTranscript(), RandomStream(5))
+    assert list(base.draws(5)) == list(untouched.draws(5))
+    assert np.array_equal(draw_indices(base, 5), draw_indices(untouched, 5))
+
+
+COORD_VALUES = (st.integers(-25, 25) | st.booleans() | st.floats(-30, 30)
+                | st.integers(-25, 25).map(np.int64) | st.integers(1, 25).map(float)
+                | st.just(None) | st.text(max_size=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 20), values=st.lists(COORD_VALUES, max_size=8),
+       kind=st.sampled_from([frozenset, list, tuple, iter]),
+       signed=st.booleans())
+@example(n=5, values=[1, True], kind=list, signed=False)
+@example(n=5, values=[2, 2.0], kind=list, signed=False)
+@example(n=5, values=[-5, 3], kind=iter, signed=True)
+@example(n=5, values=[0], kind=tuple, signed=True)
+@example(n=5, values=[3, np.int64(3)], kind=iter, signed=False)
+def test_coords_accepts_and_rejects_as_the_literal_loop(n, values, kind, signed):
+    # the same set on every accepted input, and the same message, naming the
+    # same first bad coordinate, on every rejected one; iter() makes a
+    # one-shot iterator, which must be checked and returned whole
+    outcomes = []
+    for check in (model_module._coords, literal_coords):
+        try:
+            outcomes.append(("ok", check(n, kind(values), "coordinate", signed)))
+        except ValueError as exc:
+            outcomes.append(("error", str(exc)))
+    assert outcomes[0] == outcomes[1]
+    if outcomes[0][0] == "ok":
+        assert type(outcomes[0][1]) is frozenset
 
 
 def per_draw_reference(d, rng, k):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from subcube import RandomStream
-from helpers import literal_subset_positions
+from helpers import literal_subset_positions, subset_positions
 
 
 def test_same_seed_same_path_same_draws():
@@ -72,7 +72,7 @@ def test_integers_batch():
 def test_subset_positions_sorted_distinct_in_range():
     r = RandomStream(17)
     for _ in range(200):
-        pos = r.subset_positions(30, 7)
+        pos = subset_positions(r, 30, 7)
         assert pos == sorted(pos)
         assert len(set(pos)) == 7
         assert all(0 <= p < 30 for p in pos)
@@ -80,15 +80,15 @@ def test_subset_positions_sorted_distinct_in_range():
 
 def test_subset_positions_full_population():
     r = RandomStream(19)
-    assert r.subset_positions(5, 5) == [0, 1, 2, 3, 4]
-    assert r.subset_positions(5, 9) == [0, 1, 2, 3, 4]
+    assert subset_positions(r, 5, 5) == [0, 1, 2, 3, 4]
+    assert subset_positions(r, 5, 9) == [0, 1, 2, 3, 4]
 
 
 def test_subset_positions_covers_uniformly():
     r = RandomStream(23)
     hits = [0] * 10
     for _ in range(2000):
-        for p in r.subset_positions(10, 3):
+        for p in subset_positions(r, 10, 3):
             hits[p] += 1
     # every position lands in a 3-of-10 subset with probability 3/10
     assert all(450 < h < 750 for h in hits)
