@@ -24,6 +24,8 @@ from fractions import Fraction
 from math import ceil, log2
 from typing import Optional
 
+import numpy as np
+
 from .model import (
     FiniteDistribution,
     FunctionSpec,
@@ -68,6 +70,8 @@ _FAMILY = {
 }
 
 VARIANTS = tuple(_FAMILY)
+# the point kinds, in the order of each variant's labels
+_KINDS = ("ones", "a", "b", "c")
 
 
 @dataclass(frozen=True)
@@ -292,6 +296,13 @@ class LBInstance:
                      for i in ((0,) if kind == "ones"
                                else range(1, self.params.m + 1)))
 
+    @cached_property
+    def _labels(self) -> np.ndarray:
+        """The label of each distribution entry, by its kind, as int8s: what
+        validate_instance checks the function gives each point of a kind."""
+        label = dict(zip(_KINDS, _FAMILY[self.variant][1]))
+        return np.array([label[kind] for kind, _ in self.support_kinds], dtype=np.int8)
+
     @property
     def theta4(self) -> Optional[int]:
         return _theta4(self.params, len(self.R)) if self.variant.endswith("-ltf") else None
@@ -469,7 +480,7 @@ def validate_instance(inst: LBInstance) -> None:
             fail("each triple needs blocks_per_side distinct block ids per side")
 
     points = inst._points
-    for kind, label in zip(("ones", "a", "b", "c"), _FAMILY[inst.variant][1]):
+    for kind, label in zip(_KINDS, _FAMILY[inst.variant][1]):
         for i, zeros in enumerate(points[kind], start=1):
             if inst.function.value_at(zeros) != label:
                 fail(f"wrong label on {kind} point {i}")

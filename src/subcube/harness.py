@@ -148,8 +148,9 @@ def _run_one(config: ExperimentConfig, trial: int,
     runs on its fixed instance. With sim set, the trial runs in the
     simulated world of the generated instance (_SimWorld) instead of against
     its real oracles; that world can only drive the dolev-ron baseline.
-    sampler, the instance's Sampler, is built here when not given; each
-    attempt draws through a copy of it on the attempt's own streams.
+    sampler, the instance's Sampler, is built here when not given, on the
+    labels a generated instance was validated with; each attempt draws
+    through a copy of it on the attempt's own streams.
     """
     if rng is None:
         rng = RandomStream(config.seed).split("trial", trial)
@@ -162,7 +163,9 @@ def _run_one(config: ExperimentConfig, trial: int,
     else:
         n, func, dist = config.instance
     tr = QueryTranscript(log_queries=config.log_queries, limit=config.budget)
-    sampler = sampler or Sampler(dist, func, tr, rng)
+    if sampler is None:
+        sampler = (Sampler(dist, func, tr, rng) if inst is None
+                   else Sampler._labelled(dist, func, tr, rng, inst._labels))
     attempts = 0
 
     def attempt(sub: RandomStream) -> Verdict:
@@ -353,11 +356,12 @@ def distinguishing_experiment(algo: str, params: LBParams, yes_variant: str,
     Trial i of a variant draws one validated instance from split("exp",
     "instance", variant, i), and every budget in both worlds runs on it,
     each run on its own stream split("exp", q, world, variant, i). Only one
-    instance is held at a time, with the one Sampler that labels its support
-    once for all its runs. The instance stream is independent of the run
-    streams, so each rate is an unbiased estimate with the same law as if
-    every run drew its own instance; the rows are paired across budgets and
-    worlds (common random numbers), which makes the gap curve smoother in q.
+    instance is held at a time, with the one Sampler for all its runs, on
+    the labels that validating the instance checked. The instance stream is
+    independent of the run streams, so each rate is an unbiased estimate
+    with the same law as if every run drew its own instance; the rows are
+    paired across budgets and worlds (common random numbers), which makes
+    the gap curve smoother in q.
     """
     configs = sweep_configs(algo, params, yes_variant, no_variant, epsilon,
                             trials, seed, budgets, amplify_k)
@@ -367,7 +371,8 @@ def distinguishing_experiment(algo: str, params: LBParams, yes_variant: str,
         for variant in dict.fromkeys((yes_variant, no_variant)):
             inst = generate_instance(
                 params, variant, stream.split("exp", "instance", variant, i))
-            sampler = Sampler(inst.distribution, inst.function, QueryTranscript(), stream)
+            sampler = Sampler._labelled(inst.distribution, inst.function,
+                                        QueryTranscript(), stream, inst._labels)
             for (q, world, v), config in configs.items():
                 if v == variant:
                     run = stream.split("exp", q, world, variant, i)

@@ -16,7 +16,9 @@ word equals a boundary's top word.
 
 A Sampler draws from two streams: draw() and draws(k) hand out (point, label)
 pairs in order, and the tester's blocks of groups come from a batch stream
-that continues from call to call. rebind() copies it onto a run's streams.
+that continues from call to call. rebind() copies it onto a run's streams,
+and _conditioned(label) onto the distribution conditioned on a label,
+which it draws through the same bucket-table code.
 BlackBox.flipped(C) and Sampler.flipped(C) are views that flip the queries
 asked or the points handed out, share both streams, and log in the
 instance's own coordinates. BlackBox.query_until asks a batch of small zero
@@ -386,6 +388,9 @@ class QueryTranscript:
     limit: Optional[int] = None
     blackbox_log: list = field(default_factory=list)
     sample_log: list = field(default_factory=list)
+    # support indices actually drawn; below sample_count when Stage 0
+    # charges groups undrawn or draws them as their facts
+    samples_drawn: int = 0
 
     def take_blackbox(self, k: int = 1) -> None:
         if self.limit is not None and self.blackbox_count + k > self.limit:
@@ -502,18 +507,20 @@ class BlackBox:
 
 
 _BUCKET_BITS = 12
-# the most samples Sampler._draw_groups and draws() draw (and label) at a time
+# the most samples Sampler._draw_many and draws() draw at a time
 _DRAW_SAMPLES = 1 << 16
 
 
 def _charged_chunks(transcript: QueryTranscript, k: int):
-    """The sizes of k draws' chunks (at most _DRAW_SAMPLES), each charged before
-    it is yielded; under a limit, as with take_samples(1) per draw, the draws
-    that fit are yielded and then BudgetExceeded is raised."""
+    """The sizes of k draws' chunks (at most _DRAW_SAMPLES), each charged (and
+    counted as drawn) before it is yielded; under a limit, as with
+    take_samples(1) per draw, the draws that fit are yielded and then
+    BudgetExceeded is raised."""
     fit = k if transcript.limit is None else min(k, transcript.limit - transcript.sample_count)
     for start in range(0, fit, _DRAW_SAMPLES):
         size = min(_DRAW_SAMPLES, fit - start)
         transcript.take_samples(size)
+        transcript.samples_drawn += size
         yield size
     if fit < k:
         transcript.take_samples(1)  # refused: raises
@@ -543,19 +550,42 @@ class Sampler:
                  transcript: QueryTranscript, rng: RandomStream):
         if dist.n != func.n:
             raise DimensionMismatch("function and distribution disagree on n")
+        self._setup(dist, func, transcript, rng,
+                    np.array([func.value_at(p.zeros) for p, _ in dist.entries],
+                             dtype=np.int8))
+
+    @classmethod
+    def _labelled(cls, dist: FiniteDistribution, func: FunctionSpec,
+                  transcript: QueryTranscript, rng: RandomStream,
+                  labels: np.ndarray) -> "Sampler":
+        """The sampler __init__ builds, on labels the caller has already
+        checked to be func's on the support, in entry order."""
+        sampler = cls.__new__(cls)
+        sampler._setup(dist, func, transcript, rng, labels)
+        return sampler
+
+    def _setup(self, dist, func, transcript, rng, labels) -> None:
         self.dist = dist
         self.func = func
         self.n = dist.n
         self.transcript = transcript
         self.rng = rng
         self._points = [p for p, _ in dist.entries]
-        self.labels = np.array([func.value_at(p.zeros) for p in self._points],
-                               dtype=np.int8)
-        m = dist.denominator
+        self.labels = labels
+        self._set_table(dist._cum)
+        # the batch stream of _draw_groups; its label keeps every drawn word
+        # the same as in earlier versions, which named it the first "tape"
+        self._batch = rng.split("tape", 1)
+
+    def _set_table(self, cum: tuple) -> None:
+        """Draw through the inverse CDF of the cumulative numerators cum,
+        over the denominator cum[-1]: the bounds and the bucket table."""
+        m = self._denominator = cum[-1]
+        self._cum = cum
         if m <= 1 << 62:
             # keys are the draws u themselves
             self._nwords = 0
-            self._bounds = np.array(dist._cum, dtype=np.int64)
+            self._bounds = np.array(cum, dtype=np.int64)
             self._key_shift = max(0, (m - 1).bit_length() - _BUCKET_BITS)
             self._table = _bucket_table(self._bounds, self._key_shift,
                                         ((m - 1) >> self._key_shift) + 1, ties=False)
@@ -566,15 +596,28 @@ class Sampler:
             self._nwords = (nbits + 63) // 64
             self._shift = self._nwords * 64 - nbits
             top = 64 * (self._nwords - 1)
-            self._bounds = np.array([(c << self._shift) >> top for c in dist._cum],
+            self._bounds = np.array([(c << self._shift) >> top for c in cum],
                                     dtype=np.uint64)
             self._key_shift = 64 - _BUCKET_BITS
             self._table = _bucket_table(self._bounds, self._key_shift,
                                         1 << _BUCKET_BITS, ties=True)
         self._split = bool((self._table < 0).any())
-        # the batch stream of _draw_groups; its label keeps every drawn word
-        # the same as in earlier versions, which named it the first "tape"
-        self._batch = rng.split("tape", 1)
+
+    def _conditioned(self, label: int) -> Optional[tuple]:
+        """(view, members): members, the support indices labelled label, and
+        a copy of this sampler whose _draw_indices_raw draws from the
+        distribution conditioned on that label, as positions in members. Its
+        weights are the members' numerators over the common denominator, so
+        it draws through the same bucket-table code. None when no support
+        point has the label."""
+        members = np.flatnonzero(self.labels == label)
+        if not members.size:
+            return None
+        view = copy.copy(self)
+        cum = self.dist._cum
+        view._set_table(tuple(accumulate(cum[i] - (cum[i - 1] if i else 0)
+                                         for i in members.tolist())))
+        return view, members
 
     # -- support accessors --
 
@@ -596,7 +639,7 @@ class Sampler:
         """
         if self._nwords:
             return self._draw_big(rng, k)
-        u = rng.integers(self.dist.denominator, size=k)
+        u = rng.integers(self._denominator, size=k)
         idx = self._table[u >> self._key_shift if self._key_shift else u]
         if self._split and idx.min(initial=0) < 0:
             miss = idx < 0
@@ -606,7 +649,7 @@ class Sampler:
     def _draw_big(self, rng: RandomStream, k: int) -> np.ndarray:
         # RandomStream._randrange_big, one rejection round per batch. A
         # candidate W of `words` words is rejected iff W >= M << shift, which
-        # is index S (the support size) under the scaled boundaries. Accepted
+        # is index S (the number of bounds) under the scaled boundaries. Accepted
         # draws keep stream order and each round redraws exactly the number
         # rejected, so the stream ends where the per-draw loop leaves it.
         out = np.empty(k, dtype=self._table.dtype)
@@ -618,7 +661,7 @@ class Sampler:
             if self._split and idx.min() < 0:
                 miss = idx < 0
                 idx[miss] = self._resolve_big(raw[miss])
-            got = idx[idx < self.support_size]
+            got = idx[idx < len(self._bounds)]
             out[done:done + len(got)] = got
             done += len(got)
         return out
@@ -630,7 +673,7 @@ class Sampler:
         idx = np.searchsorted(self._bounds, top, side="right")
         for j in np.flatnonzero(np.searchsorted(self._bounds, top, side="left") != idx):
             w = int.from_bytes(raw[j].tobytes(), "little") >> self._shift
-            idx[j] = bisect_right(self.dist._cum, w)
+            idx[j] = bisect_right(self._cum, w)
         return idx
 
     def _log(self, idx: np.ndarray) -> None:
@@ -653,21 +696,25 @@ class Sampler:
         """One counted draw: (point, func(point))."""
         return next(self.draws(1))
 
+    def _draw_many(self, rng: RandomStream, total: int) -> np.ndarray:
+        """_draw_indices_raw(rng, total), counted as drawn but uncharged, in
+        calls of at most _DRAW_SAMPLES, which bound the buffers that a
+        draw takes; the words are the same."""
+        idx = np.empty(total, dtype=self._table.dtype)
+        for start in range(0, total, _DRAW_SAMPLES):
+            stop = min(start + _DRAW_SAMPLES, total)
+            idx[start:stop] = self._draw_indices_raw(rng, stop - start)
+        self.transcript.samples_drawn += total
+        return idx
+
     def _draw_groups(self, count: int, size: int) -> tuple:
         """count groups of size draws from the batch stream, uncharged: the
         caller charges (and logs) each group before reading it. Returns the
         support indices and their labels, each as a (count, size) array.
         The words, and the indices, are those of count successive draws of
-        size from the batch stream. They are drawn at most _DRAW_SAMPLES at
-        a time, which bounds the buffers that drawing and labelling take."""
-        total = count * size
-        idx = np.empty(total, dtype=self._table.dtype)
-        lab = np.empty(total, dtype=self.labels.dtype)
-        for start in range(0, total, _DRAW_SAMPLES):
-            part = slice(start, min(start + _DRAW_SAMPLES, total))
-            idx[part] = self._draw_indices_raw(self._batch, part.stop - start)
-            np.take(self.labels, idx[part], out=lab[part])
-        return idx.reshape(count, size), lab.reshape(count, size)
+        size from the batch stream."""
+        idx = self._draw_many(self._batch, count * size).reshape(count, size)
+        return idx, np.take(self.labels, idx)
 
     def rebind(self, transcript: QueryTranscript, rng: RandomStream) -> "Sampler":
         """The sampler Sampler(dist, func, transcript, rng) would build, as a

@@ -9,23 +9,31 @@ by fixed ceiling rules; base-2 logs throughout. The general-conjunction
 tester runs the monotone one on flipped views of the same two oracles.
 
 Stages 1 and 2 read only three facts of each group, so Stage 0 keeps
-those and nothing else: its 1-count, its first 0-sample, and B, the union
-of the zero sets of its first t (Stage 2: t-1) 1-samples. Their support
-points are read off a prefix of the group that doubles from 64 samples
-until it holds the t-th 1-sample or shows every 1-labelled support point,
-as a row of flags over the support; B, a row of flags over the
-coordinates, is memoized on it. Stage 0 draws the groups a block at a time
-and computes every group's facts in numpy. It charges (and logs) the
+those and nothing else: its class (too few 1-samples, no 0-sample, or
+neither), its first 0-sample, and B, the union of the zero sets of its
+first t (Stage 2: t-1) 1-samples. From a group drawn as samples, B's
+support points are read off a prefix of the group that doubles from 64
+samples until it holds the t-th 1-sample or shows every 1-labelled
+support point, as a row of flags over the support; B, a row of flags over
+the coordinates, is memoized on it. Stage 0 draws the groups a block at a
+time and computes every group's facts in numpy. It charges (and logs) the
 groups in runs, each ending at a group where a representative search
 runs, so a budget, a nil representative or the stop below lands at the
 same group as one draw per group would. Memory stays at one block plus
 the facts, and no sample is drawn twice. Under a sample budget a block
 holds only groups the budget admits, so a refused group is never drawn.
-Once recording has stopped and every 0-labelled support point has its
-representative, no later group can change the verdict, a query or a
-count, so Stage 0 charges the remaining groups in one step, without
-drawing them. With query logging on it reads every group, because the
-sample log lists every sample.
+
+With query logging on, Stage 0 draws every sample, because the sample log
+lists every sample. With it off, once every 0-labelled support point has
+its representative, a later group can start no search, so Stage 0 draws
+each later group's facts alone, from their exact law (_drawn_facts): a
+class word against the exact cuts of _class_cuts, one D0 draw and a few
+D1 draws, where the group has group_size samples. Such a run has the law
+of the logged run, not its draws; the groups it draws as samples read the
+logged run's words. Once recording has stopped and every 0-labelled
+support point has its representative, no later group can change the
+verdict, a query or a count, so Stage 0 charges the remaining groups in
+one step, without drawing them.
 
 Stages 1 and 2 build every probe by one gather from the stacked B rows.
 They draw their random subsets in blocks of rows with
@@ -154,8 +162,8 @@ class Verdict:
     accepted: bool
     reason: str
     params: Optional[TesterParams] = None
-    # 0-samples of the groups Stage 0 read; the groups it charges without
-    # reading add none
+    # 0-samples of the groups Stage 0 drew as samples; the groups it draws
+    # as their facts, or charges undrawn, add none
     stage0_zero_samples: int = 0
     # representative searches Stage 0 ran, one per distinct 0-labelled
     # point, the one that returned nil included
@@ -193,8 +201,13 @@ def binary_search_representative(oracle, x: ZeroSet) -> Optional[int]:
 # Stage 0 draws its groups in blocks that double from one group up to about
 # this many samples (plus one support-sized row of flags per group), so a
 # run that ends after a few groups draws few more, and memory stays at one
-# block of indices and labels, a few bytes per sample.
+# block of indices and labels, a few bytes per sample. A block of facts
+# holds up to this many flags over the support, and draws each round of
+# its D1 draws at most this many at a time.
 _BLOCK_SAMPLES = 1 << 18
+# A block of facts holds at least this many groups: they cost a few words
+# each, so a run that ends soon after the first wastes little.
+_FACT_GROUPS = 64
 # B is read from a prefix of each group that starts this many samples long
 # and doubles for the groups it does not yet settle.
 _PREFIX = 64
@@ -242,6 +255,126 @@ def _block_facts(idx: np.ndarray, lab: np.ndarray, need: np.ndarray,
         rows = rows[(rest > 0) & (found != ones_mask).any(axis=1)]
         lo, hi = hi, 2 * hi
     return ones, first0, masks
+
+
+def _class_cuts(ones: int, m: int, size: int, need: int) -> tuple:
+    """The class law of a group of size draws, each 1-labelled with
+    probability ones/m, as counts over m**size: (few, few + full, m**size).
+    few = sum over k < need of C(size, k) ones^k (m - ones)^(size - k)
+    counts the groups with fewer than need 1-samples, and full = ones^size
+    those with no 0-sample; the two are disjoint, as need <= size."""
+    zeros = m - ones
+    few = 0
+    if zeros and need:
+        # term = C(size, k) ones^k zeros^(need - 1 - k), k = 0 .. need - 1;
+        # the common factor zeros^(size - need + 1) comes in once, at the end
+        term = few = zeros ** (need - 1)
+        for k in range(need - 1):
+            term = term * (size - k) * ones // ((k + 1) * zeros)
+            few += term
+        few *= zeros ** (size - need + 1)
+    return few, few + ones ** size, m ** size
+
+
+def _tied_class(rng: RandomStream, first: int, cuts: tuple, total: int) -> int:
+    """The number of cuts c with c/total <= V, for V uniform in [0, 1) whose
+    first 64 bits are the word first, read from rng 64 bits at a time while
+    some cut is undecided (Knuth and Yao's lazy comparison): V's prefix P of
+    b bits decides c once it differs from floor(c 2^b / total), or equals
+    it with no remainder."""
+    prefix, bits, below = first, 64, 0
+    while cuts:
+        undecided = []
+        for cut in cuts:
+            top, rest = divmod(cut << bits, total)
+            if prefix > top or prefix == top and not rest:
+                below += 1
+            elif prefix == top:
+                undecided.append(cut)
+        cuts = tuple(undecided)
+        if cuts:
+            prefix, bits = prefix << 64 | int(rng._words(1)[0]), bits + 64
+    return below
+
+
+def _drawn_facts(sampler, size: int, need: np.ndarray, law: dict) -> tuple:
+    """The facts Stages 1-2 read of len(need) groups of size draws, drawn
+    from their exact law on the batch stream without drawing the groups:
+    (few, first0, masks). few[row] is true when the group holds fewer than
+    need[row] 1-samples; first0 and masks are those of _block_facts, with
+    first0 -1 and masks empty for a few group. law memoizes, per sampler,
+    the class cuts of each need and the two conditioned samplers.
+
+    Given its labels, a group's 1-samples are i.i.d. D1 (D conditioned on
+    label 1), its 0-samples i.i.d. D0, and the two independent. So a group
+    takes one word for its class (few; no 0-sample; neither) against the
+    top 64 bits of the cuts of _class_cuts, more only on a tie; one D0
+    draw, its first 0-sample, when it has both labels; and D1 draws, in
+    rounds that grow by half, until it holds need[row] of them or shows
+    every 1-labelled support point. The words are read in that order:
+    every class word, the D0 draws, then each round's D1 draws."""
+    rng = sampler._batch
+    if not law:
+        law.update(zeros=sampler._conditioned(0), ones=sampler._conditioned(1), cuts={})
+    count = len(need)
+
+    def cuts(value: int) -> tuple:
+        if value not in law["cuts"]:
+            ones = law["ones"][0]._denominator if law["ones"] else 0
+            few, either, total = _class_cuts(ones, sampler._denominator, size, value)
+            law["cuts"][value] = (few, either), total
+        return law["cuts"][value]
+
+    words = rng._words(count)
+    cls = np.zeros(count, dtype=np.int8)
+    tied = np.zeros(count, dtype=bool)
+    for value in np.unique(need).tolist():
+        rows = need == value
+        bounds, total = cuts(value)
+        for cut in bounds:
+            top = (cut << 64) // total
+            if top < 1 << 64:  # else the cut is 1 and no V reaches it
+                cls[rows] += words[rows] > np.uint64(top)
+                tied[rows] |= words[rows] == np.uint64(top)
+    for row in np.flatnonzero(tied).tolist():
+        cls[row] = _tied_class(rng, int(words[row]), *cuts(int(need[row])))
+
+    first0 = np.full(count, -1, dtype=np.intp)
+    both = np.flatnonzero(cls == 2)
+    if both.size:
+        view, members = law["zeros"]
+        first0[both] = members[view._draw_many(rng, both.size)]
+
+    masks = np.zeros((count, sampler.support_size), dtype=bool)
+    rows = np.flatnonzero(cls > 0)
+    if rows.size:
+        view, members = law["ones"]
+        width = len(members)
+        found = np.zeros((rows.size, width), dtype=bool)
+        wanted = need[rows]
+        # live: the positions in rows of the groups not yet settled. The
+        # first round draws width, the fewest that can show every point,
+        # and each later round half as many more as have been drawn; a
+        # round is drawn in parts of at most _BLOCK_SAMPLES.
+        live = np.arange(rows.size)
+        flags = found.reshape(-1)
+        least, most = int(wanted.min()), int(wanted.max())
+        lo, hi = 0, width
+        while live.size:
+            k = min(hi, most) - lo
+            step = max(1, _BLOCK_SAMPLES // k)
+            for start in range(0, live.size, step):
+                part = live[start:start + step]
+                # the flag of each draw: its point's, in its group's row
+                at = view._draw_many(rng, part.size * k).reshape(part.size, k) \
+                    + (part * width)[:, None]
+                if least < lo + k:  # past some group's need
+                    at = at[lo + np.arange(k) < wanted[part, None]]
+                flags[at] = True
+            live = live[(hi < wanted[live]) & ~found[live].all(axis=1)]
+            lo, hi = hi, hi + (hi + 1) // 2
+        masks[np.ix_(rows, members)] = found
+    return cls == 0, first0, masks
 
 
 def _union(unions: dict, zero_rows: np.ndarray, key: bytes) -> int:
@@ -312,36 +445,47 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
     b_ids: list[np.ndarray] = []
     first0s: list[np.ndarray] = []
     unions: dict[bytes, tuple] = {}
+    law: dict = {}  # of _drawn_facts
     recording = True
     g = 0
     block = 1
     max_block = max(1, _BLOCK_SAMPLES // (size + sampler.support_size))
+    max_facts = max(1, _BLOCK_SAMPLES // (2 * sampler.support_size))
     while g < groups and (recording or pending or transcript.log_queries):
         # Each block's facts are computed up front, but a group is charged
         # (and logged) before any search runs on it, so a budget, a nil
         # representative or the cut-off below lands at the same group as
-        # when groups are drawn one at a time.
-        count = min(block, groups - g)
+        # when groups are drawn one at a time. Once no log lists the samples
+        # and no search can run, only the facts are drawn.
+        facts = not (pending or transcript.log_queries)
+        if facts:
+            block = max(block, _FACT_GROUPS)
+        count = min(block, max_facts if facts else max_block, groups - g)
         if transcript.limit is not None:  # no block holds a refused group
             count = min(count, (transcript.limit - transcript.sample_count) // size)
             if not count:
                 transcript.take_samples(size)  # refused: raises
-        idx, lab = sampler._draw_groups(count, size)
-        block = min(2 * block, max_block)
+        block = min(2 * block, max(max_block, max_facts))
+        if not facts:
+            idx, lab = sampler._draw_groups(count, size)
         # last: the last row the run must read, count when it reads them all
         last = count if transcript.log_queries else -1
         if recording:
             need = np.full(count, p.t - 1)
             if g == 0:
                 need[0] = p.t
-            ones, first0, masks = _block_facts(idx, lab, need, sampler.labels != 0)
-            ends = (ones < need) | (first0 < 0)
+            if facts:
+                few, first0, masks = _drawn_facts(sampler, size, need, law)
+            else:
+                ones, first0, masks = _block_facts(idx, lab, need, sampler.labels != 0)
+                few = ones < need
+            ends = few | (first0 < 0)
             if g == 0:
-                ends[0] = ones[0] < p.t
+                ends[0] = few[0]
             stop = int(ends.argmax()) if ends.any() else count
             rec = min(stop + 1, count)
             ids = np.full(rec, -1)
-            keep = np.flatnonzero(ones[:rec] >= need[:rec])
+            keep = np.flatnonzero(~few[:rec])
             keys, inverse = np.unique(masks[keep].view(f"V{masks.shape[1]}").ravel(),
                                       return_inverse=True)
             ids[keep] = np.array([_union(unions, zero_rows, key) for key in keys.tolist()],
@@ -350,6 +494,10 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
             first0s.append(first0[:rec])
             recording = stop == count
             last = max(last, stop)
+            if facts:
+                _charge_groups(transcript, rec, size)
+                g += rec
+                continue
         else:
             ones = lab.sum(axis=1, dtype=np.min_scalar_type(size))
         # (row, point) of each first appearance of a point not yet searched

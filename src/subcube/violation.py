@@ -273,13 +273,18 @@ def _heavy(G: ViolationGraph, d: int):
 
 def _without(G: ViolationGraph, left_out=(), right_out=()) -> ViolationGraph:
     """G without the given vertex positions and without every vertex left
-    isolated, in order."""
+    isolated, in order. The subgraph keeps G's checked weights, and its
+    edges are G's edges between the vertices it keeps, renumbered; neither
+    is checked or derived again."""
     edges = [(li, ri) for li, ri in G.edges
              if li not in left_out and ri not in right_out]
-    return ViolationGraph(
-        tuple(G.left[i] for i in sorted({li for li, _ in edges})),
-        tuple(G.right[j] for j in sorted({ri for _, ri in edges})),
-    )
+    lefts = {li: k for k, li in enumerate(sorted({li for li, _ in edges}))}
+    rights = {ri: k for k, ri in enumerate(sorted({ri for _, ri in edges}))}
+    sub = object.__new__(ViolationGraph)
+    sub.__dict__.update(left=tuple(G.left[i] for i in lefts),
+                        right=tuple(G.right[j] for j in rights), empty_strings=(),
+                        edges=tuple((lefts[li], rights[ri]) for li, ri in edges))
+    return sub
 
 
 def prune_to_regular(G: ViolationGraph, epsilon, d: int) -> PruneReport:

@@ -354,6 +354,104 @@ def literal_block_facts(idx, lab, need):
     return out
 
 
+def group_fact_law(dist, func, size, need):
+    """The exact joint law of what Stages 1-2 read of one group of size
+    draws from dist labelled by func, by enumerating all |S|^size sequences
+    in Fractions: {(class, B, first0): probability}. class is "few" (fewer
+    than need 1-samples), "full" (no 0-sample) or "both"; B is the set of
+    support indices among the first need 1-samples (None for "few"); first0
+    is the support index of the first 0-sample ("both" only, else None)."""
+    weights = [w for _, w in dist.entries]
+    labels = [func.value_at(p.zeros) for p, _ in dist.entries]
+    law = {}
+    for seq in product(range(len(weights)), repeat=size):
+        ones = [i for i in seq if labels[i]]
+        zeros = [i for i in seq if not labels[i]]
+        if len(ones) < need:
+            key = ("few", None, None)
+        else:
+            key = ("both" if zeros else "full", frozenset(ones[:need]),
+                   zeros[0] if zeros else None)
+        law[key] = law.get(key, Fraction(0)) + math.prod(weights[i] for i in seq)
+    return law
+
+
+def chi2_sf(x, df):
+    """P[X >= x] for X chi-square with integer df >= 1, in closed form:
+    Q(1) = erfc(sqrt(x/2)), Q(2) = exp(-x/2), and Q(k + 2) = Q(k) +
+    (x/2)^(k/2) exp(-x/2) / Gamma(k/2 + 1)."""
+    if x <= 0:
+        return 1.0
+    k = 2 - df % 2
+    q = math.exp(-x / 2) if k == 2 else math.erfc(math.sqrt(x / 2))
+    while k < df:
+        q += math.exp(k / 2 * math.log(x / 2) - x / 2 - math.lgamma(k / 2 + 1))
+        k += 2
+    return q
+
+
+def chi2_critical(df, alpha):
+    """The x with chi2_sf(x, df) = alpha, by bisection."""
+    lo, hi = 0.0, 1.0
+    while chi2_sf(hi, df) > alpha:
+        hi *= 2
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if chi2_sf(mid, df) > alpha else (lo, mid)
+    return hi
+
+
+def _pooled(cells, small):
+    """cells {key: value}, with the keys in small summed into one key None."""
+    out = {k: v for k, v in cells.items() if k not in small}
+    if small:
+        out[None] = sum(cells[k] for k in small)
+    return out
+
+
+def chi_square_fit(observed, law, alpha=0.001):
+    """Pearson's goodness-of-fit of the counts observed {outcome: count}
+    against law {outcome: probability}: (statistic, critical value at
+    alpha, degrees of freedom). Outcomes expected fewer than 5 times, and
+    every outcome outside law, are pooled into one cell; a pooled cell that
+    law gives no mass but that was observed makes the statistic infinite."""
+    total = sum(observed.values())
+    expected = {k: total * float(p) for k, p in law.items()}
+    for k in observed:
+        expected.setdefault(k, 0.0)
+    small = {k for k, e in expected.items() if e < 5}
+    expected = _pooled(expected, small)
+    counts = _pooled({k: observed.get(k, 0) for k in expected.keys() | small}, small)
+    stat = 0.0
+    for k, e in expected.items():
+        if e == 0:
+            if counts[k]:
+                stat = math.inf
+        else:
+            stat += (counts[k] - e) ** 2 / e
+    df = len(expected) - 1
+    return stat, chi2_critical(df, alpha), df
+
+
+def chi_square_two_sample(first, second, alpha=0.001):
+    """Pearson's test that two histograms {category: count} come from one
+    law: (statistic, critical value at alpha, degrees of freedom), on the
+    2 x K table whose categories expected fewer than 5 times in either row
+    are pooled into one."""
+    keys = first.keys() | second.keys()
+    rows = [{k: h.get(k, 0) for k in keys} for h in (first, second)]
+    sizes = [sum(r.values()) for r in rows]
+    total = sum(sizes)
+    share = {k: (rows[0][k] + rows[1][k]) / total for k in keys}
+    small = {k for k in keys if min(sizes) * share[k] < 5}
+    rows = [_pooled(r, small) for r in rows]
+    share = _pooled(share, small)
+    stat = sum((r[k] - n * share[k]) ** 2 / (n * share[k])
+               for r, n in zip(rows, sizes) for k in share if share[k])
+    df = max(1, len(share) - 1)
+    return stat, chi2_critical(df, alpha), df
+
+
 def literal_draw(sampler):
     """One counted draw from the sampler's draw() stream, one sample at a
     time: charge it, draw one index, log it, and return (point, label)."""

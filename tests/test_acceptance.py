@@ -3,9 +3,11 @@
 Trial counts default to desk scale so the whole gate finishes in a few
 minutes. SUBCUBE_ACCEPT_SCALE multiplies every count (counts cap at their
 nominal full sizes, so a large scale restores the full run). The one-sided
-sweep runs one trial per algorithm at (n=4096, eps=1/2) at scale 1. Its
-mconj trial is charged 7.4e9 Stage-0 samples; it draws few of them when
-Stage 0 learns all it uses early.
+sweep runs one trial per algorithm at (n=4096, eps=1/2) at scale 1, and
+criterion 01 one more that runs to the end of Stage 2. Each mconj trial
+there is charged 7.4e9 Stage-0 samples; it draws few of them, because
+Stage 0 draws the groups after its last representative search as the
+facts Stages 1-2 read, not as samples.
 """
 
 import os
@@ -111,8 +113,9 @@ SWEEP_CELLS = (
 
 
 def test_criterion_01_one_sided_acceptance():
-    """In-class runs under random 16-point distributions, and one on an
-    800-point support: zero rejections."""
+    """In-class runs under random 16-point distributions, one on an
+    800-point support, and one (4096, 1/2) run to the end of Stage 2: zero
+    rejections."""
     rng = RandomStream(101)
     rejects = []
     for n, eps, base in SWEEP_CELLS:
@@ -141,6 +144,22 @@ def test_criterion_01_one_sided_acceptance():
                                           seed=105, instance=(512, f, dist)))
     assert [(r.accepted, r.reason) for r in results] == [(True, "end-of-stage-2")]
     query_budget_report(results, compute_parameters(512, 1), 512)
+    # the (4096, 1/2) cell run to the end of Stage 2 on 16 points: f = x1 x2,
+    # eight 1-points at 1/10 and eight 0-points at 1/40. It is charged 7.4e9
+    # samples, and draws all but a few groups as their facts alone
+    n, eps = 4096, Fraction(1, 2)
+    f = MonotoneConj(n, frozenset({1, 2}))
+    dist = FiniteDistribution(n, tuple(
+        [(ZeroSet(n, frozenset({3 + 2 * k, 4 + 2 * k})), Fraction(1, 10)) for k in range(8)]
+        + [(ZeroSet(n, frozenset({1 + k % 2, 20 + k})), Fraction(1, 40)) for k in range(8)]))
+    results = run_trials(ExperimentConfig(algo="mconj", epsilon=eps, trials=1, seed=5,
+                                          instance=(n, f, dist)))
+    p = compute_parameters(n, eps)
+    (r,) = results
+    assert (r.accepted, r.reason) == (True, "end-of-stage-2")
+    assert r.sample_queries == p.stage0_samples
+    query_budget_report(results, p, n)
+    assert r.transcript.samples_drawn < r.sample_queries / 1000
 
 
 # -- criterion 2: exact sample count, black-box query bound --------------

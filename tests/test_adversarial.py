@@ -114,6 +114,19 @@ def test_point_labels(variant, labels):
         assert f.value_at(inst.point_c(i).zeros) == c_label
 
 
+@pytest.mark.parametrize("variant", ["yes", "no", "yes-ltf", "no-ltf"])
+def test_checked_labels_are_the_function_on_the_support(variant):
+    # the budget sweep builds each instance's sampler on these labels, in
+    # place of evaluating f on the support once more
+    for inst in [gen(variant, seed) for seed in range(5)] + [
+            gen(variant, 5, desk_params(4096))]:
+        want = [inst.function.value_at(p.zeros) for p in inst.distribution.support()]
+        assert inst._labels.tolist() == want
+        sampler = Sampler._labelled(inst.distribution, inst.function, QueryTranscript(),
+                                    RandomStream(0), inst._labels)
+        assert sampler.labels.tolist() == want
+
+
 @pytest.mark.parametrize("variant,weights", [
     ("yes", {"b": Fraction(2, 9), "c": Fraction(1, 9)}),
     ("no", {"a": Fraction(1, 9), "b": Fraction(1, 9), "c": Fraction(1, 9)}),

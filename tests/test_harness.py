@@ -127,15 +127,20 @@ def test_trials_on_fixed_instance():
 
 
 def test_trials_deterministic_and_thread_invariant(monkeypatch):
-    cfg = ExperimentConfig(algo="mconj", epsilon=Fraction(1), trials=4,
-                           seed=2, instance=inclass_instance())
-    monkeypatch.setenv("SUBCUBE_THREADS", "1")
-    serial = [key_of(r) for r in run_trials(cfg)]
-    monkeypatch.setenv("SUBCUBE_THREADS", "4")
-    threaded = [key_of(r) for r in run_trials(cfg)]
-    assert serial == threaded
-    again = [key_of(r) for r in run_trials(cfg)]
-    assert again == threaded
+    # the second instance has a 0-point, found in group 0, so Stage 0 draws
+    # the later groups as their facts, and Stage 2 ends where they say
+    f = MonotoneConj(8, frozenset({1}))
+    facts = (8, f, FiniteDistribution(8, ((zs(8), Fraction(7, 8)),
+                                          (zs(8, 1), Fraction(1, 8)))))
+    for instance in (inclass_instance(), facts):
+        cfg = ExperimentConfig(algo="mconj", epsilon=Fraction(1), trials=4,
+                               seed=2, instance=instance)
+        runs = []
+        for threads in ("1", "2", "4", "4"):
+            monkeypatch.setenv("SUBCUBE_THREADS", threads)
+            runs.append([key_of(r) + (r.transcript.samples_drawn,) for r in run_trials(cfg)])
+        assert runs[1:] == runs[:1] * 3
+        assert all(drawn < r[4] for *r, drawn in runs[0])
 
 
 def test_trials_regenerate_instances_per_trial():

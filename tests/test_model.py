@@ -1,6 +1,8 @@
 """Core data types: points, function specs, distributions, counted oracles."""
 
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -357,6 +359,26 @@ def spread_dist(den):
     return FiniteDistribution(4, tuple(
         (zs(4, *z), Fraction(w, den))
         for z, w in zip(((), (1,), (2,), (1, 2)), nums + (den - sum(nums),))))
+
+
+@pytest.mark.parametrize("den", [97, (1 << 40) + 15, (1 << 64) + 13, 3 ** 67])
+@pytest.mark.parametrize("label", [0, 1])
+def test_conditioned_draws_are_the_members_inverse_cdf(den, label):
+    # D conditioned on a label draws its members through the inverse CDF of
+    # their numerators, on the words of one randrange per draw
+    d, f = spread_dist(den), MonotoneConj(4, frozenset({1}))
+    sm = Sampler(d, f, QueryTranscript(), RandomStream(0))
+    view, members = sm._conditioned(label)
+    assert members.tolist() == [i for i, (p, _) in enumerate(d.entries)
+                                if f.value_at(p.zeros) == label]
+    cum = list(accumulate(int(d.entries[i][1] * d.denominator) for i in members.tolist()))
+    a, b = RandomStream(9), RandomStream(9)
+    got = view._draw_indices_raw(a, 300)
+    assert got.tolist() == [bisect_right(cum, b.randrange(cum[-1])) for _ in range(300)]
+    assert a.randrange(1 << 70) == b.randrange(1 << 70)
+    assert sm.labels is view.labels and sm._table is not view._table
+    assert Sampler(d, MonotoneConj(4, frozenset()), QueryTranscript(),
+                   RandomStream(0))._conditioned(0) is None
 
 
 # a limit of 0, a limit inside the batch, a transcript already at its

@@ -34,6 +34,9 @@ from subcube.tester import (
     test_monotone_conjunction as run_mconj_tester,
 )
 from helpers import (
+    chi_square_fit,
+    chi_square_two_sample,
+    group_fact_law,
     light_ones_dist,
     literal_block_facts,
     ones_index,
@@ -615,34 +618,51 @@ REASONS = {"stage0-allones", "stage0-nil-representative", "stage1-few-ones",
            "step-2.1", "step-2.2", "end-of-stage-2"}
 
 
+def one_run(func, dist, seed, params, flip, log, reference=False):
+    """One run of the tester, or of reference_mconj_tester, on oracles
+    flipped by flip: (accepted, reason, Stage-0 0-samples, searches, counts,
+    logs)."""
+    p = params or compute_parameters(dist.n, 1)
+    tr = QueryTranscript(log_queries=log)
+    rng = RandomStream(seed)
+    bb = BlackBox(func, tr).flipped(flip)
+    sm = Sampler(dist, func, tr, rng.split("samples")).flipped(flip)
+    if reference:
+        got = reference_mconj_tester(bb, sm, p, rng.split("tester"))
+    else:
+        v = run_mconj_tester(bb, sm, dist.n, 1, rng.split("tester"), params=params)
+        got = (v.accepted, v.reason, v.stage0_zero_samples, v.searches)
+        if log and v.reason not in ("stage0-allones", "stage0-nil-representative"):
+            # a logged run draws each sample it is charged, and no other
+            assert tr.samples_drawn == tr.sample_count, (seed, v.reason)
+    return got + (tr.blackbox_count, tr.sample_count, tr.blackbox_log, tr.sample_log)
+
+
 def twin_runs(func, dist, seed, params, flip):
     """The tester and reference_mconj_tester on twin oracles, logging on,
     then the tester once more with logging off, where Stage 0 may stop
-    drawing: (accepted, reason, Stage-0 0-samples, searches, counts, logs)
-    of each."""
-    p = params or compute_parameters(dist.n, 1)
-    out = []
-    for reference, log in ((False, True), (True, True), (False, False)):
-        tr = QueryTranscript(log_queries=log)
-        rng = RandomStream(seed)
-        bb = BlackBox(func, tr).flipped(flip)
-        sm = Sampler(dist, func, tr, rng.split("samples")).flipped(flip)
-        if reference:
-            got = reference_mconj_tester(bb, sm, p, rng.split("tester"))
-        else:
-            v = run_mconj_tester(bb, sm, dist.n, 1, rng.split("tester"), params=params)
-            got = (v.accepted, v.reason, v.stage0_zero_samples, v.searches)
-        out.append(got + (tr.blackbox_count, tr.sample_count, tr.blackbox_log,
-                          tr.sample_log))
-    return out
+    drawing groups: (accepted, reason, Stage-0 0-samples, searches, counts,
+    logs) of each."""
+    return [one_run(func, dist, seed, params, flip, log, reference)
+            for reference, log in ((False, True), (True, True), (False, False))]
 
 
-def check_twins(label, got, want, quiet):
-    """got equals want log for log; quiet (logging off) has the same verdict,
-    searches and counts, and at most the reference's 0-samples. Returns
-    whether quiet drew fewer 0-samples, which only skipped groups explain."""
+def blackbox_bound(p, n, searches):
+    """The closed-form black-box bound of query_budget_report."""
+    return 1 + searches * 2 * ceil_log2(n) + 2 * p.s + p.d_star * (2 * ceil_log2(n) + 2)
+
+
+def check_twins(case, got, want, quiet):
+    """got equals want log for log. quiet (logging off) draws the groups
+    after its last search as their facts, so its draws, verdict and
+    black-box count may differ, but not its law: it has the reference's
+    sample count and searches, stays within the black-box bound, and has
+    at most the reference's 0-samples. Returns whether quiet drew fewer
+    0-samples, which only groups it did not draw explain."""
+    label, p, n = case[2], case[3] or compute_parameters(case[1].n, 1), case[1].n
     assert got == want, (label, got[:6], want[:6])
-    assert quiet[:2] + quiet[3:6] == want[:2] + want[3:6], (label, quiet[:6], want[:6])
+    assert (quiet[3], quiet[5]) == (want[3], want[5]), (label, quiet[:6], want[:6])
+    assert quiet[4] <= blackbox_bound(p, n, quiet[3]), (label, quiet[:6])
     assert quiet[2] <= want[2], (label, quiet[2], want[2])
     return quiet[2] < want[2]
 
@@ -652,7 +672,7 @@ def test_one_pass_matches_reference_on_crafted_instances():
     skipped = 0
     for case in crafted_instances():
         got, want, quiet = twin_runs(*case)
-        skipped += check_twins(case[2], got, want, quiet)
+        skipped += check_twins(case, got, want, quiet)
         reasons.add(got[1])
     assert REASONS - reasons == {"stage2-few-ones"}
     assert skipped
@@ -665,10 +685,33 @@ def test_one_pass_matches_reference_on_random_instances():
         case = random_instance(seed)
         assert case[1].n <= 12
         got, want, quiet = twin_runs(*case)
-        skipped += check_twins(seed, got, want, quiet)
+        skipped += check_twins(case, got, want, quiet)
         reasons.add(got[1])
     assert reasons == REASONS
     assert skipped
+
+
+def test_quiet_runs_match_logged_runs_in_law():
+    """The reasons of runs with logging off, which draw groups as their
+    facts, against those of logged runs, which draw every group: Pearson's
+    two-sample test at alpha = 0.001 on the reason histograms pooled over
+    the random tables (8 runs each) and the crafted instances up to n = 16
+    (2 runs each), the two kinds of run on disjoint seeds. Pooling
+    instances whose reasons have different laws only shrinks the variance
+    of the counts, so the test stays at or below its level."""
+    cases = [(random_instance(seed), 8) for seed in RANDOM_SEEDS]
+    cases += [(case, 2) for case in crafted_instances() if case[1].n <= 16]
+    hists = {True: {}, False: {}}
+    for (func, dist, _, params, flip), runs in cases:
+        for log, hist in hists.items():
+            for k in range(runs):
+                reason = one_run(func, dist, k + (0 if log else 10 ** 6), params, flip,
+                                 log)[1]
+                hist[reason] = hist.get(reason, 0) + 1
+    stat, critical, df = chi_square_two_sample(hists[True], hists[False])
+    print(f"reason histograms: chi-square {stat:.2f}, critical {critical:.2f} "
+          f"at alpha 0.001, {df} df")
+    assert stat < critical, (stat, critical, hists)
 
 
 def large_support_instances():
@@ -699,7 +742,7 @@ def test_one_pass_matches_reference_past_64_points():
     for case in large_support_instances():
         assert 100 <= len(case[1].entries) <= 200
         got, want, quiet = twin_runs(*case)
-        check_twins(case[2], got, want, quiet)
+        check_twins(case, got, want, quiet)
         reasons.add(got[1])
         size, t = case[3].group_size, case[3].t
         log = got[7]
@@ -790,15 +833,24 @@ def block_runs(monkeypatch, func, dist, seed, limit=None):
     black-box count, sample count, black-box log, sample log), where the
     outcome is (accepted, reason, Stage-0 0-samples, searches), or
     ("budget",) when the limit ran out; and per tester run, the (first
-    group, group count) of every block of groups it drew."""
-    draw = Sampler._draw_groups
+    group, group count, kind) of every block it drew, kind "groups" for a
+    block of groups and "facts" for a block of their facts alone."""
+    draw, facts = Sampler._draw_groups, tester_module._drawn_facts
     blocks = []
 
+    def record(count, kind):
+        blocks[-1].append((sum(c for _, c, _ in blocks[-1]), count, kind))
+
     def recorded(self, count, size):
-        blocks[-1].append((sum(c for _, c in blocks[-1]), count))
+        record(count, "groups")
         return draw(self, count, size)
 
+    def recorded_facts(sampler, size, need, law):
+        record(len(need), "facts")
+        return facts(sampler, size, need, law)
+
     monkeypatch.setattr(Sampler, "_draw_groups", recorded)
+    monkeypatch.setattr(tester_module, "_drawn_facts", recorded_facts)
     p = compute_parameters(dist.n, 1)
     runs = []
     for reference, log in ((False, True), (True, True), (False, False)):
@@ -856,29 +908,47 @@ def _block_cases():
 
 @pytest.mark.parametrize("case", ["budget", "nil", "recording-ends"])
 def test_stage0_blocks_match_reference_inside_a_block(monkeypatch, case):
-    # the group g that decides the run is a later row of a block of groups,
-    # in both tester runs, except that no block holds a group the budget
-    # refuses; the logged run matches the reference log for log, and the
-    # quiet one has the same outcome and counts. Only where recording ends
-    # does the quiet run stop reading groups early: after g, since the one
-    # 0-point was searched in group 0
+    # the group g that decides the logged run is a later row of a block of
+    # groups, except that no block, of groups or of facts, holds a group
+    # the budget refuses; the logged run matches the reference log for log.
+    # The quiet run reads the logged run's groups up to its last search:
+    # under the budget and at the nil representative, which end the run
+    # before that, it is the logged run but for its logs. Where recording
+    # ends, the one 0-point was searched in group 0, so the quiet run draws
+    # the later groups as their facts, and ends where they end it; it has
+    # the logged run's sample count and searches, and only group 0's
+    # 0-samples
     func, dist, seed, limit, deciding = _block_cases()[case]
     runs, blocks = block_runs(monkeypatch, func, dist, seed, limit)
     got, want, quiet = runs
     g = deciding(runs)
-    for drawn in blocks:
-        if case == "budget":
-            assert all(first + count <= g for first, count in drawn), (g, drawn)
-        else:
-            assert any(first < g < first + count for first, count in drawn), (g, drawn)
+    p = compute_parameters(dist.n, 1)
+    logged, quiet_blocks = blocks
+    if case == "budget":
+        for drawn in blocks:
+            assert all(first + count <= g for first, count, _ in drawn), (g, drawn)
+    else:
+        assert any(first < g < first + count for first, count, _ in logged), (g, logged)
+    assert {kind for _, _, kind in logged} == {"groups"}
     assert got == want
-    assert quiet[1:3] == want[1:3]
     outcome = {"budget": ("budget",)}.get(case, want[0])
     if case == "recording-ends":
-        read = want[4][:(g + 1) * compute_parameters(dist.n, 1).group_size]
+        read = want[4][:(g + 1) * p.group_size]
         outcome = (True, "stage2-no-zero", sum(1 for _, label in read if label == 0), 1)
     assert want[0][:2] == outcome[:2]
-    assert quiet[0] == outcome
+    if case == "recording-ends":
+        assert quiet_blocks[0] == (0, 1, "groups")
+        assert {kind for _, _, kind in quiet_blocks[1:]} == {"facts"}
+        group0 = want[4][:p.group_size]
+        assert quiet[0][0] and quiet[0][2:] == (
+            sum(1 for _, label in group0 if label == 0), 1)
+        assert quiet[2] == want[2]
+        assert quiet[1] <= blackbox_bound(p, dist.n, 1)
+    else:
+        if case == "nil":
+            assert quiet_blocks == logged
+        assert quiet[0] == outcome
+        assert quiet[1:3] == want[1:3]
 
 
 # -- Stage 0's block facts and its one-step charges ----------------------------
@@ -957,3 +1027,170 @@ def test_the_undrawn_tail_runs_out_of_budget_where_the_reference_does():
             counts.append((tr.sample_count, tr.blackbox_count))
         assert counts[0] == counts[1]
         assert counts[0][0] == limit - limit % p.group_size
+
+
+# -- Stage 0's facts drawn from their law --------------------------------------
+
+
+def facts_instance(ones_mass):
+    """n = 4, f = x1: the 1-points zs() and zs(2) share ones_mass 2:1, the
+    0-points zs(1) and zs(1, 3) share the rest evenly; a point of no mass is
+    left out."""
+    n = 4
+    rows = ((zs(n), ones_mass * Fraction(2, 3)), (zs(n, 2), ones_mass / 3),
+            (zs(n, 1), (1 - ones_mass) / 2), (zs(n, 1, 3), (1 - ones_mass) / 2))
+    return MonotoneConj(n, frozenset({1})), FiniteDistribution(
+        n, tuple((p, w) for p, w in rows if w))
+
+
+def class_law(law):
+    """P[few] and P[few or no 0-sample] of a group_fact_law."""
+    few = sum(p for (kind, _, _), p in law.items() if kind == "few")
+    return few, few + sum(p for (kind, _, _), p in law.items() if kind == "full")
+
+
+@pytest.mark.parametrize("ones_mass", [Fraction(0), Fraction(1, 3), Fraction(1, 2),
+                                       Fraction(1)])
+def test_class_cuts_equal_the_enumerated_law(ones_mass):
+    # every group size up to 6 and every need up to it, exactly
+    f, dist = facts_instance(ones_mass)
+    m = dist.denominator
+    ones = sum(w for p, w in dist.entries if f.value_at(p.zeros)) * m
+    for size in range(1, 7):
+        for need in range(1, size + 1):
+            few, either, total = tester_module._class_cuts(int(ones), m, size, need)
+            assert (Fraction(few, total), Fraction(either, total)) == class_law(
+                group_fact_law(dist, f, size, need)), (size, need)
+
+
+def drawn_fact_counts(sampler, size, needs, groups=20_000):
+    """Per need in needs, {(class, B, first0): count} over groups drawn by
+    one _drawn_facts call, groups per need, the needs taking turns; keyed
+    as group_fact_law keys its outcomes."""
+    need = np.resize(needs, groups * len(needs))
+    few, first0, masks = tester_module._drawn_facts(sampler, size, need, {})
+    counts = {k: {} for k in needs}
+    for k, short, zero, row in zip(need.tolist(), few.tolist(), first0.tolist(), masks):
+        if short:
+            key = ("few", None, None)
+        else:
+            key = ("both" if zero >= 0 else "full", frozenset(np.flatnonzero(row).tolist()),
+                   zero if zero >= 0 else None)
+        counts[k][key] = counts[k].get(key, 0) + 1
+    return counts
+
+
+def facts_fits(size, needs, seed):
+    """Per need in needs, Pearson's statistic, critical value at alpha =
+    0.001 and degrees of freedom of 20,000 groups drawn as their facts on
+    facts_instance(1/2), against the enumerated law."""
+    f, dist = facts_instance(Fraction(1, 2))
+    sampler = Sampler(dist, f, QueryTranscript(), RandomStream(seed))
+    fits = []
+    for need, counts in drawn_fact_counts(sampler, size, needs).items():
+        fits.append(chi_square_fit(counts, group_fact_law(dist, f, size, need)))
+        print(f"size {size}, need {need}: chi-square {fits[-1][0]:.2f}, critical "
+              f"{fits[-1][1]:.2f} at alpha 0.001, {fits[-1][2]} df")
+    return fits
+
+
+@pytest.mark.parametrize("size, needs, seed", [(6, (3,), 1), (6, (1,), 2), (5, (4,), 3),
+                                               (6, (6,), 4), (6, (4, 6), 5)])
+def test_drawn_facts_fit_the_enumerated_law(size, needs, seed):
+    # B's rounds start at the two 1-points and grow by half (2, 3, 5, 8
+    # draws), so need 3 to 6 takes two to four rounds; with two needs, as
+    # group 0 and the others ask in Stage 0, the round from 3 to 5 draws
+    # past need 4 for the groups that also hold need 6
+    for stat, critical, df in facts_fits(size, needs, seed):
+        assert df >= 3 and stat < critical, (stat, critical)
+
+
+def test_drawn_facts_mutants_fail_the_same_fit(monkeypatch):
+    # the first 0-sample drawn from D, not D0
+    conditioned = Sampler._conditioned
+
+    def zeros_from_d(self, label):
+        return conditioned(self, 1) if label else (self, np.arange(self.support_size))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Sampler, "_conditioned", zeros_from_d)
+        (stat, critical, _), = facts_fits(6, (3,), 1)
+        assert stat > critical
+    # B taken over need + 1 draws, under the class law of need
+    cuts = tester_module._class_cuts
+    monkeypatch.setattr(tester_module, "_class_cuts",
+                        lambda ones, m, size, need: cuts(ones, m, size, need - 1))
+    f, dist = facts_instance(Fraction(1, 2))
+    sampler = Sampler(dist, f, QueryTranscript(), RandomStream(1))
+    stat, critical, _ = chi_square_fit(drawn_fact_counts(sampler, 6, (4,))[4],
+                                       group_fact_law(dist, f, 6, 3))
+    assert stat > critical
+
+
+class _WordsThenPCG:
+    """Stands in for numpy's generator: full-range uint64 draws are read
+    from a fixed list, every other draw comes from a PCG64 generator."""
+
+    def __init__(self, words):
+        self.words = list(words)
+        self.used = 0
+        self.gen = np.random.default_rng(0)
+
+    def integers(self, low, high, size=None, dtype=np.int64):
+        if (high, dtype) != (1 << 64, np.uint64):
+            return self.gen.integers(low, high, size=size, dtype=dtype)
+        out = np.array(self.words[self.used:self.used + size], dtype=np.uint64)
+        assert len(out) == size, "ran out of words"
+        self.used += size
+        return out
+
+
+@pytest.mark.parametrize("ones_mass", [Fraction(1, 2), Fraction(2, 3)])
+def test_class_word_ties_resolve_exactly(ones_mass):
+    # V's words sit at, and one unit either side of, the first three words
+    # of each cut's expansion, so most first words tie. The class of each
+    # group is the number of cuts at or below V's prefix as read, and the
+    # prefix is the shortest that no cut falls strictly inside. With 1-mass
+    # 1/2 the cuts end within their first word (denominator 4^6, a tie is
+    # settled by that word alone); with 2/3 (denominator 3^6) they never end.
+    # The 1-points hold ones_mass evenly, the one 0-point the rest.
+    n, size, need = 4, 6, 3
+    f = MonotoneConj(n, frozenset({1}))
+    half = ones_mass / 2
+    dist = FiniteDistribution(n, ((zs(n), half), (zs(n, 2), half),
+                                  (zs(n, 1), 1 - ones_mass)))
+    m = dist.denominator
+    few, either, total = tester_module._class_cuts(int(ones_mass * m), m, size, need)
+    mask = (1 << 64) - 1
+    prefixes = []
+    for cut in (few, either):
+        digits = [((cut << (64 * k)) // total) & mask for k in (1, 2, 3)]
+        for k in range(3):
+            for step in (-1, 0, 1):
+                if 0 <= digits[k] + step <= mask:
+                    prefixes.append(digits[:k] + [digits[k] + step])
+
+    def settled(prefix):
+        # (class, whether no cut falls strictly inside V's interval)
+        value = 0
+        for word in prefix:
+            value = value << 64 | word
+        low = Fraction(value, 1 << 64 * len(prefix))
+        high = low + Fraction(1, 1 << 64 * len(prefix))
+        cuts = [Fraction(c, total) for c in (few, either)]
+        return (sum(c <= low for c in cuts), all(c <= low or c >= high for c in cuts))
+
+    # cut each prefix to the part the lazy comparison reads, and drop the
+    # ones that settle no cut
+    prefixes = [q for q in (next((p[:k] for k in range(1, len(p) + 1)
+                                  if settled(p[:k])[1]), None) for p in prefixes)
+                if q is not None]
+    words = [p[0] for p in prefixes] + [w for p in prefixes for w in p[1:]]
+    sampler = Sampler(dist, f, QueryTranscript(), RandomStream(0))
+    sampler._batch._gen = _WordsThenPCG(words)
+    short, first0, _ = tester_module._drawn_facts(sampler, size,
+                                                  np.full(len(prefixes), need), {})
+    got = np.where(short, 0, np.where(first0 < 0, 1, 2)).tolist()
+    assert got == [settled(p)[0] for p in prefixes]
+    assert sampler._batch._gen.used == len(words)
+    assert any(len(p) > 1 for p in prefixes) == (ones_mass == Fraction(2, 3))

@@ -134,6 +134,9 @@ def test_edges_and_without_follow_the_literal_zero_rule(zero_sets, rights, weigh
     assert sub.right == tuple(g.right[j] for j in right_ids)
     assert sub.edges == tuple(sorted((left_ids.index(li), right_ids.index(ri))
                                      for li, ri in kept))
+    # the edges it keeps are those the zero rule gives its vertices
+    assert sub.edges == reference_edges(sub.left, sub.right)
+    assert sub == ViolationGraph(sub.left, sub.right)
 
 
 def test_graph_rejects_nonpositive_weight():
