@@ -12,16 +12,16 @@ Stages 1 and 2 read only three facts of each group, so Stage 0 keeps
 those and nothing else: its class (too few 1-samples, no 0-sample, or
 neither), its first 0-sample, and B, the union of the zero sets of its
 first t (Stage 2: t-1) 1-samples. From a group drawn as samples, B's
-support points are read off a prefix of the group that doubles from 64
-samples until it holds the t-th 1-sample or shows every 1-labelled
-support point, as a row of flags over the support; B, a row of flags over
-the coordinates, is memoized on it. Stage 0 draws the groups a block at a
-time and computes every group's facts in numpy. It charges (and logs) the
-groups in runs, each ending at a group where a representative search
-runs, so a budget, a nil representative or the stop below lands at the
-same group as one draw per group would. Memory stays at one block plus
-the facts, and no sample is drawn twice. Under a sample budget a block
-holds only groups the budget admits, so a refused group is never drawn.
+support points are read in one pass, as a row of flags over the support;
+B, a row of flags over the coordinates, is memoized on it. Stage 0 draws
+the groups a block at a time, group 0 (whose B takes t 1-samples) in a
+block of its own, and computes every group's facts in numpy. It charges
+(and logs) the groups in runs, each ending at a group where a
+representative search runs, so a budget, a nil representative or the
+stop below lands at the same group as one draw per group would. Memory
+stays at one block plus the facts, and no sample is drawn twice. Under a
+sample budget a block holds only groups the budget admits, so a refused
+group is never drawn.
 
 With query logging on, Stage 0 draws every sample, because the sample log
 lists every sample. With it off, once every 0-labelled support point has
@@ -205,56 +205,29 @@ def binary_search_representative(oracle, x: ZeroSet) -> Optional[int]:
 # holds up to this many flags over the support, and draws each round of
 # its D1 draws at most this many at a time.
 _BLOCK_SAMPLES = 1 << 18
-# A block of facts holds at least this many groups: they cost a few words
-# each, so a run that ends soon after the first wastes little.
+# A block of facts past group 0 holds at least this many groups: they cost
+# a few words each, so a run that ends soon after the first wastes little.
 _FACT_GROUPS = 64
-# B is read from a prefix of each group that starts this many samples long
-# and doubles for the groups it does not yet settle.
-_PREFIX = 64
 # Stages 1 and 2 draw their random subsets this many rows at a time.
 _SUBSET_ROWS = 512
 
 
-def _block_facts(idx: np.ndarray, lab: np.ndarray, need: np.ndarray,
-                 ones_mask: np.ndarray) -> tuple:
+def _block_facts(idx: np.ndarray, lab: np.ndarray, need: int, width: int) -> tuple:
     """The facts Stages 1-2 read of each group of a block, given its
-    support indices idx, their labels lab and need[row], the number of
-    1-samples B is taken over: (ones, first0, masks). ones[row] is the
-    group's 1-count and first0[row] its first 0-sample, -1 when it has
-    none. masks[row] flags, over the support, the points of the first
-    need[row] 1-samples; it flags none for a group with fewer.
-
-    B is read from a prefix of each group that doubles until it settles
-    the group: the prefix holds the need-th 1-sample, and B is read up to
-    it, or the prefix already shows every point of ones_mask (the
-    1-labelled support points), all that B can hold. Each doubling reads
-    only the samples the prefix gained."""
+    support indices idx (into a support of width points) and their labels
+    lab: (few, first0, masks). few[row] is true when the group holds fewer
+    than need 1-samples; first0[row] is its first 0-sample, -1 when it has
+    none; masks[row] flags, over the support, the points of its first need
+    1-samples, and none for a few group. B is read in one pass, as the
+    labels' running count against need."""
     count, size = idx.shape
-    ones = lab.sum(axis=1, dtype=np.min_scalar_type(size))
-    first0 = np.where(ones < size, idx[np.arange(count), lab.view(bool).argmin(axis=1)], -1)
-    width = len(ones_mask)
+    cum = np.cumsum(lab, axis=1, dtype=np.int32)
+    few = cum[:, -1] < need
+    first0 = np.where(cum[:, -1] < size, idx[np.arange(count), lab.view(bool).argmin(axis=1)], -1)
+    take = lab.view(bool) & (cum <= need) & ~few[:, None]
     masks = np.zeros((count, width), dtype=bool)
-    # left[row]: the 1-samples B takes past the prefix read so far
-    left = need.astype(np.int32)
-    rows = np.flatnonzero(ones >= need)
-    lo, hi = 0, _PREFIX
-    while rows.size:
-        hi = min(hi, size)
-        cum = np.cumsum(lab[rows, lo:hi], axis=1, dtype=np.int32)
-        rest = left[rows]
-        # one row of width flags per group, and a last flag that takes
-        # the samples past the cut
-        present = np.zeros(rows.size * width + 1, dtype=bool)
-        present[np.where(cum <= rest[:, None],
-                         idx[rows, lo:hi] + np.arange(0, rows.size * width, width,
-                                                      dtype=np.int32)[:, None],
-                         -1)] = True
-        found = masks[rows] | present[:-1].reshape(rows.size, width) & ones_mask
-        masks[rows] = found
-        left[rows] = rest = rest - cum[:, -1]
-        rows = rows[(rest > 0) & (found != ones_mask).any(axis=1)]
-        lo, hi = hi, 2 * hi
-    return ones, first0, masks
+    masks[np.nonzero(take)[0], idx[take]] = True
+    return few, first0, masks
 
 
 def _class_cuts(ones: int, m: int, size: int, need: int) -> tuple:
@@ -297,47 +270,40 @@ def _tied_class(rng: RandomStream, first: int, cuts: tuple, total: int) -> int:
     return below
 
 
-def _drawn_facts(sampler, size: int, need: np.ndarray, law: dict) -> tuple:
-    """The facts Stages 1-2 read of len(need) groups of size draws, drawn
-    from their exact law on the batch stream without drawing the groups:
-    (few, first0, masks). few[row] is true when the group holds fewer than
-    need[row] 1-samples; first0 and masks are those of _block_facts, with
-    first0 -1 and masks empty for a few group. law memoizes, per sampler,
-    the class cuts of each need and the two conditioned samplers.
+def _drawn_facts(sampler, count: int, size: int, need: int, law: dict) -> tuple:
+    """The facts Stages 1-2 read of count groups of size draws, drawn from
+    their exact law on the batch stream without drawing the groups: (few,
+    first0, masks), as _block_facts returns them, but with first0 -1 for a
+    few group. law memoizes, per sampler, the class cuts of each need and
+    the two conditioned samplers.
 
     Given its labels, a group's 1-samples are i.i.d. D1 (D conditioned on
     label 1), its 0-samples i.i.d. D0, and the two independent. So a group
     takes one word for its class (few; no 0-sample; neither) against the
     top 64 bits of the cuts of _class_cuts, more only on a tie; one D0
     draw, its first 0-sample, when it has both labels; and D1 draws, in
-    rounds that grow by half, until it holds need[row] of them or shows
-    every 1-labelled support point. The words are read in that order:
-    every class word, the D0 draws, then each round's D1 draws."""
+    rounds that grow by half, until it holds need of them or shows every
+    1-labelled support point. The words are read in that order: every
+    class word, the D0 draws, then each round's D1 draws."""
     rng = sampler._batch
     if not law:
         law.update(zeros=sampler._conditioned(0), ones=sampler._conditioned(1), cuts={})
-    count = len(need)
-
-    def cuts(value: int) -> tuple:
-        if value not in law["cuts"]:
-            ones = law["ones"][0]._denominator if law["ones"] else 0
-            few, either, total = _class_cuts(ones, sampler._denominator, size, value)
-            law["cuts"][value] = (few, either), total
-        return law["cuts"][value]
+    if need not in law["cuts"]:
+        ones = law["ones"][0]._denominator if law["ones"] else 0
+        few, either, total = _class_cuts(ones, sampler._denominator, size, need)
+        law["cuts"][need] = (few, either), total
+    cuts, total = law["cuts"][need]
 
     words = rng._words(count)
     cls = np.zeros(count, dtype=np.int8)
     tied = np.zeros(count, dtype=bool)
-    for value in np.unique(need).tolist():
-        rows = need == value
-        bounds, total = cuts(value)
-        for cut in bounds:
-            top = (cut << 64) // total
-            if top < 1 << 64:  # else the cut is 1 and no V reaches it
-                cls[rows] += words[rows] > np.uint64(top)
-                tied[rows] |= words[rows] == np.uint64(top)
+    for cut in cuts:
+        top = (cut << 64) // total
+        if top < 1 << 64:  # else the cut is 1 and no V reaches it
+            cls += words > np.uint64(top)
+            tied |= words == np.uint64(top)
     for row in np.flatnonzero(tied).tolist():
-        cls[row] = _tied_class(rng, int(words[row]), *cuts(int(need[row])))
+        cls[row] = _tied_class(rng, int(words[row]), cuts, total)
 
     first0 = np.full(count, -1, dtype=np.intp)
     both = np.flatnonzero(cls == 2)
@@ -351,27 +317,22 @@ def _drawn_facts(sampler, size: int, need: np.ndarray, law: dict) -> tuple:
         view, members = law["ones"]
         width = len(members)
         found = np.zeros((rows.size, width), dtype=bool)
-        wanted = need[rows]
         # live: the positions in rows of the groups not yet settled. The
         # first round draws width, the fewest that can show every point,
         # and each later round half as many more as have been drawn; a
         # round is drawn in parts of at most _BLOCK_SAMPLES.
         live = np.arange(rows.size)
         flags = found.reshape(-1)
-        least, most = int(wanted.min()), int(wanted.max())
         lo, hi = 0, width
-        while live.size:
-            k = min(hi, most) - lo
+        while live.size and lo < need:
+            k = min(hi, need) - lo
             step = max(1, _BLOCK_SAMPLES // k)
             for start in range(0, live.size, step):
                 part = live[start:start + step]
                 # the flag of each draw: its point's, in its group's row
-                at = view._draw_many(rng, part.size * k).reshape(part.size, k) \
-                    + (part * width)[:, None]
-                if least < lo + k:  # past some group's need
-                    at = at[lo + np.arange(k) < wanted[part, None]]
-                flags[at] = True
-            live = live[(hi < wanted[live]) & ~found[live].all(axis=1)]
+                flags[view._draw_many(rng, part.size * k).reshape(part.size, k)
+                      + (part * width)[:, None]] = True
+            live = live[~found[live].all(axis=1)]
             lo, hi = hi, hi + (hi + 1) // 2
         masks[np.ix_(rows, members)] = found
     return cls == 0, first0, masks
@@ -431,12 +392,12 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
     def verdict(accepted: bool, reason: str) -> Verdict:
         return Verdict(accepted, reason, p, zero_count, len(reps))
 
-    def charge(idx: np.ndarray, ones: np.ndarray, a: int, b: int) -> None:
+    def charge(idx: np.ndarray, lab: np.ndarray, a: int, b: int) -> None:
         # groups a..b-1 of a block, read, in one step
         nonlocal zero_count
         _charge_groups(transcript, b - a, size)
         sampler._log(idx[a:b].ravel())
-        zero_count += (b - a) * size - int(ones[a:b].sum())
+        zero_count += (b - a) * size - int(np.count_nonzero(lab[a:b]))
 
     # The facts of each recorded group, all Stages 1-2 read of it: the id
     # in unions of B, over its first t (Stage 2: t-1) 1-samples, or -1 when
@@ -448,7 +409,7 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
     law: dict = {}  # of _drawn_facts
     recording = True
     g = 0
-    block = 1
+    block = 1  # group 0, whose B takes t 1-samples, is a block of its own
     max_block = max(1, _BLOCK_SAMPLES // (size + sampler.support_size))
     max_facts = max(1, _BLOCK_SAMPLES // (2 * sampler.support_size))
     while g < groups and (recording or pending or transcript.log_queries):
@@ -458,7 +419,7 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
         # when groups are drawn one at a time. Once no log lists the samples
         # and no search can run, only the facts are drawn.
         facts = not (pending or transcript.log_queries)
-        if facts:
+        if facts and g:
             block = max(block, _FACT_GROUPS)
         count = min(block, max_facts if facts else max_block, groups - g)
         if transcript.limit is not None:  # no block holds a refused group
@@ -471,17 +432,12 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
         # last: the last row the run must read, count when it reads them all
         last = count if transcript.log_queries else -1
         if recording:
-            need = np.full(count, p.t - 1)
-            if g == 0:
-                need[0] = p.t
+            need = p.t if g == 0 else p.t - 1
             if facts:
-                few, first0, masks = _drawn_facts(sampler, size, need, law)
+                few, first0, masks = _drawn_facts(sampler, count, size, need, law)
             else:
-                ones, first0, masks = _block_facts(idx, lab, need, sampler.labels != 0)
-                few = ones < need
-            ends = few | (first0 < 0)
-            if g == 0:
-                ends[0] = few[0]
+                few, first0, masks = _block_facts(idx, lab, need, sampler.support_size)
+            ends = few if g == 0 else few | (first0 < 0)
             stop = int(ends.argmax()) if ends.any() else count
             rec = min(stop + 1, count)
             ids = np.full(rec, -1)
@@ -498,8 +454,6 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
                 _charge_groups(transcript, rec, size)
                 g += rec
                 continue
-        else:
-            ones = lab.sum(axis=1, dtype=np.min_scalar_type(size))
         # (row, point) of each first appearance of a point not yet searched
         searches = []
         if pending:
@@ -513,7 +467,7 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
         start = 0
         for row, si in searches:
             if row >= start:
-                charge(idx, ones, start, row + 1)
+                charge(idx, lab, start, row + 1)
                 start = row + 1
             done[si] = True
             pending -= 1
@@ -521,7 +475,7 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
             if rep is None:
                 return verdict(False, "stage0-nil-representative")
         read = min(last + 1, count)
-        charge(idx, ones, start, read)
+        charge(idx, lab, start, read)
         g += read
     # Once recording has stopped and every 0-point has its representative,
     # later groups could change only the 0-sample count: charge them

@@ -27,7 +27,6 @@ from .model import (
     FunctionSpec,
     QueryTranscript,
     SizeCapError,
-    TruthTable,
     ZeroSet,
 )
 from .tester import binary_search_representative
@@ -107,13 +106,12 @@ def hypergraph_has_violation(f: FunctionSpec, return_witness: bool = False):
     if n > _SWEEP_CAP:
         raise SizeCapError(f"exhaustive sweep capped at n = {_SWEEP_CAP}")
     full = (1 << n) - 1
-    if isinstance(f, TruthTable):
-        values = [(f.bits >> k) & 1 for k in range(1 << n)]
-    else:
-        values = []
-        for k in range(1 << n):
-            zeros = frozenset(i + 1 for i in range(n) if not (k >> i) & 1)
-            values.append(f.value_at(zeros))
+    # zeros[m] holds coordinate i exactly when bit i-1 of m is set; input k
+    # is 0 at coordinate i exactly when bit i-1 of k is clear
+    zeros = [frozenset()]
+    for i in range(1, n + 1):
+        zeros += [z | {i} for z in zeros]
+    values = [f.value_at(zeros[full ^ k]) for k in range(1 << n)]
     union = 0
     for k in range(1 << n):
         if values[k]:
@@ -127,13 +125,12 @@ def hypergraph_has_violation(f: FunctionSpec, return_witness: bool = False):
         return witness_x is not None
     if witness_x is None:
         return False, None
-    x = ZeroSet(n, frozenset(i + 1 for i in range(n) if not (witness_x >> i) & 1))
+    x = ZeroSet(n, zeros[full ^ witness_x])
     covering = []
     need = full ^ witness_x
     for k in range(1 << n):
         if values[k] and (full ^ k) & need:
-            covering.append(ZeroSet(n, frozenset(
-                i + 1 for i in range(n) if not (k >> i) & 1)))
+            covering.append(ZeroSet(n, zeros[full ^ k]))
             need &= ~(full ^ k)
             if not need:
                 break

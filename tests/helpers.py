@@ -340,17 +340,16 @@ def literal_subset_positions(rng, pop, k):
 
 
 def literal_block_facts(idx, lab, need):
-    """For each row of a block of groups, given its support indices idx,
-    their labels lab and need[row]: its 1-count, its first 0-sample (-1 when
-    it has none), and B's support points, those among its first need[row]
-    1-samples (None when it has fewer), read off the row one sample at a
-    time."""
+    """For each row of a block of groups, given its support indices idx and
+    their labels lab: its 1-count, its first 0-sample (-1 when it has none),
+    and B's support points, those among its first need 1-samples (None when
+    it has fewer), read off the row one sample at a time."""
     out = []
-    for row, labels, k in zip(idx.tolist(), lab.tolist(), need.tolist()):
+    for row, labels in zip(idx.tolist(), lab.tolist()):
         ones = [i for i, label in zip(row, labels) if label]
         zeros = [i for i, label in zip(row, labels) if not label]
         out.append((len(ones), zeros[0] if zeros else -1,
-                    set(ones[:k]) if len(ones) >= k else None))
+                    set(ones[:need]) if len(ones) >= need else None))
     return out
 
 

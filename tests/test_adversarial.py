@@ -209,6 +209,28 @@ def test_validation_catches_corruption():
             validate_instance(dataclasses.replace(inst, R=inst.R | {stray}))
 
 
+def test_validation_names_each_broken_part_of_the_draw():
+    # one replaced field per check that corruption above does not reach
+    inst = gen("no", seed=18)
+    n, h = inst.params.n, inst.params.h
+    outside = sorted(set(range(1, n + 1)) - inst.R)
+    cases = [
+        ({"variant": "maybe"}, "unknown variant"),
+        ({"R": inst.R | {outside[0]}}, "R has the wrong size"),
+        ({"alpha": (outside[0],) + inst.alpha[1:]}, "special indices must lie in R"),
+        ({"blocks": inst.blocks[:-1]}, "wrong number of blocks"),
+        ({"blocks": inst.blocks[:1] * 2 + inst.blocks[2:]}, "blocks must be disjoint"),
+        ({"blocks": (frozenset(outside[:h]),) + inst.blocks[1:]},
+         "blocks must partition R_prime"),
+        ({"a_block_ids": inst.a_block_ids[:-1]}, "need m rows of block ids per side"),
+    ]
+    validate_instance(inst)
+    for change, message in cases:
+        variant = change.get("variant", "no")
+        with pytest.raises(ValueError, match=f"^invalid {variant} instance: {message}$"):
+            validate_instance(dataclasses.replace(inst, **change))
+
+
 # -- specialness --------------------------------------------------------------
 
 

@@ -30,12 +30,18 @@ from subcube import (
     QueryTranscript,
     RandomStream,
     Sampler,
+    TruthTable,
+    ZeroSet,
+    build_violation_bigraph,
     compute_parameters,
     desk_params,
     distinguishing_experiment,
+    exact_distance_dlist,
+    exact_distance_ltf,
     exact_distance_mconj,
     generate_instance,
     load_instance,
+    prune_to_regular,
     query_budget_report,
     run_trials,
     save_instance,
@@ -45,6 +51,7 @@ from subcube import (
     write_trials_csv,
 )
 from subcube.harness import ALGOS, CSV_HEADER, EXPERIMENT_HEADER, _SimWorld, _run_one
+from subcube.serialize import fraction_to_str
 from helpers import collect, rand_dist, reference_distinguishing_experiment, zs
 
 SMALL_LB = LBParams(n=60, h=4, r_blocks=7, m=3, s=1, blocks_per_side=2)
@@ -284,6 +291,71 @@ def test_query_budget_report_rejects_unusable_batches():
                               budget=50)
     with pytest.raises(ValueError, match="unbudgeted"):
         query_budget_report(run_trials(capped), params, 16)
+
+
+def test_query_budget_report_names_the_trial_that_breaks_a_bound():
+    # one in-class trial, reported as trial 7 with its sample count off by
+    # one, then with its black-box count one past the bound
+    n = 16
+    params = compute_parameters(n, Fraction(1))
+    (r,) = run_trials(ExperimentConfig(algo="mconj", epsilon=Fraction(1), trials=1,
+                                       seed=12, instance=inclass_instance()))
+    assert r.sample_queries == params.stage0_samples
+    query_budget_report([r], params, n)
+    lg = math.ceil(math.log2(n))
+    bound = 1 + r.verdict.searches * 2 * lg + 2 * params.s + params.d_star * (2 * lg + 2)
+    off = dataclasses.replace(r, trial=7, sample_queries=r.sample_queries + 1)
+    with pytest.raises(AssertionError, match=f"^trial 7: sample_count "
+                                             f"{params.stage0_samples + 1} != "):
+        query_budget_report([r, off], params, n)
+    past = dataclasses.replace(r, trial=7, blackbox_queries=bound + 1)
+    with pytest.raises(AssertionError, match=f"^trial 7: blackbox_count {bound + 1} "
+                                             f"exceeds bound {bound}$"):
+        query_budget_report([r, past], params, n)
+
+
+@st.composite
+def in_class_cases(draw):
+    """(n, f, dist): a random monotone conjunction f at n <= 8 and a random
+    rational distribution on 1-6 distinct points. Half the supports are all
+    1-labelled, and in about half of those with two points or more the
+    first numerator is past 2^64, which takes the denominator past 2^62."""
+    n = draw(st.integers(2, 8))
+    required = draw(st.frozensets(st.integers(1, n), min_size=1, max_size=3))
+    zeros = st.frozensets(st.integers(1, n))
+    if draw(st.booleans()):  # no point is 0 at a required coordinate
+        zeros = zeros.map(lambda z: z - required)
+    points = draw(st.lists(zeros, min_size=1, max_size=6, unique=True))
+    raw = draw(st.lists(st.integers(1, 9), min_size=len(points), max_size=len(points)))
+    if len(points) > 1 and draw(st.booleans()):
+        raw[0] = draw(st.integers(1 << 64, 1 << 70))
+    dist = FiniteDistribution(n, tuple((ZeroSet(n, z), Fraction(w, sum(raw)))
+                                       for z, w in zip(points, raw)))
+    return n, MonotoneConj(n, required), dist
+
+
+_ALL_ONES_BIG = (8, MonotoneConj(8, frozenset({1})), FiniteDistribution(8, (
+    (zs(8), Fraction(1, (1 << 64) + 13)), (zs(8, 2, 3), Fraction((1 << 64) + 12, (1 << 64) + 13)))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=in_class_cases(), seed=st.integers(0, 2 ** 32 - 1))
+@example(case=_ALL_ONES_BIG, seed=0)
+def test_readme_contracts_hold_on_random_in_class_inputs(case, seed):
+    # at eps = 1, logging on and off: the tester never rejects, every run
+    # (none ends in Stage 0) is charged exactly stage0_samples (4,428 at
+    # n = 8), and query_budget_report passes
+    n = case[0]
+    params = compute_parameters(n, 1)
+    for log in (False, True):
+        results = run_trials(ExperimentConfig(algo="mconj", epsilon=Fraction(1), trials=2,
+                                              seed=seed, instance=case, log_queries=log))
+        for r in results:
+            assert r.accepted, (r.reason, log)
+            assert r.sample_queries == params.stage0_samples, (r.reason, log)
+            if log:
+                assert len(r.transcript.sample_log) == r.sample_queries
+        query_budget_report(results, params, n)
 
 
 # -- distinguishing experiments -----------------------------------------------
@@ -776,6 +848,72 @@ def test_cli_violation_graph_and_prune(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "exit_reason: " in out
     assert "W: " in out
+
+
+@pytest.mark.parametrize("klass, oracle", [("dlist", exact_distance_dlist),
+                                           ("ltf", exact_distance_ltf)])
+def test_cli_distance_witness_prints_the_flips(tmp_path, capsys, klass, oracle):
+    # x1 xor x2, uniform on the four points of n = 2: each class is a flip away
+    n = 2
+    f = TruthTable(n, 0b0110)
+    dist = FiniteDistribution(n, tuple((zs(n, *z), Fraction(1, 4))
+                                       for z in ((), (1,), (2,), (1, 2))))
+    path = tmp_path / "xor.json"
+    save_instance(path, n, f, dist)
+    rc = cli.main(["distance", "--instance", str(path), "--class", klass, "--witness"])
+    value, flips = oracle(f, dist, return_witness=True)
+    assert rc == 0 and flips
+    assert capsys.readouterr().out == (
+        f"{fraction_to_str(value)}\nflip: {json.dumps([sorted(p.zeros) for p in flips])}\n")
+
+
+def _graph_lines(G):
+    """The lines `subcube violation` prints for the graph G."""
+    return ([f"left {k}: zeros={p.sorted_zeros()} weight={fraction_to_str(w)}"
+             for k, (p, w) in enumerate(G.left)]
+            + [f"right {k}: index={j} weight={fraction_to_str(w)}"
+               for k, (j, w) in enumerate(G.right)]
+            + [f"edge: {li} {ri}" for li, ri in G.edges]
+            + [f"empty: zeros={p.sorted_zeros()} weight={fraction_to_str(w)}"
+               for p, w in G.empty_strings])
+
+
+def test_cli_prune_report_lists_the_removed_vertices(tmp_path, capsys):
+    # a truth table at n = 4 whose pruning removes a left and a right vertex
+    # before it finds a cheap cover
+    n = 4
+    f = TruthTable(n, 0x3ab)
+    raw = ((), 1), ((1, 2, 3, 4), 2), ((1, 2, 4), 2), ((2,), 1), ((2, 3), 2), ((3,), 5)
+    dist = FiniteDistribution(n, tuple((zs(n, *z), Fraction(w, 13)) for z, w in raw))
+    path = tmp_path / "pruned.json"
+    save_instance(path, n, f, dist)
+    rc = cli.main(["violation", "--instance", str(path), "--epsilon", "1",
+                   "--emit", "prune-report"])
+    d = compute_parameters(n, 1).d
+    report = prune_to_regular(build_violation_bigraph(f, dist), Fraction(1), d)
+    assert rc == 0 and report.exit_reason == "cheap-cover-found"
+    removed = [f"removed left: zeros={v.sorted_zeros()} weight={fraction_to_str(w)}"
+               if side == "left" else f"removed right: index={v} weight={fraction_to_str(w)}"
+               for side, v, w in report.removed_S]
+    assert {line.split(":")[0] for line in removed} == {"removed left", "removed right"}
+    want = [f"exit_reason: {report.exit_reason}", f"rounds: {report.rounds}", f"d: {d}",
+            f"W: {fraction_to_str(report.W)}", *removed,
+            f"L_prime_size: {len(report.L_prime)}", "G_star:", *_graph_lines(report.G_star)]
+    assert capsys.readouterr().out == "".join(line + "\n" for line in want)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["test", "--instance", "x.json", "--algo", "mconj", "--epsilon", "1",
+      "--seed", str(1 << 64)], "argument --seed: seed must fit in 64 bits"),
+    (["gen-instance", "--variant", "no", "--n", "60", "--out", "x.json",
+      "--scaled", "h4,r_blocks=7,m=3,s=1,bps=2"], "argument --scaled: bad scaled field 'h4'"),
+], ids=["seed-past-64-bits", "scaled-field-without-equals"])
+def test_cli_bad_arguments_exit_2_naming_the_problem(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.err.splitlines()[-1].endswith(message) and captured.out == ""
 
 
 def test_cli_experiment_to_stdout_and_file(tmp_path, capsys):

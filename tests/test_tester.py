@@ -701,6 +701,10 @@ def test_quiet_runs_match_logged_runs_in_law():
     of the counts, so the test stays at or below its level."""
     cases = [(random_instance(seed), 8) for seed in RANDOM_SEEDS]
     cases += [(case, 2) for case in crafted_instances() if case[1].n <= 16]
+    # some supports are all 1-labelled, where the quiet run draws group 0
+    # as its facts too
+    assert any(all(func.value_at(point.zeros) for point, _ in dist.entries)
+               for (func, dist, *_), _ in cases)
     hists = {True: {}, False: {}}
     for (func, dist, _, params, flip), runs in cases:
         for log, hist in hists.items():
@@ -845,9 +849,9 @@ def block_runs(monkeypatch, func, dist, seed, limit=None):
         record(count, "groups")
         return draw(self, count, size)
 
-    def recorded_facts(sampler, size, need, law):
-        record(len(need), "facts")
-        return facts(sampler, size, need, law)
+    def recorded_facts(sampler, count, size, need, law):
+        record(count, "facts")
+        return facts(sampler, count, size, need, law)
 
     monkeypatch.setattr(Sampler, "_draw_groups", recorded)
     monkeypatch.setattr(tester_module, "_drawn_facts", recorded_facts)
@@ -951,18 +955,37 @@ def test_stage0_blocks_match_reference_inside_a_block(monkeypatch, case):
         assert quiet[1:3] == want[1:3]
 
 
+def test_stage0_draws_group_0_alone_on_an_all_ones_support(monkeypatch):
+    # with logging off and no 0-labelled support point, Stage 0 draws every
+    # group as its facts from group 0 on: group 0, whose B takes t
+    # 1-samples, in a block of its own, then blocks of 64 groups and more.
+    # Group 1 has no 0-sample and ends the run, so only two blocks are
+    # drawn; the logged run draws groups and matches the reference log for log
+    n = 8
+    func = MonotoneConj(n, frozenset({1}))
+    dist = FiniteDistribution(n, ((zs(n, 2), Fraction(1, 2)), (zs(n, 3), Fraction(1, 3)),
+                                  (zs(n, 2, 3), Fraction(1, 6))))
+    runs, (logged, quiet_blocks) = block_runs(monkeypatch, func, dist, 606)
+    got, want, quiet = runs
+    assert got == want
+    assert want[0] == (True, "stage2-no-zero", 0, 0)
+    assert {kind for _, _, kind in logged} == {"groups"}
+    assert quiet_blocks == [(0, 1, "facts"), (1, 64, "facts")]
+    assert quiet[0] == want[0] and quiet[1:3] == want[1:3]
+
+
 # -- Stage 0's block facts and its one-step charges ----------------------------
 
 
 @settings(max_examples=200, deadline=None)
 @given(support=st.integers(1, 200), count=st.integers(1, 6), size=st.integers(1, 700),
        ones_share=st.floats(0, 1), skew=st.integers(0, 8), full_rows=st.integers(0, 6),
-       stage=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+       seed=st.integers(0, 2 ** 32 - 1))
 def test_block_facts_match_the_literal_rule(support, count, size, ones_share, skew,
-                                            full_rows, stage, seed):
-    # random label rows over supports of 1-200 points, some points light
-    # enough that the prefix must double; the first full_rows rows hold no
-    # 0-sample when some point is 1-labelled
+                                            full_rows, seed):
+    # random label rows over supports of 1-200 points, some points light;
+    # the first full_rows rows hold no 0-sample when some point is
+    # 1-labelled. One need per block, from 1 to past the largest 1-count
     gen = np.random.default_rng(seed)
     labels = (gen.random(support) < ones_share).astype(np.int8)
     weights = gen.random(support) ** skew
@@ -971,21 +994,13 @@ def test_block_facts_match_the_literal_rule(support, count, size, ones_share, sk
     if labels.any():
         idx[:full_rows] = gen.choice(np.flatnonzero(labels), size=idx[:full_rows].shape)
     lab = np.take(labels, idx)
-    ones = lab.sum(axis=1)
-    if stage:
-        # as Stage 0 asks: t-1 1-samples, and t in the first group (g = 0)
-        need = np.full(count, 1 + gen.integers(0, ones.max() + 2))
-        need[0] += 1
-    else:
-        # anything from 1 to past the row's 1-count
-        need = 1 + gen.integers(0, ones + 3)
-    got = tester_module._block_facts(idx, lab, need, labels != 0)
-    masks = got[2]
+    need = int(1 + gen.integers(0, lab.sum(axis=1).max() + 3))
+    few, first0s, masks = tester_module._block_facts(idx, lab, need, support)
     assert masks.shape == (count, support) and masks.dtype == bool
     for row, (ones_count, first0, points) in enumerate(literal_block_facts(idx, lab, need)):
         marked = np.flatnonzero(masks[row])
-        assert (got[0][row], got[1][row]) == (ones_count, first0)
-        assert set(marked.tolist()) == (points or set()), (row, need[row])
+        assert (few[row], first0s[row]) == (ones_count < need, first0)
+        assert set(marked.tolist()) == (points or set()), (row, need)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1064,19 +1079,21 @@ def test_class_cuts_equal_the_enumerated_law(ones_mass):
 
 
 def drawn_fact_counts(sampler, size, needs, groups=20_000):
-    """Per need in needs, {(class, B, first0): count} over groups drawn by
-    one _drawn_facts call, groups per need, the needs taking turns; keyed
-    as group_fact_law keys its outcomes."""
-    need = np.resize(needs, groups * len(needs))
-    few, first0, masks = tester_module._drawn_facts(sampler, size, need, {})
-    counts = {k: {} for k in needs}
-    for k, short, zero, row in zip(need.tolist(), few.tolist(), first0.tolist(), masks):
-        if short:
-            key = ("few", None, None)
-        else:
-            key = ("both" if zero >= 0 else "full", frozenset(np.flatnonzero(row).tolist()),
-                   zero if zero >= 0 else None)
-        counts[k][key] = counts[k].get(key, 0) + 1
+    """Per need in needs, {(class, B, first0): count} over the groups of one
+    _drawn_facts call per need, in turn, on one law memo; keyed as
+    group_fact_law keys its outcomes."""
+    counts = {}
+    law = {}
+    for need in needs:
+        few, first0, masks = tester_module._drawn_facts(sampler, groups, size, need, law)
+        counts[need] = {}
+        for short, zero, row in zip(few.tolist(), first0.tolist(), masks):
+            if short:
+                key = ("few", None, None)
+            else:
+                key = ("both" if zero >= 0 else "full",
+                       frozenset(np.flatnonzero(row).tolist()), zero if zero >= 0 else None)
+            counts[need][key] = counts[need].get(key, 0) + 1
     return counts
 
 
@@ -1098,9 +1115,9 @@ def facts_fits(size, needs, seed):
                                                (6, (6,), 4), (6, (4, 6), 5)])
 def test_drawn_facts_fit_the_enumerated_law(size, needs, seed):
     # B's rounds start at the two 1-points and grow by half (2, 3, 5, 8
-    # draws), so need 3 to 6 takes two to four rounds; with two needs, as
-    # group 0 and the others ask in Stage 0, the round from 3 to 5 draws
-    # past need 4 for the groups that also hold need 6
+    # draws), so need 3 to 6 takes two to four rounds; with two needs, one
+    # call each, as Stage 0 asks for group 0 and then for the others, the
+    # second call reads the first's memoized law
     for stat, critical, df in facts_fits(size, needs, seed):
         assert df >= 3 and stat < critical, (stat, critical)
 
@@ -1188,8 +1205,7 @@ def test_class_word_ties_resolve_exactly(ones_mass):
     words = [p[0] for p in prefixes] + [w for p in prefixes for w in p[1:]]
     sampler = Sampler(dist, f, QueryTranscript(), RandomStream(0))
     sampler._batch._gen = _WordsThenPCG(words)
-    short, first0, _ = tester_module._drawn_facts(sampler, size,
-                                                  np.full(len(prefixes), need), {})
+    short, first0, _ = tester_module._drawn_facts(sampler, len(prefixes), size, need, {})
     got = np.where(short, 0, np.where(first0 < 0, 1, 2)).tolist()
     assert got == [settled(p)[0] for p in prefixes]
     assert sampler._batch._gen.used == len(words)
