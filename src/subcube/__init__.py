@@ -15,7 +15,6 @@ from .adversarial import (
     generate_instance,
     paper_params,
     simulate_p,
-    strong_sample,
     validate_instance,
 )
 from .distances import (

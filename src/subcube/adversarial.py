@@ -10,10 +10,11 @@ looking identical to samplers that never see inside a C-set. An instance
 keeps only its draw, function and distribution; the points, and all else,
 are derived from the draw.
 
-The lower bound's simulated world has two parts here: strong_sample, the
-oracle that reveals C_k and its special index alpha_k with every draw of
-c^k, and simulate_p, the response bit computed from (R, Gamma) alone. The
-harness joins them into one world.
+The lower bound's simulated world has two parts: a strong sampling oracle,
+which reveals C_k and its special index alpha_k with every draw of c^k
+(support_kinds names the kind and triple of each distribution entry), and
+simulate_p, the response bit computed from (R, Gamma) alone. The harness
+builds both into one world.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .model import (
     InfeasibleParameters,
     LinearThreshold,
     MonotoneConj,
-    QueryTranscript,
     ZeroSet,
 )
 from .rng import RandomStream
@@ -47,7 +47,6 @@ __all__ = [
     "desk_params",
     "generate_instance",
     "validate_instance",
-    "strong_sample",
     "simulate_p",
     "VARIANTS",
 ]
@@ -112,11 +111,6 @@ class LBParams:
     @property
     def ell(self) -> int:
         return self.blocks_per_C * self.h + 2
-
-    @property
-    def special_threshold(self) -> int:
-        """Blocks required on each side of the specialness rule."""
-        return (3 * self.blocks_per_side + 3) // 4
 
 
 def paper_params(n: int) -> LBParams:
@@ -307,16 +301,6 @@ class LBInstance:
     def theta4(self) -> Optional[int]:
         return _theta4(self.params, len(self.R)) if self.variant.endswith("-ltf") else None
 
-    def point_a(self, i: int) -> ZeroSet:
-        """The a-string of triple i (1-based)."""
-        return ZeroSet(self.n, self.A_sets[i - 1])
-
-    def point_b(self, i: int) -> ZeroSet:
-        return ZeroSet(self.n, self.B_sets[i - 1])
-
-    def point_c(self, i: int) -> ZeroSet:
-        return ZeroSet(self.n, self.C_sets[i - 1])
-
 
 def simulate_p(zeros: frozenset, R: frozenset, gamma_set) -> int:
     """The no-black-box response bit for the query with zero set zeros,
@@ -327,27 +311,6 @@ def simulate_p(zeros: frozenset, R: frozenset, gamma_set) -> int:
     C-sets, a 0 answer is always truthful.
     """
     return 1 if zeros <= R and zeros.isdisjoint(gamma_set) else 0
-
-
-def strong_sample(inst: LBInstance, rng: RandomStream,
-                  transcript: QueryTranscript) -> tuple[ZeroSet, Optional[int]]:
-    """One draw from the strong sampling oracle of an instance, charged to
-    transcript, which raises BudgetExceeded before drawing when it is at
-    its limit.
-
-    Returns (point, gamma): the distribution's own support point, and for a
-    c-string, whose zero set is C_k, its special index alpha_k; gamma is
-    None for every other point.
-    """
-    transcript.take_samples(1)
-    dist = inst.distribution
-    idx = dist.index_from_uniform(rng.randrange(dist.denominator))
-    kind, i = inst.support_kinds[idx]
-    point = dist.entries[idx][0]
-    gamma = inst.alpha[i - 1] if kind == "c" else None
-    if transcript.log_queries:
-        transcript.sample_log.append((point.zeros, gamma))
-    return point, gamma
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .serialize import (
     save_instance,
     structure_sidecar,
 )
-from .tester import compute_parameters
+from .tester import _epsilon, compute_parameters
 from .violation import (
     build_violation_bigraph,
     prune_to_regular,
@@ -189,8 +189,7 @@ def _dump_graph(G, out) -> None:
 
 
 def _cmd_violation(args) -> int:
-    if not 0 < args.epsilon <= 1:
-        raise ValueError("epsilon must be in (0, 1]")
+    _epsilon(args.epsilon)
     inst = load_instance(args.instance)
     G = build_violation_bigraph(inst.function, inst.distribution)
     out = sys.stdout
@@ -280,8 +279,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -90,6 +90,8 @@ def _min_error(sample: LabeledSample, zero_masks):
     union of the given masks" (the empty union gives the constant 1).
     Returns (error, the achieving zero mask)."""
     m = len(sample.entries)
+    if m > _SUPPORT_CAP:
+        raise SizeCapError(f"support capped at {_SUPPORT_CAP} points")
     weights = [w for _, _, w in sample.entries]
     denom = lcm(*[w.denominator for w in weights]) if weights else 1
     nums = [int(w * denom) for w in weights]
@@ -126,27 +128,6 @@ def _min_error(sample: LabeledSample, zero_masks):
             best_mask)
 
 
-def _distance_mconj(sample: LabeledSample):
-    if len(sample.entries) > _SUPPORT_CAP:
-        raise SizeCapError(f"support capped at {_SUPPORT_CAP} points")
-    patterns = _masks(sample)
-    return _min_error(sample, list(patterns.values()))
-
-
-def _distance_conj(sample: LabeledSample):
-    if len(sample.entries) > _SUPPORT_CAP:
-        raise SizeCapError(f"support capped at {_SUPPORT_CAP} points")
-    m = len(sample.entries)
-    full = (1 << m) - 1
-    patterns = _masks(sample)
-    masks = []
-    for pat in patterns.values():
-        masks.append(pat)
-        masks.append(~pat & full)
-    masks.append(full)
-    return _min_error(sample, masks)
-
-
 def exact_distance_mconj(f: FunctionSpec, dist: FiniteDistribution,
                          return_witness: bool = False):
     """Distance from f to the monotone conjunctions, measured under dist.
@@ -159,10 +140,10 @@ def exact_distance_mconj(f: FunctionSpec, dist: FiniteDistribution,
     returns a nearest monotone conjunction.
     """
     sample = LabeledSample.from_function(f, dist)
-    err, mask = _distance_mconj(sample)
+    patterns = _masks(sample)
+    err, mask = _min_error(sample, list(patterns.values()))
     if not return_witness:
         return err
-    patterns = _masks(sample)
     required = frozenset(j for j, pat in patterns.items() if pat & ~mask == 0)
     return err, MonotoneConj(f.n, required)
 
@@ -176,12 +157,14 @@ def exact_distance_conj(f: FunctionSpec, dist: FiniteDistribution,
     With return_witness, also returns a nearest conjunction.
     """
     sample = LabeledSample.from_function(f, dist)
-    err, mask = _distance_conj(sample)
+    full = (1 << len(sample.entries)) - 1
+    patterns = _masks(sample)
+    masks = [full]
+    for pat in patterns.values():
+        masks += (pat, ~pat & full)
+    err, mask = _min_error(sample, masks)
     if not return_witness:
         return err
-    m = len(sample.entries)
-    full = (1 << m) - 1
-    patterns = _masks(sample)
     req_one = frozenset(j for j, pat in patterns.items() if pat & ~mask == 0)
     req_zero = frozenset(j for j, pat in patterns.items()
                          if (~pat & full) & ~mask == 0)
@@ -296,6 +279,8 @@ def _min_flip_weight(sample: LabeledSample, columns, core,
     gave it, and such an F gives C its original labels.
     """
     m = len(sample.entries)
+    if m > _SUPPORT_CAP:
+        raise SizeCapError(f"support capped at {_SUPPORT_CAP} points")
     weights = [w for _, _, w in sample.entries]
     denom = lcm(*(w.denominator for w in weights))
     nums = [w.numerator * (denom // w.denominator) for w in weights]

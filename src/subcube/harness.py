@@ -33,6 +33,7 @@ from .rng import RandomStream
 from .tester import (
     TesterParams,
     Verdict,
+    _epsilon,
     amplify,
     baseline_dolev_ron,
     ceil_log2,
@@ -97,8 +98,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algo not in ALGOS:
             raise ValueError(f"unknown algo {self.algo!r}")
-        if not 0 < Fraction(self.epsilon) <= 1:
-            raise ValueError("epsilon must be in (0, 1]")
+        _epsilon(self.epsilon)
         if self.trials < 0:
             raise ValueError("trials must be >= 0")
         if self.amplify_k < 1:
@@ -280,11 +280,12 @@ class _SimWorld(FunctionSpec):
     oracle and the no-black-box responder, sharing Gamma.
 
     value_at is the responder, p(z, R, Gamma). draws(k) takes k strong
-    samples, on the words, counts and log of k strong_sample calls, through
-    the instance's Sampler. Each draw in turn adds the special index of a
-    revealed C-set to Gamma and is labelled with the response bit at draw
-    time, so labels can disagree with the hidden function exactly the way
-    answers do. The same object backs the trial's BlackBox and is its
+    samples through the instance's Sampler, charging and logging each one:
+    a draw of c^k reveals C_k and its special index alpha_k, which joins
+    Gamma, and is logged as (zeros, alpha_k); every other draw is logged
+    with None. Each draw is labelled with the response bit at draw time, so
+    labels can disagree with the hidden function exactly the way answers
+    do. The same object backs the trial's BlackBox and is its
     sampler: draws(k) is all the pair-sampling baseline asks of one.
     """
 

@@ -260,19 +260,6 @@ class TruthTable(FunctionSpec):
         if not 0 <= self.bits < (1 << (1 << self.n)):
             raise ValueError("bits out of range for this n")
 
-    @classmethod
-    def from_values(cls, n: int, values) -> "TruthTable":
-        """Build from an iterable of 2^n output bits, indexed by input k."""
-        bits = 0
-        count = 0
-        for k, v in enumerate(values):
-            if v:
-                bits |= 1 << k
-            count += 1
-        if count != 1 << n:
-            raise ValueError("need exactly 2^n values")
-        return cls(n, bits)
-
     def input_index(self, zeros: frozenset) -> int:
         k = (1 << self.n) - 1
         for i in zeros:
@@ -348,19 +335,6 @@ class FiniteDistribution:
     @property
     def denominator(self) -> int:
         return self._denominator
-
-    def support(self) -> list[ZeroSet]:
-        return [p for p, _ in self.entries]
-
-    def weight_of(self, point: ZeroSet) -> Fraction:
-        for p, w in self.entries:
-            if p.zeros == point.zeros:
-                return w
-        return Fraction(0)
-
-    def index_from_uniform(self, u: int) -> int:
-        """Map a uniform draw u in [0, M) to a support index (inverse CDF)."""
-        return bisect_right(self._cum, u)
 
     def flipped(self, coords: Iterable[int]) -> "FiniteDistribution":
         """This distribution pushed through the flip of coords. With

@@ -113,6 +113,14 @@ class TesterParams:
     stage0_samples: int
 
 
+def _epsilon(value) -> Fraction:
+    """value as a Fraction; ValueError unless it lies in (0, 1]."""
+    eps = Fraction(value)
+    if not 0 < eps <= 1:
+        raise ValueError("epsilon must be in (0, 1]")
+    return eps
+
+
 def compute_parameters(n: int, epsilon) -> TesterParams:
     """All tester parameters from (n, epsilon), everything rounded up.
 
@@ -121,9 +129,7 @@ def compute_parameters(n: int, epsilon) -> TesterParams:
     charged group_size*(d_star+1) samples. log2(n/eps) is evaluated exactly when
     n/eps is a power of two, in floating point otherwise.
     """
-    eps = Fraction(epsilon)
-    if not 0 < eps <= 1:
-        raise ValueError("epsilon must be in (0, 1]")
+    eps = _epsilon(epsilon)
     if n < 2:
         raise ValueError("n must be at least 2")
     ratio = Fraction(n) / eps
@@ -544,10 +550,7 @@ def test_general_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStream
     tester on flipped views of the same black box and sampler: every query and
     draw is one call of the underlying oracle, logged in its own coordinates.
     """
-    eps = Fraction(epsilon)
-    if not 0 < eps <= 1:
-        raise ValueError("epsilon must be in (0, 1]")
-    k0 = _ceil_fraction(Fraction(3) / eps)
+    k0 = _ceil_fraction(Fraction(3) / _epsilon(epsilon))
     xstar = None
     for _ in range(k0):
         x, label = sampler.draw()
@@ -591,9 +594,7 @@ def baseline_dolev_ron(oracle, sampler, n: int, epsilon,
     if num_samples is not None:
         total = num_samples
     else:
-        eps = Fraction(epsilon)
-        if not 0 < eps <= 1:
-            raise ValueError("epsilon must be in (0, 1]")
+        eps = _epsilon(epsilon)
         try:
             total = math.ceil(2 * math.sqrt(n) * math.log2(n) / float(eps))
         except (OverflowError, ZeroDivisionError):

@@ -9,6 +9,7 @@ answers are checked against these, so nothing below may import from the
 modules under test beyond the basic data types.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -459,6 +460,29 @@ def literal_draw(sampler):
     sampler._log(idx)
     i = int(idx[0])
     return sampler.point(i), int(sampler.labels[i])
+
+
+def literal_index(dist, u):
+    """The literal inverse CDF: the support index that a uniform draw u in
+    [0, M) maps to, the first whose cumulative numerator exceeds u."""
+    return bisect_right(dist._cum, u)
+
+
+def strong_sample(inst, rng, transcript):
+    """One draw from the strong sampling oracle of a hidden-block instance,
+    one bigint word at a time: charged to transcript (which raises
+    BudgetExceeded before drawing when it is at its limit), drawn through
+    the literal inverse CDF and logged as (zeros, gamma). Returns
+    (point, gamma): gamma is alpha_k for a draw of c^k, else None."""
+    transcript.take_samples(1)
+    dist = inst.distribution
+    idx = literal_index(dist, rng.randrange(dist.denominator))
+    kind, i = inst.support_kinds[idx]
+    point = dist.entries[idx][0]
+    gamma = inst.alpha[i - 1] if kind == "c" else None
+    if transcript.log_queries:
+        transcript.sample_log.append((point.zeros, gamma))
+    return point, gamma
 
 
 def literal_coords(n, coords, what, signed=False):

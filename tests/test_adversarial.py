@@ -4,6 +4,7 @@ import dataclasses
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
+from math import ceil
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,17 +25,30 @@ from subcube import (
     generate_instance,
     paper_params,
     simulate_p,
-    strong_sample,
     validate_instance,
 )
 from subcube.harness import _SimWorld
-from helpers import is_i_special, ltf_potential
+from helpers import collect, is_i_special, ltf_potential
 
 SMALL = LBParams(n=60, h=4, r_blocks=7, m=3, s=1, blocks_per_side=2)
 
 
 def gen(variant, seed=0, params=SMALL):
     return generate_instance(params, variant, RandomStream(seed))
+
+
+def triple(inst, i):
+    """The points (a^i, b^i, c^i) of triple i (1-based)."""
+    return tuple(ZeroSet(inst.n, sets[i - 1])
+                 for sets in (inst.A_sets, inst.B_sets, inst.C_sets))
+
+
+def sim_world(inst, seed, transcript):
+    """The sim world of inst, drawing on RandomStream(seed), charged to
+    transcript."""
+    sampler = Sampler(inst.distribution, inst.function, QueryTranscript(),
+                      RandomStream(0))
+    return _SimWorld(inst, RandomStream(seed), transcript, sampler)
 
 
 # -- parameter recipes --------------------------------------------------------
@@ -68,8 +82,9 @@ def test_params_invariants():
 def test_params_derived_properties():
     assert SMALL.blocks_per_C == 4
     assert SMALL.ell == 18
-    assert SMALL.special_threshold == 2
-    assert LBParams(60, 4, 6, 3, 1, 1).special_threshold == 1
+    # blocks required on each side of the specialness rule
+    for bps, need in ((SMALL.blocks_per_side, 2), (1, 1)):
+        assert (3 * bps + 3) // 4 == ceil(Fraction(3 * bps, 4)) == need
 
 
 # -- generation and validation ------------------------------------------------
@@ -89,7 +104,7 @@ def test_generated_structure(variant):
         covered |= blk
     assert covered == inst.R_prime
     for i in range(1, p.m + 1):
-        a, b, c = inst.point_a(i), inst.point_b(i), inst.point_c(i)
+        a, b, c = triple(inst, i)
         assert len(a.zeros) == len(b.zeros) == p.ell // 2
         assert not (a.zeros & b.zeros)
         assert c.zeros == a.zeros | b.zeros
@@ -109,9 +124,9 @@ def test_point_labels(variant, labels):
     f = inst.function
     assert f.value_at(frozenset()) == ones_label
     for i in range(1, inst.params.m + 1):
-        assert f.value_at(inst.point_a(i).zeros) == a_label
-        assert f.value_at(inst.point_b(i).zeros) == b_label
-        assert f.value_at(inst.point_c(i).zeros) == c_label
+        assert f.value_at(inst.A_sets[i - 1]) == a_label
+        assert f.value_at(inst.B_sets[i - 1]) == b_label
+        assert f.value_at(inst.C_sets[i - 1]) == c_label
 
 
 @pytest.mark.parametrize("variant", ["yes", "no", "yes-ltf", "no-ltf"])
@@ -120,7 +135,7 @@ def test_checked_labels_are_the_function_on_the_support(variant):
     # place of evaluating f on the support once more
     for inst in [gen(variant, seed) for seed in range(5)] + [
             gen(variant, 5, desk_params(4096))]:
-        want = [inst.function.value_at(p.zeros) for p in inst.distribution.support()]
+        want = [inst.function.value_at(p.zeros) for p, _ in inst.distribution.entries]
         assert inst._labels.tolist() == want
         sampler = Sampler._labelled(inst.distribution, inst.function, QueryTranscript(),
                                     RandomStream(0), inst._labels)
@@ -237,9 +252,10 @@ def test_validation_names_each_broken_part_of_the_draw():
 def test_a_strings_are_special_on_no_instances():
     inst = gen("no", seed=19)
     for i in range(1, inst.params.m + 1):
-        assert is_i_special(inst.point_a(i), inst, i)
-        assert not is_i_special(inst.point_b(i), inst, i)
-        assert not is_i_special(inst.point_c(i), inst, i)
+        a, b, c = triple(inst, i)
+        assert is_i_special(a, inst, i)
+        assert not is_i_special(b, inst, i)
+        assert not is_i_special(c, inst, i)
 
 
 def test_no_function_demands_specialness_per_alpha():
@@ -271,10 +287,8 @@ def test_sim_world_answers_from_revealed_gammas():
     """Once a draw reveals c^k, the simulated world labels a^k 0 and
     answers the query A_k with 0, where the no function gives a^k 1."""
     inst = gen("no", seed=24)
-    sampler = Sampler(inst.distribution, inst.function, QueryTranscript(),
-                      RandomStream(0))
-    world = _SimWorld(inst, RandomStream(25), QueryTranscript(), sampler)
-    a_points = {inst.point_a(i).zeros: i for i in range(1, inst.params.m + 1)}
+    world = sim_world(inst, 25, QueryTranscript())
+    a_points = {a: i for i, a in enumerate(inst.A_sets, start=1)}
     assert all(world.value_at(a) == 1 for a in a_points)  # nothing revealed
     revealed, a_draws = set(), 0
     for point, label in world.draws(60):
@@ -287,7 +301,7 @@ def test_sim_world_answers_from_revealed_gammas():
     assert a_draws and revealed
     assert world.gamma == {inst.alpha[k - 1] for k in revealed}
     for k in revealed:
-        a_k = inst.point_a(k)
+        a_k = ZeroSet(inst.n, inst.A_sets[k - 1])
         assert world.value_at(a_k.zeros) == 0
         assert BlackBox(world, world.transcript).query(a_k) == 0
         assert inst.function.value_at(a_k.zeros) == 1
@@ -298,42 +312,43 @@ def test_sim_world_answers_from_revealed_gammas():
 
 def test_strong_sample_reveals_c_structure():
     inst = gen("no", seed=22)
-    tr = QueryTranscript()
-    rng = RandomStream(23)
+    tr = QueryTranscript(log_queries=True)
+    world = sim_world(inst, 23, tr)
+    points = [point.zeros for point, _ in world.draws(60)]
+    assert [zeros for zeros, _ in tr.sample_log] == points
     seen_c = seen_other = False
-    for k in range(60):
-        point, gamma = strong_sample(inst, rng.split(k), tr)
+    for zeros, gamma in tr.sample_log:
         if gamma is not None:
             i = inst.alpha.index(gamma) + 1
-            assert point.zeros == inst.C_sets[i - 1]
+            assert zeros == inst.C_sets[i - 1]
             seen_c = True
         else:
-            assert point.zeros in set(inst.A_sets) | set(inst.B_sets)
+            assert zeros in set(inst.A_sets) | set(inst.B_sets)
             seen_other = True
     assert seen_c and seen_other
+    assert world.gamma == {gamma for _, gamma in tr.sample_log} - {None}
     assert tr.sample_count == 60
 
 
 def test_strong_sample_budget():
     inst = gen("no", seed=26)
     tr = QueryTranscript(limit=5)
-    rng = RandomStream(27)
-    for k in range(5):
-        strong_sample(inst, rng.split(k), tr)
+    world = sim_world(inst, 27, tr)
+    taken, refused = collect(world.draws(6))
+    assert len(taken) == 5 and refused
     with pytest.raises(BudgetExceeded):
-        strong_sample(inst, rng.split("over"), tr)
+        next(world.draws(1))
     assert tr.sample_count == 5
 
 
 def test_strong_sample_deterministic():
     inst = gen("no", seed=28)
-    draws = []
+    runs = []
     for _ in range(2):
-        tr = QueryTranscript()
-        rng = RandomStream(29)
-        draws.append([strong_sample(inst, rng.split(k), tr)
-                      for k in range(20)])
-    assert draws[0] == draws[1]
+        tr = QueryTranscript(log_queries=True)
+        world = sim_world(inst, 29, tr)
+        runs.append((list(world.draws(20)), tr.sample_log, world.gamma))
+    assert runs[0] == runs[1]
 
 
 # -- threshold potentials -----------------------------------------------------
@@ -354,9 +369,7 @@ def test_potential_identities(variant, which):
     ones = ZeroSet.all_ones(n)
     assert 4 * potential(ones) == t4 - ell
     for i in range(1, inst.params.m + 1):
-        ua = 4 * potential(inst.point_a(i))
-        ub = 4 * potential(inst.point_b(i))
-        uc = 4 * potential(inst.point_c(i))
+        ua, ub, uc = (4 * potential(x) for x in triple(inst, i))
         assert ub == t4 + ell
         assert uc == t4 - 20 * n + 3 * ell
         if which == "u":
@@ -380,7 +393,7 @@ def test_theta4_closed_form_and_threshold():
 def test_yes_ltf_weights_realize_potential():
     inst = gen("yes-ltf", seed=32)
     rng = RandomStream(33)
-    pts = [inst.point_a(1), inst.point_b(2), inst.point_c(3),
+    pts = [triple(inst, 1)[0], triple(inst, 2)[1], triple(inst, 3)[2],
            ZeroSet.all_ones(inst.n)]
     for k in range(20):
         size = rng.randrange(inst.n + 1)
@@ -430,7 +443,7 @@ def test_hidden_block_functions_match_the_per_i_loop(variant, seed, kinds,
 
 def test_phi_potential_matches_u_under_revealed_gammas():
     inst = gen("yes-ltf", seed=34)
-    c1 = inst.point_c(1)
+    c1 = triple(inst, 1)[2]
     gamma = frozenset({inst.alpha[0]})
     u = sum(w for k, w in enumerate(inst.function.weights, start=1)
             if k not in c1.zeros)

@@ -328,18 +328,15 @@ def test_class_hierarchy_on_random_instances():
 # -- size caps ----------------------------------------------------------------
 
 
-def test_support_caps():
-    n = 8
-    rng = RandomStream(811)
-    big = rand_dist(rng, n, 21)
-    f = MonotoneConj(n, frozenset({1}))
-    with pytest.raises(SizeCapError):
-        exact_distance_mconj(f, big)
-    mid = rand_dist(rng.split("mid"), n, 17)
-    with pytest.raises(SizeCapError):
-        exact_distance_dlist(f, mid)
-    with pytest.raises(SizeCapError):
-        exact_distance_ltf(f, mid)
+@pytest.mark.parametrize("witness", [False, True])
+@pytest.mark.parametrize("distance, cap", [
+    (exact_distance_mconj, 20), (exact_distance_conj, 20),
+    (exact_distance_dlist, 16), (exact_distance_ltf, 16)])
+def test_support_caps(distance, cap, witness):
+    # one point past the cap raises, with or without a witness
+    dist = rand_dist(RandomStream(811), 8, cap + 1)
+    with pytest.raises(SizeCapError, match=f"^support capped at {cap} points$"):
+        distance(MonotoneConj(8, frozenset({1})), dist, return_witness=witness)
 
 
 # -- core-guided flip search --------------------------------------------------

@@ -8,6 +8,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import weakref
 from dataclasses import dataclass
@@ -16,6 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import subcube
 import subcube.cli as cli
 import subcube.harness as harness
 import subcube.model as model_module
@@ -46,13 +49,13 @@ from subcube import (
     run_trials,
     save_instance,
     simulate_p,
-    strong_sample,
     write_experiment_csv,
     write_trials_csv,
 )
 from subcube.harness import ALGOS, CSV_HEADER, EXPERIMENT_HEADER, _SimWorld, _run_one
 from subcube.serialize import fraction_to_str
-from helpers import collect, rand_dist, reference_distinguishing_experiment, zs
+from helpers import (collect, rand_dist, reference_distinguishing_experiment,
+                     strong_sample, zs)
 
 SMALL_LB = LBParams(n=60, h=4, r_blocks=7, m=3, s=1, blocks_per_side=2)
 
@@ -796,7 +799,7 @@ def test_cli_conj_logs_in_the_instance_frame(tmp_path, capsys, variant):
                      "--out", str(path)]) == 0
     inst = load_instance(path)
     f = inst.function
-    support = {p.zeros for p in inst.distribution.support()}
+    support = {p.zeros for p, _ in inst.distribution.entries}
     capsys.readouterr()
     rc = cli.main(["test", "--instance", str(path), "--algo", "conj",
                    "--epsilon", "1", "--seed", "2", "--log-queries"])
@@ -989,6 +992,41 @@ def test_cli_rules_past_float_range_exit_2(tmp_path, capsys, argv):
     assert any(value in captured.err
                for value in (_HUGE_N, str(10 ** 400 + 1), _TINY_EPS))
     assert captured.out == ""
+
+
+# the CLI under a 2 GiB address-space limit, so that a huge allocation fails
+_LIMITED_CLI = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+                "from subcube.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("algo", ["mconj", "conj"])
+def test_cli_allocation_failure_exits_2(tmp_path, algo):
+    # at n = 10^12 the tester's dense zero rows need terabytes, so the run
+    # fails to allocate them; that must end in an error line, not a traceback
+    n = 10 ** 12
+    path = tmp_path / "wide.json"
+    save_instance(path, n, MonotoneConj(n, frozenset()), FiniteDistribution(
+        n, ((zs(n), Fraction(1, 2)), (zs(n, 1), Fraction(1, 2)))))
+    src = os.path.dirname(os.path.dirname(subcube.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _LIMITED_CLI, "test", "--instance",
+                           str(path), "--algo", algo, "--epsilon", "1", "--seed", "1"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_cli_names_a_memory_error_without_a_message(monkeypatch, capsys):
+    def out_of_memory(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "distance", out_of_memory)
+    rc = cli.main(["distance", "--instance", "x.json", "--class", "mconj"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 _SCALED_KEYS = ("h", "r_blocks", "m", "s", "bps")

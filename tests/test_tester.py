@@ -538,7 +538,7 @@ def test_baseline_deterministic_given_seed():
 def conj_flip(func, dist):
     """ZERO(x) of the first 1-labelled support point: the flip a conj run
     makes when that point is its x*. Empty when there is none."""
-    return next((p.zeros for p in dist.support() if func.value_at(p.zeros)), frozenset())
+    return next((p.zeros for p, _ in dist.entries if func.value_at(p.zeros)), frozenset())
 
 
 def crafted_instances():
