@@ -376,6 +376,16 @@ class QueryTranscript:
             raise BudgetExceeded("sampling budget exhausted")
         self.sample_count += k
 
+    def _take_queries(self, k: int, log=None) -> None:
+        """Charge k queries as k take_blackbox() calls would: the fit that the
+        limit admits (logged from log(fit) when logging), then a refusal."""
+        fit = k if self.limit is None else min(k, self.limit - self.blackbox_count)
+        self.take_blackbox(fit)
+        if self.log_queries:
+            self.blackbox_log.extend(log(fit))
+        if fit < k:
+            self.take_blackbox()  # refused: raises
+
 
 # the coordinate that pads the rows of BlackBox.query_until
 _PAD = frozenset({0})
@@ -468,15 +478,9 @@ class BlackBox:
                   & (np.count_nonzero(codes & 2, axis=1) == required)).astype(np.int8)
         hits = np.flatnonzero(values == stop)
         asked = int(hits[0]) + 1 if hits.size else len(rows)
-        t = self.transcript
-        room = asked if t.limit is None else min(asked, t.limit - t.blackbox_count)
-        t.take_blackbox(room)
-        if t.log_queries:
-            t.blackbox_log.extend(((frozenset(row) - _PAD) ^ self._flip, value)
-                                  for row, value in zip(rows[:room].tolist(),
-                                                        values[:room].tolist()))
-        if room < asked:
-            t.take_blackbox()  # refused: raises
+        self.transcript._take_queries(asked, lambda fit: (
+            ((frozenset(row) - _PAD) ^ self._flip, value)
+            for row, value in zip(rows[:fit].tolist(), values[:fit].tolist())))
         return int(hits[0]) if hits.size else None
 
 

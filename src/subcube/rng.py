@@ -49,8 +49,14 @@ class RandomStream:
     def __init__(self, seed: int, path: tuple = ()):
         self.seed = int(seed)
         self.path = tuple(path)
+
+    def __getattr__(self, name):
+        # _gen is built on the first draw: a stream only split builds none
+        if name != "_gen":
+            raise AttributeError(name)
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
         self._gen = np.random.Generator(np.random.PCG64(seq))
+        return self._gen
 
     def split(self, *labels) -> "RandomStream":
         """Derive an independent child stream.

@@ -12,16 +12,15 @@ Stages 1 and 2 read only three facts of each group, so Stage 0 keeps
 those and nothing else: its class (too few 1-samples, no 0-sample, or
 neither), its first 0-sample, and B, the union of the zero sets of its
 first t (Stage 2: t-1) 1-samples. From a group drawn as samples, B's
-support points are read in one pass, as a row of flags over the support;
-B, a row of flags over the coordinates, is memoized on it. Stage 0 draws
-the groups a block at a time, group 0 (whose B takes t 1-samples) in a
-block of its own, and computes every group's facts in numpy. It charges
-(and logs) the groups in runs, each ending at a group where a
-representative search runs, so a budget, a nil representative or the
-stop below lands at the same group as one draw per group would. Memory
-stays at one block plus the facts, and no sample is drawn twice. Under a
-sample budget a block holds only groups the budget admits, so a refused
-group is never drawn.
+support points are read in one pass, as a row of flags over the support,
+and each distinct row gets an id. Stage 0 draws the groups a block at a
+time, group 0 (whose B takes t 1-samples) in a block of its own, and
+computes every group's facts in numpy. It charges (and logs) the groups
+in runs, each ending at a group where a representative search runs, so a
+budget, a nil representative or the stop below lands at the same group as
+one draw per group would. Memory stays at one block plus the facts, and
+no sample is drawn twice. Under a sample budget a block holds only groups
+the budget admits, so a refused group is never drawn.
 
 With query logging on, Stage 0 draws every sample, because the sample log
 lists every sample. With it off, once every 0-labelled support point has
@@ -35,13 +34,14 @@ support point has its representative, no later group can change the
 verdict, a query or a count, so Stage 0 charges the remaining groups in
 one step, without drawing them.
 
-Stages 1 and 2 build every probe by one gather from the stacked B rows.
-They draw their random subsets in blocks of rows with
-RandomStream.subset_rows, on the same words as one subset at a time, and
-ask the probes of a block in one BlackBox.query_until call, which stops at
-the first probe that ends the run. Stage 2 first finds the group that ends
-the run by its facts (too few 1-samples, no 0-sample, or step 2.1) and
-asks the probes of the groups before it.
+Stage 2 first finds the group that ends the run by its facts (too few
+1-samples, no 0-sample, or step 2.1). On a monotone conjunction (P, {})
+whose B0 misses P and whose alphas all lie in P, no probe can end the
+run, so a run with logging off asks none and is charged them in one step.
+Other runs build B's coordinates from its flags, a block of rows at a
+time, draw the block's subsets by RandomStream.subset_rows, on the words
+of one subset at a time, and ask its probes in one BlackBox.query_until
+call, which stops at the first that ends the run.
 """
 
 from __future__ import annotations
@@ -344,14 +344,16 @@ def _drawn_facts(sampler, count: int, size: int, need: int, law: dict) -> tuple:
     return cls == 0, first0, masks
 
 
-def _union(unions: dict, zero_rows: np.ndarray, key: bytes) -> int:
-    """The id of B, the OR of the zero_rows of the support points flagged in
-    key, a row of masks of _block_facts as bytes. Groups repeat the same few
-    subsets of the support, so unions memoizes (id, B) on key, ids from 0."""
-    hit = unions.get(key)
-    if hit is None:
-        hit = unions[key] = (len(unions), zero_rows[np.frombuffer(key, bool)].any(axis=0))
-    return hit[0]
+def _b_rows(zeros: tuple, flags: np.ndarray) -> tuple:
+    """The B of each row of flags, from zeros = (points, coords, width) of
+    the support's zero sets: each B's size and offset in the last array,
+    every B's sorted coordinates in turn and then a 0 pad."""
+    point, coord, width = zeros
+    bits = np.zeros((len(flags), width), dtype=bool)
+    for k, row in enumerate(flags):
+        bits[k, coord[row[point]]] = True
+    sizes = bits.sum(axis=1)
+    return sizes, np.cumsum(sizes) - sizes, np.append(np.nonzero(bits)[1], 0)
 
 
 def _charge_groups(transcript, k: int, size: int) -> None:
@@ -406,12 +408,13 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
         zero_count += (b - a) * size - int(np.count_nonzero(lab[a:b]))
 
     # The facts of each recorded group, all Stages 1-2 read of it: the id
-    # in unions of B, over its first t (Stage 2: t-1) 1-samples, or -1 when
-    # it has fewer; and its first 0-sample, or -1. Recording stops after
-    # the first group whose facts end the run.
+    # in unions (one per distinct row of masks, as bytes) of B, over its
+    # first t (Stage 2: t-1) 1-samples, or -1 when it has fewer; and its
+    # first 0-sample, or -1. Recording stops after the first group whose
+    # facts end the run.
     b_ids: list[np.ndarray] = []
     first0s: list[np.ndarray] = []
-    unions: dict[bytes, tuple] = {}
+    unions: dict[bytes, int] = {}
     law: dict = {}  # of _drawn_facts
     recording = True
     g = 0
@@ -425,8 +428,8 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
         # when groups are drawn one at a time. Once no log lists the samples
         # and no search can run, only the facts are drawn.
         facts = not (pending or transcript.log_queries)
-        if facts and g:
-            block = max(block, _FACT_GROUPS)
+        if facts and g:  # with no 0-labelled point, group 1 ends the run
+            block = max(block, _FACT_GROUPS) if (sampler.labels == 0).any() else 1
         count = min(block, max_facts if facts else max_block, groups - g)
         if transcript.limit is not None:  # no block holds a refused group
             count = min(count, (transcript.limit - transcript.sample_count) // size)
@@ -450,7 +453,7 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
             keep = np.flatnonzero(~few[:rec])
             keys, inverse = np.unique(masks[keep].view(f"V{masks.shape[1]}").ravel(),
                                       return_inverse=True)
-            ids[keep] = np.array([_union(unions, zero_rows, key) for key in keys.tolist()],
+            ids[keep] = np.array([unions.setdefault(key, len(unions)) for key in keys.tolist()],
                                  dtype=int)[inverse]
             b_ids.append(ids)
             first0s.append(first0[:rec])
@@ -488,38 +491,19 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
     # undrawn, so a budget runs out where drawing would have exhausted it.
     _charge_groups(transcript, groups - g, size)
 
-    step_rng = rng.split("steps")
     b_ids, first0s = np.concatenate(b_ids), np.concatenate(first0s)
-
-    # Stage 1: the first group feeds the singleton and subset probes.
     if b_ids[0] < 0:
         return verdict(True, "stage1-few-ones")
-    # bits[id]: B's row; coords: every B's coordinates, then a 0 for pads
-    bits = np.stack([row for _, row in unions.values()])
-    sizes = bits.sum(axis=1)
-    coords = np.append(np.nonzero(bits)[1], 0)
-    offsets = np.cumsum(sizes) - sizes
-
-    def probes(ids: np.ndarray, k: int) -> np.ndarray:
-        # a random k-subset (all, when it is smaller) of each B, 0-padded
-        pos = step_rng.subset_rows(sizes[ids], k)
-        return coords[np.where(pos < 0, -1, offsets[ids, None] + pos)]
-
-    b0 = b_ids[0]
-    if sizes[b0]:
-        singles = coords[offsets[b0] + step_rng.integers(sizes[b0], size=p.s)]
-        if oracle.query_until(singles[:, None], 0) is not None:
-            return verdict(False, "step-1.1")
-        for start in range(0, p.s, _SUBSET_ROWS):
-            rows = np.full(min(_SUBSET_ROWS, p.s - start), b0)
-            if oracle.query_until(probes(rows, p.r), 0) is not None:
-                return verdict(False, "step-1.2")
+    # flags[id]: B's support points; b0: B of the first group, for Stage 1
+    flags = np.frombuffer(b"".join(unions), dtype=bool).reshape(len(unions), -1)
+    zeros = (*np.nonzero(zero_rows), n + 1)
+    b0 = sizes0, _, coords0 = _b_rows(zeros, flags[b_ids[:1]])
 
     # Stage 2: one fresh group per iteration. Every 0-sample has its
     # representative, because Stage 0 returns on the first nil one. Only
     # the last recorded group can lack B or a 0-sample; the first group
-    # that ends the run that way or by step 2.1 is found first, and the
-    # probes of the groups before it are asked in blocks of rows.
+    # that ends the run that way or by step 2.1 (alpha in B: some flagged
+    # point is 0 there, read in blocks of rows) is found before any probe.
     ids, first0s = b_ids[1:], first0s[1:]
     end, reason = len(ids), "end-of-stage-2"
     if end and ids[-1] < 0:
@@ -528,14 +512,45 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
         end, reason = end - 1, "stage2-no-zero"
     rep_of = np.zeros(sampler.support_size, dtype=np.intp)
     rep_of[list(reps)] = list(reps.values())
-    alpha = rep_of[first0s[:end]]
-    inside = bits[ids[:end], alpha]
+    ids, alpha = ids[:end], rep_of[first0s[:end]]
+    step = max(1, _BLOCK_SAMPLES // sampler.support_size)
+    inside = np.concatenate([np.zeros(0, bool)] + [
+        (flags[ids[k:k + step]] & zero_rows[:, alpha[k:k + step]].T).any(axis=1)
+        for k in range(0, end, step)])
     if inside.any():
         end, reason = int(inside.argmax()), "step-2.1"
+
+    # On (P, {}), when B0 misses P every singleton and subset of it answers
+    # 1, and when every alpha is in P every alpha + z answers 0: a quiet run
+    # asks none of these probes, charged as when it does.
+    codes = oracle._codes
+    if (not transcript.log_queries and codes is not None and not codes[1]
+            and not codes[0][coords0[:-1]].any() and codes[0][alpha[:end]].all()):
+        transcript._take_queries((2 * p.s if sizes0[0] else 0) + end)
+        return verdict(reason != "step-2.1", reason)
+
+    step_rng = rng.split("steps")
+
+    def probes(b: tuple, rows: np.ndarray, k: int) -> np.ndarray:
+        # a random k-subset (all, when smaller) of the B of each row of b
+        sizes, offsets, coords = b
+        pos = step_rng.subset_rows(sizes[rows], k)
+        return coords[np.where(pos < 0, -1, offsets[rows, None] + pos)]
+
+    # Stage 1: the first group feeds the singleton and subset probes.
+    if sizes0[0]:
+        singles = coords0[step_rng.integers(sizes0[0], size=p.s)]
+        if oracle.query_until(singles[:, None], 0) is not None:
+            return verdict(False, "step-1.1")
+        for start in range(0, p.s, _SUBSET_ROWS):
+            rows = np.zeros(min(_SUBSET_ROWS, p.s - start), dtype=int)
+            if oracle.query_until(probes(b0, rows, p.r), 0) is not None:
+                return verdict(False, "step-1.2")
     for start in range(0, end, _SUBSET_ROWS):
         rows = slice(start, min(end, start + _SUBSET_ROWS))
-        if oracle.query_until(np.column_stack((alpha[rows], probes(ids[rows], p.r - 1))),
-                              1) is not None:
+        block, inverse = np.unique(ids[rows], return_inverse=True)
+        if oracle.query_until(np.column_stack((alpha[rows], probes(
+                _b_rows(zeros, flags[block]), inverse, p.r - 1))), 1) is not None:
             return verdict(False, "step-2.2")
     return verdict(reason != "step-2.1", reason)
 

@@ -114,8 +114,8 @@ SWEEP_CELLS = (
 
 def test_criterion_01_one_sided_acceptance():
     """In-class runs under random 16-point distributions, one on an
-    800-point support, and one (4096, 1/2) run to the end of Stage 2: zero
-    rejections."""
+    800-point support, one (4096, 1/2) run to the end of Stage 2, and one
+    on a desk n = 4096 yes instance: zero rejections."""
     rng = RandomStream(101)
     rejects = []
     for n, eps, base in SWEEP_CELLS:
@@ -160,6 +160,12 @@ def test_criterion_01_one_sided_acceptance():
     assert r.sample_queries == p.stage0_samples
     query_budget_report(results, p, n)
     assert r.transcript.samples_drawn < r.sample_queries / 1000
+    # the paper's hard yes family at desk scale, a monotone conjunction on
+    # 512 support points, run to the end of Stage 2
+    results = run_trials(ExperimentConfig(algo="mconj", epsilon=Fraction(1), trials=1,
+                                          seed=3, generator=(desk_params(4096), "yes")))
+    assert [(r.accepted, r.reason) for r in results] == [(True, "end-of-stage-2")]
+    query_budget_report(results, compute_parameters(4096, 1), 4096)
 
 
 # -- criterion 2: exact sample count, black-box query bound --------------

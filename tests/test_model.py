@@ -433,6 +433,40 @@ def test_rebound_sampler_is_a_fresh_sampler():
     assert np.array_equal(draw_indices(base, 5), draw_indices(untouched, 5))
 
 
+def test_streams_build_their_generator_on_the_first_draw(monkeypatch):
+    # a stream reads the words of a generator built eagerly on its (seed,
+    # path); one that is only split, and a rebound sampler's unread batch
+    # stream, build none; flipped views draw from one batch generator
+    builds = []
+    pcg = np.random.PCG64
+
+    def counted(seq):
+        builds.append(seq.spawn_key)
+        return pcg(seq)
+
+    monkeypatch.setattr(np.random, "PCG64", counted)
+    child = RandomStream(11).split("a", 2)
+    child.split("b").split("c")
+    assert builds == []
+    eager = np.random.Generator(pcg(np.random.SeedSequence(entropy=11, spawn_key=child.path)))
+    assert child.integers(1 << 40, size=50).tolist() == \
+        eager.integers(0, 1 << 40, size=50).tolist()
+    assert child._words(7).tolist() == \
+        eager.integers(0, 1 << 64, size=7, dtype=np.uint64).tolist()
+    assert builds == [child.path]
+    d, f = spread_dist((1 << 40) + 15), MonotoneConj(4, frozenset({1}))
+    builds.clear()
+    base = Sampler(d, f, QueryTranscript(), RandomStream(5))
+    rebound = base.rebind(QueryTranscript(), RandomStream(6))
+    assert list(rebound.draws(3)) and len(builds) == 1  # its draw stream only
+    view = base.flipped({1, 2})
+    first = view._draw_groups(2, 3)[0]
+    assert view._batch._gen is base._batch._gen and len(builds) == 2
+    after = base._draw_groups(1, 3)[0]
+    fresh = Sampler(d, f, QueryTranscript(), RandomStream(5))
+    assert np.array_equal(np.vstack((first, after)), fresh._draw_groups(3, 3)[0])
+
+
 COORD_VALUES = (st.integers(-25, 25) | st.booleans() | st.floats(-30, 30)
                 | st.integers(-25, 25).map(np.int64) | st.integers(1, 25).map(float)
                 | st.just(None) | st.text(max_size=1))

@@ -767,15 +767,15 @@ def ones_mass_instance(ones):
 
 def test_stage1_few_ones_builds_no_union(monkeypatch):
     # about 0.3 ones mass: group 0 falls short of t, later groups reach t-1,
-    # and none of them is looked at
+    # and no B of any of them is built
     calls = []
-    union = tester_module._union
+    b_rows = tester_module._b_rows
 
     def counted(*args):
         calls.append(args)
-        return union(*args)
+        return b_rows(*args)
 
-    monkeypatch.setattr(tester_module, "_union", counted)
+    monkeypatch.setattr(tester_module, "_b_rows", counted)
     n, f, dist = ones_mass_instance(Fraction(3, 10))
     tr = QueryTranscript(log_queries=True)
     rng = RandomStream(313)
@@ -958,9 +958,9 @@ def test_stage0_blocks_match_reference_inside_a_block(monkeypatch, case):
 def test_stage0_draws_group_0_alone_on_an_all_ones_support(monkeypatch):
     # with logging off and no 0-labelled support point, Stage 0 draws every
     # group as its facts from group 0 on: group 0, whose B takes t
-    # 1-samples, in a block of its own, then blocks of 64 groups and more.
-    # Group 1 has no 0-sample and ends the run, so only two blocks are
-    # drawn; the logged run draws groups and matches the reference log for log
+    # 1-samples, in a block of its own, then group 1, which has no 0-sample
+    # and ends the run, in a block of one. The logged run draws groups and
+    # matches the reference log for log
     n = 8
     func = MonotoneConj(n, frozenset({1}))
     dist = FiniteDistribution(n, ((zs(n, 2), Fraction(1, 2)), (zs(n, 3), Fraction(1, 3)),
@@ -970,8 +970,137 @@ def test_stage0_draws_group_0_alone_on_an_all_ones_support(monkeypatch):
     assert got == want
     assert want[0] == (True, "stage2-no-zero", 0, 0)
     assert {kind for _, _, kind in logged} == {"groups"}
-    assert quiet_blocks == [(0, 1, "facts"), (1, 64, "facts")]
+    assert quiet_blocks == [(0, 1, "facts"), (1, 1, "facts")]
     assert quiet[0] == want[0] and quiet[1:3] == want[1:3]
+
+
+def test_all_ones_support_draws_one_group_of_facts_after_group_0():
+    # the gate's (4096, 1/2) sweep instance, whose support is all
+    # 1-labelled: group 1 ends the run, so Stage 0 draws its facts alone,
+    # not a block of 64 groups' (12,490 support indices drawn in all). The
+    # verdict and every count are as they were
+    n, eps = 4096, Fraction(1, 2)
+    sub = RandomStream(101).split("mconj", n, str(eps), 0)
+    f = MonotoneConj(n, frozenset(sub.sample(list(range(1, n + 1)), sub.randrange(7))))
+    dist = rand_dist(sub.split("dist"), n, 16)
+    assert all(f.value_at(point.zeros) for point, _ in dist.entries)
+    tr = QueryTranscript()
+    v = run_mconj_tester(BlackBox(f, tr), Sampler(dist, f, tr, sub.split("samples")), n,
+                         eps, sub.split("tester"))
+    assert (v.accepted, v.reason, v.searches, v.stage0_zero_samples) == (
+        True, "stage2-no-zero", 0, 0)
+    assert (tr.blackbox_count, tr.sample_count) == (129_793, 7_414_011_072)
+    assert tr.samples_drawn < 12_490
+
+
+# -- quiet runs on conjunction views: Stages 1-2 charged, not asked -----------
+
+
+@dataclass(frozen=True)
+class Opaque(FunctionSpec):
+    """f, as a function BlackBox does not read as a conjunction: a run on
+    it asks every Stage 1-2 probe."""
+
+    f: FunctionSpec
+
+    @property
+    def n(self):
+        return self.f.n
+
+    def value_at(self, zeros):
+        return self.f.value_at(zeros)
+
+
+def shortcut_cases():
+    """In-class (algo, function, distribution, seed): monotone conjunctions
+    through the mconj tester, and general and flipped monotone conjunctions
+    through the conj tester's flipped views."""
+    cases = [("mconj", *in_class_mconj(k), 500 + k) for k in range(10)]
+    for k in range(10):
+        f = GeneralConj(16, frozenset({1 + k, 2 + k}), frozenset({3 + k}))
+        cases.append(("conj", f, light_ones_dist(RandomStream(600 + k), f, 12, 4), 600 + k))
+        f, dist = in_class_mconj(k)
+        flip = frozenset(range(1 + k % 3, 17, 3))
+        cases.append(("conj", Flipped(f, flip), dist.flipped(flip), 700 + k))
+    large = large_support_instances()[0]
+    return cases + [("mconj", large[0], large[1], large[2])]
+
+
+def quiet_run(algo, box, labels, dist, seed, limit=None, spent=0):
+    """A run with logging off on BlackBox(box) and a sampler labelled by
+    labels, whose black-box count starts at spent: (accepted, reason,
+    searches), or ("budget",) when the limit runs out, then the black-box
+    and sample counts."""
+    tr = QueryTranscript(limit=limit, blackbox_count=spent)
+    rng = RandomStream(seed)
+    tester = run_mconj_tester if algo == "mconj" else run_conj_tester
+    try:
+        v = tester(BlackBox(box, tr), Sampler(dist, labels, tr, rng.split("samples")),
+                   dist.n, 1, rng.split("tester"))
+        got = (v.accepted, v.reason, v.searches)
+    except BudgetExceeded:
+        got = ("budget",)
+    return got + (tr.blackbox_count, tr.sample_count)
+
+
+def test_quiet_conjunction_runs_match_the_drawn_path(monkeypatch):
+    # a quiet in-class run charges its Stage 1-2 probes in one step and
+    # draws no subset; the same run on an opaque twin asks them all on the
+    # same words. Verdict, reason, searches and counts agree, unbudgeted
+    # and with the budget running out inside Stage 1 and inside Stage 2
+    def refuse(*args):
+        raise AssertionError("a quiet in-class run drew a subset")
+
+    charges = []
+    take = QueryTranscript._take_queries
+
+    def recorded(self, k, log=None):
+        charges.append((self.blackbox_count, k))
+        return take(self, k, log)
+
+    monkeypatch.setattr(QueryTranscript, "_take_queries", recorded)
+    limited = set()
+    for algo, func, dist, seed in shortcut_cases():
+        p = compute_parameters(dist.n, 1)
+        charges.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(RandomStream, "subset_rows", refuse)
+            got = quiet_run(algo, func, func, dist, seed)
+        shortcut = charges[:]
+        assert got == quiet_run(algo, Opaque(func), func, dist, seed), (algo, seed)
+        if got[1] not in ("end-of-stage-2", "stage2-no-zero", "stage2-few-ones"):
+            continue
+        # one charge, 2s queries (0 with B0 empty) and Stage 2's e, which
+        # is at most d* < 2s here, so k tells the two apart
+        ((stage0, k),) = shortcut
+        assert p.d_star < 2 * p.s
+        s, e = (p.s, k - 2 * p.s) if k >= 2 * p.s else (0, k)
+        assert got[3] == stage0 + k
+        rooms = [stage0 + s // 2, stage0 + s + s // 2] if s else []
+        rooms += [stage0 + 2 * s + e // 2] if e >= 2 else []
+        for room in rooms:
+            limit = got[4]  # every sample fits
+            with monkeypatch.context() as mp:
+                mp.setattr(RandomStream, "subset_rows", refuse)
+                capped = quiet_run(algo, func, func, dist, seed, limit, limit - room)
+            assert capped == ("budget", limit, limit)
+            assert capped == quiet_run(algo, Opaque(func), func, dist, seed, limit,
+                                       limit - room)
+            limited.add("stage 1" if room < stage0 + 2 * s else "stage 2")
+    assert limited == {"stage 1", "stage 2"}
+
+
+def test_a_box_that_disagrees_with_the_labels_asks_its_probes():
+    # the sampler labels points by x5 alone and the box answers x5 x1: B0
+    # can hold coordinate 1, so the run asks its probes, and ends where the
+    # opaque twin does, at a probe that answers 0
+    n = 16
+    box, labels = MonotoneConj(n, frozenset({1, 5})), MonotoneConj(n, frozenset({5}))
+    dist = uniform_dist(n, [(), (1,), (1, 2), (3,), (5,), (5, 6)])
+    for seed in range(5):
+        got = quiet_run("mconj", box, labels, dist, seed)
+        assert got == quiet_run("mconj", Opaque(box), labels, dist, seed)
+        assert got[1] in ("step-1.1", "step-1.2"), got
 
 
 # -- Stage 0's block facts and its one-step charges ----------------------------
