@@ -336,12 +336,6 @@ class FiniteDistribution:
     def denominator(self) -> int:
         return self._denominator
 
-    def flipped(self, coords: Iterable[int]) -> "FiniteDistribution":
-        """This distribution pushed through the flip of coords. With
-        Flipped(f, coords) it keeps every distance to a flip-closed class."""
-        cs = frozenset(coords)
-        return FiniteDistribution(self.n, tuple((p.flip(cs), w) for p, w in self.entries))
-
 
 # ---------------------------------------------------------------------------
 # transcripts and oracles

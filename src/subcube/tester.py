@@ -345,15 +345,29 @@ def _drawn_facts(sampler, count: int, size: int, need: int, law: dict) -> tuple:
 
 
 def _b_rows(zeros: tuple, flags: np.ndarray) -> tuple:
-    """The B of each row of flags, from zeros = (points, coords, width) of
-    the support's zero sets: each B's size and offset in the last array,
-    every B's sorted coordinates in turn and then a 0 pad."""
-    point, coord, width = zeros
-    bits = np.zeros((len(flags), width), dtype=bool)
+    """The B of each row of flags, from zeros = (point, cols, coord), the
+    support's zero pairs with coord indexing cols, their sorted distinct coordinates:
+    each B's size and offset in the last array, every B sorted in turn, a 0 pad."""
+    point, cols, coord = zeros
+    bits = np.zeros((len(flags), len(cols)), dtype=bool)
     for k, row in enumerate(flags):
         bits[k, coord[row[point]]] = True
     sizes = bits.sum(axis=1)
-    return sizes, np.cumsum(sizes) - sizes, np.append(np.nonzero(bits)[1], 0)
+    return sizes, np.cumsum(sizes) - sizes, np.append(cols[np.nonzero(bits)[1]], 0)
+
+
+def _alpha_in_b(point, zero, flags, ids, rep_of, first0) -> np.ndarray:
+    """Step 2.1 for each k: is rep_of[first0[k]] in the B of flags[ids[k]]? Read from the
+    zero pairs (point, zero) through a table, one row per distinct rep, of its 0 points."""
+    distinct, slot = np.unique(rep_of, return_inverse=True)
+    at = np.searchsorted(distinct, zero).clip(max=distinct.size - 1)
+    hit = distinct[at] == zero
+    member = np.zeros((distinct.size, flags.shape[1]), dtype=bool)
+    member[at[hit], point[hit]] = True
+    step = max(1, _BLOCK_SAMPLES // flags.shape[1])
+    return np.concatenate([np.zeros(0, bool)] + [
+        (flags[ids[k:k + step]] & member[slot[first0[k:k + step]]]).any(axis=1)
+        for k in range(0, len(ids), step)])
 
 
 def _charge_groups(transcript, k: int, size: int) -> None:
@@ -391,10 +405,6 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
     # done[si]: si is 1-labelled or its representative is already computed
     done = sampler.labels != 0
     pending = sampler.support_size - int(np.count_nonzero(done))
-    # zero_rows[si, j]: coordinate j is 0 at support point si (j >= 1)
-    zero_rows = np.zeros((sampler.support_size, n + 1), dtype=bool)
-    for si in range(sampler.support_size):
-        zero_rows[si, list(sampler.point(si).zeros)] = True
     zero_count = 0
 
     def verdict(accepted: bool, reason: str) -> Verdict:
@@ -496,28 +506,24 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
         return verdict(True, "stage1-few-ones")
     # flags[id]: B's support points; b0: B of the first group, for Stage 1
     flags = np.frombuffer(b"".join(unions), dtype=bool).reshape(len(unions), -1)
-    zeros = (*np.nonzero(zero_rows), n + 1)
+    pairs = [(si, j) for si in range(sampler.support_size) for j in sampler.point(si).zeros]
+    point, zero = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    zeros = (point, *np.unique(zero, return_inverse=True))
     b0 = sizes0, _, coords0 = _b_rows(zeros, flags[b_ids[:1]])
 
     # Stage 2: one fresh group per iteration. Every 0-sample has its
     # representative, because Stage 0 returns on the first nil one. Only
     # the last recorded group can lack B or a 0-sample; the first group
-    # that ends the run that way or by step 2.1 (alpha in B: some flagged
-    # point is 0 there, read in blocks of rows) is found before any probe.
+    # that ends the run that way or by step 2.1 is found before any probe.
     ids, first0s = b_ids[1:], first0s[1:]
     end, reason = len(ids), "end-of-stage-2"
     if end and ids[-1] < 0:
         end, reason = end - 1, "stage2-few-ones"
     elif end and first0s[-1] < 0:
         end, reason = end - 1, "stage2-no-zero"
-    rep_of = np.zeros(sampler.support_size, dtype=np.intp)
-    rep_of[list(reps)] = list(reps.values())
+    rep_of = np.array([reps.get(si, 0) for si in range(sampler.support_size)], dtype=np.intp)
     ids, alpha = ids[:end], rep_of[first0s[:end]]
-    step = max(1, _BLOCK_SAMPLES // sampler.support_size)
-    inside = np.concatenate([np.zeros(0, bool)] + [
-        (flags[ids[k:k + step]] & zero_rows[:, alpha[k:k + step]].T).any(axis=1)
-        for k in range(0, end, step)])
-    if inside.any():
+    if (inside := _alpha_in_b(point, zero, flags, ids, rep_of, first0s[:end])).any():
         end, reason = int(inside.argmax()), "step-2.1"
 
     # On (P, {}), when B0 misses P every singleton and subset of it answers

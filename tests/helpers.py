@@ -34,6 +34,12 @@ def zs(n, *zeros):
     return ZeroSet(n, frozenset(zeros))
 
 
+def flip_distribution(dist, coords):
+    """dist pushed through the flip of coords. With Flipped(f, coords) it
+    keeps every distance to a flip-closed class."""
+    return FiniteDistribution(dist.n, tuple((p.flip(coords), w) for p, w in dist.entries))
+
+
 def ones_index(n, zeros):
     """The input index of a point: bit (i-1) set iff coordinate i is 1."""
     k = (1 << n) - 1

@@ -57,6 +57,7 @@ from subcube.tester import (
 from helpers import (
     _reference_dlist_fits,
     _reference_ltf_fits,
+    flip_distribution,
     light_ones_dist,
     mconj_tables,
     rand_dist,
@@ -534,7 +535,7 @@ def test_criterion_10_flip_reduction():
             continue
         sats = [z for z in all_zero_sets(n) if f.value_at(z) == 1]
         assert sats, "far instance must have a satisfying point"
-        best = min(exact_distance_mconj(Flipped(f, c), dist.flipped(c))
+        best = min(exact_distance_mconj(Flipped(f, c), flip_distribution(dist, c))
                    for c in sats)
         assert best == conj_dist
         produced += 1

@@ -65,3 +65,12 @@ def test_removed_names_stay_removed(name):
         if isinstance(obj, type) and obj.__module__ == module.__name__:
             defined |= set(vars(obj))
     assert sorted(defined & REMOVED) == []
+
+
+def test_distribution_keeps_no_flip():
+    """Flipping a distribution is a test reference (helpers.flip_distribution);
+    the box and the sampler keep their flipped views, which the conjunction
+    tester reads."""
+    model = importlib.import_module("subcube.model")
+    assert not hasattr(model.FiniteDistribution, "flipped")
+    assert callable(model.BlackBox.flipped) and callable(model.Sampler.flipped)

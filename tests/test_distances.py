@@ -35,6 +35,7 @@ from helpers import (
     conj_consistent,
     conj_tables,
     dlist_realizable,
+    flip_distribution,
     ltf_tables,
     mconj_consistent,
     mconj_tables,
@@ -163,7 +164,7 @@ def test_conj_flip_invariance_and_class_gap():
         coords = frozenset({1, 3})
         d_conj = exact_distance_conj(f, dist)
         assert d_conj == exact_distance_conj(Flipped(f, coords),
-                                             dist.flipped(coords))
+                                             flip_distribution(dist, coords))
         assert d_conj <= exact_distance_mconj(f, dist)
 
 
@@ -182,7 +183,7 @@ def test_flip_distance_can_be_strict():
     assert f.value_at(x_star.zeros) == 1
     d_conj = exact_distance_conj(f, dist)
     d_flip = exact_distance_mconj(Flipped(f, x_star.zeros),
-                                  dist.flipped(x_star.zeros))
+                                  flip_distribution(dist, x_star.zeros))
     assert d_conj == Fraction(1, 10)
     assert d_flip == Fraction(3, 10)
     assert d_conj < d_flip

@@ -24,6 +24,7 @@ import subcube.harness as harness
 import subcube.model as model_module
 import subcube.tester as tester_module
 from subcube import (
+    DecisionList,
     ExperimentConfig,
     FiniteDistribution,
     FunctionSpec,
@@ -1000,20 +1001,53 @@ _LIMITED_CLI = ("import resource, sys; "
                 "from subcube.cli import main; sys.exit(main(sys.argv[1:]))")
 
 
+def _run_limited_cli(path, algo):
+    src = os.path.dirname(os.path.dirname(subcube.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", _LIMITED_CLI, "test", "--instance",
+                           str(path), "--algo", algo, "--epsilon", "1", "--seed", "1"],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
 @pytest.mark.parametrize("algo", ["mconj", "conj"])
 def test_cli_allocation_failure_exits_2(tmp_path, algo):
-    # at n = 10^12 the tester's dense zero rows need terabytes, so the run
-    # fails to allocate them; that must end in an error line, not a traceback
+    # at n = 10^12 the box's literal table for the conjunction (one int8 per
+    # coordinate, 931 GiB) does not fit, so the run fails to allocate it;
+    # that must end in an error line, not a traceback
     n = 10 ** 12
     path = tmp_path / "wide.json"
     save_instance(path, n, MonotoneConj(n, frozenset()), FiniteDistribution(
         n, ((zs(n), Fraction(1, 2)), (zs(n, 1), Fraction(1, 2)))))
-    src = os.path.dirname(os.path.dirname(subcube.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", _LIMITED_CLI, "test", "--instance",
-                           str(path), "--algo", algo, "--epsilon", "1", "--seed", "1"],
-                          capture_output=True, text=True, env=env, timeout=300)
+    proc = _run_limited_cli(path, algo)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_cli_tester_holds_no_table_over_the_coordinates(tmp_path):
+    # n = 2^33: a support x (n + 1) table of zero flags would take 24 GiB.
+    # A decision list is not a conjunction, so the box builds no literal
+    # table either, and the run fits in 2 GiB: {1, 2} is 0-labelled and its
+    # search returns nil
+    n = 1 << 33
+    path = tmp_path / "wide.json"
+    save_instance(path, n, DecisionList(n, ((1, 1), (2, 1)), 0), FiniteDistribution(
+        n, tuple((zs(n, *zeros), Fraction(1, 3)) for zeros in ((), (1,), (1, 2)))))
+    proc = _run_limited_cli(path, "mconj")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1].startswith("0,reject,stage0-nil-representative,3,6690816,")
+
+
+def test_cli_coordinate_past_int64_exits_2(tmp_path):
+    # n = 2^70, one 1-labelled point whose zero 2^69 no numpy integer holds:
+    # Stage 0 ends at group 1 (no 0-sample), and holding B's coordinates
+    # overflows; that must end in an error line, not a traceback
+    n = 1 << 70
+    path = tmp_path / "wide.json"
+    save_instance(path, n, DecisionList(n, ((1, 1),), 0), FiniteDistribution(
+        n, ((zs(n, 1 << 69), Fraction(1)),)))
+    proc = _run_limited_cli(path, "mconj")
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     assert proc.stdout == ""

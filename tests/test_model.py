@@ -28,8 +28,8 @@ from subcube import (
     generate_instance,
 )
 import subcube.model as model_module
-from helpers import (collect, draw_indices, literal_coords, literal_draw, literal_index,
-                     rand_dist, rand_points, table_of, zs)
+from helpers import (collect, draw_indices, flip_distribution, literal_coords, literal_draw,
+                     literal_index, rand_dist, rand_points, table_of, zs)
 
 
 def test_zeroset_validation_and_flip():
@@ -188,7 +188,7 @@ def test_distribution_weight_of_and_flip():
     weight = {p.zeros: w for p, w in d.entries}
     assert weight[frozenset({1})] == Fraction(1, 4)
     assert frozenset({3}) not in weight
-    flipped = {p.zeros: w for p, w in d.flipped({1, 3}).entries}
+    flipped = {p.zeros: w for p, w in flip_distribution(d, {1, 3}).entries}
     assert flipped == {frozenset({3}): Fraction(1, 4),
                        frozenset({1, 2, 3}): Fraction(3, 4)}
 
@@ -206,7 +206,7 @@ def test_draw_point_matches_index_map():
 def test_flip_transform_preserves_labels():
     f = GeneralConj(5, frozenset({1}), frozenset({3, 4}))
     d = rand_dist(RandomStream(57), 5, 6)
-    g, d2 = Flipped(f, frozenset({3, 4})), d.flipped({3, 4})
+    g, d2 = Flipped(f, frozenset({3, 4})), flip_distribution(d, {3, 4})
     weight2 = {p.zeros: w for p, w in d2.entries}
     for p, w in d.entries:
         q = p.flip({3, 4})

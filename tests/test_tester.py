@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subcube import (
     BlackBox,
@@ -36,6 +36,7 @@ from subcube.tester import (
 from helpers import (
     chi_square_fit,
     chi_square_two_sample,
+    flip_distribution,
     group_fact_law,
     light_ones_dist,
     literal_block_facts,
@@ -402,7 +403,7 @@ def test_conj_rejects_far_flipped_instance():
     inner = PairTrap(n, frozenset({1, 2}))
     f = Flipped(inner, frozenset({1}))
     base = uniform_dist(n, [(1, 5), (2, 6)])
-    dist = base.flipped({1})
+    dist = flip_distribution(base, {1})
     bb, sm, trng, tr = make_instance(f, dist, 402)
     v = run_conj_tester(bb, sm, n, 1, trng)
     assert not v.accepted
@@ -567,7 +568,7 @@ def crafted_instances():
     ]
     rows = [(f, d, seed, params, frozenset()) for f, d, seed, params in rows]
     rows += [(*in_class_mconj(k), 300 + k, None, frozenset()) for k in range(25)]
-    conj = [(far, uniform_dist(16, [(1, 5), (2, 6)]).flipped({1}), 402)]
+    conj = [(far, flip_distribution(uniform_dist(16, [(1, 5), (2, 6)]), {1}), 402)]
     conj += [(*in_class_conj(k), 400 + k) for k in range(25)]
     return rows + [(f, d, seed, None, conj_flip(f, d)) for f, d, seed in conj]
 
@@ -1021,7 +1022,7 @@ def shortcut_cases():
         cases.append(("conj", f, light_ones_dist(RandomStream(600 + k), f, 12, 4), 600 + k))
         f, dist = in_class_mconj(k)
         flip = frozenset(range(1 + k % 3, 17, 3))
-        cases.append(("conj", Flipped(f, flip), dist.flipped(flip), 700 + k))
+        cases.append(("conj", Flipped(f, flip), flip_distribution(dist, flip), 700 + k))
     large = large_support_instances()[0]
     return cases + [("mconj", large[0], large[1], large[2])]
 
@@ -1171,6 +1172,47 @@ def test_the_undrawn_tail_runs_out_of_budget_where_the_reference_does():
             counts.append((tr.sample_count, tr.blackbox_count))
         assert counts[0] == counts[1]
         assert counts[0][0] == limit - limit % p.group_size
+
+
+# -- B and step 2.1 from the support's zero pairs ------------------------------
+
+
+_ZERO_SETS = st.lists(st.sets(st.integers(1, 9), max_size=4), min_size=1, max_size=6)
+_FLAG_ROWS = st.lists(st.lists(st.booleans(), min_size=6, max_size=6), min_size=1, max_size=5)
+_REPS = st.lists(st.integers(1, 9), min_size=1, max_size=6)
+_STAGE2_ROWS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5)), max_size=12)
+
+
+# the example: a point with no zeros flagged alone (an empty B), coordinate
+# 2 in two points, a repeated flag row, and alpha 2 in three rows, through
+# two 0-points with the same representative
+@settings(max_examples=300, deadline=None)
+@given(sets=_ZERO_SETS, flag_rows=_FLAG_ROWS, reps=_REPS, stage2=_STAGE2_ROWS)
+@example(
+    sets=[set(), {1, 2}, {2, 3}],
+    flag_rows=[[1, 0, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0]],
+    reps=[2, 2, 3, 4], stage2=[(0, 0), (1, 0), (2, 1), (1, 2), (1, 3)])
+def test_b_and_step_2_1_match_the_set_rule(sets, flag_rows, reps, stage2):
+    # zero sets over 9 coordinates, held as the tester holds them: (point,
+    # coordinate) pairs, each coordinate as its index among the distinct ones
+    point = np.array([si for si, z in enumerate(sets) for _ in z], dtype=np.intp)
+    zero = np.array([j for z in sets for j in z], dtype=np.intp)
+    zeros = (point, *np.unique(zero, return_inverse=True))
+    flags = np.array(flag_rows, dtype=bool)[:, :len(sets)]
+    # the literal rule: B is the sorted union of the flagged points' zero sets
+    unions = [sorted(set().union(*(sets[si] for si in np.flatnonzero(row)))) for row in flags]
+    sizes, offsets, coords = tester_module._b_rows(zeros, flags)
+    assert sizes.tolist() == [len(b) for b in unions]
+    assert [coords[o:o + k].tolist() for o, k in zip(offsets, sizes)] == unions
+    assert coords.tolist() == [j for b in unions for j in b] + [0]
+    # step 2.1: each Stage-2 row (its B's id, its first 0-sample) asks
+    # whether the 0-sample's representative is in B, by set membership
+    rows = [(k % len(flags), x % len(reps)) for k, x in stage2]
+    ids = np.array([k for k, _ in rows], dtype=int)
+    first0 = np.array([x for _, x in rows], dtype=int)
+    rep_of = np.array(reps, dtype=np.intp)
+    inside = tester_module._alpha_in_b(point, zero, flags, ids, rep_of, first0)
+    assert inside.tolist() == [reps[x] in unions[k] for k, x in rows]
 
 
 # -- Stage 0's facts drawn from their law --------------------------------------
