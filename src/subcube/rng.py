@@ -146,4 +146,4 @@ class RandomStream:
         if k > len(items):
             raise ValueError("sample larger than population")
         perm = self._gen.permutation(len(items))
-        return [items[int(i)] for i in perm[:k]]
+        return [items[i] for i in perm[:k].tolist()]

@@ -26,8 +26,9 @@ With query logging on, Stage 0 draws every sample, because the sample log
 lists every sample. With it off, once every 0-labelled support point has
 its representative, a later group can start no search, so Stage 0 draws
 each later group's facts alone, from their exact law (_drawn_facts): a
-class word against the exact cuts of _class_cuts, one D0 draw and a few
-D1 draws, where the group has group_size samples. Such a run has the law
+class word against the exact cuts of _class_cuts, one D0 draw, and for B
+a word against the cuts of _missing_cuts or a few D1 draws, where the
+group has group_size samples. Such a run has the law
 of the logged run, not its draws; the groups it draws as samples read the
 logged run's words. Once recording has stopped and every 0-labelled
 support point has its representative, no later group can change the
@@ -49,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -276,29 +278,72 @@ def _tied_class(rng: RandomStream, first: int, cuts: tuple, total: int) -> int:
     return below
 
 
+def _missing_cuts(cum: tuple, need: int) -> Optional[tuple]:
+    """The law of the 1-labelled point that a group's B misses, for need
+    D1 draws, given cum, the cumulative numerators nums of D1's points over
+    m1 = cum[-1]: None when U, the sum over the points of the chance that
+    B misses each, exceeds 1/2; else (nums, powers, total, tops). Each
+    distinct (m1 - v)**need is in powers once, total = m1**need, and tops
+    holds the top 64 bits of the cuts C_k = sum over j <= k of
+    powers[nums[j]], over total; U is the last cut."""
+    nums = [b - a for a, b in zip((0,) + cum[:-1], cum)]
+    total = cum[-1] ** need
+    powers = {v: (cum[-1] - v) ** need for v in set(nums)}
+    if 2 * sum(map(powers.__getitem__, nums)) > total:
+        return None
+    return nums, powers, total, np.array([(cut << 64) // total for cut in accumulate(
+        map(powers.__getitem__, nums))], dtype=np.uint64)
+
+
+def _missed_points(rng: RandomStream, missing: tuple, count: int) -> np.ndarray:
+    """For each of count groups, J, the position in nums of the point its
+    B misses, or len(nums) when B is every point: the number of the cuts
+    of missing = _missing_cuts(...) at or below V, one word per group
+    compared with their tops, more only on a tie (_tied_class)."""
+    nums, powers, total, tops = missing
+    words = rng._words(count)
+    pick = np.searchsorted(tops, words, side="left")
+    past = np.searchsorted(tops, words, side="right")
+    for i in np.flatnonzero(past > pick).tolist():
+        lo, hi = int(pick[i]), int(past[i])
+        cuts = tuple(accumulate(map(powers.__getitem__, nums[:hi])))[lo:]
+        pick[i] = lo + _tied_class(rng, int(words[i]), cuts, total)
+    return pick
+
+
 def _drawn_facts(sampler, count: int, size: int, need: int, law: dict) -> tuple:
     """The facts Stages 1-2 read of count groups of size draws, drawn from
     their exact law on the batch stream without drawing the groups: (few,
     first0, masks), as _block_facts returns them, but with first0 -1 for a
-    few group. law memoizes, per sampler, the class cuts of each need and
-    the two conditioned samplers.
+    few group. law memoizes, per sampler, the two conditioned samplers and,
+    per need, the class cuts and the missing cuts of _missing_cuts.
 
     Given its labels, a group's 1-samples are i.i.d. D1 (D conditioned on
     label 1), its 0-samples i.i.d. D0, and the two independent. So a group
     takes one word for its class (few; no 0-sample; neither) against the
     top 64 bits of the cuts of _class_cuts, more only on a tie; one D0
-    draw, its first 0-sample, when it has both labels; and D1 draws, in
-    rounds that grow by half, until it holds need of them or shows every
-    1-labelled support point. The words are read in that order: every
-    class word, the D0 draws, then each round's D1 draws."""
+    draw, its first 0-sample, when it has both labels; and B, the points
+    of need D1 draws. When U <= 1/2 (_missing_cuts), B takes Karp, Luby and
+    Madras's exact sampler of a union of events: one word per group gives
+    B every 1-labelled point, or picks a point J with the chance that B
+    misses J. A group with J draws need D1 draws, each of J redrawn, and,
+    with c points missed, keeps what it saw with chance 1/c (one draw below
+    c when c > 1), else every point; so a B that misses the set M comes
+    out with chance sum over j in M of P(B) / |M| = P(B). A group stops
+    drawing once it has seen every 1-labelled point but J. The words are
+    read in that order: the class words, the D0 draws, the missing words,
+    the D1 draws, then the draws below c."""
     rng = sampler._batch
     if not law:
         law.update(zeros=sampler._conditioned(0), ones=sampler._conditioned(1), cuts={})
     if need not in law["cuts"]:
-        ones = law["ones"][0]._denominator if law["ones"] else 0
+        ones, missing = 0, None
+        if law["ones"]:
+            cum = law["ones"][0]._cum
+            ones, missing = cum[-1], _missing_cuts(cum, need)
         few, either, total = _class_cuts(ones, sampler._denominator, size, need)
-        law["cuts"][need] = (few, either), total
-    cuts, total = law["cuts"][need]
+        law["cuts"][need] = (few, either), total, missing
+    cuts, total, missing = law["cuts"][need]
 
     words = rng._words(count)
     cls = np.zeros(count, dtype=np.int8)
@@ -323,23 +368,53 @@ def _drawn_facts(sampler, count: int, size: int, need: int, law: dict) -> tuple:
         view, members = law["ones"]
         width = len(members)
         found = np.zeros((rows.size, width), dtype=bool)
-        # live: the positions in rows of the groups not yet settled. The
-        # first round draws width, the fewest that can show every point,
-        # and each later round half as many more as have been drawn; a
-        # round is drawn in parts of at most _BLOCK_SAMPLES.
+        # live: the positions in rows of the groups not yet settled
         live = np.arange(rows.size)
+        skip = None
+        if missing is not None:
+            skip = _missed_points(rng, missing, rows.size)
+            found[skip == width] = True
+            live = picked = np.flatnonzero(skip < width)
+            # J counts as seen, so a row stops once it has seen the rest;
+            # got: each row's D1 draws so far, J's aside
+            found[picked, skip[picked]] = True
+            got = np.zeros(rows.size, dtype=np.int64)
+        # Without J, every live row has drawn lo: the first round draws
+        # width, the fewest that can show every point, and each later one
+        # half as many more as have been drawn. With J, few rows are live,
+        # and a round draws all that some row still needs. A round is drawn
+        # in parts of at most _BLOCK_SAMPLES.
         flags = found.reshape(-1)
         lo, hi = 0, width
         while live.size and lo < need:
-            k = min(hi, need) - lo
+            k = min(hi, need) - lo if skip is None else need - int(got[live].min())
             step = max(1, _BLOCK_SAMPLES // k)
             for start in range(0, live.size, step):
                 part = live[start:start + step]
+                draws = view._draw_many(rng, part.size * k).reshape(part.size, k)
                 # the flag of each draw: its point's, in its group's row
-                flags[view._draw_many(rng, part.size * k).reshape(part.size, k)
-                      + (part * width)[:, None]] = True
+                at = draws + (part * width)[:, None]
+                if skip is None:
+                    flags[at] = True
+                else:
+                    # a draw of J is redrawn: a row reads its first need others
+                    keep = draws != skip[part, None]
+                    if int(got[part].max()) + k > need:
+                        keep &= np.cumsum(keep, axis=1) <= (need - got[part])[:, None]
+                    flags[at[keep]] = True
+                    got[part] += keep.sum(axis=1)
             live = live[~found[live].all(axis=1)]
-            lo, hi = hi, hi + (hi + 1) // 2
+            if skip is None:
+                lo, hi = hi, hi + (hi + 1) // 2
+            else:
+                live = live[got[live] < need]
+        if skip is not None:
+            # keep a row's seen set with chance 1/c, c the points it missed
+            found[picked, skip[picked]] = False
+            c = width - found[picked].sum(axis=1)
+            many = np.flatnonzero(c > 1)
+            if many.size:
+                found[picked[many[rng._gen.integers(0, c[many]) > 0]]] = True
         masks[np.ix_(rows, members)] = found
     return cls == 0, first0, masks
 

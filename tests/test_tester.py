@@ -1268,11 +1268,11 @@ def drawn_fact_counts(sampler, size, needs, groups=20_000):
     return counts
 
 
-def facts_fits(size, needs, seed):
+def facts_fits(size, needs, seed, instance=None):
     """Per need in needs, Pearson's statistic, critical value at alpha =
     0.001 and degrees of freedom of 20,000 groups drawn as their facts on
-    facts_instance(1/2), against the enumerated law."""
-    f, dist = facts_instance(Fraction(1, 2))
+    instance (default facts_instance(1/2)), against the enumerated law."""
+    f, dist = instance or facts_instance(Fraction(1, 2))
     sampler = Sampler(dist, f, QueryTranscript(), RandomStream(seed))
     fits = []
     for need, counts in drawn_fact_counts(sampler, size, needs).items():
@@ -1285,10 +1285,12 @@ def facts_fits(size, needs, seed):
 @pytest.mark.parametrize("size, needs, seed", [(6, (3,), 1), (6, (1,), 2), (5, (4,), 3),
                                                (6, (6,), 4), (6, (4, 6), 5)])
 def test_drawn_facts_fit_the_enumerated_law(size, needs, seed):
-    # B's rounds start at the two 1-points and grow by half (2, 3, 5, 8
-    # draws), so need 3 to 6 takes two to four rounds; with two needs, one
-    # call each, as Stage 0 asks for group 0 and then for the others, the
-    # second call reads the first's memoized law
+    # U = (1/3)^need + (2/3)^need, the chance summed over the two 1-points
+    # that B misses each, is 1 at need 1, so B takes one D1 draw; at need 3
+    # to 6 it is at most 1/3, and B takes the union sampler, where a B that
+    # misses a point misses only it (c = 1). With two needs, one call each,
+    # as Stage 0 asks for group 0 and then for the others, the second call
+    # reads the first's memoized law
     for stat, critical, df in facts_fits(size, needs, seed):
         assert df >= 3 and stat < critical, (stat, critical)
 
@@ -1312,6 +1314,48 @@ def test_drawn_facts_mutants_fail_the_same_fit(monkeypatch):
     sampler = Sampler(dist, f, QueryTranscript(), RandomStream(1))
     stat, critical, _ = chi_square_fit(drawn_fact_counts(sampler, 6, (4,))[4],
                                        group_fact_law(dist, f, 6, 3))
+    assert stat > critical
+
+
+def three_ones_instance():
+    """n = 4, f = x1, four points of weight 1/4: the 1-points zs(), zs(2)
+    and zs(3), and the 0-point zs(1). B can miss two of the three 1-points,
+    so a group whose B misses one point keeps what it saw only with chance
+    1/c, c the points it missed."""
+    n = 4
+    return MonotoneConj(n, frozenset({1})), FiniteDistribution(
+        n, tuple((p, Fraction(1, 4)) for p in (zs(n), zs(n, 2), zs(n, 3), zs(n, 1))))
+
+
+@pytest.mark.parametrize("size, needs, seed", [(8, (6, 5), 6), (7, (7,), 7)])
+def test_drawn_facts_with_three_ones_fit_the_enumerated_law(size, needs, seed):
+    # D1 is even over three points, so U = 3 (2/3)^need is at most 1/2 for
+    # need 5 to 7 and every call takes the union sampler, up to the draw
+    # below c
+    for stat, critical, df in facts_fits(size, needs, seed, three_ones_instance()):
+        assert df >= 3 and stat < critical, (stat, critical)
+
+
+class _KeepingGen:
+    """Stands in for numpy's generator as a mutant that keeps every seen
+    set: a draw against an array of bounds, which on this path only the
+    draw below c makes, gives 0; every other draw is the generator's."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def integers(self, low, high, size=None, dtype=np.int64):
+        if isinstance(high, np.ndarray):
+            return np.zeros(high.shape, dtype=dtype)
+        return self.gen.integers(low, high, size=size, dtype=dtype)
+
+
+def test_skipping_the_draw_below_c_fails_the_same_fit():
+    f, dist = three_ones_instance()
+    sampler = Sampler(dist, f, QueryTranscript(), RandomStream(6))
+    sampler._batch._gen = _KeepingGen(sampler._batch._gen)
+    stat, critical, _ = chi_square_fit(drawn_fact_counts(sampler, 8, (6,))[6],
+                                       group_fact_law(dist, f, 8, 6))
     assert stat > critical
 
 
@@ -1373,11 +1417,48 @@ def test_class_word_ties_resolve_exactly(ones_mass):
     prefixes = [q for q in (next((p[:k] for k in range(1, len(p) + 1)
                                   if settled(p[:k])[1]), None) for p in prefixes)
                 if q is not None]
-    words = [p[0] for p in prefixes] + [w for p in prefixes for w in p[1:]]
+    # Every group with B then reads one word for the point B misses. The
+    # 1-points are even in D1, so with need 3 the missing cuts are 1/8 and
+    # 1/4, each ending within its first word: a word below the first cut's
+    # misses point 0, one below the second's misses point 1, and the rest
+    # give B both. With two points c is 1, so no draw decides whether the
+    # seen set is kept. The words cycle through one unit below each cut,
+    # each cut itself (a tie) and the last word.
+    edges = [1 << 61, 1 << 62]
+    assert tester_module._missing_cuts((1, 2), need)[3].tolist() == edges
+    cycle = [edges[0] - 1, edges[0], edges[1] - 1, edges[1], (1 << 64) - 1]
+    with_b = sum(settled(p)[0] > 0 for p in prefixes)
+    missing = [cycle[k % len(cycle)] for k in range(with_b)]
+    words = [p[0] for p in prefixes] + [w for p in prefixes for w in p[1:]] + missing
     sampler = Sampler(dist, f, QueryTranscript(), RandomStream(0))
     sampler._batch._gen = _WordsThenPCG(words)
-    short, first0, _ = tester_module._drawn_facts(sampler, len(prefixes), size, need, {})
+    short, first0, masks = tester_module._drawn_facts(sampler, len(prefixes), size, need, {})
     got = np.where(short, 0, np.where(first0 < 0, 1, 2)).tolist()
     assert got == [settled(p)[0] for p in prefixes]
     assert sampler._batch._gen.used == len(words)
     assert any(len(p) > 1 for p in prefixes) == (ones_mass == Fraction(2, 3))
+    assert with_b >= len(cycle)
+    assert [set(np.flatnonzero(row).tolist()) for row in masks[~short]] == [
+        {1} if w < edges[0] else {0} if w < edges[1] else {0, 1} for w in missing]
+
+
+def test_missing_word_ties_resolve_exactly():
+    # Three even 1-points and need 6: the missing cuts are k (2/3)^6 for
+    # k = 1, 2, 3, whose expansions never end. V's first word is each
+    # cut's first word, a tie, and its second one unit either side of the
+    # cut's second word; J is the number of cuts at or below V.
+    cuts = [Fraction(64 * k, 729) for k in (1, 2, 3)]
+    missing = tester_module._missing_cuts((1, 2, 3), 6)
+    assert missing[3].tolist() == [c.numerator * 2 ** 64 // c.denominator for c in cuts]
+    mask = (1 << 64) - 1
+    prefixes = []
+    for cut in cuts:
+        first, second = (cut.numerator * 2 ** (64 * k) // cut.denominator for k in (1, 2))
+        prefixes += [(first, (second & mask) + step) for step in (-1, 1)]
+    words = [p[0] for p in prefixes] + [p[1] for p in prefixes]
+    rng = RandomStream(0)
+    rng._gen = _WordsThenPCG(words)
+    picks = tester_module._missed_points(rng, missing, len(prefixes))
+    assert picks.tolist() == [sum(c <= Fraction(a << 64 | b, 1 << 128) for c in cuts)
+                              for a, b in prefixes] == [0, 1, 1, 2, 2, 3]
+    assert rng._gen.used == len(words)
