@@ -318,7 +318,15 @@ def simulate_p(zeros: frozenset, R: frozenset, gamma_set) -> int:
 
 
 def _draw_structure(params: LBParams, rng: RandomStream):
-    """The draw (R, blocks, alpha, beta, a_block_ids, b_block_ids)."""
+    """The draw (R, blocks, alpha, beta, a_block_ids, b_block_ids).
+
+    R, the specials and the blocks come first. Then each triple's 2*bps
+    block ids are a Floyd subset of range(r_blocks), put in a uniform order
+    by a permutation of its 2*bps places: every ordered tuple of distinct
+    ids has chance (r_blocks - 2*bps)!/r_blocks!, the law of the first
+    2*bps entries of a uniform permutation of every block, on O(m*bps)
+    words rather than O(m*r_blocks). The first bps ids of a row feed A_i
+    and the rest B_i."""
     n, h, rb, m, bps = params.n, params.h, params.r_blocks, params.m, params.blocks_per_side
     size = h * rb + 2 * m
     r_sorted = (rng.subset_rows([n], size)[0] + 1).tolist()
@@ -326,7 +334,8 @@ def _draw_structure(params: LBParams, rng: RandomStream):
     r_set = frozenset(r_sorted)
     pool = rng.sample(sorted(r_set - frozenset(specials)), size - 2 * m)
     blocks = tuple(frozenset(pool[k * h:(k + 1) * h]) for k in range(rb))
-    chosen = rng.permutation_rows(m, rb)[:, :2 * bps].tolist()
+    ids = rng.subset_rows([rb] * m, 2 * bps)
+    chosen = np.take_along_axis(ids, rng.permutation_rows(m, 2 * bps), axis=1).tolist()
     return (r_set, blocks, tuple(specials[:m]), tuple(specials[m:]),
             tuple(tuple(row[:bps]) for row in chosen),
             tuple(tuple(row[bps:]) for row in chosen))

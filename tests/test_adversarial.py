@@ -1,10 +1,19 @@
 """Hidden-block instance generators and their oracles."""
 
 import dataclasses
+import hashlib
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil
+from itertools import permutations
+from math import ceil, perm
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,8 +36,11 @@ from subcube import (
     simulate_p,
     validate_instance,
 )
+import subcube
+from subcube.adversarial import _draw_structure
 from subcube.harness import _SimWorld
-from helpers import collect, is_i_special, ltf_potential
+from subcube.serialize import structure_sidecar
+from helpers import chi_square_fit, collect, is_i_special, ltf_potential
 
 SMALL = LBParams(n=60, h=4, r_blocks=7, m=3, s=1, blocks_per_side=2)
 
@@ -454,3 +466,91 @@ def test_phi_potential_matches_u_under_revealed_gammas():
 def test_ltf_instances_are_none_for_plain_variants():
     assert gen("yes", seed=35).theta4 is None
     assert gen("no", seed=35).theta4 is None
+
+
+def id_row_counts(rb, m, seed, sides=lambda a, b: (a, b)):
+    """How often each ordered 4-tuple a + b of block ids was drawn over the
+    m triples of one blocks_per_side = 2 draw, each row's (a, b) first
+    passed through sides."""
+    params = LBParams(n=rb + 2 * m, h=1, r_blocks=rb, m=m, s=0, blocks_per_side=2)
+    draw = _draw_structure(params, RandomStream(seed))
+    return Counter(sum(sides(a, b), ()) for a, b in zip(draw[4], draw[5]))
+
+
+def uniform_ordered_law(rb):
+    return {ids: Fraction(1, perm(rb, 4)) for ids in permutations(range(rb), 4)}
+
+
+# (6, 36,000) has 360 ordered tuples of 100 expected draws each; at
+# (4, 2,400) the 4 ids are all of range(4), so only their order is drawn
+@pytest.mark.parametrize("rb, m, seed", [(6, 36_000, 1), (4, 2_400, 2)])
+def test_block_id_rows_are_uniform_ordered_tuples(rb, m, seed):
+    # each triple's a + b ids are the first 4 entries of a uniform
+    # permutation of range(rb): every ordered 4-tuple of distinct ids has
+    # chance (rb - 4)!/rb!
+    stat, critical, df = chi_square_fit(id_row_counts(rb, m, seed),
+                                        uniform_ordered_law(rb))
+    assert df == perm(rb, 4) - 1
+    assert stat < critical
+
+
+def test_block_id_law_test_catches_rows_left_sorted(monkeypatch):
+    # without the permutation of the 4 places, each row is its Floyd subset
+    # in sorted order
+    monkeypatch.setattr(RandomStream, "permutation_rows",
+                        lambda self, rows, pop: np.tile(np.arange(pop), (rows, 1)))
+    stat, critical, _ = chi_square_fit(id_row_counts(6, 36_000, 1),
+                                       uniform_ordered_law(6))
+    assert stat > critical
+
+
+def test_block_id_law_test_catches_each_side_sorted():
+    def each_side_sorted(a, b):
+        return tuple(sorted(a)), tuple(sorted(b))
+
+    stat, critical, _ = chi_square_fit(id_row_counts(6, 36_000, 1, each_side_sorted),
+                                       uniform_ordered_law(6))
+    assert stat > critical
+
+
+def structure_digest(inst):
+    side = structure_sidecar(inst)
+    text = json.dumps({key: side[key] for key in ("R", "blocks", "alpha", "beta")},
+                      sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("params, variant, digest", [
+    *((SMALL, variant,
+       "c163fe8cc3ca9cc1f521ab0260d66720a106c9521f744f9065718ae65ca4042d")
+      for variant in ("yes", "no", "yes-ltf", "no-ltf")),
+    (desk_params(4096), "no",
+     "f52700c827524a5dd081858818b825fd79f294f3af954bbd492906f229a434d1"),
+])
+def test_structure_before_the_block_ids_keeps_its_words(params, variant, digest):
+    # R, the blocks and the specials are drawn before the block ids, on the
+    # words they had when the ids came from a full permutation of every
+    # block: their sha256 digests at seed 33 are the ones pinned then
+    inst = generate_instance(params, variant, RandomStream(33))
+    assert structure_digest(inst) == digest
+
+
+# gen-instance under a 1 GiB address-space limit
+_LIMITED_CLI = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                "from subcube.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def test_gen_instance_holds_no_table_over_every_block(tmp_path):
+    # m = 2000 triples over 150,000 blocks: one row of all block ids per
+    # triple would take 1.12 GiB, but each triple draws only its 4 ids
+    src = os.path.dirname(os.path.dirname(subcube.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CLI, "gen-instance", "--variant", "no",
+         "--n", "154000", "--scaled", "h=1,r_blocks=150000,m=2000,s=0,bps=2",
+         "--seed", "1", "--out", str(tmp_path / "wide.json")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "wide.json").exists()

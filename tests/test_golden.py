@@ -71,8 +71,8 @@ TRIAL_ROWS = {
         (2, 'accept', 'stage2-no-zero', 385, 37008),
     ],
     ('mconj', 'generator'): [
-        (0, 'reject', 'step-1.1', 55, 514920),
-        (1, 'reject', 'stage0-nil-representative', 3, 420),
+        (0, 'reject', 'stage0-nil-representative', 19, 420),
+        (1, 'reject', 'step-1.1', 28, 514920),
         (2, 'reject', 'step-1.1', 28, 514920),
     ],
     ('conj', 'instance'): [
@@ -81,9 +81,9 @@ TRIAL_ROWS = {
         (2, 'accept', 'stage2-no-zero', 385, 37009),
     ],
     ('conj', 'generator'): [
-        (0, 'reject', 'stage0-nil-representative', 9, 422),
+        (0, 'reject', 'stage0-nil-representative', 7, 422),
         (1, 'reject', 'stage0-nil-representative', 7, 421),
-        (2, 'reject', 'step-1.1', 28, 514921),
+        (2, 'reject', 'step-1.1', 26, 514921),
     ],
     ('dolev-ron', 'instance'): [
         (0, 'accept', 'baseline-clean', 1, 32),
@@ -91,8 +91,8 @@ TRIAL_ROWS = {
         (2, 'accept', 'baseline-clean', 1, 32),
     ],
     ('dolev-ron', 'generator'): [
-        (0, 'reject', 'baseline-edge', 25, 92),
-        (1, 'reject', 'baseline-nil-representative', 3, 92),
+        (0, 'reject', 'baseline-nil-representative', 11, 92),
+        (1, 'reject', 'baseline-edge', 27, 92),
         (2, 'reject', 'baseline-edge', 25, 92),
     ],
 }
@@ -115,8 +115,8 @@ EXPERIMENT_CSV = {
     ('dolev-ron', 'yes', 'no'): (
         'budget,yes_accept,no_accept,gap,sim_yes_accept,sim_no_accept,sim_gap\n'
         '0,1.000000,1.000000,0.000000,1.000000,1.000000,0.000000\n'
-        '4,1.000000,0.833333,0.166667,1.000000,1.000000,0.000000\n'
-        '16,1.000000,0.833333,0.166667,1.000000,1.000000,0.000000\n'
+        '4,1.000000,1.000000,0.000000,1.000000,1.000000,0.000000\n'
+        '16,1.000000,1.000000,0.000000,1.000000,1.000000,0.000000\n'
         '64,1.000000,0.000000,1.000000,1.000000,0.333333,0.666667\n'
     ),
     ('dolev-ron', 'yes-ltf', 'no-ltf'): (
@@ -130,13 +130,13 @@ EXPERIMENT_CSV = {
 
 INSTANCE_SHA256 = {
     'yes':
-        '90a9719248114ad3a89a5e13a861d44f5bb96ebf80665210d50059160200ae0d',
+        '2f4c4a7d35ec968212c0177fd987ce3ed362ad0b821d70a13b33925bfeb4ff6b',
     'no':
-        '7dc69e44c991dde6380b868f94eaef88b96057921418ccac0071f170161877ef',
+        'ebef0342ea9f124f7bf7f57c07b737d84b073c3762c5af3836ba4d172c637483',
     'yes-ltf':
-        'dfc21aadf20f17697a17d792bedeee99438d2acb77a841e8a6938d5b5cdb9ffe',
+        '035e3f824102e502a9744c1fa24f9348ed9c41f8bd13031e9442a2f2b1069f45',
     'no-ltf':
-        'e66ba32b5ac7578a030f24ffd4e38ce898a416eaaed008a72e5ce0b3bddf45b5',
+        'c80d731d68511b459392d432376fa6ec3bc23205aa49a4c1da3c5af7d98b4c94',
 }
 
 

@@ -126,6 +126,19 @@ def test_subset_rows_rejects_populations_past_the_batched_bound():
         RandomStream(0).subset_rows([5, (1 << 62) + 1], 3)
 
 
+@pytest.mark.parametrize("rows", (1, 3, 256))
+@pytest.mark.parametrize("pop", (1, 2, 4, 300))
+def test_permutation_rows_reads_the_words_of_one_permutation_per_row(pop, rows):
+    # row r is the r-th of rows permutation(pop) calls on a twin stream, and
+    # both streams are left at the same word
+    a, b = RandomStream(pop * 1000 + rows), RandomStream(pop * 1000 + rows)
+    got = a.permutation_rows(rows, pop)
+    assert got.shape == (rows, pop)
+    assert got.tolist() == [b._gen.permutation(pop).tolist() for _ in range(rows)]
+    assert a._gen.bit_generator.state == b._gen.bit_generator.state
+    assert a.randrange(1 << 40) == b.randrange(1 << 40)
+
+
 def test_sample_and_shuffled():
     r = RandomStream(29)
     items = list(range(40))
