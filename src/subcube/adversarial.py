@@ -161,16 +161,6 @@ def desk_params(n: int) -> LBParams:
 # hidden-structure function specifications
 
 
-def _count_special(zeros: frozenset, a_blocks, b_blocks, s: int) -> bool:
-    bps = len(a_blocks)
-    need = (3 * bps + 3) // 4
-    hit_a = sum(1 for blk in a_blocks if len(blk & zeros) > s)
-    if hit_a < need:
-        return False
-    hit_b = sum(1 for blk in b_blocks if len(blk & zeros) <= s)
-    return hit_b >= need
-
-
 @dataclass(frozen=True)
 class _HiddenBlocks(FunctionSpec):
     """The hidden structure the no-variant functions are built on."""
@@ -198,11 +188,26 @@ class _HiddenBlocks(FunctionSpec):
         object.__setattr__(self, "_sides", sides)
         object.__setattr__(self, "_alphas", frozenset(sides))
 
-    def _unmet(self, zeros: frozenset) -> list:
-        """The alpha_i that are zero in x for i with x not i-special; only the
-        alphas inside zeros are looked at."""
-        return [a for a in zeros & self._alphas
-                if not _count_special(zeros, *self._sides[a], self.s)]
+    def _unmet(self, zeros: frozenset) -> int:
+        """How many alpha_i are zero in x with x not i-special, where need
+        comes from row i's own A-side; only the alphas in zeros are read."""
+        s, unmet = self.s, 0
+        for a in zeros & self._alphas:
+            a_blocks, b_blocks = self._sides[a]
+            need = (3 * len(a_blocks) + 3) // 4
+            hit = 0
+            for blk in a_blocks:
+                if len(blk & zeros) > s:
+                    hit += 1
+            if hit >= need:
+                hit = 0
+                for blk in b_blocks:
+                    if len(blk & zeros) <= s:
+                        hit += 1
+                if hit >= need:
+                    continue
+            unmet += 1
+        return unmet
 
     def potential(self, zeros: frozenset) -> int:
         """The v-potential: 10 n^2 (#ones outside R) + 5 n (|J(x)| + #{i not
@@ -210,7 +215,7 @@ class _HiddenBlocks(FunctionSpec):
         which x is i-special; the middle count is m minus the unmet i."""
         n = self.n
         ones_out = (n - len(self.R)) - len(zeros - self.R)
-        term = len(self.alpha) - len(self._unmet(zeros))
+        term = len(self.alpha) - self._unmet(zeros)
         return 10 * n * n * ones_out + 5 * n * term - (n - len(zeros))
 
 

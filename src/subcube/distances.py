@@ -2,19 +2,20 @@
 
 Distances are computed over the support of a finite distribution, in exact
 rationals. Conjunctions minimize over closure patterns. Decision lists and
-threshold functions search label-flip sets lightest first, core-guided:
+threshold functions search label-flip sets lightest first, enumerated
+lazily in that order so that a search costs its checks, and core-guided:
 each failed consistency check (greedy elimination; an integer fraction-free
 simplex over merged coordinate columns) names a set of points the class
 cannot fit under those labels, and every later flip set that gives them the
 same labels is skipped unchecked. Every routine is exponential in the
-support size and capped.
+support size and capped: 20 points, 16 for the flip searches, 64 columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from heapq import heappop, heappush
 from math import lcm
 from typing import Optional
 
@@ -250,9 +251,12 @@ def _ltf_core(columns, m: int, ones: int) -> int:
         col = next((j for j in range(total) if objective[j] < 0), None)
         if col is None:
             break
-        pr = min((r for r, row in enumerate(tableau) if row[col] > 0),
-                 key=lambda r: (Fraction(tableau[r][total], tableau[r][col]),
-                                basis[r]))
+        rows = [r for r, row in enumerate(tableau) if row[col] > 0]
+        pr = rows[0]  # least ratio rhs/a, compared by cross-multiplying
+        for r in rows[1:]:
+            diff = tableau[r][total] * tableau[pr][col] - tableau[pr][total] * tableau[r][col]
+            if diff < 0 or diff == 0 and basis[r] < basis[pr]:
+                pr = r
         pivot = tableau[pr]
         p = pivot[col]
         for row in tableau + [objective]:
@@ -266,11 +270,31 @@ def _ltf_core(columns, m: int, ones: int) -> int:
     return sum(1 << r for r in range(m) if objective[num_vars + r] > 0)
 
 
+def _flip_sets(nums):
+    """Every flip set, as (weight, mask), lazily in (weight, popcount, mask)
+    order: best-first over the positions sorted by weight, ties by index. A
+    set's successors swap its last position for the next or add the next, so
+    each set comes once, after its parent (a tied swap moves a bit up)."""
+    order = sorted(range(len(nums)), key=nums.__getitem__)
+    yield 0, 0
+    heap = [(nums[order[0]], 1, 1 << order[0], 0)] if order else []
+    while heap:
+        total, count, mask, k = heappop(heap)
+        yield total, mask
+        if k + 1 < len(order):
+            last, nxt = order[k], order[k + 1]
+            swap = total - nums[last] + nums[nxt]
+            heappush(heap, (swap, count, mask ^ 1 << last | 1 << nxt, k + 1))
+            heappush(heap, (total + nums[nxt], count + 1, mask | 1 << nxt, k + 1))
+
+
 def _min_flip_weight(sample: LabeledSample, columns, core,
                      return_witness: bool = False):
     """The first flip set in (flipped weight, popcount, mask) order whose
     relabeled sample fits the class, with the flipped points as witness.
 
+    The flip sets come lazily from _flip_sets, so a search costs its checks,
+    not a table and sort of all 2^m sets; the caps are unchanged.
     core(columns, m, ones) is 0 when the labels `ones` fit, and otherwise a
     set C of positions whose labels alone no class member fits. A member
     fitting a sample fits every sub-sample, so every later flip set F with
@@ -284,21 +308,16 @@ def _min_flip_weight(sample: LabeledSample, columns, core,
     weights = [w for _, _, w in sample.entries]
     denom = lcm(*(w.denominator for w in weights))
     nums = [w.numerator * (denom // w.denominator) for w in weights]
-    sums = [0] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + nums[low.bit_length() - 1]
     ones = _ones(sample)
     cores = {}  # core C -> every F & C under which C was found
-    for flips in sorted(range(1 << m),
-                        key=lambda f: (sums[f], f.bit_count(), f)):
+    for total, flips in _flip_sets(nums):
         if any(flips & c in seen for c, seen in cores.items()):
             continue
         found = core(columns, m, ones ^ flips)
         if found:
             cores.setdefault(found, set()).add(flips & found)
             continue
-        flipped = Fraction(sums[flips], denom)
+        flipped = Fraction(total, denom)
         if return_witness:
             return flipped, tuple(sample.entries[i][0] for i in range(m)
                                   if (flips >> i) & 1)

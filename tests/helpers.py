@@ -796,3 +796,30 @@ def ltf_potential(x, inst, which, gamma_set=frozenset()):
         else:
             term += not (a in zeros and a in gamma_set)
     return 10 * n * n * ones_outside_r + 5 * n * term - (n - len(zeros))
+
+
+def hidden_rule_unmet(f, zeros):
+    """The alpha_i of a hidden-block function (LBNoFunction or
+    LBNoStarFunction, built by hand or drawn) that are zero in zeros while
+    zeros is not i-special, read from the function's own rows: with need =
+    ceil(3/4 * the number of blocks in row i's A-side), x is i-special when
+    at least need of those blocks have more than s zeros and at least need
+    of row i's B-side blocks have at most s."""
+    unmet = []
+    for a, a_side, b_side in zip(f.alpha, f.a_blocks, f.b_blocks):
+        need = ceil(Fraction(3 * len(a_side), 4))
+        heavy_a = [blk for blk in a_side if len(blk & zeros) > f.s]
+        light_b = [blk for blk in b_side if len(blk & zeros) <= f.s]
+        if a in zeros and not (len(heavy_a) >= need and len(light_b) >= need):
+            unmet.append(a)
+    return unmet
+
+
+def hidden_rule_potential(f, zeros):
+    """The v-potential of a hidden-block function at zeros: 10 n^2 (#ones
+    outside R) + 5 n (m - #unmet) - #ones."""
+    n = f.n
+    ones_outside_r = sum(1 for k in range(1, n + 1)
+                         if k not in f.R and k not in zeros)
+    term = len(f.alpha) - len(hidden_rule_unmet(f, zeros))
+    return 10 * n * n * ones_outside_r + 5 * n * term - (n - len(zeros))

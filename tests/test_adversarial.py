@@ -16,7 +16,7 @@ from math import ceil, perm
 import numpy as np
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subcube import (
     BlackBox,
@@ -37,10 +37,11 @@ from subcube import (
     validate_instance,
 )
 import subcube
-from subcube.adversarial import _draw_structure
+from subcube.adversarial import LBNoFunction, LBNoStarFunction, _draw_structure
 from subcube.harness import _SimWorld
 from subcube.serialize import structure_sidecar
-from helpers import chi_square_fit, collect, is_i_special, ltf_potential
+from helpers import (chi_square_fit, collect, hidden_rule_potential,
+                     hidden_rule_unmet, is_i_special, ltf_potential)
 
 SMALL = LBParams(n=60, h=4, r_blocks=7, m=3, s=1, blocks_per_side=2)
 
@@ -451,6 +452,55 @@ def test_hidden_block_functions_match_the_per_i_loop(variant, seed, kinds,
     else:
         want = v >= inst.function.threshold
     assert inst.function.value_at(zeros) == int(want)
+
+
+HAND_N = 10
+
+
+@st.composite
+def hand_built_hidden_blocks(draw):
+    """A hand-built hidden-block function on n = 10 and a zero set. Rows
+    pick their blocks from a pool of at most four overlapping blocks over
+    [10], so a block can sit in two triples or on both sides of one, and the
+    sides of a row can differ in length; s ranges past the largest block."""
+    pool = draw(st.lists(st.frozensets(st.integers(1, HAND_N), min_size=1,
+                                       max_size=4), min_size=1, max_size=4))
+    side = st.lists(st.sampled_from(pool), min_size=1, max_size=4)
+    m = draw(st.integers(1, 3))
+    alpha = draw(st.lists(st.integers(1, HAND_N), min_size=m, max_size=m,
+                          unique=True))
+    hidden = (HAND_N, draw(st.frozensets(st.integers(1, HAND_N))), alpha,
+              [draw(side) for _ in range(m)], [draw(side) for _ in range(m)],
+              draw(st.integers(0, 5)))
+    zeros = draw(st.frozensets(st.integers(1, HAND_N)))
+    if draw(st.booleans()):
+        return LBNoFunction(*hidden), zeros
+    base = hidden_rule_potential(LBNoFunction(*hidden),
+                                 draw(st.frozensets(st.integers(1, HAND_N))))
+    return LBNoStarFunction(*hidden, base + draw(st.integers(-1, 1))), zeros
+
+
+# both sides of the one triple share a block {1, 2} and overlap in 3; the
+# A-side has three blocks (need 3) and the B-side two, so x is never special
+@example(case=(LBNoFunction(HAND_N, frozenset(range(1, 8)), (9,),
+                            (({1, 2}, {2, 3}, {3, 4}),), (({1, 2}, {3}),), 0),
+               frozenset({1, 2, 3, 9})))
+# s = 4 is at least every block's size, so no A-block is heavy and the
+# potential counts alpha 3 unmet; the threshold sits exactly on it
+@example(case=(LBNoStarFunction(HAND_N, frozenset(range(1, 11)), (3, 7),
+                                (({1, 2, 4, 5},), ({6},)), (({8},), ({9},)),
+                                4, 45), frozenset({1, 2, 3, 4, 5})))
+@settings(max_examples=300, deadline=None)
+@given(case=hand_built_hidden_blocks())
+def test_hand_built_hidden_block_functions_match_the_written_rule(case):
+    f, zeros = case
+    v = hidden_rule_potential(f, zeros)
+    assert f.potential(zeros) == v
+    if isinstance(f, LBNoStarFunction):
+        want = v >= f.threshold
+    else:
+        want = zeros <= f.R and not hidden_rule_unmet(f, zeros)
+    assert f.value_at(zeros) == int(want)
 
 
 def test_phi_potential_matches_u_under_revealed_gammas():

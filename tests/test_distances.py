@@ -1,5 +1,6 @@
 """Exact distances to the four hypothesis classes, against brute force."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -449,6 +450,38 @@ def test_ltf_search_on_a_hard_instance_runs_few_programs(monkeypatch):
     assert exact_distance_ltf(inst.function, inst.distribution) >= \
         Fraction(1, 4)
     assert len(log) < 10
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 3), max_size=10)
+       | st.lists(st.integers(1, 1 << 70), max_size=10))
+def test_flip_sets_come_in_full_sort_order(nums):
+    # heavily tied weights make the search swap between tied positions, whose
+    # order rests on the index tie-break; huge ones are never tied
+    m = len(nums)
+    sums = [sum(nums[i] for i in range(m) if (mask >> i) & 1)
+            for mask in range(1 << m)]
+    order = sorted(range(1 << m), key=lambda f: (sums[f], f.bit_count(), f))
+    assert list(distances._flip_sets(nums)) == [(sums[f], f) for f in order]
+
+
+@pytest.mark.parametrize("kind,search", SEARCHES)
+def test_a_fitting_16_point_search_runs_one_check_in_little_memory(
+        monkeypatch, kind, search):
+    # a conjunction is both a decision list and a threshold function, so the
+    # empty flip set fits; the search must not build 2^16-entry tables first
+    f = MonotoneConj(8, frozenset({1, 2}))
+    dist = rand_dist(RandomStream(1013), 8, 16)
+    assert len(dist.entries) == 16
+    log = record_cores(monkeypatch, f"_{kind}_core")
+    tracemalloc.start()
+    try:
+        assert search(f, dist) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(log) == 1
+    assert peak < 1 << 20
 
 
 def test_wide_inputs_are_capped_by_distinct_columns(tmp_path, capsys):
