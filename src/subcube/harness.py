@@ -63,7 +63,8 @@ EXPERIMENT_HEADER = ("budget", "yes_accept", "no_accept", "gap",
 
 
 def worker_count() -> int:
-    """Worker pool size; the SUBCUBE_THREADS environment variable caps it."""
+    """Worker pool size: the SUBCUBE_THREADS environment variable sets it
+    (at least 1, above the CPU count too); unset, min(8, CPU count)."""
     env = os.environ.get("SUBCUBE_THREADS")
     if env:
         try:

@@ -28,8 +28,9 @@ its representative, a later group can start no search, so Stage 0 draws
 each later group's facts alone, from their exact law (_drawn_facts): a
 class word against the exact cuts of _class_cuts, one D0 draw, and for B
 a word against the cuts of _missing_cuts or a few D1 draws, where the
-group has group_size samples. Such a run has the law
-of the logged run, not its draws; the groups it draws as samples read the
+group has group_size samples. Both words are read by one reader,
+_below_cuts, which reads more only on a tie. Such a run has the law of
+the logged run, not its draws; the groups it draws as samples read the
 logged run's words. Once recording has stopped and every 0-labelled
 support point has its representative, no later group can change the
 verdict, a query or a count, so Stage 0 charges the remaining groups in
@@ -257,24 +258,28 @@ def _class_cuts(ones: int, m: int, size: int, need: int) -> tuple:
     return few, few + ones ** size, m ** size
 
 
-def _tied_class(rng: RandomStream, first: int, cuts: tuple, total: int) -> int:
-    """The number of cuts c with c/total <= V, for V uniform in [0, 1) whose
-    first 64 bits are the word first, read from rng 64 bits at a time while
-    some cut is undecided (Knuth and Yao's lazy comparison): V's prefix P of
-    b bits decides c once it differs from floor(c 2^b / total), or equals
-    it with no remainder."""
-    prefix, bits, below = first, 64, 0
-    while cuts:
-        undecided = []
-        for cut in cuts:
-            top, rest = divmod(cut << bits, total)
-            if prefix > top or prefix == top and not rest:
-                below += 1
-            elif prefix == top:
-                undecided.append(cut)
-        cuts = tuple(undecided)
-        if cuts:
-            prefix, bits = prefix << 64 | int(rng._words(1)[0]), bits + 64
+def _below_cuts(rng: RandomStream, law: tuple, count: int) -> np.ndarray:
+    """For each of count groups, the number of cuts c with c/total <= V, for
+    V uniform in [0, 1), given law = (tops, exact): tops, the top 64 bits of
+    the sorted cuts over total, each cut below total, and exact(lo, hi), the
+    cuts lo..hi-1 and total. A group reads one word of V and counts the tops
+    below it; a group whose word equals a top reads V 64 more bits at a
+    time, in row order, while some cut is undecided (Knuth and Yao's lazy
+    comparison): V's prefix P of b bits decides c once it differs from
+    floor(c 2^b / total), or equals it with no remainder."""
+    tops, exact = law
+    words = rng._words(count)
+    below = np.searchsorted(tops, words, side="left")
+    past = np.searchsorted(tops, words, side="right")
+    for row in np.flatnonzero(past > below).tolist():
+        cuts, total = exact(int(below[row]), int(past[row]))
+        prefix, bits = int(words[row]), 64
+        while cuts:
+            split = [divmod(cut << bits, total) for cut in cuts]
+            below[row] += sum(top < prefix or top == prefix and not rest for top, rest in split)
+            cuts = [cut for cut, (top, rest) in zip(cuts, split) if top == prefix and rest]
+            if cuts:
+                prefix, bits = prefix << 64 | int(rng._words(1)[0]), bits + 64
     return below
 
 
@@ -282,33 +287,18 @@ def _missing_cuts(cum: tuple, need: int) -> Optional[tuple]:
     """The law of the 1-labelled point that a group's B misses, for need
     D1 draws, given cum, the cumulative numerators nums of D1's points over
     m1 = cum[-1]: None when U, the sum over the points of the chance that
-    B misses each, exceeds 1/2; else (nums, powers, total, tops). Each
-    distinct (m1 - v)**need is in powers once, total = m1**need, and tops
-    holds the top 64 bits of the cuts C_k = sum over j <= k of
-    powers[nums[j]], over total; U is the last cut."""
+    B misses each, exceeds 1/2; else the law, as _below_cuts reads it, of
+    the cuts C_k = sum over j <= k of (m1 - nums[j])**need, over
+    total = m1**need; U is the last cut. Each distinct power is held once,
+    and the cuts are summed only on a tie."""
     nums = [b - a for a, b in zip((0,) + cum[:-1], cum)]
     total = cum[-1] ** need
     powers = {v: (cum[-1] - v) ** need for v in set(nums)}
     if 2 * sum(map(powers.__getitem__, nums)) > total:
         return None
-    return nums, powers, total, np.array([(cut << 64) // total for cut in accumulate(
-        map(powers.__getitem__, nums))], dtype=np.uint64)
-
-
-def _missed_points(rng: RandomStream, missing: tuple, count: int) -> np.ndarray:
-    """For each of count groups, J, the position in nums of the point its
-    B misses, or len(nums) when B is every point: the number of the cuts
-    of missing = _missing_cuts(...) at or below V, one word per group
-    compared with their tops, more only on a tie (_tied_class)."""
-    nums, powers, total, tops = missing
-    words = rng._words(count)
-    pick = np.searchsorted(tops, words, side="left")
-    past = np.searchsorted(tops, words, side="right")
-    for i in np.flatnonzero(past > pick).tolist():
-        lo, hi = int(pick[i]), int(past[i])
-        cuts = tuple(accumulate(map(powers.__getitem__, nums[:hi])))[lo:]
-        pick[i] = lo + _tied_class(rng, int(words[i]), cuts, total)
-    return pick
+    tops = np.array([(cut << 64) // total for cut in accumulate(map(powers.__getitem__, nums))],
+                    dtype=np.uint64)
+    return tops, lambda lo, hi: (list(accumulate(map(powers.__getitem__, nums[:hi])))[lo:], total)
 
 
 def _drawn_facts(sampler, count: int, size: int, need: int, law: dict) -> tuple:
@@ -316,23 +306,24 @@ def _drawn_facts(sampler, count: int, size: int, need: int, law: dict) -> tuple:
     their exact law on the batch stream without drawing the groups: (few,
     first0, masks), as _block_facts returns them, but with first0 -1 for a
     few group. law memoizes, per sampler, the two conditioned samplers and,
-    per need, the class cuts and the missing cuts of _missing_cuts.
+    per need, the class law and the missing law, as _below_cuts reads them.
 
     Given its labels, a group's 1-samples are i.i.d. D1 (D conditioned on
     label 1), its 0-samples i.i.d. D0, and the two independent. So a group
     takes one word for its class (few; no 0-sample; neither) against the
-    top 64 bits of the cuts of _class_cuts, more only on a tie; one D0
-    draw, its first 0-sample, when it has both labels; and B, the points
-    of need D1 draws. When U <= 1/2 (_missing_cuts), B takes Karp, Luby and
-    Madras's exact sampler of a union of events: one word per group gives
-    B every 1-labelled point, or picks a point J with the chance that B
-    misses J. A group with J draws need D1 draws, each of J redrawn, and,
-    with c points missed, keeps what it saw with chance 1/c (one draw below
-    c when c > 1), else every point; so a B that misses the set M comes
-    out with chance sum over j in M of P(B) / |M| = P(B). A group stops
-    drawing once it has seen every 1-labelled point but J. The words are
-    read in that order: the class words, the D0 draws, the missing words,
-    the D1 draws, then the draws below c."""
+    cuts of _class_cuts, read by _below_cuts; one D0 draw, its first
+    0-sample, when it has both labels; and B, the points of need D1
+    draws. When U <= 1/2 (_missing_cuts), B takes Karp, Luby and Madras's
+    exact sampler of a union of events: one word per group, read by
+    _below_cuts too, gives B every 1-labelled point, or picks a point J
+    with the chance that B misses J. A group with J draws need D1 draws,
+    each of J redrawn, and, with c points missed, keeps what it saw with
+    chance 1/c (one draw below c when c > 1), else every point; so a B
+    that misses the set M comes out with chance sum over j in M of
+    P(B) / |M| = P(B). A group stops drawing once it has seen every
+    1-labelled point but J. The words are read in that order: the class
+    words, the D0 draws, the missing words, the D1 draws, then the draws
+    below c."""
     rng = sampler._batch
     if not law:
         law.update(zeros=sampler._conditioned(0), ones=sampler._conditioned(1), cuts={})
@@ -341,20 +332,14 @@ def _drawn_facts(sampler, count: int, size: int, need: int, law: dict) -> tuple:
         if law["ones"]:
             cum = law["ones"][0]._cum
             ones, missing = cum[-1], _missing_cuts(cum, need)
-        few, either, total = _class_cuts(ones, sampler._denominator, size, need)
-        law["cuts"][need] = (few, either), total, missing
-    cuts, total, missing = law["cuts"][need]
+        *cuts, total = _class_cuts(ones, sampler._denominator, size, need)
+        cuts = [cut for cut in cuts if cut < total]  # a cut of 1 no V reaches
+        classes = (np.array([(cut << 64) // total for cut in cuts], dtype=np.uint64),
+                   lambda lo, hi: (cuts[lo:hi], total))
+        law["cuts"][need] = classes, missing
+    classes, missing = law["cuts"][need]
 
-    words = rng._words(count)
-    cls = np.zeros(count, dtype=np.int8)
-    tied = np.zeros(count, dtype=bool)
-    for cut in cuts:
-        top = (cut << 64) // total
-        if top < 1 << 64:  # else the cut is 1 and no V reaches it
-            cls += words > np.uint64(top)
-            tied |= words == np.uint64(top)
-    for row in np.flatnonzero(tied).tolist():
-        cls[row] = _tied_class(rng, int(words[row]), cuts, total)
+    cls = _below_cuts(rng, classes, count)
 
     first0 = np.full(count, -1, dtype=np.intp)
     both = np.flatnonzero(cls == 2)
@@ -372,7 +357,8 @@ def _drawn_facts(sampler, count: int, size: int, need: int, law: dict) -> tuple:
         live = np.arange(rows.size)
         skip = None
         if missing is not None:
-            skip = _missed_points(rng, missing, rows.size)
+            # skip: J's position in members, or width when B is every point
+            skip = _below_cuts(rng, missing, rows.size)
             found[skip == width] = True
             live = picked = np.flatnonzero(skip < width)
             # J counts as seen, so a row stops once it has seen the rest;

@@ -747,6 +747,22 @@ def test_cli_test_emits_csv_row(tmp_path, capsys):
     assert row[1] in ("accept", "reject")
 
 
+def test_subcube_threads_sets_the_worker_count(monkeypatch):
+    # any positive value is the pool size, above the CPU count too; unset,
+    # the CPU count, at most 8. Only the count is read: no pool is built
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("SUBCUBE_THREADS", raising=False)
+    assert harness.worker_count() == 2
+    for env, workers in (("16", 16), ("1", 1), ("0", 1), ("-3", 1)):
+        monkeypatch.setenv("SUBCUBE_THREADS", env)
+        assert harness.worker_count() == workers, env
+    monkeypatch.delenv("SUBCUBE_THREADS")
+    monkeypatch.setattr(os, "cpu_count", lambda: 32)
+    assert harness.worker_count() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert harness.worker_count() == 1
+
+
 def test_cli_names_a_bad_thread_count(tmp_path, capsys, monkeypatch):
     path = gen_file(tmp_path)
     capsys.readouterr()

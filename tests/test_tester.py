@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
+import hashlib
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from helpers import (
     literal_block_facts,
     ones_index,
     rand_dist,
+    rand_fractions,
     rand_points,
     reference_mconj_tester,
     table_of,
@@ -1425,7 +1427,7 @@ def test_class_word_ties_resolve_exactly(ones_mass):
     # seen set is kept. The words cycle through one unit below each cut,
     # each cut itself (a tie) and the last word.
     edges = [1 << 61, 1 << 62]
-    assert tester_module._missing_cuts((1, 2), need)[3].tolist() == edges
+    assert tester_module._missing_cuts((1, 2), need)[0].tolist() == edges
     cycle = [edges[0] - 1, edges[0], edges[1] - 1, edges[1], (1 << 64) - 1]
     with_b = sum(settled(p)[0] > 0 for p in prefixes)
     missing = [cycle[k % len(cycle)] for k in range(with_b)]
@@ -1449,7 +1451,7 @@ def test_missing_word_ties_resolve_exactly():
     # cut's second word; J is the number of cuts at or below V.
     cuts = [Fraction(64 * k, 729) for k in (1, 2, 3)]
     missing = tester_module._missing_cuts((1, 2, 3), 6)
-    assert missing[3].tolist() == [c.numerator * 2 ** 64 // c.denominator for c in cuts]
+    assert missing[0].tolist() == [c.numerator * 2 ** 64 // c.denominator for c in cuts]
     mask = (1 << 64) - 1
     prefixes = []
     for cut in cuts:
@@ -1458,7 +1460,107 @@ def test_missing_word_ties_resolve_exactly():
     words = [p[0] for p in prefixes] + [p[1] for p in prefixes]
     rng = RandomStream(0)
     rng._gen = _WordsThenPCG(words)
-    picks = tester_module._missed_points(rng, missing, len(prefixes))
+    picks = tester_module._below_cuts(rng, missing, len(prefixes))
     assert picks.tolist() == [sum(c <= Fraction(a << 64 | b, 1 << 128) for c in cuts)
                               for a, b in prefixes] == [0, 1, 1, 2, 2, 3]
     assert rng._gen.used == len(words)
+
+
+_TOTALS = st.one_of(st.integers(0, 200).map(lambda k: 1 << k),
+                    st.integers(0, 1 << 200).map(lambda k: 2 * k + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), total=_TOTALS)
+def test_below_cuts_counts_the_cuts_at_or_below_the_words_read(data, total):
+    # Power-of-two totals end their expansions within a few words; odd ones
+    # never do. 1-5 sorted cuts, a cut of 0 and equal cuts allowed. Each
+    # group's first word sits at, or one unit either side of, some cut's
+    # first word, or ties it and goes on at, or one unit either side of,
+    # the cut's second word. A group reads the shortest prefix that no cut
+    # falls strictly inside: the first words come first, then each tied
+    # group's continuations, in row order. Its count is the number of cuts
+    # at or below that prefix, and the exact cuts are asked for only on a tie.
+    cuts = data.draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=3))
+    cuts = sorted(cuts + data.draw(st.lists(st.sampled_from(cuts), max_size=2)))
+    mask = (1 << 64) - 1
+
+    def inside(prefix):
+        # (the cuts at or below the prefix, the cuts strictly inside its interval)
+        value = 0
+        for word in prefix:
+            value = value << 64 | word
+        low = Fraction(value, 1 << 64 * len(prefix))
+        high = low + Fraction(1, 1 << 64 * len(prefix))
+        values = [Fraction(c, total) for c in cuts]
+        return sum(v <= low for v in values), sum(low < v < high for v in values)
+
+    groups = []
+    for cut in cuts:
+        first, second = (((cut << 64 * k) // total) & mask for k in (1, 2))
+        for plan in [[first + step] for step in (-1, 0, 1)] + [
+                [first, second + step] for step in (-1, 0, 1)]:
+            if 0 <= plan[-1] <= mask:
+                # cut to the prefix the lazy comparison reads, if it settles
+                read = next((plan[:k] for k in range(1, len(plan) + 1)
+                             if not inside(plan[:k])[1]), None)
+                if read is not None and read not in groups:
+                    groups.append(read)
+    groups = data.draw(st.permutations(groups))
+    tops = np.array([(c << 64) // total for c in cuts], dtype=np.uint64)
+    asked = []
+
+    def exact(lo, hi):
+        asked.append((lo, hi))
+        return cuts[lo:hi], total
+
+    rng = RandomStream(0)
+    words = [p[0] for p in groups] + [w for p in groups for w in p[1:]]
+    rng._gen = _WordsThenPCG(words)
+    got = tester_module._below_cuts(rng, (tops, exact), len(groups))
+    assert got.tolist() == [inside(p)[0] for p in groups]
+    assert rng._gen.used == len(words)
+    assert len(asked) == sum(p[0] in tops.tolist() for p in groups)
+
+
+def seeded_support(seed, ones, zeros, n=10):
+    """f = x1 x2 and a support of ones 1-points and zeros 0-points, each
+    zero at up to three random coordinates, with random weights."""
+    rng = RandomStream(seed)
+    f = MonotoneConj(n, frozenset({1, 2}))
+    points = ([], [])
+    while len(points[0]) < zeros or len(points[1]) < ones:
+        z = ZeroSet(n, frozenset(rng.sample(list(range(1, n + 1)), rng.randrange(4))))
+        label = f.value_at(z.zeros)
+        if z not in points[0] + points[1] and len(points[label]) < (zeros, ones)[label]:
+            points[label].append(z)
+    pts = points[1] + points[0]
+    return f, FiniteDistribution(n, tuple(zip(pts, rand_fractions(rng, len(pts)))))
+
+
+@pytest.mark.parametrize("ones, zeros, size, t, seed, small_u, digest", [
+    (3, 2, 40, 16, 1, True, "2e59bc227b12e480"),
+    (4, 2, 12, 3, 2, False, "97b0209ea2edf675"),
+    (4, 0, 12, 5, 3, None, "9fc999d51e3d958e"),  # no 0-labelled point
+    (0, 3, 12, 5, 4, None, "9d1298ea2d001116"),  # no 1-labelled point
+])
+def test_drawn_facts_word_layout_is_pinned(ones, zeros, size, t, seed, small_u, digest):
+    # Stage 0's facts at need t and then t - 1 on one law memo, as Stage 0
+    # asks for them, and the batch stream's state after each call: a change
+    # in which words a group reads, or in their order, moves the digest
+    # even where no verdict moves. small_u: whether U <= 1/2 at both
+    # needs, so that B takes the union sampler, not the D1 rounds
+    f, dist = seeded_support(seed, ones, zeros)
+    d1 = [w for p, w in dist.entries if f.value_at(p.zeros)]
+    if small_u is not None:
+        for need in (t, t - 1):
+            u = sum((1 - w / sum(d1)) ** need for w in d1)
+            assert (u <= Fraction(1, 2)) == small_u, u
+    sampler = Sampler(dist, f, QueryTranscript(), RandomStream(seed))
+    sha, law = hashlib.sha256(), {}
+    for need in (t, t - 1):
+        few, first0, masks = tester_module._drawn_facts(sampler, 300, size, need, law)
+        for part in (few, np.asarray(first0, dtype=np.int64), masks):
+            sha.update(part.tobytes())
+        sha.update(repr(sampler._batch._gen.bit_generator.state).encode())
+    assert sha.hexdigest()[:16] == digest
