@@ -135,12 +135,10 @@ def paper_params(n: int) -> LBParams:
     s = ceil(lg2)
     bps = ceil(lg2)
     r_blocks = max(r_blocks, 2 * bps)
-    params = LBParams(n=n, h=h, r_blocks=r_blocks, m=m, s=s,
-                      blocks_per_side=bps)
-    if params.h <= params.s:
-        raise InfeasibleParameters(
-            f"paper recipe needs h > s; got h={params.h}, s={params.s} at n={n}")
-    return params
+    # checked first: at h = 0, LBParams would refuse h with a vaguer message
+    if h <= s:
+        raise InfeasibleParameters(f"paper recipe needs h > s; got h={h}, s={s} at n={n}")
+    return LBParams(n=n, h=h, r_blocks=r_blocks, m=m, s=s, blocks_per_side=bps)
 
 
 def desk_params(n: int) -> LBParams:

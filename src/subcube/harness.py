@@ -27,7 +27,6 @@ from .model import (
     FunctionSpec,
     QueryTranscript,
     Sampler,
-    _charged_chunks,
 )
 from .rng import RandomStream
 from .tester import (
@@ -294,18 +293,18 @@ class _SimWorld(FunctionSpec):
                  transcript: QueryTranscript, sampler: Sampler):
         self.n = inst.n
         self.inst = inst
-        self.rng = rng
         self.transcript = transcript
         self.gamma: set = set()
-        self._sampler = sampler  # the instance's, for its bucket table
+        # the instance's sampler, drawing on this world's stream and transcript
+        self._sampler = sampler.rebind(transcript, rng)
 
     def value_at(self, zeros: frozenset) -> int:
         return simulate_p(zeros, self.inst.R, self.gamma)
 
     def draws(self, k: int):
         inst, t = self.inst, self.transcript
-        for size in _charged_chunks(t, k):
-            for idx in self._sampler._draw_indices_raw(self.rng, size).tolist():
+        for chunk in self._sampler._counted(k):
+            for idx in chunk.tolist():
                 kind, i = inst.support_kinds[idx]
                 point = inst.distribution.entries[idx][0]
                 gamma = inst.alpha[i - 1] if kind == "c" else None

@@ -31,7 +31,10 @@ One QueryTranscript is the ledger of a trial: every oracle of the trial,
 every flipped view and every amplification attempt charges it. It counts
 (and optionally logs) the black-box queries and the samples, and with a
 limit set it refuses, by raising BudgetExceeded before counting, any call
-that would take either count past the limit.
+that would take either count past the limit. A batch of calls is charged
+as its calls would be one at a time: the calls that fit are counted, and
+the batch is refused at the first that does not. A count already past the
+limit refuses every call and does not move.
 """
 
 from __future__ import annotations
@@ -370,15 +373,22 @@ class QueryTranscript:
             raise BudgetExceeded("sampling budget exhausted")
         self.sample_count += k
 
-    def _take_queries(self, k: int, log=None) -> None:
-        """Charge k queries as k take_blackbox() calls would: the fit that the
-        limit admits (logged from log(fit) when logging), then a refusal."""
-        fit = k if self.limit is None else min(k, self.limit - self.blackbox_count)
-        self.take_blackbox(fit)
-        if self.log_queries:
-            self.blackbox_log.extend(log(fit))
-        if fit < k:
-            self.take_blackbox()  # refused: raises
+    def _take(self, count: str, calls: int, size: int = 1, charge: bool = True) -> int:
+        """Charge a batch of calls, each of size units, on count
+        ("blackbox_count" or "sample_count") as the calls would be one at a
+        time: those the limit admits are charged, and the first that does
+        not fit raises BudgetExceeded. A count already at or past the limit
+        admits none and does not move. With charge off, this only asks: it
+        returns how many calls fit, and refuses at once when some call is
+        asked and none fits. Returns the calls that fit."""
+        held = getattr(self, count)
+        fit = calls if self.limit is None else max(0, min(calls, (self.limit - held) // size))
+        if charge:
+            setattr(self, count, held + fit * size)
+        if fit < calls and (charge or not fit):
+            raise BudgetExceeded("sampling budget exhausted" if count == "sample_count"
+                                 else "black-box query budget exhausted")
+        return fit
 
 
 # the coordinate that pads the rows of BlackBox.query_until
@@ -472,30 +482,18 @@ class BlackBox:
                   & (np.count_nonzero(codes & 2, axis=1) == required)).astype(np.int8)
         hits = np.flatnonzero(values == stop)
         asked = int(hits[0]) + 1 if hits.size else len(rows)
-        self.transcript._take_queries(asked, lambda fit: (
-            ((frozenset(row) - _PAD) ^ self._flip, value)
-            for row, value in zip(rows[:fit].tolist(), values[:fit].tolist())))
+        t = self.transcript
+        if t.log_queries:  # the queries that fit, logged before any refusal
+            fit = t._take("blackbox_count", asked, charge=False)
+            t.blackbox_log.extend(((frozenset(row) - _PAD) ^ self._flip, value) for row, value
+                                  in zip(rows[:fit].tolist(), values[:fit].tolist()))
+        t._take("blackbox_count", asked)
         return int(hits[0]) if hits.size else None
 
 
 _BUCKET_BITS = 12
 # the most samples Sampler._draw_many and draws() draw at a time
 _DRAW_SAMPLES = 1 << 16
-
-
-def _charged_chunks(transcript: QueryTranscript, k: int):
-    """The sizes of k draws' chunks (at most _DRAW_SAMPLES), each charged (and
-    counted as drawn) before it is yielded; under a limit, as with
-    take_samples(1) per draw, the draws that fit are yielded and then
-    BudgetExceeded is raised."""
-    fit = k if transcript.limit is None else min(k, transcript.limit - transcript.sample_count)
-    for start in range(0, fit, _DRAW_SAMPLES):
-        size = min(_DRAW_SAMPLES, fit - start)
-        transcript.take_samples(size)
-        transcript.samples_drawn += size
-        yield size
-    if fit < k:
-        transcript.take_samples(1)  # refused: raises
 
 
 def _bucket_table(bounds: np.ndarray, shift: int, count: int, ties: bool) -> np.ndarray:
@@ -655,11 +653,24 @@ class Sampler:
             t.sample_log.extend((entries[i][0].zeros, label) for i, label
                                 in zip(idx.tolist(), self.labels[idx].tolist()))
 
+    def _counted(self, k: int):
+        """The support indices of k counted draws, yielded a chunk of at most
+        _DRAW_SAMPLES at a time, each chunk charged (and counted as drawn)
+        before it is drawn; under a limit, as with one draw() per draw, the
+        draws that fit are yielded, then the next is refused."""
+        t = self.transcript
+        fit = t._take("sample_count", k, charge=False)
+        for start in range(0, fit, _DRAW_SAMPLES):
+            size = min(_DRAW_SAMPLES, fit - start)
+            t._take("sample_count", size)
+            t.samples_drawn += size
+            yield self._draw_indices_raw(self.rng, size)
+        t._take("sample_count", k - fit)  # refuses the first draw that did not fit
+
     def draws(self, k: int):
         """k counted draws, yielded in order a chunk at a time: the words,
         pairs, counts, log and budget refusal of k draw() calls."""
-        for size in _charged_chunks(self.transcript, k):
-            idx = self._draw_indices_raw(self.rng, size)
+        for idx in self._counted(k):
             self._log(idx)
             yield from zip(map(self._points.__getitem__, idx.tolist()),
                            self.labels[idx].tolist())

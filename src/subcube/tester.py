@@ -431,18 +431,6 @@ def _alpha_in_b(point, zero, flags, ids, rep_of, first0) -> np.ndarray:
         for k in range(0, len(ids), step)])
 
 
-def _charge_groups(transcript, k: int, size: int) -> None:
-    """Charge k groups of size samples as k take_samples(size) calls would:
-    under a limit, the groups that fit are charged, and the first that does
-    not raises BudgetExceeded."""
-    fit = k
-    if transcript.limit is not None:
-        fit = min(k, (transcript.limit - transcript.sample_count) // size)
-    transcript.take_samples(fit * size)
-    if fit < k:
-        transcript.take_samples(size)
-
-
 def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStream,
                               params: Optional[TesterParams] = None) -> Verdict:
     """One-sided tester for monotone conjunctions under an unknown distribution.
@@ -474,7 +462,7 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
     def charge(idx: np.ndarray, lab: np.ndarray, a: int, b: int) -> None:
         # groups a..b-1 of a block, read, in one step
         nonlocal zero_count
-        _charge_groups(transcript, b - a, size)
+        transcript._take("sample_count", b - a, size)
         sampler._log(idx[a:b].ravel())
         zero_count += (b - a) * size - int(np.count_nonzero(lab[a:b]))
 
@@ -502,10 +490,9 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
         if facts and g:  # with no 0-labelled point, group 1 ends the run
             block = max(block, _FACT_GROUPS) if (sampler.labels == 0).any() else 1
         count = min(block, max_facts if facts else max_block, groups - g)
-        if transcript.limit is not None:  # no block holds a refused group
-            count = min(count, (transcript.limit - transcript.sample_count) // size)
-            if not count:
-                transcript.take_samples(size)  # refused: raises
+        # no block holds a refused group; a block none of whose groups fits
+        # is refused
+        count = transcript._take("sample_count", count, size, charge=False)
         block = min(2 * block, max(max_block, max_facts))
         if not facts:
             idx, lab = sampler._draw_groups(count, size)
@@ -531,7 +518,7 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
             recording = stop == count
             last = max(last, stop)
             if facts:
-                _charge_groups(transcript, rec, size)
+                transcript._take("sample_count", rec, size)
                 g += rec
                 continue
         # (row, point) of each first appearance of a point not yet searched
@@ -560,7 +547,7 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
     # Once recording has stopped and every 0-point has its representative,
     # later groups could change only the 0-sample count: charge them
     # undrawn, so a budget runs out where drawing would have exhausted it.
-    _charge_groups(transcript, groups - g, size)
+    transcript._take("sample_count", groups - g, size)
 
     b_ids, first0s = np.concatenate(b_ids), np.concatenate(first0s)
     if b_ids[0] < 0:
@@ -593,7 +580,7 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
     codes = oracle._codes
     if (not transcript.log_queries and codes is not None and not codes[1]
             and not codes[0][coords0[:-1]].any() and codes[0][alpha[:end]].all()):
-        transcript._take_queries((2 * p.s if sizes0[0] else 0) + end)
+        transcript._take("blackbox_count", (2 * p.s if sizes0[0] else 0) + end)
         return verdict(reason != "step-2.1", reason)
 
     step_rng = rng.split("steps")

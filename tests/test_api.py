@@ -32,7 +32,8 @@ ROOT_NAMES = [
 # a reference copy in helpers.py.
 REMOVED = {"strong_sample", "index_from_uniform", "weight_of", "support",
            "from_values", "point_a", "point_b", "point_c", "special_threshold",
-           "_distance_mconj", "_distance_conj"}
+           "_distance_mconj", "_distance_conj", "_take_queries", "_charged_chunks",
+           "_charge_groups"}
 
 
 @pytest.mark.parametrize("name", MODULES)

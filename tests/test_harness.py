@@ -977,6 +977,17 @@ def test_cli_semantic_errors_exit_2(tmp_path, capsys):
     assert "error: " in capsys.readouterr().err
 
 
+def test_cli_paper_recipe_names_h_and_s(tmp_path, capsys):
+    # at n = 4096 the recipe's h rounds down to 0; the error names the
+    # recipe's own h > s rule, and no file is written
+    out = tmp_path / "x.json"
+    rc = cli.main(["gen-instance", "--variant", "yes", "--n", "4096", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: paper recipe needs h > s; got h=0, s=144 at n=4096\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 _HUGE_N = str(10 ** 400)
 _TINY_EPS = f"1/{10 ** 400}"
 

@@ -415,6 +415,74 @@ def test_sampler_draws_match_draw_calls(seed, k, limit, spent, den, chunk, log):
     assert batch[2] == spent + fit
 
 
+# no limit, and a limit below, at or past the start count (room < 0)
+@settings(max_examples=300, deadline=None)
+@given(count=st.sampled_from(["blackbox_count", "sample_count"]), start=st.integers(0, 60),
+       room=st.none() | st.integers(-60, 400), calls=st.integers(0, 40),
+       size=st.integers(1, 9), seed=st.integers(0, 1 << 32))
+@example(count="blackbox_count", start=5, room=-3, calls=4, size=1, seed=0)
+@example(count="sample_count", start=5, room=-3, calls=3, size=2, seed=0)
+@example(count="sample_count", start=5, room=-2, calls=3, size=1, seed=0)
+def test_a_batch_is_charged_as_its_calls_one_at_a_time(count, start, room, calls, size,
+                                                       seed):
+    # _take charges the calls that fit and refuses the first that does not,
+    # as a loop of single calls does; asked only, it moves no count; and a
+    # count at or past its limit admits no call and never moves. A batch of
+    # queries or of draws logs the calls that fit, as its loop does
+    limit = None if room is None else max(0, start + room)
+
+    def charged(charge, log=False):
+        tr = QueryTranscript(log_queries=log, limit=limit, **{count: start})
+        try:
+            got = charge(tr)
+        except BudgetExceeded:
+            got = "budget"
+        return got, tr.blackbox_count, tr.sample_count, tr.blackbox_log, tr.sample_log
+
+    # the oracles' batches against their one-call loops, with logging on
+    rng = RandomStream(seed)
+    if count == "blackbox_count":
+        func = MonotoneConj(6, frozenset({1}))
+        rows = np.array([[1 + rng.randrange(6)] for _ in range(calls)], dtype=np.intp)
+        rows = rows.reshape(calls, 1)
+
+        def ask(tr):
+            box = BlackBox(func, tr)
+            for k, row in enumerate(rows.tolist()):
+                if box.query_set(frozenset(row)) == 0:
+                    return k
+            return None
+
+        assert charged(lambda tr: BlackBox(func, tr).query_until(rows, 0), True) == \
+            charged(ask, True)
+    else:
+        d, f = spread_dist(97), MonotoneConj(4, frozenset({1}))
+
+        def draw(tr):
+            sm = Sampler(d, f, tr, RandomStream(seed))
+            return [sm.draw() for _ in range(calls)]
+
+        assert charged(lambda tr: list(Sampler(d, f, tr, RandomStream(seed)).draws(calls)),
+                       True) == charged(draw, True)
+
+    # _take against a loop of single calls
+    def loop(tr):
+        take = tr.take_blackbox if count == "blackbox_count" else tr.take_samples
+        for _ in range(calls):
+            take(size)
+        return calls
+
+    want = charged(loop)
+    assert charged(lambda tr: tr._take(count, calls, size)) == want
+    fit = (want[1] + want[2] - start) // size  # the calls the loop charged
+    assert (want[0] == "budget") == (fit < calls)
+    untouched = charged(lambda tr: None)[1:]
+    assert charged(lambda tr: tr._take(count, calls, size, charge=False)) == (
+        "budget" if calls and not fit else fit, *untouched)
+    if limit is not None and start >= limit:
+        assert want[1:] == untouched
+
+
 def test_rebound_sampler_is_a_fresh_sampler():
     # a copy on new streams shares the labels and table, draws as a sampler
     # built on those streams does, and leaves the original's streams alone

@@ -1055,13 +1055,14 @@ def test_quiet_conjunction_runs_match_the_drawn_path(monkeypatch):
         raise AssertionError("a quiet in-class run drew a subset")
 
     charges = []
-    take = QueryTranscript._take_queries
+    take = QueryTranscript._take
 
-    def recorded(self, k, log=None):
-        charges.append((self.blackbox_count, k))
-        return take(self, k, log)
+    def recorded(self, count, k, size=1, charge=True):
+        if count == "blackbox_count" and charge:
+            charges.append((self.blackbox_count, k))
+        return take(self, count, k, size, charge)
 
-    monkeypatch.setattr(QueryTranscript, "_take_queries", recorded)
+    monkeypatch.setattr(QueryTranscript, "_take", recorded)
     limited = set()
     for algo, func, dist, seed in shortcut_cases():
         p = compute_parameters(dist.n, 1)
@@ -1135,25 +1136,6 @@ def test_block_facts_match_the_literal_rule(support, count, size, ones_share, sk
         assert set(marked.tolist()) == (points or set()), (row, need)
 
 
-@settings(max_examples=200, deadline=None)
-@given(start=st.integers(0, 60), k=st.integers(0, 40), size=st.integers(1, 9),
-       room=st.one_of(st.none(), st.integers(0, 400)))
-def test_charging_groups_in_one_step_matches_the_per_group_loop(start, k, size, room):
-    # the same count, and BudgetExceeded at the same group, when the limit
-    # falls inside the groups charged
-    def charged(charge):
-        tr = QueryTranscript(limit=None if room is None else start + room)
-        tr.take_samples(start)
-        try:
-            charge(tr)
-        except BudgetExceeded:
-            return "budget", tr.sample_count
-        return "charged", tr.sample_count
-
-    loop = charged(lambda tr: [tr.take_samples(size) for _ in range(k)])
-    assert charged(lambda tr: tester_module._charge_groups(tr, k, size)) == loop
-
-
 def test_the_undrawn_tail_runs_out_of_budget_where_the_reference_does():
     # logging off, a run that stops recording in group 1 charges the other
     # groups undrawn; a limit inside that tail stops it at the reference's
@@ -1174,6 +1156,21 @@ def test_the_undrawn_tail_runs_out_of_budget_where_the_reference_does():
             counts.append((tr.sample_count, tr.blackbox_count))
         assert counts[0] == counts[1]
         assert counts[0][0] == limit - limit % p.group_size
+
+
+@pytest.mark.parametrize("algo", ["mconj", "conj"])
+def test_a_transcript_past_its_limit_refuses_the_tester(algo):
+    # a count already past the limit refuses the run's first call of its
+    # kind, and does not move
+    n, f, dist = ones_mass_instance(Fraction(3, 10))
+    tester = run_mconj_tester if algo == "mconj" else run_conj_tester
+    for count in ("sample_count", "blackbox_count"):
+        tr = QueryTranscript(limit=3, **{count: 5})
+        rng = RandomStream(314)
+        with pytest.raises(BudgetExceeded):
+            tester(BlackBox(f, tr), Sampler(dist, f, tr, rng.split("samples")), n, 1,
+                   rng.split("tester"))
+        assert getattr(tr, count) == 5
 
 
 # -- B and step 2.1 from the support's zero pairs ------------------------------
