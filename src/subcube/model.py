@@ -10,9 +10,10 @@ The batched sampler resolves the inverse CDF through a bucket table: the top
 bits of each uniform draw pick one of at most 2^12 equal buckets, a bucket
 holding no CDF boundary maps to its support index by one gather, and only the
 draws that land in one of the (at most support-size) buckets holding a
-boundary are searched exactly. Denominators beyond 2^62 draw whole 64-bit
-words, bucket the top word, and fall back to exact integers only when the top
-word equals a boundary's top word.
+boundary are searched exactly. Past 2^62 a draw is one 64-bit word, the top
+bits of a V uniform in [0, 1), bucketed against the top words of the
+boundaries over the denominator; a word whose bucket holds one is counted
+against the boundaries by rng's exact reader, which reads on only on a tie.
 
 A Sampler draws from two streams: draw() and draws(k) hand out (point, label)
 pairs in order, and the tester's blocks of groups come from a batch stream
@@ -42,7 +43,6 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -50,7 +50,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .rng import RandomStream
+from .rng import RandomStream, _below_cuts
 
 __all__ = [
     "ZeroSet",
@@ -301,7 +301,7 @@ class FiniteDistribution:
     """A finitely supported distribution with exact rational weights.
 
     Weights are positive Fractions that sum to exactly 1; support points are
-    distinct. Sampling is exact: a uniform integer below the common
+    distinct. Sampling is exact: a uniform value below the common
     denominator M is drawn and mapped through the cumulative numerators, so
     every point has probability exactly its weight.
     """
@@ -501,8 +501,8 @@ def _bucket_table(bounds: np.ndarray, shift: int, count: int, ties: bool) -> np.
 
     The index of a key is the number of sorted bounds <= key. A bucket gets -1
     when that number is not constant over it or, with ties, when any key in it
-    equals a bound (the bigint path compares top words only, so a top word
-    equal to a bound's top word needs the remaining words). The table has the
+    equals a bound (a word that equals a boundary's top word is not decided
+    by that word, and goes to the exact reader). The table has the
     narrowest signed dtype that holds -1 and len(bounds), which keeps the
     gather, and every index array drawn through it, small.
     """
@@ -554,20 +554,14 @@ class Sampler:
         self._cum = cum
         if m <= 1 << 62:
             # keys are the draws u themselves
-            self._nwords = 0
             self._bounds = np.array(cum, dtype=np.int64)
             self._key_shift = max(0, (m - 1).bit_length() - _BUCKET_BITS)
             self._table = _bucket_table(self._bounds, self._key_shift,
                                         ((m - 1) >> self._key_shift) + 1, ties=False)
         else:
-            # keys are the top words of the candidates W = u << shift; the
-            # boundaries cum_i << shift are compared through their top words
-            nbits = m.bit_length()
-            self._nwords = (nbits + 63) // 64
-            self._shift = self._nwords * 64 - nbits
-            top = 64 * (self._nwords - 1)
-            self._bounds = np.array([(c << self._shift) >> top for c in cum],
-                                    dtype=np.uint64)
+            # keys are words, the top 64 bits of V; bounds, the top 64 bits
+            # of the boundaries cum_i / m below 1
+            self._bounds = np.array([(c << 64) // m for c in cum[:-1]], dtype=np.uint64)
             self._key_shift = 64 - _BUCKET_BITS
             self._table = _bucket_table(self._bounds, self._key_shift,
                                         1 << _BUCKET_BITS, ties=True)
@@ -604,46 +598,20 @@ class Sampler:
         """k exact draws from the distribution (support indices); uncounted.
 
         The indices, and the RNG words consumed, are those of the inverse CDF
-        over rng.integers(M, size=k) when M <= 2^62, and over k successive
-        rng.randrange(M) calls otherwise.
+        over rng.integers(M, size=k) when M <= 2^62. Otherwise each draw
+        reads one word of rng (and, on a tie, words of its tie stream) as V,
+        and takes the number of boundaries cum_i / M <= V.
         """
-        if self._nwords:
-            return self._draw_big(rng, k)
-        u = rng.integers(self._denominator, size=k)
+        m = self._denominator
+        u = rng.integers(m, size=k) if m <= 1 << 62 else rng._words(k)
         idx = self._table[u >> self._key_shift if self._key_shift else u]
         if self._split and idx.min(initial=0) < 0:
             miss = idx < 0
-            idx[miss] = np.searchsorted(self._bounds, u[miss], side="right")
-        return idx
-
-    def _draw_big(self, rng: RandomStream, k: int) -> np.ndarray:
-        # RandomStream._randrange_big, one rejection round per batch. A
-        # candidate W of `words` words is rejected iff W >= M << shift, which
-        # is index S (the number of bounds) under the scaled boundaries. Accepted
-        # draws keep stream order and each round redraws exactly the number
-        # rejected, so the stream ends where the per-draw loop leaves it.
-        out = np.empty(k, dtype=self._table.dtype)
-        done = 0
-        while done < k:
-            need = k - done
-            raw = rng._words(need * self._nwords).reshape(need, self._nwords)
-            idx = self._table[raw[:, -1] >> self._key_shift]
-            if self._split and idx.min() < 0:
-                miss = idx < 0
-                idx[miss] = self._resolve_big(raw[miss])
-            got = idx[idx < len(self._bounds)]
-            out[done:done + len(got)] = got
-            done += len(got)
-        return out
-
-    def _resolve_big(self, raw: np.ndarray) -> np.ndarray:
-        """Exact indices (S for a rejection) of candidates given as rows of
-        words; a top word equal to a boundary's top word needs every word."""
-        top = raw[:, -1]
-        idx = np.searchsorted(self._bounds, top, side="right")
-        for j in np.flatnonzero(np.searchsorted(self._bounds, top, side="left") != idx):
-            w = int.from_bytes(raw[j].tobytes(), "little") >> self._shift
-            idx[j] = bisect_right(self._cum, w)
+            if m <= 1 << 62:
+                idx[miss] = np.searchsorted(self._bounds, u[miss], side="right")
+            else:
+                law = self._bounds, lambda lo, hi: (self._cum[lo:hi], m)
+                idx[miss] = _below_cuts(rng, law, u[miss])
         return idx
 
     def _log(self, idx: np.ndarray) -> None:

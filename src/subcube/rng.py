@@ -16,7 +16,11 @@ by integers(b, size=c), and one draw against an array of bounds reads the
 words of the scalar draws in row-major order. Floyd's method draws
 t_j < j + 1 for j = pop-k, ..., pop-1, and only its collision rule reads
 earlier draws. subset_rows therefore draws every t of many rows in one call
-and reads the words of the per-position loop run row by row.
+and reads the words of the per-position loop run row by row. The exact
+reader _below_cuts takes one full word of a stream per draw as V's first 64
+bits, and reads V's further bits, only on a tie with a cut, from the
+stream's tie stream split("ties"), in row order; so a batch of exact draws
+reads the words of as many single draws.
 """
 
 from __future__ import annotations
@@ -29,8 +33,7 @@ __all__ = ["RandomStream"]
 
 # numpy's bounded integers() is exact (Lemire rejection) only for bounds that
 # fit in int64. Above this bound randrange rejection-samples whole 64-bit
-# words instead; the sampler's batched bigint path replays the same words in
-# one vectorised call per rejection round (see model.Sampler).
+# words instead, and the sampler reads one word per draw by _below_cuts.
 _FAST_BOUND = 1 << 62
 
 
@@ -44,14 +47,18 @@ def _key_of(label) -> int:
 class RandomStream:
     """A deterministic random stream identified by (seed, path)."""
 
-    __slots__ = ("seed", "path", "_gen")
+    __slots__ = ("seed", "path", "_gen", "_ties")
 
     def __init__(self, seed: int, path: tuple = ()):
         self.seed = int(seed)
         self.path = tuple(path)
 
     def __getattr__(self, name):
-        # _gen is built on the first draw: a stream only split builds none
+        # _gen is built on the first draw, _ties on the first tie: a stream
+        # only split builds neither
+        if name == "_ties":
+            self._ties = self.split("ties")
+            return self._ties
         if name != "_gen":
             raise AttributeError(name)
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
@@ -147,3 +154,28 @@ class RandomStream:
             raise ValueError("sample larger than population")
         perm = self._gen.permutation(len(items))
         return [items[i] for i in perm[:k].tolist()]
+
+
+def _below_cuts(rng: RandomStream, law: tuple, words: np.ndarray) -> np.ndarray:
+    """For each word of words, read from rng as the first 64 bits of a V
+    uniform in [0, 1), the number of cuts c with c/total <= V, given law =
+    (tops, exact): tops, the top 64 bits of the sorted cuts over total,
+    each cut below total, and exact(lo, hi), the cuts lo..hi-1 and total.
+    A word counts the tops below it; a word equal to a top reads V 64 more
+    bits at a time from rng's tie stream, in row order, while some cut is
+    undecided (Knuth and Yao's lazy comparison): V's prefix P of b bits
+    decides c once it differs from floor(c 2^b / total), or equals it with
+    no remainder."""
+    tops, exact = law
+    below = np.searchsorted(tops, words, side="left")
+    past = np.searchsorted(tops, words, side="right")
+    for row in np.flatnonzero(past > below).tolist():
+        cuts, total = exact(int(below[row]), int(past[row]))
+        prefix, bits = int(words[row]), 64
+        while cuts:
+            split = [divmod(cut << bits, total) for cut in cuts]
+            below[row] += sum(top < prefix or top == prefix and not rest for top, rest in split)
+            cuts = [cut for cut, (top, rest) in zip(cuts, split) if top == prefix and rest]
+            if cuts:
+                prefix, bits = prefix << 64 | int(rng._ties._words(1)[0]), bits + 64
+    return below

@@ -28,13 +28,13 @@ its representative, a later group can start no search, so Stage 0 draws
 each later group's facts alone, from their exact law (_drawn_facts): a
 class word against the exact cuts of _class_cuts, one D0 draw, and for B
 a word against the cuts of _missing_cuts or a few D1 draws, where the
-group has group_size samples. Both words are read by one reader,
-_below_cuts, which reads more only on a tie. Such a run has the law of
-the logged run, not its draws; the groups it draws as samples read the
-logged run's words. Once recording has stopped and every 0-labelled
-support point has its representative, no later group can change the
-verdict, a query or a count, so Stage 0 charges the remaining groups in
-one step, without drawing them.
+group has group_size samples. Both words are read by the exact reader
+in rng, _below_cuts, which reads on from the tie stream only on a tie.
+Such a run has the law of the logged run, not its draws; the groups it
+draws as samples read the logged run's words. Once recording has stopped
+and every 0-labelled support point has its representative, no later
+group can change the verdict, a query or a count, so Stage 0 charges the
+remaining groups in one step, without drawing them.
 
 Stage 2 first finds the group that ends the run by its facts (too few
 1-samples, no 0-sample, or step 2.1). On a monotone conjunction (P, {})
@@ -57,7 +57,7 @@ from typing import Optional
 import numpy as np
 
 from .model import DimensionMismatch, ZeroSet
-from .rng import RandomStream
+from .rng import RandomStream, _below_cuts
 
 __all__ = [
     "TesterParams",
@@ -258,31 +258,6 @@ def _class_cuts(ones: int, m: int, size: int, need: int) -> tuple:
     return few, few + ones ** size, m ** size
 
 
-def _below_cuts(rng: RandomStream, law: tuple, count: int) -> np.ndarray:
-    """For each of count groups, the number of cuts c with c/total <= V, for
-    V uniform in [0, 1), given law = (tops, exact): tops, the top 64 bits of
-    the sorted cuts over total, each cut below total, and exact(lo, hi), the
-    cuts lo..hi-1 and total. A group reads one word of V and counts the tops
-    below it; a group whose word equals a top reads V 64 more bits at a
-    time, in row order, while some cut is undecided (Knuth and Yao's lazy
-    comparison): V's prefix P of b bits decides c once it differs from
-    floor(c 2^b / total), or equals it with no remainder."""
-    tops, exact = law
-    words = rng._words(count)
-    below = np.searchsorted(tops, words, side="left")
-    past = np.searchsorted(tops, words, side="right")
-    for row in np.flatnonzero(past > below).tolist():
-        cuts, total = exact(int(below[row]), int(past[row]))
-        prefix, bits = int(words[row]), 64
-        while cuts:
-            split = [divmod(cut << bits, total) for cut in cuts]
-            below[row] += sum(top < prefix or top == prefix and not rest for top, rest in split)
-            cuts = [cut for cut, (top, rest) in zip(cuts, split) if top == prefix and rest]
-            if cuts:
-                prefix, bits = prefix << 64 | int(rng._words(1)[0]), bits + 64
-    return below
-
-
 def _missing_cuts(cum: tuple, need: int) -> Optional[tuple]:
     """The law of the 1-labelled point that a group's B misses, for need
     D1 draws, given cum, the cumulative numerators nums of D1's points over
@@ -323,7 +298,7 @@ def _drawn_facts(sampler, count: int, size: int, need: int, law: dict) -> tuple:
     P(B) / |M| = P(B). A group stops drawing once it has seen every
     1-labelled point but J. The words are read in that order: the class
     words, the D0 draws, the missing words, the D1 draws, then the draws
-    below c."""
+    below c; a tied word reads on from the batch stream's tie stream."""
     rng = sampler._batch
     if not law:
         law.update(zeros=sampler._conditioned(0), ones=sampler._conditioned(1), cuts={})
@@ -339,7 +314,7 @@ def _drawn_facts(sampler, count: int, size: int, need: int, law: dict) -> tuple:
         law["cuts"][need] = classes, missing
     classes, missing = law["cuts"][need]
 
-    cls = _below_cuts(rng, classes, count)
+    cls = _below_cuts(rng, classes, rng._words(count))
 
     first0 = np.full(count, -1, dtype=np.intp)
     both = np.flatnonzero(cls == 2)
@@ -358,7 +333,7 @@ def _drawn_facts(sampler, count: int, size: int, need: int, law: dict) -> tuple:
         skip = None
         if missing is not None:
             # skip: J's position in members, or width when B is every point
-            skip = _below_cuts(rng, missing, rows.size)
+            skip = _below_cuts(rng, missing, rng._words(rows.size))
             found[skip == width] = True
             live = picked = np.flatnonzero(skip < width)
             # J counts as seen, so a row stops once it has seen the rest;

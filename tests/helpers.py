@@ -474,15 +474,29 @@ def literal_index(dist, u):
     return bisect_right(dist._cum, u)
 
 
+def word_index(cum, rng):
+    """The literal exact draw past 2^62: the number of cuts c in cum[:-1]
+    with c / cum[-1] <= V, for V uniform in [0, 1). V's first 64 bits are
+    one word of rng; while some cut lies strictly inside the interval of
+    V's prefix, the next 64 bits are one word of rng's tie stream."""
+    cuts = [Fraction(c, cum[-1]) for c in cum[:-1]]
+    low, width = Fraction(int(rng._words(1)[0]), 1 << 64), Fraction(1, 1 << 64)
+    while any(low < c < low + width for c in cuts):
+        width /= 1 << 64
+        low += int(rng._ties._words(1)[0]) * width
+    return sum(c <= low for c in cuts)
+
+
 def strong_sample(inst, rng, transcript):
     """One draw from the strong sampling oracle of a hidden-block instance,
-    one bigint word at a time: charged to transcript (which raises
-    BudgetExceeded before drawing when it is at its limit), drawn through
-    the literal inverse CDF and logged as (zeros, gamma). Returns
-    (point, gamma): gamma is alpha_k for a draw of c^k, else None."""
+    one draw at a time: charged to transcript (which raises BudgetExceeded
+    before drawing when it is at its limit), drawn through the literal
+    inverse CDF (word_index past 2^62) and logged as (zeros, gamma).
+    Returns (point, gamma): gamma is alpha_k for a draw of c^k, else None."""
     transcript.take_samples(1)
     dist = inst.distribution
-    idx = literal_index(dist, rng.randrange(dist.denominator))
+    idx = (literal_index(dist, rng.randrange(dist.denominator)) if dist.denominator <= 1 << 62
+           else word_index(dist._cum, rng))
     kind, i = inst.support_kinds[idx]
     point = dist.entries[idx][0]
     gamma = inst.alpha[i - 1] if kind == "c" else None

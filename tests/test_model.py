@@ -2,6 +2,7 @@
 
 from bisect import bisect_right
 from fractions import Fraction
+import hashlib
 from itertools import accumulate
 
 import numpy as np
@@ -28,8 +29,8 @@ from subcube import (
     generate_instance,
 )
 import subcube.model as model_module
-from helpers import (collect, draw_indices, flip_distribution, literal_coords, literal_draw,
-                     literal_index, rand_dist, rand_points, table_of, zs)
+from helpers import (chi_square_fit, collect, draw_indices, flip_distribution, literal_coords,
+                     literal_draw, literal_index, rand_dist, rand_points, table_of, word_index, zs)
 
 
 def test_zeroset_validation_and_flip():
@@ -363,7 +364,8 @@ def spread_dist(den):
 @pytest.mark.parametrize("label", [0, 1])
 def test_conditioned_draws_are_the_members_inverse_cdf(den, label):
     # D conditioned on a label draws its members through the inverse CDF of
-    # their numerators, on the words of one randrange per draw
+    # their numerators, on the words of one randrange per draw (past 2^62,
+    # of one word_index per draw)
     d, f = spread_dist(den), MonotoneConj(4, frozenset({1}))
     sm = Sampler(d, f, QueryTranscript(), RandomStream(0))
     view, members = sm._conditioned(label)
@@ -372,7 +374,8 @@ def test_conditioned_draws_are_the_members_inverse_cdf(den, label):
     cum = list(accumulate(int(d.entries[i][1] * d.denominator) for i in members.tolist()))
     a, b = RandomStream(9), RandomStream(9)
     got = view._draw_indices_raw(a, 300)
-    assert got.tolist() == [bisect_right(cum, b.randrange(cum[-1])) for _ in range(300)]
+    assert got.tolist() == [bisect_right(cum, b.randrange(cum[-1])) if cum[-1] <= 1 << 62
+                            else word_index(cum, b) for _ in range(300)]
     assert a.randrange(1 << 70) == b.randrange(1 << 70)
     assert sm.labels is view.labels and sm._table is not view._table
     assert Sampler(d, MonotoneConj(4, frozenset()), QueryTranscript(),
@@ -565,8 +568,8 @@ def test_coords_accepts_and_rejects_as_the_literal_loop(n, values, kind, signed)
 
 
 def per_draw_reference(d, rng, k):
-    """The literal exact sampler: one inverse-CDF lookup per bigint draw."""
-    return [literal_index(d, rng.randrange(d.denominator)) for _ in range(k)]
+    """The literal exact sampler past 2^62: one word_index per draw."""
+    return [word_index(d._cum, rng) for _ in range(k)]
 
 
 def assert_same_stream(d, k, seed):
@@ -587,8 +590,8 @@ def assert_same_stream(d, k, seed):
 
 
 def test_sampler_bigint_denominator_path():
-    # weights with a denominator beyond the batched int64 path; about half
-    # of the 65-bit candidates are rejected, so batches take several rounds
+    # weights with a denominator beyond the batched int64 path, drawn one
+    # word per draw
     big = (1 << 64) + 13
     d = FiniteDistribution(3, ((zs(3), Fraction(1, big)),
                                (zs(3, 1), Fraction(big - 1, big))))
@@ -665,37 +668,88 @@ class _FixedWords:
         return out
 
 
-def fixed_stream(words):
+def fixed_stream(words, ties):
+    """A stream that reads its words, and its tie stream's, from fixed lists."""
     rng = RandomStream(0)
-    rng._gen = _FixedWords(words)
+    rng._gen, rng._ties._gen = _FixedWords(words), _FixedWords(ties)
     return rng
 
 
 @pytest.mark.parametrize("m", [(1 << 105) + 51, 3 ** 67, (1 << 64) + 13])
 def test_bigint_top_word_ties_resolve_exactly(m):
-    # clustered boundaries share a top word; the candidates sit at and one
-    # unit either side of every boundary (the rejection bound included) in
-    # the words below the top word, so every candidate's top word ties
-    cuts = [1, 2, 3, m // 3, m // 3 + 1, m // 2]
-    d = dist_from_cuts(m, cuts)
-    nbits = m.bit_length()
-    words = (nbits + 63) // 64
-    low_bits = 64 * (words - 1)
+    # clustered cuts share a top word. A draw's word sits at, or one unit
+    # either side of, some cut's top word, or ties it and goes on, on the
+    # tie stream, at or one unit either side of the cut's second word. A
+    # draw reads the shortest prefix of V that no cut falls strictly inside,
+    # and its index is the number of cuts at or below that prefix; draws(k)
+    # hands out the points of k draw() calls on the same words
+    d = dist_from_cuts(m, [1, 2, 3, m // 3, m // 3 + 1, m // 2])
+    cuts = [Fraction(c, m) for c in d._cum[:-1]]
     mask = (1 << 64) - 1
-    values = []
-    for c in reversed(d._cum):  # rejections first, so every word is read
-        bound = c << (words * 64 - nbits)
-        top, low = bound >> low_bits, bound & ((1 << low_bits) - 1)
-        values += [(top << low_bits) | x for x in (low - 1, low, low + 1)
-                   if 0 <= x < 1 << low_bits]
-    candidates = [(v >> (64 * j)) & mask for v in values for j in range(words)]
-    accepted = sum(v >> (words * 64 - nbits) < m for v in values)
-    sm = Sampler(d, MonotoneConj(d.n, frozenset()), QueryTranscript(),
-                 RandomStream(0))
-    a, b = fixed_stream(candidates), fixed_stream(candidates)
-    got = sm._draw_indices_raw(a, accepted)
-    assert [int(i) for i in got] == per_draw_reference(d, b, accepted)
-    assert a._gen.used == b._gen.used == len(candidates)
+
+    def inside(prefix):
+        # (the cuts at or below the prefix, whether a cut is strictly inside its interval)
+        low = Fraction(0)
+        for k, word in enumerate(prefix, start=1):
+            low += Fraction(word, 1 << 64 * k)
+        high = low + Fraction(1, 1 << 64 * len(prefix))
+        return sum(c <= low for c in cuts), any(low < c < high for c in cuts)
+
+    draws = []
+    for c in d._cum[:-1]:
+        first, second = (((c << 64 * k) // m) & mask for k in (1, 2))
+        for plan in [[first + step] for step in (-1, 0, 1)] + [
+                [first, second + step] for step in (-1, 0, 1)]:
+            if 0 <= plan[-1] <= mask:
+                read = next((plan[:k] for k in range(1, len(plan) + 1)
+                             if not inside(plan[:k])[1]), None)
+                if read is not None and read not in draws:
+                    draws.append(read)
+    words = [p[0] for p in draws]
+    ties = [w for p in draws for w in p[1:]]
+    assert ties and len(draws) > len(d._cum)
+    sm = Sampler(d, MonotoneConj(d.n, frozenset()), QueryTranscript(), RandomStream(0))
+    rng = fixed_stream(words, ties)
+    want = [inside(p)[0] for p in draws]
+    assert sm._draw_indices_raw(rng, len(draws)).tolist() == want
+    assert (rng._gen.used, rng._ties._gen.used) == (len(words), len(ties))
+    batch, single = (sm.rebind(QueryTranscript(), fixed_stream(words, ties)) for _ in range(2))
+    assert list(batch.draws(len(draws))) == [single.draw() for _ in draws] == [
+        (d.entries[i][0], 1) for i in want]
+
+
+def law_points(m):
+    """Six points with uneven weights over m, none of them tiny."""
+    return dist_from_cuts(m, [m * k // 17 for k in (2, 5, 7, 11, 14)])
+
+
+# Pearson's statistic of 200,000 draws against the weights on 5 degrees of
+# freedom, whose critical value at alpha = 0.001 is 20.52: 7.73 at 65 bits,
+# 2.28 at 106 bits and 6.54 at 107 bits
+@pytest.mark.parametrize("m", [(1 << 64) + 13, (1 << 105) + 51, 3 ** 67])
+def test_draws_past_2_62_fit_their_law(m):
+    d = law_points(m)
+    sm = Sampler(d, MonotoneConj(d.n, frozenset()), QueryTranscript(), RandomStream(0))
+    counts = np.bincount(sm._draw_indices_raw(RandomStream(m), 200_000), minlength=6)
+    stat, crit, df = chi_square_fit(dict(enumerate(counts.tolist())),
+                                    {i: w for i, (_, w) in enumerate(d.entries)})
+    assert df == 5 and round(crit, 2) == 20.52
+    assert stat < crit, stat
+
+
+@pytest.mark.parametrize("m, digest", [((1 << 64) + 13, "1011963324cb9c4c"),
+                                       ((1 << 105) + 51, "bb46087d82c30696"),
+                                       (3 ** 67, "15ab5757baf87e1a")])
+def test_draws_past_2_62_word_layout_is_pinned(m, digest):
+    # the indices of 5,000 draws, and the states of the stream and of its
+    # tie stream after them: a change in which words a draw reads moves
+    # the digest even where the law does not
+    d = law_points(m)
+    sm = Sampler(d, MonotoneConj(d.n, frozenset()), QueryTranscript(), RandomStream(m))
+    sha = hashlib.sha256(np.asarray(sm._draw_indices_raw(sm.rng, 5000), dtype=np.int64).tobytes())
+    for stream in (sm.rng, sm.rng._ties):
+        sha.update(repr(stream._gen.bit_generator.state).encode())
+    assert sha.hexdigest()[:16] == digest
 
 
 def test_flipped_sampler_flips_points_and_labels():

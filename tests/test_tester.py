@@ -1428,13 +1428,14 @@ def test_class_word_ties_resolve_exactly(ones_mass):
     cycle = [edges[0] - 1, edges[0], edges[1] - 1, edges[1], (1 << 64) - 1]
     with_b = sum(settled(p)[0] > 0 for p in prefixes)
     missing = [cycle[k % len(cycle)] for k in range(with_b)]
-    words = [p[0] for p in prefixes] + [w for p in prefixes for w in p[1:]] + missing
+    # a tied class word reads on from the batch stream's tie stream
+    words, ties = [p[0] for p in prefixes] + missing, [w for p in prefixes for w in p[1:]]
     sampler = Sampler(dist, f, QueryTranscript(), RandomStream(0))
-    sampler._batch._gen = _WordsThenPCG(words)
+    sampler._batch._gen, sampler._batch._ties._gen = _WordsThenPCG(words), _WordsThenPCG(ties)
     short, first0, masks = tester_module._drawn_facts(sampler, len(prefixes), size, need, {})
     got = np.where(short, 0, np.where(first0 < 0, 1, 2)).tolist()
     assert got == [settled(p)[0] for p in prefixes]
-    assert sampler._batch._gen.used == len(words)
+    assert (sampler._batch._gen.used, sampler._batch._ties._gen.used) == (len(words), len(ties))
     assert any(len(p) > 1 for p in prefixes) == (ones_mass == Fraction(2, 3))
     assert with_b >= len(cycle)
     assert [set(np.flatnonzero(row).tolist()) for row in masks[~short]] == [
@@ -1454,13 +1455,12 @@ def test_missing_word_ties_resolve_exactly():
     for cut in cuts:
         first, second = (cut.numerator * 2 ** (64 * k) // cut.denominator for k in (1, 2))
         prefixes += [(first, (second & mask) + step) for step in (-1, 1)]
-    words = [p[0] for p in prefixes] + [p[1] for p in prefixes]
     rng = RandomStream(0)
-    rng._gen = _WordsThenPCG(words)
-    picks = tester_module._below_cuts(rng, missing, len(prefixes))
+    rng._gen, rng._ties._gen = (_WordsThenPCG([p[k] for p in prefixes]) for k in (0, 1))
+    picks = tester_module._below_cuts(rng, missing, rng._words(len(prefixes)))
     assert picks.tolist() == [sum(c <= Fraction(a << 64 | b, 1 << 128) for c in cuts)
                               for a, b in prefixes] == [0, 1, 1, 2, 2, 3]
-    assert rng._gen.used == len(words)
+    assert rng._gen.used == rng._ties._gen.used == len(prefixes)
 
 
 _TOTALS = st.one_of(st.integers(0, 200).map(lambda k: 1 << k),
@@ -1475,9 +1475,10 @@ def test_below_cuts_counts_the_cuts_at_or_below_the_words_read(data, total):
     # group's first word sits at, or one unit either side of, some cut's
     # first word, or ties it and goes on at, or one unit either side of,
     # the cut's second word. A group reads the shortest prefix that no cut
-    # falls strictly inside: the first words come first, then each tied
-    # group's continuations, in row order. Its count is the number of cuts
-    # at or below that prefix, and the exact cuts are asked for only on a tie.
+    # falls strictly inside: its first word from the stream, and each tied
+    # group's continuations, in row order, from the tie stream. Its count is
+    # the number of cuts at or below that prefix, and the exact cuts are
+    # asked for only on a tie.
     cuts = data.draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=3))
     cuts = sorted(cuts + data.draw(st.lists(st.sampled_from(cuts), max_size=2)))
     mask = (1 << 64) - 1
@@ -1512,11 +1513,11 @@ def test_below_cuts_counts_the_cuts_at_or_below_the_words_read(data, total):
         return cuts[lo:hi], total
 
     rng = RandomStream(0)
-    words = [p[0] for p in groups] + [w for p in groups for w in p[1:]]
-    rng._gen = _WordsThenPCG(words)
-    got = tester_module._below_cuts(rng, (tops, exact), len(groups))
+    ties = [w for p in groups for w in p[1:]]
+    rng._gen, rng._ties._gen = _WordsThenPCG([p[0] for p in groups]), _WordsThenPCG(ties)
+    got = tester_module._below_cuts(rng, (tops, exact), rng._words(len(groups)))
     assert got.tolist() == [inside(p)[0] for p in groups]
-    assert rng._gen.used == len(words)
+    assert (rng._gen.used, rng._ties._gen.used) == (len(groups), len(ties))
     assert len(asked) == sum(p[0] in tops.tolist() for p in groups)
 
 
