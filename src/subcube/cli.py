@@ -30,6 +30,7 @@ from .serialize import (
     fraction_to_str,
     function_to_obj,
     load_instance,
+    parse_fraction,
     save_instance,
     structure_sidecar,
 )
@@ -45,8 +46,8 @@ __all__ = ["main"]
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return parse_fraction(text)
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import lcm
 from typing import Optional
 
 from .model import (
@@ -27,6 +26,7 @@ from .model import (
     MonotoneConj,
     SizeCapError,
     ZeroSet,
+    _over_lcm,
 )
 
 __all__ = [
@@ -93,13 +93,8 @@ def _min_error(sample: LabeledSample, zero_masks):
     m = len(sample.entries)
     if m > _SUPPORT_CAP:
         raise SizeCapError(f"support capped at {_SUPPORT_CAP} points")
-    weights = [w for _, _, w in sample.entries]
-    denom = lcm(*[w.denominator for w in weights]) if weights else 1
-    nums = [int(w * denom) for w in weights]
-    ones_mask = 0
-    for pos, (_, label, _) in enumerate(sample.entries):
-        if label == 1:
-            ones_mask |= 1 << pos
+    nums, denom = _over_lcm([w for _, _, w in sample.entries])
+    ones_mask = _ones(sample)
     full = (1 << m) - 1
     distinct = sorted(set(zero_masks))
     closed = {0}
@@ -305,9 +300,7 @@ def _min_flip_weight(sample: LabeledSample, columns, core,
     m = len(sample.entries)
     if m > _SUPPORT_CAP:
         raise SizeCapError(f"support capped at {_SUPPORT_CAP} points")
-    weights = [w for _, _, w in sample.entries]
-    denom = lcm(*(w.denominator for w in weights))
-    nums = [w.numerator * (denom // w.denominator) for w in weights]
+    nums, denom = _over_lcm([w for _, _, w in sample.entries])
     ones = _ones(sample)
     cores = {}  # core C -> every F & C under which C was found
     for total, flips in _flip_sets(nums):

@@ -1,7 +1,8 @@
 """Seeded trial runner, query accounting, and budget-sweep experiments.
 
-Each trial owns an RNG substream derived from (seed, trial id), so results
-are reproducible regardless of worker scheduling. Each trial also owns one
+Trials run in order on the calling thread, each on an RNG substream
+derived from (seed, trial id), so a trial's result does not depend on the
+trials before it in the batch. Each trial also owns one
 QueryTranscript, shared by all its oracles and amplification attempts: its
 counts are the trial's query counts, and its limit is the trial's budget.
 A budget overrun surfaces as a forced accept, which keeps every tester
@@ -13,7 +14,6 @@ trial's sampler and the function behind its black box.
 from __future__ import annotations
 
 import csv
-import os
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -62,16 +62,9 @@ EXPERIMENT_HEADER = ("budget", "yes_accept", "no_accept", "gap",
 
 
 def worker_count() -> int:
-    """Worker pool size: the SUBCUBE_THREADS environment variable sets it
-    (at least 1, above the CPU count too); unset, min(8, CPU count)."""
-    env = os.environ.get("SUBCUBE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(
-                f"SUBCUBE_THREADS must be an integer, got {env!r}") from None
-    return min(8, os.cpu_count() or 1)
+    """1: every batch runs on the calling thread. Kept only for the
+    benchmark harness, which still reports it."""
+    return 1
 
 
 @dataclass
@@ -199,14 +192,8 @@ def _run_one(config: ExperimentConfig, trial: int,
 
 
 def run_trials(config: ExperimentConfig) -> list[TrialResult]:
-    """Run the batch; results are ordered by trial id."""
-    ids = range(config.trials)
-    workers = worker_count()
-    if workers <= 1 or config.trials <= 1:
-        return [_run_one(config, i) for i in ids]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda i: _run_one(config, i), ids))
+    """Run the batch's trials in order, on the calling thread."""
+    return [_run_one(config, i) for i in range(config.trials)]
 
 
 def write_trials_csv(fh, results: list[TrialResult]) -> None:

@@ -296,6 +296,13 @@ class Flipped(FunctionSpec):
 # distributions
 
 
+def _over_lcm(weights: list) -> tuple:
+    """Exact weights as integers over their common denominator: (the
+    numerators, in order, and the lcm of the denominators)."""
+    denom = math.lcm(*{w.denominator for w in weights})
+    return [w.numerator * (denom // w.denominator) for w in weights], denom
+
+
 @dataclass(frozen=True)
 class FiniteDistribution:
     """A finitely supported distribution with exact rational weights.
@@ -326,8 +333,8 @@ class FiniteDistribution:
             norm.append((point, w))
         if not norm:
             raise ValueError("distribution must have non-empty support")
-        denom = math.lcm(*{w.denominator for _, w in norm})
-        cum = tuple(accumulate(w.numerator * (denom // w.denominator) for _, w in norm))
+        nums, denom = _over_lcm([w for _, w in norm])
+        cum = tuple(accumulate(nums))
         if cum[-1] != denom:
             raise ValueError(
                 f"weights must sum to exactly 1, got {Fraction(cum[-1], denom)}")
@@ -349,8 +356,9 @@ class QueryTranscript:
     """The ledger of one trial: counts (and optionally logs) black-box
     queries and sample draws, and caps each count at limit when one is set.
 
-    take_blackbox and take_samples raise BudgetExceeded before counting, so
-    a refused call is never counted.
+    take_blackbox charges one query and _take a batch of calls, each as it
+    would be alone: a call the limit refuses raises BudgetExceeded and is
+    never counted.
     """
 
     blackbox_count: int = 0
@@ -367,11 +375,6 @@ class QueryTranscript:
         if self.limit is not None and self.blackbox_count + k > self.limit:
             raise BudgetExceeded("black-box query budget exhausted")
         self.blackbox_count += k
-
-    def take_samples(self, k: int) -> None:
-        if self.limit is not None and self.sample_count + k > self.limit:
-            raise BudgetExceeded("sampling budget exhausted")
-        self.sample_count += k
 
     def _take(self, count: str, calls: int, size: int = 1, charge: bool = True) -> int:
         """Charge a batch of calls, each of size units, on count

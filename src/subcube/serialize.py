@@ -11,6 +11,7 @@ nests too deeply to decode.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,9 +61,17 @@ def fraction_to_str(w) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_fraction(text) -> Fraction:
+    """An integer or num/den, with an optional sign; anything else (a
+    decimal or exponent such as 1e-9 included) raises ValueError."""
+    text = str(text)
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"{text!r} is not an integer or num/den")
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"{text!r} has a zero denominator") from None
 

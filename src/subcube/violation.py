@@ -14,7 +14,6 @@ shortest augmenting paths; that cut is the same for every maximum flow.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -28,6 +27,7 @@ from .model import (
     QueryTranscript,
     SizeCapError,
     ZeroSet,
+    _over_lcm,
 )
 from .tester import binary_search_representative
 
@@ -186,11 +186,9 @@ def min_weight_vertex_cover(G: ViolationGraph):
         raise SizeCapError(f"vertex cover computation capped at {_COVER_CAP} vertices")
     if not G.edges:
         return frozenset(), Fraction(0)
-    weights = [w for _, w in G.left + G.right]
-    denom = math.lcm(*(w.denominator for w in weights))
     # residual capacity of source -> left i (node i) and right j -> sink
     # (node nl + j); flow[j] maps left i to the flow on edge i -> j
-    cap = [w.numerator * (denom // w.denominator) for w in weights]
+    cap, denom = _over_lcm([w for _, w in G.left + G.right])
     adj = [[] for _ in range(nl)]
     flow = [{} for _ in range(nr)]
     total = 0
@@ -248,8 +246,7 @@ def min_weight_vertex_cover(G: ViolationGraph):
 def _degrees(G: ViolationGraph):
     """Degree of every left vertex, incoming weight of every right one in
     units of 1/denom, and denom, the lcm of the left weights' denominators."""
-    denom = math.lcm(*(w.denominator for _, w in G.left))
-    scaled = [w.numerator * (denom // w.denominator) for _, w in G.left]
+    scaled, denom = _over_lcm([w for _, w in G.left])
     deg = [0] * len(G.left)
     inw = [0] * len(G.right)
     for li, ri in G.edges:

@@ -458,10 +458,18 @@ def chi_square_two_sample(first, second, alpha=0.001):
     return stat, chi2_critical(df, alpha), df
 
 
+def charge_samples(transcript, size):
+    """The literal single-call charge: one call of size samples, refused
+    whole (BudgetExceeded, nothing counted) when it does not fit the limit."""
+    if transcript.limit is not None and transcript.sample_count + size > transcript.limit:
+        raise BudgetExceeded("sampling budget exhausted")
+    transcript.sample_count += size
+
+
 def literal_draw(sampler):
     """One counted draw from the sampler's draw() stream, one sample at a
     time: charge it, draw one index, log it, and return (point, label)."""
-    sampler.transcript.take_samples(1)
+    charge_samples(sampler.transcript, 1)
     idx = sampler._draw_indices_raw(sampler.rng, 1)
     sampler._log(idx)
     i = int(idx[0])
@@ -493,7 +501,7 @@ def strong_sample(inst, rng, transcript):
     before drawing when it is at its limit), drawn through the literal
     inverse CDF (word_index past 2^62) and logged as (zeros, gamma).
     Returns (point, gamma): gamma is alpha_k for a draw of c^k, else None."""
-    transcript.take_samples(1)
+    charge_samples(transcript, 1)
     dist = inst.distribution
     idx = (literal_index(dist, rng.randrange(dist.denominator)) if dist.denominator <= 1 << 62
            else word_index(dist._cum, rng))
@@ -535,7 +543,7 @@ def draw_indices(sampler, k):
     the stream the tester's groups come from. It is separate from draw()'s
     and continues from call to call. The samples are charged before they
     are drawn, and logged as the sampler logs them."""
-    sampler.transcript.take_samples(k)
+    charge_samples(sampler.transcript, k)
     idx = sampler._draw_indices_raw(sampler._batch, k)
     sampler._log(idx)
     return idx

@@ -33,7 +33,7 @@ ROOT_NAMES = [
 REMOVED = {"strong_sample", "index_from_uniform", "weight_of", "support",
            "from_values", "point_a", "point_b", "point_c", "special_threshold",
            "_distance_mconj", "_distance_conj", "_take_queries", "_charged_chunks",
-           "_charge_groups", "_draw_big", "_resolve_big"}
+           "_charge_groups", "_draw_big", "_resolve_big", "take_samples"}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -11,6 +11,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -137,7 +139,7 @@ def test_trials_on_fixed_instance():
                             "stage1-few-ones"}
 
 
-def test_trials_deterministic_and_thread_invariant(monkeypatch):
+def test_trials_deterministic_and_thread_invariant():
     # the second instance has a 0-point, found in group 0, so Stage 0 draws
     # the later groups as their facts, and Stage 2 ends where they say
     f = MonotoneConj(8, frozenset({1}))
@@ -146,11 +148,9 @@ def test_trials_deterministic_and_thread_invariant(monkeypatch):
     for instance in (inclass_instance(), facts):
         cfg = ExperimentConfig(algo="mconj", epsilon=Fraction(1), trials=4,
                                seed=2, instance=instance)
-        runs = []
-        for threads in ("1", "2", "4", "4"):
-            monkeypatch.setenv("SUBCUBE_THREADS", threads)
-            runs.append([key_of(r) + (r.transcript.samples_drawn,) for r in run_trials(cfg)])
-        assert runs[1:] == runs[:1] * 3
+        runs = [[key_of(r) + (r.transcript.samples_drawn,) for r in run_trials(cfg)]
+                for _ in range(2)]
+        assert runs[1] == runs[0]
         assert all(drawn < r[4] for *r, drawn in runs[0])
 
 
@@ -747,32 +747,34 @@ def test_cli_test_emits_csv_row(tmp_path, capsys):
     assert row[1] in ("accept", "reject")
 
 
-def test_subcube_threads_sets_the_worker_count(monkeypatch):
-    # any positive value is the pool size, above the CPU count too; unset,
-    # the CPU count, at most 8. Only the count is read: no pool is built
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.delenv("SUBCUBE_THREADS", raising=False)
-    assert harness.worker_count() == 2
-    for env, workers in (("16", 16), ("1", 1), ("0", 1), ("-3", 1)):
-        monkeypatch.setenv("SUBCUBE_THREADS", env)
-        assert harness.worker_count() == workers, env
-    monkeypatch.delenv("SUBCUBE_THREADS")
-    monkeypatch.setattr(os, "cpu_count", lambda: 32)
-    assert harness.worker_count() == 8
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert harness.worker_count() == 1
+def test_trials_run_in_order_on_the_calling_thread(tmp_path, capsys, monkeypatch):
+    # every trial runs on the caller's thread, in trial order, and
+    # SUBCUBE_THREADS is not read
+    seen = []
 
+    def one(config, trial):
+        seen.append((trial, threading.get_ident()))
+        return _run_one(config, trial)
 
-def test_cli_names_a_bad_thread_count(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "_run_one", one)
+    cfg = ExperimentConfig(algo="mconj", epsilon=Fraction(1), trials=4,
+                           seed=2, instance=inclass_instance())
+    assert [r.trial for r in run_trials(cfg)] == [0, 1, 2, 3]
+    assert seen == [(i, threading.get_ident()) for i in range(4)]
+
     path = gen_file(tmp_path)
     capsys.readouterr()
+    argv = ["test", "--instance", str(path), "--algo", "mconj", "--epsilon", "1",
+            "--seed", "3"]
+
+    def rows():  # the CSV without its wall_ms column
+        assert cli.main(argv) == 0
+        return [line.rsplit(",", 1)[0] for line in capsys.readouterr().out.splitlines()]
+
+    monkeypatch.delenv("SUBCUBE_THREADS", raising=False)
+    plain = rows()
     monkeypatch.setenv("SUBCUBE_THREADS", "abc")
-    rc = cli.main(["test", "--instance", str(path), "--algo", "mconj",
-                   "--epsilon", "1", "--seed", "3"])
-    assert rc == 2
-    captured = capsys.readouterr()
-    assert captured.err == "error: SUBCUBE_THREADS must be an integer, got 'abc'\n"
-    assert captured.out == ""
+    assert rows() == plain
 
 
 def test_cli_test_logs_queries(tmp_path, capsys):
@@ -1154,9 +1156,10 @@ def _violation_function(kind, n, coords, bits):
 
 # malformed values for an instance file, and --epsilon values, good ones
 # first (hypothesis favours them), then out-of-range and malformed ones
-_BAD_WEIGHTS = ["0", "-1/2", "1/0", "x", "1e-400", "nan", 0.5, None, [1]]
+_BAD_WEIGHTS = ["0", "-1/2", "1/0", "x", "1e-400", "1e-100000000", "nan", 0.5, None, [1]]
 _BAD_N = [0, -1, "3", 3.0, True, None]
-_EPSILONS = ["1", "1/2", "1/3", "0", "-1/2", "3/2", "1/0", "x", "1e-400", ""]
+_EPSILONS = ["1", "1/2", "1/3", "0", "-1/2", "3/2", "1/0", "x", "1e-400", "1e-100000000",
+             ""]
 
 
 @settings(max_examples=150, deadline=None)
@@ -1202,6 +1205,28 @@ def test_cli_violation_fuzz_exits_0_or_2(n, kind, coords, bits, points, mutation
                 rc = exc.code
     assert "Traceback" not in err.getvalue()
     assert rc == 0 or (rc == 2 and "error:" in err.getvalue()), (rc, err.getvalue())
+
+
+@pytest.mark.parametrize("weight, epsilon, message", [
+    ("1e-100000000", "1", "distribution[0].weight: '1e-100000000' is not an integer or num/den"),
+    ("1", "1e-100000000", "argument --epsilon: not a rational: '1e-100000000'"),
+])
+def test_cli_refuses_exponent_rationals_at_once(tmp_path, capsys, weight, epsilon, message):
+    # Fraction(str) expands 1eK into 10^K, which takes seconds to minutes
+    # before it fails; only an integer or num/den is read, so both end at once
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({
+        "n": 1, "function": {"type": "monotone-conjunction", "n": 1, "required": [1]},
+        "distribution": [{"zeros": [], "weight": weight}]}))
+    started = time.perf_counter()
+    try:
+        rc = cli.main(["test", "--instance", str(path), "--algo", "mconj",
+                       "--epsilon", epsilon, "--seed", "0"])
+    except SystemExit as exc:  # argparse rejects the option itself
+        rc = exc.code
+    assert time.perf_counter() - started < 1
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("emit", ["graph", "prune-report"])

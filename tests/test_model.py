@@ -29,8 +29,9 @@ from subcube import (
     generate_instance,
 )
 import subcube.model as model_module
-from helpers import (chi_square_fit, collect, draw_indices, flip_distribution, literal_coords,
-                     literal_draw, literal_index, rand_dist, rand_points, table_of, word_index, zs)
+from helpers import (charge_samples, chi_square_fit, collect, draw_indices, flip_distribution,
+                     literal_coords, literal_draw, literal_index, rand_dist, rand_points, table_of,
+                     word_index, zs)
 
 
 def test_zeroset_validation_and_flip():
@@ -223,14 +224,16 @@ def test_budget_raises_before_counting():
         t.take_blackbox()
     assert t.blackbox_count == 2
     # the limit caps each count on its own
-    t.take_samples(2)
+    t._take("sample_count", 1, 2)
     with pytest.raises(BudgetExceeded):
-        t.take_samples(1)
+        t._take("sample_count", 1)
     assert t.sample_count == 2
+    capped = QueryTranscript(limit=5)
     with pytest.raises(BudgetExceeded):
-        QueryTranscript(limit=5).take_samples(6)  # a batch is refused whole
+        capped._take("sample_count", 1, 6)  # a call is refused whole
+    assert capped.sample_count == 0
     unlimited = QueryTranscript()  # no limit by default
-    unlimited.take_samples(10 ** 9)
+    unlimited._take("sample_count", 1, 10 ** 9)
     unlimited.take_blackbox()
     assert (unlimited.blackbox_count, unlimited.sample_count) == (1, 10 ** 9)
 
@@ -470,9 +473,11 @@ def test_a_batch_is_charged_as_its_calls_one_at_a_time(count, start, room, calls
 
     # _take against a loop of single calls
     def loop(tr):
-        take = tr.take_blackbox if count == "blackbox_count" else tr.take_samples
         for _ in range(calls):
-            take(size)
+            if count == "blackbox_count":
+                tr.take_blackbox(size)
+            else:
+                charge_samples(tr, size)
         return calls
 
     want = charged(loop)

@@ -6,6 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import subcube.cli as cli
 from subcube import (
@@ -21,6 +22,7 @@ from subcube import (
     MonotoneConj,
     RandomStream,
     TruthTable,
+    ZeroSet,
     function_from_obj,
     function_to_obj,
     generate_instance,
@@ -41,8 +43,13 @@ def test_fraction_strings():
     assert fraction_to_str(1) == "1/1"
     assert parse_fraction("3/4") == Fraction(3, 4)
     assert parse_fraction("1") == Fraction(1)
-    with pytest.raises(ValueError):
-        parse_fraction("nope")
+    assert parse_fraction(-3) == -3  # a JSON integer
+    assert parse_fraction("+6/4") == Fraction(3, 2)
+    for text in ("nope", "1e-100000000", "0.5", 0.5, " 1/2", "1_0", "1/-2", "", None):
+        with pytest.raises(ValueError, match="is not an integer or num/den"):
+            parse_fraction(text)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_fraction("1/0")
 
 
 def plain_specs():
@@ -135,6 +142,69 @@ def test_structure_sidecar_fields():
                              RandomStream(81))
     assert structure_sidecar(star)["theta4"] == star.theta4
     json.dumps(side)  # sidecars must be JSON-ready as built
+
+
+_FAMILIES = ("monotone-conjunction", "conjunction", "decision-list", "ltf", "truth-table",
+             "flipped", "lb-no", "lb-no-ltf")
+
+
+@st.composite
+def functions(draw, family):
+    """A random function of the family tagged family, over n <= 6 coordinates
+    for the plain families (flipped wraps one of them) and n = 60 for the
+    generated ones."""
+    if family in ("lb-no", "lb-no-ltf"):
+        params, variant = ((SCALED, "no") if family == "lb-no"
+                           else (LBParams(60, 4, 7, 3, 1, 2), "no-ltf"))
+        seed = draw(st.integers(0, (1 << 64) - 1))
+        return generate_instance(params, variant, RandomStream(seed)).function
+    if family == "flipped":
+        inner = draw(functions(draw(st.sampled_from(_FAMILIES[:5]))))
+        return Flipped(inner, draw(st.frozensets(st.integers(1, inner.n))))
+    n = draw(st.integers(1, 6))
+    coords = st.frozensets(st.integers(1, n))
+    if family == "monotone-conjunction":
+        return MonotoneConj(n, draw(coords))
+    if family == "conjunction":
+        return GeneralConj(n, draw(coords), draw(coords))
+    if family == "decision-list":
+        rules = draw(st.lists(st.tuples(st.integers(1, n), st.booleans(), st.integers(0, 1)),
+                              max_size=4))
+        return DecisionList(n, tuple((-i if neg else i, bit) for i, neg, bit in rules),
+                            draw(st.integers(0, 1)))
+    if family == "ltf":
+        return LinearThreshold(n, tuple(draw(st.lists(st.integers(-9, 9), min_size=n,
+                                                      max_size=n))),
+                               draw(st.integers(-20, 20)))
+    return TruthTable(n, draw(st.integers(0, (1 << (1 << n)) - 1)))
+
+
+@st.composite
+def distributions(draw, n):
+    """Random distinct points of {0,1}^n with random exact weights: the
+    gaps between sorted cuts of [0, M], with M past 2^62 half the time."""
+    zeros = draw(st.lists(st.frozensets(st.integers(1, n), max_size=6), min_size=1,
+                          max_size=min(6, 1 << n), unique=True))
+    k = len(zeros)
+    total = draw(st.integers((1 << 62) + 1, 1 << 100) if draw(st.booleans())
+                 else st.integers(k + 1, 1 << 20))
+    cuts = sorted(draw(st.lists(st.integers(1, total - 1), min_size=k - 1, max_size=k - 1,
+                                unique=True)))
+    bounds = [0, *cuts, total]
+    return FiniteDistribution(n, tuple((ZeroSet(n, z), Fraction(b - a, total))
+                                       for z, a, b in zip(zeros, bounds, bounds[1:])))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), family=st.sampled_from(_FAMILIES))
+def test_every_family_round_trips_through_a_file(tmp_path_factory, data, family):
+    func = data.draw(functions(family))
+    dist = data.draw(distributions(func.n))
+    path = tmp_path_factory.mktemp("round-trip") / "inst.json"
+    save_instance(path, func.n, func, dist)
+    loaded = load_instance(path)
+    assert (loaded.n, loaded.function, loaded.distribution) == (func.n, func, dist)
+    assert function_to_obj(loaded.function)["type"] == family
 
 
 def mconj_obj():
