@@ -32,6 +32,7 @@ from .rng import RandomStream
 from .tester import (
     TesterParams,
     Verdict,
+    _check_draws,
     _epsilon,
     amplify,
     baseline_dolev_ron,
@@ -321,6 +322,8 @@ def sweep_configs(algo: str, params: LBParams, yes_variant: str,
     base = ExperimentConfig(algo=algo, epsilon=Fraction(epsilon),
                             trials=trials, seed=seed, amplify_k=amplify_k,
                             generator=(params, yes_variant))
+    for q in budgets:  # the sim world's baseline draws exactly q samples
+        _check_draws(q, "the dolev-ron baseline", params.n, base.epsilon)
     return {(q, world, variant): replace(
                 base, generator=(params, variant), budget=q,
                 algo=algo if world == "real" else "dolev-ron")

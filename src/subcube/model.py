@@ -23,10 +23,9 @@ which it draws through the same bucket-table code.
 BlackBox.flipped(C) and Sampler.flipped(C) are views that flip the queries
 asked or the points handed out, share both streams, and log in the
 instance's own coordinates. BlackBox.query_until asks a batch of small zero
-sets in order and stops at the first whose answer ends the run. A
-conjunction, flipped or not, is again a conjunction, so the box answers it
-for the whole batch from a table of each coordinate's literal; any other
-function is asked set by set.
+sets in order, one query_set each, and stops at the first whose answer ends
+the run. BlackBox._required() names P when the box, flip included, asks a
+monotone conjunction (P, {}), which the tester's quiet shortcut reads.
 
 One QueryTranscript is the ledger of a trial: every oracle of the trial,
 every flipped view and every amplification attempt charges it. It counts
@@ -41,7 +40,6 @@ limit refuses every call and does not move.
 from __future__ import annotations
 
 import copy
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -398,23 +396,20 @@ class QueryTranscript:
 _PAD = frozenset({0})
 
 
-def _literals(func: FunctionSpec) -> Optional[tuple]:
-    """(P, N) when func is the conjunction of z_i = 1 for i in P and z_i = 0
-    for i in N, None for any other function. A flipped conjunction is again
-    one: flipping i moves it from P to N or back."""
-    if type(func) is MonotoneConj:
-        return func.required, frozenset()
-    if type(func) is GeneralConj:
-        return func.required_one, func.required_zero
+def _literals(func: FunctionSpec, flip: frozenset = frozenset()) -> Optional[tuple]:
+    """(P, N) when func, with the coordinates in flip flipped, is the
+    conjunction of z_i = 1 for i in P and z_i = 0 for i in N; None for any
+    other function. A flipped conjunction is again one: flipping i moves it
+    from P to N or back."""
     if type(func) is Flipped:
-        inner = _literals(func.inner)
-        return None if inner is None else _flip_literals(inner, func.coords)
-    return None
-
-
-def _flip_literals(literals: tuple, coords: frozenset) -> tuple:
-    ones, zeros = literals
-    return (ones - coords) | (zeros & coords), (zeros - coords) | (ones & coords)
+        return _literals(func.inner, func.coords ^ flip)
+    if type(func) is MonotoneConj:
+        ones, zeros = func.required, frozenset()
+    elif type(func) is GeneralConj:
+        ones, zeros = func.required_one, func.required_zero
+    else:
+        return None
+    return (ones - flip) | (zeros & flip), (zeros - flip) | (ones & flip)
 
 
 class BlackBox:
@@ -426,19 +421,11 @@ class BlackBox:
         self.transcript = transcript
         self._flip = frozenset()
 
-    @functools.cached_property
-    def _codes(self) -> Optional[tuple]:
-        """(table, |N|) when the function this box asks, flip included, is
-        the conjunction (P, N) of _literals: table[i] has bit 1 when i is in
-        P and bit 2 when i is in N. None for any other function."""
-        literals = _literals(self.func)
-        if literals is None:
-            return None
-        ones, zeros = _flip_literals(literals, self._flip)
-        table = np.zeros(self.n + 1, dtype=np.int8)
-        table[np.fromiter(ones, np.intp, len(ones))] = 1
-        table[np.fromiter(zeros, np.intp, len(zeros))] |= 2
-        return table, len(zeros)
+    def _required(self) -> Optional[frozenset]:
+        """P when the function this box asks, flip included, is the monotone
+        conjunction (P, {}) of _literals; None for any other function."""
+        literals = _literals(self.func, self._flip)
+        return literals[0] if literals is not None and not literals[1] else None
 
     def query(self, x: ZeroSet) -> int:
         if x.n != self.n:
@@ -462,36 +449,18 @@ class BlackBox:
         point f was asked."""
         view = copy.copy(self)
         view._flip = self._flip ^ frozenset(coords)
-        view.__dict__.pop("_codes", None)  # built for this view when first used
         return view
 
     def query_until(self, rows: np.ndarray, stop: int) -> Optional[int]:
         """Ask the zero sets in rows in order until one is answered stop:
         its index, or None when none is.
 
-        Each row lists the distinct coordinates of one set, padded with 0s.
-        Each set asked is one query, charged and logged as query_set would,
-        and a budget runs out at the same query as when they are asked one
-        at a time. A conjunction is answered for the whole batch through
-        the code table; any other function is asked set by set."""
-        if self._codes is None:
-            for k, row in enumerate(rows.tolist()):
-                if self.query_set(frozenset(row) - _PAD) == stop:
-                    return k
-            return None
-        table, required = self._codes
-        codes = table[rows]
-        values = (~(codes & 1).any(axis=1)
-                  & (np.count_nonzero(codes & 2, axis=1) == required)).astype(np.int8)
-        hits = np.flatnonzero(values == stop)
-        asked = int(hits[0]) + 1 if hits.size else len(rows)
-        t = self.transcript
-        if t.log_queries:  # the queries that fit, logged before any refusal
-            fit = t._take("blackbox_count", asked, charge=False)
-            t.blackbox_log.extend(((frozenset(row) - _PAD) ^ self._flip, value) for row, value
-                                  in zip(rows[:fit].tolist(), values[:fit].tolist()))
-        t._take("blackbox_count", asked)
-        return int(hits[0]) if hits.size else None
+        Each row lists the distinct coordinates of one set, padded with 0s,
+        and is asked as one query_set: charged and logged as one query."""
+        for k, row in enumerate(rows.tolist()):
+            if self.query_set(frozenset(row) - _PAD) == stop:
+                return k
+        return None
 
 
 _BUCKET_BITS = 12

@@ -42,8 +42,8 @@ whose B0 misses P and whose alphas all lie in P, no probe can end the
 run, so a run with logging off asks none and is charged them in one step.
 Other runs build B's coordinates from its flags, a block of rows at a
 time, draw the block's subsets by RandomStream.subset_rows, on the words
-of one subset at a time, and ask its probes in one BlackBox.query_until
-call, which stops at the first that ends the run.
+of one subset at a time, and ask its probes, one query_set each, through
+BlackBox.query_until, which stops at the first that ends the run.
 """
 
 from __future__ import annotations
@@ -122,6 +122,20 @@ def _epsilon(value) -> Fraction:
     if not 0 < eps <= 1:
         raise ValueError("epsilon must be in (0, 1]")
     return eps
+
+
+# The most draws a run may plan in one step. A plan past it (the baseline's
+# sample count, conj's search for x*, a Stage-0 group drawn as samples, a
+# sweep's budget for the baseline) could never finish, so _check_draws
+# refuses it before anything is drawn.
+_MAX_DRAWS = 1 << 63
+
+
+def _check_draws(count: int, what: str, n: int, epsilon) -> None:
+    """ValueError, naming count, n and epsilon, when count > _MAX_DRAWS."""
+    if count > _MAX_DRAWS:
+        raise ValueError(f"{what} plans {count} draws, past the 2^63 a run can make "
+                         f"(n = {n}, epsilon = {epsilon})")
 
 
 def compute_parameters(n: int, epsilon) -> TesterParams:
@@ -470,6 +484,7 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
         count = transcript._take("sample_count", count, size, charge=False)
         block = min(2 * block, max(max_block, max_facts))
         if not facts:
+            _check_draws(size, "a Stage-0 group", n, p.epsilon)
             idx, lab = sampler._draw_groups(count, size)
         # last: the last row the run must read, count when it reads them all
         last = count if transcript.log_queries else -1
@@ -552,9 +567,9 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
     # On (P, {}), when B0 misses P every singleton and subset of it answers
     # 1, and when every alpha is in P every alpha + z answers 0: a quiet run
     # asks none of these probes, charged as when it does.
-    codes = oracle._codes
-    if (not transcript.log_queries and codes is not None and not codes[1]
-            and not codes[0][coords0[:-1]].any() and codes[0][alpha[:end]].all()):
+    required = None if transcript.log_queries else oracle._required()
+    if (required is not None and required.isdisjoint(coords0[:-1].tolist())
+            and required.issuperset(alpha[:end].tolist())):
         transcript._take("blackbox_count", (2 * p.s if sizes0[0] else 0) + end)
         return verdict(reason != "step-2.1", reason)
 
@@ -594,7 +609,9 @@ def test_general_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStream
     tester on flipped views of the same black box and sampler: every query and
     draw is one call of the underlying oracle, logged in its own coordinates.
     """
-    k0 = _ceil_fraction(Fraction(3) / _epsilon(epsilon))
+    eps = _epsilon(epsilon)
+    k0 = _ceil_fraction(Fraction(3) / eps)
+    _check_draws(k0, "the search for x*", n, eps)
     xstar = None
     for _ in range(k0):
         x, label = sampler.draw()
@@ -646,6 +663,7 @@ def baseline_dolev_ron(oracle, sampler, n: int, epsilon,
                              f"epsilon = {eps}") from None
     if total <= 0:
         return Verdict(True, "baseline-clean")
+    _check_draws(total, "dolev-ron", n, epsilon)
     if oracle.query(ZeroSet.all_ones(n)) == 0:
         return Verdict(False, "baseline-allones")
     ones_union = set()

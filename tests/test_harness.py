@@ -1024,6 +1024,53 @@ def test_cli_rules_past_float_range_exit_2(tmp_path, capsys, argv):
     assert captured.out == ""
 
 
+_FAR_EPS = Fraction(1, 10 ** 30)
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_cli_plans_past_2_63_draws_exit_2(tmp_path, capsys, algo):
+    # at n = 60, epsilon = 10^-30 plans more draws than a run can ever make:
+    # a Stage-0 group (mconj), the search for x* (conj), the baseline's
+    # samples (dolev-ron). Each is refused before it is drawn, by count
+    count = {"mconj": compute_parameters(60, _FAR_EPS).group_size,
+             "conj": 3 * 10 ** 30,
+             "dolev-ron": math.ceil(2 * math.sqrt(60) * math.log2(60) / float(_FAR_EPS))}
+    assert count[algo] > 1 << 63
+    inst = generate_instance(SMALL_LB, "no", RandomStream(5))
+    save_instance(tmp_path / "demo.json", inst.n, inst.function, inst.distribution)
+    started = time.perf_counter()
+    rc = cli.main(["test", "--instance", str(tmp_path / "demo.json"), "--algo", algo,
+                   "--epsilon", str(_FAR_EPS)])
+    assert time.perf_counter() - started < 1
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and f" {count[algo]} draws" in captured.err
+    assert str(_FAR_EPS) in captured.err and "n = 60" in captured.err
+
+
+def test_cli_experiment_budget_past_2_63_draws_exits_2(tmp_path, capsys):
+    # the sim world runs the baseline with exactly budget draws: a budget
+    # past 2^63 is refused before the output is opened
+    out = tmp_path / "e.csv"
+    started = time.perf_counter()
+    rc = cli.main(["experiment", "--algo", "dolev-ron", "--variant-pair", "yes:no",
+                   "--n", "60", "--epsilon", "1", "--trials", "1",
+                   "--budget", str(10 ** 30), "--out", str(out)])
+    assert time.perf_counter() - started < 1
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and f" {10 ** 30} draws" in captured.err
+    assert not out.exists()
+
+
+def test_sweep_budgets_stop_at_2_63_draws():
+    sweep = dict(algo="mconj", params=SMALL_LB, yes_variant="yes", no_variant="no",
+                 epsilon=1, trials=1, seed=0)
+    assert len(harness.sweep_configs(**sweep, budgets=[1 << 63])) == 4
+    with pytest.raises(ValueError, match=f"{(1 << 63) + 1} draws"):
+        harness.sweep_configs(**sweep, budgets=[(1 << 63) + 1])
+
+
 # the CLI under a 2 GiB address-space limit, so that a huge allocation fails
 _LIMITED_CLI = ("import resource, sys; "
                 "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
@@ -1041,24 +1088,40 @@ def _run_limited_cli(path, algo):
 
 @pytest.mark.parametrize("algo", ["mconj", "conj"])
 def test_cli_allocation_failure_exits_2(tmp_path, algo):
-    # at n = 10^12 the box's literal table for the conjunction (one int8 per
-    # coordinate, 931 GiB) does not fit, so the run fails to allocate it;
-    # that must end in an error line, not a traceback
-    n = 10 ** 12
-    path = tmp_path / "wide.json"
-    save_instance(path, n, MonotoneConj(n, frozenset()), FiniteDistribution(
-        n, ((zs(n), Fraction(1, 2)), (zs(n, 1), Fraction(1, 2)))))
+    # at n = 10^17 the searches of {1} are still pending after x*, so
+    # Stage 0 draws group 0 as samples: 4,442,001,630 of them, whose 4.14
+    # GiB of indices do not fit, so the run fails to allocate them; that
+    # must end in an error line, not a traceback
+    n = 10 ** 17
+    path = tmp_path / "deep.json"
+    save_instance(path, n, MonotoneConj(n, frozenset({1})), FiniteDistribution(
+        n, ((zs(n), Fraction(3, 4)), (zs(n, 1), Fraction(1, 4)))))
     proc = _run_limited_cli(path, algo)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("algo, samples", [("mconj", 120590417700000),
+                                           ("conj", 120590417700001)])
+def test_cli_conjunction_box_holds_no_table_over_the_coordinates(tmp_path, algo, samples):
+    # n = 10^12: a table of one byte per coordinate would take 931 GiB. The
+    # box reads the conjunction's P as a set, so the run fits in 2 GiB; conj
+    # draws one more sample, x*
+    n = 10 ** 12
+    path = tmp_path / "wide.json"
+    save_instance(path, n, MonotoneConj(n, frozenset()), FiniteDistribution(
+        n, ((zs(n), Fraction(1, 2)), (zs(n, 1), Fraction(1, 2)))))
+    proc = _run_limited_cli(path, algo)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1].startswith(
+        f"0,accept,stage2-no-zero,1272000001,{samples},")
+
+
 def test_cli_tester_holds_no_table_over_the_coordinates(tmp_path):
-    # n = 2^33: a support x (n + 1) table of zero flags would take 24 GiB.
-    # A decision list is not a conjunction, so the box builds no literal
-    # table either, and the run fits in 2 GiB: {1, 2} is 0-labelled and its
-    # search returns nil
+    # n = 2^33: a support x (n + 1) table of zero flags would take 24 GiB,
+    # and the run fits in 2 GiB: {1, 2} is 0-labelled and its search
+    # returns nil
     n = 1 << 33
     path = tmp_path / "wide.json"
     save_instance(path, n, DecisionList(n, ((1, 1), (2, 1)), 0), FiniteDistribution(

@@ -885,3 +885,21 @@ def test_query_until_logs_ints_in_the_functions_coordinates():
     assert box.query_until(np.array([[1, 0], [4, 5], [3, 0]]), 1) == 1
     assert tr.blackbox_log == [(frozenset({1, 2, 3}), 0), (frozenset({2, 3, 4, 5}), 1)]
     assert all(type(value) is int for _, value in tr.blackbox_log)
+
+
+def test_required_names_p_only_for_a_monotone_conjunction():
+    # P when the box, flip included, asks a monotone conjunction (P, {});
+    # None for a conjunction with a negative literal and for a non-conjunction
+    tr = QueryTranscript()
+    mconj = BlackBox(MonotoneConj(6, frozenset({1, 4})), tr)
+    assert mconj._required() == frozenset({1, 4})
+    general = BlackBox(GeneralConj(6, frozenset({1}), frozenset({2, 3})), tr)
+    assert general._required() is None
+    # flipping N = {2, 3} moves it into P; flipping 1 back out of P again
+    assert general.flipped({2, 3})._required() == frozenset({1, 2, 3})
+    assert general.flipped({2}).flipped({3})._required() == frozenset({1, 2, 3})
+    assert general.flipped({2, 3}).flipped({1})._required() is None
+    assert BlackBox(Flipped(MonotoneConj(6, frozenset({1, 5})), frozenset({5})),
+                    tr).flipped({5})._required() == frozenset({1, 5})
+    assert BlackBox(DecisionList(6, ((1, 0),), 1), tr)._required() is None
+    assert BlackBox(DecisionList(6, ((1, 0),), 1), tr).flipped({1})._required() is None
