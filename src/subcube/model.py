@@ -25,7 +25,8 @@ asked or the points handed out, share both streams, and log in the
 instance's own coordinates. BlackBox.query_until asks a batch of small zero
 sets in order, one query_set each, and stops at the first whose answer ends
 the run. BlackBox._required() names P when the box, flip included, asks a
-monotone conjunction (P, {}), which the tester's quiet shortcut reads.
+monotone conjunction (P, {}), which the tester's quiet runs read; each box
+and each view reads it once.
 
 One QueryTranscript is the ledger of a trial: every oracle of the trial,
 every flipped view and every amplification attempt charges it. It counts
@@ -394,6 +395,8 @@ class QueryTranscript:
 
 # the coordinate that pads the rows of BlackBox.query_until
 _PAD = frozenset({0})
+# BlackBox._p before _required() has read it
+_UNREAD = object()
 
 
 def _literals(func: FunctionSpec, flip: frozenset = frozenset()) -> Optional[tuple]:
@@ -420,12 +423,16 @@ class BlackBox:
         self.n = func.n
         self.transcript = transcript
         self._flip = frozenset()
+        self._p = _UNREAD
 
     def _required(self) -> Optional[frozenset]:
         """P when the function this box asks, flip included, is the monotone
-        conjunction (P, {}) of _literals; None for any other function."""
-        literals = _literals(self.func, self._flip)
-        return literals[0] if literals is not None and not literals[1] else None
+        conjunction (P, {}) of _literals; None for any other function. Read
+        on the first call, then kept."""
+        if self._p is _UNREAD:
+            literals = _literals(self.func, self._flip)
+            self._p = literals[0] if literals is not None and not literals[1] else None
+        return self._p
 
     def query(self, x: ZeroSet) -> int:
         if x.n != self.n:
@@ -448,7 +455,7 @@ class BlackBox:
         this box's transcript: each query is one query of f, logged as the
         point f was asked."""
         view = copy.copy(self)
-        view._flip = self._flip ^ frozenset(coords)
+        view._flip, view._p = self._flip ^ frozenset(coords), _UNREAD
         return view
 
     def query_until(self, rows: np.ndarray, stop: int) -> Optional[int]:

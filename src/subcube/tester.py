@@ -30,25 +30,30 @@ class word against the exact cuts of _class_cuts, one D0 draw, and for B
 a word against the cuts of _missing_cuts or a few D1 draws, where the
 group has group_size samples. Both words are read by the exact reader
 in rng, _below_cuts, which reads on from the tie stream only on a tie.
-Such a run has the law of the logged run, not its draws; the groups it
-draws as samples read the logged run's words. Once recording has stopped
-and every 0-labelled support point has its representative, no later
-group can change the verdict, a query or a count, so Stage 0 charges the
-remaining groups in one step, without drawing them.
+With logging off, on a box that asks a monotone conjunction (P, {}), the
+conj tester's flip included, a representative search asks nothing
+(binary_search_representative). When that box also answers every
+support point with its label, checked before the first draw, the run is
+known: past group 0 its blocks of facts read the class words alone. Runs
+with logging off have the law of the logged run, not its draws; the
+groups they draw as samples read the logged run's words. Once recording
+has stopped and every 0-labelled support point has its representative,
+no later group can change the verdict, a query or a count, so Stage 0
+charges the remaining groups in one step, without drawing them.
 
 Stage 2 first finds the group that ends the run by its facts (too few
-1-samples, no 0-sample, or step 2.1). On a monotone conjunction (P, {})
-whose B0 misses P and whose alphas all lie in P, no probe can end the
-run, so a run with logging off asks none and is charged them in one step.
-Other runs build B's coordinates from its flags, a block of rows at a
-time, draw the block's subsets by RandomStream.subset_rows, on the words
-of one subset at a time, and ask its probes, one query_set each, through
+1-samples, no 0-sample, or step 2.1). A known run can end no other way,
+so it asks no probe and is charged them in one step. Other runs build
+B's coordinates from its flags, a block of rows at a time, draw the
+block's subsets by RandomStream.subset_rows, on the words of one subset
+at a time, and ask its probes, one query_set each, through
 BlackBox.query_until, which stops at the first that ends the run.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -200,13 +205,37 @@ class Verdict:
 def binary_search_representative(oracle, x: ZeroSet) -> Optional[int]:
     """Binary search for a zero coordinate i of x with f({i}) = 0.
 
-    Returns None (nil) when the search loses track, which never happens for a
+    Each level halves the sorted ZERO(x), the first half taking the odd
+    coordinate, asks both halves and keeps the first that answers 0.
+    Returns None (nil) when neither does, which never happens for a
     monotone conjunction. Deterministic; at most 2*ceil(log2 |ZERO(x)|)
     queries; no query at all when |ZERO(x)| <= 1.
+
+    With logging off, on a box that asks a monotone conjunction (P, {})
+    (oracle._required(), the flip included), a half answers 0 exactly when
+    it holds a coordinate of P. So the search asks nothing: it returns nil
+    after 2 queries when ZERO(x) misses P, and else walks to r, the least
+    coordinate of P in ZERO(x), by r's rank in the sorted zeros. Its
+    queries are charged as one batch, refused at the query where asking
+    them would be.
     """
     z = x.sorted_zeros()
     if not z:
         return None
+    required = None if oracle.transcript.log_queries else oracle._required()
+    if required is not None and len(z) >= 2:
+        hit = x.zeros & required
+        if not hit:
+            oracle.transcript._take("blackbox_count", 2)
+            return None
+        r = min(hit)
+        at, size, levels = bisect_left(z, r), len(z), 0
+        while size >= 2:
+            half = (size + 1) // 2
+            at, size = (at, half) if at < half else (at - half, size - half)
+            levels += 1
+        oracle.transcript._take("blackbox_count", 2 * levels)
+        return r
     while len(z) >= 2:
         half = (len(z) + 1) // 2
         z0, z1 = z[:half], z[half:]
@@ -312,34 +341,42 @@ def _drawn_facts(sampler, count: int, size: int, need: int, law: dict) -> tuple:
     P(B) / |M| = P(B). A group stops drawing once it has seen every
     1-labelled point but J. The words are read in that order: the class
     words, the D0 draws, the missing words, the D1 draws, then the draws
-    below c; a tied word reads on from the batch stream's tie stream."""
+    below c; a tied word reads on from the batch stream's tie stream.
+
+    With law["class_only"] set, only the class words are read: masks is
+    None, and a group with both labels gets the first 0-labelled support
+    point as its first0. The tester sets it past group 0 on the runs where
+    nothing else of a group can change the verdict or a count (see
+    test_monotone_conjunction)."""
     rng = sampler._batch
-    if not law:
-        law.update(zeros=sampler._conditioned(0), ones=sampler._conditioned(1), cuts={})
+    if "cuts" not in law:
+        law.update(zeros=sampler._conditioned(0), ones=sampler._conditioned(1),
+                   cuts={}, missing={})
     if need not in law["cuts"]:
-        ones, missing = 0, None
-        if law["ones"]:
-            cum = law["ones"][0]._cum
-            ones, missing = cum[-1], _missing_cuts(cum, need)
+        ones = law["ones"][0]._cum[-1] if law["ones"] else 0
         *cuts, total = _class_cuts(ones, sampler._denominator, size, need)
         cuts = [cut for cut in cuts if cut < total]  # a cut of 1 no V reaches
-        classes = (np.array([(cut << 64) // total for cut in cuts], dtype=np.uint64),
-                   lambda lo, hi: (cuts[lo:hi], total))
-        law["cuts"][need] = classes, missing
-    classes, missing = law["cuts"][need]
+        law["cuts"][need] = (np.array([(cut << 64) // total for cut in cuts], dtype=np.uint64),
+                             lambda lo, hi: (cuts[lo:hi], total))
 
-    cls = _below_cuts(rng, classes, rng._words(count))
+    cls = _below_cuts(rng, law["cuts"][need], rng._words(count))
 
     first0 = np.full(count, -1, dtype=np.intp)
     both = np.flatnonzero(cls == 2)
     if both.size:
         view, members = law["zeros"]
-        first0[both] = members[view._draw_many(rng, both.size)]
+        first0[both] = members[0] if law.get("class_only") else \
+            members[view._draw_many(rng, both.size)]
+    if law.get("class_only"):
+        return cls == 0, first0, None
 
     masks = np.zeros((count, sampler.support_size), dtype=bool)
     rows = np.flatnonzero(cls > 0)
     if rows.size:
         view, members = law["ones"]
+        if need not in law["missing"]:
+            law["missing"][need] = _missing_cuts(view._cum, need)
+        missing = law["missing"][need]
         width = len(members)
         found = np.zeros((rows.size, width), dtype=bool)
         # live: the positions in rows of the groups not yet settled
@@ -437,6 +474,15 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
         return Verdict(False, "stage0-allones", p)
 
     transcript = sampler.transcript
+    # A known run: logging off, and a box that asks a monotone conjunction
+    # (P, {}) and answers each support point with its label. Every
+    # representative lies in P and no B meets P, so step 2.1 never fires,
+    # every Stage-1 probe answers 1 and every Stage-2 probe 0. Past group 0
+    # it reads only each group's class, and it asks no probe.
+    required = None if transcript.log_queries else oracle._required()
+    known = required is not None and all(
+        required.isdisjoint(sampler.point(si).zeros) == label
+        for si, label in enumerate(sampler.labels.astype(bool).tolist()))
     size, groups = p.group_size, p.d_star + 1
     # reps[si]: the representative of 0-labelled point si, one per search
     reps: dict[int, Optional[int]] = {}
@@ -494,15 +540,21 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
                 few, first0, masks = _drawn_facts(sampler, count, size, need, law)
             else:
                 few, first0, masks = _block_facts(idx, lab, need, sampler.support_size)
+            law["class_only"] = known  # for every facts block after group 0's
             ends = few if g == 0 else few | (first0 < 0)
             stop = int(ends.argmax()) if ends.any() else count
             rec = min(stop + 1, count)
-            ids = np.full(rec, -1)
-            keep = np.flatnonzero(~few[:rec])
-            keys, inverse = np.unique(masks[keep].view(f"V{masks.shape[1]}").ravel(),
-                                      return_inverse=True)
-            ids[keep] = np.array([unions.setdefault(key, len(unions)) for key in keys.tolist()],
-                                 dtype=int)[inverse]
+            if masks is None:
+                # a class-only block: a known run reads no B past group
+                # 0's, so group 0's id stands in for every B it has
+                ids = np.where(few[:rec], -1, 0)
+            else:
+                ids = np.full(rec, -1)
+                keep = np.flatnonzero(~few[:rec])
+                keys, inverse = np.unique(masks[keep].view(f"V{masks.shape[1]}").ravel(),
+                                          return_inverse=True)
+                ids[keep] = np.array([unions.setdefault(key, len(unions))
+                                      for key in keys.tolist()], dtype=int)[inverse]
             b_ids.append(ids)
             first0s.append(first0[:rec])
             recording = stop == count
@@ -542,12 +594,8 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
     b_ids, first0s = np.concatenate(b_ids), np.concatenate(first0s)
     if b_ids[0] < 0:
         return verdict(True, "stage1-few-ones")
-    # flags[id]: B's support points; b0: B of the first group, for Stage 1
+    # flags[id]: B's support points
     flags = np.frombuffer(b"".join(unions), dtype=bool).reshape(len(unions), -1)
-    pairs = [(si, j) for si in range(sampler.support_size) for j in sampler.point(si).zeros]
-    point, zero = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    zeros = (point, *np.unique(zero, return_inverse=True))
-    b0 = sizes0, _, coords0 = _b_rows(zeros, flags[b_ids[:1]])
 
     # Stage 2: one fresh group per iteration. Every 0-sample has its
     # representative, because Stage 0 returns on the first nil one. Only
@@ -559,19 +607,21 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
         end, reason = end - 1, "stage2-few-ones"
     elif end and first0s[-1] < 0:
         end, reason = end - 1, "stage2-no-zero"
+    if known:
+        # Stage 1's 2s probes (none when B0 holds no zero) and one per
+        # Stage-2 group, charged as when they are asked
+        b0 = any(sampler.point(si).zeros for si in np.flatnonzero(flags[b_ids[0]]).tolist())
+        transcript._take("blackbox_count", (2 * p.s if b0 else 0) + end)
+        return verdict(True, reason)
+    pairs = [(si, j) for si in range(sampler.support_size) for j in sampler.point(si).zeros]
+    point, zero = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    zeros = (point, *np.unique(zero, return_inverse=True))
+    # b0: B of the first group, for Stage 1
+    b0 = sizes0, _, coords0 = _b_rows(zeros, flags[b_ids[:1]])
     rep_of = np.array([reps.get(si, 0) for si in range(sampler.support_size)], dtype=np.intp)
     ids, alpha = ids[:end], rep_of[first0s[:end]]
     if (inside := _alpha_in_b(point, zero, flags, ids, rep_of, first0s[:end])).any():
         end, reason = int(inside.argmax()), "step-2.1"
-
-    # On (P, {}), when B0 misses P every singleton and subset of it answers
-    # 1, and when every alpha is in P every alpha + z answers 0: a quiet run
-    # asks none of these probes, charged as when it does.
-    required = None if transcript.log_queries else oracle._required()
-    if (required is not None and required.isdisjoint(coords0[:-1].tolist())
-            and required.issuperset(alpha[:end].tolist())):
-        transcript._take("blackbox_count", (2 * p.s if sizes0[0] else 0) + end)
-        return verdict(reason != "step-2.1", reason)
 
     step_rng = rng.split("steps")
 

@@ -903,3 +903,25 @@ def test_required_names_p_only_for_a_monotone_conjunction():
                     tr).flipped({5})._required() == frozenset({1, 5})
     assert BlackBox(DecisionList(6, ((1, 0),), 1), tr)._required() is None
     assert BlackBox(DecisionList(6, ((1, 0),), 1), tr).flipped({1})._required() is None
+
+
+def test_required_is_read_once_per_box_and_per_view(monkeypatch):
+    # a search asks _required() each time, so a box reads its literals
+    # once; a view, whose flip differs, reads its own, and a view made
+    # after its box has read them does not inherit the box's answer
+    calls = []
+    literals = model_module._literals
+
+    def counted(*args):
+        calls.append(args)
+        return literals(*args)
+
+    monkeypatch.setattr(model_module, "_literals", counted)
+    box = BlackBox(GeneralConj(6, frozenset({1}), frozenset({2})), QueryTranscript())
+    for _ in range(3):
+        assert box._required() is None
+    view = box.flipped({2})
+    for _ in range(3):
+        assert view._required() == frozenset({1, 2})
+    assert view.flipped({2})._required() is None
+    assert len(calls) == 3

@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 import hashlib
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from subcube import (
     BlackBox,
     BudgetExceeded,
+    DecisionList,
     FiniteDistribution,
     Flipped,
     FunctionSpec,
@@ -1074,9 +1076,12 @@ def test_quiet_conjunction_runs_match_the_drawn_path(monkeypatch):
         assert got == quiet_run(algo, Opaque(func), func, dist, seed), (algo, seed)
         if got[1] not in ("end-of-stage-2", "stage2-no-zero", "stage2-few-ones"):
             continue
-        # one charge, 2s queries (0 with B0 empty) and Stage 2's e, which
-        # is at most d* < 2s here, so k tells the two apart
-        ((stage0, k),) = shortcut
+        # every charge but the last is a representative search's, two
+        # queries a level; the last is Stages 1-2's, 2s queries (0 with B0
+        # empty) and Stage 2's e, which is at most d* < 2s here, so k tells
+        # the two apart
+        *searches, (stage0, k) = shortcut
+        assert all(c % 2 == 0 and c <= 2 * ceil_log2(dist.n) for _, c in searches)
         assert p.d_star < 2 * p.s
         s, e = (p.s, k - 2 * p.s) if k >= 2 * p.s else (0, k)
         assert got[3] == stage0 + k
@@ -1105,6 +1110,204 @@ def test_a_box_that_disagrees_with_the_labels_asks_its_probes():
         got = quiet_run("mconj", box, labels, dist, seed)
         assert got == quiet_run("mconj", Opaque(box), labels, dist, seed)
         assert got[1] in ("step-1.1", "step-1.2"), got
+
+
+def class_only_reads(monkeypatch):
+    """Record, per _drawn_facts call past group 0, whether it read the
+    class words alone and how many samples it drew (D0 and D1 draws)."""
+    facts, reads = tester_module._drawn_facts, []
+
+    def recorded(sampler, count, size, need, law):
+        before = sampler.transcript.samples_drawn
+        out = facts(sampler, count, size, need, law)
+        if law.get("class_only") is not None:
+            reads.append((law["class_only"], sampler.transcript.samples_drawn - before))
+        return out
+
+    monkeypatch.setattr(tester_module, "_drawn_facts", recorded)
+    return reads
+
+
+def test_a_box_that_disagrees_with_one_label_reads_every_fact(monkeypatch):
+    # the box answers x5 x1 and the sampler labels by x5, which differ on
+    # the two 1-labelled points zero at 1: past group 0 the run still draws
+    # D0 and D1; on the box that agrees with every label, it reads only
+    # the class words, and draws nothing
+    n = 16
+    dist = uniform_dist(n, [(), (1,), (1, 2), (3,), (5,), (5, 6)])
+    labels = MonotoneConj(n, frozenset({5}))
+    reads = class_only_reads(monkeypatch)
+    for box, class_only in ((MonotoneConj(n, frozenset({1, 5})), False), (labels, True)):
+        reads.clear()
+        for seed in range(3):
+            quiet_run("mconj", box, labels, dist, seed)
+        assert reads and all(flag == class_only and (drawn == 0) == class_only
+                             for flag, drawn in reads), reads
+
+
+def class_only_instance():
+    """n = 8, f = x1, and group_size 6 with t = 3 over nine groups: 1-points
+    of mass 3/5 and one 0-point, so a Stage-2 group has fewer than two
+    1-samples with chance about 0.04 and no 0-sample with chance about
+    0.05, and every reason but step 2.x can end the run."""
+    n = 8
+    f = MonotoneConj(n, frozenset({1}))
+    dist = FiniteDistribution(n, ((zs(n), Fraction(3, 10)), (zs(n, 2), Fraction(3, 10)),
+                                  (zs(n, 1, 3), Fraction(2, 5))))
+    return f, dist, small_params(n, d_star=8, t=3, group_size=6, s=2)
+
+
+def reason_fit(runs=600):
+    """Pearson's two-sample test of the reasons of runs logged and quiet,
+    on disjoint seeds, on class_only_instance: (statistic, critical value
+    at alpha = 0.001, df, the two histograms)."""
+    f, dist, params = class_only_instance()
+    hists = {True: {}, False: {}}
+    for log, hist in hists.items():
+        for k in range(runs):
+            reason = one_run(f, dist, k + (0 if log else 10 ** 6), params, frozenset(),
+                             log)[1]
+            hist[reason] = hist.get(reason, 0) + 1
+    return (*chi_square_two_sample(hists[True], hists[False]), hists)
+
+
+def test_class_only_runs_match_logged_runs_in_reasons(monkeypatch):
+    # quiet runs read only the class words past group 0, logged runs draw
+    # every group; their reasons have one law
+    reads = class_only_reads(monkeypatch)
+    stat, critical, df, hists = reason_fit()
+    print(f"class-only reasons: chi-square {stat:.2f}, critical {critical:.2f} "
+          f"at alpha 0.001, {df} df; {hists}")
+    assert {"stage1-few-ones", "stage2-few-ones", "stage2-no-zero",
+            "end-of-stage-2"} <= hists[False].keys()
+    assert reads and all(flag for flag, _ in reads)
+    assert stat < critical, (stat, critical, hists)
+
+
+def test_a_class_only_mutant_fails_the_reason_fit(monkeypatch):
+    # the mutant reads a group with no 0-sample as one with too few
+    # 1-samples, so its quiet runs end at stage2-few-ones, not no-zero
+    facts = tester_module._drawn_facts
+
+    def full_as_few(sampler, count, size, need, law):
+        few, first0, masks = facts(sampler, count, size, need, law)
+        return (few | (first0 < 0) if law.get("class_only") else few), first0, masks
+
+    monkeypatch.setattr(tester_module, "_drawn_facts", full_as_few)
+    stat, critical, df, hists = reason_fit()
+    print(f"mutant reasons: chi-square {stat:.2f}, critical {critical:.2f} "
+          f"at alpha 0.001, {df} df; {hists}")
+    assert stat > critical, (stat, critical, hists)
+
+
+# -- representative searches by rank --------------------------------------------
+
+
+def search_run(box, x, limit=None, spent=0, log=False):
+    """binary_search_representative(box(transcript), x) on a transcript
+    whose black-box count starts at spent: (the representative, or
+    "budget" when the limit runs out, the count, the log)."""
+    tr = QueryTranscript(limit=limit, blackbox_count=spent, log_queries=log)
+    try:
+        got = binary_search_representative(box(tr), x)
+    except BudgetExceeded:
+        got = "budget"
+    return got, tr.blackbox_count, tr.blackbox_log
+
+
+def halves_asked(func, zeros):
+    """The (half, answer) pairs the halving loop asks of func, in order."""
+    z, asked = sorted(zeros), []
+    while len(z) >= 2:
+        half = (len(z) + 1) // 2
+        z0, z1 = z[:half], z[half:]
+        asked += [(frozenset(z0), func.value_at(frozenset(z0))),
+                  (frozenset(z1), func.value_at(frozenset(z1)))]
+        if asked[-2][1] == 0:
+            z = z0
+        elif asked[-1][1] == 0:
+            z = z1
+        else:
+            break
+    return asked
+
+
+@st.composite
+def conjunction_boxes(draw):
+    """(n, f, flips) where BlackBox(f), flipped by each of flips in turn,
+    asks a monotone conjunction (P, {}): a MonotoneConj, P = {} included; a
+    GeneralConj flipped by the zeros of one of its 1-points, as the conj
+    tester flips it; or that flip split in two, a view of a view."""
+    n = draw(st.integers(2, 80))
+    coords = st.frozensets(st.integers(1, n), max_size=8)
+    kind = draw(st.sampled_from(["mconj", "conj", "view of a view"]))
+    if kind == "mconj":
+        return n, MonotoneConj(n, draw(coords)), []
+    ones = draw(coords)
+    zeros = draw(coords) - ones
+    point = zeros | (draw(st.frozensets(st.integers(1, n))) - ones)
+    f = GeneralConj(n, ones, zeros)
+    if kind == "conj":
+        return n, f, [point]
+    part = draw(st.frozensets(st.integers(1, n)))
+    return n, f, [part, point ^ part]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=conjunction_boxes(), data=st.data())
+def test_the_rank_walk_is_the_search(case, data):
+    # with logging off, a box that asks (P, {}) is searched by rank and asks
+    # nothing; its opaque twin runs the halving loop. Both give the same
+    # representative and count, and under a budget that runs out inside the
+    # search, refuse it at the same query
+    n, f, flips = case
+    size = data.draw(st.integers(0, min(n, 70)))
+    order = data.draw(st.permutations(range(1, n + 1)))
+    x = ZeroSet(n, frozenset(order[:size]))
+
+    def conj(tr):
+        return reduce(BlackBox.flipped, flips, BlackBox(f, tr))
+
+    def opaque(tr):
+        return reduce(BlackBox.flipped, flips, BlackBox(Opaque(f), tr))
+
+    assert conj(QueryTranscript())._required() is not None
+
+    def refuse(*args):
+        raise AssertionError("the rank walk asked a query")
+
+    want = search_run(opaque, x)
+    spent = data.draw(st.integers(0, 40))
+    room = data.draw(st.integers(-min(spent, 1), want[1]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BlackBox, "query_set", refuse)
+        got = search_run(conj, x)
+        capped = search_run(conj, x, spent + room, spent)
+    assert got == want
+    assert capped == search_run(opaque, x, spent + room, spent)
+    assert (capped[0] == "budget") == (want[1] > max(room, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 80), data=st.data())
+def test_logged_and_non_conjunction_searches_ask_every_half(n, data):
+    # a logged run on a conjunction, and a DecisionList box with logging on
+    # or off, run the halving loop: every half is asked, and logged when
+    # logging is on
+    coords = st.frozensets(st.integers(1, n), max_size=8)
+    rules = data.draw(st.lists(st.tuples(st.integers(1, n), st.booleans(), st.integers(0, 1)),
+                               max_size=6))
+    dlist = DecisionList(n, tuple((i if pos else -i, bit) for i, pos, bit in rules),
+                         data.draw(st.integers(0, 1)))
+    order = data.draw(st.permutations(range(1, n + 1)))
+    x = ZeroSet(n, frozenset(order[:data.draw(st.integers(0, min(n, 70)))]))
+    for func, logs in ((MonotoneConj(n, data.draw(coords)), (True,)), (dlist, (True, False))):
+        asked = halves_asked(func, x.zeros)
+        for log in logs:
+            got, count, blackbox_log = search_run(lambda tr: BlackBox(func, tr), x, log=log)
+            assert got == ref_representative(func, x.zeros)
+            assert count == len(asked)
+            assert blackbox_log == (asked if log else [])
 
 
 # -- Stage 0's block facts and its one-step charges ----------------------------
