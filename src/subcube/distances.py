@@ -4,11 +4,15 @@ Distances are computed over the support of a finite distribution, in exact
 rationals. Conjunctions minimize over closure patterns. Decision lists and
 threshold functions search label-flip sets lightest first, enumerated
 lazily in that order so that a search costs its checks, and core-guided:
-each failed consistency check (greedy elimination; an integer fraction-free
-simplex over merged coordinate columns) names a set of points the class
-cannot fit under those labels, and every later flip set that gives them the
-same labels is skipped unchecked. Every routine is exponential in the
-support size and capped: 20 points, 16 for the flip searches, 64 columns.
+each failed consistency check names a set of points the class cannot fit
+under those labels, and every later flip set that gives them the same
+labels is skipped unchecked. The decision-list check is greedy
+elimination. The threshold check first runs that elimination, since every
+decision list is a threshold function, and only when it is stuck solves a
+fraction-free simplex over merged coordinate columns on one integer array:
+int64 up to 13 points, where Hadamard's bound keeps every update within
+int64, Python ints past that. Every routine is exponential in the support size
+and capped: 20 points, 16 for the flip searches, 64 columns.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Optional
+
+import numpy as np
 
 from .model import (
     DimensionMismatch,
@@ -52,7 +57,7 @@ class LabeledSample:
 
     def __post_init__(self):
         seen = set()
-        total = Fraction(0)
+        weights = []
         for point, label, w in self.entries:
             if point.n != self.n:
                 raise ValueError("sample point dimension mismatch")
@@ -63,8 +68,9 @@ class LabeledSample:
                 raise ValueError("labels must be 0 or 1")
             if w <= 0:
                 raise ValueError("weights must be positive")
-            total += w
-        if total > 1:
+            weights.append(w if type(w) is Fraction else Fraction(w))
+        nums, denom = _over_lcm(weights)
+        if sum(nums) > denom:
             raise ValueError("weights must sum to at most 1")
 
     @classmethod
@@ -212,57 +218,72 @@ def _dlist_core(columns, m: int, ones: int) -> int:
 def _ltf_core(columns, m: int, ones: int) -> int:
     """Margin program on the m points labeled 1 exactly on `ones`.
 
-    Separability is scale-invariant, so it holds iff max delta subject to
-    w.x >= theta + delta on 1-points, w.x <= theta - delta on 0-points and
-    delta <= 1 is positive; then 0 is returned. Weights and threshold are
-    split into nonnegative parts, with one weight pair per column. The
-    simplex takes the first improving column and the least-ratio row, ties
-    to the lowest basic variable (Bland's rule), and pivots fraction-free:
-    every entry is its rational value times det, the last pivot taken (1
-    at the start), and each update divides exactly by the previous det. At
+    Every decision list is a threshold function, so when _dlist_core fits
+    the labels, 0 is returned without a program. Otherwise: separability is
+    scale-invariant, so it holds iff max delta subject to w.x >= theta +
+    delta on 1-points, w.x <= theta - delta on 0-points and delta <= 1 is
+    positive; then 0 is returned. Weights and threshold are split into
+    nonnegative parts, with one weight pair per column. The tableau is one
+    integer array, constraint rows then the objective row, int64 up to 13
+    points and Python ints past that (see the bound below). The simplex
+    takes the first improving column and the least-ratio row, ties to the
+    lowest basic variable (Bland's rule), and pivots fraction-free: every
+    entry is its rational value times det, the last pivot taken (1 at the
+    start), and each update divides exactly by the previous det. At
     optimum 0 the points with a positive dual (the objective entry of their
     slack column) carry a Farkas certificate: a weighting under which the
     1-points and 0-points have equal mass and equal mean, so they are
     returned as a core.
     """
+    if not _dlist_core(columns, m, ones):
+        return 0
     num_vars = 2 * len(columns) + 3  # w+, w-, theta+, theta-, delta
     total = num_vars + m + 1
-    tableau = []
-    for r in range(m + 1):
-        row = [0] * (total + 1)
-        if r < m:
-            sign = -1 if (ones >> r) & 1 else 1
-            x = [sign * (((col >> r) & 1) ^ 1) for col in columns]
-            row[:num_vars] = x + [-v for v in x] + [-sign, sign, 1]
-        else:
-            row[num_vars - 1] = row[total] = 1  # delta <= 1
-        row[num_vars + r] = 1
-        tableau.append(row)
-    objective = [0] * (total + 1)
-    objective[num_vars - 1] = -1
+    points = np.arange(m)
+    sign = 1 - 2 * (ones >> points & 1)[:, None]
+    x = sign * (1 - (np.array(columns, dtype=np.int64) >> points[:, None] & 1))
+    tableau = np.zeros((m + 2, total + 1), dtype=np.int64)
+    tableau[:m, :num_vars - 1] = np.hstack((x, -x, -sign, sign))
+    tableau[:m + 1, num_vars - 1] = 1
+    tableau[:m + 1, num_vars:total] = np.eye(m + 1, dtype=np.int64)
+    tableau[m, total] = 1  # delta <= 1
+    tableau[m + 1, num_vars - 1] = -1
+    # Every entry is a minor of order <= m + 2 of the starting array, whose
+    # entries are in {-1, 0, 1}. By Hadamard's bound each entry is at most
+    # (m+2)^((m+2)/2) in size, so each product p*v and f*q of an update is
+    # at most (m+2)^(m+2) < 2^62 for m <= 13, and their difference fits in
+    # int64. Past 13 points the same code runs on Python ints.
+    if m > 13:
+        tableau = tableau.astype(object)
+    objective = tableau[m + 1]
     basis = list(range(num_vars, total))
     det = 1
     while True:
-        col = next((j for j in range(total) if objective[j] < 0), None)
-        if col is None:
+        improving = objective[:total] < 0
+        col = int(improving.argmax())
+        if not improving[col]:
             break
-        rows = [r for r, row in enumerate(tableau) if row[col] > 0]
+        a = tableau[:m + 1, col].tolist()
+        rhs = tableau[:m + 1, total].tolist()
+        rows = [r for r in range(m + 1) if a[r] > 0]
         pr = rows[0]  # least ratio rhs/a, compared by cross-multiplying
         for r in rows[1:]:
-            diff = tableau[r][total] * tableau[pr][col] - tableau[pr][total] * tableau[r][col]
+            diff = rhs[r] * a[pr] - rhs[pr] * a[r]
             if diff < 0 or diff == 0 and basis[r] < basis[pr]:
                 pr = r
-        pivot = tableau[pr]
+        pivot = tableau[pr].copy()
         p = pivot[col]
-        for row in tableau + [objective]:
-            if row is not pivot:
-                f = row[col]
-                row[:] = [(p * v - f * q) // det for v, q in zip(row, pivot)]
+        f = tableau[:, col].copy()
+        tableau *= p
+        tableau -= f[:, None] * pivot
+        tableau //= det
+        tableau[pr] = pivot
         det = p
         basis[pr] = col
     if objective[total] > 0:
         return 0
-    return sum(1 << r for r in range(m) if objective[num_vars + r] > 0)
+    return sum(1 << int(r)
+               for r in np.flatnonzero(objective[num_vars:total - 1] > 0))
 
 
 def _flip_sets(nums):

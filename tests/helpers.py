@@ -761,6 +761,64 @@ def _reference_ltf_fits(sample):
     return _reference_simplex_max_delta(rows, num_vars) > 0
 
 
+# The margin program as first written, on lists of Python ints: the oracle
+# for distances._ltf_core, which must return the same core for every input.
+def reference_ltf_core(columns, m: int, ones: int) -> int:
+    """Margin program on the m points labeled 1 exactly on `ones`.
+
+    Separability is scale-invariant, so it holds iff max delta subject to
+    w.x >= theta + delta on 1-points, w.x <= theta - delta on 0-points and
+    delta <= 1 is positive; then 0 is returned. Weights and threshold are
+    split into nonnegative parts, with one weight pair per column. The
+    simplex takes the first improving column and the least-ratio row, ties
+    to the lowest basic variable (Bland's rule), and pivots fraction-free:
+    every entry is its rational value times det, the last pivot taken (1
+    at the start), and each update divides exactly by the previous det. At
+    optimum 0 the points with a positive dual (the objective entry of their
+    slack column) carry a Farkas certificate: a weighting under which the
+    1-points and 0-points have equal mass and equal mean, so they are
+    returned as a core.
+    """
+    num_vars = 2 * len(columns) + 3  # w+, w-, theta+, theta-, delta
+    total = num_vars + m + 1
+    tableau = []
+    for r in range(m + 1):
+        row = [0] * (total + 1)
+        if r < m:
+            sign = -1 if (ones >> r) & 1 else 1
+            x = [sign * (((col >> r) & 1) ^ 1) for col in columns]
+            row[:num_vars] = x + [-v for v in x] + [-sign, sign, 1]
+        else:
+            row[num_vars - 1] = row[total] = 1  # delta <= 1
+        row[num_vars + r] = 1
+        tableau.append(row)
+    objective = [0] * (total + 1)
+    objective[num_vars - 1] = -1
+    basis = list(range(num_vars, total))
+    det = 1
+    while True:
+        col = next((j for j in range(total) if objective[j] < 0), None)
+        if col is None:
+            break
+        rows = [r for r, row in enumerate(tableau) if row[col] > 0]
+        pr = rows[0]  # least ratio rhs/a, compared by cross-multiplying
+        for r in rows[1:]:
+            diff = tableau[r][total] * tableau[pr][col] - tableau[pr][total] * tableau[r][col]
+            if diff < 0 or diff == 0 and basis[r] < basis[pr]:
+                pr = r
+        pivot = tableau[pr]
+        p = pivot[col]
+        for row in tableau + [objective]:
+            if row is not pivot:
+                f = row[col]
+                row[:] = [(p * v - f * q) // det for v, q in zip(row, pivot)]
+        det = p
+        basis[pr] = col
+    if objective[total] > 0:
+        return 0
+    return sum(1 << r for r in range(m) if objective[num_vars + r] > 0)
+
+
 def reference_flip_search(sample, kind):
     """The flip search as first written, kept as the oracle for the
     core-guided one: every flip set in (flipped weight, popcount, mask)

@@ -4,7 +4,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import subcube.cli as cli
 import subcube.distances as distances
@@ -42,6 +42,7 @@ from helpers import (
     mconj_tables,
     rand_dist,
     reference_flip_search,
+    reference_ltf_core,
     table_error,
     table_of,
     zs,
@@ -73,6 +74,18 @@ def test_labeled_sample_validation():
         LabeledSample(3, ((p, 1, Fraction(0)),))
     with pytest.raises(ValueError):
         LabeledSample(3, ((p, 1, Fraction(2, 3)), (q, 0, Fraction(1, 2))))
+
+
+def test_labeled_sample_sums_weights_exactly():
+    # denominators past 2^64 that sum to exactly 1, then 2^-70 over it
+    big = (1 << 89) - 1
+    weights = (Fraction(1, big), Fraction(1, 3), 1 - Fraction(1, big) - Fraction(1, 3))
+    points = (zs(3, 1), zs(3, 2), zs(3, 3))
+    entries = tuple((p, 1, w) for p, w in zip(points, weights))
+    assert LabeledSample(3, entries).entries == entries
+    over = entries[:2] + ((points[2], 1, weights[2] + Fraction(1, 1 << 70)),)
+    with pytest.raises(ValueError, match="weights must sum to at most 1"):
+        LabeledSample(3, over)
 
 
 def test_labeled_sample_from_function():
@@ -379,6 +392,26 @@ def test_flip_searches_match_reference_on_random_rationals(instance):
     assert_matches_reference(*instance)
 
 
+@settings(max_examples=100, deadline=None)
+@given(rational_instances())
+def test_mconj_distance_matches_brute_force_on_random_rationals(instance):
+    f, dist = instance
+    err, g = exact_distance_mconj(f, dist, return_witness=True)
+    entries = sample_entries(f, dist)
+    assert err == brute_distance(entries, f.n, mconj_tables(f.n))
+    assert table_error(table_of(g, f.n), f.n, entries) == err
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_instances())
+def test_conj_distance_matches_brute_force_on_random_rationals(instance):
+    f, dist = instance
+    err, g = exact_distance_conj(f, dist, return_witness=True)
+    entries = sample_entries(f, dist)
+    assert err == brute_distance(entries, f.n, conj_tables(f.n))
+    assert table_error(table_of(g, f.n), f.n, entries) == err
+
+
 @pytest.mark.parametrize("variant,params", (("no", NO60),
                                             ("no-ltf", NOLTF60)))
 def test_flip_searches_match_reference_on_hard_instances(variant, params):
@@ -450,6 +483,38 @@ def test_ltf_search_on_a_hard_instance_runs_few_programs(monkeypatch):
     assert exact_distance_ltf(inst.function, inst.distribution) >= \
         Fraction(1, 4)
     assert len(log) < 10
+
+
+@st.composite
+def labeled_columns(draw, max_m):
+    """(columns, m, ones) as a flip search checks them: m distinct points of
+    {0,1}^k, the distinct nonzero zero patterns of their k coordinates as
+    position bitmasks, and the positions labeled 1."""
+    k = draw(st.integers(0, 8))
+    points = draw(st.lists(st.integers(0, (1 << k) - 1), max_size=max_m,
+                           unique=True))
+    columns = {sum(1 << r for r, x in enumerate(points) if not x >> j & 1)
+               for j in range(k)}
+    m = len(points)
+    return sorted(columns - {0}), m, draw(st.integers(0, (1 << m) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeled_columns(12))
+def test_labels_a_decision_list_fits_fit_a_threshold_function(case):
+    if distances._dlist_core(*case) == 0:
+        assert reference_ltf_core(*case) == 0
+
+
+@settings(max_examples=500, deadline=None)
+@given(labeled_columns(16))
+@example(([883, 1460, 3636, 4541, 7331], 13, 3014))
+@example(([18324, 19739, 21581, 23340], 15, 21692))
+def test_ltf_core_matches_the_list_program(case):
+    # m <= 13 runs the program on int64, m >= 14 on Python ints; on the two
+    # examples a ratio tie broken to the first row instead of the lowest
+    # basic variable returns another core
+    assert distances._ltf_core(*case) == reference_ltf_core(*case)
 
 
 @settings(max_examples=200, deadline=None)
