@@ -18,7 +18,6 @@ from .adversarial import (
     validate_instance,
 )
 from .distances import (
-    LabeledSample,
     exact_distance_conj,
     exact_distance_dlist,
     exact_distance_ltf,

@@ -1,23 +1,24 @@
-"""Exact distances from a labeled sample to small function classes.
+"""Exact distances from a function f, under a finite distribution D, to
+small function classes.
 
-Distances are computed over the support of a finite distribution, in exact
-rationals. Conjunctions minimize over closure patterns. Decision lists and
-threshold functions search label-flip sets lightest first, enumerated
-lazily in that order so that a search costs its checks, and core-guided:
-each failed consistency check names a set of points the class cannot fit
-under those labels, and every later flip set that gives them the same
-labels is skipped unchecked. The decision-list check is greedy
-elimination. The threshold check first runs that elimination, since every
-decision list is a threshold function, and only when it is stuck solves a
-fraction-free simplex over merged coordinate columns on one integer array:
-int64 up to 13 points, where Hadamard's bound keeps every update within
-int64, Python ints past that. Every routine is exponential in the support size
-and capped: 20 points, 16 for the flip searches, 64 columns.
+Each oracle reads (f, D) directly: f's labels on D's support and D's own
+integer weights, in exact rationals. Conjunctions minimize over closure
+patterns. Decision lists and threshold functions search label-flip sets
+lightest first, enumerated lazily in that order so that a search costs its
+checks, and core-guided: each failed consistency check names a set of
+points the class cannot fit under those labels, and every later flip set
+that gives them the same labels is skipped unchecked. The decision-list
+check is greedy elimination. The threshold check first runs that
+elimination, since every decision list is a threshold function, and only
+when it is stuck solves a fraction-free simplex over merged coordinate
+columns on one integer array: int64 up to 13 points, where Hadamard's bound
+keeps every update within int64, Python ints past that. Every routine is
+exponential in the support size and capped: 20 points, 16 for the flip
+searches, 64 columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 
@@ -30,12 +31,9 @@ from .model import (
     GeneralConj,
     MonotoneConj,
     SizeCapError,
-    ZeroSet,
-    _over_lcm,
 )
 
 __all__ = [
-    "LabeledSample",
     "exact_distance_mconj",
     "exact_distance_conj",
     "exact_distance_dlist",
@@ -48,60 +46,55 @@ _LTF_CAP = 16
 _COLUMN_CAP = 64
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    """Distinct labeled points with positive weights summing to at most 1."""
-
-    n: int
-    entries: tuple  # ((ZeroSet, label, Fraction), ...)
-
-    def __post_init__(self):
-        seen = set()
-        weights = []
-        for point, label, w in self.entries:
-            if point.n != self.n:
-                raise ValueError("sample point dimension mismatch")
-            if point.zeros in seen:
-                raise ValueError("sample points must be distinct")
-            seen.add(point.zeros)
-            if label not in (0, 1):
-                raise ValueError("labels must be 0 or 1")
-            if w <= 0:
-                raise ValueError("weights must be positive")
-            weights.append(w if type(w) is Fraction else Fraction(w))
-        nums, denom = _over_lcm(weights)
-        if sum(nums) > denom:
-            raise ValueError("weights must sum to at most 1")
-
-    @classmethod
-    def from_function(cls, f: FunctionSpec, dist: FiniteDistribution):
-        if f.n != dist.n:
-            raise DimensionMismatch("function and distribution disagree on n")
-        entries = tuple((p, f.value_at(p.zeros), w) for p, w in dist.entries)
-        return cls(dist.n, entries)
+def _support(f: FunctionSpec, dist: FiniteDistribution, cap: int) -> tuple:
+    """(points, ones, nums, denom): dist's support points in entry order,
+    the positions f labels 1 as a bitmask, and dist's own integer weights
+    over its denominator. Raises DimensionMismatch when f and dist disagree
+    on n, SizeCapError past cap points, and ValueError on a label other
+    than 0 or 1."""
+    if f.n != dist.n:
+        raise DimensionMismatch("function and distribution disagree on n")
+    if len(dist.entries) > cap:
+        raise SizeCapError(f"support capped at {cap} points")
+    points = [p for p, _ in dist.entries]
+    labels = [f.value_at(p.zeros) for p in points]
+    if not set(labels) <= {0, 1}:
+        raise ValueError("labels must be 0 or 1")
+    ones = sum(label << pos for pos, label in enumerate(labels))
+    nums = [c - prev for prev, c in zip((0,) + dist._cum, dist._cum)]
+    return points, ones, nums, dist.denominator
 
 
-def _masks(sample: LabeledSample):
-    """Point bitmasks: for each index j in some zero set, the set of sample
+def _masks(points) -> dict:
+    """Point bitmasks: for each index j in some zero set, the set of support
     positions whose point has j zero, encoded as a bitmask over positions."""
     patterns = {}
-    for pos, (point, _, _) in enumerate(sample.entries):
+    for pos, point in enumerate(points):
         for j in point.zeros:
-            patterns.setdefault(j, 0)
-            patterns[j] |= 1 << pos
+            patterns[j] = patterns.get(j, 0) | 1 << pos
     return patterns
 
 
-def _min_error(sample: LabeledSample, zero_masks):
-    """Minimum weighted error over functions of the form "0 exactly on a
+def _subset_sums(nums) -> list:
+    """The weight of every subset of nums, indexed by its position bitmask."""
+    sums = [0]
+    for w in nums:
+        sums += [s + w for s in sums]
+    return sums
+
+
+def _min_error(ones: int, nums, denom: int, zero_masks):
+    """Minimum weighted error, on the points labeled 1 exactly on `ones`
+    with weights nums / denom, over functions of the form "0 exactly on a
     union of the given masks" (the empty union gives the constant 1).
-    Returns (error, the achieving zero mask)."""
-    m = len(sample.entries)
-    if m > _SUPPORT_CAP:
-        raise SizeCapError(f"support capped at {_SUPPORT_CAP} points")
-    nums, denom = _over_lcm([w for _, _, w in sample.entries])
-    ones_mask = _ones(sample)
-    full = (1 << m) - 1
+    Returns (error, the achieving zero mask). A mask's error is the weight
+    of its wrong low positions plus that of its wrong high positions, each
+    read from a table of subset weights."""
+    m = len(nums)
+    low = (m + 1) // 2
+    lo, hi = _subset_sums(nums[:low]), _subset_sums(nums[low:])
+    low_mask = (1 << low) - 1
+    zero_labels = ((1 << m) - 1) & ~ones
     distinct = sorted(set(zero_masks))
     closed = {0}
     frontier = [0]
@@ -112,22 +105,14 @@ def _min_error(sample: LabeledSample, zero_masks):
             if nxt not in closed:
                 closed.add(nxt)
                 frontier.append(nxt)
-    best = None
-    best_mask = 0
+    best, best_mask = None, 0
     for zeros in closed:
-        wrong = (zeros & ones_mask) | (~zeros & full & ~ones_mask)
-        err = 0
-        pos = 0
-        while wrong:
-            if wrong & 1:
-                err += nums[pos]
-            wrong >>= 1
-            pos += 1
+        wrong = zeros ^ zero_labels
+        err = lo[wrong & low_mask] + hi[wrong >> low]
         if best is None or err < best:
             best = err
             best_mask = zeros
-    return (Fraction(best, denom) if best is not None else Fraction(0),
-            best_mask)
+    return Fraction(best, denom), best_mask
 
 
 def exact_distance_mconj(f: FunctionSpec, dist: FiniteDistribution,
@@ -141,9 +126,9 @@ def exact_distance_mconj(f: FunctionSpec, dist: FiniteDistribution,
     closure of the patterns is therefore exact. With return_witness, also
     returns a nearest monotone conjunction.
     """
-    sample = LabeledSample.from_function(f, dist)
-    patterns = _masks(sample)
-    err, mask = _min_error(sample, list(patterns.values()))
+    points, ones, nums, denom = _support(f, dist, _SUPPORT_CAP)
+    patterns = _masks(points)
+    err, mask = _min_error(ones, nums, denom, list(patterns.values()))
     if not return_witness:
         return err
     required = frozenset(j for j, pat in patterns.items() if pat & ~mask == 0)
@@ -158,13 +143,13 @@ def exact_distance_conj(f: FunctionSpec, dist: FiniteDistribution,
     the whole support (the constant 0, from contradictory literals) added.
     With return_witness, also returns a nearest conjunction.
     """
-    sample = LabeledSample.from_function(f, dist)
-    full = (1 << len(sample.entries)) - 1
-    patterns = _masks(sample)
+    points, ones, nums, denom = _support(f, dist, _SUPPORT_CAP)
+    full = (1 << len(points)) - 1
+    patterns = _masks(points)
     masks = [full]
     for pat in patterns.values():
         masks += (pat, ~pat & full)
-    err, mask = _min_error(sample, masks)
+    err, mask = _min_error(ones, nums, denom, masks)
     if not return_witness:
         return err
     req_one = frozenset(j for j, pat in patterns.items() if pat & ~mask == 0)
@@ -181,16 +166,12 @@ def exact_distance_conj(f: FunctionSpec, dist: FiniteDistribution,
     return err, GeneralConj(f.n, req_one, req_zero)
 
 
-def _columns(sample: LabeledSample):
-    """The distinct zero patterns of the coordinates that are zero somewhere
-    in the sample, as position bitmasks. Coordinates with one pattern give
-    the same literals and the same program column; any other coordinate is
-    1 on every point, so it splits nothing and folds into the threshold."""
-    return sorted(set(_masks(sample).values()))
-
-
-def _ones(sample: LabeledSample) -> int:
-    return sum(label << pos for pos, (_, label, _) in enumerate(sample.entries))
+def _columns(points):
+    """The distinct zero patterns of the coordinates that are zero at some
+    point, as position bitmasks. Coordinates with one pattern give the same
+    literals and the same program column; any other coordinate is 1 on
+    every point, so it splits nothing and folds into the threshold."""
+    return sorted(set(_masks(points).values()))
 
 
 def _dlist_core(columns, m: int, ones: int) -> int:
@@ -304,13 +285,14 @@ def _flip_sets(nums):
             heappush(heap, (total + nums[nxt], count + 1, mask | 1 << nxt, k + 1))
 
 
-def _min_flip_weight(sample: LabeledSample, columns, core,
+def _min_flip_weight(points, ones: int, nums, denom: int, columns, core,
                      return_witness: bool = False):
     """The first flip set in (flipped weight, popcount, mask) order whose
-    relabeled sample fits the class, with the flipped points as witness.
+    relabeling of the points labeled 1 exactly on `ones`, with weights
+    nums / denom, fits the class, with the flipped points as witness.
 
     The flip sets come lazily from _flip_sets, so a search costs its checks,
-    not a table and sort of all 2^m sets; the caps are unchanged.
+    not a table and sort of all 2^m sets.
     core(columns, m, ones) is 0 when the labels `ones` fit, and otherwise a
     set C of positions whose labels alone no class member fits. A member
     fitting a sample fits every sub-sample, so every later flip set F with
@@ -318,11 +300,7 @@ def _min_flip_weight(sample: LabeledSample, columns, core,
     that misses C would be unsound: C fails under the labels the checked set
     gave it, and such an F gives C its original labels.
     """
-    m = len(sample.entries)
-    if m > _SUPPORT_CAP:
-        raise SizeCapError(f"support capped at {_SUPPORT_CAP} points")
-    nums, denom = _over_lcm([w for _, _, w in sample.entries])
-    ones = _ones(sample)
+    m = len(points)
     cores = {}  # core C -> every F & C under which C was found
     for total, flips in _flip_sets(nums):
         if any(flips & c in seen for c, seen in cores.items()):
@@ -333,8 +311,7 @@ def _min_flip_weight(sample: LabeledSample, columns, core,
             continue
         flipped = Fraction(total, denom)
         if return_witness:
-            return flipped, tuple(sample.entries[i][0] for i in range(m)
-                                  if (flips >> i) & 1)
+            return flipped, tuple(points[i] for i in range(m) if (flips >> i) & 1)
         return flipped
     raise AssertionError("flipping to a constant labeling always fits")
 
@@ -346,11 +323,9 @@ def exact_distance_dlist(f: FunctionSpec, dist: FiniteDistribution,
     The lightest relabeling the greedy check accepts; with return_witness,
     also returns the flipped points.
     """
-    sample = LabeledSample.from_function(f, dist)
-    if len(sample.entries) > _DLIST_CAP:
-        raise SizeCapError(f"support capped at {_DLIST_CAP} points")
-    return _min_flip_weight(sample, _columns(sample), _dlist_core,
-                            return_witness)
+    points, ones, nums, denom = _support(f, dist, _DLIST_CAP)
+    return _min_flip_weight(points, ones, nums, denom, _columns(points),
+                            _dlist_core, return_witness)
 
 
 def exact_distance_ltf(f: FunctionSpec, dist: FiniteDistribution,
@@ -360,11 +335,10 @@ def exact_distance_ltf(f: FunctionSpec, dist: FiniteDistribution,
     The lightest relabeling the margin program separates; with
     return_witness, also returns the flipped points.
     """
-    sample = LabeledSample.from_function(f, dist)
-    if len(sample.entries) > _LTF_CAP:
-        raise SizeCapError(f"support capped at {_LTF_CAP} points")
-    columns = _columns(sample)
+    points, ones, nums, denom = _support(f, dist, _LTF_CAP)
+    columns = _columns(points)
     if len(columns) > _COLUMN_CAP:
         raise SizeCapError(f"threshold program capped at {_COLUMN_CAP} "
                            "distinct coordinate columns")
-    return _min_flip_weight(sample, columns, _ltf_core, return_witness)
+    return _min_flip_weight(points, ones, nums, denom, columns, _ltf_core,
+                            return_witness)

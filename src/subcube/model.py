@@ -22,7 +22,7 @@ and _conditioned(label) onto the distribution conditioned on a label,
 which it draws through the same bucket-table code.
 BlackBox.flipped(C) and Sampler.flipped(C) are views that flip the queries
 asked or the points handed out, share both streams, and log in the
-instance's own coordinates. BlackBox.query_until asks a batch of small zero
+instance's own coordinates; each checks C once, as Flipped does. BlackBox.query_until asks a batch of small zero
 sets in order, one query_set each, and stops at the first whose answer ends
 the run. BlackBox._required() names P when the box, flip included, asks a
 monotone conjunction (P, {}), which the tester's quiet runs read; each box
@@ -455,7 +455,7 @@ class BlackBox:
         this box's transcript: each query is one query of f, logged as the
         point f was asked."""
         view = copy.copy(self)
-        view._flip, view._p = self._flip ^ frozenset(coords), _UNREAD
+        view._flip, view._p = self._flip ^ _coords(self.n, coords, "flip coordinate"), _UNREAD
         return view
 
     def query_until(self, rows: np.ndarray, stop: int) -> Optional[int]:
@@ -658,5 +658,6 @@ class Sampler:
         this sampler's transcript, RNG streams, labels and bucket table, and
         logs each draw as the distribution's own point."""
         view = copy.copy(self)
-        view._points = [p.flip(coords) for p in self._points]
+        flip = _coords(self.n, coords, "flip coordinate")
+        view._points = [ZeroSet._checked(self.n, p.zeros ^ flip) for p in self._points]
         return view

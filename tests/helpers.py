@@ -15,13 +15,13 @@ from functools import lru_cache
 from itertools import combinations, product
 import math
 from math import ceil, comb
+from typing import NamedTuple
 
 from subcube import (
     BudgetExceeded,
     ExperimentConfig,
     FiniteDistribution,
     GeneralConj,
-    LabeledSample,
     LinearThreshold,
     MonotoneConj,
     RandomStream,
@@ -32,6 +32,19 @@ from subcube import (
 
 def zs(n, *zeros):
     return ZeroSet(n, frozenset(zeros))
+
+
+class LabeledSample(NamedTuple):
+    """Labeled points ((point, label, weight), ...) in n dimensions, as the
+    reference fit checks read them. Nothing is checked."""
+
+    n: int
+    entries: tuple
+
+    @classmethod
+    def from_function(cls, f, dist):
+        """dist's support labeled by f, in entry order."""
+        return cls(dist.n, tuple((p, f.value_at(p.zeros), w) for p, w in dist.entries))
 
 
 def flip_distribution(dist, coords):
@@ -817,6 +830,40 @@ def reference_ltf_core(columns, m: int, ones: int) -> int:
     if objective[total] > 0:
         return 0
     return sum(1 << r for r in range(m) if objective[num_vars + r] > 0)
+
+
+# distances._min_error as first written, summing each mask's error one bit
+# at a time: the oracle for the subset-weight tables, which must return the
+# same (error, mask), ties included.
+def reference_min_error(ones, nums, denom, zero_masks):
+    m = len(nums)
+    full = (1 << m) - 1
+    distinct = sorted(set(zero_masks))
+    closed = {0}
+    frontier = [0]
+    while frontier:
+        base = frontier.pop()
+        for pat in distinct:
+            nxt = base | pat
+            if nxt not in closed:
+                closed.add(nxt)
+                frontier.append(nxt)
+    best = None
+    best_mask = 0
+    for zeros in closed:
+        wrong = (zeros & ones) | (~zeros & full & ~ones)
+        err = 0
+        pos = 0
+        while wrong:
+            if wrong & 1:
+                err += nums[pos]
+            wrong >>= 1
+            pos += 1
+        if best is None or err < best:
+            best = err
+            best_mask = zeros
+    return (Fraction(best, denom) if best is not None else Fraction(0),
+            best_mask)
 
 
 def reference_flip_search(sample, kind):

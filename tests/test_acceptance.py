@@ -22,7 +22,6 @@ from subcube import (
     FunctionSpec,
     GeneralConj,
     LBParams,
-    LabeledSample,
     MonotoneConj,
     QueryTranscript,
     RandomStream,
@@ -55,6 +54,7 @@ from subcube.tester import (
     test_monotone_conjunction as run_mconj_tester,
 )
 from helpers import (
+    LabeledSample,
     _reference_dlist_fits,
     _reference_ltf_fits,
     flip_distribution,

@@ -13,7 +13,7 @@ ROOT_NAMES = [
     "BlackBox", "BudgetExceeded", "DecisionList", "DimensionMismatch",
     "ExperimentConfig", "FiniteDistribution", "Flipped", "FunctionSpec",
     "GeneralConj", "InfeasibleParameters", "InstanceFormatError", "LBInstance",
-    "LBParams", "LabeledSample", "LinearThreshold", "MonotoneConj",
+    "LBParams", "LinearThreshold", "MonotoneConj",
     "PruneReport", "QueryTranscript", "RandomStream", "Sampler", "SizeCapError",
     "TesterParams", "TruthTable", "Verdict", "ViolationGraph", "ZeroSet",
     "amplify", "baseline_dolev_ron", "build_violation_bigraph", "ceil_log2",
@@ -33,7 +33,8 @@ ROOT_NAMES = [
 REMOVED = {"strong_sample", "index_from_uniform", "weight_of", "support",
            "from_values", "point_a", "point_b", "point_c", "special_threshold",
            "_distance_mconj", "_distance_conj", "_take_queries", "_charged_chunks",
-           "_charge_groups", "_draw_big", "_resolve_big", "take_samples", "_codes"}
+           "_charge_groups", "_draw_big", "_resolve_big", "take_samples", "_codes",
+           "LabeledSample", "from_function"}
 
 
 @pytest.mark.parametrize("name", MODULES)

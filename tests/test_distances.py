@@ -10,10 +10,11 @@ import subcube.cli as cli
 import subcube.distances as distances
 from subcube import (
     DecisionList,
+    DimensionMismatch,
     FiniteDistribution,
     Flipped,
+    FunctionSpec,
     GeneralConj,
-    LabeledSample,
     LBParams,
     LinearThreshold,
     MonotoneConj,
@@ -29,6 +30,7 @@ from subcube import (
 )
 from subcube.adversarial import LBNoFunction
 from helpers import (
+    LabeledSample,
     _reference_dlist_fits,
     _reference_ltf_fits,
     brute_distance,
@@ -43,6 +45,7 @@ from helpers import (
     rand_dist,
     reference_flip_search,
     reference_ltf_core,
+    reference_min_error,
     table_error,
     table_of,
     zs,
@@ -57,44 +60,35 @@ def sample_entries(f, dist):
     return labeled(f, dist).entries
 
 
-# -- labeled samples ----------------------------------------------------------
+# -- the (f, D) pair ----------------------------------------------------------
 
 
-def test_labeled_sample_validation():
-    p, q = zs(3, 1), zs(3, 2)
-    ok = LabeledSample(3, ((p, 1, Fraction(1, 2)), (q, 0, Fraction(1, 2))))
-    assert len(ok.entries) == 2
-    with pytest.raises(ValueError):
-        LabeledSample(3, ((zs(4, 1), 1, Fraction(1)),))
-    with pytest.raises(ValueError):
-        LabeledSample(3, ((p, 1, Fraction(1, 2)), (p, 0, Fraction(1, 2))))
-    with pytest.raises(ValueError):
-        LabeledSample(3, ((p, 2, Fraction(1)),))
-    with pytest.raises(ValueError):
-        LabeledSample(3, ((p, 1, Fraction(0)),))
-    with pytest.raises(ValueError):
-        LabeledSample(3, ((p, 1, Fraction(2, 3)), (q, 0, Fraction(1, 2))))
+ORACLES = (exact_distance_mconj, exact_distance_conj, exact_distance_dlist,
+           exact_distance_ltf)
 
 
-def test_labeled_sample_sums_weights_exactly():
-    # denominators past 2^64 that sum to exactly 1, then 2^-70 over it
-    big = (1 << 89) - 1
-    weights = (Fraction(1, big), Fraction(1, 3), 1 - Fraction(1, big) - Fraction(1, 3))
-    points = (zs(3, 1), zs(3, 2), zs(3, 3))
-    entries = tuple((p, 1, w) for p, w in zip(points, weights))
-    assert LabeledSample(3, entries).entries == entries
-    over = entries[:2] + ((points[2], 1, weights[2] + Fraction(1, 1 << 70)),)
-    with pytest.raises(ValueError, match="weights must sum to at most 1"):
-        LabeledSample(3, over)
+class TwoValued(FunctionSpec):
+    """A spec that labels every point 2."""
+
+    n = 3
+
+    def value_at(self, zeros):
+        return 2
 
 
-def test_labeled_sample_from_function():
-    f = MonotoneConj(3, frozenset({2}))
-    dist = FiniteDistribution(3, ((zs(3, 2), Fraction(1, 4)),
-                                  (zs(3, 3), Fraction(3, 4))))
-    s = LabeledSample.from_function(f, dist)
-    assert s.entries == ((zs(3, 2), 0, Fraction(1, 4)),
-                         (zs(3, 3), 1, Fraction(3, 4)))
+@pytest.mark.parametrize("oracle", ORACLES)
+def test_oracles_refuse_a_function_of_another_dimension(oracle):
+    dist = FiniteDistribution(4, ((zs(4, 1), Fraction(1)),))
+    with pytest.raises(DimensionMismatch):
+        oracle(MonotoneConj(8, frozenset({2})), dist)
+
+
+@pytest.mark.parametrize("oracle", ORACLES)
+def test_oracles_refuse_labels_other_than_0_or_1(oracle):
+    dist = FiniteDistribution(3, ((zs(3, 1), Fraction(1, 2)),
+                                  (zs(3, 2), Fraction(1, 2))))
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        oracle(TwoValued(), dist)
 
 
 # -- monotone conjunctions ----------------------------------------------------
@@ -515,6 +509,26 @@ def test_ltf_core_matches_the_list_program(case):
     # examples a ratio tie broken to the first row instead of the lowest
     # basic variable returns another core
     assert distances._ltf_core(*case) == reference_ltf_core(*case)
+
+
+@st.composite
+def closure_cases(draw):
+    """(ones, nums, denom, zero masks) on m = 1..20 positions: weights up to
+    2^70 put the denominator past 2^62, weights up to 3 make ties."""
+    m = draw(st.integers(1, 20))
+    top = draw(st.sampled_from((3, 1 << 70)))
+    nums = draw(st.lists(st.integers(1, top), min_size=m, max_size=m))
+    full = (1 << m) - 1
+    masks = draw(st.lists(st.integers(0, full), max_size=6))
+    return draw(st.integers(0, full)), nums, sum(nums), masks
+
+
+@settings(max_examples=300, deadline=None)
+@given(closure_cases())
+@example((0b1010, [1] * 20, 20, [0b11, 0b1100, 3 << 18, (1 << 20) - 1]))
+def test_min_error_matches_the_per_bit_sum(case):
+    # the same error and the same mask, ties included
+    assert distances._min_error(*case) == reference_min_error(*case)
 
 
 @settings(max_examples=200, deadline=None)

@@ -164,6 +164,20 @@ def test_distribution_validation():
         FiniteDistribution(2, ((zs(3), Fraction(1)),))
 
 
+def test_distribution_weights_are_positive_and_sum_exactly_to_one():
+    with pytest.raises(ValueError, match="weights must be positive"):
+        FiniteDistribution(2, ((zs(2), Fraction(1)), (zs(2, 1), Fraction(0))))
+    # denominators past 2^64 that sum to exactly 1, then 2^-70 over it
+    big = (1 << 89) - 1
+    weights = (Fraction(1, big), Fraction(1, 3), 1 - Fraction(1, big) - Fraction(1, 3))
+    points = (zs(3, 1), zs(3, 2), zs(3, 3))
+    d = FiniteDistribution(3, tuple(zip(points, weights)))
+    assert d.entries == tuple(zip(points, weights)) and d.denominator == 3 * big
+    over = d.entries[:2] + ((points[2], weights[2] + Fraction(1, 1 << 70)),)
+    with pytest.raises(ValueError, match="weights must sum to exactly 1"):
+        FiniteDistribution(3, over)
+
+
 def test_rand_points_refuses_more_points_than_exist():
     # n = 4 has 1 + 4 = 5 points with at most one zero
     pts = rand_points(RandomStream(58), 4, 5, max_zeros=1)
@@ -280,6 +294,23 @@ def test_flipped_blackbox_forwards_one_query():
     assert tr.blackbox_log[-1][0] is z
     with pytest.raises(BudgetExceeded):
         fb.query_set(frozenset())
+
+
+def test_flipped_views_check_their_coordinates_once():
+    # coordinate 0 would read weights[-1]; coordinate n + 1, past the end
+    f = LinearThreshold(3, (1, 2, 4), 4)
+    d = FiniteDistribution(3, ((zs(3), Fraction(1, 2)), (zs(3, 1, 3), Fraction(1, 2))))
+    box = BlackBox(f, QueryTranscript())
+    sampler = Sampler(d, f, QueryTranscript(), RandomStream(67))
+    for bad in ([0], [4], [2, 0]):
+        with pytest.raises(ValueError, match="flip coordinate"):
+            box.flipped(bad)
+        with pytest.raises(ValueError, match="flip coordinate"):
+            sampler.flipped(bad)
+    # a one-shot iterator is read once, for every point
+    view = sampler.flipped(iter([1, 2]))
+    assert [view.point(i) for i in range(2)] == [p.flip({1, 2}) for p, _ in d.entries]
+    assert box.flipped(iter([1, 2])).query_set(frozenset()) == f.value_at(frozenset({1, 2}))
 
 
 def test_sampler_draw_and_labels():

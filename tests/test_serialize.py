@@ -11,12 +11,10 @@ from hypothesis import given, settings, strategies as st
 import subcube.cli as cli
 from subcube import (
     DecisionList,
-    DimensionMismatch,
     FiniteDistribution,
     Flipped,
     GeneralConj,
     InstanceFormatError,
-    LabeledSample,
     LBParams,
     LinearThreshold,
     MonotoneConj,
@@ -338,9 +336,3 @@ NOT_SCHEMA = {"not-json", "lb-no-duplicate-alpha",
 def test_schema_errors_raise_instance_format_error(case, contents, fragment):
     with pytest.raises(InstanceFormatError, match=re.escape(fragment)):
         instance_from_obj(contents())
-
-
-def test_labeled_sample_checks_dimensions():
-    d = FiniteDistribution(4, ((zs(4, 1), Fraction(1)),))
-    with pytest.raises(DimensionMismatch):
-        LabeledSample.from_function(MonotoneConj(8, frozenset({2})), d)
