@@ -8,7 +8,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .adversarial import LBParams, desk_params, generate_instance, paper_params
+from .adversarial import VARIANTS, LBParams, desk_params, generate_instance, paper_params
 from .distances import (
     exact_distance_conj,
     exact_distance_dlist,
@@ -83,6 +83,14 @@ def _desk_fallback_params(n: int) -> LBParams:
         return desk_params(n)
 
 
+_DISTANCES = {
+    "mconj": exact_distance_mconj,
+    "conj": exact_distance_conj,
+    "dlist": exact_distance_dlist,
+    "ltf": exact_distance_ltf,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subcube",
@@ -101,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist = sub.add_parser("distance", help="exact distance to a function class")
     p_dist.add_argument("--instance", required=True)
     p_dist.add_argument("--class", dest="klass", required=True,
-                        choices=("mconj", "conj", "dlist", "ltf"))
+                        choices=tuple(_DISTANCES))
     p_dist.add_argument("--witness", action="store_true")
 
     p_vio = sub.add_parser("violation", help="violation graph or prune report")
@@ -111,8 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="graph")
 
     p_gen = sub.add_parser("gen-instance", help="draw a hard instance")
-    p_gen.add_argument("--variant", required=True,
-                       choices=("yes", "no", "yes-ltf", "no-ltf"))
+    p_gen.add_argument("--variant", required=True, choices=VARIANTS)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--scaled", type=_parse_scaled, default=None,
                        help="h=..,r_blocks=..,m=..,s=..,bps=..")
@@ -150,14 +157,6 @@ def _cmd_test(args) -> int:
         for zeros, label in tr.sample_log:
             print(f"sample zeros={sorted(zeros)} -> {label}", file=sys.stderr)
     return 0
-
-
-_DISTANCES = {
-    "mconj": exact_distance_mconj,
-    "conj": exact_distance_conj,
-    "dlist": exact_distance_dlist,
-    "ltf": exact_distance_ltf,
-}
 
 
 def _cmd_distance(args) -> int:

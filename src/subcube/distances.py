@@ -25,12 +25,12 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .model import (
-    DimensionMismatch,
     FiniteDistribution,
     FunctionSpec,
     GeneralConj,
     MonotoneConj,
     SizeCapError,
+    _support_labels,
 )
 
 __all__ = [
@@ -49,17 +49,13 @@ _COLUMN_CAP = 64
 def _support(f: FunctionSpec, dist: FiniteDistribution, cap: int) -> tuple:
     """(points, ones, nums, denom): dist's support points in entry order,
     the positions f labels 1 as a bitmask, and dist's own integer weights
-    over its denominator. Raises DimensionMismatch when f and dist disagree
-    on n, SizeCapError past cap points, and ValueError on a label other
-    than 0 or 1."""
-    if f.n != dist.n:
-        raise DimensionMismatch("function and distribution disagree on n")
+    over its denominator. Raises SizeCapError past cap points, before f is
+    read; then, through model._support_labels, DimensionMismatch when f and
+    dist disagree on n and ValueError on a label other than 0 or 1."""
     if len(dist.entries) > cap:
         raise SizeCapError(f"support capped at {cap} points")
     points = [p for p, _ in dist.entries]
-    labels = [f.value_at(p.zeros) for p in points]
-    if not set(labels) <= {0, 1}:
-        raise ValueError("labels must be 0 or 1")
+    labels = _support_labels(f, dist).tolist()
     ones = sum(label << pos for pos, label in enumerate(labels))
     nums = [c - prev for prev, c in zip((0,) + dist._cum, dist._cum)]
     return points, ones, nums, dist.denominator

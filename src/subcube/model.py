@@ -346,6 +346,18 @@ class FiniteDistribution:
         return self._denominator
 
 
+def _support_labels(func: FunctionSpec, dist: FiniteDistribution) -> np.ndarray:
+    """func's labels on dist's support, in entry order, as an int8 array.
+    Raises DimensionMismatch when func and dist disagree on n, and
+    ValueError unless every label is 0 or 1."""
+    if func.n != dist.n:
+        raise DimensionMismatch("function and distribution disagree on n")
+    labels = [func.value_at(p.zeros) for p, _ in dist.entries]
+    if not set(labels) <= {0, 1}:
+        raise ValueError("labels must be 0 or 1")
+    return np.array(labels, dtype=np.int8)
+
+
 # ---------------------------------------------------------------------------
 # transcripts and oracles
 
@@ -497,11 +509,7 @@ class Sampler:
 
     def __init__(self, dist: FiniteDistribution, func: FunctionSpec,
                  transcript: QueryTranscript, rng: RandomStream):
-        if dist.n != func.n:
-            raise DimensionMismatch("function and distribution disagree on n")
-        self._setup(dist, func, transcript, rng,
-                    np.array([func.value_at(p.zeros) for p, _ in dist.entries],
-                             dtype=np.int8))
+        self._setup(dist, func, transcript, rng, _support_labels(func, dist))
 
     @classmethod
     def _labelled(cls, dist: FiniteDistribution, func: FunctionSpec,

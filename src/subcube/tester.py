@@ -84,10 +84,6 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
-def _ceil_fraction(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
-
-
 def _exact_log2(q: Fraction) -> Optional[int]:
     num, den = q.numerator, q.denominator
     if num & (num - 1) == 0 and den & (den - 1) == 0:
@@ -157,19 +153,19 @@ def compute_parameters(n: int, epsilon) -> TesterParams:
     ratio = Fraction(n) / eps
     exact = _exact_log2(ratio)
     if exact is not None:
-        d = _ceil_fraction(Fraction(exact * exact) / eps)
+        d = math.ceil(exact * exact / eps)
     else:
         try:
             lg = math.log2(float(ratio))
         except OverflowError:
             raise ValueError(f"log2(n/epsilon) overflows a float at n = {n}, "
                              f"epsilon = {eps}") from None
-        d = _ceil_fraction(Fraction(lg * lg) / eps)
-    d_star = _ceil_fraction(Fraction(d * d) / eps)
+        d = math.ceil(Fraction(lg * lg) / eps)
+    d_star = math.ceil(d * d / eps)
     r = _ceil_cuberoot(n)
     t = d * r
     s = t * ceil_log2(n)
-    group_size = _ceil_fraction(Fraction(3 * t) / eps)
+    group_size = math.ceil(3 * t / eps)
     return TesterParams(
         n=n,
         epsilon=eps,
@@ -660,7 +656,7 @@ def test_general_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStream
     draw is one call of the underlying oracle, logged in its own coordinates.
     """
     eps = _epsilon(epsilon)
-    k0 = _ceil_fraction(Fraction(3) / eps)
+    k0 = math.ceil(3 / eps)
     _check_draws(k0, "the search for x*", n, eps)
     xstar = None
     for _ in range(k0):

@@ -21,13 +21,13 @@ from typing import Optional
 
 from .model import (
     BlackBox,
-    DimensionMismatch,
     FiniteDistribution,
     FunctionSpec,
     QueryTranscript,
     SizeCapError,
     ZeroSet,
     _over_lcm,
+    _support_labels,
 )
 from .tester import binary_search_representative
 
@@ -146,15 +146,14 @@ def build_violation_bigraph(f: FunctionSpec, dist: FiniteDistribution,
     vertices preserves the minimum cover weight: an edge at a zero-weight
     vertex is coverable for free.
     """
-    if dist.n != f.n:
-        raise DimensionMismatch("function and distribution disagree on n")
+    labels = _support_labels(f, dist).tolist()
     if oracle is None:
         oracle = BlackBox(f, QueryTranscript())
     left = []
     right_weights: dict[int, Fraction] = {}
     empties = []
-    for point, w in dist.entries:
-        if f.value_at(point.zeros) == 1:
+    for (point, w), label in zip(dist.entries, labels):
+        if label:
             left.append((point, w))
         else:
             rep = binary_search_representative(oracle, point)

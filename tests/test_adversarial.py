@@ -74,6 +74,14 @@ def test_paper_recipe_needs_astronomical_n():
     p = paper_params(1 << 33)
     assert p.h > p.s
     assert p.r_blocks >= p.blocks_per_C
+    with pytest.raises(InfeasibleParameters, match="n must be at least 2"):
+        paper_params(1)
+
+
+def test_hidden_blocks_refuse_rows_not_aligned_with_alpha():
+    with pytest.raises(ValueError, match="need aligned alpha, a_blocks, b_blocks"):
+        LBNoFunction(8, frozenset(range(1, 5)), (1, 2), ((frozenset({5}),),),
+                     ((frozenset({6}),),), 1)
 
 
 def test_desk_recipe_values():

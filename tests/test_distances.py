@@ -346,6 +346,9 @@ def test_support_caps(distance, cap, witness):
     dist = rand_dist(RandomStream(811), 8, cap + 1)
     with pytest.raises(SizeCapError, match=f"^support capped at {cap} points$"):
         distance(MonotoneConj(8, frozenset({1})), dist, return_witness=witness)
+    # the cap is checked before f is read, so it wins over another n
+    with pytest.raises(SizeCapError, match=f"^support capped at {cap} points$"):
+        distance(MonotoneConj(9, frozenset({1})), dist, return_witness=witness)
 
 
 # -- core-guided flip search --------------------------------------------------

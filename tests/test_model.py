@@ -16,6 +16,7 @@ from subcube import (
     DimensionMismatch,
     FiniteDistribution,
     Flipped,
+    FunctionSpec,
     GeneralConj,
     LBParams,
     LinearThreshold,
@@ -26,6 +27,11 @@ from subcube import (
     SizeCapError,
     TruthTable,
     ZeroSet,
+    build_violation_bigraph,
+    exact_distance_conj,
+    exact_distance_dlist,
+    exact_distance_ltf,
+    exact_distance_mconj,
     generate_instance,
 )
 import subcube.model as model_module
@@ -76,6 +82,10 @@ def test_decision_list_values():
         DecisionList(3, ((0, 1),), 0)
     with pytest.raises(ValueError):
         DecisionList(3, ((4, 1),), 0)
+    with pytest.raises(ValueError, match="default bit must be 0 or 1"):
+        DecisionList(3, ((1, 1),), 2)
+    with pytest.raises(ValueError, match="rule bit must be 0 or 1"):
+        DecisionList(3, ((1, 2),), 0)
 
 
 def test_linear_threshold_values():
@@ -97,6 +107,8 @@ def test_truth_table_round_trip():
         assert table_of(f, n) == bits
     with pytest.raises(SizeCapError):
         TruthTable(25, 0)
+    with pytest.raises(ValueError, match="bits out of range for this n"):
+        TruthTable(2, 1 << 4)
 
 
 def test_truth_table_input_index():
@@ -149,6 +161,50 @@ def test_evaluate_checks_dimensions():
         Sampler(d5, f, QueryTranscript(), RandomStream(0))
 
 
+class _Labels(FunctionSpec):
+    """1 on the all-ones point, bad on {3}, 0 elsewhere."""
+
+    def __init__(self, n, bad):
+        self.n, self.bad = n, bad
+
+    def value_at(self, zeros):
+        return 1 if not zeros else self.bad if zeros == {3} else 0
+
+
+# every reader of f's labels on D's support
+_LABEL_READERS = {
+    "Sampler": lambda f, d: Sampler(d, f, QueryTranscript(), RandomStream(1)),
+    "build_violation_bigraph": build_violation_bigraph,
+    "mconj": exact_distance_mconj,
+    "conj": exact_distance_conj,
+    "dlist": exact_distance_dlist,
+    "ltf": exact_distance_ltf,
+}
+_LABEL_DIST = FiniteDistribution(8, ((zs(8), Fraction(1, 2)), (zs(8, 3), Fraction(1, 4)),
+                                     (zs(8, 5), Fraction(1, 4))))
+
+
+@pytest.mark.parametrize("reader", _LABEL_READERS.values(), ids=_LABEL_READERS)
+@pytest.mark.parametrize("bad", [2, None, -1, 256, Fraction(1, 2)],
+                         ids=["2", "None", "-1", "256", "1/2"])
+def test_support_readers_refuse_labels_other_than_0_or_1(reader, bad):
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        reader(_Labels(8, bad), _LABEL_DIST)
+
+
+@pytest.mark.parametrize("reader", _LABEL_READERS.values(), ids=_LABEL_READERS)
+def test_support_readers_refuse_another_n(reader):
+    with pytest.raises(DimensionMismatch, match="function and distribution disagree on n"):
+        reader(_Labels(9, 0), _LABEL_DIST)
+    reader(_Labels(8, 0), _LABEL_DIST)
+
+
+def test_support_labels_take_bools_as_0_and_1():
+    sampler = Sampler(_LABEL_DIST, _Labels(8, True), QueryTranscript(), RandomStream(1))
+    assert sampler.labels.dtype == np.int8
+    assert sampler.labels.tolist() == [1, 1, 0]
+
+
 def test_distribution_validation():
     with pytest.raises(ValueError):
         FiniteDistribution(2, ((zs(2), Fraction(1, 2)),))
@@ -162,6 +218,8 @@ def test_distribution_validation():
         FiniteDistribution(2, ())
     with pytest.raises(DimensionMismatch):
         FiniteDistribution(2, ((zs(3), Fraction(1)),))
+    with pytest.raises(TypeError, match="support points must be ZeroSet"):
+        FiniteDistribution(2, ((frozenset(), Fraction(1)),))
 
 
 def test_distribution_weights_are_positive_and_sum_exactly_to_one():

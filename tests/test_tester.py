@@ -122,6 +122,8 @@ def uniform_dist(n, zero_sets):
 def test_ceil_log2():
     assert [ceil_log2(k) for k in (1, 2, 3, 4, 5, 8, 9)] == \
         [0, 1, 2, 2, 3, 3, 4]
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        ceil_log2(0)
 
 
 def test_parameters_power_of_two():

@@ -197,6 +197,12 @@ def test_cover_empty_graph():
     assert min_weight_vertex_cover(g) == (frozenset(), Fraction(0))
 
 
+def test_cover_size_cap():
+    right = tuple((j, Fraction(1, 10_001)) for j in range(1, 10_002))
+    with pytest.raises(SizeCapError, match="capped at 10000 vertices"):
+        min_weight_vertex_cover(ViolationGraph((), right))
+
+
 def test_cover_star_picks_cheaper_side():
     center = (zs(8, 1, 2, 3), Fraction(5))
     rights = tuple((j, Fraction(1)) for j in (1, 2, 3))
