@@ -49,7 +49,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .rng import RandomStream, _below_cuts
+from .rng import _FAST_BOUND, RandomStream, _below_cuts
 
 __all__ = [
     "ZeroSet",
@@ -539,7 +539,7 @@ class Sampler:
         over the denominator cum[-1]: the bounds and the bucket table."""
         m = self._denominator = cum[-1]
         self._cum = cum
-        if m <= 1 << 62:
+        if m <= _FAST_BOUND:
             # keys are the draws u themselves
             self._bounds = np.array(cum, dtype=np.int64)
             self._key_shift = max(0, (m - 1).bit_length() - _BUCKET_BITS)
@@ -590,11 +590,11 @@ class Sampler:
         and takes the number of boundaries cum_i / M <= V.
         """
         m = self._denominator
-        u = rng.integers(m, size=k) if m <= 1 << 62 else rng._words(k)
+        u = rng.integers(m, size=k) if m <= _FAST_BOUND else rng._words(k)
         idx = self._table[u >> self._key_shift if self._key_shift else u]
         if self._split and idx.min(initial=0) < 0:
             miss = idx < 0
-            if m <= 1 << 62:
+            if m <= _FAST_BOUND:
                 idx[miss] = np.searchsorted(self._bounds, u[miss], side="right")
             else:
                 law = self._bounds, lambda lo, hi: (self._cum[lo:hi], m)

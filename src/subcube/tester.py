@@ -42,12 +42,14 @@ no later group can change the verdict, a query or a count, so Stage 0
 charges the remaining groups in one step, without drawing them.
 
 Stage 2 first finds the group that ends the run by its facts (too few
-1-samples, no 0-sample, or step 2.1). A known run can end no other way,
-so it asks no probe and is charged them in one step. Other runs build
-B's coordinates from its flags, a block of rows at a time, draw the
-block's subsets by RandomStream.subset_rows, on the words of one subset
-at a time, and ask its probes, one query_set each, through
-BlackBox.query_until, which stops at the first that ends the run.
+1-samples or no 0-sample). A known run can end no other way, so it asks
+no probe and is charged them in one step. Other runs go a block of rows
+at a time: they build the block's B from its flags, as B's coordinates
+and a table of B's members, and decide step 2.1 from that table. The
+rows before the first step-2.1 group draw their subsets by
+RandomStream.subset_rows, on the words of one subset at a time, and ask
+their probes, one query_set each, through BlackBox.query_until, which
+stops at the first that ends the run.
 """
 
 from __future__ import annotations
@@ -303,16 +305,16 @@ def _missing_cuts(cum: tuple, need: int) -> Optional[tuple]:
     m1 = cum[-1]: None when U, the sum over the points of the chance that
     B misses each, exceeds 1/2; else the law, as _below_cuts reads it, of
     the cuts C_k = sum over j <= k of (m1 - nums[j])**need, over
-    total = m1**need; U is the last cut. Each distinct power is held once,
-    and the cuts are summed only on a tie."""
+    total = m1**need; U is the last cut. Each distinct power is computed
+    once, and the cuts are summed once."""
     nums = [b - a for a, b in zip((0,) + cum[:-1], cum)]
     total = cum[-1] ** need
     powers = {v: (cum[-1] - v) ** need for v in set(nums)}
-    if 2 * sum(map(powers.__getitem__, nums)) > total:
+    cuts = list(accumulate(map(powers.__getitem__, nums)))
+    if 2 * cuts[-1] > total:
         return None
-    tops = np.array([(cut << 64) // total for cut in accumulate(map(powers.__getitem__, nums))],
-                    dtype=np.uint64)
-    return tops, lambda lo, hi: (list(accumulate(map(powers.__getitem__, nums[:hi])))[lo:], total)
+    tops = np.array([(cut << 64) // total for cut in cuts], dtype=np.uint64)
+    return tops, lambda lo, hi: (cuts[lo:hi], total)
 
 
 def _drawn_facts(sampler, count: int, size: int, need: int, law: dict) -> tuple:
@@ -430,27 +432,14 @@ def _drawn_facts(sampler, count: int, size: int, need: int, law: dict) -> tuple:
 def _b_rows(zeros: tuple, flags: np.ndarray) -> tuple:
     """The B of each row of flags, from zeros = (point, cols, coord), the
     support's zero pairs with coord indexing cols, their sorted distinct coordinates:
-    each B's size and offset in the last array, every B sorted in turn, a 0 pad."""
+    each B's size and offset in the third array, every B sorted in turn, a 0 pad;
+    and bits, the table of B's members, one column per coordinate of cols."""
     point, cols, coord = zeros
     bits = np.zeros((len(flags), len(cols)), dtype=bool)
     for k, row in enumerate(flags):
         bits[k, coord[row[point]]] = True
     sizes = bits.sum(axis=1)
-    return sizes, np.cumsum(sizes) - sizes, np.append(cols[np.nonzero(bits)[1]], 0)
-
-
-def _alpha_in_b(point, zero, flags, ids, rep_of, first0) -> np.ndarray:
-    """Step 2.1 for each k: is rep_of[first0[k]] in the B of flags[ids[k]]? Read from the
-    zero pairs (point, zero) through a table, one row per distinct rep, of its 0 points."""
-    distinct, slot = np.unique(rep_of, return_inverse=True)
-    at = np.searchsorted(distinct, zero).clip(max=distinct.size - 1)
-    hit = distinct[at] == zero
-    member = np.zeros((distinct.size, flags.shape[1]), dtype=bool)
-    member[at[hit], point[hit]] = True
-    step = max(1, _BLOCK_SAMPLES // flags.shape[1])
-    return np.concatenate([np.zeros(0, bool)] + [
-        (flags[ids[k:k + step]] & member[slot[first0[k:k + step]]]).any(axis=1)
-        for k in range(0, len(ids), step)])
+    return sizes, np.cumsum(sizes) - sizes, np.append(cols[np.nonzero(bits)[1]], 0), bits
 
 
 def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStream,
@@ -525,17 +514,21 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
         # is refused
         count = transcript._take("sample_count", count, size, charge=False)
         block = min(2 * block, max(max_block, max_facts))
-        if not facts:
-            _check_draws(size, "a Stage-0 group", n, p.epsilon)
-            idx, lab = sampler._draw_groups(count, size)
+        try:
+            if not facts:
+                _check_draws(size, "a Stage-0 group", n, p.epsilon)
+                idx, lab = sampler._draw_groups(count, size)
+            if recording:
+                need = p.t if g == 0 else p.t - 1
+                few, first0, masks = (_drawn_facts(sampler, count, size, need, law) if facts
+                                      else _block_facts(idx, lab, need, sampler.support_size))
+        except MemoryError:
+            raise MemoryError(f"Stage 0 ran out of memory on its groups of group_size = "
+                              f"{size} samples (n = {n}, epsilon = {p.epsilon}); a larger "
+                              "epsilon or a smaller n shrinks group_size") from None
         # last: the last row the run must read, count when it reads them all
         last = count if transcript.log_queries else -1
         if recording:
-            need = p.t if g == 0 else p.t - 1
-            if facts:
-                few, first0, masks = _drawn_facts(sampler, count, size, need, law)
-            else:
-                few, first0, masks = _block_facts(idx, lab, need, sampler.support_size)
             law["class_only"] = known  # for every facts block after group 0's
             ends = few if g == 0 else few | (first0 < 0)
             stop = int(ends.argmax()) if ends.any() else count
@@ -595,8 +588,7 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
 
     # Stage 2: one fresh group per iteration. Every 0-sample has its
     # representative, because Stage 0 returns on the first nil one. Only
-    # the last recorded group can lack B or a 0-sample; the first group
-    # that ends the run that way or by step 2.1 is found before any probe.
+    # the last recorded group can lack B or a 0-sample, and it asks no probe.
     ids, first0s = b_ids[1:], first0s[1:]
     end, reason = len(ids), "end-of-stage-2"
     if end and ids[-1] < 0:
@@ -613,17 +605,15 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
     point, zero = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     zeros = (point, *np.unique(zero, return_inverse=True))
     # b0: B of the first group, for Stage 1
-    b0 = sizes0, _, coords0 = _b_rows(zeros, flags[b_ids[:1]])
+    b0 = sizes0, _, coords0, _ = _b_rows(zeros, flags[b_ids[:1]])
     rep_of = np.array([reps.get(si, 0) for si in range(sampler.support_size)], dtype=np.intp)
     ids, alpha = ids[:end], rep_of[first0s[:end]]
-    if (inside := _alpha_in_b(point, zero, flags, ids, rep_of, first0s[:end])).any():
-        end, reason = int(inside.argmax()), "step-2.1"
 
     step_rng = rng.split("steps")
 
     def probes(b: tuple, rows: np.ndarray, k: int) -> np.ndarray:
         # a random k-subset (all, when smaller) of the B of each row of b
-        sizes, offsets, coords = b
+        sizes, offsets, coords, _ = b
         pos = step_rng.subset_rows(sizes[rows], k)
         return coords[np.where(pos < 0, -1, offsets[rows, None] + pos)]
 
@@ -639,10 +629,17 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
     for start in range(0, end, _SUBSET_ROWS):
         rows = slice(start, min(end, start + _SUBSET_ROWS))
         block, inverse = np.unique(ids[rows], return_inverse=True)
-        if oracle.query_until(np.column_stack((alpha[rows], probes(
-                _b_rows(zeros, flags[block]), inverse, p.r - 1))), 1) is not None:
+        b = *_, bits = _b_rows(zeros, flags[block])
+        # step 2.1, from B's table at alpha's column (alpha is a zero of its
+        # 0-sample): the rows before the first alpha in its B ask their probes
+        inside = bits[inverse, np.searchsorted(zeros[1], alpha[rows])]
+        stop = int(inside.argmax()) if inside.any() else len(inside)
+        if oracle.query_until(np.column_stack((alpha[rows][:stop], probes(
+                b, inverse[:stop], p.r - 1))), 1) is not None:
             return verdict(False, "step-2.2")
-    return verdict(reason != "step-2.1", reason)
+        if stop < len(inside):
+            return verdict(False, "step-2.1")
+    return verdict(True, reason)
 
 
 def test_general_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStream,

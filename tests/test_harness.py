@@ -1077,12 +1077,12 @@ _LIMITED_CLI = ("import resource, sys; "
                 "from subcube.cli import main; sys.exit(main(sys.argv[1:]))")
 
 
-def _run_limited_cli(path, algo):
+def _run_limited_cli(path, algo, epsilon="1"):
     src = os.path.dirname(os.path.dirname(subcube.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     return subprocess.run([sys.executable, "-c", _LIMITED_CLI, "test", "--instance",
-                           str(path), "--algo", algo, "--epsilon", "1", "--seed", "1"],
+                           str(path), "--algo", algo, "--epsilon", epsilon, "--seed", "1"],
                           capture_output=True, text=True, env=env, timeout=300)
 
 
@@ -1099,6 +1099,23 @@ def test_cli_allocation_failure_exits_2(tmp_path, algo):
     proc = _run_limited_cli(path, algo)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_cli_stage0_allocation_failure_names_group_size_n_and_epsilon(tmp_path, capsys):
+    # the README's demo instance at epsilon = 1/1000: group 0 alone is
+    # 3,023,304,000 samples, whose labels do not fit in 2 GiB; the error
+    # names the three numbers that set that size
+    path = tmp_path / "demo.json"
+    assert cli.main(["gen-instance", "--variant", "no", "--n", "60", "--scaled",
+                     "h=4,r_blocks=7,m=3,s=1,bps=2", "--seed", "5", "--out", str(path)]) == 0
+    capsys.readouterr()
+    size = tester_module.compute_parameters(60, Fraction(1, 1000)).group_size
+    proc = _run_limited_cli(path, "mconj", "1/1000")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert all(part in proc.stderr for part in (f"group_size = {size}", "n = 60",
+                                                "epsilon = 1/1000"))
     assert proc.stdout == ""
 
 

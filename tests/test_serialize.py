@@ -297,7 +297,11 @@ BAD_FILES = [
     ("lb-no-block-coordinate",
      edit(lb_no_obj, lambda o: o["function"]["a_blocks"][0][0].append("7")),
      "a_blocks"),
+    ("lb-no-block-not-a-list",
+     edit(lb_no_obj, lambda o: o["function"].update(a_blocks=[1])),
+     "function.a_blocks: expected a list"),
     ("lb-no-duplicate-alpha", edit(lb_no_obj, set_alpha_twice), "distinct"),
+    ("dlist-rule-not-a-list", with_rules([1]), "function.rules: expected a list"),
     ("dlist-rule-one-element", with_rules([[1]]), "function.rules"),
     ("dlist-rule-empty", with_rules([[]]), "function.rules"),
     ("dlist-rule-three-elements", with_rules([[1, 0, 1]]), "function.rules"),

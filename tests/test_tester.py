@@ -345,6 +345,24 @@ def test_step_2_1_reject():
     assert v.reason == "step-2.1"
 
 
+def test_step_2_1_past_the_first_block_matches_reference():
+    # alpha = 1, the representative of the 0-point {1}, enters a group's B
+    # only through the light 1-point {1, 2}; every other probe {1} answers
+    # 0. With 1,500 Stage-2 groups, the first step-2.1 group lies past the
+    # first block of _SUBSET_ROWS rows, and every earlier row asks its probe
+    n = 4
+    f = DecisionList(n, ((1, 1), (-2, 1)), 0)
+    light = Fraction(1, 1 << 14)
+    dist = FiniteDistribution(n, ((zs(n), Fraction(1, 2)), (zs(n, 1, 2), light),
+                                  (zs(n, 1), Fraction(1, 2) - light)))
+    p = small_params(n, d_star=1500, t=8, s=16, group_size=64)
+    for seed in (2, 8):
+        got = one_run(f, dist, seed, p, frozenset(), True)
+        assert got == one_run(f, dist, seed, p, frozenset(), True, reference=True)
+        # the all-ones probe, then one probe per Stage-2 row before step 2.1
+        assert got[1] == "step-2.1" and got[4] - 1 > tester_module._SUBSET_ROWS, (seed, got[:6])
+
+
 def test_step_2_2_reject():
     n = 8
     f = MarkedLiteral(n, 7, frozenset({3, 7}))
@@ -1405,18 +1423,22 @@ def test_b_and_step_2_1_match_the_set_rule(sets, flag_rows, reps, stage2):
     flags = np.array(flag_rows, dtype=bool)[:, :len(sets)]
     # the literal rule: B is the sorted union of the flagged points' zero sets
     unions = [sorted(set().union(*(sets[si] for si in np.flatnonzero(row)))) for row in flags]
-    sizes, offsets, coords = tester_module._b_rows(zeros, flags)
+    sizes, offsets, coords, bits = tester_module._b_rows(zeros, flags)
     assert sizes.tolist() == [len(b) for b in unions]
     assert [coords[o:o + k].tolist() for o, k in zip(offsets, sizes)] == unions
     assert coords.tolist() == [j for b in unions for j in b] + [0]
     # step 2.1: each Stage-2 row (its B's id, its first 0-sample) asks
-    # whether the 0-sample's representative is in B, by set membership
-    rows = [(k % len(flags), x % len(reps)) for k, x in stage2]
-    ids = np.array([k for k, _ in rows], dtype=int)
-    first0 = np.array([x for _, x in rows], dtype=int)
-    rep_of = np.array(reps, dtype=np.intp)
-    inside = tester_module._alpha_in_b(point, zero, flags, ids, rep_of, first0)
-    assert inside.tolist() == [reps[x] in unions[k] for k, x in rows]
+    # whether the 0-sample's representative is in B, read from bits at the
+    # representative's column; the set rule asks by membership. A
+    # representative is a zero of its 0-sample, so one of the support's
+    # zero coordinates cols: rep r stands for cols[(r - 1) % len(cols)]
+    cols = zeros[1]
+    if cols.size:
+        rows = [(k % len(flags), x % len(reps)) for k, x in stage2]
+        ids = np.array([k for k, _ in rows], dtype=int)
+        alpha = cols[[(reps[x] - 1) % cols.size for _, x in rows]]
+        inside = bits[ids, np.searchsorted(cols, alpha)]
+        assert inside.tolist() == [a in unions[k] for (k, _), a in zip(rows, alpha.tolist())]
 
 
 # -- Stage 0's facts drawn from their law --------------------------------------
