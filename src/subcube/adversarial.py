@@ -4,11 +4,12 @@ Each instance hides a random structure in [n]: a set R split into h-sized
 blocks plus 2m special indices, from which m aligned triples of points
 (a^i, b^i, c^i) are built with ZERO(a^i) and ZERO(b^i) partitioning
 ZERO(c^i). The yes variants are genuine monotone conjunctions (or threshold
-functions); the no variants flip the labels of the a-strings via a
-block-counting specialness rule, which makes them far from the class while
-looking identical to samplers that never see inside a C-set. An instance
-keeps only its draw, function and distribution; the points, and all else,
-are derived from the draw.
+functions); both no variants are one LBNoFunction, which flips the labels of
+the a-strings via a block-counting specialness rule (or, with a threshold,
+compares a potential built on that rule with it). That makes them far from
+the class while looking identical to samplers that never see inside a
+C-set. An instance keeps only its draw, function and distribution; the
+points, and all else, are derived from the draw.
 
 The lower bound's simulated world has two parts: a strong sampling oracle,
 which reveals C_k and its special index alpha_k with every draw of c^k
@@ -42,7 +43,6 @@ __all__ = [
     "LBParams",
     "LBInstance",
     "LBNoFunction",
-    "LBNoStarFunction",
     "paper_params",
     "desk_params",
     "generate_instance",
@@ -160,8 +160,17 @@ def desk_params(n: int) -> LBParams:
 
 
 @dataclass(frozen=True)
-class _HiddenBlocks(FunctionSpec):
-    """The hidden structure the no-variant functions are built on."""
+class LBNoFunction(FunctionSpec):
+    """The no-variant functions, read from one hidden structure.
+
+    With threshold None, the yes conjunction with a-strings flipped: 1 iff
+    no coordinate outside R is 0 and every i whose special index alpha_i is
+    0 makes the input i-special: at least ceil(3/4 * blocks_per_side)
+    A_i-blocks carry more than s zeros and as many B_i-blocks carry at most
+    s zeros. Only the i with alpha_i zero are checked. With an integer
+    threshold, 1 iff the v-potential reaches it; v is an integer, so
+    comparing against the rounded-up ceil(theta) is exact.
+    """
 
     n: int
     R: frozenset
@@ -169,6 +178,7 @@ class _HiddenBlocks(FunctionSpec):
     a_blocks: tuple  # per i: tuple of frozenset blocks
     b_blocks: tuple
     s: int
+    threshold: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "R", frozenset(self.R))
@@ -216,34 +226,10 @@ class _HiddenBlocks(FunctionSpec):
         term = len(self.alpha) - self._unmet(zeros)
         return 10 * n * n * ones_out + 5 * n * term - (n - len(zeros))
 
-
-@dataclass(frozen=True)
-class LBNoFunction(_HiddenBlocks):
-    """The no-variant function: the yes conjunction with a-strings flipped.
-
-    Value 1 iff no coordinate outside R is 0 and every i whose special index
-    alpha_i is 0 makes the input i-special: at least ceil(3/4 *
-    blocks_per_side) A_i-blocks carry more than s zeros and as many
-    B_i-blocks carry at most s zeros. Evaluation is lazy: only the i with
-    alpha_i zero are checked.
-    """
-
     def value_at(self, zeros: frozenset) -> int:
+        if self.threshold is not None:
+            return 1 if self.potential(zeros) >= self.threshold else 0
         return 1 if zeros <= self.R and not self._unmet(zeros) else 0
-
-
-@dataclass(frozen=True)
-class LBNoStarFunction(_HiddenBlocks):
-    """The no-variant threshold function: 1 iff the v-potential reaches the
-    (rounded-up) threshold.
-
-    v is an integer, so comparing against ceil(theta) is exact.
-    """
-
-    threshold: int
-
-    def value_at(self, zeros: frozenset) -> int:
-        return 1 if self.potential(zeros) >= self.threshold else 0
 
 
 @dataclass(frozen=True)
@@ -394,12 +380,9 @@ def generate_instance(params: LBParams, variant: str,
             weights.append(w)
         func = LinearThreshold(n, tuple(weights), threshold)
     else:
-        hidden = (n, r_set, alpha, _blocks_of(blocks, a_ids),
-                  _blocks_of(blocks, b_ids), params.s)
-        if variant == "no":
-            func = LBNoFunction(*hidden)
-        else:
-            func = LBNoStarFunction(*hidden, threshold)
+        func = LBNoFunction(n, r_set, alpha, _blocks_of(blocks, a_ids),
+                            _blocks_of(blocks, b_ids), params.s,
+                            threshold if variant == "no-ltf" else None)
     points = _points_by_kind(*draw[1:])
     entries = []
     for kind, mass in _FAMILY[variant][0]:

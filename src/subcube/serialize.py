@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .adversarial import LBInstance, LBNoFunction, LBNoStarFunction
+from .adversarial import LBInstance, LBNoFunction
 from .model import (
     DecisionList,
     FiniteDistribution,
@@ -105,8 +105,8 @@ def function_to_obj(func: FunctionSpec) -> dict:
     if isinstance(func, Flipped):
         return {"type": "flipped", "coords": _sorted(func.coords),
                 "inner": function_to_obj(func.inner)}
-    if isinstance(func, (LBNoFunction, LBNoStarFunction)):
-        star = isinstance(func, LBNoStarFunction)
+    if isinstance(func, LBNoFunction):
+        star = func.threshold is not None
         obj = {"type": "lb-no-ltf" if star else "lb-no", "n": func.n,
                "R": _sorted(func.R), "alpha": list(func.alpha),
                "a_blocks": _blocks_out(func.a_blocks),
@@ -185,11 +185,9 @@ def _function(obj, where: str) -> FunctionSpec:
         except (TypeError, ValueError):
             raise InstanceFormatError(f"{where}.bits: {bits!r} is not a hex string") from None
         return TruthTable(n, value)
-    hidden = (n, ints("R", n), ints("alpha", n), ints("a_blocks", n, 3),
-              ints("b_blocks", n, 3), num("s"))
-    if tag == "lb-no":
-        return LBNoFunction(*hidden)
-    return LBNoStarFunction(*hidden, num("threshold"))
+    return LBNoFunction(n, ints("R", n), ints("alpha", n), ints("a_blocks", n, 3),
+                        ints("b_blocks", n, 3), num("s"),
+                        num("threshold") if tag == "lb-no-ltf" else None)
 
 
 def instance_to_obj(n: int, func: FunctionSpec,
@@ -245,12 +243,7 @@ def structure_sidecar(inst: LBInstance) -> dict:
     """The hidden structure of a generated instance, for white-box tests."""
     obj = {
         "variant": inst.variant,
-        "params": {
-            "n": inst.params.n, "h": inst.params.h,
-            "r_blocks": inst.params.r_blocks, "m": inst.params.m,
-            "s": inst.params.s,
-            "blocks_per_side": inst.params.blocks_per_side,
-        },
+        "params": asdict(inst.params),
         "R": _sorted(inst.R),
         "blocks": [_sorted(blk) for blk in inst.blocks],
         "alpha": list(inst.alpha),

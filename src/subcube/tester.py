@@ -689,8 +689,9 @@ def baseline_dolev_ron(oracle, sampler, n: int, epsilon,
                        num_samples: Optional[int] = None) -> Verdict:
     """Pair-sampling baseline tester for monotone conjunctions.
 
-    Draws ceil(2*sqrt(n)*log2(n)/epsilon) samples (or exactly num_samples
-    when given) in one sampler.draws() batch, computes the representative
+    Draws ceil(2*sqrt(n)*log2(n)/epsilon) samples, the product read as a
+    float and divided by epsilon exactly (or exactly num_samples when
+    given), in one sampler.draws() batch, computes the representative
     of each distinct 0-sample once, in order of first appearance, and
     rejects when some 1-sample is 0 at some computed representative.
     One-sided.
@@ -700,8 +701,8 @@ def baseline_dolev_ron(oracle, sampler, n: int, epsilon,
     else:
         eps = _epsilon(epsilon)
         try:
-            total = math.ceil(2 * math.sqrt(n) * math.log2(n) / float(eps))
-        except (OverflowError, ZeroDivisionError):
+            total = math.ceil(Fraction(2 * math.sqrt(n) * math.log2(n)) / eps)
+        except OverflowError:
             raise ValueError(f"the sample count overflows a float at n = {n}, "
                              f"epsilon = {eps}") from None
     if total <= 0:

@@ -926,8 +926,8 @@ def ltf_potential(x, inst, which, gamma_set=frozenset()):
 
 
 def hidden_rule_unmet(f, zeros):
-    """The alpha_i of a hidden-block function (LBNoFunction or
-    LBNoStarFunction, built by hand or drawn) that are zero in zeros while
+    """The alpha_i of a hidden-block function (an LBNoFunction with or
+    without a threshold, built by hand or drawn) that are zero in zeros while
     zeros is not i-special, read from the function's own rows: with need =
     ceil(3/4 * the number of blocks in row i's A-side), x is i-special when
     at least need of those blocks have more than s zeros and at least need

@@ -37,7 +37,7 @@ from subcube import (
     validate_instance,
 )
 import subcube
-from subcube.adversarial import LBNoFunction, LBNoStarFunction, _draw_structure
+from subcube.adversarial import LBNoFunction, _draw_structure
 from subcube.harness import _SimWorld
 from subcube.serialize import structure_sidecar
 from helpers import (chi_square_fit, collect, hidden_rule_potential,
@@ -485,7 +485,7 @@ def hand_built_hidden_blocks(draw):
         return LBNoFunction(*hidden), zeros
     base = hidden_rule_potential(LBNoFunction(*hidden),
                                  draw(st.frozensets(st.integers(1, HAND_N))))
-    return LBNoStarFunction(*hidden, base + draw(st.integers(-1, 1))), zeros
+    return LBNoFunction(*hidden, base + draw(st.integers(-1, 1))), zeros
 
 
 # both sides of the one triple share a block {1, 2} and overlap in 3; the
@@ -495,16 +495,16 @@ def hand_built_hidden_blocks(draw):
                frozenset({1, 2, 3, 9})))
 # s = 4 is at least every block's size, so no A-block is heavy and the
 # potential counts alpha 3 unmet; the threshold sits exactly on it
-@example(case=(LBNoStarFunction(HAND_N, frozenset(range(1, 11)), (3, 7),
-                                (({1, 2, 4, 5},), ({6},)), (({8},), ({9},)),
-                                4, 45), frozenset({1, 2, 3, 4, 5})))
+@example(case=(LBNoFunction(HAND_N, frozenset(range(1, 11)), (3, 7),
+                            (({1, 2, 4, 5},), ({6},)), (({8},), ({9},)),
+                            4, 45), frozenset({1, 2, 3, 4, 5})))
 @settings(max_examples=300, deadline=None)
 @given(case=hand_built_hidden_blocks())
 def test_hand_built_hidden_block_functions_match_the_written_rule(case):
     f, zeros = case
     v = hidden_rule_potential(f, zeros)
     assert f.potential(zeros) == v
-    if isinstance(f, LBNoStarFunction):
+    if f.threshold is not None:
         want = v >= f.threshold
     else:
         want = zeros <= f.R and not hidden_rule_unmet(f, zeros)

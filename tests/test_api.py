@@ -34,7 +34,8 @@ REMOVED = {"strong_sample", "index_from_uniform", "weight_of", "support",
            "from_values", "point_a", "point_b", "point_c", "special_threshold",
            "_distance_mconj", "_distance_conj", "_take_queries", "_charged_chunks",
            "_charge_groups", "_draw_big", "_resolve_big", "take_samples", "_codes",
-           "LabeledSample", "from_function", "_alpha_in_b"}
+           "LabeledSample", "from_function", "_alpha_in_b", "_HiddenBlocks",
+           "LBNoStarFunction"}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -1034,7 +1034,7 @@ def test_cli_plans_past_2_63_draws_exit_2(tmp_path, capsys, algo):
     # samples (dolev-ron). Each is refused before it is drawn, by count
     count = {"mconj": compute_parameters(60, _FAR_EPS).group_size,
              "conj": 3 * 10 ** 30,
-             "dolev-ron": math.ceil(2 * math.sqrt(60) * math.log2(60) / float(_FAR_EPS))}
+             "dolev-ron": math.ceil(Fraction(2 * math.sqrt(60) * math.log2(60)) / _FAR_EPS)}
     assert count[algo] > 1 << 63
     inst = generate_instance(SMALL_LB, "no", RandomStream(5))
     save_instance(tmp_path / "demo.json", inst.n, inst.function, inst.distribution)

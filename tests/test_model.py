@@ -118,6 +118,11 @@ def test_truth_table_input_index():
     assert f.input_index(frozenset({2})) == 0b101
 
 
+def test_function_spec_base_has_no_values():
+    with pytest.raises(NotImplementedError):
+        FunctionSpec().value_at(frozenset())
+
+
 def test_flipped_spec():
     inner = MonotoneConj(4, frozenset({1, 2}))
     f = Flipped(inner, frozenset({2}))

@@ -39,6 +39,13 @@ def test_nested_split_path_matters():
            r.split("b", "a").randrange(10 ** 12)
 
 
+def test_unknown_attribute_raises_attribute_error():
+    # only _gen and _ties are built on first use; any other name is missing
+    with pytest.raises(AttributeError, match="missing"):
+        RandomStream(1).missing
+    assert not hasattr(RandomStream(1), "missing")
+
+
 def test_randrange_rejects_bad_bound():
     with pytest.raises(ValueError):
         RandomStream(0).randrange(0)

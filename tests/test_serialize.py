@@ -102,6 +102,15 @@ def test_hidden_structure_function_round_trip():
                 inst.function.value_at(point.zeros)
 
 
+def test_lb_no_tag_ignores_a_stray_threshold():
+    # the tag decides the function: an lb-no object with a threshold key
+    # still decodes to the no function and encodes without the key
+    obj = lb_no_obj()["function"]
+    back = function_from_obj(dict(obj, threshold=0))
+    assert back.threshold is None
+    assert function_to_obj(back) == obj
+
+
 def test_instance_obj_round_trip():
     f = GeneralConj(6, frozenset({1}), frozenset({6}))
     d = rand_dist(RandomStream(78), 6, 7)
@@ -301,6 +310,8 @@ BAD_FILES = [
      edit(lb_no_obj, lambda o: o["function"].update(a_blocks=[1])),
      "function.a_blocks: expected a list"),
     ("lb-no-duplicate-alpha", edit(lb_no_obj, set_alpha_twice), "distinct"),
+    ("lb-no-ltf-without-threshold",
+     edit(lb_no_obj, lambda o: o["function"].update(type="lb-no-ltf")), "'threshold'"),
     ("dlist-rule-not-a-list", with_rules([1]), "function.rules: expected a list"),
     ("dlist-rule-one-element", with_rules([[1]]), "function.rules"),
     ("dlist-rule-empty", with_rules([[]]), "function.rules"),

@@ -126,6 +126,18 @@ def test_ceil_log2():
         ceil_log2(0)
 
 
+def test_ceil_cuberoot_is_the_least_r_with_r_cubed_at_least_k():
+    r = 0
+    for k in range(2001):
+        while r ** 3 < k:
+            r += 1
+        assert tester_module._ceil_cuberoot(k) == r
+    for c in [*range(2, 50), *(2 ** j + d for j in range(5, 71) for d in (-1, 0, 1))]:
+        cube = c ** 3
+        assert [tester_module._ceil_cuberoot(k) for k in (cube - 1, cube, cube + 1)] == \
+            [c, c, c + 1]
+
+
 def test_parameters_power_of_two():
     p = compute_parameters(4096, 1)
     assert (p.d, p.d_star, p.r, p.t, p.s) == (144, 20736, 16, 2304, 27648)
@@ -493,10 +505,13 @@ def test_baseline_accepts_in_class():
 
 
 def test_baseline_sample_count_formula():
-    n = 16  # ceil(2 * sqrt(16) * log2(16) / epsilon)
-    f = MonotoneConj(n, frozenset())
-    dist = uniform_dist(n, [(), (2,)])
-    for epsilon, count in ((1, 32), (Fraction(1, 2), 64)):
+    # ceil(2 * sqrt(n) * log2(n) / epsilon), exact at a power of 4: a float
+    # division by epsilon draws one sample too many at the last two
+    for n, epsilon, count in ((16, 1, 32), (16, Fraction(1, 2), 64),
+                              (16, Fraction(1, 49), 1568),
+                              (4096, Fraction(3, 47), 24064)):
+        f = MonotoneConj(n, frozenset())
+        dist = uniform_dist(n, [(), (2,)])
         bb, sm, trng, tr = make_instance(f, dist, 601)
         v = baseline_dolev_ron(bb, sm, n, epsilon)
         assert v.accepted
