@@ -23,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate, chain, repeat
 from math import ceil, log2
+from operator import or_
 from typing import Optional
 
 import numpy as np
@@ -35,6 +37,7 @@ from .model import (
     LinearThreshold,
     MonotoneConj,
     ZeroSet,
+    _over_lcm,
 )
 from .rng import RandomStream
 from .tester import _ceil_cuberoot
@@ -159,6 +162,39 @@ def desk_params(n: int) -> LBParams:
 # hidden-structure function specifications
 
 
+def _positions(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The position of each entry of the int array x in table, a sorted 1-D
+    int array, or len(table) where it is absent: a binary search, so
+    nothing is sized by the range of the values."""
+    if not table.size:
+        return np.zeros(np.shape(x), dtype=np.int64)
+    at = np.searchsorted(table, x)
+    at[table.take(at, mode="clip") != x] = table.size
+    return at
+
+
+def _frozen_rows(rows) -> tuple:
+    """rows of blocks as a tuple of tuples of frozensets: rows already in
+    that form are kept as they are, decoded lists are converted."""
+    if (type(rows) is tuple and set(map(type, rows)) <= {tuple}
+            and set(map(type, chain.from_iterable(rows))) <= {frozenset}):
+        return rows
+    return tuple(tuple(frozenset(b) for b in row) for row in rows)
+
+
+def _rule_table(r_sorted, alpha, blocks, ids) -> tuple:
+    """The hidden-block rule of a generated draw on arrays, for
+    LBNoFunction._values_at, from R sorted and alpha and the blocks as
+    positions in R: R; per position in R, and at |R| for a coordinate
+    outside R, the i of the alpha_i there and the id of its block (-1 for
+    none); the (m, 2*bps) block ids, the A-side first; and need."""
+    alpha_at = np.full(r_sorted.size + 1, -1)
+    alpha_at[alpha] = np.arange(alpha.size)
+    block_of = np.full(r_sorted.size + 1, -1)
+    block_of[blocks] = np.arange(len(blocks))[:, None]
+    return r_sorted, alpha_at, block_of, ids, (3 * ids.shape[1] // 2 + 3) // 4
+
+
 @dataclass(frozen=True)
 class LBNoFunction(FunctionSpec):
     """The no-variant functions, read from one hidden structure.
@@ -183,10 +219,8 @@ class LBNoFunction(FunctionSpec):
     def __post_init__(self):
         object.__setattr__(self, "R", frozenset(self.R))
         object.__setattr__(self, "alpha", tuple(int(a) for a in self.alpha))
-        object.__setattr__(self, "a_blocks", tuple(
-            tuple(frozenset(b) for b in row) for row in self.a_blocks))
-        object.__setattr__(self, "b_blocks", tuple(
-            tuple(frozenset(b) for b in row) for row in self.b_blocks))
+        object.__setattr__(self, "a_blocks", _frozen_rows(self.a_blocks))
+        object.__setattr__(self, "b_blocks", _frozen_rows(self.b_blocks))
         if not (len(self.alpha) == len(self.a_blocks) == len(self.b_blocks)):
             raise ValueError("need aligned alpha, a_blocks, b_blocks")
         sides = {a: (self.a_blocks[i], self.b_blocks[i])
@@ -231,6 +265,40 @@ class LBNoFunction(FunctionSpec):
             return 1 if self.potential(zeros) >= self.threshold else 0
         return 1 if zeros <= self.R and not self._unmet(zeros) else 0
 
+    # the rule on arrays (see _rule_table), which generation seeds; a
+    # function built any other way answers _values_at through value_at
+    _table = None
+
+    def _values_at(self, coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        if self._table is None:
+            return super()._values_at(coords, rows)
+        r_sorted, alpha_at, block_of, ids, need = self._table
+        # each entry's position in R; a pad or a zero outside R takes |R|
+        at = np.append(_positions(r_sorted, coords), r_sorted.size)[rows]
+        zeros = np.count_nonzero(rows < coords.size, axis=1)
+        outside = zeros - np.count_nonzero(at < r_sorted.size, axis=1)
+        # the block of each zero, as sorted keys row * |R| + block (a block
+        # id is below |R|), and the (row r, triple i) pairs with alpha_i a
+        # zero of row r
+        blocks = block_of[at]
+        keys = np.sort((np.arange(len(rows))[:, None] * r_sorted.size + blocks)[blocks >= 0])
+        alphas = alpha_at[at]
+        r, col = np.nonzero(alphas >= 0)
+        # per pair, how many zeros of row r each block of triple i holds
+        want = r[:, None] * r_sorted.size + ids[alphas[r, col]]
+        hits = np.searchsorted(keys, want, side="right") - np.searchsorted(keys, want)
+        width = ids.shape[1] // 2
+        special = (((hits[:, :width] > self.s).sum(axis=1) >= need)
+                   & ((hits[:, width:] <= self.s).sum(axis=1) >= need))
+        unmet = np.bincount(r[~special], minlength=len(rows))
+        if self.threshold is None:
+            return ((outside == 0) & (unmet == 0)).astype(np.int8)
+        # the potential, exactly in Python ints: 10 n^3 passes 2^63 near n = 10^6
+        n, m = self.n, len(self.alpha)
+        ones_out, term, ones = (np.asarray(x, dtype=object) for x in (
+            n - len(self.R) - outside, m - unmet, n - zeros))
+        return (10 * n * n * ones_out + 5 * n * term - ones >= self.threshold).astype(np.int8)
+
 
 @dataclass(frozen=True)
 class LBInstance:
@@ -265,9 +333,34 @@ class LBInstance:
         return self.R - frozenset(self.alpha) - frozenset(self.beta)
 
     @cached_property
+    def _arrays(self) -> dict:
+        """The draw as int arrays, which validate_instance reads: R sorted,
+        alpha and beta, and the blocks and each side's block ids, each as
+        (entries in order, length of each block or row). Generation seeds
+        them from its own draw; any other instance derives them here."""
+        def flat(rows):
+            return (np.fromiter(chain.from_iterable(rows), np.int64),
+                    np.fromiter(map(len, rows), np.int64, len(rows)))
+
+        return {"R": np.array(sorted(self.R), dtype=np.int64),
+                "alpha": np.array(self.alpha, dtype=np.int64),
+                "beta": np.array(self.beta, dtype=np.int64),
+                "blocks": flat(self.blocks),
+                "a_ids": flat(self.a_block_ids), "b_ids": flat(self.b_block_ids)}
+
+    @cached_property
+    def _rows(self) -> tuple:
+        """The a and b points as positions in R (see _point_rows), from a
+        draw that validate_instance has found well formed."""
+        arrays, p = self._arrays, self.params
+        R, (entries, _) = arrays["R"], arrays["blocks"]
+        return _point_rows(_positions(R, entries).reshape(p.r_blocks, p.h),
+                           _positions(R, arrays["alpha"]), _positions(R, arrays["beta"]),
+                           *(arrays[ids][0].reshape(p.m, -1) for ids in ("a_ids", "b_ids")))
+
+    @cached_property
     def _points(self) -> dict:
-        return _points_by_kind(self.blocks, self.alpha, self.beta,
-                               self.a_block_ids, self.b_block_ids)
+        return _point_sets(np.array(self._arrays["R"].tolist(), dtype=object), *self._rows)
 
     A_sets = property(lambda self: self._points["a"])
     B_sets = property(lambda self: self._points["b"])
@@ -307,7 +400,10 @@ def simulate_p(zeros: frozenset, R: frozenset, gamma_set) -> int:
 
 
 def _draw_structure(params: LBParams, rng: RandomStream):
-    """The draw (R, blocks, alpha, beta, a_block_ids, b_block_ids).
+    """The draw as int arrays (R, blocks, alpha, beta, a_block_ids,
+    b_block_ids): R sorted; alpha, beta and the blocks, the rows of an
+    (r_blocks, h) array, as positions in R; and the block ids as
+    (m, blocks_per_side) arrays.
 
     R, the specials and the blocks come first. Then each triple's 2*bps
     block ids are a Floyd subset of range(r_blocks), put in a uniform order
@@ -315,36 +411,37 @@ def _draw_structure(params: LBParams, rng: RandomStream):
     ids has chance (r_blocks - 2*bps)!/r_blocks!, the law of the first
     2*bps entries of a uniform permutation of every block, on O(m*bps)
     words rather than O(m*r_blocks). The first bps ids of a row feed A_i
-    and the rest B_i."""
+    and the rest B_i. Every table is sized by |R|, none by n."""
     n, h, rb, m, bps = params.n, params.h, params.r_blocks, params.m, params.blocks_per_side
     size = h * rb + 2 * m
-    r_sorted = (rng.subset_rows([n], size)[0] + 1).tolist()
-    specials = rng.sample(r_sorted, 2 * m)
-    r_set = frozenset(r_sorted)
-    pool = rng.sample(sorted(r_set - frozenset(specials)), size - 2 * m)
-    blocks = tuple(frozenset(pool[k * h:(k + 1) * h]) for k in range(rb))
+    r_sorted = rng.subset_rows([n], size)[0] + 1
+    specials = rng.sample(np.arange(size), 2 * m)
+    rest = np.ones(size, dtype=bool)
+    rest[specials] = False
+    blocks = rng.sample(np.flatnonzero(rest), size - 2 * m).reshape(rb, h)
     ids = rng.subset_rows([rb] * m, 2 * bps)
-    chosen = np.take_along_axis(ids, rng.permutation_rows(m, 2 * bps), axis=1).tolist()
-    return (r_set, blocks, tuple(specials[:m]), tuple(specials[m:]),
-            tuple(tuple(row[:bps]) for row in chosen),
-            tuple(tuple(row[bps:]) for row in chosen))
+    chosen = np.take_along_axis(ids, rng.permutation_rows(m, 2 * bps), axis=1)
+    return r_sorted, blocks, specials[:m], specials[m:], chosen[:, :bps], chosen[:, bps:]
 
 
-def _points_by_kind(blocks, alpha, beta, a_ids, b_ids) -> dict:
-    """The zero sets of each point kind, in index order: a^i is alpha_i with
-    the blocks of row i of a_ids, b^i is beta_i with those of b_ids, c^i is
-    their union, and the all-ones point has none."""
-    a_sets = tuple(frozenset((x,)).union(*(blocks[j] for j in row))
-                   for x, row in zip(alpha, a_ids))
-    b_sets = tuple(frozenset((x,)).union(*(blocks[j] for j in row))
-                   for x, row in zip(beta, b_ids))
+def _point_rows(blocks, alpha, beta, a_ids, b_ids) -> tuple:
+    """The a and b points as two (m, ell/2) arrays of positions in R, from
+    the blocks, alpha and beta as positions in R and the (m, bps) block ids:
+    row i of the first is alpha_i and then the blocks of A_i, and of the
+    second beta_i and the blocks of B_i."""
+    return tuple(np.column_stack((x, blocks[ids].reshape(len(x), -1)))
+                 for x, ids in ((alpha, a_ids), (beta, b_ids)))
+
+
+def _point_sets(coords: np.ndarray, a_rows: np.ndarray, b_rows: np.ndarray) -> dict:
+    """The zero sets of each point kind, in index order, from R's
+    coordinates as an object array: the a and b points from their rows of
+    positions, c^i the union of a^i and b^i, and none for the all-ones
+    point."""
+    a_sets = tuple(map(frozenset, coords[a_rows].tolist()))
+    b_sets = tuple(map(frozenset, coords[b_rows].tolist()))
     return {"ones": (frozenset(),), "a": a_sets, "b": b_sets,
-            "c": tuple(a | b for a, b in zip(a_sets, b_sets))}
-
-
-def _blocks_of(blocks: tuple, ids: tuple) -> tuple:
-    """Per i, the blocks that the i-th row of block ids selects."""
-    return tuple(tuple(blocks[j] for j in row) for row in ids)
+            "c": tuple(map(or_, a_sets, b_sets))}
 
 
 def _theta4(params: LBParams, r_size: int) -> int:
@@ -356,51 +453,80 @@ def _theta4(params: LBParams, r_size: int) -> int:
 
 def generate_instance(params: LBParams, variant: str,
                       rng: RandomStream) -> LBInstance:
-    """Draw an instance of the given variant and validate it."""
+    """Draw an instance of the given variant and validate it. A MemoryError
+    names n and |R|, the sizes that set the instance's."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if variant in ("no", "no-ltf") and params.h <= params.s:
         raise InfeasibleParameters(
             "no variants need h > s so the a-strings are special")
-    draw = _draw_structure(params, rng)
-    r_set, blocks, alpha, _, a_ids, b_ids = draw
+    try:
+        inst = _generate(params, variant, rng)
+    except MemoryError:
+        raise MemoryError(
+            f"generating the instance ran out of memory at n = {params.n}, |R| = "
+            f"{params.h * params.r_blocks + 2 * params.m}; a smaller n, or smaller "
+            "h, r_blocks and m, shrink it") from None
+    validate_instance(inst)
+    return inst
+
+
+def _generate(params: LBParams, variant: str, rng: RandomStream) -> LBInstance:
+    """The instance of one draw, its validation arrays, rows and points
+    seeded."""
+    r_sorted, blocks, alpha, beta, a_ids, b_ids = _draw_structure(params, rng)
+    arrays = {"R": r_sorted, "alpha": r_sorted[alpha], "beta": r_sorted[beta],
+              "blocks": (r_sorted[blocks].reshape(-1), np.full(params.r_blocks, params.h)),
+              "a_ids": (a_ids.reshape(-1), np.full(params.m, params.blocks_per_side)),
+              "b_ids": (b_ids.reshape(-1), np.full(params.m, params.blocks_per_side))}
+    rows = _point_rows(blocks, alpha, beta, a_ids, b_ids)
+    # one Python int per coordinate of R, shared by every set and tuple built
+    # here, so that the set operations of value_at match them by identity
+    r_list = r_sorted.tolist()
+    ints = np.array(r_list, dtype=object)
+    points = _point_sets(ints, *rows)
     n = params.n
+    r_set = frozenset(r_list)
+    block_sets = tuple(map(frozenset, ints[blocks].tolist()))
+    alpha_t = tuple(ints[alpha].tolist())
     threshold = (_theta4(params, len(r_set)) + 3) // 4
     if variant == "yes":
-        func = MonotoneConj(n, frozenset(range(1, n + 1)) - r_set | frozenset(alpha))
+        outside = np.ones(n + 1, dtype=bool)
+        outside[r_sorted] = outside[0] = False
+        func = MonotoneConj(n, frozenset(chain(np.flatnonzero(outside).tolist(), alpha_t)))
     elif variant == "yes-ltf":
-        alpha_set = frozenset(alpha)
-        weights = []
-        for k in range(1, n + 1):
-            w = -1
-            if k not in r_set:
-                w += 10 * n * n
-            if k in alpha_set:
-                w += 5 * n
-            weights.append(w)
-        func = LinearThreshold(n, tuple(weights), threshold)
+        weights = np.full(n + 1, 10 * n * n - 1, dtype=object)
+        weights[r_sorted] = -1
+        weights[arrays["alpha"]] += 5 * n
+        func = LinearThreshold(n, tuple(weights[1:].tolist()), threshold)
     else:
-        func = LBNoFunction(n, r_set, alpha, _blocks_of(blocks, a_ids),
-                            _blocks_of(blocks, b_ids), params.s,
+        by_id = np.fromiter(block_sets, dtype=object, count=len(block_sets))
+        func = LBNoFunction(n, r_set, alpha_t, tuple(zip(*by_id[a_ids.T].tolist())),
+                            tuple(zip(*by_id[b_ids.T].tolist())), params.s,
                             threshold if variant == "no-ltf" else None)
-    points = _points_by_kind(*draw[1:])
-    entries = []
-    for kind, mass in _FAMILY[variant][0]:
-        weight = mass / len(points[kind])
-        entries += ((ZeroSet._checked(n, zeros), weight) for zeros in points[kind])
-    inst = LBInstance(params, variant, *draw, function=func,
-                      distribution=FiniteDistribution(n, tuple(entries)))
-    # Seed the _points cache with the points just derived from the same draw,
-    # so that validation does not derive them again.
-    inst.__dict__["_points"] = points
-    validate_instance(inst)
+        object.__setattr__(func, "_table",
+                           _rule_table(r_sorted, alpha, blocks, np.hstack((a_ids, b_ids))))
+    # the entries: each kind's points, all of one weight
+    kinds = [(points[kind], mass / len(points[kind])) for kind, mass in _FAMILY[variant][0]]
+    nums, _ = _over_lcm([weight for _, weight in kinds])
+    entries = tuple(chain.from_iterable(
+        zip(map(ZeroSet._checked, repeat(n), zeros), repeat(weight)) for zeros, weight in kinds))
+    cum = tuple(accumulate(chain.from_iterable(
+        repeat(num, len(zeros)) for (zeros, _), num in zip(kinds, nums))))
+    inst = LBInstance(params, variant, r_set, block_sets, alpha_t, tuple(ints[beta].tolist()),
+                      tuple(zip(*a_ids.T.tolist())), tuple(zip(*b_ids.T.tolist())),
+                      function=func, distribution=FiniteDistribution._checked(n, entries, cum))
+    for name, value in (("_arrays", arrays), ("_rows", rows), ("_points", points)):
+        object.__setattr__(inst, name, value)
     return inst
 
 
 def validate_instance(inst: LBInstance) -> None:
     """Check the draw, the labels and the distribution; raise ValueError on
-    any failure. The derived zero sets then hold by construction: A_i and
-    B_i are disjoint sets of size ell/2 with union C_i."""
+    any failure. The draw is checked on its arrays, and the labels by the
+    function's batch rule over one padded row per point. The derived zero
+    sets then hold by construction: A_i and B_i are disjoint sets of size
+    ell/2 with union C_i."""
     p = inst.params
     n, h, rb, m, bps = p.n, p.h, p.r_blocks, p.m, p.blocks_per_side
 
@@ -409,39 +535,58 @@ def validate_instance(inst: LBInstance) -> None:
 
     if inst.variant not in VARIANTS:
         fail("unknown variant")
-    if inst.R and not 1 <= min(inst.R) <= max(inst.R) <= n:
+    arrays = inst._arrays
+    R = arrays["R"]
+    if R.size and not 1 <= R[0] <= R[-1] <= n:
         fail("R not inside [n]")
-    if len(inst.R) != h * rb + 2 * m:
+    if R.size != h * rb + 2 * m:
         fail("R has the wrong size")
-    specials = frozenset(inst.alpha + inst.beta)
-    if len(inst.alpha) != m or len(inst.beta) != m or len(specials) != 2 * m:
+    specials = np.concatenate((arrays["alpha"], arrays["beta"]))
+    ordered = np.sort(specials)
+    if arrays["alpha"].size != m or arrays["beta"].size != m or (ordered[1:] == ordered[:-1]).any():
         fail("need m alphas and m betas, all distinct")
-    if not specials <= inst.R:
+    at = _positions(R, specials)
+    if (at == R.size).any():
         fail("special indices must lie in R")
-    if len(inst.blocks) != rb:
+    entries, sizes = arrays["blocks"]
+    if sizes.size != rb:
         fail("wrong number of blocks")
-    seen = set()
-    for blk in inst.blocks:
-        if len(blk) != h:
-            fail("block of the wrong size")
-        if blk & seen:
-            fail("blocks must be disjoint")
-        seen |= blk
-    if seen != inst.R_prime:
+    ordered = np.sort(entries)
+    again = ordered[1:] == ordered[:-1]
+    wrong = np.flatnonzero(sizes != h)
+    if wrong.size or again.any():
+        # the first block, in order, of the wrong size or meeting an earlier one
+        owner = np.repeat(np.arange(rb), sizes)[np.argsort(entries, kind="stable")]
+        first = min(wrong.min(initial=rb), owner[1:][again].min(initial=rb))
+        fail("block of the wrong size" if sizes[first] != h else "blocks must be disjoint")
+    rest = np.ones(R.size, dtype=bool)
+    rest[at] = False
+    if not np.array_equal(ordered, R[rest]):
         fail("blocks must partition R_prime")
-    if len(inst.a_block_ids) != m or len(inst.b_block_ids) != m:
+    (a_ids, a_lens), (b_ids, b_lens) = arrays["a_ids"], arrays["b_ids"]
+    if a_lens.size != m or b_lens.size != m:
         fail("need m rows of block ids per side")
-    for a_ids, b_ids in zip(inst.a_block_ids, inst.b_block_ids):
-        ids = a_ids + b_ids
-        if (len(a_ids) != bps or len(b_ids) != bps or len(set(ids)) != 2 * bps
-                or not all(0 <= j < rb for j in ids)):
-            fail("each triple needs blocks_per_side distinct block ids per side")
+    if (a_lens != bps).any() or (b_lens != bps).any():
+        fail("each triple needs blocks_per_side distinct block ids per side")
+    ids = np.sort(np.hstack((a_ids.reshape(m, bps), b_ids.reshape(m, bps))), axis=1)
+    if ids[:, 0].min() < 0 or ids[:, -1].max() >= rb or (ids[:, 1:] == ids[:, :-1]).any():
+        fail("each triple needs blocks_per_side distinct block ids per side")
 
+    # one row per point, in _KINDS order, of positions in R padded with |R|
+    # to ell
+    a_rows, b_rows = inst._rows
+    rows = np.full((1 + 3 * m, p.ell), R.size)
+    rows[1:1 + m, :p.ell // 2] = a_rows
+    rows[1 + m:1 + 2 * m, :p.ell // 2] = b_rows
+    rows[1 + 2 * m:, :p.ell // 2] = a_rows
+    rows[1 + 2 * m:, p.ell // 2:] = b_rows
+    want = np.repeat(_FAMILY[inst.variant][1], (1, m, m, m))
+    wrong = np.flatnonzero(inst.function._values_at(R, rows) != want)
+    if wrong.size:
+        k = int(wrong[0]) - 1
+        kind, i = divmod(k, m) if k >= 0 else (-1, 0)
+        fail(f"wrong label on {_KINDS[kind + 1]} point {i + 1}")
     points = inst._points
-    for kind, label in zip(_KINDS, _FAMILY[inst.variant][1]):
-        for i, zeros in enumerate(points[kind], start=1):
-            if inst.function.value_at(zeros) != label:
-                fail(f"wrong label on {kind} point {i}")
     want = [zeros for kind, _ in _FAMILY[inst.variant][0] for zeros in points[kind]]
     if [point.zeros for point, _ in inst.distribution.entries] != want:
         fail("distribution does not match the drawn points")

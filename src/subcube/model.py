@@ -151,6 +151,16 @@ class FunctionSpec:
     def value_at(self, zeros: frozenset) -> int:
         raise NotImplementedError
 
+    def _values_at(self, coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The value at each row of rows, as int8s. coords is a 1-D int
+        array of distinct coordinates, and a row lists the positions in it
+        of distinct zeros, padded with len(coords) to the width of rows; a
+        family with a batch rule reads every row at once, any other asks
+        value_at."""
+        coords = coords.tolist()
+        return np.array([self.value_at(frozenset(coords[k] for k in row if k < len(coords)))
+                         for row in rows.tolist()], dtype=np.int8)
+
 
 @dataclass(frozen=True)
 class MonotoneConj(FunctionSpec):
@@ -168,6 +178,11 @@ class MonotoneConj(FunctionSpec):
 
     def value_at(self, zeros: frozenset) -> int:
         return 1 if self.required.isdisjoint(zeros) else 0
+
+    def _values_at(self, coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # whether each coordinate, and the pad after them, is required
+        required = np.append(np.isin(coords, list(self.required)), False)
+        return (~required[rows].any(axis=1)).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -242,6 +257,12 @@ class LinearThreshold(FunctionSpec):
         for i in zeros:
             acc -= self.weights[i - 1]
         return 1 if acc >= self.threshold else 0
+
+    def _values_at(self, coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # 1 iff a row's zeros take at most total - threshold off the total,
+        # summed exactly in Python ints; the pad weighs 0
+        weights = np.array(self.weights + (0,), dtype=object)[np.append(coords - 1, self.n)]
+        return (weights[rows].sum(axis=1) <= self._total - self.threshold).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -340,6 +361,16 @@ class FiniteDistribution:
         object.__setattr__(self, "entries", tuple(norm))
         object.__setattr__(self, "_denominator", denom)
         object.__setattr__(self, "_cum", cum)
+
+    @classmethod
+    def _checked(cls, n: int, entries: tuple, cum: tuple) -> "FiniteDistribution":
+        """The distribution of entries, (ZeroSet, Fraction) pairs that the
+        caller has checked: distinct points of dimension n, positive weights
+        whose numerators over their common denominator cum[-1] run up to
+        cum."""
+        dist = object.__new__(cls)
+        dist.__dict__.update(n=n, entries=entries, _denominator=cum[-1], _cum=cum)
+        return dist
 
     @property
     def denominator(self) -> int:

@@ -148,12 +148,15 @@ class RandomStream:
         base = np.arange(pop, dtype=np.min_scalar_type(pop))
         return self._gen.permuted(np.broadcast_to(base, (rows, pop)), axis=1)
 
-    def sample(self, items: list, k: int) -> list:
-        """Uniformly random k-subset of items, in random order."""
+    def sample(self, items, k: int):
+        """Uniformly random k-subset of items, in random order: a list, or
+        for an ndarray of items, an array, on the same words."""
         if k > len(items):
             raise ValueError("sample larger than population")
-        perm = self._gen.permutation(len(items))
-        return [items[i] for i in perm[:k].tolist()]
+        perm = self._gen.permutation(len(items))[:k]
+        if isinstance(items, np.ndarray):
+            return items[perm]
+        return [items[i] for i in perm.tolist()]
 
 
 def _below_cuts(rng: RandomStream, law: tuple, words: np.ndarray) -> np.ndarray:

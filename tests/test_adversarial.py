@@ -37,9 +37,9 @@ from subcube import (
     validate_instance,
 )
 import subcube
-from subcube.adversarial import LBNoFunction, _draw_structure
+from subcube.adversarial import VARIANTS, LBNoFunction, _draw_structure, _positions
 from subcube.harness import _SimWorld
-from subcube.serialize import structure_sidecar
+from subcube.serialize import save_instance, structure_sidecar
 from helpers import (chi_square_fit, collect, hidden_rule_potential,
                      hidden_rule_unmet, is_i_special, ltf_potential)
 
@@ -207,12 +207,14 @@ def test_desk_scale_instance():
     assert len(inst.distribution.entries) == 3 * 256
 
 
-def test_validation_is_sized_by_the_structure_not_by_n():
-    # |R| = 12 at n = 2,000,000: checking R against [n] must not build [n]
+@pytest.mark.parametrize("variant", ["no", "no-ltf"])
+def test_validation_is_sized_by_the_structure_not_by_n(variant):
+    # |R| = 12 at n = 2,000,000: checking R against [n], and the labels by
+    # the hidden-block rule on arrays, must not build [n]
     params = LBParams(n=2_000_000, h=2, r_blocks=4, m=2, s=1, blocks_per_side=1)
     tracemalloc.start()
     try:
-        inst = generate_instance(params, "no", RandomStream(36))
+        inst = generate_instance(params, variant, RandomStream(36))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -511,6 +513,108 @@ def test_hand_built_hidden_block_functions_match_the_written_rule(case):
     assert f.value_at(zeros) == int(want)
 
 
+def padded(zero_sets, extra=0):
+    """The zero sets as _values_at reads them: their coordinates, sorted, and
+    one row of positions in them per set, each padded with len(coordinates)
+    to the longest plus extra."""
+    coords = np.array(sorted(frozenset().union(*zero_sets)), dtype=np.int64)
+    rows = np.full((len(zero_sets), max(map(len, zero_sets), default=0) + extra), coords.size)
+    for row, zeros in zip(rows, zero_sets):
+        row[:len(zeros)] = np.searchsorted(coords, sorted(zeros))
+    return coords, rows
+
+
+def assert_batch_rule_is_value_at(f, zero_sets, extra=0):
+    got = f._values_at(*padded(zero_sets, extra))
+    assert got.dtype == np.int8
+    assert got.tolist() == [f.value_at(frozenset(zeros)) for zeros in zero_sets]
+
+
+@lru_cache(maxsize=None)
+def drawn(params, variant, seed):
+    return generate_instance(params, variant, RandomStream(seed))
+
+
+@st.composite
+def near_the_support(draw):
+    """A generated instance's function and zero sets near its support: the
+    all-ones point, then points of the support or the all-ones point with up
+    to 5 coordinates flipped, each from the point's own zeros, from R or
+    from outside R."""
+    inst = drawn(draw(st.sampled_from((SMALL, CROWDED))), draw(st.sampled_from(VARIANTS)),
+                 draw(st.integers(0, 3)))
+    points = [frozenset()] + [point.zeros for point, _ in inst.distribution.entries]
+    outside = sorted(frozenset(range(1, inst.n + 1)) - inst.R)
+    sets = [frozenset()]
+    for _ in range(draw(st.integers(1, 6))):
+        zeros = draw(st.sampled_from(points))
+        coords = st.sampled_from(sorted(inst.R)) | st.sampled_from(outside)
+        if zeros:
+            coords |= st.sampled_from(sorted(zeros))
+        sets.append(zeros ^ frozenset(draw(st.lists(coords, max_size=5))))
+    return inst.function, sets
+
+
+def one_a_block_at_s(variant):
+    """The function of a drawn instance and a^1 with its first A-block cut
+    down to s zeros: with one heavy A-block of the two it needs, a^1 is not
+    1-special, which counting a block of exactly s zeros as heavy misses."""
+    inst = drawn(SMALL, variant, 0)
+    block = inst.blocks[inst.a_block_ids[0][0]]
+    return inst.function, [inst.A_sets[0] - block | frozenset(sorted(block)[:SMALL.s])]
+
+
+@example(case=one_a_block_at_s("no"), extra=0)
+@example(case=one_a_block_at_s("no-ltf"), extra=2)
+@settings(max_examples=300, deadline=None)
+@given(case=near_the_support(), extra=st.integers(0, 2))
+def test_batch_rules_match_value_at_near_the_support(case, extra):
+    f, zero_sets = case
+    assert_batch_rule_is_value_at(f, zero_sets, extra)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=hand_built_hidden_blocks(),
+       more=st.lists(st.frozensets(st.integers(1, HAND_N)), max_size=4))
+def test_batch_rule_matches_value_at_on_hand_built_hidden_blocks(case, more):
+    # overlapping blocks, sides of different lengths, and zeros outside R:
+    # a function not built by generation has no seeded table and asks value_at
+    f, zeros = case
+    assert f._table is None
+    assert_batch_rule_is_value_at(f, [zeros, frozenset()] + more)
+
+
+weight = st.integers(-9, 9) | st.integers(-(1 << 70), 1 << 70) | st.integers((1 << 62) - 9, 1 << 63)
+
+
+# three weights of 2^62 fit in int64 while their sum does not
+@example(weights=[1 << 62] * 3, pivot=frozenset({1, 2, 3}), step=0,
+         zero_sets=[frozenset(), frozenset({1}), frozenset({1, 2, 3})])
+@settings(max_examples=300, deadline=None)
+@given(weights=st.lists(weight, min_size=1, max_size=8),
+       pivot=st.frozensets(st.integers(1, 8)), step=st.integers(-1, 1),
+       zero_sets=st.lists(st.frozensets(st.integers(1, 8)), min_size=1, max_size=6))
+def test_threshold_batch_rule_is_exact_past_int64(weights, pivot, step, zero_sets):
+    # the threshold sits on, or next to, the value at the pivot point
+    n = len(weights)
+    pivot = frozenset(i for i in pivot if i <= n)
+    threshold = sum(weights) - sum(weights[i - 1] for i in pivot) + step
+    f = LinearThreshold(n, tuple(weights), threshold)
+    assert_batch_rule_is_value_at(f, [frozenset(i for i in z if i <= n) for z in zero_sets])
+
+
+@pytest.mark.parametrize("top", [40, 10**12])
+def test_positions_find_each_entry_or_the_end(top):
+    # tables over a short and over a long range of values
+    rng = np.random.default_rng(top % 97)
+    table = np.unique(rng.integers(1, top, size=30))
+    x = np.concatenate((table, rng.integers(-3, top + 3, size=60), [0, top + 1]))
+    where = {v: k for k, v in enumerate(table.tolist())}
+    got = _positions(table, x.reshape(1, -1))
+    assert got.tolist() == [[where.get(v, table.size) for v in x.tolist()]]
+    assert _positions(table[:0], x).tolist() == [0] * x.size
+
+
 def test_phi_potential_matches_u_under_revealed_gammas():
     inst = gen("yes-ltf", seed=34)
     c1 = triple(inst, 1)[2]
@@ -532,7 +636,8 @@ def id_row_counts(rb, m, seed, sides=lambda a, b: (a, b)):
     passed through sides."""
     params = LBParams(n=rb + 2 * m, h=1, r_blocks=rb, m=m, s=0, blocks_per_side=2)
     draw = _draw_structure(params, RandomStream(seed))
-    return Counter(sum(sides(a, b), ()) for a, b in zip(draw[4], draw[5]))
+    return Counter(sum(sides(tuple(a), tuple(b)), ())
+                   for a, b in zip(draw[4].tolist(), draw[5].tolist()))
 
 
 def uniform_ordered_law(rb):
@@ -593,6 +698,26 @@ def test_structure_before_the_block_ids_keeps_its_words(params, variant, digest)
     assert structure_digest(inst) == digest
 
 
+@pytest.mark.parametrize("variant, seed, digest", [
+    ("yes", 0, "6499a0426b64f7a3a6e783fd5606e71048c11cb4ca057926de8e01a6e9f4d985"),
+    ("yes", 1, "5d06cf964bdc1ffc18c3a6a1861fa1509981f0e31734b1380375152720d7610d"),
+    ("no", 0, "4f0cfb4a196e4f5e03c234c71c0d1eef5adfd42c113d097a2b7f39c8f7ea2a80"),
+    ("no", 1, "478974f1b98f6f93a1fab27ebea9844592f12bb995548e2620a1a0d976743330"),
+    ("yes-ltf", 0, "0db432f5f1c76c91201ca2da455db6c60c2d20b4fd858295506e5539d4bfdaad"),
+    ("yes-ltf", 1, "c0db05533d01536074350ab87052a88fdff999dbc2245d37bfdab70aae3698e6"),
+    ("no-ltf", 0, "025e2c4e30e5b4c357e80a0c98df895c83a9b66ccd8a53bd923085c778327beb"),
+    ("no-ltf", 1, "a0e67bce96e4bc7a8b66f477b66c22d805ca09c26a54916832dd962ba0f5d92e"),
+])
+def test_whole_instance_keeps_its_bytes(variant, seed, digest, tmp_path):
+    # the instance file and the sidecar, as gen-instance writes them, at
+    # desk_params(512): sha256 of the two files' bytes, one after the other
+    inst = generate_instance(desk_params(512), variant, RandomStream(seed))
+    path = tmp_path / "inst.json"
+    save_instance(path, inst.n, inst.function, inst.distribution)
+    sidecar = json.dumps(structure_sidecar(inst), indent=1) + "\n"
+    assert hashlib.sha256(path.read_bytes() + sidecar.encode("utf-8")).hexdigest() == digest
+
+
 # gen-instance under a 1 GiB address-space limit
 _LIMITED_CLI = ("import resource, sys; "
                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
@@ -612,3 +737,35 @@ def test_gen_instance_holds_no_table_over_every_block(tmp_path):
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "wide.json").exists()
+
+
+def limited_gen_instance(*args):
+    """gen-instance with args, run under _LIMITED_CLI."""
+    src = os.path.dirname(os.path.dirname(subcube.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", _LIMITED_CLI, "gen-instance", *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_gen_instance_names_n_and_r_when_the_structure_does_not_fit(tmp_path):
+    # the paper recipe at n = 10^11 draws R of 50,040,160,470 indices; its
+    # first table does not fit under the limit
+    out = tmp_path / "huge.json"
+    proc = limited_gen_instance("--variant", "yes", "--n", "100000000000", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "|R| = 50040160470" in proc.stderr and "n = 100000000000" in proc.stderr
+    assert not out.exists()
+
+
+def test_gen_instance_checks_wide_triples_without_a_table_per_pair(tmp_path):
+    # 400 blocks per side: comparing each of a row's 1,602 zeros with each of
+    # its triple's 800 blocks would take 1.19 GiB over the 1,000 (a or c row,
+    # triple) pairs, while the points themselves take a few tens of MB
+    out = tmp_path / "deep.json"
+    proc = limited_gen_instance("--variant", "no", "--n", "10000", "--scaled",
+                                "h=2,r_blocks=800,m=500,s=1,bps=400", "--seed", "1",
+                                "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert out.exists()

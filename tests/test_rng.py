@@ -157,3 +157,16 @@ def test_sample_and_shuffled():
     assert sh != items
     with pytest.raises(ValueError):
         r.sample(items, 41)
+
+
+@pytest.mark.parametrize("seed", (0, 1, 29, 1000))
+@pytest.mark.parametrize("size, k", ((1, 1), (40, 12), (40, 40), (2560, 512)))
+def test_sample_of_an_array_reads_the_words_of_a_list(seed, size, k):
+    # the same permutation words pick the same items, in the same order, and
+    # both streams are left at the same word
+    items = [3 * i + 7 for i in range(size)]
+    a, b = RandomStream(seed), RandomStream(seed)
+    got = a.sample(np.array(items), k)
+    assert isinstance(got, np.ndarray)
+    assert got.tolist() == b.sample(items, k)
+    assert a.randrange(1 << 40) == b.randrange(1 << 40)
