@@ -8,48 +8,32 @@ representative against its 1-strings. All parameters derive from (n, epsilon)
 by fixed ceiling rules; base-2 logs throughout. The general-conjunction
 tester runs the monotone one on flipped views of the same two oracles.
 
-Stages 1 and 2 read only three facts of each group, so Stage 0 keeps
-those and nothing else: its class (too few 1-samples, no 0-sample, or
-neither), its first 0-sample, and B, the union of the zero sets of its
-first t (Stage 2: t-1) 1-samples. From a group drawn as samples, B's
-support points are read in one pass, as a row of flags over the support,
-and each distinct row gets an id. Stage 0 draws the groups a block at a
-time, group 0 (whose B takes t 1-samples) in a block of its own, and
-computes every group's facts in numpy. It charges (and logs) the groups
-in runs, each ending at a group where a representative search runs, so a
-budget, a nil representative or the stop below lands at the same group as
-one draw per group would. Memory stays at one block plus the facts, and
-no sample is drawn twice. Under a sample budget a block holds only groups
-the budget admits, so a refused group is never drawn.
+The monotone tester splits where the paper's stages do. Stages 1 and 2
+read only three facts of each group: its class (too few 1-samples, no
+0-sample, or neither), its first 0-sample, and B, the union of the zero
+sets of its first t (Stage 2: t-1) 1-samples. _stage0 returns these facts
+(_GroupFacts) of the groups up to the first that ends the run, with the
+representatives, and _stages12 reads nothing else.
 
-With query logging on, Stage 0 draws every sample, because the sample log
-lists every sample. With it off, once every 0-labelled support point has
-its representative, a later group can start no search, so Stage 0 draws
-each later group's facts alone, from their exact law (_drawn_facts): a
-class word against the exact cuts of _class_cuts, one D0 draw, and for B
-a word against the cuts of _missing_cuts or a few D1 draws, where the
-group has group_size samples. Both words are read by the exact reader
-in rng, _below_cuts, which reads on from the tie stream only on a tie.
-With logging off, on a box that asks a monotone conjunction (P, {}), the
-conj tester's flip included, a representative search asks nothing
-(binary_search_representative). When that box also answers every
-support point with its label, checked before the first draw, the run is
-known: past group 0 its blocks of facts read the class words alone. Runs
-with logging off have the law of the logged run, not its draws; the
-groups they draw as samples read the logged run's words. Once recording
-has stopped and every 0-labelled support point has its representative,
-no later group can change the verdict, a query or a count, so Stage 0
-charges the remaining groups in one step, without drawing them.
+Stage 0 draws the groups in blocks that double from group 0, which is a
+block of its own. While a representative search can still run, or the
+query log lists every sample, it draws the groups as samples, reads their
+facts in numpy (_block_facts), and charges (and logs) them in runs that
+end where a search runs, so a budget or a nil representative lands at the
+same group as one draw per group would. Then, while it still records, it
+draws each group's facts alone, from their exact law (_GroupLaw): runs
+with logging off have the law of the logged run, not its draws. The
+groups left can change no verdict, query or count, so it charges them in
+one step, undrawn. A run with logging off, on a box that asks a monotone
+conjunction (P, {}) and answers every support point with its label, is
+known: its searches ask nothing (binary_search_representative), past
+group 0 its law reads the class words alone, and it asks no probe.
 
-Stage 2 first finds the group that ends the run by its facts (too few
-1-samples or no 0-sample). A known run can end no other way, so it asks
-no probe and is charged them in one step. Other runs go a block of rows
-at a time: they build the block's B from its flags, as B's coordinates
-and a table of B's members, and decide step 2.1 from that table. The
-rows before the first step-2.1 group draw their subsets by
-RandomStream.subset_rows, on the words of one subset at a time, and ask
-their probes, one query_set each, through BlackBox.query_until, which
-stops at the first that ends the run.
+_stages12 goes a block of rows at a time: it builds each block's B from
+its flags, as B's coordinates and a table of B's members, decides step
+2.1 from that table, and asks the probes of the rows before the first
+step-2.1 group through BlackBox.query_until, which stops at the first
+that ends the run.
 """
 
 from __future__ import annotations
@@ -58,6 +42,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from typing import Optional
 
@@ -317,12 +302,11 @@ def _missing_cuts(cum: tuple, need: int) -> Optional[tuple]:
     return tops, lambda lo, hi: (cuts[lo:hi], total)
 
 
-def _drawn_facts(sampler, count: int, size: int, need: int, law: dict) -> tuple:
-    """The facts Stages 1-2 read of count groups of size draws, drawn from
-    their exact law on the batch stream without drawing the groups: (few,
-    first0, masks), as _block_facts returns them, but with first0 -1 for a
-    few group. law memoizes, per sampler, the two conditioned samplers and,
-    per need, the class law and the missing law, as _below_cuts reads them.
+class _GroupLaw:
+    """The exact law of the facts of a group of size draws from sampler
+    whose B takes need 1-samples: the two conditioned samplers, the class
+    law and the missing law, as _below_cuts reads them. draw(count) draws
+    the facts of count groups on the batch stream, not the groups.
 
     Given its labels, a group's 1-samples are i.i.d. D1 (D conditioned on
     label 1), its 0-samples i.i.d. D0, and the two independent. So a group
@@ -341,92 +325,97 @@ def _drawn_facts(sampler, count: int, size: int, need: int, law: dict) -> tuple:
     words, the D0 draws, the missing words, the D1 draws, then the draws
     below c; a tied word reads on from the batch stream's tie stream.
 
-    With law["class_only"] set, only the class words are read: masks is
-    None, and a group with both labels gets the first 0-labelled support
-    point as its first0. The tester sets it past group 0 on the runs where
-    nothing else of a group can change the verdict or a count (see
-    test_monotone_conjunction)."""
-    rng = sampler._batch
-    if "cuts" not in law:
-        law.update(zeros=sampler._conditioned(0), ones=sampler._conditioned(1),
-                   cuts={}, missing={})
-    if need not in law["cuts"]:
-        ones = law["ones"][0]._cum[-1] if law["ones"] else 0
+    With class_only set, only the class words are read: masks is None,
+    and a group with both labels gets the first 0-labelled support point
+    as its first0. Stage 0 sets it past group 0 on known runs, where
+    nothing else of a group can change the verdict or a count."""
+
+    def __init__(self, sampler, size: int, need: int, class_only: bool):
+        self.sampler, self.need, self.class_only = sampler, need, class_only
+        self.zeros, self.ones = sampler._conditioned(0), sampler._conditioned(1)
+        ones = self.ones[0]._cum[-1] if self.ones else 0
         *cuts, total = _class_cuts(ones, sampler._denominator, size, need)
         cuts = [cut for cut in cuts if cut < total]  # a cut of 1 no V reaches
-        law["cuts"][need] = (np.array([(cut << 64) // total for cut in cuts], dtype=np.uint64),
-                             lambda lo, hi: (cuts[lo:hi], total))
+        self.cuts = (np.array([(cut << 64) // total for cut in cuts], dtype=np.uint64),
+                     lambda lo, hi: (cuts[lo:hi], total))
 
-    cls = _below_cuts(rng, law["cuts"][need], rng._words(count))
+    @cached_property
+    def missing(self) -> Optional[tuple]:
+        # lazy: its powers are large, and a class-only law never reads it
+        return _missing_cuts(self.ones[0]._cum, self.need)
 
-    first0 = np.full(count, -1, dtype=np.intp)
-    both = np.flatnonzero(cls == 2)
-    if both.size:
-        view, members = law["zeros"]
-        first0[both] = members[0] if law.get("class_only") else \
-            members[view._draw_many(rng, both.size)]
-    if law.get("class_only"):
-        return cls == 0, first0, None
+    def draw(self, count: int) -> tuple:
+        """The facts of count groups: (few, first0, masks), as _block_facts
+        returns them, but with first0 -1 for a few group."""
+        sampler, need, rng = self.sampler, self.need, self.sampler._batch
+        cls = _below_cuts(rng, self.cuts, rng._words(count))
 
-    masks = np.zeros((count, sampler.support_size), dtype=bool)
-    rows = np.flatnonzero(cls > 0)
-    if rows.size:
-        view, members = law["ones"]
-        if need not in law["missing"]:
-            law["missing"][need] = _missing_cuts(view._cum, need)
-        missing = law["missing"][need]
-        width = len(members)
-        found = np.zeros((rows.size, width), dtype=bool)
-        # live: the positions in rows of the groups not yet settled
-        live = np.arange(rows.size)
-        skip = None
-        if missing is not None:
-            # skip: J's position in members, or width when B is every point
-            skip = _below_cuts(rng, missing, rng._words(rows.size))
-            found[skip == width] = True
-            live = picked = np.flatnonzero(skip < width)
-            # J counts as seen, so a row stops once it has seen the rest;
-            # got: each row's D1 draws so far, J's aside
-            found[picked, skip[picked]] = True
-            got = np.zeros(rows.size, dtype=np.int64)
-        # Without J, every live row has drawn lo: the first round draws
-        # width, the fewest that can show every point, and each later one
-        # half as many more as have been drawn. With J, few rows are live,
-        # and a round draws all that some row still needs. A round is drawn
-        # in parts of at most _BLOCK_SAMPLES.
-        flags = found.reshape(-1)
-        lo, hi = 0, width
-        while live.size and lo < need:
-            k = min(hi, need) - lo if skip is None else need - int(got[live].min())
-            step = max(1, _BLOCK_SAMPLES // k)
-            for start in range(0, live.size, step):
-                part = live[start:start + step]
-                draws = view._draw_many(rng, part.size * k).reshape(part.size, k)
-                # the flag of each draw: its point's, in its group's row
-                at = draws + (part * width)[:, None]
+        first0 = np.full(count, -1, dtype=np.intp)
+        both = np.flatnonzero(cls == 2)
+        if both.size:
+            view, members = self.zeros
+            first0[both] = members[0] if self.class_only else \
+                members[view._draw_many(rng, both.size)]
+        if self.class_only:
+            return cls == 0, first0, None
+
+        masks = np.zeros((count, sampler.support_size), dtype=bool)
+        rows = np.flatnonzero(cls > 0)
+        if rows.size:
+            view, members = self.ones
+            missing = self.missing
+            width = len(members)
+            found = np.zeros((rows.size, width), dtype=bool)
+            # live: the positions in rows of the groups not yet settled
+            live = np.arange(rows.size)
+            skip = None
+            if missing is not None:
+                # skip: J's position in members, or width when B is every point
+                skip = _below_cuts(rng, missing, rng._words(rows.size))
+                found[skip == width] = True
+                live = picked = np.flatnonzero(skip < width)
+                # J counts as seen, so a row stops once it has seen the rest;
+                # got: each row's D1 draws so far, J's aside
+                found[picked, skip[picked]] = True
+                got = np.zeros(rows.size, dtype=np.int64)
+            # Without J, every live row has drawn lo: the first round draws
+            # width, the fewest that can show every point, and each later one
+            # half as many more as have been drawn. With J, few rows are live,
+            # and a round draws all that some row still needs. A round is drawn
+            # in parts of at most _BLOCK_SAMPLES.
+            flags = found.reshape(-1)
+            lo, hi = 0, width
+            while live.size and lo < need:
+                k = min(hi, need) - lo if skip is None else need - int(got[live].min())
+                step = max(1, _BLOCK_SAMPLES // k)
+                for start in range(0, live.size, step):
+                    part = live[start:start + step]
+                    draws = view._draw_many(rng, part.size * k).reshape(part.size, k)
+                    # the flag of each draw: its point's, in its group's row
+                    at = draws + (part * width)[:, None]
+                    if skip is None:
+                        flags[at] = True
+                    else:
+                        # a draw of J is redrawn: a row reads its first need others
+                        keep = draws != skip[part, None]
+                        if int(got[part].max()) + k > need:
+                            keep &= np.cumsum(keep, axis=1) <= (need - got[part])[:, None]
+                        flags[at[keep]] = True
+                        got[part] += keep.sum(axis=1)
+                live = live[~found[live].all(axis=1)]
                 if skip is None:
-                    flags[at] = True
+                    lo, hi = hi, hi + (hi + 1) // 2
                 else:
-                    # a draw of J is redrawn: a row reads its first need others
-                    keep = draws != skip[part, None]
-                    if int(got[part].max()) + k > need:
-                        keep &= np.cumsum(keep, axis=1) <= (need - got[part])[:, None]
-                    flags[at[keep]] = True
-                    got[part] += keep.sum(axis=1)
-            live = live[~found[live].all(axis=1)]
-            if skip is None:
-                lo, hi = hi, hi + (hi + 1) // 2
-            else:
-                live = live[got[live] < need]
-        if skip is not None:
-            # keep a row's seen set with chance 1/c, c the points it missed
-            found[picked, skip[picked]] = False
-            c = width - found[picked].sum(axis=1)
-            many = np.flatnonzero(c > 1)
-            if many.size:
-                found[picked[many[rng._gen.integers(0, c[many]) > 0]]] = True
-        masks[np.ix_(rows, members)] = found
-    return cls == 0, first0, masks
+                    live = live[got[live] < need]
+            if skip is not None:
+                # keep a row's seen set with chance 1/c, c the points it missed
+                found[picked, skip[picked]] = False
+                c = width - found[picked].sum(axis=1)
+                many = np.flatnonzero(c > 1)
+                if many.size:
+                    found[picked[many[rng._gen.integers(0, c[many]) > 0]]] = True
+            masks[np.ix_(rows, members)] = found
+        return cls == 0, first0, masks
 
 
 def _b_rows(zeros: tuple, flags: np.ndarray) -> tuple:
@@ -442,42 +431,86 @@ def _b_rows(zeros: tuple, flags: np.ndarray) -> tuple:
     return sizes, np.cumsum(sizes) - sizes, np.append(cols[np.nonzero(bits)[1]], 0), bits
 
 
-def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStream,
-                              params: Optional[TesterParams] = None) -> Verdict:
-    """One-sided tester for monotone conjunctions under an unknown distribution.
+@dataclass
+class _GroupFacts:
+    """All Stages 1-2 read of the groups Stage 0 recorded. Per group:
+    b_ids, the row in flags (B's support points) of its B, or -1 when it
+    has too few 1-samples; first0s, its first 0-sample, or -1. reps: each
+    searched point's representative. zero_count: the 0-samples of the
+    groups drawn as samples. known: whether the run is known."""
 
-    Never rejects when the black box is a monotone conjunction; rejects with
-    constant probability when the labeled distribution is epsilon-far from
-    every monotone conjunction and assigns no weight to strings whose
-    representative search fails.
-    """
-    if oracle.n != n or sampler.n != n:
-        raise DimensionMismatch("oracle/sampler dimension differs from n")
-    p = params if params is not None else compute_parameters(n, epsilon)
-    # Stage 0: the all-ones probe, then every sample group up front.
-    if oracle.query(ZeroSet.all_ones(n)) == 0:
-        return Verdict(False, "stage0-allones", p)
+    b_ids: np.ndarray
+    first0s: np.ndarray
+    flags: np.ndarray
+    reps: dict
+    zero_count: int
+    known: bool
 
+
+def _out_of_memory(p: TesterParams) -> MemoryError:
+    """The MemoryError of Stage 0's draws, naming group_size."""
+    return MemoryError(f"Stage 0 ran out of memory on its groups of group_size = "
+                       f"{p.group_size} samples (n = {p.n}, epsilon = {p.epsilon}); a "
+                       "larger epsilon or a smaller n shrinks group_size")
+
+
+def _stage0(oracle, sampler, p: TesterParams):
+    """Stage 0 after the all-ones probe: every sample group, and a
+    representative search for each distinct 0-labelled point drawn.
+    Returns the stage0-nil-representative Verdict, or the _GroupFacts of
+    the recorded groups."""
     transcript = sampler.transcript
-    # A known run: logging off, and a box that asks a monotone conjunction
-    # (P, {}) and answers each support point with its label. Every
-    # representative lies in P and no B meets P, so step 2.1 never fires,
-    # every Stage-1 probe answers 1 and every Stage-2 probe 0. Past group 0
-    # it reads only each group's class, and it asks no probe.
+    # A known run: every representative lies in P and no B meets P, so
+    # step 2.1 never fires, every Stage-1 probe answers 1 and every Stage-2
+    # probe 0, and past group 0 only each group's class can end the run.
     required = None if transcript.log_queries else oracle._required()
     known = required is not None and all(
         required.isdisjoint(sampler.point(si).zeros) == label
         for si, label in enumerate(sampler.labels.astype(bool).tolist()))
-    size, groups = p.group_size, p.d_star + 1
+    size, groups, width = p.group_size, p.d_star + 1, sampler.support_size
     # reps[si]: the representative of 0-labelled point si, one per search
     reps: dict[int, Optional[int]] = {}
     # done[si]: si is 1-labelled or its representative is already computed
     done = sampler.labels != 0
-    pending = sampler.support_size - int(np.count_nonzero(done))
-    zero_count = 0
+    pending = width - int(np.count_nonzero(done))
+    zero_count, recording, g = 0, True, 0
+    b_ids, first0s, unions = [], [], {}  # unions: B's id, by its row of flags
+    block = 1  # group 0, whose B takes t 1-samples, is a block of its own
+    max_block = max(1, _BLOCK_SAMPLES // (size + width))
+    max_facts = max(1, _BLOCK_SAMPLES // (2 * width))
 
-    def verdict(accepted: bool, reason: str) -> Verdict:
-        return Verdict(accepted, reason, p, zero_count, len(reps))
+    def next_block(most: int) -> int:
+        # no block holds a refused group; a block none of whose groups fits
+        # is refused
+        nonlocal block
+        count = transcript._take("sample_count", min(block, most, groups - g), size,
+                                 charge=False)
+        block = min(2 * block, max(max_block, max_facts))
+        return count
+
+    def record(few: np.ndarray, first0: np.ndarray, masks) -> int:
+        # the facts of a block's groups up to the first whose facts end the
+        # run; returns that group's row, or the block's size when none does
+        nonlocal recording
+        count = len(few)
+        ends = few | (first0 < 0) if g else few
+        stop = int(ends.argmax()) if ends.any() else count
+        rec = min(stop + 1, count)
+        if masks is None:
+            # a class-only block: a known run reads no B past group
+            # 0's, so group 0's id stands in for every B it has
+            ids = np.where(few[:rec], -1, 0)
+        else:
+            ids = np.full(rec, -1)
+            keep = np.flatnonzero(~few[:rec])
+            keys, inverse = np.unique(masks[keep].view(f"V{width}").ravel(),
+                                      return_inverse=True)
+            ids[keep] = np.array([unions.setdefault(key, len(unions))
+                                  for key in keys.tolist()], dtype=int)[inverse]
+        b_ids.append(ids)
+        first0s.append(first0[:rec])
+        recording = stop == count
+        return stop
 
     def charge(idx: np.ndarray, lab: np.ndarray, a: int, b: int) -> None:
         # groups a..b-1 of a block, read, in one step
@@ -486,72 +519,23 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
         sampler._log(idx[a:b].ravel())
         zero_count += (b - a) * size - int(np.count_nonzero(lab[a:b]))
 
-    # The facts of each recorded group, all Stages 1-2 read of it: the id
-    # in unions (one per distinct row of masks, as bytes) of B, over its
-    # first t (Stage 2: t-1) 1-samples, or -1 when it has fewer; and its
-    # first 0-sample, or -1. Recording stops after the first group whose
-    # facts end the run.
-    b_ids: list[np.ndarray] = []
-    first0s: list[np.ndarray] = []
-    unions: dict[bytes, int] = {}
-    law: dict = {}  # of _drawn_facts
-    recording = True
-    g = 0
-    block = 1  # group 0, whose B takes t 1-samples, is a block of its own
-    max_block = max(1, _BLOCK_SAMPLES // (size + sampler.support_size))
-    max_facts = max(1, _BLOCK_SAMPLES // (2 * sampler.support_size))
-    while g < groups and (recording or pending or transcript.log_queries):
-        # Each block's facts are computed up front, but a group is charged
-        # (and logged) before any search runs on it, so a budget, a nil
-        # representative or the cut-off below lands at the same group as
-        # when groups are drawn one at a time. Once no log lists the samples
-        # and no search can run, only the facts are drawn.
-        facts = not (pending or transcript.log_queries)
-        if facts and g:  # with no 0-labelled point, group 1 ends the run
-            block = max(block, _FACT_GROUPS) if (sampler.labels == 0).any() else 1
-        count = min(block, max_facts if facts else max_block, groups - g)
-        # no block holds a refused group; a block none of whose groups fits
-        # is refused
-        count = transcript._take("sample_count", count, size, charge=False)
-        block = min(2 * block, max(max_block, max_facts))
+    # Groups drawn as samples. Each block's facts are computed up front, but
+    # a group is charged (and logged) before any search runs on it, so a
+    # budget, a nil representative or the end of the phase lands at the
+    # same group as when groups are drawn one at a time.
+    while g < groups and (pending or transcript.log_queries):
+        count = next_block(max_block)
         try:
-            if not facts:
-                _check_draws(size, "a Stage-0 group", n, p.epsilon)
-                idx, lab = sampler._draw_groups(count, size)
+            _check_draws(size, "a Stage-0 group", p.n, p.epsilon)
+            idx, lab = sampler._draw_groups(count, size)
             if recording:
-                need = p.t if g == 0 else p.t - 1
-                few, first0, masks = (_drawn_facts(sampler, count, size, need, law) if facts
-                                      else _block_facts(idx, lab, need, sampler.support_size))
+                facts = _block_facts(idx, lab, p.t if g == 0 else p.t - 1, width)
         except MemoryError:
-            raise MemoryError(f"Stage 0 ran out of memory on its groups of group_size = "
-                              f"{size} samples (n = {n}, epsilon = {p.epsilon}); a larger "
-                              "epsilon or a smaller n shrinks group_size") from None
+            raise _out_of_memory(p) from None
         # last: the last row the run must read, count when it reads them all
         last = count if transcript.log_queries else -1
         if recording:
-            law["class_only"] = known  # for every facts block after group 0's
-            ends = few if g == 0 else few | (first0 < 0)
-            stop = int(ends.argmax()) if ends.any() else count
-            rec = min(stop + 1, count)
-            if masks is None:
-                # a class-only block: a known run reads no B past group
-                # 0's, so group 0's id stands in for every B it has
-                ids = np.where(few[:rec], -1, 0)
-            else:
-                ids = np.full(rec, -1)
-                keep = np.flatnonzero(~few[:rec])
-                keys, inverse = np.unique(masks[keep].view(f"V{masks.shape[1]}").ravel(),
-                                          return_inverse=True)
-                ids[keep] = np.array([unions.setdefault(key, len(unions))
-                                      for key in keys.tolist()], dtype=int)[inverse]
-            b_ids.append(ids)
-            first0s.append(first0[:rec])
-            recording = stop == count
-            last = max(last, stop)
-            if facts:
-                transcript._take("sample_count", rec, size)
-                g += rec
-                continue
+            last = max(last, record(*facts))
         # (row, point) of each first appearance of a point not yet searched
         searches = []
         if pending:
@@ -571,42 +555,63 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
             pending -= 1
             rep = reps[si] = binary_search_representative(oracle, sampler.point(si))
             if rep is None:
-                return verdict(False, "stage0-nil-representative")
+                return Verdict(False, "stage0-nil-representative", p, zero_count, len(reps))
         read = min(last + 1, count)
         charge(idx, lab, start, read)
         g += read
-    # Once recording has stopped and every 0-point has its representative,
-    # later groups could change only the 0-sample count: charge them
+    # Then, while recording, the groups' facts alone. Past group 0 a block
+    # of facts holds at least _FACT_GROUPS groups; with no 0-labelled
+    # point, group 1 ends the run, and is drawn alone.
+    law = None
+    while g < groups and recording:
+        block = max(block, _FACT_GROUPS) if (sampler.labels == 0).any() else 1
+        count = next_block(max_facts)
+        need = p.t if g == 0 else p.t - 1
+        if law is None or law.need != need:
+            law = _GroupLaw(sampler, size, need, known and g > 0)
+        try:
+            facts = law.draw(count)
+        except MemoryError:
+            raise _out_of_memory(p) from None
+        rec = min(record(*facts) + 1, count)
+        transcript._take("sample_count", rec, size)
+        g += rec
+    # The groups left could change only the 0-sample count: charge them
     # undrawn, so a budget runs out where drawing would have exhausted it.
     transcript._take("sample_count", groups - g, size)
+    flags = np.frombuffer(b"".join(unions), dtype=bool).reshape(-1, width)
+    return _GroupFacts(np.concatenate(b_ids), np.concatenate(first0s), flags, reps,
+                       zero_count, known)
 
-    b_ids, first0s = np.concatenate(b_ids), np.concatenate(first0s)
+
+def _stages12(facts: _GroupFacts, oracle, sampler, p: TesterParams,
+              rng: RandomStream) -> tuple:
+    """Stages 1 and 2 on Stage 0's facts: (accepted, reason)."""
+    b_ids, flags = facts.b_ids, facts.flags
     if b_ids[0] < 0:
-        return verdict(True, "stage1-few-ones")
-    # flags[id]: B's support points
-    flags = np.frombuffer(b"".join(unions), dtype=bool).reshape(len(unions), -1)
-
+        return True, "stage1-few-ones"
     # Stage 2: one fresh group per iteration. Every 0-sample has its
     # representative, because Stage 0 returns on the first nil one. Only
     # the last recorded group can lack B or a 0-sample, and it asks no probe.
-    ids, first0s = b_ids[1:], first0s[1:]
+    ids, first0s = b_ids[1:], facts.first0s[1:]
     end, reason = len(ids), "end-of-stage-2"
     if end and ids[-1] < 0:
         end, reason = end - 1, "stage2-few-ones"
     elif end and first0s[-1] < 0:
         end, reason = end - 1, "stage2-no-zero"
-    if known:
+    if facts.known:
         # Stage 1's 2s probes (none when B0 holds no zero) and one per
         # Stage-2 group, charged as when they are asked
         b0 = any(sampler.point(si).zeros for si in np.flatnonzero(flags[b_ids[0]]).tolist())
-        transcript._take("blackbox_count", (2 * p.s if b0 else 0) + end)
-        return verdict(True, reason)
+        sampler.transcript._take("blackbox_count", (2 * p.s if b0 else 0) + end)
+        return True, reason
     pairs = [(si, j) for si in range(sampler.support_size) for j in sampler.point(si).zeros]
     point, zero = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     zeros = (point, *np.unique(zero, return_inverse=True))
     # b0: B of the first group, for Stage 1
     b0 = sizes0, _, coords0, _ = _b_rows(zeros, flags[b_ids[:1]])
-    rep_of = np.array([reps.get(si, 0) for si in range(sampler.support_size)], dtype=np.intp)
+    rep_of = np.array([facts.reps.get(si, 0) for si in range(sampler.support_size)],
+                      dtype=np.intp)
     ids, alpha = ids[:end], rep_of[first0s[:end]]
 
     step_rng = rng.split("steps")
@@ -621,11 +626,11 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
     if sizes0[0]:
         singles = coords0[step_rng.integers(sizes0[0], size=p.s)]
         if oracle.query_until(singles[:, None], 0) is not None:
-            return verdict(False, "step-1.1")
+            return False, "step-1.1"
         for start in range(0, p.s, _SUBSET_ROWS):
             rows = np.zeros(min(_SUBSET_ROWS, p.s - start), dtype=int)
             if oracle.query_until(probes(b0, rows, p.r), 0) is not None:
-                return verdict(False, "step-1.2")
+                return False, "step-1.2"
     for start in range(0, end, _SUBSET_ROWS):
         rows = slice(start, min(end, start + _SUBSET_ROWS))
         block, inverse = np.unique(ids[rows], return_inverse=True)
@@ -636,10 +641,33 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
         stop = int(inside.argmax()) if inside.any() else len(inside)
         if oracle.query_until(np.column_stack((alpha[rows][:stop], probes(
                 b, inverse[:stop], p.r - 1))), 1) is not None:
-            return verdict(False, "step-2.2")
+            return False, "step-2.2"
         if stop < len(inside):
-            return verdict(False, "step-2.1")
-    return verdict(True, reason)
+            return False, "step-2.1"
+    return True, reason
+
+
+def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStream,
+                              params: Optional[TesterParams] = None) -> Verdict:
+    """One-sided tester for monotone conjunctions under an unknown distribution.
+
+    Never rejects when the black box is a monotone conjunction; rejects with
+    constant probability when the labeled distribution is epsilon-far from
+    every monotone conjunction and assigns no weight to strings whose
+    representative search fails. params, when given, must be for n.
+    """
+    if oracle.n != n or sampler.n != n:
+        raise DimensionMismatch("oracle/sampler dimension differs from n")
+    p = params if params is not None else compute_parameters(n, epsilon)
+    if p.n != n:
+        raise DimensionMismatch(f"params are for n = {p.n}, not for n = {n}")
+    if oracle.query(ZeroSet.all_ones(n)) == 0:
+        return Verdict(False, "stage0-allones", p)
+    facts = _stage0(oracle, sampler, p)
+    if isinstance(facts, Verdict):
+        return facts
+    return Verdict(*_stages12(facts, oracle, sampler, p, rng), p, facts.zero_count,
+                   len(facts.reps))
 
 
 def test_general_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStream,

@@ -566,8 +566,9 @@ def reference_mconj_tester(oracle, sampler, p, rng):
     """The monotone tester as the paper states it, kept as the oracle for
     the one-pass code: every group is stored as drawn, the representative
     search runs over the 0-samples in order of first appearance, and Stages
-    1-2 rescan the stored groups. Returns (accepted, reason, number of
-    Stage-0 0-samples, number of representative searches)."""
+    1-2 rescan the stored groups (reference_stages12). Returns (accepted,
+    reason, number of Stage-0 0-samples, number of representative
+    searches)."""
     def representative(zeros):
         z = sorted(zeros)
         while len(z) >= 2:
@@ -583,14 +584,6 @@ def reference_mconj_tester(oracle, sampler, p, rng):
         return z[0] if z else None
 
     labels = sampler.labels.tolist()
-
-    def split(group):
-        ones = [i for i in group if labels[i] == 1]
-        return ones, [i for i in group if labels[i] == 0]
-
-    def union(ones):
-        return sorted(set().union(*(sampler.point(i).zeros for i in ones)))
-
     groups, reps, zero_count = [], {}, 0
 
     def result(accepted, reason):
@@ -600,40 +593,57 @@ def reference_mconj_tester(oracle, sampler, p, rng):
         return result(False, "stage0-allones")
     for _ in range(p.d_star + 1):
         groups.append([int(i) for i in draw_indices(sampler, p.group_size)])
-        zeros = split(groups[-1])[1]
+        zeros = [i for i in groups[-1] if labels[i] == 0]
         zero_count += len(zeros)
         for i in zeros:
             if i not in reps:
                 reps[i] = representative(sampler.point(i).zeros)
                 if reps[i] is None:
                     return result(False, "stage0-nil-representative")
+    return result(*reference_stages12(groups, reps, oracle, sampler, p, rng))
+
+
+def reference_stages12(groups, reps, oracle, sampler, p, rng):
+    """Stages 1-2 of reference_mconj_tester, on Stage 0's groups (support
+    indices, as drawn) and reps, the representative of every 0-sample in
+    them: group 0 feeds Stage 1, each later group one Stage-2 iteration.
+    Returns (accepted, reason)."""
+    labels = sampler.labels.tolist()
+
+    def split(group):
+        ones = [i for i in group if labels[i] == 1]
+        return ones, [i for i in group if labels[i] == 0]
+
+    def union(ones):
+        return sorted(set().union(*(sampler.point(i).zeros for i in ones)))
+
     steps = rng.split("steps")
     ones = split(groups[0])[0]
     if len(ones) < p.t:
-        return result(True, "stage1-few-ones")
+        return True, "stage1-few-ones"
     b = union(ones[:p.t])
     if b:
         for j in steps.integers(len(b), size=p.s):
             if oracle.query_set(frozenset({b[j]})) == 0:
-                return result(False, "step-1.1")
+                return False, "step-1.1"
         for _ in range(p.s):
             pos = literal_subset_positions(steps, len(b), p.r)
             if oracle.query_set(frozenset(b[q] for q in pos)) == 0:
-                return result(False, "step-1.2")
+                return False, "step-1.2"
     for group in groups[1:]:
         ones, zeros = split(group)
         if len(ones) < p.t - 1:
-            return result(True, "stage2-few-ones")
+            return True, "stage2-few-ones"
         if not zeros:
-            return result(True, "stage2-no-zero")
+            return True, "stage2-no-zero"
         b = union(ones[:p.t - 1])
         alpha = reps[zeros[0]]
         if alpha in b:
-            return result(False, "step-2.1")
+            return False, "step-2.1"
         pos = literal_subset_positions(steps, len(b), p.r - 1)
         if oracle.query_set(frozenset(b[q] for q in pos) | {alpha}) == 1:
-            return result(False, "step-2.2")
-    return result(True, "end-of-stage-2")
+            return False, "step-2.2"
+    return True, "end-of-stage-2"
 
 
 def reference_distinguishing_experiment(run_one, algo, params, yes_variant,

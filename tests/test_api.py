@@ -35,7 +35,7 @@ REMOVED = {"strong_sample", "index_from_uniform", "weight_of", "support",
            "_distance_mconj", "_distance_conj", "_take_queries", "_charged_chunks",
            "_charge_groups", "_draw_big", "_resolve_big", "take_samples", "_codes",
            "LabeledSample", "from_function", "_alpha_in_b", "_HiddenBlocks",
-           "LBNoStarFunction"}
+           "LBNoStarFunction", "_drawn_facts"}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -7,12 +7,13 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from subcube import (
     BlackBox,
     BudgetExceeded,
     DecisionList,
+    DimensionMismatch,
     FiniteDistribution,
     Flipped,
     FunctionSpec,
@@ -48,6 +49,7 @@ from helpers import (
     rand_fractions,
     rand_points,
     reference_mconj_tester,
+    reference_stages12,
     table_of,
     zs,
 )
@@ -410,6 +412,10 @@ def test_dimension_mismatch_rejected():
     bb, sm, trng, tr = make_instance(f, dist, 312)
     with pytest.raises(ValueError):
         run_mconj_tester(bb, sm, 9, 1, trng)
+    # params for another n, refused before the all-ones probe
+    with pytest.raises(DimensionMismatch, match="n = 4096"):
+        run_mconj_tester(bb, sm, 8, 1, trng, params=compute_parameters(4096, Fraction(1, 2)))
+    assert (tr.blackbox_count, tr.sample_count) == (0, 0)
 
 
 # -- general-conjunction wrapper ----------------------------------------------
@@ -879,7 +885,7 @@ def block_runs(monkeypatch, func, dist, seed, limit=None):
     ("budget",) when the limit ran out; and per tester run, the (first
     group, group count, kind) of every block it drew, kind "groups" for a
     block of groups and "facts" for a block of their facts alone."""
-    draw, facts = Sampler._draw_groups, tester_module._drawn_facts
+    draw, facts = Sampler._draw_groups, tester_module._GroupLaw.draw
     blocks = []
 
     def record(count, kind):
@@ -889,12 +895,12 @@ def block_runs(monkeypatch, func, dist, seed, limit=None):
         record(count, "groups")
         return draw(self, count, size)
 
-    def recorded_facts(sampler, count, size, need, law):
+    def recorded_facts(law, count):
         record(count, "facts")
-        return facts(sampler, count, size, need, law)
+        return facts(law, count)
 
     monkeypatch.setattr(Sampler, "_draw_groups", recorded)
-    monkeypatch.setattr(tester_module, "_drawn_facts", recorded_facts)
+    monkeypatch.setattr(tester_module._GroupLaw, "draw", recorded_facts)
     p = compute_parameters(dist.n, 1)
     runs = []
     for reference, log in ((False, True), (True, True), (False, False)):
@@ -1148,18 +1154,19 @@ def test_a_box_that_disagrees_with_the_labels_asks_its_probes():
 
 
 def class_only_reads(monkeypatch):
-    """Record, per _drawn_facts call past group 0, whether it read the
-    class words alone and how many samples it drew (D0 and D1 draws)."""
-    facts, reads = tester_module._drawn_facts, []
+    """Record, per _GroupLaw.draw call, whether it read the class words
+    alone and how many samples it drew (D0 and D1 draws). On a support
+    with a 0-labelled point, as here, group 0 is drawn as samples, so every
+    call is past group 0."""
+    facts, reads = tester_module._GroupLaw.draw, []
 
-    def recorded(sampler, count, size, need, law):
-        before = sampler.transcript.samples_drawn
-        out = facts(sampler, count, size, need, law)
-        if law.get("class_only") is not None:
-            reads.append((law["class_only"], sampler.transcript.samples_drawn - before))
+    def recorded(law, count):
+        before = law.sampler.transcript.samples_drawn
+        out = facts(law, count)
+        reads.append((law.class_only, law.sampler.transcript.samples_drawn - before))
         return out
 
-    monkeypatch.setattr(tester_module, "_drawn_facts", recorded)
+    monkeypatch.setattr(tester_module._GroupLaw, "draw", recorded)
     return reads
 
 
@@ -1222,13 +1229,13 @@ def test_class_only_runs_match_logged_runs_in_reasons(monkeypatch):
 def test_a_class_only_mutant_fails_the_reason_fit(monkeypatch):
     # the mutant reads a group with no 0-sample as one with too few
     # 1-samples, so its quiet runs end at stage2-few-ones, not no-zero
-    facts = tester_module._drawn_facts
+    facts = tester_module._GroupLaw.draw
 
-    def full_as_few(sampler, count, size, need, law):
-        few, first0, masks = facts(sampler, count, size, need, law)
-        return (few | (first0 < 0) if law.get("class_only") else few), first0, masks
+    def full_as_few(law, count):
+        few, first0, masks = facts(law, count)
+        return (few | (first0 < 0) if law.class_only else few), first0, masks
 
-    monkeypatch.setattr(tester_module, "_drawn_facts", full_as_few)
+    monkeypatch.setattr(tester_module._GroupLaw, "draw", full_as_few)
     stat, critical, df, hists = reason_fit()
     print(f"mutant reasons: chi-square {stat:.2f}, critical {critical:.2f} "
           f"at alpha 0.001, {df} df; {hists}")
@@ -1411,6 +1418,112 @@ def test_a_transcript_past_its_limit_refuses_the_tester(algo):
         assert getattr(tr, count) == 5
 
 
+# -- Stages 1-2 on recorded facts ---------------------------------------------
+
+
+@st.composite
+def recorded_groups(draw):
+    """(func, dist, flip, kind, log, params, groups, seed): up to six
+    uniform points over n <= 6, labelled by the box of kind: a monotone
+    conjunction; a conjunction, seen through views flipped by conj_flip;
+    or a monotone conjunction's table with a few support points and inputs
+    flipped, which is no longer monotone. Small parameters, and d* + 1
+    groups of support indices."""
+    n = draw(st.integers(2, 6))
+    coords = st.frozensets(st.integers(1, n), max_size=3)
+    zero_sets = draw(st.lists(st.frozensets(st.integers(1, n)), min_size=1, max_size=6,
+                              unique=True))
+    dist = FiniteDistribution(n, tuple((ZeroSet(n, z), Fraction(1, len(zero_sets)))
+                                       for z in zero_sets))
+    kind = draw(st.sampled_from(["mconj", "conj", "non-monotone"]))
+    flip = frozenset()
+    if kind == "mconj":
+        func = MonotoneConj(n, draw(coords))
+    elif kind == "conj":
+        ones = draw(coords)
+        func = GeneralConj(n, ones, draw(coords) - ones)
+        flip = conj_flip(func, dist)
+    else:
+        # flip some support points, so that a B can meet P, and some inputs,
+        # so that a probe can answer wrong
+        required = draw(st.frozensets(st.integers(1, n), min_size=1, max_size=3))
+        bits = table_of(MonotoneConj(n, required), n)
+        flips = draw(st.lists(st.sampled_from(zero_sets), min_size=1, max_size=2))
+        for k in [ones_index(n, z) for z in flips] + draw(
+                st.lists(st.integers(0, (1 << n) - 1), max_size=3)):
+            bits ^= 1 << k
+        func = TruthTable(n, bits)
+    t = draw(st.integers(2, 4))
+    p = small_params(n, d_star=draw(st.integers(0, 6)), r=draw(st.integers(2, 3)), t=t,
+                     s=draw(st.integers(0, 4)), group_size=draw(st.integers(t, 8)))
+    group = st.lists(st.integers(0, len(zero_sets) - 1), min_size=p.group_size,
+                     max_size=p.group_size)
+    groups = draw(st.lists(group, min_size=p.d_star + 1, max_size=p.d_star + 1))
+    return func, dist, flip, kind, draw(st.booleans()), p, groups, draw(st.integers(0, 99))
+
+
+def facts_by_set_rule(groups, labels, p, reps, known, width):
+    """The _GroupFacts of recorded groups by the set rule: B is the set of
+    a group's first t (past group 0, t - 1) 1-labelled support indices,
+    one id per distinct B; first0, its first 0-labelled one."""
+    b_ids, first0s, unions = [], [], {}
+    for g, group in enumerate(groups):
+        ones = [i for i in group if labels[i]]
+        zeros = [i for i in group if not labels[i]]
+        need = p.t if g == 0 else p.t - 1
+        b_ids.append(unions.setdefault(frozenset(ones[:need]), len(unions))
+                     if len(ones) >= need else -1)
+        first0s.append(zeros[0] if zeros else -1)
+    flags = np.zeros((len(unions), width), dtype=bool)
+    for b, k in unions.items():
+        flags[k, sorted(b)] = True
+    return tester_module._GroupFacts(np.array(b_ids), np.array(first0s), flags, reps, 0,
+                                     known)
+
+
+# the examples: alpha = 3 lies in B = {1, 3} (step 2.1); alpha = 3 is
+# not in B = {2}, and the probe {2, 3} answers 1 (step 2.2)
+@settings(max_examples=300, deadline=None)
+@given(case=recorded_groups())
+@example(case=(MarkedLiteral(4, 3, frozenset({1, 3})), uniform_dist(4, [(1, 3), (3,)]),
+               frozenset(), "non-monotone", True, small_params(4, d_star=1, t=2, s=0,
+                                                              group_size=4),
+               [[0, 0, 1, 1], [0, 0, 1, 1]], 0))
+@example(case=(MarkedLiteral(4, 3, frozenset({2, 3})), uniform_dist(4, [(2,), (3,)]),
+               frozenset(), "non-monotone", True, small_params(4, d_star=1, t=2, s=2,
+                                                              group_size=4),
+               [[0, 0, 1, 1], [0, 0, 1, 1]], 0))
+def test_stages12_on_recorded_facts_match_the_reference(case):
+    # the groups are cut at the first that ends the run, as Stage 0
+    # records them, and every 0-sample gets its representative, as Stage 0
+    # hands them on; a known run (logging off, a conjunction box, which
+    # labels the support itself) asks no probe and is charged them
+    func, dist, flip, kind, log, p, groups, seed = case
+    labels = [func.value_at(point.zeros) for point, _ in dist.entries]
+    cut = _ends_recording(p, [labels[i] for group in groups for i in group])
+    groups = groups if cut is None else groups[:cut + 1]
+
+    def twin():
+        tr = QueryTranscript(log_queries=log)
+        rng = RandomStream(seed)
+        return (tr, BlackBox(func, tr).flipped(flip),
+                Sampler(dist, func, tr, rng.split("samples")).flipped(flip),
+                rng.split("tester"))
+
+    tr, box, sampler, rng = twin()
+    reps = {si: binary_search_representative(BlackBox(func, QueryTranscript()).flipped(flip),
+                                             sampler.point(si))
+            for group in groups for si in group if not labels[si]}
+    assume(None not in reps.values())
+    facts = facts_by_set_rule(groups, labels, p, reps, not log and kind != "non-monotone",
+                              len(labels))
+    got = tester_module._stages12(facts, box, sampler, p, rng)
+    ref_tr, ref_box, ref_sampler, ref_rng = twin()
+    want = reference_stages12(groups, reps, ref_box, ref_sampler, p, ref_rng)
+    assert (got, tr.blackbox_count, tr.blackbox_log) == (
+        want, ref_tr.blackbox_count, ref_tr.blackbox_log)
+
+
 # -- B and step 2.1 from the support's zero pairs ------------------------------
 
 
@@ -1492,12 +1605,11 @@ def test_class_cuts_equal_the_enumerated_law(ones_mass):
 
 def drawn_fact_counts(sampler, size, needs, groups=20_000):
     """Per need in needs, {(class, B, first0): count} over the groups of one
-    _drawn_facts call per need, in turn, on one law memo; keyed as
-    group_fact_law keys its outcomes."""
+    _GroupLaw per need, in turn, each drawing once; keyed as group_fact_law
+    keys its outcomes."""
     counts = {}
-    law = {}
     for need in needs:
-        few, first0, masks = tester_module._drawn_facts(sampler, groups, size, need, law)
+        few, first0, masks = tester_module._GroupLaw(sampler, size, need, False).draw(groups)
         counts[need] = {}
         for short, zero, row in zip(few.tolist(), first0.tolist(), masks):
             if short:
@@ -1529,9 +1641,9 @@ def test_drawn_facts_fit_the_enumerated_law(size, needs, seed):
     # U = (1/3)^need + (2/3)^need, the chance summed over the two 1-points
     # that B misses each, is 1 at need 1, so B takes one D1 draw; at need 3
     # to 6 it is at most 1/3, and B takes the union sampler, where a B that
-    # misses a point misses only it (c = 1). With two needs, one call each,
-    # as Stage 0 asks for group 0 and then for the others, the second call
-    # reads the first's memoized law
+    # misses a point misses only it (c = 1). With two needs, one law each,
+    # as Stage 0 asks for group 0 and then for the others, the second law
+    # draws on from where the first stopped
     for stat, critical, df in facts_fits(size, needs, seed):
         assert df >= 3 and stat < critical, (stat, critical)
 
@@ -1674,7 +1786,8 @@ def test_class_word_ties_resolve_exactly(ones_mass):
     words, ties = [p[0] for p in prefixes] + missing, [w for p in prefixes for w in p[1:]]
     sampler = Sampler(dist, f, QueryTranscript(), RandomStream(0))
     sampler._batch._gen, sampler._batch._ties._gen = _WordsThenPCG(words), _WordsThenPCG(ties)
-    short, first0, masks = tester_module._drawn_facts(sampler, len(prefixes), size, need, {})
+    short, first0, masks = tester_module._GroupLaw(sampler, size, need, False).draw(
+        len(prefixes))
     got = np.where(short, 0, np.where(first0 < 0, 1, 2)).tolist()
     assert got == [settled(p)[0] for p in prefixes]
     assert (sampler._batch._gen.used, sampler._batch._ties._gen.used) == (len(words), len(ties))
@@ -1785,7 +1898,7 @@ def seeded_support(seed, ones, zeros, n=10):
     (0, 3, 12, 5, 4, None, "9d1298ea2d001116"),  # no 1-labelled point
 ])
 def test_drawn_facts_word_layout_is_pinned(ones, zeros, size, t, seed, small_u, digest):
-    # Stage 0's facts at need t and then t - 1 on one law memo, as Stage 0
+    # Stage 0's facts at need t and then t - 1, one law each, as Stage 0
     # asks for them, and the batch stream's state after each call: a change
     # in which words a group reads, or in their order, moves the digest
     # even where no verdict moves. small_u: whether U <= 1/2 at both
@@ -1797,9 +1910,9 @@ def test_drawn_facts_word_layout_is_pinned(ones, zeros, size, t, seed, small_u, 
             u = sum((1 - w / sum(d1)) ** need for w in d1)
             assert (u <= Fraction(1, 2)) == small_u, u
     sampler = Sampler(dist, f, QueryTranscript(), RandomStream(seed))
-    sha, law = hashlib.sha256(), {}
+    sha = hashlib.sha256()
     for need in (t, t - 1):
-        few, first0, masks = tester_module._drawn_facts(sampler, 300, size, need, law)
+        few, first0, masks = tester_module._GroupLaw(sampler, size, need, False).draw(300)
         for part in (few, np.asarray(first0, dtype=np.int64), masks):
             sha.update(part.tobytes())
         sha.update(repr(sampler._batch._gen.bit_generator.state).encode())
