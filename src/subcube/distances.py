@@ -57,7 +57,8 @@ def _support(f: FunctionSpec, dist: FiniteDistribution, cap: int) -> tuple:
     points = [p for p, _ in dist.entries]
     labels = _support_labels(f, dist).tolist()
     ones = sum(label << pos for pos, label in enumerate(labels))
-    nums = [c - prev for prev, c in zip((0,) + dist._cum, dist._cum)]
+    cum = dist._law.cum
+    nums = [c - prev for prev, c in zip((0,) + cum, cum)]
     return points, ones, nums, dist.denominator
 
 

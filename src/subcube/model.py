@@ -6,20 +6,22 @@ distributions carry exact rational weights and are sampled by exact
 inverse-CDF over a uniform integer draw below the common denominator, so each
 point is drawn with probability exactly its weight.
 
-The batched sampler resolves the inverse CDF through a bucket table: the top
+Every exact draw reads a _Law: cumulative integer numerators over their
+total. Its draws resolve the inverse CDF through a bucket table: the top
 bits of each uniform draw pick one of at most 2^12 equal buckets, a bucket
-holding no CDF boundary maps to its support index by one gather, and only the
-draws that land in one of the (at most support-size) buckets holding a
-boundary are searched exactly. Past 2^62 a draw is one 64-bit word, the top
-bits of a V uniform in [0, 1), bucketed against the top words of the
-boundaries over the denominator; a word whose bucket holds one is counted
-against the boundaries by rng's exact reader, which reads on only on a tie.
+holding no cut maps to its index by one gather, and only the draws that
+land in one of the (at most support-size) buckets holding a cut are
+searched exactly. Past 2^62 a draw is one 64-bit word, the top bits of a V
+uniform in [0, 1), bucketed against the top words of the cuts over the
+total; a word whose bucket holds one is counted by _Law.count, which reads
+on only on a tie. A distribution holds its law, so every sampler of it
+draws through one table, built on the first draw.
 
 A Sampler draws from two streams: draw() and draws(k) hand out (point, label)
 pairs in order, and the tester's blocks of groups come from a batch stream
 that continues from call to call. rebind() copies it onto a run's streams,
-and _conditioned(label) onto the distribution conditioned on a label,
-which it draws through the same bucket-table code.
+and _conditioned(label) gives the law of the distribution conditioned on a
+label, over the support points that have it.
 BlackBox.flipped(C) and Sampler.flipped(C) are views that flip the queries
 asked or the points handed out, share both streams, and log in the
 instance's own coordinates; each checks C once, as Flipped does. BlackBox.query_until asks a batch of small zero
@@ -44,12 +46,13 @@ import copy
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .rng import _FAST_BOUND, RandomStream, _below_cuts
+from .rng import _FAST_BOUND, RandomStream
 
 __all__ = [
     "ZeroSet",
@@ -323,6 +326,93 @@ def _over_lcm(weights: list) -> tuple:
     return [w.numerator * (denom // w.denominator) for w in weights], denom
 
 
+_BUCKET_BITS = 12
+# the most samples _Law.draw and Sampler.draws() draw at a time
+_DRAW_SAMPLES = 1 << 16
+
+
+class _Law:
+    """The exact law of cum, sorted cumulative integer numerators over total
+    = cum[-1]: index k has chance (cum[k] - cum[k-1]) / total. Its cuts are
+    cum[:-1] but those equal to total, which no V in [0, 1) reaches; tops,
+    their top 64 bits, and the bucket table of draw are built on first use."""
+
+    def __init__(self, cum: tuple):
+        self.cum, self.total = cum, cum[-1]
+
+    @cached_property
+    def tops(self) -> np.ndarray:
+        """The top 64 bits of the cuts over total, as uint64s."""
+        return np.array([(c << 64) // self.total for c in self.cum[:-1] if c < self.total],
+                        dtype=np.uint64)
+
+    @cached_property
+    def _buckets(self) -> tuple:
+        """(bounds, shift, table, split). A key is a draw u up to 2^62 and a
+        word past it; its index is the number of sorted bounds <= key.
+        table[key >> shift] is that index, or -1 (and split is set) when it
+        is not constant over the key's bucket or, past 2^62, when a key in
+        the bucket equals a bound: a word equal to a cut's top word is not
+        decided by that word, and goes to count. The table has the
+        narrowest signed dtype that holds -1 and len(bounds), which keeps
+        the gather, and every index array drawn through it, small."""
+        fast = self.total <= _FAST_BOUND
+        bounds = np.array(self.cum, dtype=np.int64) if fast else self.tops
+        top = self.total - 1 if fast else (1 << 64) - 1  # the largest key
+        shift = max(0, top.bit_length() - _BUCKET_BITS)
+        lo = np.arange((top >> shift) + 1, dtype=bounds.dtype) << bounds.dtype.type(shift)
+        table = np.searchsorted(bounds, lo + bounds.dtype.type((1 << shift) - 1), side="right")
+        table[np.searchsorted(bounds, lo, side="right" if fast else "left") != table] = -1
+        table = table.astype(np.min_scalar_type(-len(bounds) - 1))
+        return bounds, shift, table, bool((table < 0).any())
+
+    def draw(self, rng: RandomStream, k: int) -> np.ndarray:
+        """k exact draws of an index, in parts of at most _DRAW_SAMPLES,
+        which bound the buffers a draw takes; the words are the same. Up to
+        total = 2^62 they are the inverse CDF over rng.integers(total,
+        size=k). Past it each draw is one word of rng, read as count reads
+        it."""
+        bounds, shift, table, split = self._buckets
+        fast = self.total <= _FAST_BOUND
+        idx = np.empty(k, dtype=table.dtype)
+        for start in range(0, k, _DRAW_SAMPLES):
+            part = idx[start:start + _DRAW_SAMPLES]  # a view: misses land in idx
+            u = rng.integers(self.total, size=part.size) if fast else rng._words(part.size)
+            part[:] = table[u >> shift if shift else u]
+            if split and part.min(initial=0) < 0:
+                miss = part < 0
+                part[miss] = (np.searchsorted(bounds, u[miss], side="right") if fast
+                              else self.count(rng, u[miss]))
+        return idx
+
+    def _cuts(self, lo: int, hi: int) -> tuple:
+        """The exact cuts lo..hi-1, which count reads only on a tie."""
+        return self.cum[lo:hi]
+
+    def count(self, rng: RandomStream, words: np.ndarray) -> np.ndarray:
+        """For each word of words, read from rng as the first 64 bits of a V
+        uniform in [0, 1), the number of cuts c with c/total <= V. A word
+        counts the tops below it; a word equal to a top reads V 64 more
+        bits at a time from rng's tie stream, in row order, while some cut
+        is undecided (Knuth and Yao's lazy comparison): V's prefix P of b
+        bits decides c once it differs from floor(c 2^b / total), or equals
+        it with no remainder. So a batch of words reads the words of as
+        many single draws."""
+        tops, total = self.tops, self.total
+        below = np.searchsorted(tops, words, side="left")
+        past = np.searchsorted(tops, words, side="right")
+        for row in np.flatnonzero(past > below).tolist():
+            cuts = self._cuts(int(below[row]), int(past[row]))
+            prefix, bits = int(words[row]), 64
+            while cuts:
+                split = [divmod(c << bits, total) for c in cuts]
+                below[row] += sum(t < prefix or t == prefix and not r for t, r in split)
+                cuts = [c for c, (t, r) in zip(cuts, split) if t == prefix and r]
+                if cuts:
+                    prefix, bits = prefix << 64 | int(rng._ties._words(1)[0]), bits + 64
+        return below
+
+
 @dataclass(frozen=True)
 class FiniteDistribution:
     """A finitely supported distribution with exact rational weights.
@@ -359,8 +449,7 @@ class FiniteDistribution:
             raise ValueError(
                 f"weights must sum to exactly 1, got {Fraction(cum[-1], denom)}")
         object.__setattr__(self, "entries", tuple(norm))
-        object.__setattr__(self, "_denominator", denom)
-        object.__setattr__(self, "_cum", cum)
+        object.__setattr__(self, "_law", _Law(cum))
 
     @classmethod
     def _checked(cls, n: int, entries: tuple, cum: tuple) -> "FiniteDistribution":
@@ -369,12 +458,12 @@ class FiniteDistribution:
         whose numerators over their common denominator cum[-1] run up to
         cum."""
         dist = object.__new__(cls)
-        dist.__dict__.update(n=n, entries=entries, _denominator=cum[-1], _cum=cum)
+        dist.__dict__.update(n=n, entries=entries, _law=_Law(cum))
         return dist
 
     @property
     def denominator(self) -> int:
-        return self._denominator
+        return self._law.total
 
 
 def _support_labels(func: FunctionSpec, dist: FiniteDistribution) -> np.ndarray:
@@ -513,28 +602,6 @@ class BlackBox:
         return None
 
 
-_BUCKET_BITS = 12
-# the most samples Sampler._draw_many and draws() draw at a time
-_DRAW_SAMPLES = 1 << 16
-
-
-def _bucket_table(bounds: np.ndarray, shift: int, count: int, ties: bool) -> np.ndarray:
-    """Support index of each key bucket [b << shift, (b+1) << shift), or -1.
-
-    The index of a key is the number of sorted bounds <= key. A bucket gets -1
-    when that number is not constant over it or, with ties, when any key in it
-    equals a bound (a word that equals a boundary's top word is not decided
-    by that word, and goes to the exact reader). The table has the
-    narrowest signed dtype that holds -1 and len(bounds), which keeps the
-    gather, and every index array drawn through it, small.
-    """
-    lo = np.arange(count, dtype=bounds.dtype) << bounds.dtype.type(shift)
-    hi = lo + bounds.dtype.type((1 << shift) - 1)
-    table = np.searchsorted(bounds, hi, side="right")
-    table[np.searchsorted(bounds, lo, side="left" if ties else "right") != table] = -1
-    return table.astype(np.min_scalar_type(-len(bounds) - 1))
-
-
 class Sampler:
     """Counted sampling-oracle access to (dist, func): (point, label) pairs."""
 
@@ -560,46 +627,21 @@ class Sampler:
         self.rng = rng
         self._points = [p for p, _ in dist.entries]
         self.labels = labels
-        self._set_table(dist._cum)
         # the batch stream of _draw_groups; its label keeps every drawn word
         # the same as in earlier versions, which named it the first "tape"
         self._batch = rng.split("tape", 1)
 
-    def _set_table(self, cum: tuple) -> None:
-        """Draw through the inverse CDF of the cumulative numerators cum,
-        over the denominator cum[-1]: the bounds and the bucket table."""
-        m = self._denominator = cum[-1]
-        self._cum = cum
-        if m <= _FAST_BOUND:
-            # keys are the draws u themselves
-            self._bounds = np.array(cum, dtype=np.int64)
-            self._key_shift = max(0, (m - 1).bit_length() - _BUCKET_BITS)
-            self._table = _bucket_table(self._bounds, self._key_shift,
-                                        ((m - 1) >> self._key_shift) + 1, ties=False)
-        else:
-            # keys are words, the top 64 bits of V; bounds, the top 64 bits
-            # of the boundaries cum_i / m below 1
-            self._bounds = np.array([(c << 64) // m for c in cum[:-1]], dtype=np.uint64)
-            self._key_shift = 64 - _BUCKET_BITS
-            self._table = _bucket_table(self._bounds, self._key_shift,
-                                        1 << _BUCKET_BITS, ties=True)
-        self._split = bool((self._table < 0).any())
-
     def _conditioned(self, label: int) -> Optional[tuple]:
-        """(view, members): members, the support indices labelled label, and
-        a copy of this sampler whose _draw_indices_raw draws from the
-        distribution conditioned on that label, as positions in members. Its
-        weights are the members' numerators over the common denominator, so
-        it draws through the same bucket-table code. None when no support
-        point has the label."""
+        """(law, members): members, the support indices labelled label, and
+        the _Law of the distribution conditioned on that label, over
+        positions in members: the members' numerators over their sum. None
+        when no support point has the label."""
         members = np.flatnonzero(self.labels == label)
         if not members.size:
             return None
-        view = copy.copy(self)
-        cum = self.dist._cum
-        view._set_table(tuple(accumulate(cum[i] - (cum[i - 1] if i else 0)
-                                         for i in members.tolist())))
-        return view, members
+        cum = self.dist._law.cum
+        return _Law(tuple(accumulate(cum[i] - (cum[i - 1] if i else 0)
+                                     for i in members.tolist()))), members
 
     # -- support accessors --
 
@@ -611,26 +653,6 @@ class Sampler:
         return self._points[idx]
 
     # -- drawing --
-
-    def _draw_indices_raw(self, rng: RandomStream, k: int) -> np.ndarray:
-        """k exact draws from the distribution (support indices); uncounted.
-
-        The indices, and the RNG words consumed, are those of the inverse CDF
-        over rng.integers(M, size=k) when M <= 2^62. Otherwise each draw
-        reads one word of rng (and, on a tie, words of its tie stream) as V,
-        and takes the number of boundaries cum_i / M <= V.
-        """
-        m = self._denominator
-        u = rng.integers(m, size=k) if m <= _FAST_BOUND else rng._words(k)
-        idx = self._table[u >> self._key_shift if self._key_shift else u]
-        if self._split and idx.min(initial=0) < 0:
-            miss = idx < 0
-            if m <= _FAST_BOUND:
-                idx[miss] = np.searchsorted(self._bounds, u[miss], side="right")
-            else:
-                law = self._bounds, lambda lo, hi: (self._cum[lo:hi], m)
-                idx[miss] = _below_cuts(rng, law, u[miss])
-        return idx
 
     def _log(self, idx: np.ndarray) -> None:
         t = self.transcript
@@ -650,7 +672,7 @@ class Sampler:
             size = min(_DRAW_SAMPLES, fit - start)
             t._take("sample_count", size)
             t.samples_drawn += size
-            yield self._draw_indices_raw(self.rng, size)
+            yield self.dist._law.draw(self.rng, size)
         t._take("sample_count", k - fit)  # refuses the first draw that did not fit
 
     def draws(self, k: int):
@@ -665,14 +687,9 @@ class Sampler:
         """One counted draw: (point, func(point))."""
         return next(self.draws(1))
 
-    def _draw_many(self, rng: RandomStream, total: int) -> np.ndarray:
-        """_draw_indices_raw(rng, total), counted as drawn but uncharged, in
-        calls of at most _DRAW_SAMPLES, which bound the buffers that a
-        draw takes; the words are the same."""
-        idx = np.empty(total, dtype=self._table.dtype)
-        for start in range(0, total, _DRAW_SAMPLES):
-            stop = min(start + _DRAW_SAMPLES, total)
-            idx[start:stop] = self._draw_indices_raw(rng, stop - start)
+    def _draw_many(self, law: _Law, rng: RandomStream, total: int) -> np.ndarray:
+        """law.draw(rng, total), counted as drawn but uncharged."""
+        idx = law.draw(rng, total)
         self.transcript.samples_drawn += total
         return idx
 
@@ -682,19 +699,20 @@ class Sampler:
         support indices and their labels, each as a (count, size) array.
         The words, and the indices, are those of count successive draws of
         size from the batch stream."""
-        idx = self._draw_many(self._batch, count * size).reshape(count, size)
+        idx = self._draw_many(self.dist._law, self._batch, count * size).reshape(count, size)
         return idx, np.take(self.labels, idx)
 
     def rebind(self, transcript: QueryTranscript, rng: RandomStream) -> "Sampler":
         """The sampler Sampler(dist, func, transcript, rng) would build, as a
-        copy that shares this one's labels and bucket table."""
+        copy that shares this one's labels (and, as every sampler of dist
+        does, dist's law)."""
         view = copy.copy(self)
         view.transcript, view.rng, view._batch = transcript, rng, rng.split("tape", 1)
         return view
 
     def flipped(self, coords: Iterable[int]) -> "Sampler":
         """A view handing out x with coords flipped, under x's label. It shares
-        this sampler's transcript, RNG streams, labels and bucket table, and
+        this sampler's transcript, RNG streams, labels and law, and
         logs each draw as the distribution's own point."""
         view = copy.copy(self)
         flip = _coords(self.n, coords, "flip coordinate")

@@ -48,8 +48,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import DimensionMismatch, ZeroSet
-from .rng import RandomStream, _below_cuts
+from .model import DimensionMismatch, ZeroSet, _Law
+from .rng import RandomStream
 
 __all__ = [
     "TesterParams",
@@ -265,10 +265,11 @@ def _block_facts(idx: np.ndarray, lab: np.ndarray, need: int, width: int) -> tup
     return few, first0, masks
 
 
-def _class_cuts(ones: int, m: int, size: int, need: int) -> tuple:
+def _class_cuts(ones: int, m: int, size: int, need: int) -> _Law:
     """The class law of a group of size draws, each 1-labelled with
-    probability ones/m, as counts over m**size: (few, few + full, m**size).
-    few = sum over k < need of C(size, k) ones^k (m - ones)^(size - k)
+    probability ones/m, as counts over m**size: the _Law of (few, few +
+    full, m**size), whose count is 0 for few, 1 for no 0-sample and 2 for
+    neither. few = sum over k < need of C(size, k) ones^k (m - ones)^(size - k)
     counts the groups with fewer than need 1-samples, and full = ones^size
     those with no 0-sample; the two are disjoint, as need <= size."""
     zeros = m - ones
@@ -281,41 +282,39 @@ def _class_cuts(ones: int, m: int, size: int, need: int) -> tuple:
             term = term * (size - k) * ones // ((k + 1) * zeros)
             few += term
         few *= zeros ** (size - need + 1)
-    return few, few + ones ** size, m ** size
+    return _Law((few, few + ones ** size, m ** size))
 
 
-def _missing_cuts(cum: tuple, need: int) -> Optional[tuple]:
+def _missing_cuts(cum: tuple, need: int) -> Optional[_Law]:
     """The law of the 1-labelled point that a group's B misses, for need
     D1 draws, given cum, the cumulative numerators nums of D1's points over
     m1 = cum[-1]: None when U, the sum over the points of the chance that
-    B misses each, exceeds 1/2; else the law, as _below_cuts reads it, of
-    the cuts C_k = sum over j <= k of (m1 - nums[j])**need, over
-    total = m1**need; U is the last cut. Each distinct power is computed
-    once, and the cuts are summed once."""
+    B misses each, exceeds 1/2; else the _Law of the cuts C_k = sum over
+    j <= k of (m1 - nums[j])**need, over total = m1**need, whose count is
+    J, or len(cum) when B misses no point; U is the last cut. Each
+    distinct power is computed once, and the cuts are summed once."""
     nums = [b - a for a, b in zip((0,) + cum[:-1], cum)]
     total = cum[-1] ** need
     powers = {v: (cum[-1] - v) ** need for v in set(nums)}
-    cuts = list(accumulate(map(powers.__getitem__, nums)))
-    if 2 * cuts[-1] > total:
-        return None
-    tops = np.array([(cut << 64) // total for cut in cuts], dtype=np.uint64)
-    return tops, lambda lo, hi: (cuts[lo:hi], total)
+    cuts = tuple(accumulate(map(powers.__getitem__, nums)))
+    return None if 2 * cuts[-1] > total else _Law(cuts + (total,))
 
 
 class _GroupLaw:
     """The exact law of the facts of a group of size draws from sampler
-    whose B takes need 1-samples: the two conditioned samplers, the class
-    law and the missing law, as _below_cuts reads them. draw(count) draws
-    the facts of count groups on the batch stream, not the groups.
+    whose B takes need 1-samples: the laws of D0 and D1, each with its
+    members, the class law and the missing law, each a model._Law.
+    draw(count) draws the facts of count groups on the batch stream, not
+    the groups.
 
     Given its labels, a group's 1-samples are i.i.d. D1 (D conditioned on
     label 1), its 0-samples i.i.d. D0, and the two independent. So a group
     takes one word for its class (few; no 0-sample; neither) against the
-    cuts of _class_cuts, read by _below_cuts; one D0 draw, its first
+    cuts of _class_cuts, read by its count; one D0 draw, its first
     0-sample, when it has both labels; and B, the points of need D1
     draws. When U <= 1/2 (_missing_cuts), B takes Karp, Luby and Madras's
-    exact sampler of a union of events: one word per group, read by
-    _below_cuts too, gives B every 1-labelled point, or picks a point J
+    exact sampler of a union of events: one word per group, read by the
+    missing law's count, gives B every 1-labelled point, or picks a point J
     with the chance that B misses J. A group with J draws need D1 draws,
     each of J redrawn, and, with c points missed, keeps what it saw with
     chance 1/c (one draw below c when c > 1), else every point; so a B
@@ -333,36 +332,33 @@ class _GroupLaw:
     def __init__(self, sampler, size: int, need: int, class_only: bool):
         self.sampler, self.need, self.class_only = sampler, need, class_only
         self.zeros, self.ones = sampler._conditioned(0), sampler._conditioned(1)
-        ones = self.ones[0]._cum[-1] if self.ones else 0
-        *cuts, total = _class_cuts(ones, sampler._denominator, size, need)
-        cuts = [cut for cut in cuts if cut < total]  # a cut of 1 no V reaches
-        self.cuts = (np.array([(cut << 64) // total for cut in cuts], dtype=np.uint64),
-                     lambda lo, hi: (cuts[lo:hi], total))
+        ones = self.ones[0].total if self.ones else 0
+        self.cuts = _class_cuts(ones, sampler.dist.denominator, size, need)
 
     @cached_property
-    def missing(self) -> Optional[tuple]:
+    def missing(self) -> Optional[_Law]:
         # lazy: its powers are large, and a class-only law never reads it
-        return _missing_cuts(self.ones[0]._cum, self.need)
+        return _missing_cuts(self.ones[0].cum, self.need)
 
     def draw(self, count: int) -> tuple:
         """The facts of count groups: (few, first0, masks), as _block_facts
         returns them, but with first0 -1 for a few group."""
         sampler, need, rng = self.sampler, self.need, self.sampler._batch
-        cls = _below_cuts(rng, self.cuts, rng._words(count))
+        cls = self.cuts.count(rng, rng._words(count))
 
         first0 = np.full(count, -1, dtype=np.intp)
         both = np.flatnonzero(cls == 2)
         if both.size:
-            view, members = self.zeros
+            law, members = self.zeros
             first0[both] = members[0] if self.class_only else \
-                members[view._draw_many(rng, both.size)]
+                members[sampler._draw_many(law, rng, both.size)]
         if self.class_only:
             return cls == 0, first0, None
 
         masks = np.zeros((count, sampler.support_size), dtype=bool)
         rows = np.flatnonzero(cls > 0)
         if rows.size:
-            view, members = self.ones
+            law, members = self.ones
             missing = self.missing
             width = len(members)
             found = np.zeros((rows.size, width), dtype=bool)
@@ -371,7 +367,7 @@ class _GroupLaw:
             skip = None
             if missing is not None:
                 # skip: J's position in members, or width when B is every point
-                skip = _below_cuts(rng, missing, rng._words(rows.size))
+                skip = missing.count(rng, rng._words(rows.size))
                 found[skip == width] = True
                 live = picked = np.flatnonzero(skip < width)
                 # J counts as seen, so a row stops once it has seen the rest;
@@ -390,7 +386,7 @@ class _GroupLaw:
                 step = max(1, _BLOCK_SAMPLES // k)
                 for start in range(0, live.size, step):
                     part = live[start:start + step]
-                    draws = view._draw_many(rng, part.size * k).reshape(part.size, k)
+                    draws = sampler._draw_many(law, rng, part.size * k).reshape(part.size, k)
                     # the flag of each draw: its point's, in its group's row
                     at = draws + (part * width)[:, None]
                     if skip is None:
@@ -647,6 +643,15 @@ def _stages12(facts: _GroupFacts, oracle, sampler, p: TesterParams,
     return True, reason
 
 
+def _check_n(oracle, sampler, n: int, params: Optional[TesterParams] = None) -> None:
+    """DimensionMismatch unless the oracle, the sampler and params, when
+    given, are all for n; every tester checks this before it draws or asks."""
+    if oracle.n != n or sampler.n != n:
+        raise DimensionMismatch("oracle/sampler dimension differs from n")
+    if params is not None and params.n != n:
+        raise DimensionMismatch(f"params are for n = {params.n}, not for n = {n}")
+
+
 def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStream,
                               params: Optional[TesterParams] = None) -> Verdict:
     """One-sided tester for monotone conjunctions under an unknown distribution.
@@ -656,11 +661,8 @@ def test_monotone_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStrea
     every monotone conjunction and assigns no weight to strings whose
     representative search fails. params, when given, must be for n.
     """
-    if oracle.n != n or sampler.n != n:
-        raise DimensionMismatch("oracle/sampler dimension differs from n")
+    _check_n(oracle, sampler, n, params)
     p = params if params is not None else compute_parameters(n, epsilon)
-    if p.n != n:
-        raise DimensionMismatch(f"params are for n = {p.n}, not for n = {n}")
     if oracle.query(ZeroSet.all_ones(n)) == 0:
         return Verdict(False, "stage0-allones", p)
     facts = _stage0(oracle, sampler, p)
@@ -679,7 +681,9 @@ def test_general_conjunction(oracle, sampler, n: int, epsilon, rng: RandomStream
     conjunction consistent with x* into a monotone one, and runs the monotone
     tester on flipped views of the same black box and sampler: every query and
     draw is one call of the underlying oracle, logged in its own coordinates.
+    params, when given, must be for n.
     """
+    _check_n(oracle, sampler, n, params)
     eps = _epsilon(epsilon)
     k0 = math.ceil(3 / eps)
     _check_draws(k0, "the search for x*", n, eps)
@@ -724,6 +728,7 @@ def baseline_dolev_ron(oracle, sampler, n: int, epsilon,
     rejects when some 1-sample is 0 at some computed representative.
     One-sided.
     """
+    _check_n(oracle, sampler, n)
     if num_samples is not None:
         total = num_samples
     else:

@@ -483,7 +483,7 @@ def literal_draw(sampler):
     """One counted draw from the sampler's draw() stream, one sample at a
     time: charge it, draw one index, log it, and return (point, label)."""
     charge_samples(sampler.transcript, 1)
-    idx = sampler._draw_indices_raw(sampler.rng, 1)
+    idx = sampler.dist._law.draw(sampler.rng, 1)
     sampler._log(idx)
     i = int(idx[0])
     return sampler.point(i), int(sampler.labels[i])
@@ -492,7 +492,7 @@ def literal_draw(sampler):
 def literal_index(dist, u):
     """The literal inverse CDF: the support index that a uniform draw u in
     [0, M) maps to, the first whose cumulative numerator exceeds u."""
-    return bisect_right(dist._cum, u)
+    return bisect_right(dist._law.cum, u)
 
 
 def word_index(cum, rng):
@@ -517,7 +517,7 @@ def strong_sample(inst, rng, transcript):
     charge_samples(transcript, 1)
     dist = inst.distribution
     idx = (literal_index(dist, rng.randrange(dist.denominator)) if dist.denominator <= 1 << 62
-           else word_index(dist._cum, rng))
+           else word_index(dist._law.cum, rng))
     kind, i = inst.support_kinds[idx]
     point = dist.entries[idx][0]
     gamma = inst.alpha[i - 1] if kind == "c" else None
@@ -557,7 +557,7 @@ def draw_indices(sampler, k):
     and continues from call to call. The samples are charged before they
     are drawn, and logged as the sampler logs them."""
     charge_samples(sampler.transcript, k)
-    idx = sampler._draw_indices_raw(sampler._batch, k)
+    idx = sampler.dist._law.draw(sampler._batch, k)
     sampler._log(idx)
     return idx
 

@@ -35,7 +35,8 @@ REMOVED = {"strong_sample", "index_from_uniform", "weight_of", "support",
            "_distance_mconj", "_distance_conj", "_take_queries", "_charged_chunks",
            "_charge_groups", "_draw_big", "_resolve_big", "take_samples", "_codes",
            "LabeledSample", "from_function", "_alpha_in_b", "_HiddenBlocks",
-           "LBNoStarFunction", "_drawn_facts"}
+           "LBNoStarFunction", "_drawn_facts", "_below_cuts", "_set_table",
+           "_draw_indices_raw"}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -460,21 +460,21 @@ def spread_dist(den):
 @pytest.mark.parametrize("den", [97, (1 << 40) + 15, (1 << 64) + 13, 3 ** 67])
 @pytest.mark.parametrize("label", [0, 1])
 def test_conditioned_draws_are_the_members_inverse_cdf(den, label):
-    # D conditioned on a label draws its members through the inverse CDF of
-    # their numerators, on the words of one randrange per draw (past 2^62,
-    # of one word_index per draw)
+    # D conditioned on a label is the law of its members' numerators, and
+    # draws through their inverse CDF, on the words of one randrange per
+    # draw (past 2^62, of one word_index per draw)
     d, f = spread_dist(den), MonotoneConj(4, frozenset({1}))
     sm = Sampler(d, f, QueryTranscript(), RandomStream(0))
-    view, members = sm._conditioned(label)
+    law, members = sm._conditioned(label)
     assert members.tolist() == [i for i, (p, _) in enumerate(d.entries)
                                 if f.value_at(p.zeros) == label]
     cum = list(accumulate(int(d.entries[i][1] * d.denominator) for i in members.tolist()))
+    assert (law.cum, law.total) == (tuple(cum), cum[-1])
     a, b = RandomStream(9), RandomStream(9)
-    got = view._draw_indices_raw(a, 300)
+    got = law.draw(a, 300)
     assert got.tolist() == [bisect_right(cum, b.randrange(cum[-1])) if cum[-1] <= 1 << 62
                             else word_index(cum, b) for _ in range(300)]
     assert a.randrange(1 << 70) == b.randrange(1 << 70)
-    assert sm.labels is view.labels and sm._table is not view._table
     assert Sampler(d, MonotoneConj(4, frozenset()), QueryTranscript(),
                    RandomStream(0))._conditioned(0) is None
 
@@ -586,14 +586,14 @@ def test_a_batch_is_charged_as_its_calls_one_at_a_time(count, start, room, calls
 
 
 def test_rebound_sampler_is_a_fresh_sampler():
-    # a copy on new streams shares the labels and table, draws as a sampler
+    # a copy on new streams shares the labels, draws as a sampler
     # built on those streams does, and leaves the original's streams alone
     d, f = spread_dist((1 << 40) + 15), MonotoneConj(4, frozenset({1}))
     base = Sampler(d, f, QueryTranscript(), RandomStream(5))
     tr, fresh_tr = QueryTranscript(log_queries=True), QueryTranscript(log_queries=True)
     view = base.rebind(tr, RandomStream(6))
     fresh = Sampler(d, f, fresh_tr, RandomStream(6))
-    assert view.labels is base.labels and view._table is base._table
+    assert view.labels is base.labels
     assert list(view.draws(20)) == list(fresh.draws(20))
     assert np.array_equal(draw_indices(view, 9), draw_indices(fresh, 9))
     assert (tr.sample_count, tr.sample_log) == (fresh_tr.sample_count, fresh_tr.sample_log)
@@ -601,6 +601,25 @@ def test_rebound_sampler_is_a_fresh_sampler():
     untouched = Sampler(d, f, QueryTranscript(), RandomStream(5))
     assert list(base.draws(5)) == list(untouched.draws(5))
     assert np.array_equal(draw_indices(base, 5), draw_indices(untouched, 5))
+
+
+def test_samplers_of_one_distribution_draw_through_one_law(monkeypatch):
+    # the distribution holds the law: two samplers of it, and their rebound
+    # and flipped views, draw through it and its one bucket table on both
+    # streams, and the table is built on the first draw
+    d, f = spread_dist((1 << 40) + 15), MonotoneConj(4, frozenset({1}))
+    laws = []
+    draw = model_module._Law.draw
+    monkeypatch.setattr(model_module._Law, "draw", lambda self, rng, k: laws.append(
+        (self, self._buckets[2])) or draw(self, rng, k))
+    one, two = (Sampler(d, f, QueryTranscript(), RandomStream(seed)) for seed in (1, 2))
+    assert "_buckets" not in vars(d._law)
+    for sm in (one, two, one.rebind(QueryTranscript(), RandomStream(3)), two.flipped({2}),
+               two.rebind(QueryTranscript(), RandomStream(4)).flipped({1, 3})):
+        sm.draw()
+        sm._draw_groups(2, 3)
+    assert len(laws) == 10
+    assert all(law is d._law and table is laws[0][1] for law, table in laws)
 
 
 def test_streams_build_their_generator_on_the_first_draw(monkeypatch):
@@ -668,18 +687,16 @@ def test_coords_accepts_and_rejects_as_the_literal_loop(n, values, kind, signed)
 
 def per_draw_reference(d, rng, k):
     """The literal exact sampler past 2^62: one word_index per draw."""
-    return [word_index(d._cum, rng) for _ in range(k)]
+    return [word_index(d._law.cum, rng) for _ in range(k)]
 
 
 def assert_same_stream(d, k, seed):
-    """Sampler batches equal the literal inverse CDF on a twin stream, and
-    both streams end in the same state."""
-    sm = Sampler(d, MonotoneConj(d.n, frozenset()), QueryTranscript(),
-                 RandomStream(0))
+    """A batch of the distribution's law equals the literal inverse CDF on
+    a twin stream, and both streams end in the same state."""
     a, b = RandomStream(seed), RandomStream(seed)
-    got = sm._draw_indices_raw(a, k)
+    got = d._law.draw(a, k)
     if d.denominator <= 1 << 62:
-        cum = np.array(d._cum, dtype=np.int64)
+        cum = np.array(d._law.cum, dtype=np.int64)
         ref = np.searchsorted(cum, b.integers(d.denominator, size=k), side="right")
     else:
         ref = per_draw_reference(d, b, k)
@@ -694,10 +711,8 @@ def test_sampler_bigint_denominator_path():
     big = (1 << 64) + 13
     d = FiniteDistribution(3, ((zs(3), Fraction(1, big)),
                                (zs(3, 1), Fraction(big - 1, big))))
-    sm = Sampler(d, MonotoneConj(3, frozenset({1})), QueryTranscript(),
-                 RandomStream(64))
     a, b = RandomStream(65), RandomStream(65)
-    idx = sm._draw_indices_raw(a, 50)
+    idx = d._law.draw(a, 50)
     assert [int(i) for i in idx] == per_draw_reference(d, b, 50)
     assert a.randrange(big) == b.randrange(big)
 
@@ -751,6 +766,30 @@ def test_batched_boundary_buckets_resolve_exactly():
     assert_same_stream(dist_from_cuts(3 * 4096 + 1, range(1, 41)), 50_000, 5)
 
 
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rational_dists(), st.integers(0, 300), st.integers(0, 1 << 32),
+       st.sampled_from([None, 1, 7]))
+@example(dist_from_cuts(3 * 4096 + 1, range(1, 41)), 3000, 5, 7)
+@example(dist_from_cuts((1 << 64) + 13, [((1 << 64) + 13) * j // 41 for j in range(1, 41)]),
+         2000, 5, 7)
+def test_law_draws_are_the_literal_inverse_cdf(d, k, seed, chunk):
+    # a law's k draws, in parts of chunk, are the literal inverse CDF one
+    # draw at a time: one randrange below the total up to 2^62, one
+    # word_index past it. In the two examples, one in each regime, 13 and
+    # 23 draws land in a bucket that holds a cut
+    cum = d._law.cum
+    law = model_module._Law(cum)
+    a, b = RandomStream(seed), RandomStream(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk:
+            mp.setattr(model_module, "_DRAW_SAMPLES", chunk)
+        got = law.draw(a, k)
+    assert got.tolist() == [bisect_right(cum, b.randrange(cum[-1])) if cum[-1] <= 1 << 62
+                            else word_index(cum, b) for _ in range(k)]
+    for x, y in ((a, b), (a._ties, b._ties)):
+        assert x._gen.bit_generator.state == y._gen.bit_generator.state
+
+
 class _FixedWords:
     """Stands in for numpy's generator: full-range uint64 draws are read
     from a fixed list."""
@@ -783,7 +822,7 @@ def test_bigint_top_word_ties_resolve_exactly(m):
     # and its index is the number of cuts at or below that prefix; draws(k)
     # hands out the points of k draw() calls on the same words
     d = dist_from_cuts(m, [1, 2, 3, m // 3, m // 3 + 1, m // 2])
-    cuts = [Fraction(c, m) for c in d._cum[:-1]]
+    cuts = [Fraction(c, m) for c in d._law.cum[:-1]]
     mask = (1 << 64) - 1
 
     def inside(prefix):
@@ -795,7 +834,7 @@ def test_bigint_top_word_ties_resolve_exactly(m):
         return sum(c <= low for c in cuts), any(low < c < high for c in cuts)
 
     draws = []
-    for c in d._cum[:-1]:
+    for c in d._law.cum[:-1]:
         first, second = (((c << 64 * k) // m) & mask for k in (1, 2))
         for plan in [[first + step] for step in (-1, 0, 1)] + [
                 [first, second + step] for step in (-1, 0, 1)]:
@@ -806,15 +845,78 @@ def test_bigint_top_word_ties_resolve_exactly(m):
                     draws.append(read)
     words = [p[0] for p in draws]
     ties = [w for p in draws for w in p[1:]]
-    assert ties and len(draws) > len(d._cum)
+    assert ties and len(draws) > len(d._law.cum)
     sm = Sampler(d, MonotoneConj(d.n, frozenset()), QueryTranscript(), RandomStream(0))
     rng = fixed_stream(words, ties)
     want = [inside(p)[0] for p in draws]
-    assert sm._draw_indices_raw(rng, len(draws)).tolist() == want
+    assert d._law.draw(rng, len(draws)).tolist() == want
     assert (rng._gen.used, rng._ties._gen.used) == (len(words), len(ties))
     batch, single = (sm.rebind(QueryTranscript(), fixed_stream(words, ties)) for _ in range(2))
     assert list(batch.draws(len(draws))) == [single.draw() for _ in draws] == [
         (d.entries[i][0], 1) for i in want]
+
+
+_TOTALS = st.one_of(st.integers(0, 200).map(lambda k: 1 << k),
+                    st.integers(0, 1 << 200).map(lambda k: 2 * k + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), total=_TOTALS)
+def test_law_count_counts_the_cuts_at_or_below_the_words_read(data, total):
+    # Power-of-two totals end their expansions within a few words; odd ones
+    # never do. 1-5 sorted cuts, a cut of 0 and equal cuts allowed, and a
+    # last cut equal to total (a class law with no "neither" group), which
+    # no word reaches. Each group's first word sits at, or one unit either
+    # side of, some cut's first word, or ties it and goes on at, or one
+    # unit either side of, the cut's second word. A group reads the
+    # shortest prefix that no cut falls strictly inside: its first word
+    # from the stream, and each tied group's continuations, in row order,
+    # from the tie stream. Its count is the number of cuts at or below that
+    # prefix, the exact cuts are read only on a tie, and no table is built.
+    cuts = data.draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=3))
+    cuts = sorted(cuts + data.draw(st.lists(st.sampled_from(cuts), max_size=2)))
+    cuts += [total] if data.draw(st.booleans()) else []
+    mask = (1 << 64) - 1
+
+    def inside(prefix):
+        # (the cuts at or below the prefix, the cuts strictly inside its interval)
+        value = 0
+        for word in prefix:
+            value = value << 64 | word
+        low = Fraction(value, 1 << 64 * len(prefix))
+        high = low + Fraction(1, 1 << 64 * len(prefix))
+        values = [Fraction(c, total) for c in cuts]
+        return sum(v <= low for v in values), sum(low < v < high for v in values)
+
+    groups = []
+    for cut in cuts:
+        first, second = (((cut << 64 * k) // total) & mask for k in (1, 2))
+        for plan in [[first + step] for step in (-1, 0, 1)] + [
+                [first, second + step] for step in (-1, 0, 1)]:
+            if 0 <= plan[-1] <= mask:
+                # cut to the prefix the lazy comparison reads, if it settles
+                read = next((plan[:k] for k in range(1, len(plan) + 1)
+                             if not inside(plan[:k])[1]), None)
+                if read is not None and read not in groups:
+                    groups.append(read)
+    groups = data.draw(st.permutations(groups))
+    asked = []
+
+    class Law(model_module._Law):
+        def _cuts(self, lo, hi):
+            asked.append((lo, hi))
+            return super()._cuts(lo, hi)
+
+    law = Law(tuple(cuts) + (total,))
+    tops = law.tops.tolist()
+    assert tops == [(c << 64) // total for c in cuts if c < total]
+    ties = [w for p in groups for w in p[1:]]
+    rng = fixed_stream([p[0] for p in groups], ties)
+    got = law.count(rng, rng._words(len(groups)))
+    assert got.tolist() == [inside(p)[0] for p in groups]
+    assert (rng._gen.used, rng._ties._gen.used) == (len(groups), len(ties))
+    assert len(asked) == sum(p[0] in tops for p in groups)
+    assert "_buckets" not in vars(law)
 
 
 def law_points(m):
@@ -828,8 +930,7 @@ def law_points(m):
 @pytest.mark.parametrize("m", [(1 << 64) + 13, (1 << 105) + 51, 3 ** 67])
 def test_draws_past_2_62_fit_their_law(m):
     d = law_points(m)
-    sm = Sampler(d, MonotoneConj(d.n, frozenset()), QueryTranscript(), RandomStream(0))
-    counts = np.bincount(sm._draw_indices_raw(RandomStream(m), 200_000), minlength=6)
+    counts = np.bincount(d._law.draw(RandomStream(m), 200_000), minlength=6)
     stat, crit, df = chi_square_fit(dict(enumerate(counts.tolist())),
                                     {i: w for i, (_, w) in enumerate(d.entries)})
     assert df == 5 and round(crit, 2) == 20.52
@@ -845,7 +946,7 @@ def test_draws_past_2_62_word_layout_is_pinned(m, digest):
     # the digest even where the law does not
     d = law_points(m)
     sm = Sampler(d, MonotoneConj(d.n, frozenset()), QueryTranscript(), RandomStream(m))
-    sha = hashlib.sha256(np.asarray(sm._draw_indices_raw(sm.rng, 5000), dtype=np.int64).tobytes())
+    sha = hashlib.sha256(np.asarray(d._law.draw(sm.rng, 5000), dtype=np.int64).tobytes())
     for stream in (sm.rng, sm.rng._ties):
         sha.update(repr(stream._gen.bit_generator.state).encode())
     assert sha.hexdigest()[:16] == digest

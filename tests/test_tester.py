@@ -418,6 +418,35 @@ def test_dimension_mismatch_rejected():
     assert (tr.blackbox_count, tr.sample_count) == (0, 0)
 
 
+def test_conj_refuses_params_for_another_n():
+    # no 1-labelled point: the search for x* finds none, and used to
+    # accept with the params of n = 4096
+    f = GeneralConj(8, frozenset({1}), frozenset({1}))  # constant 0
+    bb, sm, trng, tr = make_instance(f, uniform_dist(8, [(1,), (2, 3)]), 313)
+    with pytest.raises(DimensionMismatch, match="n = 4096"):
+        run_conj_tester(bb, sm, 8, 1, trng, params=compute_parameters(4096, Fraction(1, 2)))
+    assert (tr.blackbox_count, tr.sample_count) == (0, 0)
+
+
+def test_conj_refuses_oracles_of_another_n():
+    f = GeneralConj(16, frozenset({1}), frozenset({1}))
+    bb, sm, trng, tr = make_instance(f, uniform_dist(16, [(1,), (2, 3)]), 314)
+    with pytest.raises(DimensionMismatch):
+        run_conj_tester(bb, sm, 8, 1, trng)
+    assert (tr.blackbox_count, tr.sample_count) == (0, 0)
+
+
+@pytest.mark.parametrize("num_samples", [None, 0])
+def test_baseline_refuses_a_sampler_of_another_n(num_samples):
+    tr = QueryTranscript()
+    bb = BlackBox(MonotoneConj(8, frozenset({1})), tr)
+    f = MonotoneConj(16, frozenset({1}))
+    sm = Sampler(uniform_dist(16, [(1,), (2,), ()]), f, tr, RandomStream(315))
+    with pytest.raises(DimensionMismatch):
+        baseline_dolev_ron(bb, sm, 8, 1, num_samples=num_samples)
+    assert (tr.blackbox_count, tr.sample_count) == (0, 0)
+
+
 # -- general-conjunction wrapper ----------------------------------------------
 
 
@@ -1598,7 +1627,7 @@ def test_class_cuts_equal_the_enumerated_law(ones_mass):
     ones = sum(w for p, w in dist.entries if f.value_at(p.zeros)) * m
     for size in range(1, 7):
         for need in range(1, size + 1):
-            few, either, total = tester_module._class_cuts(int(ones), m, size, need)
+            few, either, total = tester_module._class_cuts(int(ones), m, size, need).cum
             assert (Fraction(few, total), Fraction(either, total)) == class_law(
                 group_fact_law(dist, f, size, need)), (size, need)
 
@@ -1653,7 +1682,7 @@ def test_drawn_facts_mutants_fail_the_same_fit(monkeypatch):
     conditioned = Sampler._conditioned
 
     def zeros_from_d(self, label):
-        return conditioned(self, 1) if label else (self, np.arange(self.support_size))
+        return conditioned(self, 1) if label else (self.dist._law, np.arange(self.support_size))
 
     with monkeypatch.context() as patch:
         patch.setattr(Sampler, "_conditioned", zeros_from_d)
@@ -1745,7 +1774,7 @@ def test_class_word_ties_resolve_exactly(ones_mass):
     dist = FiniteDistribution(n, ((zs(n), half), (zs(n, 2), half),
                                   (zs(n, 1), 1 - ones_mass)))
     m = dist.denominator
-    few, either, total = tester_module._class_cuts(int(ones_mass * m), m, size, need)
+    few, either, total = tester_module._class_cuts(int(ones_mass * m), m, size, need).cum
     mask = (1 << 64) - 1
     prefixes = []
     for cut in (few, either):
@@ -1778,7 +1807,7 @@ def test_class_word_ties_resolve_exactly(ones_mass):
     # seen set is kept. The words cycle through one unit below each cut,
     # each cut itself (a tie) and the last word.
     edges = [1 << 61, 1 << 62]
-    assert tester_module._missing_cuts((1, 2), need)[0].tolist() == edges
+    assert tester_module._missing_cuts((1, 2), need).tops.tolist() == edges
     cycle = [edges[0] - 1, edges[0], edges[1] - 1, edges[1], (1 << 64) - 1]
     with_b = sum(settled(p)[0] > 0 for p in prefixes)
     missing = [cycle[k % len(cycle)] for k in range(with_b)]
@@ -1804,7 +1833,7 @@ def test_missing_word_ties_resolve_exactly():
     # cut's second word; J is the number of cuts at or below V.
     cuts = [Fraction(64 * k, 729) for k in (1, 2, 3)]
     missing = tester_module._missing_cuts((1, 2, 3), 6)
-    assert missing[0].tolist() == [c.numerator * 2 ** 64 // c.denominator for c in cuts]
+    assert missing.tops.tolist() == [c.numerator * 2 ** 64 // c.denominator for c in cuts]
     mask = (1 << 64) - 1
     prefixes = []
     for cut in cuts:
@@ -1812,68 +1841,10 @@ def test_missing_word_ties_resolve_exactly():
         prefixes += [(first, (second & mask) + step) for step in (-1, 1)]
     rng = RandomStream(0)
     rng._gen, rng._ties._gen = (_WordsThenPCG([p[k] for p in prefixes]) for k in (0, 1))
-    picks = tester_module._below_cuts(rng, missing, rng._words(len(prefixes)))
+    picks = missing.count(rng, rng._words(len(prefixes)))
     assert picks.tolist() == [sum(c <= Fraction(a << 64 | b, 1 << 128) for c in cuts)
                               for a, b in prefixes] == [0, 1, 1, 2, 2, 3]
     assert rng._gen.used == rng._ties._gen.used == len(prefixes)
-
-
-_TOTALS = st.one_of(st.integers(0, 200).map(lambda k: 1 << k),
-                    st.integers(0, 1 << 200).map(lambda k: 2 * k + 1))
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), total=_TOTALS)
-def test_below_cuts_counts_the_cuts_at_or_below_the_words_read(data, total):
-    # Power-of-two totals end their expansions within a few words; odd ones
-    # never do. 1-5 sorted cuts, a cut of 0 and equal cuts allowed. Each
-    # group's first word sits at, or one unit either side of, some cut's
-    # first word, or ties it and goes on at, or one unit either side of,
-    # the cut's second word. A group reads the shortest prefix that no cut
-    # falls strictly inside: its first word from the stream, and each tied
-    # group's continuations, in row order, from the tie stream. Its count is
-    # the number of cuts at or below that prefix, and the exact cuts are
-    # asked for only on a tie.
-    cuts = data.draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=3))
-    cuts = sorted(cuts + data.draw(st.lists(st.sampled_from(cuts), max_size=2)))
-    mask = (1 << 64) - 1
-
-    def inside(prefix):
-        # (the cuts at or below the prefix, the cuts strictly inside its interval)
-        value = 0
-        for word in prefix:
-            value = value << 64 | word
-        low = Fraction(value, 1 << 64 * len(prefix))
-        high = low + Fraction(1, 1 << 64 * len(prefix))
-        values = [Fraction(c, total) for c in cuts]
-        return sum(v <= low for v in values), sum(low < v < high for v in values)
-
-    groups = []
-    for cut in cuts:
-        first, second = (((cut << 64 * k) // total) & mask for k in (1, 2))
-        for plan in [[first + step] for step in (-1, 0, 1)] + [
-                [first, second + step] for step in (-1, 0, 1)]:
-            if 0 <= plan[-1] <= mask:
-                # cut to the prefix the lazy comparison reads, if it settles
-                read = next((plan[:k] for k in range(1, len(plan) + 1)
-                             if not inside(plan[:k])[1]), None)
-                if read is not None and read not in groups:
-                    groups.append(read)
-    groups = data.draw(st.permutations(groups))
-    tops = np.array([(c << 64) // total for c in cuts], dtype=np.uint64)
-    asked = []
-
-    def exact(lo, hi):
-        asked.append((lo, hi))
-        return cuts[lo:hi], total
-
-    rng = RandomStream(0)
-    ties = [w for p in groups for w in p[1:]]
-    rng._gen, rng._ties._gen = _WordsThenPCG([p[0] for p in groups]), _WordsThenPCG(ties)
-    got = tester_module._below_cuts(rng, (tops, exact), rng._words(len(groups)))
-    assert got.tolist() == [inside(p)[0] for p in groups]
-    assert (rng._gen.used, rng._ties._gen.used) == (len(groups), len(ties))
-    assert len(asked) == sum(p[0] in tops.tolist() for p in groups)
 
 
 def seeded_support(seed, ones, zeros, n=10):
