@@ -8,8 +8,8 @@ functions); both no variants are one LBNoFunction, which flips the labels of
 the a-strings via a block-counting specialness rule (or, with a threshold,
 compares a potential built on that rule with it). That makes them far from
 the class while looking identical to samplers that never see inside a
-C-set. An instance keeps only its draw, function and distribution; the
-points, and all else, are derived from the draw.
+C-set. An instance holds its draw once, as read-only int arrays, with its
+function and distribution; the points, and all else, are derived from it.
 
 The lower bound's simulated world has two parts: a strong sampling oracle,
 which reveals C_k and its special index alpha_k with every draw of c^k
@@ -300,67 +300,55 @@ class LBNoFunction(FunctionSpec):
         return (10 * n * n * ones_out + 5 * n * term - ones >= self.threshold).astype(np.int8)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LBInstance:
     """A drawn hidden structure with its function and distribution.
 
-    The draw is R, its blocks, which partition R_prime = R minus the special
-    indices, the specials alpha and beta, and per i the block ids of the A
-    and B sides. Everything else is derived from the draw: the zero sets
-    A_sets[i-1] = {alpha_i} with its A-blocks, B_sets likewise with beta_i,
-    and C_sets their unions; support_kinds, the (kind, i) origin of each
-    distribution entry, kind in {"a", "b", "c", "ones"}; and theta4, 4x the
-    exact threshold for the threshold-function variants, None otherwise.
+    The draw is R, sorted; its blocks, an (r_blocks, h) array partitioning
+    R_prime = R minus the specials; the specials alpha and beta; and the
+    (m, blocks_per_side) block ids of the A and B sides. Each is a read-only
+    int array, held once. Everything else is derived from the draw: the
+    zero sets A_sets[i-1] = {alpha_i} with its A-blocks, B_sets likewise
+    with beta_i, and C_sets their unions; support_kinds, the (kind, i) origin
+    of each distribution entry, kind in {"a", "b", "c", "ones"}; and theta4,
+    4x the exact threshold for the threshold-function variants, else None.
     """
 
     params: LBParams
     variant: str
-    R: frozenset
-    blocks: tuple
-    alpha: tuple
-    beta: tuple
-    a_block_ids: tuple
-    b_block_ids: tuple
+    R: np.ndarray
+    blocks: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    a_block_ids: np.ndarray
+    b_block_ids: np.ndarray
     function: FunctionSpec
     distribution: FiniteDistribution
+
+    def __post_init__(self):
+        for draw in (self.R, self.blocks, self.alpha, self.beta,
+                     self.a_block_ids, self.b_block_ids):
+            draw.flags.writeable = False
 
     @property
     def n(self) -> int:
         return self.params.n
 
-    @property
-    def R_prime(self) -> frozenset:
-        return self.R - frozenset(self.alpha) - frozenset(self.beta)
-
     @cached_property
-    def _arrays(self) -> dict:
-        """The draw as int arrays, which validate_instance reads: R sorted,
-        alpha and beta, and the blocks and each side's block ids, each as
-        (entries in order, length of each block or row). Generation seeds
-        them from its own draw; any other instance derives them here."""
-        def flat(rows):
-            return (np.fromiter(chain.from_iterable(rows), np.int64),
-                    np.fromiter(map(len, rows), np.int64, len(rows)))
-
-        return {"R": np.array(sorted(self.R), dtype=np.int64),
-                "alpha": np.array(self.alpha, dtype=np.int64),
-                "beta": np.array(self.beta, dtype=np.int64),
-                "blocks": flat(self.blocks),
-                "a_ids": flat(self.a_block_ids), "b_ids": flat(self.b_block_ids)}
+    def r_set(self) -> frozenset:
+        """R as a set, which the simulated world's responder reads."""
+        return frozenset(self.R.tolist())
 
     @cached_property
     def _rows(self) -> tuple:
         """The a and b points as positions in R (see _point_rows), from a
         draw that validate_instance has found well formed."""
-        arrays, p = self._arrays, self.params
-        R, (entries, _) = arrays["R"], arrays["blocks"]
-        return _point_rows(_positions(R, entries).reshape(p.r_blocks, p.h),
-                           _positions(R, arrays["alpha"]), _positions(R, arrays["beta"]),
-                           *(arrays[ids][0].reshape(p.m, -1) for ids in ("a_ids", "b_ids")))
+        return _point_rows(*(_positions(self.R, x) for x in (self.blocks, self.alpha, self.beta)),
+                           self.a_block_ids, self.b_block_ids)
 
     @cached_property
     def _points(self) -> dict:
-        return _point_sets(np.array(self._arrays["R"].tolist(), dtype=object), *self._rows)
+        return _point_sets(np.array(self.R.tolist(), dtype=object), *self._rows)
 
     A_sets = property(lambda self: self._points["a"])
     B_sets = property(lambda self: self._points["b"])
@@ -373,6 +361,13 @@ class LBInstance:
                                else range(1, self.params.m + 1)))
 
     @cached_property
+    def _gammas(self) -> list:
+        """What a strong sample of each distribution entry reveals: alpha_i,
+        as a Python int, for c^i, and None for any other point."""
+        alpha = self.alpha.tolist()
+        return [alpha[i - 1] if kind == "c" else None for kind, i in self.support_kinds]
+
+    @cached_property
     def _labels(self) -> np.ndarray:
         """The label of each distribution entry, by its kind, as int8s: what
         validate_instance checks the function gives each point of a kind."""
@@ -381,7 +376,7 @@ class LBInstance:
 
     @property
     def theta4(self) -> Optional[int]:
-        return _theta4(self.params, len(self.R)) if self.variant.endswith("-ltf") else None
+        return _theta4(self.params, self.R.size) if self.variant.endswith("-ltf") else None
 
 
 def simulate_p(zeros: frozenset, R: frozenset, gamma_set) -> int:
@@ -472,36 +467,28 @@ def generate_instance(params: LBParams, variant: str,
 
 
 def _generate(params: LBParams, variant: str, rng: RandomStream) -> LBInstance:
-    """The instance of one draw, its validation arrays, rows and points
-    seeded."""
+    """The instance of one draw, its rows and points seeded."""
     r_sorted, blocks, alpha, beta, a_ids, b_ids = _draw_structure(params, rng)
-    arrays = {"R": r_sorted, "alpha": r_sorted[alpha], "beta": r_sorted[beta],
-              "blocks": (r_sorted[blocks].reshape(-1), np.full(params.r_blocks, params.h)),
-              "a_ids": (a_ids.reshape(-1), np.full(params.m, params.blocks_per_side)),
-              "b_ids": (b_ids.reshape(-1), np.full(params.m, params.blocks_per_side))}
     rows = _point_rows(blocks, alpha, beta, a_ids, b_ids)
-    # one Python int per coordinate of R, shared by every set and tuple built
-    # here, so that the set operations of value_at match them by identity
-    r_list = r_sorted.tolist()
-    ints = np.array(r_list, dtype=object)
-    points = _point_sets(ints, *rows)
-    n = params.n
-    r_set = frozenset(r_list)
-    block_sets = tuple(map(frozenset, ints[blocks].tolist()))
-    alpha_t = tuple(ints[alpha].tolist())
-    threshold = (_theta4(params, len(r_set)) + 3) // 4
+    # one Python int per coordinate of R, shared by every set built here, so
+    # that the set operations of value_at match them by identity
+    ints = np.array(r_sorted.tolist(), dtype=object)
+    points, alpha_ints = _point_sets(ints, *rows), ints[alpha].tolist()
+    n, alpha_at = params.n, r_sorted[alpha]
+    threshold = (_theta4(params, r_sorted.size) + 3) // 4
     if variant == "yes":
         outside = np.ones(n + 1, dtype=bool)
         outside[r_sorted] = outside[0] = False
-        func = MonotoneConj(n, frozenset(chain(np.flatnonzero(outside).tolist(), alpha_t)))
+        func = MonotoneConj(n, frozenset(chain(np.flatnonzero(outside).tolist(), alpha_ints)))
     elif variant == "yes-ltf":
         weights = np.full(n + 1, 10 * n * n - 1, dtype=object)
         weights[r_sorted] = -1
-        weights[arrays["alpha"]] += 5 * n
+        weights[alpha_at] += 5 * n
         func = LinearThreshold(n, tuple(weights[1:].tolist()), threshold)
     else:
-        by_id = np.fromiter(block_sets, dtype=object, count=len(block_sets))
-        func = LBNoFunction(n, r_set, alpha_t, tuple(zip(*by_id[a_ids.T].tolist())),
+        by_id = np.fromiter(map(frozenset, ints[blocks].tolist()), dtype=object, count=len(blocks))
+        func = LBNoFunction(n, frozenset(ints.tolist()), alpha_ints,
+                            tuple(zip(*by_id[a_ids.T].tolist())),
                             tuple(zip(*by_id[b_ids.T].tolist())), params.s,
                             threshold if variant == "no-ltf" else None)
         object.__setattr__(func, "_table",
@@ -513,11 +500,10 @@ def _generate(params: LBParams, variant: str, rng: RandomStream) -> LBInstance:
         zip(map(ZeroSet._checked, repeat(n), zeros), repeat(weight)) for zeros, weight in kinds))
     cum = tuple(accumulate(chain.from_iterable(
         repeat(num, len(zeros)) for (zeros, _), num in zip(kinds, nums))))
-    inst = LBInstance(params, variant, r_set, block_sets, alpha_t, tuple(ints[beta].tolist()),
-                      tuple(zip(*a_ids.T.tolist())), tuple(zip(*b_ids.T.tolist())),
-                      function=func, distribution=FiniteDistribution._checked(n, entries, cum))
-    for name, value in (("_arrays", arrays), ("_rows", rows), ("_points", points)):
-        object.__setattr__(inst, name, value)
+    inst = LBInstance(params, variant, r_sorted, r_sorted[blocks], alpha_at, r_sorted[beta], a_ids,
+                      b_ids, func, FiniteDistribution._checked(n, entries, cum))
+    object.__setattr__(inst, "_rows", rows)
+    object.__setattr__(inst, "_points", points)
     return inst
 
 
@@ -535,40 +521,35 @@ def validate_instance(inst: LBInstance) -> None:
 
     if inst.variant not in VARIANTS:
         fail("unknown variant")
-    arrays = inst._arrays
-    R = arrays["R"]
+    R = inst.R
+    if (R[1:] <= R[:-1]).any():  # _positions is a binary search
+        fail("R must be sorted and distinct")
     if R.size and not 1 <= R[0] <= R[-1] <= n:
         fail("R not inside [n]")
-    if R.size != h * rb + 2 * m:
+    if R.shape != (h * rb + 2 * m,):
         fail("R has the wrong size")
-    specials = np.concatenate((arrays["alpha"], arrays["beta"]))
+    specials = np.append(inst.alpha, inst.beta)
     ordered = np.sort(specials)
-    if arrays["alpha"].size != m or arrays["beta"].size != m or (ordered[1:] == ordered[:-1]).any():
+    if inst.alpha.shape != (m,) or inst.beta.shape != (m,) or (ordered[1:] == ordered[:-1]).any():
         fail("need m alphas and m betas, all distinct")
     at = _positions(R, specials)
     if (at == R.size).any():
         fail("special indices must lie in R")
-    entries, sizes = arrays["blocks"]
-    if sizes.size != rb:
-        fail("wrong number of blocks")
-    ordered = np.sort(entries)
-    again = ordered[1:] == ordered[:-1]
-    wrong = np.flatnonzero(sizes != h)
-    if wrong.size or again.any():
-        # the first block, in order, of the wrong size or meeting an earlier one
-        owner = np.repeat(np.arange(rb), sizes)[np.argsort(entries, kind="stable")]
-        first = min(wrong.min(initial=rb), owner[1:][again].min(initial=rb))
-        fail("block of the wrong size" if sizes[first] != h else "blocks must be disjoint")
+    if inst.blocks.shape != (rb, h):
+        fail("block of the wrong size" if inst.blocks.shape[:1] == (rb,)
+             else "wrong number of blocks")
+    ordered = np.sort(inst.blocks, axis=None)
+    if (ordered[1:] == ordered[:-1]).any():
+        fail("blocks must be disjoint")
     rest = np.ones(R.size, dtype=bool)
     rest[at] = False
     if not np.array_equal(ordered, R[rest]):
         fail("blocks must partition R_prime")
-    (a_ids, a_lens), (b_ids, b_lens) = arrays["a_ids"], arrays["b_ids"]
-    if a_lens.size != m or b_lens.size != m:
+    if inst.a_block_ids.shape[:1] != (m,) or inst.b_block_ids.shape[:1] != (m,):
         fail("need m rows of block ids per side")
-    if (a_lens != bps).any() or (b_lens != bps).any():
+    if inst.a_block_ids.shape != (m, bps) or inst.b_block_ids.shape != (m, bps):
         fail("each triple needs blocks_per_side distinct block ids per side")
-    ids = np.sort(np.hstack((a_ids.reshape(m, bps), b_ids.reshape(m, bps))), axis=1)
+    ids = np.sort(np.hstack((inst.a_block_ids, inst.b_block_ids)), axis=1)
     if ids[:, 0].min() < 0 or ids[:, -1].max() >= rb or (ids[:, 1:] == ids[:, :-1]).any():
         fail("each triple needs blocks_per_side distinct block ids per side")
 

@@ -280,22 +280,21 @@ class _SimWorld(FunctionSpec):
     def __init__(self, inst: LBInstance, rng: RandomStream,
                  transcript: QueryTranscript, sampler: Sampler):
         self.n = inst.n
-        self.inst = inst
+        self.r_set, self._gammas = inst.r_set, inst._gammas
+        self._entries = inst.distribution.entries
         self.transcript = transcript
         self.gamma: set = set()
         # the instance's sampler, drawing on this world's stream and transcript
         self._sampler = sampler.rebind(transcript, rng)
 
     def value_at(self, zeros: frozenset) -> int:
-        return simulate_p(zeros, self.inst.R, self.gamma)
+        return simulate_p(zeros, self.r_set, self.gamma)
 
     def draws(self, k: int):
-        inst, t = self.inst, self.transcript
+        t, entries, gammas = self.transcript, self._entries, self._gammas
         for chunk in self._sampler._counted(k):
             for idx in chunk.tolist():
-                kind, i = inst.support_kinds[idx]
-                point = inst.distribution.entries[idx][0]
-                gamma = inst.alpha[i - 1] if kind == "c" else None
+                point, gamma = entries[idx][0], gammas[idx]
                 if gamma is not None:
                     self.gamma.add(gamma)
                 if t.log_queries:

@@ -244,12 +244,12 @@ def structure_sidecar(inst: LBInstance) -> dict:
     obj = {
         "variant": inst.variant,
         "params": asdict(inst.params),
-        "R": _sorted(inst.R),
-        "blocks": [_sorted(blk) for blk in inst.blocks],
-        "alpha": list(inst.alpha),
-        "beta": list(inst.beta),
-        "a_block_ids": [list(row) for row in inst.a_block_ids],
-        "b_block_ids": [list(row) for row in inst.b_block_ids],
+        "R": inst.R.tolist(),
+        "blocks": [sorted(blk) for blk in inst.blocks.tolist()],
+        "alpha": inst.alpha.tolist(),
+        "beta": inst.beta.tolist(),
+        "a_block_ids": inst.a_block_ids.tolist(),
+        "b_block_ids": inst.b_block_ids.tolist(),
     }
     if inst.theta4 is not None:
         obj["theta4"] = inst.theta4

@@ -520,7 +520,7 @@ def strong_sample(inst, rng, transcript):
            else word_index(dist._law.cum, rng))
     kind, i = inst.support_kinds[idx]
     point = dist.entries[idx][0]
-    gamma = inst.alpha[i - 1] if kind == "c" else None
+    gamma = int(inst.alpha[i - 1]) if kind == "c" else None
     if transcript.log_queries:
         transcript.sample_log.append((point.zeros, gamma))
     return point, gamma
@@ -908,10 +908,9 @@ def is_i_special(x, inst, i):
     B_i's side have at most s."""
     s = inst.params.s
     need = ceil(Fraction(3 * inst.params.blocks_per_side, 4))
-    heavy_a = [j for j in inst.a_block_ids[i - 1]
-               if len(inst.blocks[j] & x.zeros) > s]
-    light_b = [j for j in inst.b_block_ids[i - 1]
-               if len(inst.blocks[j] & x.zeros) <= s]
+    blocks = [x.zeros.intersection(blk) for blk in inst.blocks.tolist()]
+    heavy_a = [j for j in inst.a_block_ids[i - 1].tolist() if len(blocks[j]) > s]
+    light_b = [j for j in inst.b_block_ids[i - 1].tolist() if len(blocks[j]) <= s]
     return len(heavy_a) >= need and len(light_b) >= need
 
 
@@ -923,9 +922,9 @@ def ltf_potential(x, inst, which, gamma_set=frozenset()):
     simulation form) when alpha_i is not a zero of x inside gamma_set."""
     n, zeros = inst.n, x.zeros
     ones_outside_r = sum(1 for k in range(1, n + 1)
-                         if k not in inst.R and k not in zeros)
+                         if k not in inst.r_set and k not in zeros)
     term = 0
-    for i, a in enumerate(inst.alpha, start=1):
+    for i, a in enumerate(inst.alpha.tolist(), start=1):
         if which == "u":
             term += a not in zeros
         elif which == "v":

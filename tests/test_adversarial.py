@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -54,6 +55,20 @@ def triple(inst, i):
     """The points (a^i, b^i, c^i) of triple i (1-based)."""
     return tuple(ZeroSet(inst.n, sets[i - 1])
                  for sets in (inst.A_sets, inst.B_sets, inst.C_sets))
+
+
+def r_prime(inst):
+    """R minus the special indices, as a set."""
+    return inst.r_set - frozenset(np.append(inst.alpha, inst.beta).tolist())
+
+
+# the six arrays of an instance's draw
+DRAW = ("R", "blocks", "alpha", "beta", "a_block_ids", "b_block_ids")
+
+
+def draw_of(inst):
+    """The arrays of inst's draw, as lists."""
+    return [getattr(inst, name).tolist() for name in DRAW]
 
 
 def sim_world(inst, seed, transcript):
@@ -116,14 +131,14 @@ def test_generated_structure(variant):
     inst = gen(variant, seed=11)
     validate_instance(inst)
     p = inst.params
+    assert inst.R.tolist() == sorted(inst.r_set)
     assert len(inst.R) == p.h * p.r_blocks + 2 * p.m
-    assert inst.R_prime == inst.R - frozenset(inst.alpha) - frozenset(inst.beta)
     covered = set()
-    for blk in inst.blocks:
+    for blk in map(frozenset, inst.blocks.tolist()):
         assert len(blk) == p.h
         assert not (blk & covered)
         covered |= blk
-    assert covered == inst.R_prime
+    assert covered == r_prime(inst)
     for i in range(1, p.m + 1):
         a, b, c = triple(inst, i)
         assert len(a.zeros) == len(b.zeros) == p.ell // 2
@@ -182,9 +197,10 @@ def test_distribution_weights(variant, weights):
 def test_generation_is_deterministic():
     a = gen("no", seed=14)
     b = gen("no", seed=14)
-    assert a == b
+    assert draw_of(a) == draw_of(b)
+    assert (a.function, a.distribution) == (b.function, b.distribution)
     c = gen("no", seed=15)
-    assert c.R != a.R
+    assert c.R.tolist() != a.R.tolist()
 
 
 def test_unknown_variant_rejected():
@@ -224,15 +240,15 @@ def test_validation_is_sized_by_the_structure_not_by_n(variant):
 
 def test_validation_catches_corruption():
     inst = gen("no", seed=18)
-    bad_alpha = (inst.alpha[0],) + inst.alpha[:-1]  # duplicate index
+    bad_alpha = np.append(inst.alpha[:1], inst.alpha[:-1])  # duplicate index
     with pytest.raises(ValueError):
         validate_instance(dataclasses.replace(inst, alpha=bad_alpha))
-    shifted = (inst.blocks[0] | {max(inst.R) + 1},) + inst.blocks[1:]
+    shifted = with_entry(inst.blocks, (0, 0), inst.R[-1] + 1)
     with pytest.raises(ValueError):
         validate_instance(dataclasses.replace(inst, blocks=shifted))
     row = inst.a_block_ids[0]
     for bad in ((row[0], row[0]), (row[0], inst.params.r_blocks)):
-        ids = (bad,) + inst.a_block_ids[1:]
+        ids = with_entry(inst.a_block_ids, 0, bad)
         with pytest.raises(ValueError, match="distinct block ids"):
             validate_instance(dataclasses.replace(inst, a_block_ids=ids))
     entries = inst.distribution.entries
@@ -244,21 +260,22 @@ def test_validation_catches_corruption():
             inst, function=MonotoneConj(inst.n, frozenset())))
     for stray in (0, inst.n + 1):
         with pytest.raises(ValueError, match="R not inside"):
-            validate_instance(dataclasses.replace(inst, R=inst.R | {stray}))
+            validate_instance(dataclasses.replace(inst, R=np.sort(np.append(inst.R, stray))))
 
 
 def test_validation_names_each_broken_part_of_the_draw():
     # one replaced field per check that corruption above does not reach
     inst = gen("no", seed=18)
     n, h = inst.params.n, inst.params.h
-    outside = sorted(set(range(1, n + 1)) - inst.R)
+    outside = sorted(set(range(1, n + 1)) - inst.r_set)
     cases = [
         ({"variant": "maybe"}, "unknown variant"),
-        ({"R": inst.R | {outside[0]}}, "R has the wrong size"),
-        ({"alpha": (outside[0],) + inst.alpha[1:]}, "special indices must lie in R"),
+        ({"R": np.sort(np.append(inst.R, outside[0]))}, "R has the wrong size"),
+        ({"alpha": np.append(outside[0], inst.alpha[1:])}, "special indices must lie in R"),
         ({"blocks": inst.blocks[:-1]}, "wrong number of blocks"),
-        ({"blocks": inst.blocks[:1] * 2 + inst.blocks[2:]}, "blocks must be disjoint"),
-        ({"blocks": (frozenset(outside[:h]),) + inst.blocks[1:]},
+        ({"blocks": inst.blocks[[0, 0, *range(2, len(inst.blocks))]]},
+         "blocks must be disjoint"),
+        ({"blocks": np.vstack((outside[:h], inst.blocks[1:]))},
          "blocks must partition R_prime"),
         ({"a_block_ids": inst.a_block_ids[:-1]}, "need m rows of block ids per side"),
     ]
@@ -267,6 +284,64 @@ def test_validation_names_each_broken_part_of_the_draw():
         variant = change.get("variant", "no")
         with pytest.raises(ValueError, match=f"^invalid {variant} instance: {message}$"):
             validate_instance(dataclasses.replace(inst, **change))
+
+
+@st.composite
+def small_params(draw):
+    """Small LBParams: h 2-5, blocks_per_side 1-3, s below h, and n with
+    room for at least one coordinate outside R."""
+    h, bps, m = draw(st.integers(2, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rb = draw(st.integers(2 * bps, 2 * bps + 3))
+    return LBParams(n=h * rb + 2 * m + draw(st.integers(1, 5)), h=h, r_blocks=rb, m=m,
+                    s=draw(st.integers(0, h - 1)), blocks_per_side=bps)
+
+
+def with_entry(array, at, value):
+    """A copy of array with the entry at `at` set to value."""
+    out = array.copy()
+    out[at] = value
+    return out
+
+
+def corruptions(inst):
+    """One broken part of inst's draw per check of the draw, each with the
+    message validate_instance gives it."""
+    R, a_ids, b_ids = inst.R, inst.a_block_ids, inst.b_block_ids
+    outside = min(frozenset(range(1, inst.n + 1)) - inst.r_set)
+    distinct = "each triple needs blocks_per_side distinct block ids per side"
+    return [
+        ({"R": R[[1, 0, *range(2, R.size)]]}, "R must be sorted and distinct"),
+        ({"R": with_entry(R, 1, R[0])}, "R must be sorted and distinct"),
+        ({"R": np.append(0, R)}, "R not inside [n]"),
+        ({"R": np.append(R, inst.n + 1)}, "R not inside [n]"),
+        ({"alpha": with_entry(inst.alpha, 0, outside)}, "special indices must lie in R"),
+        ({"blocks": inst.blocks[[0, 0, *range(2, len(inst.blocks))]]},
+         "blocks must be disjoint"),
+        ({"blocks": np.column_stack((inst.blocks, inst.blocks[:, 0]))},
+         "block of the wrong size"),
+        ({"a_block_ids": with_entry(a_ids, (0, 0), inst.params.r_blocks)}, distinct),
+        ({"b_block_ids": with_entry(b_ids, (0, 0), a_ids[0, 0])}, distinct),
+        ({"a_block_ids": a_ids[:-1]}, "need m rows of block ids per side"),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=small_params(), variant=st.sampled_from(VARIANTS), seed=st.integers(0, 1 << 32))
+def test_each_corruption_of_a_drawn_structure_names_its_check(params, variant, seed):
+    inst = generate_instance(params, variant, RandomStream(seed))
+    validate_instance(inst)
+    for change, message in corruptions(inst):
+        want = f"^invalid {variant} instance: {re.escape(message)}$"
+        with pytest.raises(ValueError, match=want):
+            validate_instance(dataclasses.replace(inst, **change))
+
+
+def test_draw_arrays_are_read_only():
+    # the rows and points cached from the draw cannot fall out of step with it
+    inst = gen("no", seed=18)
+    for name in DRAW:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(inst, name)[0] = 0
 
 
 # -- specialness --------------------------------------------------------------
@@ -284,10 +359,10 @@ def test_a_strings_are_special_on_no_instances():
 def test_no_function_demands_specialness_per_alpha():
     inst = gen("no", seed=20)
     f = inst.function
-    alpha_1 = inst.alpha[0]
+    alpha_1 = int(inst.alpha[0])
     # alpha_1 zero without its A-blocks: not 1-special, so the value drops
     assert f.value_at(frozenset({alpha_1})) == 0
-    outside = max(frozenset(range(1, inst.n + 1)) - inst.R)
+    outside = max(frozenset(range(1, inst.n + 1)) - inst.r_set)
     assert f.value_at(frozenset({outside})) == 0
 
 
@@ -296,14 +371,15 @@ def test_no_function_demands_specialness_per_alpha():
 
 def test_simulate_p_rules():
     inst = gen("no", seed=21)
-    inside = frozenset({min(inst.R_prime)})
-    assert simulate_p(inside, inst.R, frozenset()) == 1
-    outside = frozenset({max(frozenset(range(1, inst.n + 1)) - inst.R)})
-    assert simulate_p(outside, inst.R, frozenset()) == 0
-    gamma = frozenset({inst.alpha[0]})
-    hit = frozenset({inst.alpha[0], min(inst.R_prime)})
-    assert simulate_p(hit, inst.R, gamma) == 0
-    assert simulate_p(hit, inst.R, frozenset()) == 1
+    inside = frozenset({min(r_prime(inst))})
+    assert simulate_p(inside, inst.r_set, frozenset()) == 1
+    outside = frozenset({max(frozenset(range(1, inst.n + 1)) - inst.r_set)})
+    assert simulate_p(outside, inst.r_set, frozenset()) == 0
+    alpha_1 = int(inst.alpha[0])
+    gamma = frozenset({alpha_1})
+    hit = frozenset({alpha_1, min(r_prime(inst))})
+    assert simulate_p(hit, inst.r_set, gamma) == 0
+    assert simulate_p(hit, inst.r_set, frozenset()) == 1
 
 
 def test_sim_world_answers_from_revealed_gammas():
@@ -322,7 +398,7 @@ def test_sim_world_answers_from_revealed_gammas():
         if point.zeros in inst.C_sets:
             revealed.add(inst.C_sets.index(point.zeros) + 1)
     assert a_draws and revealed
-    assert world.gamma == {inst.alpha[k - 1] for k in revealed}
+    assert world.gamma == {inst.alpha.tolist()[k - 1] for k in revealed}
     for k in revealed:
         a_k = ZeroSet(inst.n, inst.A_sets[k - 1])
         assert world.value_at(a_k.zeros) == 0
@@ -342,7 +418,7 @@ def test_strong_sample_reveals_c_structure():
     seen_c = seen_other = False
     for zeros, gamma in tr.sample_log:
         if gamma is not None:
-            i = inst.alpha.index(gamma) + 1
+            i = inst.alpha.tolist().index(gamma) + 1
             assert zeros == inst.C_sets[i - 1]
             seen_c = True
         else:
@@ -447,7 +523,8 @@ def test_hidden_block_functions_match_the_per_i_loop(variant, seed, kinds,
     inst = crowded(variant, seed)
     n, m = inst.n, inst.params.m
     sets = {"a": inst.A_sets, "b": inst.B_sets, "c": inst.C_sets}
-    zeros = set(extra) | {inst.alpha[i] for i in alphas}
+    alpha = inst.alpha.tolist()
+    zeros = set(extra) | {alpha[i] for i in alphas}
     for i, kind in enumerate(kinds):
         if kind != "-":
             zeros |= sets[kind][i]
@@ -457,8 +534,8 @@ def test_hidden_block_functions_match_the_per_i_loop(variant, seed, kinds,
     v = ltf_potential(x, inst, "v")
     assert inst.function.potential(zeros) == v
     if variant == "no":
-        want = zeros <= inst.R and all(
-            special[i] for i in range(m) if inst.alpha[i] in zeros)
+        want = zeros <= inst.r_set and all(
+            special[i] for i in range(m) if alpha[i] in zeros)
     else:
         want = v >= inst.function.threshold
     assert inst.function.value_at(zeros) == int(want)
@@ -544,11 +621,11 @@ def near_the_support(draw):
     inst = drawn(draw(st.sampled_from((SMALL, CROWDED))), draw(st.sampled_from(VARIANTS)),
                  draw(st.integers(0, 3)))
     points = [frozenset()] + [point.zeros for point, _ in inst.distribution.entries]
-    outside = sorted(frozenset(range(1, inst.n + 1)) - inst.R)
+    outside = sorted(frozenset(range(1, inst.n + 1)) - inst.r_set)
     sets = [frozenset()]
     for _ in range(draw(st.integers(1, 6))):
         zeros = draw(st.sampled_from(points))
-        coords = st.sampled_from(sorted(inst.R)) | st.sampled_from(outside)
+        coords = st.sampled_from(inst.R.tolist()) | st.sampled_from(outside)
         if zeros:
             coords |= st.sampled_from(sorted(zeros))
         sets.append(zeros ^ frozenset(draw(st.lists(coords, max_size=5))))
@@ -560,7 +637,7 @@ def one_a_block_at_s(variant):
     down to s zeros: with one heavy A-block of the two it needs, a^1 is not
     1-special, which counting a block of exactly s zeros as heavy misses."""
     inst = drawn(SMALL, variant, 0)
-    block = inst.blocks[inst.a_block_ids[0][0]]
+    block = frozenset(inst.blocks[inst.a_block_ids[0, 0]].tolist())
     return inst.function, [inst.A_sets[0] - block | frozenset(sorted(block)[:SMALL.s])]
 
 
@@ -618,7 +695,7 @@ def test_positions_find_each_entry_or_the_end(top):
 def test_phi_potential_matches_u_under_revealed_gammas():
     inst = gen("yes-ltf", seed=34)
     c1 = triple(inst, 1)[2]
-    gamma = frozenset({inst.alpha[0]})
+    gamma = frozenset({int(inst.alpha[0])})
     u = sum(w for k, w in enumerate(inst.function.weights, start=1)
             if k not in c1.zeros)
     assert ltf_potential(c1, inst, "phi", gamma) == \

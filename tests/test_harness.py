@@ -160,7 +160,7 @@ def test_trials_regenerate_instances_per_trial():
     results = run_trials(cfg)
     for r in results:
         assert isinstance(r.instance, LBInstance)
-    assert results[0].instance.R != results[1].instance.R
+    assert results[0].instance.R.tolist() != results[1].instance.R.tolist()
 
 
 def test_budget_forces_accept():
@@ -585,12 +585,25 @@ def test_sim_world_draws_match_strong_sample_calls(seed, k, limit, spent, big,
             point, alpha = strong_sample(inst, rng, tr)
             if alpha is not None:
                 gamma.add(alpha)
-            yield point, simulate_p(point.zeros, inst.R, gamma)
+            yield point, simulate_p(point.zeros, inst.r_set, gamma)
 
     got = run(batch)
     assert got == run(per_draw)
     fit = k if limit is None else min(k, limit - spent)
     assert len(got[0]) == fit and got[1] == (fit < k) and got[2] == spent + fit
+
+
+def test_sim_world_reveals_each_gamma_as_an_int():
+    # an alpha_i read off the instance's array is an np.int64, which passes
+    # every == check against the int; the world must reveal the int itself
+    inst = generate_instance(SMALL_LB, "no", RandomStream(43))
+    tr = QueryTranscript(log_queries=True)
+    world = _SimWorld(inst, RandomStream(44), tr, Sampler(
+        inst.distribution, inst.function, QueryTranscript(), RandomStream(0)))
+    list(world.draws(60))
+    logged = [gamma for _, gamma in tr.sample_log if gamma is not None]
+    assert logged and world.gamma
+    assert {type(gamma) for gamma in logged + list(world.gamma)} == {int}
 
 
 @pytest.mark.parametrize("algo, variant, sim", [
