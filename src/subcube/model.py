@@ -131,8 +131,18 @@ class ZeroSet:
     def all_ones(cls, n: int) -> "ZeroSet":
         return cls(n, frozenset())
 
+    # zeros, sorted, kept by _sorted() after its first call; set through
+    # object.__setattr__, which keeps the instance's attributes inline
+    _sorted_zeros = None
+
+    def _sorted(self) -> tuple:
+        """zeros as a sorted tuple, sorted once per point: it is immutable."""
+        if self._sorted_zeros is None:
+            object.__setattr__(self, "_sorted_zeros", tuple(sorted(self.zeros)))
+        return self._sorted_zeros
+
     def sorted_zeros(self) -> list[int]:
-        return sorted(self.zeros)
+        return list(self._sorted())
 
     def flip(self, coords: Iterable[int]) -> "ZeroSet":
         """The point with every coordinate in coords flipped."""
@@ -335,10 +345,26 @@ class _Law:
     """The exact law of cum, sorted cumulative integer numerators over total
     = cum[-1]: index k has chance (cum[k] - cum[k-1]) / total. Its cuts are
     cum[:-1] but those equal to total, which no V in [0, 1) reaches; tops,
-    their top 64 bits, and the bucket table of draw are built on first use."""
+    their top 64 bits, and the bucket table of draw are built on first use.
 
-    def __init__(self, cum: tuple):
-        self.cum, self.total = cum, cum[-1]
+    A law may instead be given brackets = (lo, hi), uint64 arrays, sorted,
+    with lo[k] <= tops[k] <= hi[k], and exact, a function that returns cum:
+    count then decides each word outside every bracket from the brackets
+    alone, and cum, total and tops are built from exact on first read."""
+
+    def __init__(self, cum: Optional[tuple] = None, brackets: Optional[tuple] = None,
+                 exact=None):
+        if cum is not None:
+            self.cum = cum
+        self._exact, self._brackets = exact, brackets
+
+    @cached_property
+    def cum(self) -> tuple:
+        return self._exact()
+
+    @cached_property
+    def total(self) -> int:
+        return self.cum[-1]
 
     @cached_property
     def tops(self) -> np.ndarray:
@@ -397,15 +423,22 @@ class _Law:
         is undecided (Knuth and Yao's lazy comparison): V's prefix P of b
         bits decides c once it differs from floor(c 2^b / total), or equals
         it with no remainder. So a batch of words reads the words of as
-        many single draws."""
-        tops, total = self.tops, self.total
-        below = np.searchsorted(tops, words, side="left")
-        past = np.searchsorted(tops, words, side="right")
-        for row in np.flatnonzero(past > below).tolist():
+        many single draws. With brackets, a word counts the brackets below
+        it, and only a word inside one reads the tops."""
+        lo, hi = self._brackets or (self.tops,) * 2
+        below = np.searchsorted(hi, words, side="left")
+        past = np.searchsorted(lo, words, side="right")
+        rows = np.flatnonzero(past > below)
+        if rows.size and self._brackets:
+            # a word inside a bracket: the exact tops decide, as for an exact law
+            below[rows] = np.searchsorted(self.tops, words[rows], side="left")
+            past[rows] = np.searchsorted(self.tops, words[rows], side="right")
+            rows = rows[past[rows] > below[rows]]
+        for row in rows.tolist():
             cuts = self._cuts(int(below[row]), int(past[row]))
             prefix, bits = int(words[row]), 64
             while cuts:
-                split = [divmod(c << bits, total) for c in cuts]
+                split = [divmod(c << bits, self.total) for c in cuts]
                 below[row] += sum(t < prefix or t == prefix and not r for t, r in split)
                 cuts = [c for c, (t, r) in zip(cuts, split) if t == prefix and r]
                 if cuts:

@@ -22,12 +22,16 @@ facts in numpy (_block_facts), and charges (and logs) them in runs that
 end where a search runs, so a budget or a nil representative lands at the
 same group as one draw per group would. Then, while it still records, it
 draws each group's facts alone, from their exact law (_GroupLaw): runs
-with logging off have the law of the logged run, not its draws. The
+with logging off have the law of the logged run, not its draws. A group's
+class word and missing word are read against brackets of the cuts' top 64
+bits, computed in floats with a written error bound (_bracket_law); the
+exact cuts are built only for a word inside a bracket. The
 groups left can change no verdict, query or count, so it charges them in
 one step, undrawn. A run with logging off, on a box that asks a monotone
 conjunction (P, {}) and answers every support point with its label, is
 known: its searches ask nothing (binary_search_representative), past
-group 0 its law reads the class words alone, and it asks no probe.
+group 0 its law reads the class words alone, in one block of every group
+left (up to max_facts), and it asks no probe.
 
 _stages12 goes a block of rows at a time: it builds each block's B from
 its flags, as B's coordinates and a table of B's members, decides step
@@ -42,7 +46,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Optional
 
@@ -132,9 +136,14 @@ def compute_parameters(n: int, epsilon) -> TesterParams:
     d = ceil(log2^2(n/eps)/eps), d_star = ceil(d^2/eps), r = ceil(n^(1/3)),
     t = d*r, s = t*ceil(log2 n), group_size = ceil(3t/eps), and Stage 0 is
     charged group_size*(d_star+1) samples. log2(n/eps) is evaluated exactly when
-    n/eps is a power of two, in floating point otherwise.
+    n/eps is a power of two, in floating point otherwise. Memoized on (n,
+    epsilon as a Fraction): TesterParams is frozen, so equal inputs share it.
     """
-    eps = _epsilon(epsilon)
+    return _parameters(n, _epsilon(epsilon))
+
+
+@lru_cache(maxsize=256, typed=True)
+def _parameters(n: int, eps: Fraction) -> TesterParams:
     if n < 2:
         raise ValueError("n must be at least 2")
     ratio = Fraction(n) / eps
@@ -202,7 +211,7 @@ def binary_search_representative(oracle, x: ZeroSet) -> Optional[int]:
     queries are charged as one batch, refused at the query where asking
     them would be.
     """
-    z = x.sorted_zeros()
+    z = x._sorted()
     if not z:
         return None
     required = None if oracle.transcript.log_queries else oracle._required()
@@ -265,24 +274,126 @@ def _block_facts(idx: np.ndarray, lab: np.ndarray, need: int, width: int) -> tup
     return few, first0, masks
 
 
+# The bracket of each Stage-0 cut is its float value widened by this
+# relative margin; a word inside one builds the exact cuts, and an exact cut
+# past _EXACT_BITS bits is refused (MemoryError) rather than built. The
+# class cuts are summed in floats up to _MAX_TERMS terms, and past it bounded
+# by Hoeffding's inequality.
+_MARGIN = 2.0 ** -30
+_EXACT_BITS = 1 << 26
+_MAX_TERMS = 1 << 18
+
+
+def _exact_bits(bits: int) -> None:
+    """MemoryError when an exact cut takes more than _EXACT_BITS bits."""
+    if bits > _EXACT_BITS:
+        raise MemoryError(f"an exact Stage-0 cut would take {bits} bits")
+
+
+def _power(num: int, den: int, e: int) -> tuple:
+    """(f, x) with f 2^x = (num/den)**e, to a relative error below 2^-60,
+    f in [0.5, 1) (0.0 when num is 0), for 0 <= num <= den. Fixed point at p = 72 + e.bit_length()
+    bits, truncated after each product: the base's truncation, under
+    2^(1-p), grows e-fold, and the truncations of the at most 2 log2 e
+    products, raised to the powers left, sum to under 8e 2^(1-p) more."""
+    prec = 72 + e.bit_length()
+    shift = prec + den.bit_length() - num.bit_length()
+    base = (num << shift) // den if shift >= 0 else num // (den << -shift)
+    m, x = 1, 0
+    for bit in bin(e)[2:]:
+        m, x = m * m, 2 * x
+        if bit == "1":
+            m, x = m * base, x - shift
+        drop = m.bit_length() - prec
+        if drop > 0:
+            m, x = m >> drop, x + drop
+    f, y = math.frexp(float(m))
+    return f, x + y
+
+
+def _bracket_law(bounds: list, exact) -> _Law:
+    """The _Law of the cuts that exact() returns, read through brackets:
+    bounds lists (low, high), floats with low <= c/total <= high, for each
+    cut c in order but those known to equal total. A bracket is low's and
+    high's top 64 bits, made monotone as the tops are."""
+    low, high = np.array(bounds, dtype=float).reshape(-1, 2).T * 2.0 ** 64
+    # a float below 2^64 converts to its floor; past it, the largest word
+    lo = np.where(low < 2.0 ** 64, low, 2.0 ** 63).astype(np.uint64)
+    hi = np.where(high < 2.0 ** 64, high, 0).astype(np.uint64)
+    hi[high >= 2.0 ** 64] = np.iinfo(np.uint64).max
+    return _Law(brackets=(np.maximum.accumulate(lo), np.minimum.accumulate(hi[::-1])[::-1]),
+                exact=exact)
+
+
 def _class_cuts(ones: int, m: int, size: int, need: int) -> _Law:
     """The class law of a group of size draws, each 1-labelled with
     probability ones/m, as counts over m**size: the _Law of (few, few +
     full, m**size), whose count is 0 for few, 1 for no 0-sample and 2 for
     neither. few = sum over k < need of C(size, k) ones^k (m - ones)^(size - k)
     counts the groups with fewer than need 1-samples, and full = ones^size
-    those with no 0-sample; the two are disjoint, as need <= size."""
+    those with no 0-sample; the two are disjoint, as need <= size.
+
+    The law is read through brackets (_bracket_law). few/total is summed in
+    floats by the terms' ratio recurrence from (zeros/m)^size (_power), each
+    term to within 4k+2 roundings and the sum to need more, so (5 need + 8)
+    2^-53 < 2^-32 for need <= _MAX_TERMS; past it, or when ones/zeros is past
+    2^64, Hoeffding's bounds on Binomial(size, ones/m) hold it. The exact
+    cuts are built only for a word inside a bracket."""
     zeros = m - ones
-    few = 0
-    if zeros and need:
-        # term = C(size, k) ones^k zeros^(need - 1 - k), k = 0 .. need - 1;
-        # the common factor zeros^(size - need + 1) comes in once, at the end
-        term = few = zeros ** (need - 1)
+
+    def exact() -> tuple:
+        _exact_bits(size * m.bit_length())
+        few = 0
+        if zeros and need:
+            # term = C(size, k) ones^k zeros^(need - 1 - k), k = 0 .. need - 1;
+            # the common factor zeros^(size - need + 1) comes in once, at the end
+            term = few = zeros ** (need - 1)
+            for k in range(need - 1):
+                term = term * (size - k) * ones // ((k + 1) * zeros)
+                few += term
+            few *= zeros ** (size - need + 1)
+        return few, few + ones ** size, m ** size
+
+    if not zeros or not need:
+        few = (0.0, 0.0)
+    elif not ones:
+        return _bracket_law([], exact)  # few = few + full = total
+    elif need <= _MAX_TERMS and ones.bit_length() - zeros.bit_length() < 64:
+        ratio, term, value, x = ones / zeros, 1.0, 1.0, 0
         for k in range(need - 1):
-            term = term * (size - k) * ones // ((k + 1) * zeros)
-            few += term
-        few *= zeros ** (size - need + 1)
-    return _Law((few, few + ones ** size, m ** size))
+            term *= (size - k) / (k + 1) * ratio
+            value += term
+            if term > 2.0 ** 800:
+                term, value, x = term * 2.0 ** -800, value * 2.0 ** -800, x + 800
+        f, y = math.frexp(value)
+        g, z = _power(zeros, m, size)
+        value = math.ldexp(f * g, x + y + z)
+        few = (value * (1 - _MARGIN), value * (1 + _MARGIN))
+    else:
+        few = _hoeffding(ones, m, size, need)
+    if not zeros or need == size:
+        return _bracket_law([few], exact)  # few + full = total
+    full = math.ldexp(*_power(ones, m, size))
+    return _bracket_law([few, (few[0] + full * (1 - _MARGIN),
+                               few[1] + full * (1 + _MARGIN))], exact)
+
+
+def _hoeffding(ones: int, m: int, size: int, need: int) -> tuple:
+    """Bounds (low, high) on P[X < need], X ~ Binomial(size, ones/m), by
+    Hoeffding's inequality P[|X - size p| >= d] <= exp(-2 d^2 / size) on
+    the side where need - 1 or need lies. The exponent is one correctly
+    rounded quotient of integers, taken 2^-40 smaller."""
+    def tail(gap: int) -> float:
+        # exp(-2 (gap/m)^2 / size)
+        try:
+            return math.exp(-2 * gap * gap / (m * m * size) * (1 - 2.0 ** -40)) * (1 + _MARGIN)
+        except OverflowError:
+            return 0.0
+    if (gap := size * ones - (need - 1) * m) > 0:
+        return 0.0, tail(gap)
+    if (gap := need * m - size * ones) > 0:
+        return max(0.0, 1 - tail(gap)), 1.0
+    return 0.0, 1.0
 
 
 def _missing_cuts(cum: tuple, need: int) -> Optional[_Law]:
@@ -291,13 +402,31 @@ def _missing_cuts(cum: tuple, need: int) -> Optional[_Law]:
     m1 = cum[-1]: None when U, the sum over the points of the chance that
     B misses each, exceeds 1/2; else the _Law of the cuts C_k = sum over
     j <= k of (m1 - nums[j])**need, over total = m1**need, whose count is
-    J, or len(cum) when B misses no point; U is the last cut. Each
-    distinct power is computed once, and the cuts are summed once."""
+    J, or len(cum) when B misses no point; U is the last cut.
+
+    The law is read through brackets (_bracket_law): each distinct chance
+    (1 - v/m1)**need comes from _power, and the running sums in floats are
+    within (len(cum) + 2) 2^-53 of the cuts over total. The exact cuts are
+    built only for a word inside a bracket, or to decide U against 1/2 when
+    U's bracket holds 1/2."""
+    m1 = cum[-1]
     nums = [b - a for a, b in zip((0,) + cum[:-1], cum)]
-    total = cum[-1] ** need
-    powers = {v: (cum[-1] - v) ** need for v in set(nums)}
-    cuts = tuple(accumulate(map(powers.__getitem__, nums)))
-    return None if 2 * cuts[-1] > total else _Law(cuts + (total,))
+
+    def exact() -> tuple:
+        _exact_bits(need * m1.bit_length())
+        powers = {v: (m1 - v) ** need for v in set(nums)}
+        return tuple(accumulate(map(powers.__getitem__, nums))) + (m1 ** need,)
+
+    powers = {v: math.ldexp(*_power(m1 - v, m1, need)) for v in set(nums)}
+    margin = max(_MARGIN, (len(nums) + 2) * 2.0 ** -51)
+    bounds = [(c * (1 - margin), c * (1 + margin))
+              for c in accumulate(map(powers.__getitem__, nums))]
+    if bounds[-1][0] > 0.5:
+        return None
+    if bounds[-1][1] > 0.5:
+        law = _Law(exact())
+        return None if 2 * law.cum[-2] > law.total else law
+    return _bracket_law(bounds, exact)
 
 
 class _GroupLaw:
@@ -556,11 +685,12 @@ def _stage0(oracle, sampler, p: TesterParams):
         charge(idx, lab, start, read)
         g += read
     # Then, while recording, the groups' facts alone. Past group 0 a block
-    # of facts holds at least _FACT_GROUPS groups; with no 0-labelled
-    # point, group 1 ends the run, and is drawn alone.
-    law = None
+    # of facts holds at least _FACT_GROUPS groups, and a block of class
+    # words (a known run) every group left, up to max_facts; with no
+    # 0-labelled point, group 1 ends the run, and is drawn alone.
+    law, some_zero = None, bool((sampler.labels == 0).any())
     while g < groups and recording:
-        block = max(block, _FACT_GROUPS) if (sampler.labels == 0).any() else 1
+        block = (max_facts if known else max(block, _FACT_GROUPS)) if some_zero else 1
         count = next_block(max_facts)
         need = p.t if g == 0 else p.t - 1
         if law is None or law.need != need:

@@ -1132,6 +1132,52 @@ def test_cli_stage0_allocation_failure_names_group_size_n_and_epsilon(tmp_path, 
     assert proc.stdout == ""
 
 
+def _deep_all_ones(tmp_path):
+    # n = 10^17, every support point 1-labelled: Stage 0 draws every group as
+    # its facts, from class and missing cuts over 4^group_size and 4^t
+    n = 10 ** 17
+    path = tmp_path / "deep-ones.json"
+    save_instance(path, n, MonotoneConj(n, frozenset()), FiniteDistribution(
+        n, ((zs(n), Fraction(3, 4)), (zs(n, 1), Fraction(1, 4)))))
+    return path
+
+
+@pytest.mark.parametrize("algo, samples", [("mconj", 45202257229044630),
+                                           ("conj", 45202257229044631)])
+def test_cli_facts_path_reads_its_cuts_through_brackets(tmp_path, algo, samples):
+    # the cuts' brackets decide every word, so no exact power of 4 with
+    # billions of bits is built and the run ends at group 1 (no 0-sample)
+    proc = _run_limited_cli(_deep_all_ones(tmp_path), algo)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1].startswith(
+        f"0,accept,stage2-no-zero,168796061941,{samples},")
+
+
+# _LIMITED_CLI with every batch word rigged to 0, which lies inside the
+# bracket [0, 0] of a cut of 0
+_RIGGED_CLI = _LIMITED_CLI.replace(
+    "from subcube.cli", "import numpy as np; from subcube.rng import RandomStream; "
+    "RandomStream._words = lambda self, k: np.zeros(k, dtype=np.uint64); from subcube.cli")
+
+
+def test_cli_word_inside_a_bracket_past_the_exact_bits_exits_2(tmp_path):
+    # group 0's class law holds few = 0, whose bracket is [0, 0]: word 0
+    # asks for the exact cuts over 4^group_size, which are refused, and the
+    # error names group_size, n and epsilon
+    src = os.path.dirname(os.path.dirname(subcube.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _RIGGED_CLI, "test", "--instance",
+                           str(_deep_all_ones(tmp_path)), "--algo", "mconj", "--epsilon", "1"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    size = tester_module.compute_parameters(10 ** 17, 1).group_size
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert all(part in proc.stderr for part in (f"group_size = {size}", f"n = {10 ** 17}",
+                                                "epsilon = 1"))
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("algo, samples", [("mconj", 120590417700000),
                                            ("conj", 120590417700001)])
 def test_cli_conjunction_box_holds_no_table_over_the_coordinates(tmp_path, algo, samples):

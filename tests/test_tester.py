@@ -4,6 +4,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 import hashlib
+from itertools import accumulate
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +35,8 @@ from subcube import (
     ceil_log2,
     compute_parameters,
 )
+import subcube
+import subcube.model as model_module
 import subcube.tester as tester_module
 from subcube.tester import (
     binary_search_representative,
@@ -1888,3 +1894,218 @@ def test_drawn_facts_word_layout_is_pinned(ones, zeros, size, t, seed, small_u, 
             sha.update(part.tobytes())
         sha.update(repr(sampler._batch._gen.bit_generator.state).encode())
     assert sha.hexdigest()[:16] == digest
+
+
+# -- Stage 0's cuts read through brackets ---------------------------------------
+
+
+def exact_missing_cuts(cum, need):
+    """_missing_cuts' cuts as exact integers, U's comparison with 1/2 included."""
+    m1 = cum[-1]
+    cuts = tuple(accumulate((m1 - (b - a)) ** need for a, b in zip((0,) + cum[:-1], cum)))
+    return None if 2 * cuts[-1] > m1 ** need else cuts + (m1 ** need,)
+
+
+def bracket_words(data, tops):
+    """Random words, and each exact top with its two neighbours."""
+    mask = (1 << 64) - 1
+    words = data.draw(st.lists(st.integers(0, mask), max_size=4))
+    words += [w for top in tops for w in (top - 1, top, top + 1) if 0 <= w <= mask]
+    return np.array(data.draw(st.permutations(words)), dtype=np.uint64)
+
+
+def check_brackets(law, cum, words, seed):
+    """law, read through brackets, against the exact _Law of cum: the
+    brackets hold the exact tops, the counts and the tie-stream words read
+    are the same, and law built its exact cuts exactly when a word lies
+    inside a bracket."""
+    exact = model_module._Law(cum)
+    lo, hi = law._brackets
+    assert len(lo) == len(hi) == len(exact.tops)
+    assert (lo <= exact.tops).all() and (exact.tops <= hi).all()
+    inside = bool(((lo[:, None] <= words) & (words <= hi[:, None])).any())
+    got, want = RandomStream(seed), RandomStream(seed)
+    assert law.count(got, words).tolist() == exact.count(want, words).tolist()
+    assert repr(got._ties._gen.bit_generator.state) == repr(want._ties._gen.bit_generator.state)
+    assert ("cum" in vars(law)) == inside
+    if inside:
+        assert law.cum == cum
+
+
+_DENOMINATORS = st.one_of(st.integers(2, 1 << 20), st.integers(1 << 62, 1 << 70))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m=_DENOMINATORS, size=st.integers(1, 200), seed=st.integers(0, 99),
+       hoeffding=st.booleans())
+def test_class_cut_brackets_count_as_the_exact_cuts(data, m, size, seed, hoeffding):
+    # hoeffding: bound few by Hoeffding's inequality, as past _MAX_TERMS terms
+    ones = data.draw(st.one_of(st.integers(0, m), st.sampled_from([0, 1, m - 1, m])))
+    need = data.draw(st.integers(0, size))
+    saved = tester_module._MAX_TERMS
+    tester_module._MAX_TERMS = 0 if hoeffding else saved
+    try:
+        law = tester_module._class_cuts(ones, m, size, need)
+    finally:
+        tester_module._MAX_TERMS = saved
+    assert "cum" not in vars(law)
+    cum = tester_module._class_cuts(ones, m, size, need).cum
+    exact_top = model_module._Law(cum).tops.tolist()
+    check_brackets(law, cum, bracket_words(data, exact_top), seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m1=_DENOMINATORS, points=st.integers(1, 6), need=st.integers(0, 300),
+       seed=st.integers(0, 99))
+def test_missing_cut_brackets_count_as_the_exact_cuts(data, m1, points, need, seed):
+    inner = sorted(data.draw(st.sets(st.integers(1, m1 - 1), max_size=min(points, m1) - 1)))
+    cum = tuple(inner) + (m1,)
+    law, want = tester_module._missing_cuts(cum, need), exact_missing_cuts(cum, need)
+    assert (law is None) == (want is None)
+    if law is None or law._brackets is None:
+        return  # U > 1/2, or U's bracket held 1/2 and the law is exact
+    assert "cum" not in vars(law)
+    check_brackets(law, want, bracket_words(data, model_module._Law(want).tops.tolist()), seed)
+
+
+def test_cuts_past_the_exact_bits_are_refused_only_inside_a_bracket():
+    # n = 10^17, epsilon = 1, all-ones support: group 0's class law and
+    # missing law hold cuts of 0, each bracket [0, 0]; word 0 lies inside it
+    # and its exact cuts would take billions of bits
+    p = compute_parameters(10 ** 17, 1)
+    law = tester_module._class_cuts(4, 4, p.group_size, p.t)
+    missing = tester_module._missing_cuts((1, 4), p.t)
+    for cuts in (law, missing):
+        words = np.array([1, 1 << 63, (1 << 64) - 1], dtype=np.uint64)
+        assert cuts.count(RandomStream(0), words).tolist() == [len(cuts._brackets[0])] * 3
+        with pytest.raises(MemoryError, match="bits"):
+            cuts.count(RandomStream(0), np.zeros(1, dtype=np.uint64))
+
+
+# -- a known run reads its class words in one block ----------------------------
+
+
+def reference_conj_tester(oracle, sampler, p, rng):
+    """test_general_conjunction's search for x*, then reference_mconj_tester
+    on the views flipped at ZERO(x*)."""
+    for _ in range(-(-3 // p.epsilon)):
+        x, label = sampler.draw()
+        if label == 1:
+            return reference_mconj_tester(oracle.flipped(x.zeros), sampler.flipped(x.zeros),
+                                          p, rng)
+    return True, "conj-no-positive", 0, 0
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), conj=st.booleans(), ones=st.integers(60, 90),
+       budget=st.one_of(st.none(), st.integers(2, 448)), small=st.booleans())
+def test_class_words_come_in_one_block_per_max_facts_groups(seed, conj, ones, budget, small):
+    # An in-class quiet run at n = 64, epsilon = 1 (1,297 groups of 432): the
+    # all-ones point and a second 1-point hold ones/100 of the mass, two
+    # 0-points the rest. budget: the groups the sample budget admits, most
+    # inside the 64-, 128- and 256-group blocks a known run used to draw.
+    # small: blocks of facts capped at 100 groups, not 2^18 / (2 width).
+    # The run matches the reference run in verdict, counts and logs; its
+    # searches are the reference's; and past group 0 it draws only class
+    # words, one call per max_facts groups
+    n = 64
+    p = compute_parameters(n, 1)
+    rng = RandomStream(seed)
+    f = GeneralConj(n, frozenset({1}), frozenset({2})) if conj else MonotoneConj(n, frozenset({1}))
+    base = frozenset({2}) if conj else frozenset()
+    points = (zs(n, *base), zs(n, *(base | {3 + rng.randrange(60)})),
+              zs(n, *(base | {1})), zs(n, *(base | {1, 5 + rng.randrange(59)})))
+    weights = (Fraction(ones, 200), Fraction(ones, 200), Fraction(100 - ones, 200),
+               Fraction(100 - ones, 200))
+    dist = FiniteDistribution(n, tuple(zip(points, weights)))
+    limit = None if budget is None else p.group_size * budget + rng.randrange(p.group_size)
+    calls, draw = [], tester_module._GroupLaw.draw
+    saved = tester_module._BLOCK_SAMPLES
+
+    def recorded(law, count):
+        calls.append((law.class_only, count))
+        return draw(law, count)
+
+    runs = []
+    tester_module._GroupLaw.draw = recorded
+    tester_module._BLOCK_SAMPLES = 2 * len(points) * 100 if small else saved
+    try:
+        for reference in (True, False):
+            tr = QueryTranscript(limit=limit)
+            sub = RandomStream(seed)
+            bb, sm = BlackBox(f, tr), Sampler(dist, f, tr, sub.split("samples"))
+            try:
+                if reference:
+                    got = (reference_conj_tester if conj else reference_mconj_tester)(
+                        bb, sm, p, sub.split("tester"))
+                else:
+                    v = (run_conj_tester if conj else run_mconj_tester)(bb, sm, n, 1,
+                                                                      sub.split("tester"))
+                    got = (v.accepted, v.reason, v.stage0_zero_samples, v.searches)
+            except BudgetExceeded:
+                got = ("budget",)
+            runs.append((got[:2] + got[3:], tr.blackbox_count, tr.sample_count,
+                         tr.blackbox_log, tr.sample_log))
+    finally:
+        tester_module._GroupLaw.draw = draw
+        tester_module._BLOCK_SAMPLES = saved
+    want, got = runs
+    assert got == want
+    assert want[0][0] is not False
+    max_facts = max(1, tester_module._BLOCK_SAMPLES // (2 * len(points))) if not small else 100
+    counts = [count for class_only, count in calls if class_only]
+    assert all(class_only for class_only, _ in calls)
+    assert counts and all(c == max_facts for c in counts[:-1]) and counts[-1] <= max_facts
+
+
+def test_compute_parameters_is_memoized_after_the_epsilon_check():
+    # equal inputs, in any form epsilon takes, share one TesterParams; what
+    # _epsilon refuses is refused as before, and nothing is cached for it
+    p = compute_parameters(512, Fraction(1, 2))
+    assert compute_parameters(512, Fraction(1, 2)) is p
+    assert compute_parameters(512, 0.5) is p and compute_parameters(512, "1/2") is p
+    assert compute_parameters(512, 1) is not p
+    for bad, error, match in ((1.5, ValueError, r"epsilon must be in \(0, 1\]"),
+                              (float("nan"), ValueError, "NaN"),
+                              ("half", ValueError, "Invalid literal"),
+                              (0, ValueError, r"epsilon must be in \(0, 1\]"),
+                              (Fraction(3, 2), ValueError, r"epsilon must be in \(0, 1\]")):
+        for _ in range(2):
+            with pytest.raises(error, match=match):
+                compute_parameters(512, bad)
+    with pytest.raises(ValueError, match="n must be at least 2"):
+        compute_parameters(1, 1)
+
+
+# generates a yes and a no instance, runs a quiet mconj and a conj trial on
+# each and the violation pipeline on the no instance, through the CLI, then
+# prints whether numpy.ma was ever imported
+_NO_MASKED_ARRAYS = """
+import contextlib, io, os, sys, tempfile
+from subcube.cli import main
+d = tempfile.mkdtemp()
+with contextlib.redirect_stdout(io.StringIO()):
+    for variant in ("yes", "no"):
+        path = os.path.join(d, variant + ".json")
+        assert main(["gen-instance", "--variant", variant, "--n", "60", "--scaled",
+                     "h=4,r_blocks=7,m=3,s=1,bps=2", "--seed", "5", "--out", path]) == 0
+        for algo in ("mconj", "conj"):
+            assert main(["test", "--instance", path, "--algo", algo, "--epsilon", "1",
+                         "--seed", "0"]) == 0
+    assert main(["violation", "--instance", path, "--epsilon", "1",
+                 "--emit", "prune-report"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_trials_and_violation_pipeline_never_import_numpy_ma():
+    # numpy imports numpy.ma on the first plain np.unique(x) in a process,
+    # about 9-14 ms and 1.5-1.7 MB; the tester's np.unique calls all pass
+    # return_index or return_inverse, which do not
+    src = os.path.dirname(os.path.dirname(subcube.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
