@@ -12,32 +12,31 @@ The monotone tester splits where the paper's stages do. Stages 1 and 2
 read only three facts of each group: its class (too few 1-samples, no
 0-sample, or neither), its first 0-sample, and B, the union of the zero
 sets of its first t (Stage 2: t-1) 1-samples. _stage0 returns these facts
-(_GroupFacts) of the groups up to the first that ends the run, with the
-representatives, and _stages12 reads nothing else.
+(_GroupFacts) in blocks, with the representatives, and _stages12 reads
+nothing else, in order, up to the group that ends the run.
 
 Stage 0 draws the groups in blocks that double from group 0, which is a
 block of its own. While a representative search can still run, or the
 query log lists every sample, it draws the groups as samples, reads their
 facts in numpy (_block_facts), and charges (and logs) them in runs that
 end where a search runs, so a budget or a nil representative lands at the
-same group as one draw per group would. Then, while it still records, it
-draws each group's facts alone, from their exact law (_GroupLaw): runs
+same group as one draw per group would. Then it charges every group left
+in one step, undrawn, and each later block is drawn as its groups' facts
+alone, from their exact law (_GroupLaw), when _stages12 reads it: runs
 with logging off have the law of the logged run, not its draws. A group's
 class word and missing word are read against brackets of the cuts' top 64
 bits, computed in floats with a written error bound (_bracket_law); the
-exact cuts are built only for a word inside a bracket. The
-groups left can change no verdict, query or count, so it charges them in
-one step, undrawn. A run with logging off, on a box that asks a monotone
-conjunction (P, {}) and answers every support point with its label, is
-known: its searches ask nothing (binary_search_representative), past
-group 0 its law reads the class words alone, in one block of every group
-left (up to max_facts), and it asks no probe.
+exact cuts are built only for a word inside a bracket. A run with logging
+off, on a box that asks a monotone conjunction (P, {}) and answers every
+support point with its label, is known: its searches ask nothing
+(binary_search_representative), past group 0 its law reads the class
+words alone, in blocks of max_facts groups, and it asks no probe.
 
-_stages12 goes a block of rows at a time: it builds each block's B from
-its flags, as B's coordinates and a table of B's members, decides step
-2.1 from that table, and asks the probes of the rows before the first
-step-2.1 group through BlackBox.query_until, which stops at the first
-that ends the run.
+_stages12 asks Stage 2's groups _SUBSET_ROWS at a time: it builds their B
+from its flags, as B's coordinates and a table of B's members, decides
+step 2.1 from that table, and asks the probes of the rows before the
+first step-2.1 group through BlackBox.query_until, which stops at the
+first that ends the run.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
-from typing import Optional
+from itertools import accumulate, chain
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -558,18 +557,21 @@ def _b_rows(zeros: tuple, flags: np.ndarray) -> tuple:
 
 @dataclass
 class _GroupFacts:
-    """All Stages 1-2 read of the groups Stage 0 recorded. Per group:
-    b_ids, the row in flags (B's support points) of its B, or -1 when it
-    has too few 1-samples; first0s, its first 0-sample, or -1. reps: each
-    searched point's representative. zero_count: the 0-samples of the
-    groups drawn as samples. known: whether the run is known."""
+    """All Stages 1-2 read of Stage 0's groups, in blocks (b_ids, first0s,
+    flags): per group, the row in flags (B's support points) of its B, or
+    -1 when it has too few 1-samples, and its first 0-sample, or -1; a
+    known run's blocks of class words have no flags. The first block is
+    held here, and more yields the rest, each drawn when it is read. reps:
+    each searched point's representative. zero_count: the 0-samples of
+    the groups drawn as samples. known: whether the run is known."""
 
     b_ids: np.ndarray
     first0s: np.ndarray
-    flags: np.ndarray
+    flags: Optional[np.ndarray]
     reps: dict
     zero_count: int
     known: bool
+    more: Iterable = ()
 
 
 def _out_of_memory(p: TesterParams) -> MemoryError:
@@ -583,7 +585,8 @@ def _stage0(oracle, sampler, p: TesterParams):
     """Stage 0 after the all-ones probe: every sample group, and a
     representative search for each distinct 0-labelled point drawn.
     Returns the stage0-nil-representative Verdict, or the _GroupFacts of
-    the recorded groups."""
+    the groups, up to the first that ends the run: those drawn as samples
+    are read here, the rest drawn as Stages 1-2 read them."""
     transcript = sampler.transcript
     # A known run: every representative lies in P and no B meets P, so
     # step 2.1 never fires, every Stage-1 probe answers 1 and every Stage-2
@@ -599,43 +602,10 @@ def _stage0(oracle, sampler, p: TesterParams):
     done = sampler.labels != 0
     pending = width - int(np.count_nonzero(done))
     zero_count, recording, g = 0, True, 0
-    b_ids, first0s, unions = [], [], {}  # unions: B's id, by its row of flags
+    blocks = []  # the facts of the groups drawn as samples
     block = 1  # group 0, whose B takes t 1-samples, is a block of its own
     max_block = max(1, _BLOCK_SAMPLES // (size + width))
     max_facts = max(1, _BLOCK_SAMPLES // (2 * width))
-
-    def next_block(most: int) -> int:
-        # no block holds a refused group; a block none of whose groups fits
-        # is refused
-        nonlocal block
-        count = transcript._take("sample_count", min(block, most, groups - g), size,
-                                 charge=False)
-        block = min(2 * block, max(max_block, max_facts))
-        return count
-
-    def record(few: np.ndarray, first0: np.ndarray, masks) -> int:
-        # the facts of a block's groups up to the first whose facts end the
-        # run; returns that group's row, or the block's size when none does
-        nonlocal recording
-        count = len(few)
-        ends = few | (first0 < 0) if g else few
-        stop = int(ends.argmax()) if ends.any() else count
-        rec = min(stop + 1, count)
-        if masks is None:
-            # a class-only block: a known run reads no B past group
-            # 0's, so group 0's id stands in for every B it has
-            ids = np.where(few[:rec], -1, 0)
-        else:
-            ids = np.full(rec, -1)
-            keep = np.flatnonzero(~few[:rec])
-            keys, inverse = np.unique(masks[keep].view(f"V{width}").ravel(),
-                                      return_inverse=True)
-            ids[keep] = np.array([unions.setdefault(key, len(unions))
-                                  for key in keys.tolist()], dtype=int)[inverse]
-        b_ids.append(ids)
-        first0s.append(first0[:rec])
-        recording = stop == count
-        return stop
 
     def charge(idx: np.ndarray, lab: np.ndarray, a: int, b: int) -> None:
         # groups a..b-1 of a block, read, in one step
@@ -647,20 +617,27 @@ def _stage0(oracle, sampler, p: TesterParams):
     # Groups drawn as samples. Each block's facts are computed up front, but
     # a group is charged (and logged) before any search runs on it, so a
     # budget, a nil representative or the end of the phase lands at the
-    # same group as when groups are drawn one at a time.
+    # same group as when groups are drawn one at a time. No block holds a
+    # refused group; a block none of whose groups fits is refused.
     while g < groups and (pending or transcript.log_queries):
-        count = next_block(max_block)
+        count = transcript._take("sample_count", min(block, max_block, groups - g), size,
+                                 charge=False)
+        block = min(2 * block, max(max_block, max_facts))
         try:
             _check_draws(size, "a Stage-0 group", p.n, p.epsilon)
             idx, lab = sampler._draw_groups(count, size)
             if recording:
-                facts = _block_facts(idx, lab, p.t if g == 0 else p.t - 1, width)
+                few, first0, masks = _block_facts(idx, lab, p.t if g == 0 else p.t - 1, width)
         except MemoryError:
             raise _out_of_memory(p) from None
         # last: the last row the run must read, count when it reads them all
         last = count if transcript.log_queries else -1
         if recording:
-            last = max(last, record(*facts))
+            # the block's facts, read up to the first group that ends the run
+            blocks.append((np.where(few, -1, np.arange(count)), first0, masks))
+            ends = few | (first0 < 0) if g else few
+            recording = not ends.any()
+            last = max(last, count if recording else int(ends.argmax()))
         # (row, point) of each first appearance of a point not yet searched
         searches = []
         if pending:
@@ -684,92 +661,115 @@ def _stage0(oracle, sampler, p: TesterParams):
         read = min(last + 1, count)
         charge(idx, lab, start, read)
         g += read
-    # Then, while recording, the groups' facts alone. Past group 0 a block
-    # of facts holds at least _FACT_GROUPS groups, and a block of class
-    # words (a known run) every group left, up to max_facts; with no
-    # 0-labelled point, group 1 ends the run, and is drawn alone.
-    law, some_zero = None, bool((sampler.labels == 0).any())
-    while g < groups and recording:
-        block = (max_facts if known else max(block, _FACT_GROUPS)) if some_zero else 1
-        count = next_block(max_facts)
-        need = p.t if g == 0 else p.t - 1
-        if law is None or law.need != need:
-            law = _GroupLaw(sampler, size, need, known and g > 0)
-        try:
-            facts = law.draw(count)
-        except MemoryError:
-            raise _out_of_memory(p) from None
-        rec = min(record(*facts) + 1, count)
-        transcript._take("sample_count", rec, size)
-        g += rec
-    # The groups left could change only the 0-sample count: charge them
-    # undrawn, so a budget runs out where drawing would have exhausted it.
+    # No group left can start a search, and those past the one that ends
+    # the run change no verdict, query or count: charge them all now, in one
+    # step, so a budget refuses the group where drawing would exhaust it.
     transcript._take("sample_count", groups - g, size)
-    flags = np.frombuffer(b"".join(unions), dtype=bool).reshape(-1, width)
-    return _GroupFacts(np.concatenate(b_ids), np.concatenate(first0s), flags, reps,
-                       zero_count, known)
+
+    def drawn(g: int, block: int):
+        # The groups' facts alone. Past group 0 a block of facts holds at
+        # least _FACT_GROUPS groups, and a block of class words (a known run)
+        # max_facts; with no 0-labelled point, group 1 ends the run, alone.
+        law, some_zero = None, bool((sampler.labels == 0).any())
+        while g < groups:
+            block = (max_facts if known else max(block, _FACT_GROUPS)) if some_zero else 1
+            count = min(block, max_facts, groups - g)
+            block = min(2 * block, max(max_block, max_facts))
+            need = p.t if g == 0 else p.t - 1
+            if law is None or law.need != need:
+                law = _GroupLaw(sampler, size, need, known and g > 0)
+            try:
+                few, first0, masks = law.draw(count)
+            except MemoryError:
+                raise _out_of_memory(p) from None
+            yield np.where(few, -1, np.arange(count)), first0, masks
+            g += count
+
+    # Stages 1-2 read no block past the group that ends the run
+    stream = chain(blocks, drawn(g, block) if recording else ())
+    return _GroupFacts(*next(stream), reps, zero_count, known, stream)
 
 
 def _stages12(facts: _GroupFacts, oracle, sampler, p: TesterParams,
               rng: RandomStream) -> tuple:
-    """Stages 1 and 2 on Stage 0's facts: (accepted, reason)."""
-    b_ids, flags = facts.b_ids, facts.flags
-    if b_ids[0] < 0:
+    """Stages 1 and 2 on Stage 0's facts: (accepted, reason). Stage 2 reads
+    the blocks in order, and none past the group that ends the run."""
+    if facts.b_ids[0] < 0:
         return True, "stage1-few-ones"
-    # Stage 2: one fresh group per iteration. Every 0-sample has its
-    # representative, because Stage 0 returns on the first nil one. Only
-    # the last recorded group can lack B or a 0-sample, and it asks no probe.
-    ids, first0s = b_ids[1:], facts.first0s[1:]
-    end, reason = len(ids), "end-of-stage-2"
-    if end and ids[-1] < 0:
-        end, reason = end - 1, "stage2-few-ones"
-    elif end and first0s[-1] < 0:
-        end, reason = end - 1, "stage2-no-zero"
+    b0 = facts.flags[facts.b_ids[:1]]  # the flags of group 0's B, for Stage 1
     if facts.known:
         # Stage 1's 2s probes (none when B0 holds no zero) and one per
-        # Stage-2 group, charged as when they are asked
-        b0 = any(sampler.point(si).zeros for si in np.flatnonzero(flags[b_ids[0]]).tolist())
-        sampler.transcript._take("blackbox_count", (2 * p.s if b0 else 0) + end)
-        return True, reason
-    pairs = [(si, j) for si in range(sampler.support_size) for j in sampler.point(si).zeros]
-    point, zero = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    zeros = (point, *np.unique(zero, return_inverse=True))
-    # b0: B of the first group, for Stage 1
-    b0 = sizes0, _, coords0, _ = _b_rows(zeros, flags[b_ids[:1]])
-    rep_of = np.array([facts.reps.get(si, 0) for si in range(sampler.support_size)],
-                      dtype=np.intp)
-    ids, alpha = ids[:end], rep_of[first0s[:end]]
+        # Stage-2 group, charged in one step as when they are asked
+        asked = 2 * p.s if any(sampler.point(si).zeros
+                               for si in np.flatnonzero(b0).tolist()) else 0
+    else:
+        pairs = [(si, j) for si in range(sampler.support_size)
+                 for j in sampler.point(si).zeros]
+        point, zero = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        zeros = (point, *np.unique(zero, return_inverse=True))
+        rep_of = np.array([facts.reps.get(si, 0) for si in range(sampler.support_size)],
+                          dtype=np.intp)
+        step_rng = rng.split("steps")
 
-    step_rng = rng.split("steps")
+        def probes(b: tuple, rows: np.ndarray, k: int) -> np.ndarray:
+            # a random k-subset (all, when smaller) of the B of each row of b
+            sizes, offsets, coords, _ = b
+            pos = step_rng.subset_rows(sizes[rows], k)
+            return coords[np.where(pos < 0, -1, offsets[rows, None] + pos)]
 
-    def probes(b: tuple, rows: np.ndarray, k: int) -> np.ndarray:
-        # a random k-subset (all, when smaller) of the B of each row of b
-        sizes, offsets, coords, _ = b
-        pos = step_rng.subset_rows(sizes[rows], k)
-        return coords[np.where(pos < 0, -1, offsets[rows, None] + pos)]
+        def stage2(masks: np.ndarray, alpha: np.ndarray) -> Optional[str]:
+            # up to _SUBSET_ROWS Stage-2 groups, by the flags of their B and
+            # their alpha: step 2.1, from B's table at alpha's column (alpha
+            # is a zero of its 0-sample); the rows before the first alpha in
+            # its B ask their probes
+            keys, inverse = np.unique(masks.view(f"V{masks.shape[1]}").ravel(),
+                                      return_inverse=True)
+            b = *_, bits = _b_rows(zeros, keys.view(bool).reshape(len(keys), -1))
+            inside = bits[inverse, np.searchsorted(zeros[1], alpha)]
+            stop = int(inside.argmax()) if inside.any() else len(inside)
+            if oracle.query_until(np.column_stack((alpha[:stop], probes(
+                    b, inverse[:stop], p.r - 1))), 1) is not None:
+                return "step-2.2"
+            return "step-2.1" if stop < len(inside) else None
 
-    # Stage 1: the first group feeds the singleton and subset probes.
-    if sizes0[0]:
-        singles = coords0[step_rng.integers(sizes0[0], size=p.s)]
-        if oracle.query_until(singles[:, None], 0) is not None:
-            return False, "step-1.1"
-        for start in range(0, p.s, _SUBSET_ROWS):
-            rows = np.zeros(min(_SUBSET_ROWS, p.s - start), dtype=int)
-            if oracle.query_until(probes(b0, rows, p.r), 0) is not None:
-                return False, "step-1.2"
-    for start in range(0, end, _SUBSET_ROWS):
-        rows = slice(start, min(end, start + _SUBSET_ROWS))
-        block, inverse = np.unique(ids[rows], return_inverse=True)
-        b = *_, bits = _b_rows(zeros, flags[block])
-        # step 2.1, from B's table at alpha's column (alpha is a zero of its
-        # 0-sample): the rows before the first alpha in its B ask their probes
-        inside = bits[inverse, np.searchsorted(zeros[1], alpha[rows])]
-        stop = int(inside.argmax()) if inside.any() else len(inside)
-        if oracle.query_until(np.column_stack((alpha[rows][:stop], probes(
-                b, inverse[:stop], p.r - 1))), 1) is not None:
-            return False, "step-2.2"
-        if stop < len(inside):
-            return False, "step-2.1"
+        # Stage 1: the first group feeds the singleton and subset probes.
+        b = sizes0, _, coords0, _ = _b_rows(zeros, b0)
+        if sizes0[0]:
+            try:
+                singles = coords0[step_rng.integers(sizes0[0], size=p.s)]
+            except MemoryError:
+                raise MemoryError(f"Stage 1 ran out of memory on its s = {p.s} singleton "
+                                  f"probes (n = {p.n}, epsilon = {p.epsilon})") from None
+            if oracle.query_until(singles[:, None], 0) is not None:
+                return False, "step-1.1"
+            for start in range(0, p.s, _SUBSET_ROWS):
+                rows = np.zeros(min(_SUBSET_ROWS, p.s - start), dtype=int)
+                if oracle.query_until(probes(b, rows, p.r), 0) is not None:
+                    return False, "step-1.2"
+    # Stage 2: one fresh group per iteration, _SUBSET_ROWS at a time. Every
+    # 0-sample has its representative, as Stage 0 returns on the first nil
+    # one. The first group that lacks B or a 0-sample ends the run unasked.
+    masks, alpha, reason = b0[:0], np.zeros(0, dtype=np.intp), "end-of-stage-2"
+    for ids, first0s, flags in chain([(facts.b_ids[1:], facts.first0s[1:], facts.flags)],
+                                     facts.more):
+        ends = (ids < 0) | (first0s < 0)
+        stop = int(ends.argmax()) if ends.any() else len(ids)
+        if facts.known:
+            asked += stop
+        else:
+            masks = np.concatenate((masks, flags[ids[:stop]]))
+            alpha = np.concatenate((alpha, rep_of[first0s[:stop]]))
+            while len(alpha) >= _SUBSET_ROWS:
+                if verdict := stage2(masks[:_SUBSET_ROWS], alpha[:_SUBSET_ROWS]):
+                    return False, verdict
+                masks, alpha = masks[_SUBSET_ROWS:], alpha[_SUBSET_ROWS:]
+        if stop < len(ids):
+            reason = "stage2-few-ones" if ids[stop] < 0 else "stage2-no-zero"
+            break
+    if facts.known:
+        sampler.transcript._take("blackbox_count", asked)
+    elif len(alpha) and (verdict := stage2(masks, alpha)):
+        return False, verdict
     return True, reason
 
 

@@ -293,26 +293,25 @@ def prune_to_regular(G: ViolationGraph, epsilon, d: int) -> PruneReport:
     eps = Fraction(epsilon)
     if d < 1:
         raise ValueError("d must be at least 1")
+    # heavy: _heavy(work, d), or None until it is needed; weighed: work's
+    # cover weighs more than eps/4. A batch that removes nothing keeps both.
     work = _without(G)
-    removed = []
-    rounds = 0
-    while True:
+    removed, rounds, heavy, weighed, exit_reason = [], 0, None, False, None
+    while exit_reason is None:
         rounds += 1
-        heavy_left, _ = _heavy(work, d)
-        removed += [("left",) + work.left[i] for i in heavy_left]
-        work = _without(work, left_out=set(heavy_left))
-        if min_weight_vertex_cover(work)[1] <= eps / 4:
-            exit_reason = "cheap-cover-found"
-            break
-        _, heavy_right = _heavy(work, d)
-        removed += [("right",) + work.right[j] for j in heavy_right]
-        work = _without(work, right_out=set(heavy_right))
-        if min_weight_vertex_cover(work)[1] <= eps / 4:
-            exit_reason = "cheap-cover-found"
-            break
-        if not any(_heavy(work, d)):
-            exit_reason = "no-heavy-left"
-            break
+        for side, name in enumerate(("left", "right")):
+            heavy = heavy or _heavy(work, d)
+            if heavy[side]:
+                removed += [(name,) + (work.left, work.right)[side][k] for k in heavy[side]]
+                work = _without(work, **{name + "_out": set(heavy[side])})
+                heavy, weighed = None, False
+            if not weighed and min_weight_vertex_cover(work)[1] <= eps / 4:
+                exit_reason = "cheap-cover-found"
+                break
+            weighed = True
+        else:
+            heavy = heavy or _heavy(work, d)
+            exit_reason = None if any(heavy) else "no-heavy-left"
     W = work.graph_weight()
     l_prime = tuple(v for v, k in zip(work.left, _degrees(work)[0]) if k >= W / 2)
     return PruneReport(work, tuple(removed), W, l_prime, rounds, exit_reason)

@@ -1132,6 +1132,36 @@ def test_cli_stage0_allocation_failure_names_group_size_n_and_epsilon(tmp_path, 
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("epsilon", ["1/32", "1/100"])
+def test_cli_demo_rejects_at_step_1_1_from_group_0_alone(tmp_path, capsys, epsilon):
+    # the README's demo instance: Stage 1 rejects from group 0's B, so no
+    # later group's facts are drawn, where a record of each of the 2.5e10
+    # groups at epsilon = 1/100 ran out of 2 GiB
+    path = tmp_path / "demo.json"
+    assert cli.main(["gen-instance", "--variant", "no", "--n", "60", "--scaled",
+                     "h=4,r_blocks=7,m=3,s=1,bps=2", "--seed", "5", "--out", str(path)]) == 0
+    capsys.readouterr()
+    proc = _run_limited_cli(path, "mconj", epsilon)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1].startswith("0,reject,step-1.1,")
+
+
+def test_cli_stage1_allocation_failure_names_s_n_and_epsilon(tmp_path):
+    # n = 2^70, both points 1-labelled by a decision list, which no quiet
+    # run reads as a conjunction: B0 = {1}, and Stage 1's s = 3.6e12
+    # singleton probes do not fit in 2 GiB; the error names s, n and epsilon
+    n = 1 << 70
+    path = tmp_path / "wide.json"
+    save_instance(path, n, DecisionList(n, ((1, 1),), 1), FiniteDistribution(
+        n, ((zs(n), Fraction(1, 2)), (zs(n, 1), Fraction(1, 2)))))
+    proc = _run_limited_cli(path, "mconj")
+    s = tester_module.compute_parameters(n, 1).s
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert all(part in proc.stderr for part in (f"s = {s}", f"n = {n}", "epsilon = 1"))
+    assert proc.stdout == ""
+
+
 def _deep_all_ones(tmp_path):
     # n = 10^17, every support point 1-labelled: Stage 0 draws every group as
     # its facts, from class and missing cuts over 4^group_size and 4^t

@@ -1206,15 +1206,20 @@ def class_only_reads(monkeypatch):
 
 
 def test_a_box_that_disagrees_with_one_label_reads_every_fact(monkeypatch):
-    # the box answers x5 x1 and the sampler labels by x5, which differ on
-    # the two 1-labelled points zero at 1: past group 0 the run still draws
-    # D0 and D1; on the box that agrees with every label, it reads only
-    # the class words, and draws nothing
+    # the box answers x6 and the sampler labels by x5, which differ on the
+    # 0-labelled point (5,): every Stage-1 probe answers 1, and past group 0
+    # the run still draws D0 and D1 up to the group that rejects it; on the
+    # box that agrees with every label, it reads only the class words, and
+    # draws nothing. The box x5 x1, which differs on the 1-labelled points
+    # zero at 1, rejects in Stage 1 and draws no group past group 0
     n = 16
     dist = uniform_dist(n, [(), (1,), (1, 2), (3,), (5,), (5, 6)])
     labels = MonotoneConj(n, frozenset({5}))
     reads = class_only_reads(monkeypatch)
-    for box, class_only in ((MonotoneConj(n, frozenset({1, 5})), False), (labels, True)):
+    for seed in range(3):
+        quiet_run("mconj", MonotoneConj(n, frozenset({1, 5})), labels, dist, seed)
+    assert reads == []
+    for box, class_only in ((MonotoneConj(n, frozenset({6})), False), (labels, True)):
         reads.clear()
         for seed in range(3):
             quiet_run("mconj", box, labels, dist, seed)
@@ -1557,6 +1562,96 @@ def test_stages12_on_recorded_facts_match_the_reference(case):
     want = reference_stages12(groups, reps, ref_box, ref_sampler, p, ref_rng)
     assert (got, tr.blackbox_count, tr.blackbox_log) == (
         want, ref_tr.blackbox_count, ref_tr.blackbox_log)
+
+
+class _Splits(RandomStream):
+    """A RandomStream that keeps every stream split from it."""
+
+    __slots__ = ("children",)
+
+    def __init__(self, seed, path=()):
+        super().__init__(seed, path)
+        self.children = []
+
+    def split(self, *labels):
+        child = super().split(*labels)
+        self.children.append(child)
+        return child
+
+
+def facts_in_blocks(facts, cuts):
+    """facts' groups cut before each group in cuts, as Stage 0 hands them
+    on: the first block held, the rest yielded by more, each with its own
+    row of flags per group. Also returns the list of the positions of the
+    blocks more has yielded."""
+    pad = np.vstack((facts.flags, np.zeros((1, facts.flags.shape[1]), dtype=bool)))
+    bounds = [0, *cuts, len(facts.b_ids)]
+    blocks = [(np.where(facts.b_ids[a:b] < 0, -1, np.arange(b - a)), facts.first0s[a:b],
+               pad[facts.b_ids[a:b]]) for a, b in zip(bounds, bounds[1:])]
+    read = []
+
+    def more():
+        for k, block in enumerate(blocks[1:], 1):
+            read.append(k)
+            yield block
+
+    return tester_module._GroupFacts(*blocks[0], facts.reps, 0, facts.known, more()), read
+
+
+# the example: B = {1, 2} and alpha = 3 in every Stage-2 group, and the
+# probe {2, 3} answers 1 (step 2.2), {1, 3} 0; a chunk draws every row's
+# probe before it asks them, so the step stream's state tells chunks apart
+@settings(max_examples=300, deadline=None)
+@given(case=recorded_groups(), limit=st.one_of(st.none(), st.integers(0, 24)),
+       cuts=st.sets(st.integers(1, 6)), rows=st.integers(1, 4))
+@example(case=(MarkedLiteral(4, 3, frozenset({2, 3})), uniform_dist(4, [(1, 2), (3,)]),
+               frozenset(), "non-monotone", True, small_params(4, d_star=6, t=2, s=0,
+                                                              group_size=3),
+               [[0, 0, 1]] * 7, 0), limit=None, cuts={1, 2, 3, 4, 5, 6}, rows=4)
+def test_stages12_on_facts_in_blocks_match_the_one_block_call(case, limit, cuts, rows):
+    # the facts of every group, the groups past the first that ends the run
+    # included, cut into random blocks under a random black-box limit, with
+    # Stage 2 asking its groups in chunks of 1 to 4 rows, small enough to
+    # span blocks: the verdict, counts, black-box log, the count where the
+    # budget runs out and the state of the step stream are those of the
+    # one-block call on the groups up to that one, and no block past it is
+    # read
+    func, dist, flip, kind, log, p, groups, seed = case
+    labels = [func.value_at(point.zeros) for point, _ in dist.entries]
+    end = _ends_recording(p, [labels[i] for group in groups for i in group])
+    recorded = groups if end is None else groups[:end + 1]
+    cuts = sorted(c for c in cuts if c < len(groups))
+    known = not log and kind != "non-monotone"
+
+    def run(kept, cut):
+        tr = QueryTranscript(log_queries=log, limit=limit)
+        rng = RandomStream(seed)
+        box = BlackBox(func, tr).flipped(flip)
+        sampler = Sampler(dist, func, tr, rng.split("samples")).flipped(flip)
+        reps = {si: binary_search_representative(
+            BlackBox(func, QueryTranscript()).flipped(flip), sampler.point(si))
+            for group in recorded for si in group if not labels[si]}
+        assume(None not in reps.values())
+        facts, read = cut(facts_by_set_rule(kept, labels, p, reps, known, len(labels)))
+        tester = rng.split("tester")
+        steps = _Splits(tester.seed, tester.path)
+        try:
+            got = tester_module._stages12(facts, box, sampler, p, steps)
+        except BudgetExceeded:
+            got = "budget"
+        return (got, tr.blackbox_count, tr.blackbox_log,
+                [child._gen.bit_generator.state for child in steps.children]), read
+
+    saved, tester_module._SUBSET_ROWS = tester_module._SUBSET_ROWS, rows
+    try:
+        want, _ = run(recorded, lambda facts: (facts, []))
+        got, read = run(groups, lambda facts: facts_in_blocks(facts, cuts))
+    finally:
+        tester_module._SUBSET_ROWS = saved
+    assert got == want
+    if end is not None:
+        # the block that holds group end is the last that may be read
+        assert all(k <= sum(c <= end for c in cuts) for k in read), (read, cuts, end)
 
 
 # -- B and step 2.1 from the support's zero pairs ------------------------------
@@ -1999,11 +2094,12 @@ def reference_conj_tester(oracle, sampler, p, rng):
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), conj=st.booleans(), ones=st.integers(60, 90),
        budget=st.one_of(st.none(), st.integers(2, 448)), small=st.booleans())
+@example(seed=331, conj=True, ones=60, budget=None, small=False)  # conj-no-positive
 def test_class_words_come_in_one_block_per_max_facts_groups(seed, conj, ones, budget, small):
     # An in-class quiet run at n = 64, epsilon = 1 (1,297 groups of 432): the
     # all-ones point and a second 1-point hold ones/100 of the mass, two
-    # 0-points the rest. budget: the groups the sample budget admits, most
-    # inside the 64-, 128- and 256-group blocks a known run used to draw.
+    # 0-points the rest. budget: the groups the sample budget admits, fewer
+    # than the run's, so it refuses a group of Stage 0.
     # small: blocks of facts capped at 100 groups, not 2^18 / (2 width).
     # The run matches the reference run in verdict, counts and logs; its
     # searches are the reference's; and past group 0 it draws only class
@@ -2055,6 +2151,12 @@ def test_class_words_come_in_one_block_per_max_facts_groups(seed, conj, ones, bu
     max_facts = max(1, tester_module._BLOCK_SAMPLES // (2 * len(points))) if not small else 100
     counts = [count for class_only, count in calls if class_only]
     assert all(class_only for class_only, _ in calls)
+    if budget is not None or want[0][1] in ("conj-no-positive", "stage1-few-ones"):
+        # no group is drawn as facts: the run ends before Stage 0 or at
+        # group 0, or the budget refuses a Stage-0 group, which the charge
+        # of every group left finds first
+        assert not calls
+        return
     assert counts and all(c == max_facts for c in counts[:-1]) and counts[-1] <= max_facts
 
 

@@ -26,7 +26,8 @@ from subcube import (
     prune_to_regular,
     regularity_diagnostics,
 )
-from subcube.violation import _heavy, _without
+import subcube.violation as violation_module
+from subcube.violation import PruneReport, _degrees, _heavy, _without
 from helpers import (
     brute_min_cover,
     literal_heavy,
@@ -412,6 +413,87 @@ def test_prune_random_graphs_invariants():
             for j, (_, wj) in enumerate(star.right):
                 assert inw[j] < d * report.W * wj
     assert seen_no_heavy
+
+
+def reference_prune_to_regular(G, epsilon, d, calls):
+    """prune_to_regular as first written, kept as the reference for the
+    loop that reuses its heavy sets and covers: each round finds the heavy
+    vertices three times and weighs the cover after both batches, whether
+    or not a batch removed anything. calls counts its "cover" and "heavy"
+    calls. Returns the PruneReport."""
+    def heavy(work):
+        calls["heavy"] += 1
+        return _heavy(work, d)
+
+    def cheap(work):
+        calls["cover"] += 1
+        return min_weight_vertex_cover(work)[1] <= Fraction(epsilon) / 4
+
+    work, removed, rounds = _without(G), [], 0
+    while True:
+        rounds += 1
+        heavy_left, _ = heavy(work)
+        removed += [("left",) + work.left[i] for i in heavy_left]
+        work = _without(work, left_out=set(heavy_left))
+        if cheap(work):
+            exit_reason = "cheap-cover-found"
+            break
+        _, heavy_right = heavy(work)
+        removed += [("right",) + work.right[j] for j in heavy_right]
+        work = _without(work, right_out=set(heavy_right))
+        if cheap(work):
+            exit_reason = "cheap-cover-found"
+            break
+        if not any(heavy(work)):
+            exit_reason = "no-heavy-left"
+            break
+    W = work.graph_weight()
+    l_prime = tuple(v for v, k in zip(work.left, _degrees(work)[0]) if k >= W / 2)
+    return PruneReport(work, tuple(removed), W, l_prime, rounds, exit_reason)
+
+
+def counted_prune(g, eps, d):
+    """prune_to_regular(g, eps, d), and its "cover" and "heavy" calls."""
+    calls = {"cover": 0, "heavy": 0}
+    cover, heavy = violation_module.min_weight_vertex_cover, violation_module._heavy
+
+    def counted(name, func):
+        def call(*args):
+            calls[name] += 1
+            return func(*args)
+        return call
+
+    violation_module.min_weight_vertex_cover = counted("cover", cover)
+    violation_module._heavy = counted("heavy", heavy)
+    try:
+        return prune_to_regular(g, eps, d), calls
+    finally:
+        violation_module.min_weight_vertex_cover, violation_module._heavy = cover, heavy
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=shaped_graphs(), eps=st.sampled_from([Fraction(1), Fraction(1, 4), Fraction(1, 64)]),
+       d=st.sampled_from([1, 2, 3, 5, 9]))
+def test_prune_matches_the_reference_without_repeating_work(g, eps, d):
+    # the report is the reference's, and a batch that removes nothing
+    # neither weighs the cover nor finds the heavy vertices again, so the
+    # loop makes no more cover or heavy calls than the reference
+    want_calls = {"cover": 0, "heavy": 0}
+    want = reference_prune_to_regular(g, eps, d, want_calls)
+    got, calls = counted_prune(g, eps, d)
+    assert got == want
+    assert all(calls[k] <= want_calls[k] for k in calls), (calls, want_calls)
+
+
+def test_prune_skips_the_batches_that_remove_nothing():
+    # K(4,4) with d = 5 has no heavy vertex: one round whose two batches
+    # remove nothing, so the cover is weighed once and the heavy vertices
+    # found once, where the reference weighs it twice and finds them thrice
+    want_calls = {"cover": 0, "heavy": 0}
+    want = reference_prune_to_regular(k44_graph(), Fraction(1, 2), 5, want_calls)
+    report, calls = counted_prune(k44_graph(), Fraction(1, 2), 5)
+    assert report == want and report.exit_reason == "no-heavy-left" and report.rounds == 1
+    assert (calls, want_calls) == ({"cover": 1, "heavy": 1}, {"cover": 2, "heavy": 3})
 
 
 # -- regularity diagnostics ---------------------------------------------------
