@@ -182,17 +182,41 @@ def _frozen_rows(rows) -> tuple:
     return tuple(tuple(frozenset(b) for b in row) for row in rows)
 
 
-def _rule_table(r_sorted, alpha, blocks, ids) -> tuple:
-    """The hidden-block rule of a generated draw on arrays, for
-    LBNoFunction._values_at, from R sorted and alpha and the blocks as
-    positions in R: R; per position in R, and at |R| for a coordinate
-    outside R, the i of the alpha_i there and the id of its block (-1 for
-    none); the (m, 2*bps) block ids, the A-side first; and need."""
-    alpha_at = np.full(r_sorted.size + 1, -1)
-    alpha_at[alpha] = np.arange(alpha.size)
-    block_of = np.full(r_sorted.size + 1, -1)
-    block_of[blocks] = np.arange(len(blocks))[:, None]
-    return r_sorted, alpha_at, block_of, ids, (3 * ids.shape[1] // 2 + 3) // 4
+def _rule_table(r_sorted, alpha, members, owner, ids) -> Optional[tuple]:
+    """The hidden-block rule on arrays, for LBNoFunction, from R sorted,
+    alpha and the blocks' members as positions in R, each member's block id
+    and ids, each triple's (2 w) block ids, A side first: places, the
+    position in R of each coordinate up to max(R) + 1 (|R| outside R, |R| +
+    1 at the pad 0); per position, and at |R| and |R| + 1, the i of the
+    alpha_i there and its block id (-1 for none); ids; and need. None when
+    places would pass 8 |R| + 64 entries: the function then asks value_at."""
+    size = r_sorted.size
+    if not size or r_sorted[-1] >= 8 * size + 64:
+        return None
+    places = np.full(r_sorted[-1] + 2, size, dtype=np.min_scalar_type(size + 1))
+    places[0], places[r_sorted] = size + 1, np.arange(size)
+    alpha_at, block_of = np.full((2, size + 2), -1)
+    alpha_at[alpha], block_of[members] = np.arange(alpha.size), owner
+    return places, alpha_at, block_of, ids, (3 * ids.shape[1] // 2 + 3) // 4
+
+
+def _decoded_table(func) -> Optional[tuple]:
+    """The _rule_table of an LBNoFunction from its own R, alpha and blocks;
+    None where that rule would not be value_at's: a coordinate past 2^63,
+    an alpha or block outside R, distinct blocks that meet, unequal widths."""
+    widths = {len(row) for row in func.a_blocks + func.b_blocks}
+    ids: dict = {}  # each distinct block, to its id
+    rows = [[ids.setdefault(blk, len(ids)) for blk in a + b]
+            for a, b in zip(func.a_blocks, func.b_blocks)]
+    members = list(chain.from_iterable(ids))
+    if (func.n >= 1 << 63 or len(widths) > 1 or len(set(members)) < len(members)
+            or not func.R.issuperset(members) or not func.R.issuperset(func.alpha)):
+        return None
+    r_sorted = np.array(sorted(func.R), dtype=np.int64)
+    return _rule_table(r_sorted, _positions(r_sorted, np.array(func.alpha, dtype=np.int64)),
+                       _positions(r_sorted, np.array(members, dtype=np.int64)),
+                       np.repeat(np.arange(len(ids)), list(map(len, ids))),
+                       np.array(rows, dtype=int).reshape(len(rows), 2 * min(widths, default=0)))
 
 
 @dataclass(frozen=True)
@@ -265,32 +289,40 @@ class LBNoFunction(FunctionSpec):
             return 1 if self.potential(zeros) >= self.threshold else 0
         return 1 if zeros <= self.R and not self._unmet(zeros) else 0
 
-    # the rule on arrays (see _rule_table), which generation seeds; a
-    # function built any other way answers _values_at through value_at
+    # the rule on arrays (see _rule_table), which generation and decoding
+    # set at construction; without it _values_at asks value_at
     _table = None
 
-    def _values_at(self, coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    @property
+    def _batched(self) -> bool:
+        return self._table is not None
+
+    def _mapped(self, coords: np.ndarray) -> np.ndarray:
+        # each coordinate's position in R: |R| outside R, |R| + 1 for the pad
         if self._table is None:
-            return super()._values_at(coords, rows)
-        r_sorted, alpha_at, block_of, ids, need = self._table
-        # each entry's position in R; a pad or a zero outside R takes |R|
-        at = np.append(_positions(r_sorted, coords), r_sorted.size)[rows]
-        zeros = np.count_nonzero(rows < coords.size, axis=1)
-        outside = zeros - np.count_nonzero(at < r_sorted.size, axis=1)
-        # the block of each zero, as sorted keys row * |R| + block (a block
-        # id is below |R|), and the (row r, triple i) pairs with alpha_i a
-        # zero of row r
+            return coords
+        return self._table[0][np.minimum(coords, self._table[0].size - 1)]
+
+    def _values_at(self, at: np.ndarray) -> np.ndarray:
+        if self._table is None:
+            return super()._values_at(at)
+        _, alpha_at, block_of, ids, need = self._table
+        span = alpha_at.size - 1  # |R| + 1, past every block id
+        zeros = np.count_nonzero(at < span, axis=1)
+        outside = np.count_nonzero(at == span - 1, axis=1)
+        # the block of each zero, as sorted keys row * span + block, and
+        # the (row r, triple i) pairs with alpha_i a zero of row r
         blocks = block_of[at]
-        keys = np.sort((np.arange(len(rows))[:, None] * r_sorted.size + blocks)[blocks >= 0])
+        keys = np.sort((np.arange(len(at))[:, None] * span + blocks)[blocks >= 0])
         alphas = alpha_at[at]
         r, col = np.nonzero(alphas >= 0)
         # per pair, how many zeros of row r each block of triple i holds
-        want = r[:, None] * r_sorted.size + ids[alphas[r, col]]
+        want = r[:, None] * span + ids[alphas[r, col]]
         hits = np.searchsorted(keys, want, side="right") - np.searchsorted(keys, want)
         width = ids.shape[1] // 2
         special = (((hits[:, :width] > self.s).sum(axis=1) >= need)
                    & ((hits[:, width:] <= self.s).sum(axis=1) >= need))
-        unmet = np.bincount(r[~special], minlength=len(rows))
+        unmet = np.bincount(r[~special], minlength=len(at))
         if self.threshold is None:
             return ((outside == 0) & (unmet == 0)).astype(np.int8)
         # the potential, exactly in Python ints: 10 n^3 passes 2^63 near n = 10^6
@@ -491,8 +523,9 @@ def _generate(params: LBParams, variant: str, rng: RandomStream) -> LBInstance:
                             tuple(zip(*by_id[a_ids.T].tolist())),
                             tuple(zip(*by_id[b_ids.T].tolist())), params.s,
                             threshold if variant == "no-ltf" else None)
-        object.__setattr__(func, "_table",
-                           _rule_table(r_sorted, alpha, blocks, np.hstack((a_ids, b_ids))))
+        object.__setattr__(func, "_table", _rule_table(
+            r_sorted, alpha, blocks.ravel(), np.repeat(np.arange(len(blocks)), blocks.shape[1]),
+            np.hstack((a_ids, b_ids))))
     # the entries: each kind's points, all of one weight
     kinds = [(points[kind], mass / len(points[kind])) for kind, mass in _FAMILY[variant][0]]
     nums, _ = _over_lcm([weight for _, weight in kinds])
@@ -562,7 +595,8 @@ def validate_instance(inst: LBInstance) -> None:
     rows[1 + 2 * m:, :p.ell // 2] = a_rows
     rows[1 + 2 * m:, p.ell // 2:] = b_rows
     want = np.repeat(_FAMILY[inst.variant][1], (1, m, m, m))
-    wrong = np.flatnonzero(inst.function._values_at(R, rows) != want)
+    f = inst.function
+    wrong = np.flatnonzero(f._values_at(f._mapped(np.append(R, 0))[rows]) != want)
     if wrong.size:
         k = int(wrong[0]) - 1
         kind, i = divmod(k, m) if k >= 0 else (-1, 0)

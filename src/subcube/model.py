@@ -24,11 +24,14 @@ and _conditioned(label) gives the law of the distribution conditioned on a
 label, over the support points that have it.
 BlackBox.flipped(C) and Sampler.flipped(C) are views that flip the queries
 asked or the points handed out, share both streams, and log in the
-instance's own coordinates; each checks C once, as Flipped does. BlackBox.query_until asks a batch of small zero
-sets in order, one query_set each, and stops at the first whose answer ends
-the run. BlackBox._required() names P when the box, flip included, asks a
-monotone conjunction (P, {}), which the tester's quiet runs read; each box
-and each view reads it once.
+instance's own coordinates; each checks C once, as Flipped does.
+BlackBox.query_until asks a batch of small zero sets in order and stops at
+the first whose answer ends the run. BlackBox._required() names P when the
+box, flip included, asks a monotone conjunction (P, {}), which the tester's
+quiet runs read; each box and each view reads it once.
+A quiet, unflipped box whose function has a batch rule answers
+_BATCH_ROWS or more queries ahead (BlackBox._batches), then charges them in
+sequential order up to the one where its caller stops.
 
 One QueryTranscript is the ledger of a trial: every oracle of the trial,
 every flipped view and every amplification attempt charges it. It counts
@@ -47,7 +50,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, Optional
 
 import numpy as np
@@ -99,6 +102,13 @@ def _coords(n: int, coords: Iterable, what: str, signed: bool = False) -> frozen
         if type(i) is not int or not 1 <= (abs(i) if signed else i) <= n:
             raise ValueError(f"{what} {i!r} is not an integer in 1..{n}")
     return coords if isinstance(coords, frozenset) else frozenset(coords)
+
+
+# the coordinate that pads a row of zeros (FunctionSpec._values_at)
+_PAD = frozenset({0})
+# The fewest rows asked at once through a batch rule: below it numpy's fixed
+# cost outweighs a value_at per row on desk no functions, the costliest rule.
+_BATCH_ROWS = 128
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +174,19 @@ class FunctionSpec:
     def value_at(self, zeros: frozenset) -> int:
         raise NotImplementedError
 
-    def _values_at(self, coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The value at each row of rows, as int8s. coords is a 1-D int
-        array of distinct coordinates, and a row lists the positions in it
-        of distinct zeros, padded with len(coords) to the width of rows; a
-        family with a batch rule reads every row at once, any other asks
-        value_at."""
-        coords = coords.tolist()
-        return np.array([self.value_at(frozenset(coords[k] for k in row if k < len(coords)))
-                         for row in rows.tolist()], dtype=np.int8)
+    _batched = False  # a batch rule: set only where answers never change
+
+    def _mapped(self, coords: np.ndarray) -> np.ndarray:
+        """What a batch rule reads of each coordinate of the int array
+        coords, 0 being the pad: by default the coordinate itself."""
+        return coords
+
+    def _values_at(self, rows: np.ndarray) -> np.ndarray:
+        """The value at each row of rows, as int8s: a row holds _mapped() of
+        one point's distinct zeros, padded with _mapped() of 0. A batch rule
+        reads every row at once; without one, value_at answers each."""
+        return np.array([self.value_at(frozenset(row) - _PAD) for row in rows.tolist()],
+                        dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -192,10 +206,13 @@ class MonotoneConj(FunctionSpec):
     def value_at(self, zeros: frozenset) -> int:
         return 1 if self.required.isdisjoint(zeros) else 0
 
-    def _values_at(self, coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # whether each coordinate, and the pad after them, is required
-        required = np.append(np.isin(coords, list(self.required)), False)
-        return (~required[rows].any(axis=1)).astype(np.int8)
+    _batched = True
+
+    def _mapped(self, coords: np.ndarray) -> np.ndarray:  # whether each is required
+        return np.isin(coords, np.fromiter(self.required, dtype=int, count=len(self.required)))
+
+    def _values_at(self, rows: np.ndarray) -> np.ndarray:
+        return (~rows.any(axis=1)).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -264,6 +281,8 @@ class LinearThreshold(FunctionSpec):
         if len(ws) != self.n:
             raise ValueError("need one weight per coordinate")
         object.__setattr__(self, "_total", sum(ws))
+        # the weight of each coordinate, the pad's 0 first, as Python ints
+        object.__setattr__(self, "_weights", np.array((0,) + ws, dtype=object))
 
     def value_at(self, zeros: frozenset) -> int:
         acc = self._total
@@ -271,11 +290,14 @@ class LinearThreshold(FunctionSpec):
             acc -= self.weights[i - 1]
         return 1 if acc >= self.threshold else 0
 
-    def _values_at(self, coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # 1 iff a row's zeros take at most total - threshold off the total,
-        # summed exactly in Python ints; the pad weighs 0
-        weights = np.array(self.weights + (0,), dtype=object)[np.append(coords - 1, self.n)]
-        return (weights[rows].sum(axis=1) <= self._total - self.threshold).astype(np.int8)
+    _batched = True
+
+    def _mapped(self, coords: np.ndarray) -> np.ndarray:
+        return self._weights[coords]
+
+    def _values_at(self, rows: np.ndarray) -> np.ndarray:
+        # 1 iff a row's zeros take at most total - threshold off the total
+        return (rows.sum(axis=1) <= self._total - self.threshold).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -499,12 +521,44 @@ class FiniteDistribution:
         return self._law.total
 
 
+def _batch(func: FunctionSpec, rows: int) -> bool:
+    """Whether func's batch rule answers rows points at once."""
+    return rows >= _BATCH_ROWS and func._batched and func.n < 1 << 63
+
+
+def _slices_at(func: FunctionSpec, mapped: np.ndarray, starts: np.ndarray,
+               sizes: np.ndarray) -> np.ndarray:
+    """func._values_at on the zero sets mapped[start:start + size] (the pad
+    last) as one padded batch; split at a quarter of the widest set when
+    the pad would take over 3/4 of it, so memory stays that of the sets."""
+    width = int(sizes.max(initial=0))
+    if width * sizes.size > 4 * int(sizes.sum()):
+        small, values = sizes <= width // 4, np.empty(sizes.size, dtype=np.int8)
+        for part in (small, ~small):
+            values[part] = _slices_at(func, mapped, starts[part], sizes[part])
+        return values
+    cols = np.arange(width)
+    at = np.where(cols < sizes[:, None], starts[:, None] + cols, mapped.size - 1)
+    return func._values_at(mapped[at])
+
+
+def _mapped_sets(func: FunctionSpec, sets: list) -> tuple:
+    """(mapped, starts, sizes) of the zero sets in sets for _slices_at:
+    func._mapped() of their coordinates, set after set, then of the pad."""
+    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    flat = np.fromiter(chain(chain.from_iterable(sets), (0,)), dtype=np.int64,
+                       count=int(sizes.sum()) + 1)
+    return func._mapped(flat), np.cumsum(sizes) - sizes, sizes
+
+
 def _support_labels(func: FunctionSpec, dist: FiniteDistribution) -> np.ndarray:
     """func's labels on dist's support, in entry order, as an int8 array.
     Raises DimensionMismatch when func and dist disagree on n, and
     ValueError unless every label is 0 or 1."""
     if func.n != dist.n:
         raise DimensionMismatch("function and distribution disagree on n")
+    if _batch(func, len(dist.entries)):
+        return _slices_at(func, *_mapped_sets(func, [p.zeros for p, _ in dist.entries]))
     labels = [func.value_at(p.zeros) for p, _ in dist.entries]
     if not set(labels) <= {0, 1}:
         raise ValueError("labels must be 0 or 1")
@@ -558,8 +612,6 @@ class QueryTranscript:
         return fit
 
 
-# the coordinate that pads the rows of BlackBox.query_until
-_PAD = frozenset({0})
 # BlackBox._p before _required() has read it
 _UNREAD = object()
 
@@ -623,15 +675,31 @@ class BlackBox:
         view._flip, view._p = self._flip ^ _coords(self.n, coords, "flip coordinate"), _UNREAD
         return view
 
+    def _batches(self, rows: int) -> bool:
+        """Whether rows queries are answered ahead, uncharged, by the batch
+        rule: a flip or a log asks each as one query_set."""
+        return not self._flip and not self.transcript.log_queries and _batch(self.func, rows)
+
     def query_until(self, rows: np.ndarray, stop: int) -> Optional[int]:
         """Ask the zero sets in rows in order until one is answered stop:
         its index, or None when none is.
 
         Each row lists the distinct coordinates of one set, padded with 0s,
-        and is asked as one query_set: charged and logged as one query."""
-        for k, row in enumerate(rows.tolist()):
-            if self.query_set(frozenset(row) - _PAD) == stop:
-                return k
+        and is charged and logged as one query_set. A box that batches asks
+        doubling blocks of rows, answers past the stop dropped uncharged."""
+        if not self._batches(len(rows)):
+            for k, row in enumerate(rows.tolist()):
+                if self.query_set(frozenset(row) - _PAD) == stop:
+                    return k
+            return None
+        start, block = 0, _BATCH_ROWS
+        while start < len(rows):
+            part = rows[start:start + block]
+            hit = np.flatnonzero(self.func._values_at(self.func._mapped(part)) == stop)
+            self.transcript._take("blackbox_count", int(hit[0]) + 1 if hit.size else len(part))
+            if hit.size:
+                return start + int(hit[0])
+            start, block = start + len(part), 2 * block
         return None
 
 

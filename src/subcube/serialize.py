@@ -15,7 +15,7 @@ import re
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .adversarial import LBInstance, LBNoFunction
+from .adversarial import LBInstance, LBNoFunction, _decoded_table
 from .model import (
     DecisionList,
     FiniteDistribution,
@@ -185,9 +185,11 @@ def _function(obj, where: str) -> FunctionSpec:
         except (TypeError, ValueError):
             raise InstanceFormatError(f"{where}.bits: {bits!r} is not a hex string") from None
         return TruthTable(n, value)
-    return LBNoFunction(n, ints("R", n), ints("alpha", n), ints("a_blocks", n, 3),
+    func = LBNoFunction(n, ints("R", n), ints("alpha", n), ints("a_blocks", n, 3),
                         ints("b_blocks", n, 3), num("s"),
                         num("threshold") if tag == "lb-no-ltf" else None)
+    object.__setattr__(func, "_table", _decoded_table(func))  # as generation sets it
+    return func
 
 
 def instance_to_obj(n: int, func: FunctionSpec,

@@ -20,7 +20,8 @@ block of its own. While a representative search can still run, or the
 query log lists every sample, it draws the groups as samples, reads their
 facts in numpy (_block_facts), and charges (and logs) them in runs that
 end where a search runs, so a budget or a nil representative lands at the
-same group as one draw per group would. Then it charges every group left
+same group as one draw per group would; a block's new points are searched
+together (_representatives). Then Stage 0 charges every group left
 in one step, undrawn, and each later block is drawn as its groups' facts
 alone, from their exact law (_GroupLaw), when _stages12 reads it: runs
 with logging off have the law of the logged run, not its draws. A group's
@@ -36,7 +37,7 @@ _stages12 asks Stage 2's groups _SUBSET_ROWS at a time: it builds their B
 from its flags, as B's coordinates and a table of B's members, decides
 step 2.1 from that table, and asks the probes of the rows before the
 first step-2.1 group through BlackBox.query_until, which stops at the
-first that ends the run.
+first that ends the run (asking blocks of rows, on a box that batches).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .model import DimensionMismatch, ZeroSet, _Law
+from .model import DimensionMismatch, ZeroSet, _Law, _mapped_sets, _slices_at
 from .rng import RandomStream
 
 __all__ = [
@@ -239,6 +240,37 @@ def binary_search_representative(oracle, x: ZeroSet) -> Optional[int]:
         else:
             return None
     return z[0]
+
+
+def _representatives(oracle, points: list):
+    """binary_search_representative(oracle, x) for each x of points, in
+    order, each charged as it is yielded. On a box that batches and is not
+    searched by rank, the searches run in lockstep, one uncharged batch of
+    every live search's two halves per level, so a budget refuses the same
+    query and a caller that stops leaves the rest uncharged."""
+    if not oracle._batches(2 * len(points)) or oracle._required() is not None:
+        for x in points:
+            yield binary_search_representative(oracle, x)
+        return
+    zeros = [x._sorted() for x in points]
+    # each search's zeros left, as mapped[start:start + size]
+    mapped, starts, sizes = _mapped_sets(oracle.func, zeros)
+    first, levels, nil = starts.copy(), np.zeros_like(sizes), sizes == 0
+    live = np.flatnonzero(sizes >= 2)
+    while live.size:
+        at, size = starts[live], sizes[live]
+        half = (size + 1) // 2
+        v0, v1 = _slices_at(oracle.func, mapped, np.concatenate((at, at + half)),
+                            np.concatenate((half, size - half))).reshape(2, -1)
+        levels[live] += 1
+        nil[live] = (v0 != 0) & (v1 != 0)
+        starts[live] = np.where(v0 == 0, at, at + half)
+        sizes[live] = np.where(v0 == 0, half, size - half)
+        live = live[~nil[live] & (sizes[live] >= 2)]
+    # the representative: the one zero left, at its place in the sorted zeros
+    for z, k, at, gone in zip(zeros, levels.tolist(), (starts - first).tolist(), nil.tolist()):
+        oracle.transcript._take("blackbox_count", 2 * k)
+        yield None if gone else z[at]
 
 
 # Stage 0 draws its groups in blocks that double from one group up to about
@@ -648,14 +680,14 @@ def _stage0(oracle, sampler, p: TesterParams):
             searches = list(zip((fresh[first[order]] // size).tolist(),
                                 points[order].tolist()))
             last = max(last, searches[-1][0] if len(searches) == pending else count)
-        start = 0
+        start, found = 0, _representatives(oracle, [sampler.point(si) for _, si in searches])
         for row, si in searches:
             if row >= start:
                 charge(idx, lab, start, row + 1)
                 start = row + 1
             done[si] = True
             pending -= 1
-            rep = reps[si] = binary_search_representative(oracle, sampler.point(si))
+            rep = reps[si] = next(found)
             if rep is None:
                 return Verdict(False, "stage0-nil-representative", p, zero_count, len(reps))
         read = min(last + 1, count)
@@ -881,8 +913,7 @@ def baseline_dolev_ron(oracle, sampler, n: int, epsilon,
         else:
             zero_points.setdefault(x.zeros, x)
     representatives = set()
-    for x in zero_points.values():
-        rep = binary_search_representative(oracle, x)
+    for rep in _representatives(oracle, list(zero_points.values())):
         if rep is None:
             return Verdict(False, "baseline-nil-representative")
         representatives.add(rep)

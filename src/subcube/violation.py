@@ -29,7 +29,7 @@ from .model import (
     _over_lcm,
     _support_labels,
 )
-from .tester import binary_search_representative
+from .tester import _representatives
 
 __all__ = [
     "ViolationGraph",
@@ -68,6 +68,12 @@ class ViolationGraph:
         for _, w in self.left + self.right:
             if w <= 0:
                 raise ValueError("vertex weights must be positive")
+
+    @cached_property
+    def _scaled(self) -> tuple:
+        """(left, right, denom): the weights as integers over denom."""
+        nums, denom = _over_lcm([w for _, w in self.left + self.right])
+        return nums[:len(self.left)], nums[len(self.left):], denom
 
     @cached_property
     def edges(self) -> tuple:
@@ -137,32 +143,40 @@ def hypergraph_has_violation(f: FunctionSpec, return_witness: bool = False):
     return True, (x, tuple(covering))
 
 
+def _unchecked(**fields) -> ViolationGraph:
+    """The graph of fields, whose weights its maker has checked."""
+    graph = object.__new__(ViolationGraph)
+    graph.__dict__.update(fields)
+    return graph
+
+
 def build_violation_bigraph(f: FunctionSpec, dist: FiniteDistribution,
                             oracle: Optional[BlackBox] = None) -> ViolationGraph:
     """Violation bipartite graph of f restricted to the support of dist.
 
-    Representatives come from the binary search run against oracle (a fresh
-    uncounted black box when omitted). Restricting to positive-weight
-    vertices preserves the minimum cover weight: an edge at a zero-weight
-    vertex is coverable for free.
+    Representatives come from the binary searches (tester._representatives)
+    run against oracle (a fresh uncounted black box when omitted).
+    Restricting to positive-weight vertices preserves the minimum cover
+    weight: an edge at a zero-weight vertex is coverable for free. The
+    weights are summed as integers over dist's denominator, unchecked.
     """
-    labels = _support_labels(f, dist).tolist()
-    if oracle is None:
-        oracle = BlackBox(f, QueryTranscript())
-    left = []
-    right_weights: dict[int, Fraction] = {}
-    empties = []
-    for (point, w), label in zip(dist.entries, labels):
-        if label:
-            left.append((point, w))
+    # entry k weighs cum[k + 1] - cum[k] over denom
+    entries, cum, denom = dist.entries, (0,) + dist._law.cum, dist.denominator
+    left, zeros, right, empties = [], [], {}, []
+    for k, label in enumerate(_support_labels(f, dist).tolist()):
+        (left if label else zeros).append(k)
+    for k, rep in zip(zeros, _representatives(oracle or BlackBox(f, QueryTranscript()),
+                                              [entries[k][0] for k in zeros])):
+        if rep is None:
+            empties.append(entries[k])
         else:
-            rep = binary_search_representative(oracle, point)
-            if rep is None:
-                empties.append((point, w))
-            else:
-                right_weights[rep] = right_weights.get(rep, Fraction(0)) + w
-    return ViolationGraph(tuple(left), tuple(sorted(right_weights.items())),
-                          empty_strings=tuple(empties))
+            right[rep] = right.get(rep, 0) + cum[k + 1] - cum[k]
+    order = sorted(right)
+    return _unchecked(left=tuple(entries[k] for k in left),
+                      right=tuple((j, Fraction(right[j], denom)) for j in order),
+                      empty_strings=tuple(empties),
+                      _scaled=([cum[k + 1] - cum[k] for k in left], [right[j] for j in order],
+                               denom))
 
 
 def min_weight_vertex_cover(G: ViolationGraph):
@@ -171,7 +185,7 @@ def min_weight_vertex_cover(G: ViolationGraph):
     Weighted Koenig duality: the cover weight equals the maximum flow in the
     source -> left -> right -> sink network with vertex weights as capacities
     and unbounded left -> right edges. The flow runs in integers: every weight
-    is scaled to the lcm of all weight denominators, so it stays exact. Each
+    is scaled to a common denominator (G._scaled), so it stays exact. Each
     edge, in G.edges order, first carries what both its endpoints have left;
     BFS augmenting paths, shortest first, then reroute that flow until none is
     left. The cover is the minimal source-side cut: the left vertices the
@@ -187,7 +201,8 @@ def min_weight_vertex_cover(G: ViolationGraph):
         return frozenset(), Fraction(0)
     # residual capacity of source -> left i (node i) and right j -> sink
     # (node nl + j); flow[j] maps left i to the flow on edge i -> j
-    cap, denom = _over_lcm([w for _, w in G.left + G.right])
+    lw, rw, denom = G._scaled
+    cap = lw + rw
     adj = [[] for _ in range(nl)]
     flow = [{} for _ in range(nr)]
     total = 0
@@ -243,41 +258,41 @@ def min_weight_vertex_cover(G: ViolationGraph):
 
 
 def _degrees(G: ViolationGraph):
-    """Degree of every left vertex, incoming weight of every right one in
-    units of 1/denom, and denom, the lcm of the left weights' denominators."""
-    scaled, denom = _over_lcm([w for _, w in G.left])
+    """Degree of every left vertex, and incoming weight of every right one
+    in units of 1/denom (G._scaled)."""
+    scaled = G._scaled[0]
     deg = [0] * len(G.left)
     inw = [0] * len(G.right)
     for li, ri in G.edges:
         deg[li] += 1
         inw[ri] += scaled[li]
-    return deg, inw, denom
+    return deg, inw
 
 
 def _heavy(G: ViolationGraph, d: int):
     """Positions of the left and of the right vertices heavy against wt(G),
     compared in integers: wt(G) is sum(inw) / denom."""
-    deg, inw, denom = _degrees(G)
+    deg, inw = _degrees(G)
+    _, rw, denom = G._scaled
     dw = d * sum(inw)
     return ([i for i, k in enumerate(deg) if k * denom >= dw],
-            [j for j, (_, w) in enumerate(G.right)
-             if inw[j] * w.denominator >= dw * w.numerator])
+            [j for j, w in enumerate(rw) if inw[j] * denom >= dw * w])
 
 
 def _without(G: ViolationGraph, left_out=(), right_out=()) -> ViolationGraph:
     """G without the given vertex positions and without every vertex left
-    isolated, in order. The subgraph keeps G's checked weights, and its
-    edges are G's edges between the vertices it keeps, renumbered; neither
-    is checked or derived again."""
+    isolated, in order. The subgraph keeps G's checked and scaled weights,
+    and its edges are G's edges between the vertices it keeps, renumbered;
+    none is checked or derived again."""
     edges = [(li, ri) for li, ri in G.edges
              if li not in left_out and ri not in right_out]
     lefts = {li: k for k, li in enumerate(sorted({li for li, _ in edges}))}
     rights = {ri: k for k, ri in enumerate(sorted({ri for _, ri in edges}))}
-    sub = object.__new__(ViolationGraph)
-    sub.__dict__.update(left=tuple(G.left[i] for i in lefts),
-                        right=tuple(G.right[j] for j in rights), empty_strings=(),
-                        edges=tuple((lefts[li], rights[ri]) for li, ri in edges))
-    return sub
+    lw, rw, denom = G._scaled
+    return _unchecked(left=tuple(G.left[i] for i in lefts),
+                      right=tuple(G.right[j] for j in rights), empty_strings=(),
+                      edges=tuple((lefts[li], rights[ri]) for li, ri in edges),
+                      _scaled=([lw[i] for i in lefts], [rw[j] for j in rights], denom))
 
 
 def prune_to_regular(G: ViolationGraph, epsilon, d: int) -> PruneReport:

@@ -562,6 +562,35 @@ def draw_indices(sampler, k):
     return idx
 
 
+def reference_search(oracle, zeros):
+    """The representative search as the halving loop: each level halves the
+    sorted zeros, the first half taking the odd coordinate, asks both halves
+    by query_set and keeps the first that answers 0; None (nil) when
+    neither does, or when zeros is empty."""
+    z = sorted(zeros)
+    while len(z) >= 2:
+        half = (len(z) + 1) // 2
+        v0 = oracle.query_set(frozenset(z[:half]))
+        v1 = oracle.query_set(frozenset(z[half:]))
+        if v0 == 0:
+            z = z[:half]
+        elif v1 == 0:
+            z = z[half:]
+        else:
+            return None
+    return z[0] if z else None
+
+
+def reference_query_until(oracle, rows, stop):
+    """BlackBox.query_until as the per-row loop: each row, its 0 pad
+    dropped, asked by query_set in order; the index of the first answered
+    stop, or None."""
+    for k, row in enumerate(rows.tolist()):
+        if oracle.query_set(frozenset(row) - {0}) == stop:
+            return k
+    return None
+
+
 def reference_mconj_tester(oracle, sampler, p, rng):
     """The monotone tester as the paper states it, kept as the oracle for
     the one-pass code: every group is stored as drawn, the representative
@@ -569,20 +598,6 @@ def reference_mconj_tester(oracle, sampler, p, rng):
     1-2 rescan the stored groups (reference_stages12). Returns (accepted,
     reason, number of Stage-0 0-samples, number of representative
     searches)."""
-    def representative(zeros):
-        z = sorted(zeros)
-        while len(z) >= 2:
-            half = (len(z) + 1) // 2
-            v0 = oracle.query_set(frozenset(z[:half]))
-            v1 = oracle.query_set(frozenset(z[half:]))
-            if v0 == 0:
-                z = z[:half]
-            elif v1 == 0:
-                z = z[half:]
-            else:
-                return None
-        return z[0] if z else None
-
     labels = sampler.labels.tolist()
     groups, reps, zero_count = [], {}, 0
 
@@ -597,7 +612,7 @@ def reference_mconj_tester(oracle, sampler, p, rng):
         zero_count += len(zeros)
         for i in zeros:
             if i not in reps:
-                reps[i] = representative(sampler.point(i).zeros)
+                reps[i] = reference_search(oracle, sampler.point(i).zeros)
                 if reps[i] is None:
                     return result(False, "stage0-nil-representative")
     return result(*reference_stages12(groups, reps, oracle, sampler, p, rng))

@@ -591,18 +591,18 @@ def test_hand_built_hidden_block_functions_match_the_written_rule(case):
 
 
 def padded(zero_sets, extra=0):
-    """The zero sets as _values_at reads them: their coordinates, sorted, and
-    one row of positions in them per set, each padded with len(coordinates)
-    to the longest plus extra."""
-    coords = np.array(sorted(frozenset().union(*zero_sets)), dtype=np.int64)
-    rows = np.full((len(zero_sets), max(map(len, zero_sets), default=0) + extra), coords.size)
+    """The zero sets as _mapped maps them for _values_at: one row of
+    coordinates per set, in a random order, each padded with 0s to the
+    longest plus extra."""
+    rows = np.zeros((len(zero_sets), max(map(len, zero_sets), default=0) + extra),
+                    dtype=np.int64)
     for row, zeros in zip(rows, zero_sets):
-        row[:len(zeros)] = np.searchsorted(coords, sorted(zeros))
-    return coords, rows
+        row[:len(zeros)] = np.random.default_rng(len(zeros)).permutation(sorted(zeros))
+    return rows
 
 
 def assert_batch_rule_is_value_at(f, zero_sets, extra=0):
-    got = f._values_at(*padded(zero_sets, extra))
+    got = f._values_at(f._mapped(padded(zero_sets, extra)))
     assert got.dtype == np.int8
     assert got.tolist() == [f.value_at(frozenset(zeros)) for zeros in zero_sets]
 

@@ -1,10 +1,12 @@
 """Instance file round-trips: every function tag, exact weights, sidecars;
 malformed files end in InstanceFormatError, which the CLI reports as exit 2."""
 
+import hashlib
 import json
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +23,7 @@ from subcube import (
     RandomStream,
     TruthTable,
     ZeroSet,
+    desk_params,
     function_from_obj,
     function_to_obj,
     generate_instance,
@@ -351,3 +354,32 @@ NOT_SCHEMA = {"not-json", "lb-no-duplicate-alpha",
 def test_schema_errors_raise_instance_format_error(case, contents, fragment):
     with pytest.raises(InstanceFormatError, match=re.escape(fragment)):
         instance_from_obj(contents())
+
+
+def test_a_decoded_desk_no_function_batches_as_it_answers(tmp_path, capsys):
+    # a saved and reloaded desk n = 512 no instance gets its batch rule
+    # from the decoded R, alpha and blocks: _values_at equals value_at on
+    # support points with a few coordinates flipped, inside R and out, and
+    # the violation CLI prints what it printed when the decoded function
+    # answered every query by value_at
+    inst = generate_instance(desk_params(512), "no", RandomStream(7))
+    path = str(tmp_path / "no512.json")
+    save_instance(path, inst.n, inst.function, inst.distribution)
+    f = load_instance(path).function
+    assert f._batched
+    gen = np.random.default_rng(5)
+    points = [point.zeros for point, _ in inst.distribution.entries]
+    sets = [points[k] ^ frozenset(gen.choice(np.arange(1, 513), gen.integers(0, 4)).tolist())
+            for k in gen.integers(0, len(points), size=300)]
+    rows = np.zeros((len(sets), max(map(len, sets))), dtype=np.int64)
+    for row, zeros in zip(rows, sets):
+        row[:len(zeros)] = sorted(zeros)
+    want = [f.value_at(zeros) for zeros in sets]
+    assert 0 < sum(want) < len(want)
+    assert f._values_at(f._mapped(rows)).tolist() == want
+    for emit, digest in (
+            ("graph", "cd0ba1c505531f4edfac056f186bb49025156a9c5d6eb32cfe0b95fee5d2b1cb"),
+            ("prune-report", "0d6c5cd4ce7c65e2f106de29d7ad0b9a11aa31f853fdbc0d2681862d5ca2d269")):
+        assert cli.main(["violation", "--instance", path, "--epsilon", "1/2",
+                         "--emit", emit]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

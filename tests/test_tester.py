@@ -2,9 +2,9 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 import hashlib
-from itertools import accumulate
+from itertools import accumulate, combinations
 import os
 import subprocess
 import sys
@@ -22,6 +22,8 @@ from subcube import (
     Flipped,
     FunctionSpec,
     GeneralConj,
+    LBParams,
+    LinearThreshold,
     MonotoneConj,
     QueryTranscript,
     RandomStream,
@@ -38,6 +40,8 @@ from subcube import (
 import subcube
 import subcube.model as model_module
 import subcube.tester as tester_module
+from subcube.adversarial import generate_instance
+from subcube.serialize import function_from_obj, function_to_obj
 from subcube.tester import (
     binary_search_representative,
     test_general_conjunction as run_conj_tester,
@@ -55,6 +59,8 @@ from helpers import (
     rand_fractions,
     rand_points,
     reference_mconj_tester,
+    reference_query_until,
+    reference_search,
     reference_stages12,
     table_of,
     zs,
@@ -1392,6 +1398,80 @@ def test_logged_and_non_conjunction_searches_ask_every_half(n, data):
             assert blackbox_log == (asked if log else [])
 
 
+@lru_cache(maxsize=None)
+def batch_function(kind, seed):
+    """A function with a batch rule over n = 60: a monotone conjunction, an
+    LTF, a generated no or no-ltf hidden-block function, or the generated
+    no function saved and decoded."""
+    rng = RandomStream(seed)
+    n = 60
+    if kind == "mconj":
+        return MonotoneConj(n, frozenset(rng.sample(range(1, n + 1), rng.randrange(4))))
+    if kind == "ltf":
+        weights = tuple(rng.randrange(6) - 2 for _ in range(n))
+        return LinearThreshold(n, weights, sum(weights) - rng.randrange(6))
+    params = LBParams(n=60, h=4, r_blocks=7, m=3, s=1, blocks_per_side=2)
+    f = generate_instance(params, "no-ltf" if kind == "lb-no-ltf" else "no", rng).function
+    return function_from_obj(function_to_obj(f)) if kind == "lb-no-decoded" else f
+
+
+def batch_sets(f, rng, count, most):
+    """count zero sets of f's coordinates, up to most zeros each, near the
+    hidden structure when f has one: a share of them inside R."""
+    coords = sorted(getattr(f, "R", ())) or list(range(1, f.n + 1))
+    return [frozenset(rng.sample(coords if rng.randrange(2) else range(1, f.n + 1),
+                                 rng.randrange(min(most, len(coords)) + 1)))
+            for _ in range(count)]
+
+
+# a batch that the limit stops inside, a transcript already past it, a
+# nil search, and rows that repeat; counts on either side of a batch
+BATCH = model_module._BATCH_ROWS
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["mconj", "ltf", "lb-no", "lb-no-decoded", "lb-no-ltf"]),
+       fseed=st.integers(0, 3), seed=st.integers(0, 2 ** 32), log=st.booleans(),
+       nviews=st.integers(0, 2), searches=st.integers(0, 5) | st.integers(BATCH // 2 - 2, BATCH),
+       rows=st.integers(0, 8) | st.integers(BATCH - 2, 3 * BATCH), stop=st.integers(0, 1),
+       spent=st.integers(0, 3), room=st.none() | st.integers(-1, 3 * BATCH),
+       labels=st.integers(1, 8) | st.integers(BATCH - 2, BATCH + 40))
+def test_batched_asks_match_the_sequential_references(kind, fseed, seed, log, nviews, searches,
+                                                      rows, stop, spent, room, labels):
+    # representatives, answers, counts, logs and the point where the budget
+    # refuses equal the halving loop's and the per-row loop's, and labels
+    # value_at's, whether the box batches (quiet, unflipped, enough rows)
+    # or asks one at a time
+    f = batch_function(kind, fseed)
+    rng = RandomStream(seed)
+    points = [ZeroSet(f.n, z) for z in batch_sets(f, rng, searches, 20)]
+    pool = batch_sets(f, rng, 1 + rng.randrange(20), 4)
+    width = 1 + rng.randrange(4)
+    batch = np.array([sorted(z)[:width] + [0] * (width - len(z))
+                      for z in (pool[rng.randrange(len(pool))] for _ in range(rows))],
+                     dtype=np.intp).reshape(rows, width)
+    views = [frozenset(rng.sample(range(1, f.n + 1), rng.randrange(f.n))) for _ in range(nviews)]
+
+    def run(ask):
+        tr = QueryTranscript(log_queries=log, blackbox_count=spent,
+                             limit=None if room is None else spent + room)
+        got = []
+        try:
+            ask(reduce(BlackBox.flipped, views, BlackBox(f, tr)), got)
+        except BudgetExceeded:
+            got.append("budget")
+        return got, tr.blackbox_count, tr.blackbox_log
+
+    assert run(lambda box, got: got.extend(tester_module._representatives(box, points))) == \
+        run(lambda box, got: got.extend(reference_search(box, x.zeros) for x in points))
+    assert run(lambda box, got: got.append(box.query_until(batch, stop))) == \
+        run(lambda box, got: got.append(reference_query_until(box, batch, stop)))
+    support = sorted(set(batch_sets(f, rng, labels, 20)), key=sorted)
+    dist = FiniteDistribution(f.n, tuple((ZeroSet(f.n, z), Fraction(1, len(support)))
+                                         for z in support))
+    assert model_module._support_labels(f, dist).tolist() == [f.value_at(z) for z in support]
+
+
 # -- Stage 0's block facts and its one-step charges ----------------------------
 
 
@@ -1471,11 +1551,28 @@ def recorded_groups(draw):
     groups of support indices."""
     n = draw(st.integers(2, 6))
     coords = st.frozensets(st.integers(1, n), max_size=3)
-    zero_sets = draw(st.lists(st.frozensets(st.integers(1, n)), min_size=1, max_size=6,
-                              unique=True))
+    kind = draw(st.sampled_from(["mconj", "conj", "non-monotone"]))
+    if kind == "non-monotone" and n > 2 and draw(st.booleans()):
+        # step 2.2's shape: P = {1}, the 1-points' zeros lie in 2..k and
+        # the 0-points' are 1 and zeros past k, so every search returns 1;
+        # every set of 1 and one or two of 2..k is flipped to 1, so each
+        # Stage-2 probe answers 1
+        k = draw(st.integers(2, n - 1))
+        zero_sets = draw(st.lists(st.frozensets(st.integers(2, k)), min_size=2, max_size=4,
+                                  unique=True))
+        zero_sets += draw(st.lists(st.frozensets(st.integers(k + 1, n)), min_size=1,
+                                   max_size=2, unique=True).map(lambda zs: [z | {1} for z in zs]))
+        flips = [frozenset({1, *s}) for j in (1, 2) for s in combinations(range(2, k + 1), j)]
+        required = frozenset({1})
+    else:
+        zero_sets = draw(st.lists(st.frozensets(st.integers(1, n)), min_size=1, max_size=6,
+                                  unique=True))
+        # flip some support points, so that a B can meet P, and some inputs,
+        # so that a probe can answer wrong
+        required = draw(st.frozensets(st.integers(1, n), min_size=1, max_size=3))
+        flips = draw(st.lists(st.sampled_from(zero_sets), min_size=1, max_size=2))
     dist = FiniteDistribution(n, tuple((ZeroSet(n, z), Fraction(1, len(zero_sets)))
                                        for z in zero_sets))
-    kind = draw(st.sampled_from(["mconj", "conj", "non-monotone"]))
     flip = frozenset()
     if kind == "mconj":
         func = MonotoneConj(n, draw(coords))
@@ -1484,11 +1581,7 @@ def recorded_groups(draw):
         func = GeneralConj(n, ones, draw(coords) - ones)
         flip = conj_flip(func, dist)
     else:
-        # flip some support points, so that a B can meet P, and some inputs,
-        # so that a probe can answer wrong
-        required = draw(st.frozensets(st.integers(1, n), min_size=1, max_size=3))
         bits = table_of(MonotoneConj(n, required), n)
-        flips = draw(st.lists(st.sampled_from(zero_sets), min_size=1, max_size=2))
         for k in [ones_index(n, z) for z in flips] + draw(
                 st.lists(st.integers(0, (1 << n) - 1), max_size=3)):
             bits ^= 1 << k

@@ -1,6 +1,7 @@
 """Violation hypergraph, bipartite cover, and pruning."""
 
 from dataclasses import dataclass
+from math import ceil, log2
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from subcube import (
     regularity_diagnostics,
 )
 import subcube.violation as violation_module
+from subcube.adversarial import LBNoFunction
 from subcube.violation import PruneReport, _degrees, _heavy, _without
 from helpers import (
     brute_min_cover,
@@ -547,3 +549,35 @@ def test_desk_scale_pipeline_covers_match_the_reference():
     report = prune_to_regular(g, Fraction(1, 2), 9)
     assert report.G_star.edges
     assert min_weight_vertex_cover(report.G_star) == reference_min_cover(report.G_star)
+
+
+def test_a_desk_violation_graph_asks_in_batches(monkeypatch):
+    # the desk n = 4096 no build labels its support in one batch and runs
+    # its searches in lockstep, one batch per level: its zero sets hold at
+    # most 18 zeros, so at most 1 + ceil(log2 18) batches and no value_at
+    inst = generate_instance(desk_params(4096), "no", RandomStream(0))
+    calls = {"value_at": 0, "_values_at": 0}
+    for name in calls:
+        method = getattr(LBNoFunction, name)
+
+        def counted(self, arg, name=name, method=method):
+            calls[name] += 1
+            return method(self, arg)
+
+        monkeypatch.setattr(LBNoFunction, name, counted)
+    assert max(len(p.zeros) for p, _ in inst.distribution.entries) == 18
+    graph = build_violation_bigraph(inst.function, inst.distribution)
+    assert graph.right and calls["value_at"] == 0
+    assert 1 <= calls["_values_at"] <= 1 + ceil(log2(18))
+
+
+def test_pruning_a_built_graph_reads_its_integer_weights_once(monkeypatch):
+    # the built graph holds its weights over the distribution's
+    # denominator, and every subgraph is handed its own: no cover or
+    # degree count converts a weight again
+    inst = generate_instance(desk_params(512), "no", RandomStream(3))
+    graph = build_violation_bigraph(inst.function, inst.distribution)
+    want = (min_weight_vertex_cover(graph), prune_to_regular(graph, Fraction(1, 2), 3))
+    monkeypatch.setattr(violation_module, "_over_lcm", None)
+    again = build_violation_bigraph(inst.function, inst.distribution)
+    assert (min_weight_vertex_cover(again), prune_to_regular(again, Fraction(1, 2), 3)) == want
