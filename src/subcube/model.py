@@ -542,23 +542,26 @@ def _slices_at(func: FunctionSpec, mapped: np.ndarray, starts: np.ndarray,
     return func._values_at(mapped[at])
 
 
-def _mapped_sets(func: FunctionSpec, sets: list) -> tuple:
-    """(mapped, starts, sizes) of the zero sets in sets for _slices_at:
-    func._mapped() of their coordinates, set after set, then of the pad."""
+def _flat_sets(sets: list) -> tuple:
+    """(flat, starts, sizes) of the zero sets in sets, for _slices_at on
+    func._mapped(flat): their coordinates, set after set, then the pad 0."""
     sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
     flat = np.fromiter(chain(chain.from_iterable(sets), (0,)), dtype=np.int64,
                        count=int(sizes.sum()) + 1)
-    return func._mapped(flat), np.cumsum(sizes) - sizes, sizes
+    return flat, np.cumsum(sizes) - sizes, sizes
 
 
-def _support_labels(func: FunctionSpec, dist: FiniteDistribution) -> np.ndarray:
-    """func's labels on dist's support, in entry order, as an int8 array.
-    Raises DimensionMismatch when func and dist disagree on n, and
-    ValueError unless every label is 0 or 1."""
+def _support_labels(func: FunctionSpec, dist: FiniteDistribution,
+                    sets: Optional[tuple] = None) -> np.ndarray:
+    """func's labels on dist's support, in entry order, as an int8 array; a
+    batch reads sets, the support's _flat_sets, when given. Raises
+    DimensionMismatch when func and dist disagree on n, and ValueError
+    unless every label is 0 or 1."""
     if func.n != dist.n:
         raise DimensionMismatch("function and distribution disagree on n")
     if _batch(func, len(dist.entries)):
-        return _slices_at(func, *_mapped_sets(func, [p.zeros for p, _ in dist.entries]))
+        flat, starts, sizes = sets or _flat_sets([p.zeros for p, _ in dist.entries])
+        return _slices_at(func, func._mapped(flat), starts, sizes)
     labels = [func.value_at(p.zeros) for p, _ in dist.entries]
     if not set(labels) <= {0, 1}:
         raise ValueError("labels must be 0 or 1")

@@ -52,7 +52,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .model import DimensionMismatch, ZeroSet, _Law, _mapped_sets, _slices_at
+from .model import DimensionMismatch, ZeroSet, _Law, _flat_sets, _slices_at
 from .rng import RandomStream
 
 __all__ = [
@@ -254,7 +254,8 @@ def _representatives(oracle, points: list):
         return
     zeros = [x._sorted() for x in points]
     # each search's zeros left, as mapped[start:start + size]
-    mapped, starts, sizes = _mapped_sets(oracle.func, zeros)
+    flat, starts, sizes = _flat_sets(zeros)
+    mapped = oracle.func._mapped(flat)
     first, levels, nil = starts.copy(), np.zeros_like(sizes), sizes == 0
     live = np.flatnonzero(sizes >= 2)
     while live.size:

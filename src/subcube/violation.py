@@ -9,7 +9,8 @@ distance to the class, and a heavy-vertex pruning pass extracts the regular
 subgraph the distance argument runs on. The cover and the heaviness tests run
 in integers, over a common denominator of the weights. The cover is the
 minimal source-side cut of a max-flow found by edge-local pushes and then
-shortest augmenting paths; that cut is the same for every maximum flow.
+augmenting in phases; that cut is the same for every maximum flow, so the
+pruning carries one flow from cover to cover, augmenting it each time.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .model import (
     BlackBox,
     FiniteDistribution,
@@ -26,6 +29,8 @@ from .model import (
     QueryTranscript,
     SizeCapError,
     ZeroSet,
+    _batch,
+    _flat_sets,
     _over_lcm,
     _support_labels,
 )
@@ -79,12 +84,13 @@ class ViolationGraph:
     def edges(self) -> tuple:
         """The (left position, right position) pairs of the zero rule, sorted."""
         pos = {j: k for k, (j, _) in enumerate(self.right)}
-        return tuple((li, ri) for li, (point, _) in enumerate(self.left)
-                     for ri in sorted(pos[j] for j in point.zeros if j in pos))
+        return tuple(sorted((li, pos[j]) for li, (point, _) in enumerate(self.left)
+                            for j in pos.keys() & point.zeros))
 
     def graph_weight(self) -> Fraction:
         """Total edge weight, each edge weighted by its left endpoint."""
-        return sum((self.left[li][1] for li, _ in self.edges), Fraction(0))
+        lw, _, denom = self._scaled
+        return Fraction(sum(lw[i] for i, _ in self.edges), denom)
 
 
 @dataclass(frozen=True)
@@ -158,12 +164,15 @@ def build_violation_bigraph(f: FunctionSpec, dist: FiniteDistribution,
     run against oracle (a fresh uncounted black box when omitted).
     Restricting to positive-weight vertices preserves the minimum cover
     weight: an edge at a zero-weight vertex is coverable for free. The
-    weights are summed as integers over dist's denominator, unchecked.
+    weights are summed as integers over dist's denominator, unchecked. A
+    support labelled in one batch is flattened once, for the edges too.
     """
     # entry k weighs cum[k + 1] - cum[k] over denom
     entries, cum, denom = dist.entries, (0,) + dist._law.cum, dist.denominator
+    sets = _flat_sets([p._sorted() for p, _ in entries]) if _batch(f, len(entries)) else None
+    labels = _support_labels(f, dist, sets)
     left, zeros, right, empties = [], [], {}, []
-    for k, label in enumerate(_support_labels(f, dist).tolist()):
+    for k, label in enumerate(labels.tolist()):
         (left if label else zeros).append(k)
     for k, rep in zip(zeros, _representatives(oracle or BlackBox(f, QueryTranscript()),
                                               [entries[k][0] for k in zeros])):
@@ -171,12 +180,18 @@ def build_violation_bigraph(f: FunctionSpec, dist: FiniteDistribution,
             empties.append(entries[k])
         else:
             right[rep] = right.get(rep, 0) + cum[k + 1] - cum[k]
-    order = sorted(right)
+    order, weights = sorted(right), {w: Fraction(w, denom) for w in set(right.values())}
+    fields = {}
+    if sets is not None:  # the edges, in order: each 1-point's sorted zeros that are in order
+        flat, _, sizes = sets
+        keep = np.isin(flat[:-1], order) & np.repeat(labels == 1, sizes)
+        lefts, rights = np.repeat(np.cumsum(labels) - 1, sizes)[keep], flat[:-1][keep]
+        fields["edges"] = tuple(zip(lefts.tolist(), np.searchsorted(order, rights).tolist()))
     return _unchecked(left=tuple(entries[k] for k in left),
-                      right=tuple((j, Fraction(right[j], denom)) for j in order),
+                      right=tuple((j, weights[right[j]]) for j in order),
                       empty_strings=tuple(empties),
                       _scaled=([cum[k + 1] - cum[k] for k in left], [right[j] for j in order],
-                               denom))
+                               denom), **fields)
 
 
 def min_weight_vertex_cover(G: ViolationGraph):
@@ -187,112 +202,121 @@ def min_weight_vertex_cover(G: ViolationGraph):
     and unbounded left -> right edges. The flow runs in integers: every weight
     is scaled to a common denominator (G._scaled), so it stays exact. Each
     edge, in G.edges order, first carries what both its endpoints have left;
-    BFS augmenting paths, shortest first, then reroute that flow until none is
-    left. The cover is the minimal source-side cut: the left vertices the
-    source cannot reach in the final residual graph and the right vertices it
-    can. That set is the same for every maximum flow, so the seed does not
-    change it, and on a tie the left vertex is taken. Returns (cover, weight)
-    where cover holds ("L", position) and ("R", position) tags.
+    phases of shortest augmenting paths (_Flow.augment) then make it maximum.
+    The cover is the minimal source-side cut: the left vertices the source
+    cannot reach in the final residual graph and the right ones it can, the
+    same set for every maximum flow, whatever the seed, the phases or a flow
+    carried over (G keeps its own for prune_to_regular); on a tie the left
+    vertex is taken. Returns (cover, weight), cover of ("L"/"R", position) tags.
     """
-    nl, nr = len(G.left), len(G.right)
-    if nl + nr > _COVER_CAP:
+    if len(G.left) + len(G.right) > _COVER_CAP:
         raise SizeCapError(f"vertex cover computation capped at {_COVER_CAP} vertices")
-    if not G.edges:
-        return frozenset(), Fraction(0)
-    # residual capacity of source -> left i (node i) and right j -> sink
-    # (node nl + j); flow[j] maps left i to the flow on edge i -> j
-    lw, rw, denom = G._scaled
-    cap = lw + rw
-    adj = [[] for _ in range(nl)]
-    flow = [{} for _ in range(nr)]
-    total = 0
-    for li, ri in G.edges:
-        adj[li].append(nl + ri)
-        push = min(cap[li], cap[nl + ri])
-        if push:
-            cap[li] -= push
-            cap[nl + ri] -= push
-            flow[ri][li] = push
-            total += push
-
-    def search():
-        """BFS over the residual graph: (parent, right node that still
-        reaches the sink, or None once the flow is maximum)."""
-        queue = [i for i in range(nl) if cap[i]]
-        parent = [-1 if u < nl and cap[u] else None for u in range(nl + nr)]
-        for u in queue:
-            nexts = (adj[u] if u < nl
-                     else [i for i, f in flow[u - nl].items() if f])
-            for v in nexts:
-                if parent[v] is None:
-                    parent[v] = u
-                    if v >= nl and cap[v]:
-                        return parent, v
-                    queue.append(v)
-        return parent, None
-
-    while True:
-        parent, end = search()
-        if end is None:
-            break
-        path = [end]
-        while parent[path[-1]] != -1:
-            path.append(parent[path[-1]])
-        # the path runs back from end to a left node fed by the source; of
-        # its steps u -> v only the right -> left ones are bounded
-        steps = list(zip(path, path[1:]))
-        bottleneck = min(cap[end], cap[path[-1]],
-                         *(flow[u - nl][v] for v, u in steps if u >= nl))
-        cap[end] -= bottleneck
-        cap[path[-1]] -= bottleneck
-        for v, u in steps:
-            if u < nl:
-                flow[v - nl][u] = flow[v - nl].get(u, 0) + bottleneck
-            else:
-                flow[u - nl][v] -= bottleneck
-        total += bottleneck
-
-    cover = {("L", i) for i in range(nl) if parent[i] is None}
-    cover |= {("R", j) for j in range(nr) if parent[nl + j] is not None}
-    return frozenset(cover), Fraction(total, denom)
+    if "_cover" not in G.__dict__ and G.edges:
+        flow = G.__dict__["_flow"] = _Flow(G)
+        flow.augment()
+        G.__dict__["_cover"] = flow.cover(range(flow.nl), range(flow.nl, len(flow.w)))
+    return G.__dict__.get("_cover", (frozenset(), Fraction(0)))
 
 
-def _degrees(G: ViolationGraph):
-    """Degree of every left vertex, and incoming weight of every right one
-    in units of 1/denom (G._scaled)."""
-    scaled = G._scaled[0]
-    deg = [0] * len(G.left)
-    inw = [0] * len(G.right)
-    for li, ri in G.edges:
-        deg[li] += 1
-        inw[ri] += scaled[li]
-    return deg, inw
+class _Flow:
+    """An integer flow in G's network over the vertices still alive. Left i
+    is node i and right j node nl + j; arcs[u] lists node u's (node, edge)
+    pairs. cap holds residual source and sink capacities; cap, flow, total,
+    inw and weight count in 1/denom. blank is -1 at an alive node and -2 at
+    one removed or isolated; reach is the last BFS's levels, or None until
+    the flow is maximum again."""
 
+    def __init__(self, G: ViolationGraph):
+        """G's network, each edge in order carrying what both its ends have left."""
+        (lw, rw, self.denom), nl = G._scaled, len(G.left)
+        cap, inw, flow, arcs = lw + rw, [0] * (nl + len(rw)), [], [[] for _ in lw + rw]
+        for e, (i, j) in enumerate(G.edges):
+            j += nl
+            arcs[i].append((j, e))
+            arcs[j].append((i, e))
+            inw[j] += lw[i]
+            push = cap[i] if cap[i] < cap[j] else cap[j]
+            cap[i], cap[j] = cap[i] - push, cap[j] - push
+            flow.append(push)
+        self.nl, self.w, self.cap, self.flow, self.total = nl, lw + rw, cap, flow, sum(flow)
+        self.arcs, self.deg, self.inw, self.weight = arcs, [*map(len, arcs)], inw, sum(inw)
+        self.blank = [-1 if a else -2 for a in arcs]
+        self.reach = None if G.edges else self.blank  # no edge: the zero flow is maximum
 
-def _heavy(G: ViolationGraph, d: int):
-    """Positions of the left and of the right vertices heavy against wt(G),
-    compared in integers: wt(G) is sum(inw) / denom."""
-    deg, inw = _degrees(G)
-    _, rw, denom = G._scaled
-    dw = d * sum(inw)
-    return ([i for i, k in enumerate(deg) if k * denom >= dw],
-            [j for j, w in enumerate(rw) if inw[j] * denom >= dw * w])
+    def remove(self, nodes: list) -> None:
+        """Take out the nodes, the flow through them and the vertices left isolated."""
+        blank, deg, inw, w, cap, flow = self.blank, self.deg, self.inw, self.w, self.cap, self.flow
+        weight = total = 0  # what leaves with them
+        for u in nodes:
+            blank[u] = -2
+            for v, e in self.arcs[u]:
+                if blank[v] == -1:
+                    i, j = (u, v) if u < v else (v, u)  # lefts are numbered first
+                    weight, total, cap[v] = weight + w[i], total + flow[e], cap[v] + flow[e]
+                    deg[u], deg[v], inw[j], flow[e] = deg[u] - 1, deg[v] - 1, inw[j] - w[i], 0
+                    if not deg[v]:
+                        blank[v] = -2
+        self.weight, self.total, self.reach = self.weight - weight, self.total - total, None
 
+    def augment(self) -> int:
+        """Augment to a maximum flow in phases (Dinic 1970); return its total.
+        A phase's BFS levels the residual graph up to the first level with a
+        right node the sink can take from, and a blocking flow fills those
+        shortest paths, traced back from such nodes with current arcs."""
+        if self.blank.count(-1) > _COVER_CAP:
+            raise SizeCapError(f"vertex cover computation capped at {_COVER_CAP} vertices")
+        arcs, cap, flow, nl = self.arcs, self.cap, self.flow, self.nl
+        while self.reach is None:
+            level, depth, sinks = self.blank[:], 0, []
+            frontier = [u for u in range(nl) if cap[u] and level[u] == -1]
+            for u in frontier:
+                level[u] = 0
+            while frontier and not sinks:
+                depth, ahead = depth + 1, []
+                for u in frontier:
+                    for v, e in arcs[u]:
+                        # left to right is unbounded, right to left runs back along the flow
+                        if level[v] == -1 and (depth & 1 or flow[e]):
+                            level[v] = depth
+                            ahead.append(v)
+                # a left node past level 0 has no source capacity left
+                frontier, sinks = ahead, [v for v in ahead if cap[v]]
+            self.reach, at = None if sinks else level, [0] * len(arcs)
+            for t in sinks:
+                path = []  # the (node, edge) steps back from t
+                while level[t] > 0 and cap[t]:
+                    u = path[-1][0] if path else t
+                    if not level[u]:  # at the source: only right to left steps are bounded
+                        add = min(cap[t], cap[u], *(flow[e] for _, e in path[1::2]))
+                        cap[t], cap[u], self.total = cap[t] - add, cap[u] - add, self.total + add
+                        for n, (_, e) in enumerate(path):
+                            flow[e] += -add if n & 1 else add
+                        path = []
+                        continue
+                    a, k, up = arcs[u], at[u], level[u] - 1
+                    while k < len(a) and not (level[a[k][0]] == up and (
+                            flow[a[k][1]] if u < nl else up or cap[a[k][0]])):
+                        k += 1
+                    at[u] = k
+                    if k < len(a):
+                        path.append(a[k])
+                    else:  # a dead end
+                        level[u], path[-1:] = -2, []
+        return self.total
 
-def _without(G: ViolationGraph, left_out=(), right_out=()) -> ViolationGraph:
-    """G without the given vertex positions and without every vertex left
-    isolated, in order. The subgraph keeps G's checked and scaled weights,
-    and its edges are G's edges between the vertices it keeps, renumbered;
-    none is checked or derived again."""
-    edges = [(li, ri) for li, ri in G.edges
-             if li not in left_out and ri not in right_out]
-    lefts = {li: k for k, li in enumerate(sorted({li for li, _ in edges}))}
-    rights = {ri: k for k, ri in enumerate(sorted({ri for _, ri in edges}))}
-    lw, rw, denom = G._scaled
-    return _unchecked(left=tuple(G.left[i] for i in lefts),
-                      right=tuple(G.right[j] for j in rights), empty_strings=(),
-                      edges=tuple((lefts[li], rights[ri]) for li, ri in edges),
-                      _scaled=([lw[i] for i in lefts], [rw[j] for j in rights], denom))
+    def cover(self, lefts, rights) -> tuple:
+        """(cover, weight) of the maximum flow over the given nodes: the
+        positions of the lefts unreached and of the rights reached."""
+        return (frozenset([("L", k) for k, u in enumerate(lefts) if self.reach[u] == -1]
+                          + [("R", k) for k, u in enumerate(rights) if self.reach[u] > 0]),
+                Fraction(self.total, self.denom))
+
+    def heavy(self, d: int) -> tuple:
+        """The left and the right nodes heavy against the weight, in integers."""
+        deg, inw, w, denom, dw = self.deg, self.inw, self.w, self.denom, d * self.weight
+        least = max(-(-dw // denom), 1)  # deg * denom >= dw, at an alive node
+        return ([u for u in range(self.nl) if deg[u] >= least],
+                [u for u in range(self.nl, len(w)) if inw[u] and inw[u] * denom >= dw * w[u]])
 
 
 def prune_to_regular(G: ViolationGraph, epsilon, d: int) -> PruneReport:
@@ -303,33 +327,41 @@ def prune_to_regular(G: ViolationGraph, epsilon, d: int) -> PruneReport:
     when its incoming weight reaches d*wt(G)*wt(j). Each batch removes every
     vertex heavy against the current graph weight, then drops newly isolated
     vertices on the other side; the weight is recomputed after every batch
-    including that cleanup. The cover tests use the exact minimum cover.
+    including that cleanup. The cover tests augment one flow, taken over
+    from min_weight_vertex_cover(G) when it ran, to the exact minimum cover.
     """
     eps = Fraction(epsilon)
     if d < 1:
         raise ValueError("d must be at least 1")
-    # heavy: _heavy(work, d), or None until it is needed; weighed: work's
+    # heavy: work.heavy(d), or None until it is needed; weighed: the rest's
     # cover weighs more than eps/4. A batch that removes nothing keeps both.
-    work = _without(G)
+    work, nodes, nl = G.__dict__.pop("_flow", None) or _Flow(G), G.left + G.right, len(G.left)
     removed, rounds, heavy, weighed, exit_reason = [], 0, None, False, None
     while exit_reason is None:
         rounds += 1
         for side, name in enumerate(("left", "right")):
-            heavy = heavy or _heavy(work, d)
+            heavy = heavy or work.heavy(d)
             if heavy[side]:
-                removed += [(name,) + (work.left, work.right)[side][k] for k in heavy[side]]
-                work = _without(work, **{name + "_out": set(heavy[side])})
+                removed += [(name,) + nodes[u] for u in heavy[side]]
+                work.remove(heavy[side])
                 heavy, weighed = None, False
-            if not weighed and min_weight_vertex_cover(work)[1] <= eps / 4:
+            if not weighed and 4 * eps.denominator * work.augment() <= eps.numerator * work.denom:
                 exit_reason = "cheap-cover-found"
                 break
             weighed = True
         else:
-            heavy = heavy or _heavy(work, d)
+            heavy = heavy or work.heavy(d)
             exit_reason = None if any(heavy) else "no-heavy-left"
-    W = work.graph_weight()
-    l_prime = tuple(v for v, k in zip(work.left, _degrees(work)[0]) if k >= W / 2)
-    return PruneReport(work, tuple(removed), W, l_prime, rounds, exit_reason)
+    blank, w = work.blank, work.w  # G_star's edges follow from its vertices
+    lefts = [u for u in range(nl) if blank[u] == -1]
+    rights = [u for u in range(nl, len(nodes)) if blank[u] == -1]
+    star = _unchecked(left=tuple([nodes[u] for u in lefts]),
+                      right=tuple([nodes[u] for u in rights]), empty_strings=(),
+                      _cover=work.cover(lefts, rights),
+                      _scaled=([w[u] for u in lefts], [w[u] for u in rights], work.denom))
+    l_prime = tuple([nodes[u] for u in lefts if 2 * work.deg[u] * work.denom >= work.weight])
+    return PruneReport(star, tuple(removed), Fraction(work.weight, work.denom), l_prime, rounds,
+                       exit_reason)
 
 
 def regularity_diagnostics(report: PruneReport, epsilon, d: int) -> dict:
@@ -338,11 +370,13 @@ def regularity_diagnostics(report: PruneReport, epsilon, d: int) -> dict:
     Reports the graph weight, the weight of the high-degree left part, and
     the minimum cover weight, with flags against the nominal thresholds. The
     flags describe asymptotic constants and are not guarantees at small n.
+    G_star keeps the cover prune_to_regular found, so none is solved again.
     """
     if report.exit_reason != "no-heavy-left":
         raise ValueError("diagnostics require a no-heavy-left exit")
     eps = Fraction(epsilon)
-    wt_l_prime = sum((w for _, w in report.L_prime), Fraction(0))
+    nums, denom = _over_lcm([w for _, w in report.L_prime])
+    wt_l_prime = Fraction(sum(nums), denom)
     _, cover_w = min_weight_vertex_cover(report.G_star)
     return {
         "W": report.W,

@@ -24,8 +24,10 @@ from subcube import (
     GeneralConj,
     LinearThreshold,
     MonotoneConj,
+    PruneReport,
     RandomStream,
     SizeCapError,
+    ViolationGraph,
     ZeroSet,
 )
 
@@ -280,6 +282,63 @@ def reference_min_cover(G):
     cover = {("L", i) for i in range(nl) if parent[i] is None}
     cover |= {("R", j) for j in range(nr) if parent[nl + j] is not None}
     return frozenset(cover), Fraction(total, denom)
+
+
+def _without(G, left_out=(), right_out=()):
+    """G without the given vertex positions and without every vertex left
+    isolated, in order, built afresh from the vertices it keeps."""
+    edges = [(li, ri) for li, ri in reference_edges(G.left, G.right)
+             if li not in left_out and ri not in right_out]
+    return ViolationGraph(tuple(G.left[i] for i in sorted({li for li, _ in edges})),
+                          tuple(G.right[j] for j in sorted({ri for _, ri in edges})))
+
+
+def _degrees(G):
+    """Degree of every left vertex, and incoming weight of every right one,
+    in Fractions."""
+    deg, inw = [0] * len(G.left), [Fraction(0)] * len(G.right)
+    for li, ri in reference_edges(G.left, G.right):
+        deg[li] += 1
+        inw[ri] += G.left[li][1]
+    return deg, inw
+
+
+def reference_prune_to_regular(G, epsilon, d, calls):
+    """prune_to_regular as first written, kept as the reference for the
+    loop that reuses its heavy sets and carries one flow: each round finds
+    the heavy vertices three times and weighs the cover after both batches,
+    whether or not a batch removed anything, on a subgraph built afresh
+    each time. calls counts its "cover" and "heavy" calls. Returns the
+    PruneReport."""
+    def heavy(work):
+        calls["heavy"] += 1
+        return literal_heavy(work, d)
+
+    def cheap(work):
+        calls["cover"] += 1
+        return reference_min_cover(work)[1] <= Fraction(epsilon) / 4
+
+    work, removed, rounds = _without(G), [], 0
+    while True:
+        rounds += 1
+        heavy_left, _ = heavy(work)
+        removed += [("left",) + work.left[i] for i in heavy_left]
+        work = _without(work, left_out=set(heavy_left))
+        if cheap(work):
+            exit_reason = "cheap-cover-found"
+            break
+        _, heavy_right = heavy(work)
+        removed += [("right",) + work.right[j] for j in heavy_right]
+        work = _without(work, right_out=set(heavy_right))
+        if cheap(work):
+            exit_reason = "cheap-cover-found"
+            break
+        if not any(heavy(work)):
+            exit_reason = "no-heavy-left"
+            break
+    W = sum(_degrees(work)[1], Fraction(0))
+    l_prime = tuple(v for v, k in zip(work.left, _degrees(work)[0]) if k >= W / 2)
+    return PruneReport(work, tuple(removed), W, l_prime, rounds, exit_reason)
 
 
 def rand_fractions(rng, k):

@@ -1,6 +1,7 @@
 """Violation hypergraph, bipartite cover, and pruning."""
 
 from dataclasses import dataclass
+import random
 from math import ceil, log2
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ from subcube import (
     FiniteDistribution,
     FunctionSpec,
     MonotoneConj,
-    PruneReport,
     QueryTranscript,
     RandomStream,
     SizeCapError,
@@ -29,14 +29,16 @@ from subcube import (
 )
 import subcube.violation as violation_module
 from subcube.adversarial import LBNoFunction
-from subcube.violation import PruneReport, _degrees, _heavy, _without
 from helpers import (
+    _degrees,
+    _without,
     brute_min_cover,
     literal_heavy,
     mconj_tables,
     rand_fractions,
     reference_edges,
     reference_min_cover,
+    reference_prune_to_regular,
     zs,
 )
 
@@ -304,7 +306,12 @@ def test_cover_set_matches_the_unseeded_reference(g):
 @settings(max_examples=200, deadline=None)
 @given(g=shaped_graphs(), d=st.sampled_from([1, 2, 3, 5, 9]))
 def test_heavy_in_integers_matches_the_fraction_rule(g, d):
-    assert _heavy(g, d) == literal_heavy(g, d)
+    # the flow's vertices are those with an edge; an isolated one is heavy
+    # by the rule only when the graph has no edge at all. The flow numbers
+    # right j as node len(g.left) + j
+    want = literal_heavy(g, d) if g.edges else ([], [])
+    lefts, rights = violation_module._Flow(g).heavy(d)
+    assert (lefts, [u - len(g.left) for u in rights]) == want
 
 
 def rand_graph(rng, n=6):
@@ -417,47 +424,12 @@ def test_prune_random_graphs_invariants():
     assert seen_no_heavy
 
 
-def reference_prune_to_regular(G, epsilon, d, calls):
-    """prune_to_regular as first written, kept as the reference for the
-    loop that reuses its heavy sets and covers: each round finds the heavy
-    vertices three times and weighs the cover after both batches, whether
-    or not a batch removed anything. calls counts its "cover" and "heavy"
-    calls. Returns the PruneReport."""
-    def heavy(work):
-        calls["heavy"] += 1
-        return _heavy(work, d)
-
-    def cheap(work):
-        calls["cover"] += 1
-        return min_weight_vertex_cover(work)[1] <= Fraction(epsilon) / 4
-
-    work, removed, rounds = _without(G), [], 0
-    while True:
-        rounds += 1
-        heavy_left, _ = heavy(work)
-        removed += [("left",) + work.left[i] for i in heavy_left]
-        work = _without(work, left_out=set(heavy_left))
-        if cheap(work):
-            exit_reason = "cheap-cover-found"
-            break
-        _, heavy_right = heavy(work)
-        removed += [("right",) + work.right[j] for j in heavy_right]
-        work = _without(work, right_out=set(heavy_right))
-        if cheap(work):
-            exit_reason = "cheap-cover-found"
-            break
-        if not any(heavy(work)):
-            exit_reason = "no-heavy-left"
-            break
-    W = work.graph_weight()
-    l_prime = tuple(v for v, k in zip(work.left, _degrees(work)[0]) if k >= W / 2)
-    return PruneReport(work, tuple(removed), W, l_prime, rounds, exit_reason)
-
-
 def counted_prune(g, eps, d):
-    """prune_to_regular(g, eps, d), and its "cover" and "heavy" calls."""
+    """prune_to_regular(g, eps, d), and its "cover" calls (augments of the
+    carried flow) and "heavy" calls."""
     calls = {"cover": 0, "heavy": 0}
-    cover, heavy = violation_module.min_weight_vertex_cover, violation_module._heavy
+    flow = violation_module._Flow
+    cover, heavy = flow.augment, flow.heavy
 
     def counted(name, func):
         def call(*args):
@@ -465,12 +437,11 @@ def counted_prune(g, eps, d):
             return func(*args)
         return call
 
-    violation_module.min_weight_vertex_cover = counted("cover", cover)
-    violation_module._heavy = counted("heavy", heavy)
+    flow.augment, flow.heavy = counted("cover", cover), counted("heavy", heavy)
     try:
         return prune_to_regular(g, eps, d), calls
     finally:
-        violation_module.min_weight_vertex_cover, violation_module._heavy = cover, heavy
+        flow.augment, flow.heavy = cover, heavy
 
 
 @settings(max_examples=200, deadline=None)
@@ -496,6 +467,83 @@ def test_prune_skips_the_batches_that_remove_nothing():
     report, calls = counted_prune(k44_graph(), Fraction(1, 2), 5)
     assert report == want and report.exit_reason == "no-heavy-left" and report.rounds == 1
     assert (calls, want_calls) == ({"cover": 1, "heavy": 1}, {"cover": 2, "heavy": 3})
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=shaped_graphs(), data=st.data())
+def test_a_carried_flow_covers_every_subgraph_as_the_reference(g, data):
+    # vertices leave in random batches, from either side; after each, the
+    # flow carried on from g's own maximum weighs and cuts what is left as
+    # the reference, solved from zero on the subgraph built afresh, does
+    min_weight_vertex_cover(g)
+    work, nl = g.__dict__.get("_flow") or violation_module._Flow(g), len(g.left)
+    left_out, right_out = set(), set()
+    while True:
+        lefts = [i for i, k in enumerate(work.blank[:nl]) if k == -1]
+        rights = [j for j, k in enumerate(work.blank[nl:]) if k == -1]
+        sub = _without(g, left_out, right_out)
+        assert sub.left == tuple(g.left[i] for i in lefts)
+        assert sub.right == tuple(g.right[j] for j in rights)
+        assert Fraction(work.weight, work.denom) == sum(_degrees(sub)[1], Fraction(0))
+        want = reference_min_cover(sub)
+        assert Fraction(work.augment(), work.denom) == want[1]
+        assert work.cover(lefts, [nl + j for j in rights]) == want
+        alive = lefts + [nl + j for j in rights]
+        if not alive:
+            break
+        gone = data.draw(st.lists(st.sampled_from(alive), min_size=1, unique=True))
+        work.remove(gone)
+        left_out |= {u for u in gone if u < nl}
+        right_out |= {u - nl for u in gone if u >= nl}
+
+
+def test_a_desk_pipeline_solves_one_flow_from_zero(monkeypatch):
+    # the desk n = 512 no pipeline that exits no-heavy-left seeds one flow
+    # from zero, for its cover; the prune takes that flow over, and the
+    # diagnostics read G_star's cover without solving anything again
+    inst = generate_instance(desk_params(512), "no", RandomStream(0))
+    graph = build_violation_bigraph(inst.function, inst.distribution)
+    calls = {"__init__": 0, "augment": 0}
+    for name in calls:
+        method = getattr(violation_module._Flow, name)
+
+        def counted(*args, name=name, method=method):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(violation_module._Flow, name, counted)
+    min_weight_vertex_cover(graph)
+    assert calls == {"__init__": 1, "augment": 1}
+    report = prune_to_regular(graph, Fraction(1, 4), 9)
+    assert report.exit_reason == "no-heavy-left" and calls["__init__"] == 1
+    solved = dict(calls)
+    diag = regularity_diagnostics(report, Fraction(1, 4), 9)
+    assert calls == solved
+    assert diag["min_cover"] == reference_min_cover(report.G_star)[1]
+
+
+def disjoint_edges(count, weight, n):
+    """count left points of {0,1}^n of the given weight, point k zero at k
+    alone and so joined to right index k alone, of weight 1."""
+    return (tuple((zs(n, k), weight) for k in range(1, count + 1)),
+            tuple((k, Fraction(1)) for k in range(1, count + 1)))
+
+
+def test_prune_weighs_its_first_part_against_the_size_cap():
+    # 5,001 disjoint edges of weight 1: no vertex is heavy, so the first
+    # weigh sees all 10,002 vertices and is refused
+    left, right = disjoint_edges(5_001, Fraction(1), 5_001)
+    with pytest.raises(SizeCapError, match="capped at 10000 vertices"):
+        prune_to_regular(ViolationGraph(left, right), Fraction(1, 2), 1)
+    # 4,999 such edges of weight 1/5000, and a hub of weight 1/3 joined to
+    # three more right vertices: W is about 2, so the hub alone is heavy,
+    # and the first weigh sees the 9,998 vertices it leaves
+    left, right = disjoint_edges(4_999, Fraction(1, 5_000), 5_002)
+    hub = (zs(5_002, 5_000, 5_001, 5_002), Fraction(1, 3))
+    right += tuple((j, Fraction(1)) for j in (5_000, 5_001, 5_002))
+    report = prune_to_regular(ViolationGraph((hub,) + left, right), Fraction(1, 2), 1)
+    assert report.removed_S[0] == ("left",) + hub
+    assert report.exit_reason == "cheap-cover-found"
 
 
 # -- regularity diagnostics ---------------------------------------------------
@@ -549,6 +597,23 @@ def test_desk_scale_pipeline_covers_match_the_reference():
     report = prune_to_regular(g, Fraction(1, 2), 9)
     assert report.G_star.edges
     assert min_weight_vertex_cover(report.G_star) == reference_min_cover(report.G_star)
+
+
+def test_a_batched_build_reads_the_zero_rule_off_its_flattening():
+    # a support labelled in one batch gets its edges from the flattened zero
+    # sets: the zero rule's edges, in order, with memory for the support and
+    # not for n, so a monotone conjunction at n = 2^40 builds too
+    for params, variant, seed in ((desk_params(512), "no", 0), (desk_params(4096), "no-ltf", 1)):
+        inst = generate_instance(params, variant, RandomStream(seed))
+        g = build_violation_bigraph(inst.function, inst.distribution)
+        assert g.edges and g.edges == reference_edges(g.left, g.right)
+    n, rng = 1 << 40, random.Random(3)
+    sets = {frozenset(rng.sample(range(1, 9), 2) + rng.sample(range(n - 8, n + 1), 2))
+            for _ in range(400)}
+    dist = FiniteDistribution(n, tuple((ZeroSet(n, z), Fraction(1, len(sets))) for z in sets))
+    assert len(dist.entries) >= 128
+    g = build_violation_bigraph(MonotoneConj(n, frozenset({2, n - 3})), dist)
+    assert g.left and g.right and g.edges == reference_edges(g.left, g.right) == ()
 
 
 def test_a_desk_violation_graph_asks_in_batches(monkeypatch):
