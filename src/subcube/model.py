@@ -27,15 +27,16 @@ asked or the points handed out, share both streams, and log in the
 instance's own coordinates; each checks C once, as Flipped does.
 BlackBox.query_until asks a batch of small zero sets in order and stops at
 the first whose answer ends the run. BlackBox._required() names P when the
-box, flip included, asks a monotone conjunction (P, {}), which the tester's
-quiet runs read; each box and each view reads it once.
+box, flip included, asks a monotone conjunction (P, {}) and does not log,
+and decides the tester's known runs; each box and view reads P once.
 A quiet, unflipped box whose function has a batch rule answers
 _BATCH_ROWS or more queries ahead (BlackBox._batches), then charges them in
 sequential order up to the one where its caller stops.
 
 One QueryTranscript is the ledger of a trial: every oracle of the trial,
 every flipped view and every amplification attempt charges it. It counts
-(and optionally logs) the black-box queries and the samples, and with a
+(and optionally logs) the black-box queries, which a box charges to its
+transcript, and the samples, which a sampler charges to its own; with a
 limit set it refuses, by raising BudgetExceeded before counting, any call
 that would take either count past the limit. A batch of calls is charged
 as its calls would be one at a time: the calls that fit are counted, and
@@ -433,10 +434,6 @@ class _Law:
                               else self.count(rng, u[miss]))
         return idx
 
-    def _cuts(self, lo: int, hi: int) -> tuple:
-        """The exact cuts lo..hi-1, which count reads only on a tie."""
-        return self.cum[lo:hi]
-
     def count(self, rng: RandomStream, words: np.ndarray) -> np.ndarray:
         """For each word of words, read from rng as the first 64 bits of a V
         uniform in [0, 1), the number of cuts c with c/total <= V. A word
@@ -457,7 +454,7 @@ class _Law:
             past[rows] = np.searchsorted(self.tops, words[rows], side="right")
             rows = rows[past[rows] > below[rows]]
         for row in rows.tolist():
-            cuts = self._cuts(int(below[row]), int(past[row]))
+            cuts = self.cum[int(below[row]):int(past[row])]
             prefix, bits = int(words[row]), 64
             while cuts:
                 split = [divmod(c << bits, self.total) for c in cuts]
@@ -647,12 +644,12 @@ class BlackBox:
 
     def _required(self) -> Optional[frozenset]:
         """P when the function this box asks, flip included, is the monotone
-        conjunction (P, {}) of _literals; None for any other function. Read
-        on the first call, then kept."""
+        conjunction (P, {}) of _literals and the box does not log; else None,
+        and a box that logs asks each query. Read on the first call, then kept."""
         if self._p is _UNREAD:
             literals = _literals(self.func, self._flip)
             self._p = literals[0] if literals is not None and not literals[1] else None
-        return self._p
+        return None if self.transcript.log_queries else self._p
 
     def query(self, x: ZeroSet) -> int:
         if x.n != self.n:

@@ -12,7 +12,8 @@ The monotone tester splits where the paper's stages do. Stages 1 and 2
 read only three facts of each group: its class (too few 1-samples, no
 0-sample, or neither), its first 0-sample, and B, the union of the zero
 sets of its first t (Stage 2: t-1) 1-samples. _stage0 returns these facts
-(_GroupFacts) in blocks, with the representatives, and _stages12 reads
+(_GroupFacts) as one stream of (few, first0, masks) blocks, a row per group
+in group order from group 0, with the representatives, and _stages12 reads
 nothing else, in order, up to the group that ends the run.
 
 Stage 0 draws the groups in blocks that double from group 0, which is a
@@ -27,11 +28,12 @@ alone, from their exact law (_GroupLaw), when _stages12 reads it: runs
 with logging off have the law of the logged run, not its draws. A group's
 class word and missing word are read against brackets of the cuts' top 64
 bits, computed in floats with a written error bound (_bracket_law); the
-exact cuts are built only for a word inside a bracket. A run with logging
-off, on a box that asks a monotone conjunction (P, {}) and answers every
-support point with its label, is known: its searches ask nothing
-(binary_search_representative), past group 0 its law reads the class
-words alone, in blocks of max_facts groups, and it asks no probe.
+exact cuts are built only for a word inside a bracket. A run whose box
+names P (BlackBox._required(): it does not log and asks a monotone
+conjunction (P, {})) and answers every support point with its label is
+known: its searches ask nothing (binary_search_representative), past group
+0 its law reads the class words alone, in blocks of max_facts groups, and
+it asks no probe. Queries go to the box's transcript, samples to the sampler's.
 
 _stages12 asks Stage 2's groups _SUBSET_ROWS at a time: it builds their B
 from its flags, as B's coordinates and a table of B's members, decides
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain
-from typing import Iterable, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -203,19 +205,18 @@ def binary_search_representative(oracle, x: ZeroSet) -> Optional[int]:
     monotone conjunction. Deterministic; at most 2*ceil(log2 |ZERO(x)|)
     queries; no query at all when |ZERO(x)| <= 1.
 
-    With logging off, on a box that asks a monotone conjunction (P, {})
-    (oracle._required(), the flip included), a half answers 0 exactly when
+    On a box whose _required() names P (it does not log and asks a monotone
+    conjunction (P, {}), the flip included), a half answers 0 exactly when
     it holds a coordinate of P. So the search asks nothing: it returns nil
     after 2 queries when ZERO(x) misses P, and else walks to r, the least
     coordinate of P in ZERO(x), by r's rank in the sorted zeros. Its
-    queries are charged as one batch, refused at the query where asking
-    them would be.
+    queries are charged to the box's transcript as one batch, refused at
+    the query where asking them would be.
     """
     z = x._sorted()
     if not z:
         return None
-    required = None if oracle.transcript.log_queries else oracle._required()
-    if required is not None and len(z) >= 2:
+    if (required := oracle._required()) is not None and len(z) >= 2:
         hit = x.zeros & required
         if not hit:
             oracle.transcript._take("blackbox_count", 2)
@@ -502,8 +503,8 @@ class _GroupLaw:
         return _missing_cuts(self.ones[0].cum, self.need)
 
     def draw(self, count: int) -> tuple:
-        """The facts of count groups: (few, first0, masks), as _block_facts
-        returns them, but with first0 -1 for a few group."""
+        """The facts of count groups, a row per group, as _block_facts returns
+        them, but with first0 -1 for a few group; _stage0 yields them unchanged."""
         sampler, need, rng = self.sampler, self.need, self.sampler._batch
         cls = self.cuts.count(rng, rng._words(count))
 
@@ -590,21 +591,17 @@ def _b_rows(zeros: tuple, flags: np.ndarray) -> tuple:
 
 @dataclass
 class _GroupFacts:
-    """All Stages 1-2 read of Stage 0's groups, in blocks (b_ids, first0s,
-    flags): per group, the row in flags (B's support points) of its B, or
-    -1 when it has too few 1-samples, and its first 0-sample, or -1; a
-    known run's blocks of class words have no flags. The first block is
-    held here, and more yields the rest, each drawn when it is read. reps:
-    each searched point's representative. zero_count: the 0-samples of
+    """All Stages 1-2 read of Stage 0's groups. blocks yields (few, first0,
+    masks) blocks, each drawn when read, a row per group in order from group
+    0: too few 1-samples; the first 0-sample, or -1; B's points as flags over
+    the support (masks is None in a known run's blocks of class words).
+    reps: each searched point's representative. zero_count: the 0-samples of
     the groups drawn as samples. known: whether the run is known."""
 
-    b_ids: np.ndarray
-    first0s: np.ndarray
-    flags: Optional[np.ndarray]
+    blocks: Iterator
     reps: dict
     zero_count: int
     known: bool
-    more: Iterable = ()
 
 
 def _out_of_memory(p: TesterParams) -> MemoryError:
@@ -618,14 +615,14 @@ def _stage0(oracle, sampler, p: TesterParams):
     """Stage 0 after the all-ones probe: every sample group, and a
     representative search for each distinct 0-labelled point drawn.
     Returns the stage0-nil-representative Verdict, or the _GroupFacts of
-    the groups, up to the first that ends the run: those drawn as samples
-    are read here, the rest drawn as Stages 1-2 read them."""
+    the groups up to the first that ends the run: _block_facts' rows of
+    those drawn as samples, read here, then _GroupLaw.draw's of the rest,
+    drawn as Stages 1-2 read them. The box decides if the run is known."""
     transcript = sampler.transcript
     # A known run: every representative lies in P and no B meets P, so
     # step 2.1 never fires, every Stage-1 probe answers 1 and every Stage-2
     # probe 0, and past group 0 only each group's class can end the run.
-    required = None if transcript.log_queries else oracle._required()
-    known = required is not None and all(
+    known = (required := oracle._required()) is not None and all(
         required.isdisjoint(sampler.point(si).zeros) == label
         for si, label in enumerate(sampler.labels.astype(bool).tolist()))
     size, groups, width = p.group_size, p.d_star + 1, sampler.support_size
@@ -667,7 +664,7 @@ def _stage0(oracle, sampler, p: TesterParams):
         last = count if transcript.log_queries else -1
         if recording:
             # the block's facts, read up to the first group that ends the run
-            blocks.append((np.where(few, -1, np.arange(count)), first0, masks))
+            blocks.append((few, first0, masks))
             ends = few | (first0 < 0) if g else few
             recording = not ends.any()
             last = max(last, count if recording else int(ends.argmax()))
@@ -712,24 +709,23 @@ def _stage0(oracle, sampler, p: TesterParams):
             if law is None or law.need != need:
                 law = _GroupLaw(sampler, size, need, known and g > 0)
             try:
-                few, first0, masks = law.draw(count)
+                yield law.draw(count)
             except MemoryError:
                 raise _out_of_memory(p) from None
-            yield np.where(few, -1, np.arange(count)), first0, masks
             g += count
 
     # Stages 1-2 read no block past the group that ends the run
-    stream = chain(blocks, drawn(g, block) if recording else ())
-    return _GroupFacts(*next(stream), reps, zero_count, known, stream)
+    return _GroupFacts(chain(blocks, drawn(g, block) if recording else ()), reps, zero_count, known)
 
 
 def _stages12(facts: _GroupFacts, oracle, sampler, p: TesterParams,
               rng: RandomStream) -> tuple:
-    """Stages 1 and 2 on Stage 0's facts: (accepted, reason). Stage 2 reads
-    the blocks in order, and none past the group that ends the run."""
-    if facts.b_ids[0] < 0:
+    """Stages 1 and 2 on Stage 0's facts: (accepted, reason). Stage 1 reads
+    the first row, group 0, Stage 2 the rest, up to the group that ends the run."""
+    few, first0s, flags = next(facts.blocks)
+    if few[0]:
         return True, "stage1-few-ones"
-    b0 = facts.flags[facts.b_ids[:1]]  # the flags of group 0's B, for Stage 1
+    b0 = flags[:1]  # the flags of group 0's B, for Stage 1
     if facts.known:
         # Stage 1's 2s probes (none when B0 holds no zero) and one per
         # Stage-2 group, charged in one step as when they are asked
@@ -783,24 +779,25 @@ def _stages12(facts: _GroupFacts, oracle, sampler, p: TesterParams,
     # 0-sample has its representative, as Stage 0 returns on the first nil
     # one. The first group that lacks B or a 0-sample ends the run unasked.
     masks, alpha, reason = b0[:0], np.zeros(0, dtype=np.intp), "end-of-stage-2"
-    for ids, first0s, flags in chain([(facts.b_ids[1:], facts.first0s[1:], facts.flags)],
-                                     facts.more):
-        ends = (ids < 0) | (first0s < 0)
-        stop = int(ends.argmax()) if ends.any() else len(ids)
+    few, first0s, flags = few[1:], first0s[1:], flags[1:]  # past group 0
+    while few is not None:
+        ends = few | (first0s < 0)
+        stop = int(ends.argmax()) if ends.any() else len(ends)
         if facts.known:
             asked += stop
         else:
-            masks = np.concatenate((masks, flags[ids[:stop]]))
+            masks = np.concatenate((masks, flags[:stop]))
             alpha = np.concatenate((alpha, rep_of[first0s[:stop]]))
             while len(alpha) >= _SUBSET_ROWS:
                 if verdict := stage2(masks[:_SUBSET_ROWS], alpha[:_SUBSET_ROWS]):
                     return False, verdict
                 masks, alpha = masks[_SUBSET_ROWS:], alpha[_SUBSET_ROWS:]
-        if stop < len(ids):
-            reason = "stage2-few-ones" if ids[stop] < 0 else "stage2-no-zero"
+        if stop < len(ends):
+            reason = "stage2-few-ones" if few[stop] else "stage2-no-zero"
             break
+        few, first0s, flags = next(facts.blocks, (None,) * 3)
     if facts.known:
-        sampler.transcript._take("blackbox_count", asked)
+        oracle.transcript._take("blackbox_count", asked)
     elif len(alpha) and (verdict := stage2(masks, alpha)):
         return False, verdict
     return True, reason

@@ -902,12 +902,14 @@ def test_law_count_counts_the_cuts_at_or_below_the_words_read(data, total):
     groups = data.draw(st.permutations(groups))
     asked = []
 
-    class Law(model_module._Law):
-        def _cuts(self, lo, hi):
-            asked.append((lo, hi))
-            return super()._cuts(lo, hi)
+    class Cum(tuple):
+        # records each run of exact cuts count reads; tops reads cum[:-1]
+        def __getitem__(self, k):
+            if isinstance(k, slice) and k != slice(None, -1):
+                asked.append((k.start, k.stop))
+            return super().__getitem__(k)
 
-    law = Law(tuple(cuts) + (total,))
+    law = model_module._Law(Cum(tuple(cuts) + (total,)))
     tops = law.tops.tolist()
     assert tops == [(c << 64) // total for c in cuts if c < total]
     ties = [w for p in groups for w in p[1:]]
@@ -1098,6 +1100,9 @@ def test_required_names_p_only_for_a_monotone_conjunction():
                     tr).flipped({5})._required() == frozenset({1, 5})
     assert BlackBox(DecisionList(6, ((1, 0),), 1), tr)._required() is None
     assert BlackBox(DecisionList(6, ((1, 0),), 1), tr).flipped({1})._required() is None
+    # a box that logs asks each query, so it names no P
+    assert BlackBox(MonotoneConj(6, frozenset({1, 4})),
+                    QueryTranscript(log_queries=True))._required() is None
 
 
 def test_required_is_read_once_per_box_and_per_view(monkeypatch):

@@ -1596,22 +1596,23 @@ def recorded_groups(draw):
 
 
 def facts_by_set_rule(groups, labels, p, reps, known, width):
-    """The _GroupFacts of recorded groups by the set rule: B is the set of
-    a group's first t (past group 0, t - 1) 1-labelled support indices,
-    one id per distinct B; first0, its first 0-labelled one."""
-    b_ids, first0s, unions = [], [], {}
+    """The _GroupFacts of recorded groups by the set rule, in one block of
+    a row per group: few, whether the group has fewer than t (past group 0,
+    t - 1) 1-samples; first0, its first 0-labelled support index, or -1;
+    and B's flags, the set of its first t (t - 1) 1-labelled support
+    indices, none for a few group."""
+    few, first0s = [], []
+    masks = np.zeros((len(groups), width), dtype=bool)
     for g, group in enumerate(groups):
         ones = [i for i in group if labels[i]]
         zeros = [i for i in group if not labels[i]]
         need = p.t if g == 0 else p.t - 1
-        b_ids.append(unions.setdefault(frozenset(ones[:need]), len(unions))
-                     if len(ones) >= need else -1)
+        few.append(len(ones) < need)
+        if not few[-1]:
+            masks[g, ones[:need]] = True
         first0s.append(zeros[0] if zeros else -1)
-    flags = np.zeros((len(unions), width), dtype=bool)
-    for b, k in unions.items():
-        flags[k, sorted(b)] = True
-    return tester_module._GroupFacts(np.array(b_ids), np.array(first0s), flags, reps, 0,
-                                     known)
+    return tester_module._GroupFacts(iter([(np.array(few, dtype=bool), np.array(first0s),
+                                            masks)]), reps, 0, known)
 
 
 # the examples: alpha = 3 lies in B = {1, 3} (step 2.1); alpha = 3 is
@@ -1673,22 +1674,19 @@ class _Splits(RandomStream):
 
 
 def facts_in_blocks(facts, cuts):
-    """facts' groups cut before each group in cuts, as Stage 0 hands them
-    on: the first block held, the rest yielded by more, each with its own
-    row of flags per group. Also returns the list of the positions of the
-    blocks more has yielded."""
-    pad = np.vstack((facts.flags, np.zeros((1, facts.flags.shape[1]), dtype=bool)))
-    bounds = [0, *cuts, len(facts.b_ids)]
-    blocks = [(np.where(facts.b_ids[a:b] < 0, -1, np.arange(b - a)), facts.first0s[a:b],
-               pad[facts.b_ids[a:b]]) for a, b in zip(bounds, bounds[1:])]
+    """facts' one block of groups cut before each group in cuts, as Stage 0
+    hands them on: one stream of blocks, a row per group. Also returns the
+    list of the positions of the blocks the stream has yielded."""
+    rows = next(facts.blocks)
+    bounds = [0, *cuts, len(rows[0])]
     read = []
 
-    def more():
-        for k, block in enumerate(blocks[1:], 1):
+    def blocks():
+        for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
             read.append(k)
-            yield block
+            yield tuple(column[a:b] for column in rows)
 
-    return tester_module._GroupFacts(*blocks[0], facts.reps, 0, facts.known, more()), read
+    return tester_module._GroupFacts(blocks(), facts.reps, 0, facts.known), read
 
 
 # the example: B = {1, 2} and alpha = 3 in every Stage-2 group, and the
@@ -1745,6 +1743,80 @@ def test_stages12_on_facts_in_blocks_match_the_one_block_call(case, limit, cuts,
     if end is not None:
         # the block that holds group end is the last that may be read
         assert all(k <= sum(c <= end for c in cuts) for k in read), (read, cuts, end)
+
+
+def test_stage0_streams_one_row_per_group_as_the_log_draws_them(monkeypatch):
+    # logged runs draw every group as samples, here in blocks of one to
+    # three groups: the rows _stage0's stream yields, concatenated, are
+    # few, first0 and B's flags of each group read from the sample log, up
+    # to the group that ends the run
+    n, width = 8, 5
+    f = MonotoneConj(n, frozenset({1}))
+    dist = uniform_dist(n, [(), (2,), (1,), (1, 3), (2, 4)])
+    p = small_params(n, d_star=9, r=2, t=2, s=1, group_size=4)
+    monkeypatch.setattr(tester_module, "_BLOCK_SAMPLES", 3 * (p.group_size + width))
+    index = {point.zeros: i for i, (point, _) in enumerate(dist.entries)}
+    sizes, ends = set(), set()
+    for seed in range(30):
+        tr = QueryTranscript(log_queries=True)
+        box = BlackBox(f, tr)
+        sampler = Sampler(dist, f, tr, RandomStream(seed).split("samples"))
+        facts = tester_module._stage0(box, sampler, p)
+        blocks = list(facts.blocks)
+        sizes |= {len(few) for few, _, _ in blocks}
+        few, first0, masks = (np.concatenate(column) for column in zip(*blocks))
+        drawn = [index[zeros] for zeros, _ in tr.sample_log]
+        assert len(drawn) == p.stage0_samples
+        for g in range(p.d_star + 1):
+            group = drawn[g * p.group_size:(g + 1) * p.group_size]
+            ones = [i for i in group if sampler.labels[i]]
+            zeros = [i for i in group if not sampler.labels[i]]
+            need = p.t if g == 0 else p.t - 1
+            want = np.zeros(width, dtype=bool)
+            if len(ones) >= need:
+                want[ones[:need]] = True
+            assert (bool(few[g]), int(first0[g]), masks[g].tolist()) == (
+                len(ones) < need, zeros[0] if zeros else -1, want.tolist()), (seed, g)
+            if len(ones) < need or (g and not zeros):
+                break
+        ends.add(g)
+    assert sizes == {1, 2, 3} and len(ends) > 3
+
+
+def quick_start_run(box_tr, sampler_tr):
+    """The README's library quick start (seed 7) with its box on box_tr and
+    its sampler on sampler_tr: the verdict's reason, or "budget"."""
+    n = 64
+    f = MonotoneConj(n, frozenset({3, 17}))
+    dist = FiniteDistribution(n, ((zs(n), Fraction(1, 2)), (zs(n, 5, 9), Fraction(1, 2))))
+    rng = RandomStream(7)
+    try:
+        return run_mconj_tester(BlackBox(f, box_tr),
+                                Sampler(dist, f, sampler_tr, rng.split("samples")), n,
+                                Fraction(1), rng.split("tester")).reason
+    except BudgetExceeded:
+        return "budget"
+
+
+def test_queries_land_on_the_box_and_samples_on_the_sampler():
+    # the quick start is a known run on one transcript; on two, the box's
+    # transcript is charged every query, and the box alone decides whether
+    # the run is known: a logging box asks and logs each query, and a
+    # capped one refuses the query past its limit
+    shared = QueryTranscript()
+    assert quick_start_run(shared, shared) == "stage2-no-zero"
+    assert (shared.blackbox_count, shared.sample_count) == (1729, 560304)
+    quiet, logged, capped = (QueryTranscript(), QueryTranscript(log_queries=True),
+                             QueryTranscript(limit=10))
+    for box_tr, want in ((quiet, "stage2-no-zero"), (logged, "stage2-no-zero"),
+                         (capped, "budget")):
+        samples = QueryTranscript()
+        assert quick_start_run(box_tr, samples) == want
+        assert (samples.blackbox_count, samples.blackbox_log) == (0, [])
+        assert box_tr.sample_count == 0
+    assert quiet.blackbox_count == logged.blackbox_count == 1729
+    assert len(logged.blackbox_log) == logged.blackbox_count
+    assert capped.blackbox_count == 10
 
 
 # -- B and step 2.1 from the support's zero pairs ------------------------------
