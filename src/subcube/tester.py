@@ -8,32 +8,32 @@ representative against its 1-strings. All parameters derive from (n, epsilon)
 by fixed ceiling rules; base-2 logs throughout. The general-conjunction
 tester runs the monotone one on flipped views of the same two oracles.
 
-The monotone tester splits where the paper's stages do. Stages 1 and 2
-read only three facts of each group: its class (too few 1-samples, no
-0-sample, or neither), its first 0-sample, and B, the union of the zero
-sets of its first t (Stage 2: t-1) 1-samples. _stage0 returns these facts
-(_GroupFacts) as one stream of (few, first0, masks) blocks, a row per group
-in group order from group 0, with the representatives, and _stages12 reads
-nothing else, in order, up to the group that ends the run.
+The monotone tester splits where the paper's stages do. Stages 1 and 2 read
+only three facts of each group: its class (too few 1-samples, no 0-sample, or
+neither), its first 0-sample, and B, the union of the zero sets of its first t
+(Stage 2: t-1) 1-samples. _stage0 returns these facts (_GroupFacts) as one
+stream of (few, first0, masks) blocks, a row per group in group order from
+group 0, with the representatives, and _stages12 reads nothing else, in order,
+up to the group that ends the run.
 
-Stage 0 draws the groups in blocks that double from group 0, which is a
-block of its own. While a representative search can still run, or the
-query log lists every sample, it draws the groups as samples, reads their
-facts in numpy (_block_facts), and charges (and logs) them in runs that
-end where a search runs, so a budget or a nil representative lands at the
-same group as one draw per group would; a block's new points are searched
-together (_representatives). Then Stage 0 charges every group left
-in one step, undrawn, and each later block is drawn as its groups' facts
-alone, from their exact law (_GroupLaw), when _stages12 reads it: runs
-with logging off have the law of the logged run, not its draws. A group's
-class word and missing word are read against brackets of the cuts' top 64
-bits, computed in floats with a written error bound (_bracket_law); the
-exact cuts are built only for a word inside a bracket. A run whose box
-names P (BlackBox._required(): it does not log and asks a monotone
-conjunction (P, {})) and answers every support point with its label is
-known: its searches ask nothing (binary_search_representative), past group
-0 its law reads the class words alone, in blocks of max_facts groups, and
-it asks no probe. Queries go to the box's transcript, samples to the sampler's.
+Stage 0 draws the groups in blocks that double from group 0, which is a block
+of its own. While a representative search can still run, or the query log lists
+every sample, it draws the groups as samples, reads their facts in numpy
+(_block_facts), and charges (and logs) them in runs that end where a search
+runs, so a budget or a nil representative lands at the same group as one draw
+per group would; a block's new points are searched together (_representatives).
+Then Stage 0 charges every group left in one step, undrawn, and each later
+block is drawn as its groups' facts alone, from their exact law (_GroupLaw),
+when _stages12 reads it: runs with logging off have the law of the logged run,
+not its draws. A group's class word and missing word are read against brackets
+of the cuts' top 64 bits, computed in floats with a written error bound
+(_bracket_law); the exact cuts are built only for a word inside a bracket. A
+run whose box names P (BlackBox._required(): it does not log and asks a
+monotone conjunction (P, {})) and answers every support point with its label is
+known: its searches ask nothing (binary_search_representative), and Stage 0
+ends it from the groups' classes alone (_known_run), reading class words past
+the groups drawn as samples and charging its probes unasked. Queries go to the
+box's transcript, samples to the sampler's.
 
 _stages12 asks Stage 2's groups _SUBSET_ROWS at a time: it builds their B
 from its flags, as B's coordinates and a table of B's members, decides
@@ -412,10 +412,11 @@ def _class_cuts(ones: int, m: int, size: int, need: int) -> _Law:
 
 
 def _hoeffding(ones: int, m: int, size: int, need: int) -> tuple:
-    """Bounds (low, high) on P[X < need], X ~ Binomial(size, ones/m), by
-    Hoeffding's inequality P[|X - size p| >= d] <= exp(-2 d^2 / size) on
-    the side where need - 1 or need lies. The exponent is one correctly
-    rounded quotient of integers, taken 2^-40 smaller."""
+    """Bounds (low, high) on P[X < need], X ~ Binomial(size, ones/m), by Hoeffding's
+    inequality P[|X - size p| >= d] <= exp(-2 d^2 / size) on the side where need - 1 or need
+    lies: size p is above need - 1, or else below need. The exponent is one correctly
+    rounded quotient of integers, taken 2^-40 smaller; past a float's range the tail is
+    0."""
     def tail(gap: int) -> float:
         # exp(-2 (gap/m)^2 / size)
         try:
@@ -424,9 +425,7 @@ def _hoeffding(ones: int, m: int, size: int, need: int) -> tuple:
             return 0.0
     if (gap := size * ones - (need - 1) * m) > 0:
         return 0.0, tail(gap)
-    if (gap := need * m - size * ones) > 0:
-        return max(0.0, 1 - tail(gap)), 1.0
-    return 0.0, 1.0
+    return max(0.0, 1 - tail(need * m - size * ones)), 1.0
 
 
 def _missing_cuts(cum: tuple, need: int) -> Optional[_Law]:
@@ -463,43 +462,34 @@ def _missing_cuts(cum: tuple, need: int) -> Optional[_Law]:
 
 
 class _GroupLaw:
-    """The exact law of the facts of a group of size draws from sampler
-    whose B takes need 1-samples: the laws of D0 and D1, each with its
-    members, the class law and the missing law, each a model._Law.
-    draw(count) draws the facts of count groups on the batch stream, not
-    the groups.
+    """The exact law of the facts of a group of size draws from sampler whose B takes need
+    1-samples: the laws of D0 and D1, each with its members, the class law and the missing
+    law, each a model._Law. draw(count) draws the facts of count groups on the batch stream,
+    not the groups.
 
-    Given its labels, a group's 1-samples are i.i.d. D1 (D conditioned on
-    label 1), its 0-samples i.i.d. D0, and the two independent. So a group
-    takes one word for its class (few; no 0-sample; neither) against the
-    cuts of _class_cuts, read by its count; one D0 draw, its first
-    0-sample, when it has both labels; and B, the points of need D1
-    draws. When U <= 1/2 (_missing_cuts), B takes Karp, Luby and Madras's
-    exact sampler of a union of events: one word per group, read by the
-    missing law's count, gives B every 1-labelled point, or picks a point J
-    with the chance that B misses J. A group with J draws need D1 draws,
-    each of J redrawn, and, with c points missed, keeps what it saw with
-    chance 1/c (one draw below c when c > 1), else every point; so a B
-    that misses the set M comes out with chance sum over j in M of
-    P(B) / |M| = P(B). A group stops drawing once it has seen every
-    1-labelled point but J. The words are read in that order: the class
-    words, the D0 draws, the missing words, the D1 draws, then the draws
-    below c; a tied word reads on from the batch stream's tie stream.
+    Given its labels, a group's 1-samples are i.i.d. D1 (D conditioned on label 1), its
+    0-samples i.i.d. D0, and the two independent. So a group takes one word for its class
+    (few; no 0-sample; neither) against the cuts of _class_cuts, read by its count; one D0
+    draw, its first 0-sample, when it has both labels; and B, the points of need D1 draws.
+    When U <= 1/2 (_missing_cuts), B takes Karp, Luby and Madras's exact sampler of a union
+    of events: one word per group, read by the missing law's count, gives B every 1-labelled
+    point, or picks a point J with the chance that B misses J. A group with J draws need D1
+    draws, each of J redrawn, and, with c points missed, keeps what it saw with chance 1/c
+    (one draw below c when c > 1), else every point; so a B that misses the set M comes out
+    with chance sum over j in M of P(B) / |M| = P(B). A group stops drawing once it has seen
+    every 1-labelled point but J. The words are read in that order: the class words, the D0
+    draws, the missing words, the D1 draws, then the draws below c; a tied word reads on
+    from the batch stream's tie stream."""
 
-    With class_only set, only the class words are read: masks is None,
-    and a group with both labels gets the first 0-labelled support point
-    as its first0. Stage 0 sets it past group 0 on known runs, where
-    nothing else of a group can change the verdict or a count."""
-
-    def __init__(self, sampler, size: int, need: int, class_only: bool):
-        self.sampler, self.need, self.class_only = sampler, need, class_only
+    def __init__(self, sampler, size: int, need: int):
+        self.sampler, self.need = sampler, need
         self.zeros, self.ones = sampler._conditioned(0), sampler._conditioned(1)
         ones = self.ones[0].total if self.ones else 0
         self.cuts = _class_cuts(ones, sampler.dist.denominator, size, need)
 
     @cached_property
     def missing(self) -> Optional[_Law]:
-        # lazy: its powers are large, and a class-only law never reads it
+        # lazy: its powers are large, and a known run reads only the class cuts
         return _missing_cuts(self.ones[0].cum, self.need)
 
     def draw(self, count: int) -> tuple:
@@ -512,10 +502,7 @@ class _GroupLaw:
         both = np.flatnonzero(cls == 2)
         if both.size:
             law, members = self.zeros
-            first0[both] = members[0] if self.class_only else \
-                members[sampler._draw_many(law, rng, both.size)]
-        if self.class_only:
-            return cls == 0, first0, None
+            first0[both] = members[sampler._draw_many(law, rng, both.size)]
 
         masks = np.zeros((count, sampler.support_size), dtype=bool)
         rows = np.flatnonzero(cls > 0)
@@ -591,17 +578,14 @@ def _b_rows(zeros: tuple, flags: np.ndarray) -> tuple:
 
 @dataclass
 class _GroupFacts:
-    """All Stages 1-2 read of Stage 0's groups. blocks yields (few, first0,
-    masks) blocks, each drawn when read, a row per group in order from group
-    0: too few 1-samples; the first 0-sample, or -1; B's points as flags over
-    the support (masks is None in a known run's blocks of class words).
-    reps: each searched point's representative. zero_count: the 0-samples of
-    the groups drawn as samples. known: whether the run is known."""
+    """All Stages 1-2 read of Stage 0's groups. blocks yields (few, first0, masks) blocks,
+    each drawn when read, a row per group in order from group 0: too few 1-samples; the
+    first 0-sample, or -1; B's points as flags over the support. reps: each searched point's
+    representative. zero_count: the 0-samples of the groups drawn as samples."""
 
     blocks: Iterator
     reps: dict
     zero_count: int
-    known: bool
 
 
 def _out_of_memory(p: TesterParams) -> MemoryError:
@@ -612,19 +596,12 @@ def _out_of_memory(p: TesterParams) -> MemoryError:
 
 
 def _stage0(oracle, sampler, p: TesterParams):
-    """Stage 0 after the all-ones probe: every sample group, and a
-    representative search for each distinct 0-labelled point drawn.
-    Returns the stage0-nil-representative Verdict, or the _GroupFacts of
-    the groups up to the first that ends the run: _block_facts' rows of
-    those drawn as samples, read here, then _GroupLaw.draw's of the rest,
-    drawn as Stages 1-2 read them. The box decides if the run is known."""
+    """Stage 0 after the all-ones probe: every sample group, and a representative search for
+    each distinct 0-labelled point drawn. Returns the stage0-nil-representative Verdict, a
+    known run's Verdict (_known_run), or the _GroupFacts of the groups up to the first that
+    ends the run: _block_facts' rows of those drawn as samples, read here, then
+    _GroupLaw.draw's of the rest, drawn as Stages 1-2 read them."""
     transcript = sampler.transcript
-    # A known run: every representative lies in P and no B meets P, so
-    # step 2.1 never fires, every Stage-1 probe answers 1 and every Stage-2
-    # probe 0, and past group 0 only each group's class can end the run.
-    known = (required := oracle._required()) is not None and all(
-        required.isdisjoint(sampler.point(si).zeros) == label
-        for si, label in enumerate(sampler.labels.astype(bool).tolist()))
     size, groups, width = p.group_size, p.d_star + 1, sampler.support_size
     # reps[si]: the representative of 0-labelled point si, one per search
     reps: dict[int, Optional[int]] = {}
@@ -695,19 +672,24 @@ def _stage0(oracle, sampler, p: TesterParams):
     # the run change no verdict, query or count: charge them all now, in one
     # step, so a budget refuses the group where drawing would exhaust it.
     transcript._take("sample_count", groups - g, size)
+    # a known run: the box decides, naming P and answering every support point with its label
+    if (required := oracle._required()) is not None and all(
+            required.isdisjoint(sampler.point(si).zeros) == label
+            for si, label in enumerate(sampler.labels.astype(bool).tolist())):
+        return Verdict(*_known_run(oracle, sampler, p, blocks, max_facts), p, zero_count,
+                       len(reps))
 
     def drawn(g: int, block: int):
-        # The groups' facts alone. Past group 0 a block of facts holds at
-        # least _FACT_GROUPS groups, and a block of class words (a known run)
-        # max_facts; with no 0-labelled point, group 1 ends the run, alone.
+        # The groups' facts alone, past group 0 at least _FACT_GROUPS groups
+        # a block; with no 0-labelled point, group 1 ends the run, alone.
         law, some_zero = None, bool((sampler.labels == 0).any())
         while g < groups:
-            block = (max_facts if known else max(block, _FACT_GROUPS)) if some_zero else 1
+            block = max(block, _FACT_GROUPS) if some_zero else 1
             count = min(block, max_facts, groups - g)
             block = min(2 * block, max(max_block, max_facts))
             need = p.t if g == 0 else p.t - 1
             if law is None or law.need != need:
-                law = _GroupLaw(sampler, size, need, known and g > 0)
+                law = _GroupLaw(sampler, size, need)
             try:
                 yield law.draw(count)
             except MemoryError:
@@ -715,66 +697,89 @@ def _stage0(oracle, sampler, p: TesterParams):
             g += count
 
     # Stages 1-2 read no block past the group that ends the run
-    return _GroupFacts(chain(blocks, drawn(g, block) if recording else ()), reps, zero_count, known)
+    return _GroupFacts(chain(blocks, drawn(g, block) if recording else ()), reps, zero_count)
+
+
+def _known_run(oracle, sampler, p: TesterParams, blocks: list, max_facts: int) -> tuple:
+    """Stages 1 and 2 of a known run: (accepted, reason). Every representative lies in P and
+    no B meets P, so step 2.1 never fires, every Stage-1 probe answers 1 and every Stage-2
+    probe 0, and past group 0 only a group's class can end the run. The classes are read
+    from blocks, _block_facts' rows of the groups drawn as samples, then as class words on
+    _GroupLaw.cuts, max_facts groups at a time, or one at a time with no 0-labelled point,
+    where group 0 is drawn alone as its facts. Stage 1's 2s probes (none when B0 holds no
+    zero) and one per Stage-2 group before the first that ends the run are charged in one
+    step, once the words are read."""
+    rng, law = sampler._batch, None
+    try:
+        blocks = blocks or [_GroupLaw(sampler, p.group_size, p.t).draw(1)]
+        # each group's class: 0, too few 1-samples; 1, no 0-sample; 2, neither
+        cls = np.concatenate([np.where(few, 0, 1 + (first0 >= 0)) for few, first0, _ in blocks])
+        if cls[0] == 0:
+            return True, "stage1-few-ones"
+        g, cls = len(cls), cls[1:]
+        while (cls == 2).all() and g <= p.d_star:
+            count = min(max_facts if (sampler.labels == 0).any() else 1, p.d_star + 1 - g)
+            law = law or _GroupLaw(sampler, p.group_size, p.t - 1)
+            cls, g = law.cuts.count(rng, rng._words(count)), g + count
+    except MemoryError:
+        raise _out_of_memory(p) from None
+    # Stage 2 asks the g - 1 - len(cls) groups before the last block read,
+    # then that block's up to the first that ends the run
+    stop = int((cls < 2).argmax()) if (cls < 2).any() else len(cls)
+    stage1 = any(sampler.point(si).zeros for si in np.flatnonzero(blocks[0][2][0]))
+    oracle.transcript._take("blackbox_count", 2 * p.s * stage1 + g - 1 - len(cls) + stop)
+    if stop == len(cls):
+        return True, "end-of-stage-2"
+    return True, "stage2-few-ones" if cls[stop] == 0 else "stage2-no-zero"
 
 
 def _stages12(facts: _GroupFacts, oracle, sampler, p: TesterParams,
               rng: RandomStream) -> tuple:
-    """Stages 1 and 2 on Stage 0's facts: (accepted, reason). Stage 1 reads
-    the first row, group 0, Stage 2 the rest, up to the group that ends the run."""
+    """Stages 1 and 2 on Stage 0's facts, probes asked: (accepted, reason).
+    Stage 1 reads the first row, group 0, Stage 2 the rest, up to the group that ends the run."""
     few, first0s, flags = next(facts.blocks)
     if few[0]:
         return True, "stage1-few-ones"
     b0 = flags[:1]  # the flags of group 0's B, for Stage 1
-    if facts.known:
-        # Stage 1's 2s probes (none when B0 holds no zero) and one per
-        # Stage-2 group, charged in one step as when they are asked
-        asked = 2 * p.s if any(sampler.point(si).zeros
-                               for si in np.flatnonzero(b0).tolist()) else 0
-    else:
-        pairs = [(si, j) for si in range(sampler.support_size)
-                 for j in sampler.point(si).zeros]
-        point, zero = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-        zeros = (point, *np.unique(zero, return_inverse=True))
-        rep_of = np.array([facts.reps.get(si, 0) for si in range(sampler.support_size)],
-                          dtype=np.intp)
-        step_rng = rng.split("steps")
+    pairs = [(si, j) for si in range(sampler.support_size) for j in sampler.point(si).zeros]
+    point, zero = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    zeros = (point, *np.unique(zero, return_inverse=True))
+    rep_of = np.array([facts.reps.get(si, 0) for si in range(sampler.support_size)], dtype=np.intp)
+    step_rng = rng.split("steps")
 
-        def probes(b: tuple, rows: np.ndarray, k: int) -> np.ndarray:
-            # a random k-subset (all, when smaller) of the B of each row of b
-            sizes, offsets, coords, _ = b
-            pos = step_rng.subset_rows(sizes[rows], k)
-            return coords[np.where(pos < 0, -1, offsets[rows, None] + pos)]
+    def probes(b: tuple, rows: np.ndarray, k: int) -> np.ndarray:
+        # a random k-subset (all, when smaller) of the B of each row of b
+        sizes, offsets, coords, _ = b
+        pos = step_rng.subset_rows(sizes[rows], k)
+        return coords[np.where(pos < 0, -1, offsets[rows, None] + pos)]
 
-        def stage2(masks: np.ndarray, alpha: np.ndarray) -> Optional[str]:
-            # up to _SUBSET_ROWS Stage-2 groups, by the flags of their B and
-            # their alpha: step 2.1, from B's table at alpha's column (alpha
-            # is a zero of its 0-sample); the rows before the first alpha in
-            # its B ask their probes
-            keys, inverse = np.unique(masks.view(f"V{masks.shape[1]}").ravel(),
-                                      return_inverse=True)
-            b = *_, bits = _b_rows(zeros, keys.view(bool).reshape(len(keys), -1))
-            inside = bits[inverse, np.searchsorted(zeros[1], alpha)]
-            stop = int(inside.argmax()) if inside.any() else len(inside)
-            if oracle.query_until(np.column_stack((alpha[:stop], probes(
-                    b, inverse[:stop], p.r - 1))), 1) is not None:
-                return "step-2.2"
-            return "step-2.1" if stop < len(inside) else None
+    def stage2(masks: np.ndarray, alpha: np.ndarray) -> Optional[str]:
+        # up to _SUBSET_ROWS Stage-2 groups, by the flags of their B and their alpha:
+        # step 2.1, from B's table at alpha's column (alpha is a zero of its
+        # 0-sample); the rows before the first alpha in its B ask their probes
+        keys, inverse = np.unique(masks.view(f"V{masks.shape[1]}").ravel(), return_inverse=True)
+        b = *_, bits = _b_rows(zeros, keys.view(bool).reshape(len(keys), -1))
+        inside = bits[inverse, np.searchsorted(zeros[1], alpha)]
+        stop = int(inside.argmax()) if inside.any() else len(inside)
+        if oracle.query_until(np.column_stack((alpha[:stop], probes(
+                b, inverse[:stop], p.r - 1))), 1) is not None:
+            return "step-2.2"
+        return "step-2.1" if stop < len(inside) else None
 
-        # Stage 1: the first group feeds the singleton and subset probes.
-        b = sizes0, _, coords0, _ = _b_rows(zeros, b0)
-        if sizes0[0]:
-            try:
-                singles = coords0[step_rng.integers(sizes0[0], size=p.s)]
-            except MemoryError:
-                raise MemoryError(f"Stage 1 ran out of memory on its s = {p.s} singleton "
-                                  f"probes (n = {p.n}, epsilon = {p.epsilon})") from None
-            if oracle.query_until(singles[:, None], 0) is not None:
-                return False, "step-1.1"
-            for start in range(0, p.s, _SUBSET_ROWS):
-                rows = np.zeros(min(_SUBSET_ROWS, p.s - start), dtype=int)
-                if oracle.query_until(probes(b, rows, p.r), 0) is not None:
-                    return False, "step-1.2"
+    # Stage 1: the first group feeds the singleton and subset probes.
+    b = sizes0, _, coords0, _ = _b_rows(zeros, b0)
+    if sizes0[0]:
+        try:
+            singles = coords0[step_rng.integers(sizes0[0], size=p.s)]
+        except MemoryError:
+            raise MemoryError(f"Stage 1 ran out of memory on its s = {p.s} singleton "
+                              f"probes (n = {p.n}, epsilon = {p.epsilon})") from None
+        if oracle.query_until(singles[:, None], 0) is not None:
+            return False, "step-1.1"
+        for start in range(0, p.s, _SUBSET_ROWS):
+            rows = np.zeros(min(_SUBSET_ROWS, p.s - start), dtype=int)
+            if oracle.query_until(probes(b, rows, p.r), 0) is not None:
+                return False, "step-1.2"
     # Stage 2: one fresh group per iteration, _SUBSET_ROWS at a time. Every
     # 0-sample has its representative, as Stage 0 returns on the first nil
     # one. The first group that lacks B or a 0-sample ends the run unasked.
@@ -783,22 +788,17 @@ def _stages12(facts: _GroupFacts, oracle, sampler, p: TesterParams,
     while few is not None:
         ends = few | (first0s < 0)
         stop = int(ends.argmax()) if ends.any() else len(ends)
-        if facts.known:
-            asked += stop
-        else:
-            masks = np.concatenate((masks, flags[:stop]))
-            alpha = np.concatenate((alpha, rep_of[first0s[:stop]]))
-            while len(alpha) >= _SUBSET_ROWS:
-                if verdict := stage2(masks[:_SUBSET_ROWS], alpha[:_SUBSET_ROWS]):
-                    return False, verdict
-                masks, alpha = masks[_SUBSET_ROWS:], alpha[_SUBSET_ROWS:]
+        masks = np.concatenate((masks, flags[:stop]))
+        alpha = np.concatenate((alpha, rep_of[first0s[:stop]]))
+        while len(alpha) >= _SUBSET_ROWS:
+            if verdict := stage2(masks[:_SUBSET_ROWS], alpha[:_SUBSET_ROWS]):
+                return False, verdict
+            masks, alpha = masks[_SUBSET_ROWS:], alpha[_SUBSET_ROWS:]
         if stop < len(ends):
             reason = "stage2-few-ones" if few[stop] else "stage2-no-zero"
             break
         few, first0s, flags = next(facts.blocks, (None,) * 3)
-    if facts.known:
-        oracle.transcript._take("blackbox_count", asked)
-    elif len(alpha) and (verdict := stage2(masks, alpha)):
+    if len(alpha) and (verdict := stage2(masks, alpha)):
         return False, verdict
     return True, reason
 

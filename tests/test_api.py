@@ -36,7 +36,7 @@ REMOVED = {"strong_sample", "index_from_uniform", "weight_of", "support",
            "_charge_groups", "_draw_big", "_resolve_big", "take_samples", "_codes",
            "LabeledSample", "from_function", "_alpha_in_b", "_HiddenBlocks",
            "LBNoStarFunction", "_drawn_facts", "_below_cuts", "_set_table",
-           "_draw_indices_raw", "_arrays", "R_prime", "_cuts"}
+           "_draw_indices_raw", "_arrays", "R_prime", "_cuts", "class_only", "known"}
 
 
 @pytest.mark.parametrize("name", MODULES)

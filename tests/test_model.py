@@ -1125,3 +1125,26 @@ def test_required_is_read_once_per_box_and_per_view(monkeypatch):
         assert view._required() == frozenset({1, 2})
     assert view.flipped({2})._required() is None
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("func", [
+    MonotoneConj(300, frozenset({7, 150, 299})),
+    LinearThreshold(300, tuple((-1) ** k * (k % 7) for k in range(300)), 2)])
+def test_a_wide_set_among_narrow_ones_is_split_as_one_padded_batch_reads_it(func):
+    # 40 sets of at most 2 zeros and one of 250: one padded batch would be
+    # 41 x 250 cells, over 4 x the 330 zeros, so _slices_at reads the narrow
+    # sets and the wide one apart; the values are one padded batch's and
+    # value_at's
+    gen = np.random.default_rng(3)
+    sets = [sorted(gen.choice(np.arange(1, 301), gen.integers(0, 3), replace=False).tolist())
+            for _ in range(40)]
+    sets.insert(17, sorted(gen.choice(np.arange(1, 301), 250, replace=False).tolist()))
+    flat, starts, sizes = model_module._flat_sets(sets)
+    mapped = func._mapped(flat)
+    assert sizes.max() * sizes.size > 4 * sizes.sum()
+    got = model_module._slices_at(func, mapped, starts, sizes)
+    cols = np.arange(sizes.max())
+    padded = func._values_at(mapped[np.where(cols < sizes[:, None], starts[:, None] + cols,
+                                             mapped.size - 1)])
+    assert got.tolist() == padded.tolist() == [func.value_at(frozenset(s)) for s in sets]
+    assert 0 < sum(got.tolist()) < len(sets)

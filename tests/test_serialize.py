@@ -34,7 +34,7 @@ from subcube import (
     structure_sidecar,
 )
 from subcube.serialize import fraction_to_str, parse_fraction
-from helpers import rand_dist, table_of, zs
+from helpers import hidden_rule_potential, hidden_rule_unmet, rand_dist, table_of, zs
 
 SCALED = LBParams(60, h=4, r_blocks=6, m=3, s=1, blocks_per_side=1)
 
@@ -354,6 +354,36 @@ NOT_SCHEMA = {"not-json", "lb-no-duplicate-alpha",
 def test_schema_errors_raise_instance_format_error(case, contents, fragment):
     with pytest.raises(InstanceFormatError, match=re.escape(fragment)):
         instance_from_obj(contents())
+
+
+@pytest.mark.parametrize("threshold", [None, 1500])
+@pytest.mark.parametrize("a_blocks, b_blocks", [
+    ([[[1, 2], [2, 3]], [[4], [5]]], [[[6], [7]], [[1], [3]]]),  # A-blocks that meet in 2
+    ([[[1, 2], [3, 4]]], [[[5, 6]]]),  # an A-side of two blocks, a B-side of one
+])
+def test_a_decoded_no_function_the_batch_rule_cannot_hold_asks_value_at(a_blocks, b_blocks,
+                                                                         threshold):
+    # blocks that meet, or sides of unequal widths, get no batch rule when
+    # decoded: the function answers a batch through value_at, and every one
+    # of the 2^10 points gets the label the set rule gives it
+    obj = {"type": "lb-no" if threshold is None else "lb-no-ltf", "n": 10,
+           "R": list(range(1, 9)), "alpha": [8, 9][:len(a_blocks)], "a_blocks": a_blocks,
+           "b_blocks": b_blocks, "s": 0}
+    if threshold is not None:
+        obj["threshold"] = threshold
+    f = function_from_obj(obj)
+    assert f._table is None and not f._batched
+    sets = [frozenset(k for k in range(1, 11) if bits >> (k - 1) & 1) for bits in range(1 << 10)]
+    if threshold is None:
+        want = [int(zeros <= f.R and not hidden_rule_unmet(f, zeros)) for zeros in sets]
+    else:
+        want = [int(hidden_rule_potential(f, zeros) >= threshold) for zeros in sets]
+    assert 0 < sum(want) < len(want)
+    rows = np.zeros((len(sets), 10), dtype=np.int64)
+    for row, zeros in zip(rows, sets):
+        row[:len(zeros)] = sorted(zeros)
+    assert f._values_at(f._mapped(rows)).tolist() == want
+    assert [f.value_at(zeros) for zeros in sets] == want
 
 
 def test_a_decoded_desk_no_function_batches_as_it_answers(tmp_path, capsys):

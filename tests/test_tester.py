@@ -918,6 +918,47 @@ def test_budget_runs_out_at_the_same_count_with_or_without_draws(ones):
             assert tr.sample_count == stop, (ones, limit, log)
 
 
+def fact_reads(monkeypatch):
+    """Record, in order, each read of the groups past those drawn as
+    samples: ("facts", count, drawn) per _GroupLaw.draw call, drawn the D0
+    and D1 samples it drew; ("classes", count, 0) per block of class words
+    a known run reads alone on _GroupLaw.cuts (_Law.count inside
+    _known_run, but not inside _GroupLaw.draw); and ("known", 0, drawn) as
+    each _known_run returns, drawn the samples it drew in all."""
+    draw, count = tester_module._GroupLaw.draw, model_module._Law.count
+    known = tester_module._known_run
+    reads, inside = [], []
+
+    def counted(read, sampler, *args):
+        # read(*args), called inside read, and the samples it drew
+        before = sampler.transcript.samples_drawn
+        inside.append(read)
+        try:
+            return read(*args), sampler.transcript.samples_drawn - before
+        finally:
+            inside.pop()
+
+    def facts(law, k):
+        out, drawn = counted(draw, law.sampler, law, k)
+        reads.append(("facts", k, drawn))
+        return out
+
+    def classes(law, rng, words):
+        if inside[-1:] == [known]:
+            reads.append(("classes", len(words), 0))
+        return count(law, rng, words)
+
+    def known_run(oracle, sampler, *args):
+        out, drawn = counted(known, sampler, oracle, sampler, *args)
+        reads.append(("known", 0, drawn))
+        return out
+
+    monkeypatch.setattr(tester_module._GroupLaw, "draw", facts)
+    monkeypatch.setattr(model_module._Law, "count", classes)
+    monkeypatch.setattr(tester_module, "_known_run", known_run)
+    return reads
+
+
 def block_runs(monkeypatch, func, dist, seed, limit=None):
     """The tester with logging on, reference_mconj_tester, and the tester
     with logging off, on twin oracles capped at limit. Per run: (outcome,
@@ -925,8 +966,9 @@ def block_runs(monkeypatch, func, dist, seed, limit=None):
     outcome is (accepted, reason, Stage-0 0-samples, searches), or
     ("budget",) when the limit ran out; and per tester run, the (first
     group, group count, kind) of every block it drew, kind "groups" for a
-    block of groups and "facts" for a block of their facts alone."""
-    draw, facts = Sampler._draw_groups, tester_module._GroupLaw.draw
+    block of groups, "facts" for a block of their facts alone and
+    "classes" for a block of class words a known run reads alone."""
+    draw, reads = Sampler._draw_groups, fact_reads(monkeypatch)
     blocks = []
 
     def record(count, kind):
@@ -936,12 +978,7 @@ def block_runs(monkeypatch, func, dist, seed, limit=None):
         record(count, "groups")
         return draw(self, count, size)
 
-    def recorded_facts(law, count):
-        record(count, "facts")
-        return facts(law, count)
-
     monkeypatch.setattr(Sampler, "_draw_groups", recorded)
-    monkeypatch.setattr(tester_module._GroupLaw, "draw", recorded_facts)
     p = compute_parameters(dist.n, 1)
     runs = []
     for reference, log in ((False, True), (True, True), (False, False)):
@@ -958,6 +995,11 @@ def block_runs(monkeypatch, func, dist, seed, limit=None):
                 got = (v.accepted, v.reason, v.stage0_zero_samples, v.searches)
         except BudgetExceeded:
             got = ("budget",)
+        # every group read past those drawn as samples comes after them
+        for kind, count, _ in reads:
+            if kind != "known":
+                record(count, kind)
+        reads.clear()
         runs.append((got, tr.blackbox_count, tr.sample_count, tr.blackbox_log,
                      tr.sample_log))
     return runs, [blocks[0], blocks[2]]
@@ -1005,8 +1047,9 @@ def test_stage0_blocks_match_reference_inside_a_block(monkeypatch, case):
     # The quiet run reads the logged run's groups up to its last search:
     # under the budget and at the nil representative, which end the run
     # before that, it is the logged run but for its logs. Where recording
-    # ends, the one 0-point was searched in group 0, so the quiet run draws
-    # the later groups as their facts, and ends where they end it; it has
+    # ends, the one 0-point was searched in group 0, so the quiet run, a
+    # known one, reads the later groups' class words alone, and ends where
+    # they end it; it has
     # the logged run's sample count and searches, and only group 0's
     # 0-samples
     func, dist, seed, limit, deciding = _block_cases()[case]
@@ -1029,7 +1072,7 @@ def test_stage0_blocks_match_reference_inside_a_block(monkeypatch, case):
     assert want[0][:2] == outcome[:2]
     if case == "recording-ends":
         assert quiet_blocks[0] == (0, 1, "groups")
-        assert {kind for _, _, kind in quiet_blocks[1:]} == {"facts"}
+        assert {kind for _, _, kind in quiet_blocks[1:]} == {"classes"}
         group0 = want[4][:p.group_size]
         assert quiet[0][0] and quiet[0][2:] == (
             sum(1 for _, label in group0 if label == 0), 1)
@@ -1043,11 +1086,11 @@ def test_stage0_blocks_match_reference_inside_a_block(monkeypatch, case):
 
 
 def test_stage0_draws_group_0_alone_on_an_all_ones_support(monkeypatch):
-    # with logging off and no 0-labelled support point, Stage 0 draws every
-    # group as its facts from group 0 on: group 0, whose B takes t
-    # 1-samples, in a block of its own, then group 1, which has no 0-sample
-    # and ends the run, in a block of one. The logged run draws groups and
-    # matches the reference log for log
+    # with logging off and no 0-labelled support point, Stage 0 draws no
+    # group as samples: this known run draws group 0, whose B takes t
+    # 1-samples, as its facts, in a block of its own, then reads the class
+    # word of group 1, which has no 0-sample and ends the run, alone. The
+    # logged run draws groups and matches the reference log for log
     n = 8
     func = MonotoneConj(n, frozenset({1}))
     dist = FiniteDistribution(n, ((zs(n, 2), Fraction(1, 2)), (zs(n, 3), Fraction(1, 3)),
@@ -1057,7 +1100,7 @@ def test_stage0_draws_group_0_alone_on_an_all_ones_support(monkeypatch):
     assert got == want
     assert want[0] == (True, "stage2-no-zero", 0, 0)
     assert {kind for _, _, kind in logged} == {"groups"}
-    assert quiet_blocks == [(0, 1, "facts"), (1, 1, "facts")]
+    assert quiet_blocks == [(0, 1, "facts"), (1, 1, "classes")]
     assert quiet[0] == want[0] and quiet[1:3] == want[1:3]
 
 
@@ -1194,43 +1237,29 @@ def test_a_box_that_disagrees_with_the_labels_asks_its_probes():
         assert got[1] in ("step-1.1", "step-1.2"), got
 
 
-def class_only_reads(monkeypatch):
-    """Record, per _GroupLaw.draw call, whether it read the class words
-    alone and how many samples it drew (D0 and D1 draws). On a support
-    with a 0-labelled point, as here, group 0 is drawn as samples, so every
-    call is past group 0."""
-    facts, reads = tester_module._GroupLaw.draw, []
-
-    def recorded(law, count):
-        before = law.sampler.transcript.samples_drawn
-        out = facts(law, count)
-        reads.append((law.class_only, law.sampler.transcript.samples_drawn - before))
-        return out
-
-    monkeypatch.setattr(tester_module._GroupLaw, "draw", recorded)
-    return reads
-
-
 def test_a_box_that_disagrees_with_one_label_reads_every_fact(monkeypatch):
     # the box answers x6 and the sampler labels by x5, which differ on the
     # 0-labelled point (5,): every Stage-1 probe answers 1, and past group 0
     # the run still draws D0 and D1 up to the group that rejects it; on the
-    # box that agrees with every label, it reads only the class words, and
-    # draws nothing. The box x5 x1, which differs on the 1-labelled points
-    # zero at 1, rejects in Stage 1 and draws no group past group 0
+    # box that agrees with every label, a known run, it reads only the class
+    # words, and draws nothing. The box x5 x1, which differs on the
+    # 1-labelled points zero at 1, rejects in Stage 1 and draws no group
+    # past group 0. On a support with a 0-labelled point, as here, group 0
+    # is drawn as samples, so every read is past group 0
     n = 16
     dist = uniform_dist(n, [(), (1,), (1, 2), (3,), (5,), (5, 6)])
     labels = MonotoneConj(n, frozenset({5}))
-    reads = class_only_reads(monkeypatch)
+    reads = fact_reads(monkeypatch)
     for seed in range(3):
         quiet_run("mconj", MonotoneConj(n, frozenset({1, 5})), labels, dist, seed)
     assert reads == []
-    for box, class_only in ((MonotoneConj(n, frozenset({6})), False), (labels, True)):
+    for box, known in ((MonotoneConj(n, frozenset({6})), False), (labels, True)):
         reads.clear()
         for seed in range(3):
             quiet_run("mconj", box, labels, dist, seed)
-        assert reads and all(flag == class_only and (drawn == 0) == class_only
-                             for flag, drawn in reads), reads
+        assert any(kind == ("classes" if known else "facts") for kind, _, _ in reads), reads
+        assert all((kind != "facts") == known and (drawn == 0) == known
+                   for kind, _, drawn in reads), reads
 
 
 def class_only_instance():
@@ -1260,28 +1289,39 @@ def reason_fit(runs=600):
 
 
 def test_class_only_runs_match_logged_runs_in_reasons(monkeypatch):
-    # quiet runs read only the class words past group 0, logged runs draw
-    # every group; their reasons have one law
-    reads = class_only_reads(monkeypatch)
+    # quiet runs, known ones, read only the class words past group 0 and
+    # draw no D0 or D1 sample, logged runs draw every group; their reasons
+    # have one law
+    reads = fact_reads(monkeypatch)
     stat, critical, df, hists = reason_fit()
     print(f"class-only reasons: chi-square {stat:.2f}, critical {critical:.2f} "
           f"at alpha 0.001, {df} df; {hists}")
     assert {"stage1-few-ones", "stage2-few-ones", "stage2-no-zero",
             "end-of-stage-2"} <= hists[False].keys()
-    assert reads and all(flag for flag, _ in reads)
+    assert {kind for kind, _, _ in reads} == {"classes", "known"}
+    assert all(drawn == 0 for _, _, drawn in reads)
     assert stat < critical, (stat, critical, hists)
 
 
 def test_a_class_only_mutant_fails_the_reason_fit(monkeypatch):
     # the mutant reads a group with no 0-sample as one with too few
-    # 1-samples, so its quiet runs end at stage2-few-ones, not no-zero
-    facts = tester_module._GroupLaw.draw
+    # 1-samples, so its quiet runs end at stage2-few-ones, not no-zero: a
+    # class word a known run reads alone that counts 1 counts 0
+    count, known, inside = model_module._Law.count, tester_module._known_run, []
 
-    def full_as_few(law, count):
-        few, first0, masks = facts(law, count)
-        return (few | (first0 < 0) if law.class_only else few), first0, masks
+    def full_as_few(law, rng, words):
+        counts = count(law, rng, words)
+        return np.where(counts == 1, 0, counts) if inside else counts
 
-    monkeypatch.setattr(tester_module._GroupLaw, "draw", full_as_few)
+    def known_run(*args):
+        inside.append(True)
+        try:
+            return known(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(model_module._Law, "count", full_as_few)
+    monkeypatch.setattr(tester_module, "_known_run", known_run)
     stat, critical, df, hists = reason_fit()
     print(f"mutant reasons: chi-square {stat:.2f}, critical {critical:.2f} "
           f"at alpha 0.001, {df} df; {hists}")
@@ -1549,20 +1589,36 @@ def recorded_groups(draw):
     or a monotone conjunction's table with a few support points and inputs
     flipped, which is no longer monotone. Small parameters, and d* + 1
     groups of support indices."""
-    n = draw(st.integers(2, 6))
-    coords = st.frozensets(st.integers(1, n), max_size=3)
     kind = draw(st.sampled_from(["mconj", "conj", "non-monotone"]))
-    if kind == "non-monotone" and n > 2 and draw(st.booleans()):
-        # step 2.2's shape: P = {1}, the 1-points' zeros lie in 2..k and
-        # the 0-points' are 1 and zeros past k, so every search returns 1;
-        # every set of 1 and one or two of 2..k is flipped to 1, so each
-        # Stage-2 probe answers 1
+    shape = draw(st.sampled_from(["step-2.2", "step-2.1", "step-1.2", None])) \
+        if kind == "non-monotone" else None
+    n = draw(st.integers(3 if shape else 2, 6))
+    coords = st.frozensets(st.integers(1, n), max_size=3)
+    if shape:
+        # a shape that reaches one step: P = {1}, the 1-points' zeros are
+        # some of 2..k and the 0-points' are 1 and some past k, so every
+        # search returns 1, and each group is the 1-points in turn, then a
+        # 0-point. Step 1.2: the 1-points have one zero each, and every set
+        # of two or more of 2..k is flipped to 0, so a subset probe of B0
+        # answers 0. Step 2.1: a 1-point or two are 1 and some of 2..k,
+        # flipped to 1, so a B can hold alpha = 1. Step 2.2: every set of 1
+        # and one or two of 2..k is flipped to 1, so each Stage-2 probe
+        # answers 1
         k = draw(st.integers(2, n - 1))
-        zero_sets = draw(st.lists(st.frozensets(st.integers(2, k)), min_size=2, max_size=4,
-                                  unique=True))
+        most = 1 if shape == "step-1.2" else None
+        zero_sets = draw(st.lists(st.frozensets(st.integers(2, k), min_size=1, max_size=most),
+                                  min_size=2 if k > 2 else 1, max_size=4, unique=True))
+        marked = draw(st.lists(st.frozensets(st.integers(2, k), min_size=1), min_size=1,
+                               max_size=2, unique=True).map(lambda zs: [z | {1} for z in zs]))
+        zero_sets += marked if shape == "step-2.1" else []
+        one_points = len(zero_sets)
         zero_sets += draw(st.lists(st.frozensets(st.integers(k + 1, n)), min_size=1,
                                    max_size=2, unique=True).map(lambda zs: [z | {1} for z in zs]))
-        flips = [frozenset({1, *s}) for j in (1, 2) for s in combinations(range(2, k + 1), j)]
+        flips = {"step-1.2": [frozenset(s) for j in range(2, k) for s in
+                              combinations(range(2, k + 1), j)],
+                 "step-2.1": marked,
+                 "step-2.2": [frozenset({1, *s}) for j in (1, 2)
+                              for s in combinations(range(2, k + 1), j)]}[shape]
         required = frozenset({1})
     else:
         zero_sets = draw(st.lists(st.frozensets(st.integers(1, n)), min_size=1, max_size=6,
@@ -1582,20 +1638,24 @@ def recorded_groups(draw):
         flip = conj_flip(func, dist)
     else:
         bits = table_of(MonotoneConj(n, required), n)
-        for k in [ones_index(n, z) for z in flips] + draw(
-                st.lists(st.integers(0, (1 << n) - 1), max_size=3)):
+        for k in [ones_index(n, z) for z in flips] + ([] if shape else draw(
+                st.lists(st.integers(0, (1 << n) - 1), max_size=3))):
             bits ^= 1 << k
         func = TruthTable(n, bits)
     t = draw(st.integers(2, 4))
-    p = small_params(n, d_star=draw(st.integers(0, 6)), r=draw(st.integers(2, 3)), t=t,
-                     s=draw(st.integers(0, 4)), group_size=draw(st.integers(t, 8)))
+    p = small_params(n, d_star=draw(st.integers(bool(shape), 6)), r=draw(st.integers(2, 3)), t=t,
+                     s=draw(st.integers(0, 4)), group_size=draw(st.integers(t + bool(shape), 8)))
     group = st.lists(st.integers(0, len(zero_sets) - 1), min_size=p.group_size,
                      max_size=p.group_size)
+    if shape:
+        group = st.builds(
+            lambda a, z: [(a + j) % one_points for j in range(p.group_size - 1)] + [z],
+            st.integers(0, one_points - 1), st.integers(one_points, len(zero_sets) - 1))
     groups = draw(st.lists(group, min_size=p.d_star + 1, max_size=p.d_star + 1))
     return func, dist, flip, kind, draw(st.booleans()), p, groups, draw(st.integers(0, 99))
 
 
-def facts_by_set_rule(groups, labels, p, reps, known, width):
+def facts_by_set_rule(groups, labels, p, reps, width):
     """The _GroupFacts of recorded groups by the set rule, in one block of
     a row per group: few, whether the group has fewer than t (past group 0,
     t - 1) 1-samples; first0, its first 0-labelled support index, or -1;
@@ -1612,7 +1672,7 @@ def facts_by_set_rule(groups, labels, p, reps, known, width):
             masks[g, ones[:need]] = True
         first0s.append(zeros[0] if zeros else -1)
     return tester_module._GroupFacts(iter([(np.array(few, dtype=bool), np.array(first0s),
-                                            masks)]), reps, 0, known)
+                                            masks)]), reps, 0)
 
 
 # the examples: alpha = 3 lies in B = {1, 3} (step 2.1); alpha = 3 is
@@ -1630,8 +1690,8 @@ def facts_by_set_rule(groups, labels, p, reps, known, width):
 def test_stages12_on_recorded_facts_match_the_reference(case):
     # the groups are cut at the first that ends the run, as Stage 0
     # records them, and every 0-sample gets its representative, as Stage 0
-    # hands them on; a known run (logging off, a conjunction box, which
-    # labels the support itself) asks no probe and is charged them
+    # hands them on; _stages12 asks its probes on every box, a known run's
+    # (which Stage 0 ends itself, _known_run) included
     func, dist, flip, kind, log, p, groups, seed = case
     labels = [func.value_at(point.zeros) for point, _ in dist.entries]
     cut = _ends_recording(p, [labels[i] for group in groups for i in group])
@@ -1649,13 +1709,92 @@ def test_stages12_on_recorded_facts_match_the_reference(case):
                                              sampler.point(si))
             for group in groups for si in group if not labels[si]}
     assume(None not in reps.values())
-    facts = facts_by_set_rule(groups, labels, p, reps, not log and kind != "non-monotone",
-                              len(labels))
+    facts = facts_by_set_rule(groups, labels, p, reps, len(labels))
     got = tester_module._stages12(facts, box, sampler, p, rng)
     ref_tr, ref_box, ref_sampler, ref_rng = twin()
     want = reference_stages12(groups, reps, ref_box, ref_sampler, p, ref_rng)
     assert (got, tr.blackbox_count, tr.blackbox_log) == (
         want, ref_tr.blackbox_count, ref_tr.blackbox_log)
+
+
+_STAGE12_REASONS = {"stage1-few-ones", "step-1.1", "step-1.2", "stage2-few-ones",
+                    "stage2-no-zero", "step-2.1", "step-2.2", "end-of-stage-2"}
+
+
+def test_recorded_groups_reach_every_reason():
+    # a fixed sample of the strategy, 400 examples from a fixed seed, ends
+    # at every reason of Stages 1-2 on the reference, so the properties on
+    # it reach every branch of _stages12, step 2.2's probe loop included
+    reasons = {}
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(case=recorded_groups())
+    def tally(case):
+        func, dist, flip, kind, log, p, groups, seed = case
+        labels = [func.value_at(point.zeros) for point, _ in dist.entries]
+        cut = _ends_recording(p, [labels[i] for group in groups for i in group])
+        groups = groups if cut is None else groups[:cut + 1]
+        tr, rng = QueryTranscript(), RandomStream(seed)
+        box = BlackBox(func, tr).flipped(flip)
+        sampler = Sampler(dist, func, tr, rng.split("samples")).flipped(flip)
+        reps = {si: binary_search_representative(box, sampler.point(si))
+                for group in groups for si in group if not labels[si]}
+        if None not in reps.values():
+            reason = reference_stages12(groups, reps, box, sampler, p, rng.split("tester"))[1]
+            reasons[reason] = reasons.get(reason, 0) + 1
+
+    tally()
+    print(f"reasons of the fixed sample: {reasons}")
+    assert reasons.keys() == _STAGE12_REASONS, reasons
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a known run read a word")
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=recorded_groups(), data=st.data())
+def test_known_runs_on_recorded_facts_match_the_reference(case, data):
+    # a known run (logging off, a conjunction box, which labels the support
+    # itself) on the groups up to the first that ends the run, all drawn as
+    # samples, as Stage 0 hands them on: _known_run reads no word of any
+    # stream, and has the reference's reason and black-box count under a
+    # limit up to that count, the count where the budget runs out included
+    func, dist, flip, kind, _, p, groups, seed = case
+    assume(kind != "non-monotone")
+    labels = [func.value_at(point.zeros) for point, _ in dist.entries]
+    cut = _ends_recording(p, [labels[i] for group in groups for i in group])
+    groups = groups if cut is None else groups[:cut + 1]
+
+    def run(stages12, limit=None):
+        tr = QueryTranscript(limit=limit)
+        rng = RandomStream(seed)
+        box = BlackBox(func, tr).flipped(flip)
+        sampler = Sampler(dist, func, tr, rng.split("samples")).flipped(flip)
+        try:
+            got = stages12(box, sampler, rng.split("tester"))
+        except BudgetExceeded:
+            got = "budget"
+        return got, tr.blackbox_count
+
+    def known(box, sampler, rng):
+        assume(box._required() is not None)  # a conjunction read as monotone
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("split", "integers", "subset_rows", "_words"):
+                mp.setattr(RandomStream, name, _refuse)
+            return tester_module._known_run(box, sampler, p, list(facts.blocks), 1)
+
+    sampler = Sampler(dist, func, QueryTranscript(), RandomStream(seed)).flipped(flip)
+    reps = {si: binary_search_representative(BlackBox(func, QueryTranscript()).flipped(flip),
+                                             sampler.point(si))
+            for group in groups for si in group if not labels[si]}
+    facts = facts_by_set_rule(groups, labels, p, reps, len(labels))
+
+    def reference(box, sampler, rng):
+        return reference_stages12(groups, reps, box, sampler, p, rng)
+
+    limit = data.draw(st.one_of(st.none(), st.integers(0, run(reference)[1])), label="limit")
+    assert run(known, limit) == run(reference, limit)
 
 
 class _Splits(RandomStream):
@@ -1686,7 +1825,7 @@ def facts_in_blocks(facts, cuts):
             read.append(k)
             yield tuple(column[a:b] for column in rows)
 
-    return tester_module._GroupFacts(blocks(), facts.reps, 0, facts.known), read
+    return tester_module._GroupFacts(blocks(), facts.reps, 0), read
 
 
 # the example: B = {1, 2} and alpha = 3 in every Stage-2 group, and the
@@ -1712,7 +1851,6 @@ def test_stages12_on_facts_in_blocks_match_the_one_block_call(case, limit, cuts,
     end = _ends_recording(p, [labels[i] for group in groups for i in group])
     recorded = groups if end is None else groups[:end + 1]
     cuts = sorted(c for c in cuts if c < len(groups))
-    known = not log and kind != "non-monotone"
 
     def run(kept, cut):
         tr = QueryTranscript(log_queries=log, limit=limit)
@@ -1723,7 +1861,7 @@ def test_stages12_on_facts_in_blocks_match_the_one_block_call(case, limit, cuts,
             BlackBox(func, QueryTranscript()).flipped(flip), sampler.point(si))
             for group in recorded for si in group if not labels[si]}
         assume(None not in reps.values())
-        facts, read = cut(facts_by_set_rule(kept, labels, p, reps, known, len(labels)))
+        facts, read = cut(facts_by_set_rule(kept, labels, p, reps, len(labels)))
         tester = rng.split("tester")
         steps = _Splits(tester.seed, tester.path)
         try:
@@ -1904,7 +2042,7 @@ def drawn_fact_counts(sampler, size, needs, groups=20_000):
     keys its outcomes."""
     counts = {}
     for need in needs:
-        few, first0, masks = tester_module._GroupLaw(sampler, size, need, False).draw(groups)
+        few, first0, masks = tester_module._GroupLaw(sampler, size, need).draw(groups)
         counts[need] = {}
         for short, zero, row in zip(few.tolist(), first0.tolist(), masks):
             if short:
@@ -2081,7 +2219,7 @@ def test_class_word_ties_resolve_exactly(ones_mass):
     words, ties = [p[0] for p in prefixes] + missing, [w for p in prefixes for w in p[1:]]
     sampler = Sampler(dist, f, QueryTranscript(), RandomStream(0))
     sampler._batch._gen, sampler._batch._ties._gen = _WordsThenPCG(words), _WordsThenPCG(ties)
-    short, first0, masks = tester_module._GroupLaw(sampler, size, need, False).draw(
+    short, first0, masks = tester_module._GroupLaw(sampler, size, need).draw(
         len(prefixes))
     got = np.where(short, 0, np.where(first0 < 0, 1, 2)).tolist()
     assert got == [settled(p)[0] for p in prefixes]
@@ -2149,7 +2287,7 @@ def test_drawn_facts_word_layout_is_pinned(ones, zeros, size, t, seed, small_u, 
     sampler = Sampler(dist, f, QueryTranscript(), RandomStream(seed))
     sha = hashlib.sha256()
     for need in (t, t - 1):
-        few, first0, masks = tester_module._GroupLaw(sampler, size, need, False).draw(300)
+        few, first0, masks = tester_module._GroupLaw(sampler, size, need).draw(300)
         for part in (few, np.asarray(first0, dtype=np.int64), masks):
             sha.update(part.tobytes())
         sha.update(repr(sampler._batch._gen.bit_generator.state).encode())
@@ -2228,6 +2366,74 @@ def test_missing_cut_brackets_count_as_the_exact_cuts(data, m1, points, need, se
     check_brackets(law, want, bracket_words(data, model_module._Law(want).tops.tolist()), seed)
 
 
+@pytest.mark.parametrize("ones, m, size, need", [
+    (1, 3, 200, 5), (2, 3, 200, 199), (1, 2, 150, 75), (1, 2, 150, 76), (5, 7, 1, 1)])
+def test_hoeffding_brackets_hold_the_exact_cuts_on_either_side(ones, m, size, need):
+    # size p above need - 1 bounds P[X < need] from above, and size p at
+    # most need - 1 (the mean 75 with need 76 included) from below; the
+    # class law read through those bounds, as past _MAX_TERMS terms, holds
+    # the exact tops and counts words at and beside them as the exact cuts do
+    low, high = tester_module._hoeffding(ones, m, size, need)
+    assert (low == 0.0, high == 1.0) == ((True, False) if size * ones > (need - 1) * m
+                                         else (False, True))
+    saved, tester_module._MAX_TERMS = tester_module._MAX_TERMS, 0
+    try:
+        law = tester_module._class_cuts(ones, m, size, need)
+    finally:
+        tester_module._MAX_TERMS = saved
+    cum = tester_module._class_cuts(ones, m, size, need).cum
+    tops = model_module._Law(cum).tops.tolist()
+    words = sorted({w for top in tops for w in (top - 1, top, top + 1) if 0 <= w < 1 << 64})
+    check_brackets(law, cum, np.array(words + [0, (1 << 64) - 1], dtype=np.uint64), 0)
+
+
+def test_hoeffding_past_a_floats_range_puts_the_exact_top_word_at_an_end():
+    # size = 2^1100 draws of chance 1/2: -2 gap^2 / (m^2 size) is past a
+    # float's range, so the tail is 0. The exact cuts are too large to
+    # build, but P[X < 1] and P[X >= size] are 2^-size, so the exact top
+    # word of few is 0 for need 1 and 2^64 - 1 for need = size, and the
+    # bracket holds it; for need = size the class law has that one cut
+    m, size = 2, 1 << 1100
+    assert tester_module._hoeffding(1, m, size, 1) == (0.0, 0.0)
+    assert tester_module._hoeffding(1, m, size, size) == (1.0, 1.0)
+    law = tester_module._class_cuts(1, m, size, size)
+    lo, hi = law._brackets
+    assert lo.tolist() == [1 << 63] and hi.tolist() == [(1 << 64) - 1]
+    # a word below the bracket counts 0, too few 1-samples, with no exact cut built
+    assert law.count(RandomStream(0), np.array([0, 1, (1 << 63) - 1], dtype=np.uint64)
+                     ).tolist() == [0, 0, 0]
+    assert "cum" not in vars(law)
+
+
+@pytest.mark.parametrize("cum, need, under", [
+    ((1, 2), 2, True), (((1 << 40) - 232354146752, 1 << 40), 3, True),
+    (((1 << 39) - 1, 1 << 40), 2, False)])
+def test_missing_cuts_decide_u_exactly_when_its_bracket_holds_one_half(monkeypatch, cum,
+                                                                      need, under):
+    # U is 1/2 exactly for two points of chance 1/2 at need 2, 1/2 - 1.3e-12
+    # for two points at need 3, and 1/2 + 2^-79 for two points of chance
+    # 1/2 -+ 2^-40 at need 2: each lies within U's bracket of 1/2, so
+    # _missing_cuts builds the exact cuts, one _Law of them, and decides U
+    # against 1/2 from them
+    built, law_class = [], model_module._Law
+
+    def recorded(*args, **kwargs):
+        if args:
+            built.append(args[0])
+        return law_class(*args, **kwargs)
+
+    m1 = cum[-1]
+    cuts = tuple(accumulate((m1 - (b - a)) ** need for a, b in zip((0,) + cum[:-1], cum)))
+    cuts += (m1 ** need,)
+    assert (2 * cuts[-2] <= cuts[-1]) == under
+    monkeypatch.setattr(tester_module, "_Law", recorded)
+    law = tester_module._missing_cuts(cum, need)
+    assert built == [cuts]
+    assert (law is not None) == under == (exact_missing_cuts(cum, need) is not None)
+    if under:
+        assert law.cum == cuts and law._brackets is None
+
+
 def test_cuts_past_the_exact_bits_are_refused_only_inside_a_bracket():
     # n = 10^17, epsilon = 1, all-ones support: group 0's class law and
     # missing law hold cuts of 0, each bracket [0, 0]; word 0 lies inside it
@@ -2267,8 +2473,8 @@ def test_class_words_come_in_one_block_per_max_facts_groups(seed, conj, ones, bu
     # than the run's, so it refuses a group of Stage 0.
     # small: blocks of facts capped at 100 groups, not 2^18 / (2 width).
     # The run matches the reference run in verdict, counts and logs; its
-    # searches are the reference's; and past group 0 it draws only class
-    # words, one call per max_facts groups
+    # searches are the reference's; and past group 0 it reads only class
+    # words, one block per max_facts groups, and draws no D0 or D1 sample
     n = 64
     p = compute_parameters(n, 1)
     rng = RandomStream(seed)
@@ -2280,17 +2486,11 @@ def test_class_words_come_in_one_block_per_max_facts_groups(seed, conj, ones, bu
                Fraction(100 - ones, 200))
     dist = FiniteDistribution(n, tuple(zip(points, weights)))
     limit = None if budget is None else p.group_size * budget + rng.randrange(p.group_size)
-    calls, draw = [], tester_module._GroupLaw.draw
     saved = tester_module._BLOCK_SAMPLES
-
-    def recorded(law, count):
-        calls.append((law.class_only, count))
-        return draw(law, count)
-
     runs = []
-    tester_module._GroupLaw.draw = recorded
-    tester_module._BLOCK_SAMPLES = 2 * len(points) * 100 if small else saved
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        reads = fact_reads(mp)
+        mp.setattr(tester_module, "_BLOCK_SAMPLES", 2 * len(points) * 100 if small else saved)
         for reference in (True, False):
             tr = QueryTranscript(limit=limit)
             sub = RandomStream(seed)
@@ -2307,20 +2507,17 @@ def test_class_words_come_in_one_block_per_max_facts_groups(seed, conj, ones, bu
                 got = ("budget",)
             runs.append((got[:2] + got[3:], tr.blackbox_count, tr.sample_count,
                          tr.blackbox_log, tr.sample_log))
-    finally:
-        tester_module._GroupLaw.draw = draw
-        tester_module._BLOCK_SAMPLES = saved
     want, got = runs
     assert got == want
     assert want[0][0] is not False
     max_facts = max(1, tester_module._BLOCK_SAMPLES // (2 * len(points))) if not small else 100
-    counts = [count for class_only, count in calls if class_only]
-    assert all(class_only for class_only, _ in calls)
+    counts = [count for kind, count, _ in reads if kind == "classes"]
+    assert all(kind != "facts" and drawn == 0 for kind, _, drawn in reads)
     if budget is not None or want[0][1] in ("conj-no-positive", "stage1-few-ones"):
-        # no group is drawn as facts: the run ends before Stage 0 or at
-        # group 0, or the budget refuses a Stage-0 group, which the charge
-        # of every group left finds first
-        assert not calls
+        # no class word is read: the run ends before Stage 0 or at group 0,
+        # or the budget refuses a Stage-0 group, which the charge of every
+        # group left finds first
+        assert not counts
         return
     assert counts and all(c == max_facts for c in counts[:-1]) and counts[-1] <= max_facts
 
