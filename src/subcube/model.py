@@ -25,13 +25,14 @@ label, over the support points that have it.
 BlackBox.flipped(C) and Sampler.flipped(C) are views that flip the queries
 asked or the points handed out, share both streams, and log in the
 instance's own coordinates; each checks C once, as Flipped does.
-BlackBox.query_until asks a batch of small zero sets in order and stops at
-the first whose answer ends the run. BlackBox._required() names P when the
-box, flip included, asks a monotone conjunction (P, {}) and does not log,
-and decides the tester's known runs; each box and view reads P once.
-A quiet, unflipped box whose function has a batch rule answers
-_BATCH_ROWS or more queries ahead (BlackBox._batches), then charges them in
-sequential order up to the one where its caller stops.
+A box answers its own asks, and its callers never choose how: query_until
+asks a batch of small zero sets in order and stops at the first whose answer
+ends the run, and representatives runs the binary search for each point's
+representative. Each answers queries ahead, uncharged, then charges (and
+logs, in f's coordinates) them in order up to the one where its caller stops.
+BlackBox._required() names P when the box, flip included, asks a monotone
+conjunction (P, {}) and does not log, and decides the tester's known runs;
+each box and view reads P once.
 
 One QueryTranscript is the ledger of a trial: every oracle of the trial,
 every flipped view and every amplification attempt charges it. It counts
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import copy
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -639,7 +641,8 @@ class BlackBox:
         self.func = func
         self.n = func.n
         self.transcript = transcript
-        self._flip = frozenset()
+        # the flip of a view, and the function its queries are answered by
+        self._flip, self._asked = frozenset(), func
         self._p = _UNREAD
 
     def _required(self) -> Optional[frozenset]:
@@ -673,30 +676,93 @@ class BlackBox:
         point f was asked."""
         view = copy.copy(self)
         view._flip, view._p = self._flip ^ _coords(self.n, coords, "flip coordinate"), _UNREAD
+        view._asked = Flipped(self.func, view._flip) if view._flip else self.func
         return view
 
-    def _batches(self, rows: int) -> bool:
-        """Whether rows queries are answered ahead, uncharged, by the batch
-        rule: a flip or a log asks each as one query_set."""
-        return not self._flip and not self.transcript.log_queries and _batch(self.func, rows)
+    def representatives(self, points: list):
+        """The representative of each point x of points, in order: a zero
+        coordinate i of x with f({i}) = 0, or None (nil). Each level of the
+        search halves the sorted ZERO(x), the first half taking the odd
+        coordinate, asks both halves and keeps the first that answers 0; it
+        is nil when neither does, which never happens for a monotone
+        conjunction. At most 2 ceil(log2 |ZERO(x)|) queries, none when
+        |ZERO(x)| <= 1.
+
+        Each search is charged as it is yielded, so a budget refuses the
+        query where asking would, and a caller that stops leaves the rest
+        uncharged. On a box whose _required() names P, a half answers 0
+        exactly when it meets P, so the search asks nothing: it is nil after
+        2 queries when ZERO(x) misses P, and else walks to r, the least
+        coordinate of P in ZERO(x), by r's rank. A quiet box whose batch rule
+        answers the 2 len(points) first halves (Flipped has none) runs the
+        searches in lockstep, one batch of every live search's two halves per
+        level. Every other box asks each half as one query_set."""
+        t, required, func = self.transcript, self._required(), self._asked
+        if required is None and not t.log_queries and _batch(func, 2 * len(points)):
+            zeros = [x._sorted() for x in points]
+            # each search's zeros left, as mapped[start:start + size]
+            flat, starts, sizes = _flat_sets(zeros)
+            mapped = func._mapped(flat)
+            first, levels, nil = starts.copy(), np.zeros_like(sizes), sizes == 0
+            live = np.flatnonzero(sizes >= 2)
+            while live.size:
+                at, size = starts[live], sizes[live]
+                half = (size + 1) // 2
+                v0, v1 = _slices_at(func, mapped, np.concatenate((at, at + half)),
+                                    np.concatenate((half, size - half))).reshape(2, -1)
+                levels[live] += 1
+                nil[live] = (v0 != 0) & (v1 != 0)
+                starts[live] = np.where(v0 == 0, at, at + half)
+                sizes[live] = np.where(v0 == 0, half, size - half)
+                live = live[~nil[live] & (sizes[live] >= 2)]
+            # the representative: the one zero left, at its place in the sorted zeros
+            for z, k, at, gone in zip(zeros, levels.tolist(), (starts - first).tolist(),
+                                      nil.tolist()):
+                t._take("blackbox_count", 2 * k)
+                yield None if gone else z[at]
+            return
+        for x in points:
+            z = x._sorted()
+            if required is not None and len(z) >= 2:
+                r = min(x.zeros & required, default=None)
+                at, size, levels = bisect_left(z, r) if r else 0, len(z), 0
+                while size >= 2:  # the half that holds r, by its rank
+                    half = (size + 1) // 2
+                    at, size = (at, half) if at < half else (at - half, size - half)
+                    levels += 1
+                t._take("blackbox_count", 2 * levels if r else 2)
+                z = (r,) if r else ()
+            while len(z) >= 2:
+                half = (len(z) + 1) // 2
+                v0 = self.query_set(frozenset(z[:half]))
+                v1 = self.query_set(frozenset(z[half:]))
+                z = z[:half] if v0 == 0 else z[half:] if v1 == 0 else ()
+            yield z[0] if z else None
 
     def query_until(self, rows: np.ndarray, stop: int) -> Optional[int]:
         """Ask the zero sets in rows in order until one is answered stop:
         its index, or None when none is.
 
         Each row lists the distinct coordinates of one set, padded with 0s,
-        and is charged and logged as one query_set. A box that batches asks
-        doubling blocks of rows, answers past the stop dropped uncharged."""
-        if not self._batches(len(rows)):
-            for k, row in enumerate(rows.tolist()):
-                if self.query_set(frozenset(row) - _PAD) == stop:
-                    return k
-            return None
-        start, block = 0, _BATCH_ROWS
+        and is charged and logged as one query_set. The rows are answered in
+        doubling blocks, from _BATCH_ROWS rows when the function's batch rule
+        answers them, else from 1 row by value_at (a flipped view's through
+        Flipped); answers past the stop are dropped uncharged, so a box
+        without a batch rule evaluates at most twice the rows it charges."""
+        t, func = self.transcript, self._asked
+        batch = _batch(func, len(rows))
+        start, block = 0, _BATCH_ROWS if batch else 1
         while start < len(rows):
             part = rows[start:start + block]
-            hit = np.flatnonzero(self.func._values_at(self.func._mapped(part)) == stop)
-            self.transcript._take("blackbox_count", int(hit[0]) + 1 if hit.size else len(part))
+            values = (func._values_at(func._mapped(part)) if batch
+                      else FunctionSpec._values_at(func, part))
+            hit = np.flatnonzero(values == stop)
+            asked = int(hit[0]) + 1 if hit.size else len(part)
+            if t.log_queries:  # the rows _take admits, as the points f was asked
+                fit = t._take("blackbox_count", asked, charge=False)
+                t.blackbox_log.extend(((frozenset(row) - _PAD) ^ self._flip, value) for row, value
+                                      in zip(part[:fit].tolist(), values[:fit].tolist()))
+            t._take("blackbox_count", asked)
             if hit.size:
                 return start + int(hit[0])
             start, block = start + len(part), 2 * block

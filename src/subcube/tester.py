@@ -21,7 +21,8 @@ of its own. While a representative search can still run, or the query log lists
 every sample, it draws the groups as samples, reads their facts in numpy
 (_block_facts), and charges (and logs) them in runs that end where a search
 runs, so a budget or a nil representative lands at the same group as one draw
-per group would; a block's new points are searched together (_representatives).
+per group would; the box searches a block's new points together
+(BlackBox.representatives), and chooses how it asks them.
 Then Stage 0 charges every group left in one step, undrawn, and each later
 block is drawn as its groups' facts alone, from their exact law (_GroupLaw),
 when _stages12 reads it: runs with logging off have the law of the logged run,
@@ -30,7 +31,7 @@ of the cuts' top 64 bits, computed in floats with a written error bound
 (_bracket_law); the exact cuts are built only for a word inside a bracket. A
 run whose box names P (BlackBox._required(): it does not log and asks a
 monotone conjunction (P, {})) and answers every support point with its label is
-known: its searches ask nothing (binary_search_representative), and Stage 0
+known: its searches ask nothing (the box's rank walk), and Stage 0
 ends it from the groups' classes alone (_known_run), reading class words past
 the groups drawn as samples and charging its probes unasked. Queries go to the
 box's transcript, samples to the sampler's.
@@ -39,7 +40,7 @@ _stages12 asks Stage 2's groups _SUBSET_ROWS at a time: it builds their B
 from its flags, as B's coordinates and a table of B's members, decides
 step 2.1 from that table, and asks the probes of the rows before the
 first step-2.1 group through BlackBox.query_until, which stops at the
-first that ends the run (asking blocks of rows, on a box that batches).
+first that ends the run. tester.py asks the box and never chooses its path.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .model import DimensionMismatch, ZeroSet, _Law, _flat_sets, _slices_at
+from .model import DimensionMismatch, ZeroSet, _Law
 from .rng import RandomStream
 
 __all__ = [
@@ -62,7 +63,6 @@ __all__ = [
     "Verdict",
     "compute_parameters",
     "ceil_log2",
-    "binary_search_representative",
     "test_monotone_conjunction",
     "test_general_conjunction",
     "amplify",
@@ -194,85 +194,6 @@ class Verdict:
     @property
     def outcome(self) -> str:
         return "accept" if self.accepted else "reject"
-
-
-def binary_search_representative(oracle, x: ZeroSet) -> Optional[int]:
-    """Binary search for a zero coordinate i of x with f({i}) = 0.
-
-    Each level halves the sorted ZERO(x), the first half taking the odd
-    coordinate, asks both halves and keeps the first that answers 0.
-    Returns None (nil) when neither does, which never happens for a
-    monotone conjunction. Deterministic; at most 2*ceil(log2 |ZERO(x)|)
-    queries; no query at all when |ZERO(x)| <= 1.
-
-    On a box whose _required() names P (it does not log and asks a monotone
-    conjunction (P, {}), the flip included), a half answers 0 exactly when
-    it holds a coordinate of P. So the search asks nothing: it returns nil
-    after 2 queries when ZERO(x) misses P, and else walks to r, the least
-    coordinate of P in ZERO(x), by r's rank in the sorted zeros. Its
-    queries are charged to the box's transcript as one batch, refused at
-    the query where asking them would be.
-    """
-    z = x._sorted()
-    if not z:
-        return None
-    if (required := oracle._required()) is not None and len(z) >= 2:
-        hit = x.zeros & required
-        if not hit:
-            oracle.transcript._take("blackbox_count", 2)
-            return None
-        r = min(hit)
-        at, size, levels = bisect_left(z, r), len(z), 0
-        while size >= 2:
-            half = (size + 1) // 2
-            at, size = (at, half) if at < half else (at - half, size - half)
-            levels += 1
-        oracle.transcript._take("blackbox_count", 2 * levels)
-        return r
-    while len(z) >= 2:
-        half = (len(z) + 1) // 2
-        z0, z1 = z[:half], z[half:]
-        v0 = oracle.query_set(frozenset(z0))
-        v1 = oracle.query_set(frozenset(z1))
-        if v0 == 0:
-            z = z0
-        elif v1 == 0:
-            z = z1
-        else:
-            return None
-    return z[0]
-
-
-def _representatives(oracle, points: list):
-    """binary_search_representative(oracle, x) for each x of points, in
-    order, each charged as it is yielded. On a box that batches and is not
-    searched by rank, the searches run in lockstep, one uncharged batch of
-    every live search's two halves per level, so a budget refuses the same
-    query and a caller that stops leaves the rest uncharged."""
-    if not oracle._batches(2 * len(points)) or oracle._required() is not None:
-        for x in points:
-            yield binary_search_representative(oracle, x)
-        return
-    zeros = [x._sorted() for x in points]
-    # each search's zeros left, as mapped[start:start + size]
-    flat, starts, sizes = _flat_sets(zeros)
-    mapped = oracle.func._mapped(flat)
-    first, levels, nil = starts.copy(), np.zeros_like(sizes), sizes == 0
-    live = np.flatnonzero(sizes >= 2)
-    while live.size:
-        at, size = starts[live], sizes[live]
-        half = (size + 1) // 2
-        v0, v1 = _slices_at(oracle.func, mapped, np.concatenate((at, at + half)),
-                            np.concatenate((half, size - half))).reshape(2, -1)
-        levels[live] += 1
-        nil[live] = (v0 != 0) & (v1 != 0)
-        starts[live] = np.where(v0 == 0, at, at + half)
-        sizes[live] = np.where(v0 == 0, half, size - half)
-        live = live[~nil[live] & (sizes[live] >= 2)]
-    # the representative: the one zero left, at its place in the sorted zeros
-    for z, k, at, gone in zip(zeros, levels.tolist(), (starts - first).tolist(), nil.tolist()):
-        oracle.transcript._take("blackbox_count", 2 * k)
-        yield None if gone else z[at]
 
 
 # Stage 0 draws its groups in blocks that double from one group up to about
@@ -416,7 +337,8 @@ def _hoeffding(ones: int, m: int, size: int, need: int) -> tuple:
     inequality P[|X - size p| >= d] <= exp(-2 d^2 / size) on the side where need - 1 or need
     lies: size p is above need - 1, or else below need. The exponent is one correctly
     rounded quotient of integers, taken 2^-40 smaller; past a float's range the tail is
-    0."""
+    0. The low side 1 - tail is taken _MARGIN smaller, as every bound is widened: a tail
+    below 2^-54 rounds it up to 1.0, which bounds nothing from below."""
     def tail(gap: int) -> float:
         # exp(-2 (gap/m)^2 / size)
         try:
@@ -425,7 +347,7 @@ def _hoeffding(ones: int, m: int, size: int, need: int) -> tuple:
             return 0.0
     if (gap := size * ones - (need - 1) * m) > 0:
         return 0.0, tail(gap)
-    return max(0.0, 1 - tail(need * m - size * ones)), 1.0
+    return max(0.0, (1 - tail(need * m - size * ones)) * (1 - _MARGIN)), 1.0
 
 
 def _missing_cuts(cum: tuple, need: int) -> Optional[_Law]:
@@ -655,7 +577,7 @@ def _stage0(oracle, sampler, p: TesterParams):
             searches = list(zip((fresh[first[order]] // size).tolist(),
                                 points[order].tolist()))
             last = max(last, searches[-1][0] if len(searches) == pending else count)
-        start, found = 0, _representatives(oracle, [sampler.point(si) for _, si in searches])
+        start, found = 0, oracle.representatives([sampler.point(si) for _, si in searches])
         for row, si in searches:
             if row >= start:
                 charge(idx, lab, start, row + 1)
@@ -911,7 +833,7 @@ def baseline_dolev_ron(oracle, sampler, n: int, epsilon,
         else:
             zero_points.setdefault(x.zeros, x)
     representatives = set()
-    for rep in _representatives(oracle, list(zero_points.values())):
+    for rep in oracle.representatives(list(zero_points.values())):
         if rep is None:
             return Verdict(False, "baseline-nil-representative")
         representatives.add(rep)

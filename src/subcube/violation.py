@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .model import (
     _over_lcm,
     _support_labels,
 )
-from .tester import _representatives
 
 __all__ = [
     "ViolationGraph",
@@ -156,12 +154,11 @@ def _unchecked(**fields) -> ViolationGraph:
     return graph
 
 
-def build_violation_bigraph(f: FunctionSpec, dist: FiniteDistribution,
-                            oracle: Optional[BlackBox] = None) -> ViolationGraph:
+def build_violation_bigraph(f: FunctionSpec, dist: FiniteDistribution) -> ViolationGraph:
     """Violation bipartite graph of f restricted to the support of dist.
 
-    Representatives come from the binary searches (tester._representatives)
-    run against oracle (a fresh uncounted black box when omitted).
+    Representatives come from the binary searches of a fresh black box on f
+    (BlackBox.representatives), whose count is not read.
     Restricting to positive-weight vertices preserves the minimum cover
     weight: an edge at a zero-weight vertex is coverable for free. The
     weights are summed as integers over dist's denominator, unchecked. A
@@ -174,8 +171,8 @@ def build_violation_bigraph(f: FunctionSpec, dist: FiniteDistribution,
     left, zeros, right, empties = [], [], {}, []
     for k, label in enumerate(labels.tolist()):
         (left if label else zeros).append(k)
-    for k, rep in zip(zeros, _representatives(oracle or BlackBox(f, QueryTranscript()),
-                                              [entries[k][0] for k in zeros])):
+    for k, rep in zip(zeros, BlackBox(f, QueryTranscript()).representatives(
+            [entries[k][0] for k in zeros])):
         if rep is None:
             empties.append(entries[k])
         else:

@@ -1,7 +1,9 @@
 """The package's public surface: every exported name exists, the package
 root exports exactly the pinned names, and removed names stay removed."""
 
+import ast
 import importlib
+import inspect
 import types
 
 import pytest
@@ -36,7 +38,8 @@ REMOVED = {"strong_sample", "index_from_uniform", "weight_of", "support",
            "_charge_groups", "_draw_big", "_resolve_big", "take_samples", "_codes",
            "LabeledSample", "from_function", "_alpha_in_b", "_HiddenBlocks",
            "LBNoStarFunction", "_drawn_facts", "_below_cuts", "_set_table",
-           "_draw_indices_raw", "_arrays", "R_prime", "_cuts", "class_only", "known"}
+           "_draw_indices_raw", "_arrays", "R_prime", "_cuts", "class_only", "known",
+           "binary_search_representative", "_representatives", "_batches"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -78,3 +81,16 @@ def test_distribution_keeps_no_flip():
     model = importlib.import_module("subcube.model")
     assert not hasattr(model.FiniteDistribution, "flipped")
     assert callable(model.BlackBox.flipped) and callable(model.Sampler.flipped)
+
+
+def test_the_box_owns_its_searches():
+    """The representative search is BlackBox.representatives: violation.py
+    imports nothing from the tester, and the tester holds none of the batch
+    helpers a search would need."""
+    tree = ast.parse(inspect.getsource(importlib.import_module("subcube.violation")))
+    imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    imported += [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for a in node.names]
+    assert imported and not [name for name in imported if name and "tester" in name]
+    tester = importlib.import_module("subcube.tester")
+    assert not {"_flat_sets", "_slices_at"} & set(vars(tester))

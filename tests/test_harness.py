@@ -26,6 +26,7 @@ import subcube.harness as harness
 import subcube.model as model_module
 import subcube.tester as tester_module
 from subcube import (
+    BlackBox,
     DecisionList,
     ExperimentConfig,
     FiniteDistribution,
@@ -515,13 +516,14 @@ def test_sim_baseline_searches_each_zero_sample_once(monkeypatch):
     """Against the no-black-box responder the baseline searches a repeated
     0-sample once, as it does against the real oracles."""
     searched = []
-    search = tester_module.binary_search_representative
+    search = BlackBox.representatives
 
-    def recording(oracle, x):
-        searched.append(x.zeros)
-        return search(oracle, x)
+    def recording(oracle, points):
+        for x, rep in zip(points, search(oracle, points)):
+            searched.append(x.zeros)
+            yield rep
 
-    monkeypatch.setattr(tester_module, "binary_search_representative", recording)
+    monkeypatch.setattr(BlackBox, "representatives", recording)
     config = ExperimentConfig(algo="dolev-ron", epsilon=Fraction(1), trials=1,
                               seed=32, generator=(SMALL_LB, "no"))
     result = _run_one(config, 0, sim=True)

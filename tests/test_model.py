@@ -1030,15 +1030,21 @@ def _probe_box(func, tr, views):
     return box
 
 
+BATCH = model_module._BATCH_ROWS
+
+
 @settings(max_examples=120, deadline=None)
 @given(kind=st.sampled_from(["mconj", "conj", "const0", "flipped", "flipped2", "dlist",
                              "lb-no"]),
-       seed=st.integers(0, 2 ** 32), nviews=st.integers(0, 2), rows=st.integers(0, 12),
-       stop=st.integers(0, 1), cap=st.one_of(st.none(), st.integers(0, 14)))
+       seed=st.integers(0, 2 ** 32), nviews=st.integers(0, 2),
+       rows=st.integers(0, 12) | st.integers(BATCH - 2, 3 * BATCH), stop=st.integers(0, 1),
+       cap=st.none() | st.integers(0, 14) | st.integers(BATCH - 2, 3 * BATCH))
 def test_query_until_matches_a_query_set_loop(kind, seed, nviews, rows, stop, cap):
     # the index, the count, the log and, under a limit that may land inside
     # the batch, the point where BudgetExceeded is raised all match asking
-    # the rows one query_set at a time
+    # the rows one query_set at a time; a box without a batch rule, which
+    # answers each row by value_at, evaluates at least the rows it is charged
+    # and at most twice as many
     rng = RandomStream(seed)
     n = 60 if kind == "lb-no" else 4 + rng.randrange(6)
     func = _probe_function(kind, n, rng.split("function"))
@@ -1068,7 +1074,20 @@ def test_query_until_matches_a_query_set_loop(kind, seed, nviews, rows, stop, ca
         return None
 
     want = run(loop)
-    assert run(lambda box: box.query_until(batch, stop)) == want
+    evaluated, by_value_at = [], FunctionSpec._values_at
+
+    def counted(func, rows):
+        evaluated.append(len(rows))
+        return by_value_at(func, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FunctionSpec, "_values_at", counted)
+        assert run(lambda box: box.query_until(batch, stop)) == want
+    charged = want[1] - before
+    if want[0] != "budget":
+        assert sum(evaluated) <= 2 * charged
+        if kind not in ("mconj", "lb-no"):
+            assert sum(evaluated) >= charged
     if cap is None:
         assert want[1] == before + (len(sets) if want[0] is None else want[0] + 1)
 
@@ -1106,7 +1125,7 @@ def test_required_names_p_only_for_a_monotone_conjunction():
 
 
 def test_required_is_read_once_per_box_and_per_view(monkeypatch):
-    # a search asks _required() each time, so a box reads its literals
+    # each representatives call asks _required(), so a box reads its literals
     # once; a view, whose flip differs, reads its own, and a view made
     # after its box has read them does not inherit the box's answer
     calls = []

@@ -43,7 +43,6 @@ import subcube.tester as tester_module
 from subcube.adversarial import generate_instance
 from subcube.serialize import function_from_obj, function_to_obj
 from subcube.tester import (
-    binary_search_representative,
     test_general_conjunction as run_conj_tester,
     test_monotone_conjunction as run_mconj_tester,
 )
@@ -187,6 +186,11 @@ def test_parameters_reject_bad_epsilon():
 # -- representative search ----------------------------------------------------
 
 
+def representative(box, x):
+    """The box's representative search on the one point x."""
+    return next(box.representatives([x]))
+
+
 def ref_representative(func, zeros):
     """Straight transcription of the halving rule, kept as the oracle."""
     z = sorted(zeros)
@@ -208,8 +212,8 @@ def test_representative_empty_and_singleton():
     f = MonotoneConj(6, frozenset({2}))
     tr = QueryTranscript()
     bb = BlackBox(f, tr)
-    assert binary_search_representative(bb, zs(6)) is None
-    assert binary_search_representative(bb, zs(6, 4)) == 4
+    assert representative(bb, zs(6)) is None
+    assert representative(bb, zs(6, 4)) == 4
     assert tr.blackbox_count == 0  # neither case queries
 
 
@@ -221,7 +225,7 @@ def test_representative_matches_reference_on_random_tables():
         size = 1 + rng.randrange(n)
         zeros = frozenset(rng.sample(list(range(1, n + 1)), size))
         tr = QueryTranscript()
-        got = binary_search_representative(BlackBox(f, tr), ZeroSet(n, zeros))
+        got = representative(BlackBox(f, tr), ZeroSet(n, zeros))
         assert got == ref_representative(f, zeros)
         assert tr.blackbox_count <= 2 * ceil_log2(size)
 
@@ -236,8 +240,7 @@ def test_representative_lands_in_required_set():
         zeros = frozenset(rng.sample(list(range(1, n + 1)), size))
         if f.value_at(zeros) == 1:
             continue
-        got = binary_search_representative(BlackBox(f, QueryTranscript()),
-                                           ZeroSet(n, zeros))
+        got = representative(BlackBox(f, QueryTranscript()), ZeroSet(n, zeros))
         assert got in (req & zeros)
 
 
@@ -254,7 +257,7 @@ def test_representative_nil_on_union_function():
     # sits under a generator, so the search dead-ends
     f = PairUnion(4)
     tr = QueryTranscript()
-    assert binary_search_representative(BlackBox(f, tr), zs(4, 1, 2)) is None
+    assert representative(BlackBox(f, tr), zs(4, 1, 2)) is None
     assert tr.blackbox_count == 2
 
 
@@ -1332,12 +1335,12 @@ def test_a_class_only_mutant_fails_the_reason_fit(monkeypatch):
 
 
 def search_run(box, x, limit=None, spent=0, log=False):
-    """binary_search_representative(box(transcript), x) on a transcript
+    """representative(box(transcript), x) on a transcript
     whose black-box count starts at spent: (the representative, or
     "budget" when the limit runs out, the count, the log)."""
     tr = QueryTranscript(limit=limit, blackbox_count=spent, log_queries=log)
     try:
-        got = binary_search_representative(box(tr), x)
+        got = representative(box(tr), x)
     except BudgetExceeded:
         got = "budget"
     return got, tr.blackbox_count, tr.blackbox_log
@@ -1438,6 +1441,27 @@ def test_logged_and_non_conjunction_searches_ask_every_half(n, data):
             assert blackbox_log == (asked if log else [])
 
 
+@pytest.mark.parametrize("log", [False, True])
+def test_a_search_past_int64_matches_the_halving_loop(log):
+    # at n = 2^70 no coordinate fits an int64, so no batch rule reads them:
+    # the decision list (0 exactly when 2^69 is a zero) runs the halving
+    # loop, and the monotone conjunction on {2^69} its rank walk when quiet.
+    # Each representative, count and log is the reference loop's
+    n = 1 << 70
+    points = [ZeroSet(n, frozenset({3, 1 << 40, 1 << 69, (1 << 69) + 1, n - 1, n})),
+              ZeroSet(n, frozenset({1 << 69})), ZeroSet(n, frozenset({5, 1 << 68, n}))]
+    for f in (DecisionList(n, ((-(1 << 69), 0), (1, 1)), 1),
+              MonotoneConj(n, frozenset({1 << 69}))):
+
+        def run(search):
+            tr = QueryTranscript(log_queries=log)
+            return search(BlackBox(f, tr)), tr.blackbox_count, tr.blackbox_log
+
+        want = run(lambda box: [reference_search(box, x.zeros) for x in points])
+        assert run(lambda box: list(box.representatives(points))) == want
+        assert want[0] == [1 << 69, 1 << 69, None] and want[1] == 4 + 0 + 2
+
+
 @lru_cache(maxsize=None)
 def batch_function(kind, seed):
     """A function with a batch rule over n = 60: a monotone conjunction, an
@@ -1502,7 +1526,7 @@ def test_batched_asks_match_the_sequential_references(kind, fseed, seed, log, nv
             got.append("budget")
         return got, tr.blackbox_count, tr.blackbox_log
 
-    assert run(lambda box, got: got.extend(tester_module._representatives(box, points))) == \
+    assert run(lambda box, got: got.extend(box.representatives(points))) == \
         run(lambda box, got: got.extend(reference_search(box, x.zeros) for x in points))
     assert run(lambda box, got: got.append(box.query_until(batch, stop))) == \
         run(lambda box, got: got.append(reference_query_until(box, batch, stop)))
@@ -1705,8 +1729,8 @@ def test_stages12_on_recorded_facts_match_the_reference(case):
                 rng.split("tester"))
 
     tr, box, sampler, rng = twin()
-    reps = {si: binary_search_representative(BlackBox(func, QueryTranscript()).flipped(flip),
-                                             sampler.point(si))
+    reps = {si: representative(BlackBox(func, QueryTranscript()).flipped(flip),
+                               sampler.point(si))
             for group in groups for si in group if not labels[si]}
     assume(None not in reps.values())
     facts = facts_by_set_rule(groups, labels, p, reps, len(labels))
@@ -1737,7 +1761,7 @@ def test_recorded_groups_reach_every_reason():
         tr, rng = QueryTranscript(), RandomStream(seed)
         box = BlackBox(func, tr).flipped(flip)
         sampler = Sampler(dist, func, tr, rng.split("samples")).flipped(flip)
-        reps = {si: binary_search_representative(box, sampler.point(si))
+        reps = {si: representative(box, sampler.point(si))
                 for group in groups for si in group if not labels[si]}
         if None not in reps.values():
             reason = reference_stages12(groups, reps, box, sampler, p, rng.split("tester"))[1]
@@ -1785,8 +1809,8 @@ def test_known_runs_on_recorded_facts_match_the_reference(case, data):
             return tester_module._known_run(box, sampler, p, list(facts.blocks), 1)
 
     sampler = Sampler(dist, func, QueryTranscript(), RandomStream(seed)).flipped(flip)
-    reps = {si: binary_search_representative(BlackBox(func, QueryTranscript()).flipped(flip),
-                                             sampler.point(si))
+    reps = {si: representative(BlackBox(func, QueryTranscript()).flipped(flip),
+                               sampler.point(si))
             for group in groups for si in group if not labels[si]}
     facts = facts_by_set_rule(groups, labels, p, reps, len(labels))
 
@@ -1857,7 +1881,7 @@ def test_stages12_on_facts_in_blocks_match_the_one_block_call(case, limit, cuts,
         rng = RandomStream(seed)
         box = BlackBox(func, tr).flipped(flip)
         sampler = Sampler(dist, func, tr, rng.split("samples")).flipped(flip)
-        reps = {si: binary_search_representative(
+        reps = {si: representative(
             BlackBox(func, QueryTranscript()).flipped(flip), sampler.point(si))
             for group in recorded for si in group if not labels[si]}
         assume(None not in reps.values())
@@ -2392,16 +2416,32 @@ def test_hoeffding_past_a_floats_range_puts_the_exact_top_word_at_an_end():
     # float's range, so the tail is 0. The exact cuts are too large to
     # build, but P[X < 1] and P[X >= size] are 2^-size, so the exact top
     # word of few is 0 for need 1 and 2^64 - 1 for need = size, and the
-    # bracket holds it; for need = size the class law has that one cut
+    # bracket holds it; for need = size the class law has that one cut, whose
+    # low side 1 - 0 is widened by the margin, as every bound is
     m, size = 2, 1 << 1100
     assert tester_module._hoeffding(1, m, size, 1) == (0.0, 0.0)
-    assert tester_module._hoeffding(1, m, size, size) == (1.0, 1.0)
+    assert tester_module._hoeffding(1, m, size, size) == (1 - tester_module._MARGIN, 1.0)
     law = tester_module._class_cuts(1, m, size, size)
     lo, hi = law._brackets
-    assert lo.tolist() == [1 << 63] and hi.tolist() == [(1 << 64) - 1]
+    assert lo.tolist() == [(1 << 64) - (1 << 34)] and hi.tolist() == [(1 << 64) - 1]
     # a word below the bracket counts 0, too few 1-samples, with no exact cut built
     assert law.count(RandomStream(0), np.array([0, 1, (1 << 63) - 1], dtype=np.uint64)
                      ).tolist() == [0, 0, 0]
+    assert "cum" not in vars(law)
+
+
+def test_a_hoeffding_low_side_that_rounds_to_one_keeps_the_bracket_narrow():
+    # need past _MAX_TERMS with few almost sure: P[X < need] is within 2^-54
+    # of 1, so 1 - tail rounds to 1.0 in floats. Widened by the margin, the
+    # bracket of both cuts is [2^64 - 2^34, 2^64 - 1], and a word in the
+    # upper half of all words (here 2^63 + 5) counts 0 from the brackets
+    # alone, with no exact cut built
+    law = tester_module._class_cuts(1, 10, 786435, 262145)
+    lo, hi = law._brackets
+    assert lo.tolist() == [(1 << 64) - (1 << 34)] * 2
+    assert hi.tolist() == [(1 << 64) - 1] * 2
+    words = np.array([1 << 63, (1 << 63) + 5, (1 << 64) - (1 << 34) - 1], dtype=np.uint64)
+    assert law.count(RandomStream(0), words).tolist() == [0, 0, 0]
     assert "cum" not in vars(law)
 
 

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subcube import (
-    BlackBox,
     FiniteDistribution,
     FunctionSpec,
     MonotoneConj,
@@ -179,19 +178,25 @@ def test_build_bigraph_collects_nil_strings():
     assert g.empty_strings == ((zs(4, 1, 2), Fraction(1, 2)),)
 
 
-def test_build_bigraph_groups_representatives_and_counts_queries():
+def test_build_bigraph_groups_representatives_and_counts_queries(monkeypatch):
     f = MonotoneConj(8, frozenset({7}))
     dist = FiniteDistribution(8, (
         (zs(8, 6, 7), Fraction(1, 4)),   # rep 7 via one split round
         (zs(8, 7), Fraction(1, 4)),      # rep 7 with no query
         (zs(8), Fraction(1, 2)),         # the 1-string
     ))
-    tr = QueryTranscript()
-    g = build_violation_bigraph(f, dist, oracle=BlackBox(f, tr))
+    made = []  # the transcript of the build's own black box
+
+    def transcript():
+        made.append(QueryTranscript())
+        return made[-1]
+
+    monkeypatch.setattr(violation_module, "QueryTranscript", transcript)
+    g = build_violation_bigraph(f, dist)
     assert g.right == ((7, Fraction(1, 2)),)
     assert g.left == ((zs(8), Fraction(1, 2)),)
     assert g.edges == ()  # the 1-string has no zeros at all
-    assert tr.blackbox_count == 2
+    assert [tr.blackbox_count for tr in made] == [2]
 
 
 # -- minimum vertex cover -----------------------------------------------------
